@@ -8,12 +8,17 @@
 //! for OpenMPI in Fig. 12a.
 
 use bytes::Bytes;
+use ray_codec::tensor::{F64View, TensorF64};
 
 use crate::comm::Rank;
 
 /// Tag namespace for allreduce traffic (disjoint from user tags by the
 /// high bit).
 const TAG_BASE: u64 = 1 << 63;
+
+/// Every rank cuts equal-length buffers with the same [`chunk_bounds`], so
+/// what a peer sends is a tensor of exactly the receiving range's length.
+const PEER_CHUNK: &str = "invariant: all ranks call with equal-length buffers";
 
 /// In-place sum-allreduce over `data` across all ranks of the world.
 ///
@@ -27,6 +32,11 @@ pub fn ring_allreduce_sum(rank: &Rank, data: &mut [f64]) {
     let next = (me + 1) % n;
     let prev = (me + n - 1) % n;
     let bounds = chunk_bounds(data.len(), n);
+    // One ring step on the wire: pass `outgoing` on, take the peer's chunk.
+    let exchange = |tag: u64, outgoing: &[f64]| {
+        rank.send(next, tag, Bytes::from(TensorF64::encode_slice(outgoing)));
+        rank.recv(prev, tag)
+    };
 
     // Phase 1: reduce-scatter. After step s, the chunk we are about to
     // send next step holds partial sums of s+1 ranks.
@@ -34,12 +44,11 @@ pub fn ring_allreduce_sum(rank: &Rank, data: &mut [f64]) {
         let send_chunk = (me + n - step) % n;
         let recv_chunk = (me + n - step - 1) % n;
         let (lo, hi) = bounds[send_chunk];
-        rank.send(next, TAG_BASE + step as u64, encode(&data[lo..hi]));
-        let incoming = decode(&rank.recv(prev, TAG_BASE + step as u64));
+        let incoming = exchange(TAG_BASE + step as u64, &data[lo..hi]);
         let (rlo, rhi) = bounds[recv_chunk];
-        for (dst, src) in data[rlo..rhi].iter_mut().zip(incoming.iter()) {
-            *dst += src;
-        }
+        F64View::of_tensor(&incoming)
+            .and_then(|chunk| chunk.add_into(&mut data[rlo..rhi]))
+            .expect(PEER_CHUNK);
     }
 
     // Phase 2: allgather. Circulate the fully reduced chunks.
@@ -47,10 +56,11 @@ pub fn ring_allreduce_sum(rank: &Rank, data: &mut [f64]) {
         let send_chunk = (me + 1 + n - step) % n;
         let recv_chunk = (me + n - step) % n;
         let (lo, hi) = bounds[send_chunk];
-        rank.send(next, TAG_BASE + (n + step) as u64, encode(&data[lo..hi]));
-        let incoming = decode(&rank.recv(prev, TAG_BASE + (n + step) as u64));
+        let incoming = exchange(TAG_BASE + (n + step) as u64, &data[lo..hi]);
         let (rlo, rhi) = bounds[recv_chunk];
-        data[rlo..rhi].copy_from_slice(&incoming);
+        F64View::of_tensor(&incoming)
+            .and_then(|chunk| chunk.copy_into(&mut data[rlo..rhi]))
+            .expect(PEER_CHUNK);
     }
 }
 
@@ -67,21 +77,6 @@ pub fn chunk_bounds(len: usize, n: usize) -> Vec<(usize, usize)> {
         start += size;
     }
     bounds
-}
-
-fn encode(slice: &[f64]) -> Bytes {
-    let mut out = Vec::with_capacity(slice.len() * 8);
-    for v in slice {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    Bytes::from(out)
-}
-
-fn decode(bytes: &Bytes) -> Vec<f64> {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-        .collect()
 }
 
 #[cfg(test)]

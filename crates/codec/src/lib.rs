@@ -60,6 +60,19 @@ pub use error::CodecError;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Blob(pub Vec<u8>);
 
+impl Blob {
+    /// A rank-1 `f64` tensor over `data` (the bytes of
+    /// [`tensor::TensorF64::to_bytes`]), copied out of the slice once.
+    pub fn from_f64s(data: &[f64]) -> Blob {
+        Blob(tensor::TensorF64::encode_slice(data))
+    }
+
+    /// The `f64` tensor this blob holds, viewed in place.
+    pub fn f64s(&self) -> Result<tensor::F64View<'_>, CodecError> {
+        tensor::F64View::of_tensor(&self.0)
+    }
+}
+
 impl serde::Serialize for Blob {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         serializer.serialize_bytes(&self.0)

@@ -18,6 +18,132 @@ const MAGIC: [u8; 4] = *b"RTNS";
 const DTYPE_F64: u8 = 1;
 const DTYPE_F32: u8 = 2;
 
+/// Splits an encoded tensor into its shape and payload after checking the
+/// magic, the dtype and that the payload holds exactly `product(shape)`
+/// elements of `elem` bytes.
+fn parse(bytes: &[u8], dtype: u8, elem: usize) -> Result<(Vec<usize>, &[u8]), CodecError> {
+    if bytes.len() < 9 {
+        return Err(CodecError::msg("tensor buffer too short"));
+    }
+    if bytes[..4] != MAGIC {
+        return Err(CodecError::msg("bad tensor magic"));
+    }
+    if bytes[4] != dtype {
+        return Err(CodecError::msg(format!(
+            "dtype mismatch: wire {} expected {dtype}",
+            bytes[4]
+        )));
+    }
+    let ndim = u32::from_le_bytes(bytes[5..9].try_into().expect("len checked")) as usize;
+    let header = ndim.checked_mul(8).and_then(|n| n.checked_add(9));
+    let Some(payload) = header.and_then(|h| bytes.get(h..)) else {
+        return Err(CodecError::msg("tensor shape truncated"));
+    };
+    let shape: Vec<usize> = bytes[9..bytes.len() - payload.len()]
+        .chunks_exact(8)
+        .map(|d| u64::from_le_bytes(d.try_into().expect("chunks_exact")) as usize)
+        .collect();
+    let expect = shape
+        .iter()
+        .try_fold(elem, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| CodecError::msg("tensor shape overflows"))?;
+    if payload.len() != expect {
+        return Err(CodecError::msg(format!(
+            "tensor payload {} bytes, expected {expect}",
+            payload.len()
+        )));
+    }
+    Ok((shape, payload))
+}
+
+/// The codec encoding of `Blob(TensorF64::encode_slice(data))` — what an
+/// actor method returns or a task takes for a slice of `f64`s — written
+/// straight from the slice, so the payload is copied once.
+pub fn encode_f64_blob(data: &[f64]) -> Vec<u8> {
+    let body = TensorF64::slice_encoded_len(data.len());
+    let mut out = Vec::with_capacity(8 + body);
+    out.extend_from_slice(&(body as u64).to_le_bytes());
+    TensorF64::write(&mut out, &[data.len()], data);
+    out
+}
+
+/// The elements of an encoded `f64` tensor, read where they lie: nothing
+/// is copied and the payload may sit at any alignment, which is how it
+/// arrives inside an argument buffer (length prefix and header put it at
+/// an odd offset).
+#[derive(Debug, Clone, Copy)]
+pub struct F64View<'a> {
+    payload: &'a [u8],
+}
+
+impl<'a> F64View<'a> {
+    /// Views bytes produced by [`TensorF64::to_bytes`]; the shape is
+    /// flattened.
+    pub fn of_tensor(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        parse(bytes, DTYPE_F64, 8).map(|(_, payload)| F64View { payload })
+    }
+
+    /// Views the codec encoding of a [`Blob`](crate::Blob) holding a
+    /// tensor, as [`encode_f64_blob`] writes it.
+    pub fn of_encoded_blob(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let (len, body) = bytes
+            .split_first_chunk::<8>()
+            .ok_or_else(|| CodecError::msg("blob length prefix truncated"))?;
+        if u64::from_le_bytes(*len) != body.len() as u64 {
+            return Err(CodecError::msg("blob length prefix disagrees with buffer"));
+        }
+        Self::of_tensor(body)
+    }
+
+    /// Element count.
+    pub fn len(&self) -> usize {
+        self.payload.len() / 8
+    }
+
+    /// Whether there are no elements.
+    pub fn is_empty(&self) -> bool {
+        self.payload.is_empty()
+    }
+
+    /// The elements in order.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
+        self.payload
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact")))
+    }
+
+    /// `dst[i] += self[i]`; the lengths must agree.
+    pub fn add_into(&self, dst: &mut [f64]) -> Result<(), CodecError> {
+        self.check_len(dst.len())?;
+        for (d, v) in dst.iter_mut().zip(self.iter()) {
+            *d += v;
+        }
+        Ok(())
+    }
+
+    /// `dst[i] = self[i]`; the lengths must agree.
+    pub fn copy_into(&self, dst: &mut [f64]) -> Result<(), CodecError> {
+        self.check_len(dst.len())?;
+        for (d, v) in dst.iter_mut().zip(self.iter()) {
+            *d = v;
+        }
+        Ok(())
+    }
+
+    /// Copies the elements out.
+    pub fn to_vec(&self) -> Vec<f64> {
+        self.iter().collect()
+    }
+
+    fn check_len(&self, dst: usize) -> Result<(), CodecError> {
+        if dst == self.len() {
+            Ok(())
+        } else {
+            Err(CodecError::msg(format!("tensor of {} elements into a slice of {dst}", self.len())))
+        }
+    }
+}
+
 macro_rules! tensor_impl {
     ($(#[$meta:meta])* $name:ident, $elem:ty, $dtype:expr) => {
         $(#[$meta])*
@@ -98,10 +224,28 @@ macro_rules! tensor_impl {
             /// Encodes the tensor with a bulk payload copy.
             pub fn to_bytes(&self) -> Bytes {
                 let mut out = Vec::with_capacity(self.encoded_len());
+                Self::write(&mut out, &self.shape, &self.data);
+                Bytes::from(out)
+            }
+
+            /// The bytes `Self::from_vec(data.to_vec()).to_bytes()` holds,
+            /// copied out of the slice once.
+            pub fn encode_slice(data: &[$elem]) -> Vec<u8> {
+                let mut out = Vec::with_capacity(Self::slice_encoded_len(data.len()));
+                Self::write(&mut out, &[data.len()], data);
+                out
+            }
+
+            /// Serialized size of a rank-1 tensor of `n` elements.
+            const fn slice_encoded_len(n: usize) -> usize {
+                4 + 1 + 4 + 8 + n * std::mem::size_of::<$elem>()
+            }
+
+            fn write(out: &mut Vec<u8>, shape: &[usize], data: &[$elem]) {
                 out.extend_from_slice(&MAGIC);
                 out.push($dtype);
-                out.extend_from_slice(&(self.shape.len() as u32).to_le_bytes());
-                for &d in &self.shape {
+                out.extend_from_slice(&(shape.len() as u32).to_le_bytes());
+                for &d in shape {
                     out.extend_from_slice(&(d as u64).to_le_bytes());
                 }
                 #[cfg(target_endian = "little")]
@@ -113,64 +257,31 @@ macro_rules! tensor_impl {
                     // order matches the wire format.
                     let raw: &[u8] = unsafe {
                         std::slice::from_raw_parts(
-                            self.data.as_ptr() as *const u8,
-                            self.data.len() * std::mem::size_of::<$elem>(),
+                            data.as_ptr() as *const u8,
+                            std::mem::size_of_val(data),
                         )
                     };
                     out.extend_from_slice(raw);
                 }
                 #[cfg(not(target_endian = "little"))]
                 {
-                    for &v in &self.data {
+                    for &v in data {
                         out.extend_from_slice(&v.to_le_bytes());
                     }
                 }
-                Bytes::from(out)
             }
 
             /// Decodes a tensor previously produced by [`Self::to_bytes`].
             pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
                 const ELEM: usize = std::mem::size_of::<$elem>();
-                if bytes.len() < 9 {
-                    return Err(CodecError::msg("tensor buffer too short"));
-                }
-                if bytes[..4] != MAGIC {
-                    return Err(CodecError::msg("bad tensor magic"));
-                }
-                if bytes[4] != $dtype {
-                    return Err(CodecError::msg(format!(
-                        "dtype mismatch: wire {} expected {}",
-                        bytes[4], $dtype
-                    )));
-                }
-                let ndim =
-                    u32::from_le_bytes(bytes[5..9].try_into().expect("len checked")) as usize;
-                let header = 9 + 8 * ndim;
-                if bytes.len() < header {
-                    return Err(CodecError::msg("tensor shape truncated"));
-                }
-                let mut shape = Vec::with_capacity(ndim);
-                for i in 0..ndim {
-                    let off = 9 + 8 * i;
-                    shape.push(u64::from_le_bytes(
-                        bytes[off..off + 8].try_into().expect("len checked"),
-                    ) as usize);
-                }
-                let n: usize = shape.iter().product();
-                let payload = &bytes[header..];
-                if payload.len() != n * ELEM {
-                    return Err(CodecError::msg(format!(
-                        "tensor payload {} bytes, expected {}",
-                        payload.len(),
-                        n * ELEM
-                    )));
-                }
+                let (shape, payload) = parse(bytes, $dtype, ELEM)?;
+                let n = payload.len() / ELEM;
                 let mut data: Vec<$elem> = Vec::with_capacity(n);
                 #[cfg(target_endian = "little")]
                 {
                     // SAFETY: `data` was allocated with capacity for `n`
-                    // elements (`n * ELEM` bytes). The source slice holds
-                    // exactly that many bytes, every bit pattern is a valid
+                    // elements (`n * ELEM` bytes). `parse` returns a payload
+                    // of exactly that many bytes, every bit pattern is a valid
                     // float, and source/destination do not overlap. After
                     // the copy all `n` elements are initialized, so
                     // `set_len(n)` is sound.

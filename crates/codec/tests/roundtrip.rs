@@ -10,10 +10,13 @@
 //!    error — never a panic, never a silently wrong value.
 //! 3. Structural invalidity (shape/data mismatch, bad magic, bad dtype) is
 //!    rejected.
+//! 4. The one-copy slice encoders write exactly the bytes the owned
+//!    tensor path writes, and the borrowed view reads them back at every
+//!    payload alignment.
 
 use std::collections::BTreeMap;
 
-use ray_codec::tensor::{TensorF32, TensorF64};
+use ray_codec::tensor::{encode_f64_blob, F64View, TensorF32, TensorF64};
 use ray_codec::Blob;
 use ray_common::util::DetRng;
 use serde::{Deserialize, Serialize};
@@ -190,4 +193,90 @@ fn structurally_invalid_tensors_are_rejected() {
     assert!(TensorF64::from_bytes(&bad_magic).is_err());
     // Wrong dtype byte: an f64 payload must not decode as f32.
     assert!(TensorF32::from_bytes(&good).is_err());
+}
+
+fn random_f64s(rng: &mut DetRng) -> Vec<f64> {
+    let len = (rng.next_u64() % 200) as usize;
+    // Raw bit patterns: NaN payloads, infinities and subnormals included.
+    (0..len).map(|_| f64::from_bits(rng.next_u64())).collect()
+}
+
+#[test]
+fn slice_encoders_match_the_owned_tensor_path() {
+    for seed in 0..120u64 {
+        let mut rng = DetRng::new(seed ^ 0x51ED);
+        let s = random_f64s(&mut rng);
+        let owned = TensorF64::from_vec(s.to_vec()).to_bytes();
+        assert_eq!(TensorF64::encode_slice(&s), owned, "seed {seed}");
+        assert_eq!(Blob::from_f64s(&s).0, owned, "seed {seed}");
+        assert_eq!(
+            encode_f64_blob(&s),
+            ray_codec::encode(&Blob(owned.to_vec())).unwrap(),
+            "seed {seed}: blob framing"
+        );
+    }
+}
+
+#[test]
+fn borrowed_view_roundtrips_at_every_misalignment() {
+    for seed in 0..40u64 {
+        let mut rng = DetRng::new(seed ^ 0xA11C);
+        let s = random_f64s(&mut rng);
+        let bits: Vec<u64> = s.iter().map(|v| v.to_bits()).collect();
+        let framed = encode_f64_blob(&s);
+        for pad in 0..8usize {
+            // `pad` leading bytes shift the payload through every offset
+            // modulo the alignment of f64.
+            let mut buf = vec![0xEEu8; pad];
+            buf.extend_from_slice(&framed);
+            let view = F64View::of_encoded_blob(&buf[pad..]).unwrap();
+            assert_eq!(view.len(), s.len());
+            assert_eq!(view.is_empty(), s.is_empty());
+            let got: Vec<u64> = view.to_vec().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, bits, "seed {seed} pad {pad}");
+
+            let mut copied = vec![0.0; s.len()];
+            view.copy_into(&mut copied).unwrap();
+            assert_eq!(copied.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits);
+
+            // Finite addends so the sums compare with `==`.
+            let base: Vec<f64> = (0..s.len()).map(|_| rng.next_f64()).collect();
+            let mut summed = base.clone();
+            view.add_into(&mut summed).unwrap();
+            for ((sum, b), v) in summed.iter().zip(&base).zip(&s) {
+                assert_eq!(sum.to_bits(), (b + v).to_bits(), "seed {seed} pad {pad}");
+            }
+
+            assert!(view.copy_into(&mut vec![0.0; s.len() + 1]).is_err());
+            assert!(view.add_into(&mut vec![0.0; s.len() + 1]).is_err());
+        }
+    }
+}
+
+#[test]
+fn borrowed_view_rejects_truncated_and_mistyped_buffers() {
+    let mut rng = DetRng::new(7);
+    let s: Vec<f64> = (0..24).map(|_| rng.next_f64()).collect();
+    let framed = encode_f64_blob(&s);
+    for cut in 0..framed.len() {
+        assert!(F64View::of_encoded_blob(&framed[..cut]).is_err(), "blob prefix {cut}");
+    }
+    let tensor = &framed[8..];
+    for cut in 0..tensor.len() {
+        assert!(F64View::of_tensor(&tensor[..cut]).is_err(), "tensor prefix {cut}");
+    }
+    // A trailing byte the length prefix does not cover.
+    let mut long = framed.clone();
+    long.push(0);
+    assert!(F64View::of_encoded_blob(&long).is_err());
+    // An f32 tensor must not read as f64, framed or bare.
+    let f32s = TensorF32::from_vec(vec![1.0; 8]).to_bytes().to_vec();
+    assert!(F64View::of_tensor(&f32s).is_err());
+    assert!(Blob(f32s.clone()).f64s().is_err());
+    assert!(F64View::of_encoded_blob(&ray_codec::encode(&Blob(f32s)).unwrap()).is_err());
+    // A shape whose element count overflows is an error, not a wrap-around.
+    let mut huge = TensorF64::from_shape(vec![1, 1], vec![0.0]).unwrap().to_bytes().to_vec();
+    huge[9..25].fill(0xFF);
+    assert!(F64View::of_tensor(&huge).is_err());
+    assert!(TensorF64::from_bytes(&huge).is_err());
 }

@@ -438,13 +438,15 @@ impl TraceCollector {
 
     /// Records one lifecycle event into `node`'s ring. Ordering comes
     /// from the collector-global `seq`, so events emitted from different
-    /// threads still merge into one total order.
+    /// threads still merge into one total order. `detail` is rendered
+    /// only when emission is live: pass `format_args!(..)`, not
+    /// `format!(..)`, so a disabled collector allocates nothing.
     pub fn emit(
         &self,
         node: NodeId,
         kind: TraceEventKind,
         entity: TraceEntity,
-        detail: impl Into<String>,
+        detail: impl std::fmt::Display,
     ) {
         if !self.inner.enabled.load(Ordering::Relaxed) {
             return;
@@ -455,7 +457,7 @@ impl TraceCollector {
             node,
             kind,
             entity,
-            detail: detail.into(),
+            detail: detail.to_string(),
         };
         let ring = self.ring(node);
         let mut buf = ring.buf.lock();

@@ -22,6 +22,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
@@ -51,22 +52,32 @@ enum ActorEntry {
     /// Handle exists; creation task has not executed yet. Calls queue.
     Pending { queued: VecDeque<TaskSpec> },
     /// Host is live on `node`.
-    Alive { tx: Sender<ActorMsg>, node: NodeId },
+    Alive { tx: Sender<ActorMsg>, node: NodeId, join: JoinHandle<()> },
     /// Host lost; rebuild in progress. Calls queue.
     Recovering { queued: VecDeque<TaskSpec> },
     /// Permanently gone.
     Dead,
 }
 
+#[derive(Default)]
+struct RouterState {
+    entries: HashMap<ActorId, ActorEntry>,
+    /// Hosts told to stop by a recovery, and the recovery threads
+    /// themselves, not yet joined.
+    retired: Vec<JoinHandle<()>>,
+    /// Set by [`ActorRouter::stop_all`]: no host may go live any more.
+    stopped: bool,
+}
+
 /// Client-side routing state for every actor in the cluster.
 pub(crate) struct ActorRouter {
-    inner: OrderedMutex<HashMap<ActorId, ActorEntry>>,
+    inner: OrderedMutex<RouterState>,
 }
 
 impl Default for ActorRouter {
     fn default() -> Self {
         ActorRouter {
-            inner: OrderedMutex::new(&classes::ACTOR_ROUTER, HashMap::new()),
+            inner: OrderedMutex::new(&classes::ACTOR_ROUTER, RouterState::default()),
         }
     }
 }
@@ -80,6 +91,7 @@ impl ActorRouter {
     pub fn register_pending(&self, actor: ActorId) {
         self.inner
             .lock()
+            .entries
             .entry(actor)
             .or_insert(ActorEntry::Pending { queued: VecDeque::new() });
     }
@@ -88,7 +100,7 @@ impl ActorRouter {
     /// alive, queued while pending/recovering.
     pub fn invoke(&self, actor: ActorId, spec: TaskSpec) -> RayResult<()> {
         let mut inner = self.inner.lock();
-        match inner.get_mut(&actor) {
+        match inner.entries.get_mut(&actor) {
             None => Err(RayError::ActorDied(actor)),
             Some(ActorEntry::Dead) => Err(RayError::ActorDied(actor)),
             Some(ActorEntry::Pending { queued }) | Some(ActorEntry::Recovering { queued }) => {
@@ -108,45 +120,83 @@ impl ActorRouter {
     }
 
     /// Marks the actor alive on `node`, flushing queued calls to the new
-    /// host in submission order.
-    pub fn activate(&self, actor: ActorId, tx: Sender<ActorMsg>, node: NodeId) {
+    /// host in submission order. Once the router has stopped, the host is
+    /// handed back instead, for the caller to stop and join.
+    fn activate(
+        &self,
+        actor: ActorId,
+        tx: Sender<ActorMsg>,
+        node: NodeId,
+        join: JoinHandle<()>,
+    ) -> Result<(), (Sender<ActorMsg>, JoinHandle<()>)> {
         let mut inner = self.inner.lock();
-        let queued = match inner.remove(&actor) {
-            Some(ActorEntry::Pending { queued }) | Some(ActorEntry::Recovering { queued }) => {
-                queued
-            }
-            _ => VecDeque::new(),
-        };
-        for spec in &queued {
-            let _ = tx.send(ActorMsg::Invoke(spec.clone()));
+        if inner.stopped {
+            return Err((tx, join));
         }
-        inner.insert(actor, ActorEntry::Alive { tx, node });
+        if let Some(ActorEntry::Pending { queued } | ActorEntry::Recovering { queued }) =
+            inner.entries.remove(&actor)
+        {
+            for spec in queued {
+                let _ = tx.send(ActorMsg::Invoke(spec));
+            }
+        }
+        inner.entries.insert(actor, ActorEntry::Alive { tx, node, join });
+        Ok(())
     }
 
     /// Transitions an alive actor to recovering (returns `true` if this
     /// call performed the transition — the caller then owns the rebuild).
+    /// The old host is told to stop; `stop_all` joins it.
     pub fn begin_recovery(&self, actor: ActorId) -> bool {
         let mut inner = self.inner.lock();
-        match inner.get_mut(&actor) {
-            Some(entry @ ActorEntry::Alive { .. }) => {
-                if let ActorEntry::Alive { tx, .. } = entry {
-                    let _ = tx.send(ActorMsg::Stop);
-                }
-                *entry = ActorEntry::Recovering { queued: VecDeque::new() };
-                true
-            }
-            _ => false,
+        let Some(entry @ ActorEntry::Alive { .. }) = inner.entries.get_mut(&actor) else {
+            return false;
+        };
+        let old = std::mem::replace(entry, ActorEntry::Recovering { queued: VecDeque::new() });
+        if let ActorEntry::Alive { tx, join, .. } = old {
+            let _ = tx.send(ActorMsg::Stop);
+            inner.retired.push(join);
         }
+        true
+    }
+
+    /// Hands over a thread that ends on its own (a stopped host, a
+    /// recovery) for `stop_all` to join; after `stop_all` it comes back.
+    fn retire(&self, join: JoinHandle<()>) -> Option<JoinHandle<()>> {
+        let mut inner = self.inner.lock();
+        if inner.stopped {
+            return Some(join);
+        }
+        inner.retired.retain(|j| !j.is_finished());
+        inner.retired.push(join);
+        None
+    }
+
+    /// Cluster shutdown: tells every live host to stop, marks every actor
+    /// dead so nothing routes or rebuilds any more, and returns the host
+    /// threads for the caller to join (outside the router lock, and once
+    /// whatever a method may be blocked on has been shut down too).
+    pub fn stop_all(&self) -> Vec<JoinHandle<()>> {
+        let mut inner = self.inner.lock();
+        inner.stopped = true;
+        let mut hosts = std::mem::take(&mut inner.retired);
+        for entry in inner.entries.values_mut() {
+            if let ActorEntry::Alive { tx, join, .. } = std::mem::replace(entry, ActorEntry::Dead) {
+                let _ = tx.send(ActorMsg::Stop);
+                hosts.push(join);
+            }
+        }
+        hosts
     }
 
     /// Marks an actor permanently dead.
     pub fn mark_dead(&self, actor: ActorId) {
-        self.inner.lock().insert(actor, ActorEntry::Dead);
+        self.inner.lock().entries.insert(actor, ActorEntry::Dead);
     }
 
     /// The node hosting an actor, if alive.
     pub fn node_of(&self, actor: ActorId) -> Option<NodeId> {
-        match self.inner.lock().get(&actor) {
+        match self.inner.lock().entries.get(&actor) {
             Some(ActorEntry::Alive { node, .. }) => Some(*node),
             _ => None,
         }
@@ -156,6 +206,7 @@ impl ActorRouter {
     pub fn actors_on(&self, node: NodeId) -> Vec<ActorId> {
         self.inner
             .lock()
+            .entries
             .iter()
             .filter_map(|(id, e)| match e {
                 ActorEntry::Alive { node: n, .. } if *n == node => Some(*id),
@@ -211,7 +262,7 @@ impl ActorHost {
     fn execute(&mut self, spec: &TaskSpec, replay: bool) {
         let seq = self.seq;
         let (method, read_only) = match &spec.kind {
-            TaskKind::ActorMethod { method, read_only, .. } => (method.clone(), *read_only),
+            TaskKind::ActorMethod { method, read_only, .. } => (method.as_str(), *read_only),
             _ => {
                 // Malformed routing; surface as a failed result.
                 let msg = "non-method spec delivered to actor host".to_string();
@@ -251,14 +302,14 @@ impl ActorHost {
                 self.node,
                 TraceEventKind::MethodReplayed,
                 TraceEntity::Actor(self.actor),
-                format!("seq={seq}"),
+                format_args!("seq={seq}"),
             );
         }
         self.shared.trace.emit(
             self.node,
             TraceEventKind::Running,
             TraceEntity::Task(spec.task),
-            format!("actor={} method={method}", self.actor),
+            format_args!("actor={} method={method}", self.actor),
         );
 
         let outputs = match resolve_args(&self.shared, self.node, None, spec) {
@@ -271,7 +322,7 @@ impl ActorHost {
                     None,
                 );
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    self.instance.call(&ctx, &method, &args)
+                    self.instance.call(&ctx, method, &args)
                 }));
                 match result {
                     Ok(Ok(outs)) if outs.len() == spec.num_returns as usize => {
@@ -320,14 +371,9 @@ impl ActorHost {
         }
         self.seq += 1;
 
+        // The method log is the only record of progress: the actor record
+        // is written at creation and at rebuild, never here.
         if !replay {
-            // Publish progress (methods_invoked is the replay upper bound).
-            if let Ok(Some(mut rec)) = self.shared.gcs_client.get_actor(self.actor) {
-                rec.methods_invoked = self.seq;
-                rec.node = self.node;
-                rec.state = ActorState::Alive;
-                let _ = self.shared.gcs_client.put_actor(&rec);
-            }
             if let Some(every) = self.shared.config.fault.actor_checkpoint_interval {
                 if (every > 0 && self.seq.is_multiple_of(every)) || self.pending_checkpoint {
                     self.take_checkpoint();
@@ -346,7 +392,7 @@ impl ActorHost {
                     self.node,
                     TraceEventKind::CheckpointTaken,
                     TraceEntity::Actor(self.actor),
-                    format!("seq={}", self.seq),
+                    format_args!("seq={}", self.seq),
                 );
             } else {
                 // The write failed (shard down / unreachable). Losing the
@@ -409,7 +455,6 @@ pub(crate) fn spawn_actor_here(
         creation_task: creation_spec.task,
         init_args: ray_codec::Blob(ray_codec::encode(&arg_payloads).map_err(RayError::from)?),
         state: ActorState::Alive,
-        methods_invoked: 0,
     };
     shared.gcs_client.put_actor(&record)?;
 
@@ -428,14 +473,18 @@ fn start_host(
     let host =
         ActorHost { shared: shared.clone(), actor, node, instance, seq, pending_checkpoint: false };
     let metrics = shared.metrics.clone();
-    std::thread::Builder::new()
+    let join = std::thread::Builder::new()
         .name(format!("actor-{actor}"))
         .spawn(move || {
             ray_common::sync::install_long_hold_metrics(metrics);
             host.run(rx)
         })
         .expect("invariant: thread spawn only fails on OS resource exhaustion");
-    shared.actors.activate(actor, tx, node);
+    if let Err((tx, join)) = shared.actors.activate(actor, tx, node, join) {
+        // The cluster shut down while this host was being built.
+        let _ = tx.send(ActorMsg::Stop);
+        let _ = join.join();
+    }
 }
 
 /// Bounds rebuild retries across a transient GCS outage: at 10ms per
@@ -457,10 +506,11 @@ pub(crate) fn rebuild_actor(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayR
     if !shared.actors.begin_recovery(actor) {
         return Ok(()); // Someone else is rebuilding (or it is not alive-but-stale).
     }
-    let shared = shared.clone();
-    std::thread::Builder::new()
+    let owned = shared.clone();
+    let recovery = std::thread::Builder::new()
         .name(format!("actor-recovery-{actor}"))
         .spawn(move || {
+            let shared = owned;
             ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
             // A rebuild can race a control-plane outage (a GCS shard
             // crashing mid-recovery): those errors are transient — shards
@@ -491,6 +541,10 @@ pub(crate) fn rebuild_actor(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayR
             }
         })
         .expect("invariant: thread spawn only fails on OS resource exhaustion");
+    if let Some(recovery) = shared.actors.retire(recovery) {
+        // Shutdown won the race; the rebuild bails out on `shutting_down`.
+        let _ = recovery.join();
+    }
     Ok(())
 }
 
@@ -551,17 +605,15 @@ fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayRes
                 node,
                 TraceEventKind::CheckpointRestored,
                 TraceEntity::Actor(actor),
-                format!("seq={}", ck.seq),
+                format_args!("seq={}", ck.seq),
             );
         }
     }
 
     // Replay the stateful-edge chain from the checkpoint (Fig. 11b: "only
     // 500 methods to be re-executed, versus 10k without checkpointing").
-    // The method log itself bounds replay, not the record's
-    // `methods_invoked` hint: a crash can land after a method was logged
-    // but before the record was republished, and that method must still be
-    // applied (exactly once) with its outputs re-stored.
+    // The method log alone bounds replay: every logged method is applied
+    // exactly once, with its outputs re-stored if they were lost.
     let mut host = ActorHost {
         shared: shared.clone(),
         actor,
@@ -586,13 +638,12 @@ fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayRes
     let mut record = record;
     record.node = node;
     record.state = ActorState::Alive;
-    record.methods_invoked = seq;
     shared.gcs_client.put_actor(&record)?;
     shared.trace.emit(
         node,
         TraceEventKind::ActorRebuilt,
         TraceEntity::Actor(actor),
-        format!("replayed={}", seq - start_seq),
+        format_args!("replayed={}", seq - start_seq),
     );
     let ActorHost { instance, seq, .. } = host;
     start_host(shared, node, actor, instance, seq);

@@ -466,6 +466,7 @@ impl Cluster {
             return;
         }
         let _ = self.shared.global_tx.send(GlobalMsg::Shutdown);
+        let actor_hosts = self.shared.actors.stop_all();
         let handles: Vec<_> = {
             let mut nodes = self.shared.nodes.write();
             nodes.iter_mut().filter_map(|s| s.take()).collect()
@@ -477,12 +478,18 @@ impl Cluster {
         if let Some(j) = self.global_join.lock().take() {
             let _ = j.join();
         }
-        // GCS shutdown unblocks any worker still waiting on fetches.
+        // GCS shutdown unblocks any worker or actor host still waiting on
+        // fetches.
         self.shared.gcs.shutdown();
         for h in handles {
             if let Some(j) = h.join.lock().take() {
                 let _ = j.join();
             }
+        }
+        // Each host owns its instance and an `Arc` of the runtime; joining
+        // is what releases both.
+        for j in actor_hosts {
+            let _ = j.join();
         }
     }
 }

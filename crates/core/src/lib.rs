@@ -66,7 +66,10 @@ pub mod worker;
 pub use cluster::Cluster;
 pub use context::{ActorHandle, RayContext};
 pub use node::node_affinity;
-pub use registry::{decode_arg, encode_return, encode_returns, ActorInstance, FunctionRegistry};
+pub use registry::{
+    decode_arg, encode_return, encode_return_f64s, encode_returns, f64s_arg, ActorInstance,
+    FunctionRegistry,
+};
 pub use task::{Arg, ObjectRef, TaskOptions};
 
 pub use ray_common::{NodeId, ObjectId, RayConfig, RayError, RayResult, Resources};

@@ -167,6 +167,20 @@ pub fn encode_return<T: Serialize>(value: &T) -> RemoteResult {
     }
 }
 
+/// Views the `i`-th argument as the `f64` tensor blob that
+/// [`encode_return_f64s`] or `Arg::value(&Blob::from_f64s(..))` produced,
+/// without copying it out of the argument buffer.
+pub fn f64s_arg(args: &[Bytes], i: usize) -> Result<ray_codec::tensor::F64View<'_>, String> {
+    let raw = args.get(i).ok_or_else(|| format!("missing argument {i}"))?;
+    ray_codec::tensor::F64View::of_encoded_blob(raw).map_err(|e| format!("argument {i}: {e}"))
+}
+
+/// Encodes a slice of `f64`s as a single tensor-blob return value (callers
+/// read it as `ObjectRef<Blob>`), copying the payload once.
+pub fn encode_return_f64s(data: &[f64]) -> RemoteResult {
+    Ok(vec![ray_codec::tensor::encode_f64_blob(data)])
+}
+
 /// Encodes multiple return values.
 pub fn encode_returns<T: Serialize>(values: &[T]) -> RemoteResult {
     values

@@ -258,7 +258,7 @@ impl RuntimeShared {
             from,
             TraceEventKind::Submitted,
             TraceEntity::Task(spec.task),
-            spec.function_name.clone(),
+            &spec.function_name,
         );
         self.record_lineage(&spec)?;
         self.dispatch_for_scheduling(from, spec)
@@ -276,7 +276,7 @@ impl RuntimeShared {
             from,
             TraceEventKind::Resubmitted,
             TraceEntity::Task(spec.task),
-            spec.function_name.clone(),
+            &spec.function_name,
         );
         self.dispatch_for_scheduling(from, spec)
     }

@@ -176,7 +176,7 @@ pub(crate) fn execute_task(
                     node,
                     TraceEventKind::Failed,
                     TraceEntity::Task(spec.task),
-                    msg.clone(),
+                    &msg,
                 );
                 (0..spec.num_returns).map(|_| encode_error_object(spec.task, &msg)).collect()
             } else {
@@ -189,7 +189,7 @@ pub(crate) fn execute_task(
                 node,
                 TraceEventKind::Failed,
                 TraceEntity::Task(spec.task),
-                msg.clone(),
+                &msg,
             );
             (0..spec.num_returns)
                 .map(|_| encode_error_object(spec.task, &msg))

@@ -8,10 +8,12 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ray_common::config::{FaultConfig, SchedulerPolicy};
-use ray_common::{NodeId, ObjectId, RayConfig, RayError, Resources};
+use ray_common::trace::{TraceEntity, TraceEventKind};
+use ray_common::{NodeId, ObjectId, RayConfig, RayError, Resources, ShardId};
+use ray_gcs::kv::{Key, Table, UpdateOp};
 use rustray::registry::{decode_arg, encode_return, RemoteResult};
 use rustray::task::{Arg, ObjectRef, TaskOptions};
-use rustray::{ActorInstance, Cluster, RayContext};
+use rustray::{node_affinity, ActorInstance, Cluster, RayContext};
 
 fn small_cluster() -> Cluster {
     Cluster::start(RayConfig::builder().nodes(2).workers_per_node(2).seed(7).build()).unwrap()
@@ -532,9 +534,12 @@ fn read_only_methods_skip_the_stateful_edge() {
             assert!(ctx.get(&r).unwrap() >= 1);
         }
     }
-    // Only the 5 writes are on the stateful-edge chain.
-    let record = cluster.gcs().client().get_actor(h.id()).unwrap().unwrap();
-    assert_eq!(record.methods_invoked, 5);
+    // Only the 5 writes are on the stateful-edge chain: the method log is
+    // the record of progress, and it ends at seq 4.
+    let gcs = cluster.gcs().client();
+    assert!(gcs.get_actor_method(h.id(), 4).unwrap().is_some());
+    assert!(gcs.get_actor_method(h.id(), 5).unwrap().is_none());
+    let record = gcs.get_actor(h.id()).unwrap().unwrap();
 
     cluster.kill_node(record.node);
     let survivor = (0..3).map(NodeId).find(|&n| n != record.node).unwrap();
@@ -544,6 +549,173 @@ fn read_only_methods_skip_the_stateful_edge() {
     // Replay covered only the 5 logged writes, not the 10 reads.
     assert_eq!(cluster.metrics().counter("methods_replayed").get(), 5);
     cluster.shutdown();
+}
+
+/// Kills the hosting node after `k` logged methods and checks that the
+/// rebuild replays exactly the methods past the last checkpoint — the
+/// method log alone says how far the actor had got — and ends in the state
+/// of a twin that never failed.
+fn recovers_from_the_method_log(k: i64, checkpoint_interval: Option<u64>) {
+    let mut cfg =
+        RayConfig::builder().nodes(3).workers_per_node(2).seed(21).tracing(true).build();
+    cfg.fault =
+        FaultConfig { actor_checkpoint_interval: checkpoint_interval, ..FaultConfig::default() };
+    let cluster = Cluster::start(cfg).unwrap();
+    register_counter(&cluster);
+    let ctx = cluster.driver();
+    let pinned = |n| TaskOptions::default().with_demand(node_affinity(NodeId(n)));
+    let incr = |h: &rustray::ActorHandle, by: i64| -> ObjectRef<i64> {
+        ctx.call_actor(h, "incr", vec![Arg::value(&by).unwrap()]).unwrap()
+    };
+    let doomed = ctx.create_actor("Counter", vec![Arg::value(&0i64).unwrap()], pinned(1)).unwrap();
+    let twin = ctx.create_actor("Counter", vec![Arg::value(&0i64).unwrap()], pinned(0)).unwrap();
+    // Distinct increments: a method skipped or applied twice changes the sum.
+    for i in 1..=k {
+        for h in [&doomed, &twin] {
+            ctx.get(&incr(h, i)).unwrap();
+        }
+    }
+    let gcs = cluster.gcs().client();
+    assert!(gcs.get_actor_method(doomed.id(), k as u64 - 1).unwrap().is_some());
+    assert!(gcs.get_actor_method(doomed.id(), k as u64).unwrap().is_none());
+    let checkpointed = gcs.get_checkpoint(doomed.id()).unwrap().map_or(0, |ck| ck.seq);
+    let expected = checkpoint_interval.map_or(0, |every| k as u64 / every * every);
+    assert_eq!(checkpointed, expected);
+
+    cluster.kill_node(NodeId(1));
+    cluster.restart_node(NodeId(1)).unwrap();
+    let after: Vec<i64> = [&doomed, &twin]
+        .map(|h| ctx.get_with_timeout(&incr(h, 1000), Duration::from_secs(120)).unwrap())
+        .to_vec();
+    assert_eq!(after[0], after[1], "rebuilt state differs from the fault-free twin");
+    assert_eq!(after[0], k * (k + 1) / 2 + 1000);
+
+    let log = cluster.trace_log().unwrap();
+    log.assert()
+        .count_eq(
+            TraceEntity::Actor(doomed.id()),
+            TraceEventKind::MethodReplayed,
+            (k as u64 - checkpointed) as usize,
+        )
+        .count_eq(TraceEntity::Actor(doomed.id()), TraceEventKind::ActorRebuilt, 1)
+        .count_eq(TraceEntity::Actor(twin.id()), TraceEventKind::MethodReplayed, 0);
+    // The rebuild republished the record at its new placement.
+    assert_eq!(gcs.get_actor(doomed.id()).unwrap().unwrap().node, NodeId(1));
+    cluster.shutdown();
+}
+
+#[test]
+fn rebuild_replays_the_whole_log_without_a_checkpoint() {
+    recovers_from_the_method_log(10, None);
+}
+
+#[test]
+fn rebuild_replays_only_past_the_checkpoint() {
+    // Checkpoints at seq 4 and 8: methods 8 and 9 are replayed.
+    recovers_from_the_method_log(10, Some(4));
+}
+
+/// `committed_updates` once it has stopped moving: a writer bumps it on
+/// receiving the tail's ack, a moment after the write became readable.
+fn settled_writes(shard: &ray_gcs::chain::Chain) -> u64 {
+    loop {
+        let seen = shard.committed_updates();
+        std::thread::sleep(Duration::from_millis(50));
+        if shard.committed_updates() == seen {
+            return seen;
+        }
+    }
+}
+
+#[test]
+fn actor_methods_never_rewrite_the_actor_record() {
+    // One shard, no flusher: every GCS write lands in one counter and
+    // nothing writes in the background.
+    let mut cfg = RayConfig::builder().nodes(2).workers_per_node(2).seed(3).build();
+    cfg.gcs.num_shards = 1;
+    cfg.gcs.flush_enabled = false;
+    let cluster = Cluster::start(cfg).unwrap();
+    cluster.register_actor_class("Padded", |_ctx, args| {
+        let padding: ray_codec::Blob = decode_arg(args, 0)?;
+        Ok(Box::new(Counter { value: padding.0.len() as i64 }))
+    });
+    let ctx = cluster.driver();
+    let shard = cluster.gcs().shard(ShardId(0));
+    let gcs = cluster.gcs().client();
+
+    let mut growth = Vec::new();
+    for (sub_id, padding) in [(1u64, 1usize << 10), (2, 1 << 20)] {
+        let arg = Arg::value(&ray_codec::Blob(vec![7u8; padding])).unwrap();
+        let h = ctx.create_actor("Padded", vec![arg], TaskOptions::default()).unwrap();
+        ctx.get(&h.ready()).unwrap();
+        let record = gcs.get_actor(h.id()).unwrap().unwrap();
+        assert!(record.init_args.0.len() >= padding);
+
+        // Watch the record's key from here on. Subscribing to an existing
+        // entry delivers its current state, and more than once if the
+        // chain retried the subscribe under load; one method call later
+        // every such delivery has happened (replicas apply in order), so
+        // anything that arrives after the drain is a write of the record.
+        let (tx, rx) = crossbeam_channel::unbounded();
+        let key = Key::new(Table::Actor, h.id().0.as_bytes().to_vec());
+        shard.write(UpdateOp::Subscribe { key, sub_id, sender: tx }).unwrap();
+        let warm: ObjectRef<i64> =
+            ctx.call_actor(&h, "incr", vec![Arg::value(&0i64).unwrap()]).unwrap();
+        ctx.get(&warm).unwrap();
+        while rx.try_recv().is_ok() {}
+
+        let before = settled_writes(shard);
+        let calls: Vec<ObjectRef<i64>> = (0..100)
+            .map(|_| ctx.call_actor(&h, "incr", vec![Arg::value(&1i64).unwrap()]).unwrap())
+            .collect();
+        // Wait with reads only (a blocking `get` may subscribe, which is
+        // itself a write): the last result's location is the last write a
+        // method makes.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while gcs.get_object_locations(calls[99].id()).unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "methods never finished");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        growth.push(settled_writes(shard) - before);
+
+        assert_eq!(ctx.get(&calls[99]).unwrap(), padding as i64 + 100);
+        assert!(rx.try_recv().is_err(), "the actor record was rewritten after creation");
+        assert_eq!(gcs.get_actor(h.id()).unwrap().unwrap(), record);
+    }
+    assert_eq!(growth[0], growth[1], "GCS writes per method depend on constructor size");
+    cluster.shutdown();
+}
+
+#[test]
+fn shutdown_stops_and_joins_actor_hosts() {
+    struct Flagged(Arc<AtomicUsize>);
+    impl ActorInstance for Flagged {
+        fn call(&mut self, _: &RayContext, _: &str, _: &[Bytes]) -> RemoteResult {
+            encode_return(&0u8)
+        }
+    }
+    impl Drop for Flagged {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let dropped = Arc::new(AtomicUsize::new(0));
+    let cluster = small_cluster();
+    let flag = dropped.clone();
+    cluster.register_actor_class("Flagged", move |_ctx, _args| Ok(Box::new(Flagged(flag.clone()))));
+    let ctx = cluster.driver();
+    let handles: Vec<_> = (0..3)
+        .map(|_| ctx.create_actor("Flagged", vec![], TaskOptions::default()).unwrap())
+        .collect();
+    for h in &handles {
+        let f: ObjectRef<u8> = ctx.call_actor(h, "poke", vec![]).unwrap();
+        ctx.get(&f).unwrap();
+    }
+    assert_eq!(dropped.load(Ordering::SeqCst), 0);
+    cluster.shutdown();
+    // Every host thread has exited and released its instance by the time
+    // shutdown returns, not at some later point.
+    assert_eq!(dropped.load(Ordering::SeqCst), 3);
 }
 
 #[test]

@@ -68,7 +68,10 @@ pub struct ClientRecord {
     pub alive: bool,
 }
 
-/// Actor-table record.
+/// Actor-table record. Written when the actor is created and again when a
+/// rebuild places it on another node, never per method: how far the actor
+/// has got is the length of its method log
+/// ([`GcsClient::log_actor_method`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActorRecord {
     /// The actor.
@@ -86,9 +89,6 @@ pub struct ActorRecord {
     pub init_args: ray_codec::Blob,
     /// Lifecycle state.
     pub state: ActorState,
-    /// Number of methods invoked so far (length of the stateful-edge
-    /// chain).
-    pub methods_invoked: u64,
 }
 
 /// Actor lifecycle states.
@@ -715,7 +715,6 @@ mod tests {
             creation_task: TaskId::random(),
             init_args: ray_codec::Blob(vec![1, 2, 3]),
             state: ActorState::Alive,
-            methods_invoked: 17,
         };
         c.put_actor(&rec).unwrap();
         assert_eq!(c.get_actor(actor).unwrap(), Some(rec));

@@ -191,7 +191,7 @@ impl TransferManager {
                     to,
                     TraceEventKind::ObjectTransferred,
                     TraceEntity::Object(id),
-                    format!("from={src} bytes={size}"),
+                    format_args!("from={src} bytes={size}"),
                 );
                 return Ok(data);
             }
@@ -265,7 +265,7 @@ impl TransferManager {
                         dst,
                         TraceEventKind::TransferRetry,
                         TraceEntity::Object(id),
-                        format!("from={src} attempt={}", backoff.attempt()),
+                        format_args!("from={src} attempt={}", backoff.attempt()),
                     );
                     std::thread::sleep(backoff.next_delay());
                 }

@@ -8,10 +8,12 @@
 //!
 //! - one [`RingWorker`] actor per participant, pinned to its node with the
 //!   node-affinity resource (Ray's custom-resource idiom);
-//! - each ring step is a pair of actor method calls whose data dependency
-//!   is an object reference: the receiving actor *fetches* the chunk
-//!   object from the sender's node through the distributed object store —
-//!   paying the striped transfer the experiment measures;
+//! - each ring step is one actor method call per rank whose data
+//!   dependency is an object reference: the receiving actor *fetches* the
+//!   chunk object from the sender's node through the distributed object
+//!   store — paying the striped transfer the experiment measures — reduces
+//!   it into its buffer, and returns the reduced slice, which is the chunk
+//!   it sends in the next step (Hoplite's fused receive-reduce-send);
 //! - the driver submits the entire `2(n−1)`-step schedule asynchronously
 //!   and only blocks on the acknowledgements, so steps pipeline exactly as
 //!   the dynamic task graph allows.
@@ -19,12 +21,14 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use ray_codec::tensor::TensorF64;
 use ray_codec::Blob;
-use ray_common::{NodeId, RayError, RayResult};
+use ray_common::{NodeId, ObjectId, RayError, RayResult};
 use rustray::registry::RemoteResult;
-use rustray::task::{Arg, TaskOptions};
-use rustray::{decode_arg, encode_return, ActorHandle, ActorInstance, Cluster, RayContext};
+use rustray::task::{Arg, ObjectRef, TaskOptions};
+use rustray::{
+    decode_arg, encode_return, encode_return_f64s, f64s_arg, ActorHandle, ActorInstance, Cluster,
+    RayContext,
+};
 
 pub use ray_bsp::allreduce::chunk_bounds;
 
@@ -38,61 +42,44 @@ impl ActorInstance for RingWorker {
         match method {
             // Returns buffer[lo..hi] as a tensor blob (the chunk object the
             // next ring member will pull across the network).
-            "chunk" => {
-                let (lo, hi) = range_args(args)?;
-                let t = TensorF64::from_vec(self.buffer[lo..hi].to_vec());
-                encode_return(&Blob(t.to_bytes().to_vec()))
-            }
-            // Adds an incoming chunk into buffer[lo..hi] (reduce-scatter).
+            "chunk" => encode_return_f64s(self.range(args)?),
+            // Adds an incoming chunk into buffer[lo..hi] and returns the
+            // sum: the chunk this rank sends in the next step.
             "reduce" => {
-                let (lo, hi) = range_args(args)?;
-                let chunk = chunk_arg(args, 2)?;
-                if chunk.len() != hi - lo {
-                    return Err(format!("reduce range {lo}..{hi} vs chunk of {}", chunk.len()));
-                }
-                for (dst, src) in self.buffer[lo..hi].iter_mut().zip(chunk.iter()) {
-                    *dst += src;
-                }
-                encode_return(&0u8)
+                let slice = self.range(args)?;
+                f64s_arg(args, 2)?.add_into(slice).map_err(|e| e.to_string())?;
+                encode_return_f64s(slice)
             }
             // Overwrites buffer[lo..hi] with a reduced chunk (allgather).
             "set" => {
-                let (lo, hi) = range_args(args)?;
-                let chunk = chunk_arg(args, 2)?;
-                if chunk.len() != hi - lo {
-                    return Err(format!("set range {lo}..{hi} vs chunk of {}", chunk.len()));
-                }
-                self.buffer[lo..hi].copy_from_slice(&chunk);
+                let slice = self.range(args)?;
+                f64s_arg(args, 2)?.copy_into(slice).map_err(|e| e.to_string())?;
                 encode_return(&0u8)
             }
             // Returns the whole buffer.
-            "read" => {
-                let t = TensorF64::from_vec(self.buffer.clone());
-                encode_return(&Blob(t.to_bytes().to_vec()))
-            }
+            "read" => encode_return_f64s(&self.buffer),
             other => Err(format!("RingWorker has no method {other}")),
         }
     }
 }
 
-fn range_args(args: &[Bytes]) -> Result<(usize, usize), String> {
-    let lo: u64 = decode_arg(args, 0)?;
-    let hi: u64 = decode_arg(args, 1)?;
-    Ok((lo as usize, hi as usize))
-}
-
-fn chunk_arg(args: &[Bytes], i: usize) -> Result<Vec<f64>, String> {
-    let blob: Blob = decode_arg(args, i)?;
-    TensorF64::from_bytes(&blob.0).map(TensorF64::into_vec).map_err(|e| e.to_string())
+impl RingWorker {
+    /// `buffer[lo..hi]` for the `(lo, hi)` a method's first two arguments
+    /// carry.
+    fn range(&mut self, args: &[Bytes]) -> Result<&mut [f64], String> {
+        let lo: u64 = decode_arg(args, 0)?;
+        let hi: u64 = decode_arg(args, 1)?;
+        let len = self.buffer.len();
+        self.buffer
+            .get_mut(lo as usize..hi as usize)
+            .ok_or_else(|| format!("range {lo}..{hi} outside a buffer of {len}"))
+    }
 }
 
 /// Registers the ring-worker actor class with a cluster.
 pub fn register(cluster: &Cluster) {
     cluster.register_actor_class("RingWorker", |_ctx, args| {
-        let blob: Blob = decode_arg(args, 0)?;
-        let buffer =
-            TensorF64::from_bytes(&blob.0).map(TensorF64::into_vec).map_err(|e| e.to_string())?;
-        Ok(Box::new(RingWorker { buffer }))
+        Ok(Box::new(RingWorker { buffer: f64s_arg(args, 0)?.to_vec() }))
     });
 }
 
@@ -105,7 +92,7 @@ pub fn create_ring(
 ) -> RayResult<Vec<ActorHandle>> {
     let mut handles = Vec::with_capacity(buffers.len());
     for (i, buf) in buffers.into_iter().enumerate() {
-        let blob = Blob(TensorF64::from_vec(buf).to_bytes().to_vec());
+        let blob = Blob::from_f64s(&buf);
         let opts = TaskOptions::default()
             .with_demand(rustray::node_affinity(NodeId((i % cluster_nodes) as u32)));
         let h = ctx.create_actor("RingWorker", vec![Arg::value(&blob)?], opts)?;
@@ -117,6 +104,19 @@ pub fn create_ring(
         ctx.get(&h.ready())?;
     }
     Ok(handles)
+}
+
+/// Queues `method(lo, hi[, input])` on one ring worker.
+fn submit<R>(
+    ctx: &RayContext,
+    worker: &ActorHandle,
+    method: &str,
+    (lo, hi): (usize, usize),
+    input: Option<&ObjectRef<Blob>>,
+) -> RayResult<ObjectRef<R>> {
+    let mut args = vec![Arg::value(&(lo as u64))?, Arg::value(&(hi as u64))?];
+    args.extend(input.map(Arg::from_ref));
+    ctx.call_actor(worker, method, args)
 }
 
 /// Runs one ring allreduce over the workers' buffers (all must share one
@@ -137,71 +137,38 @@ pub fn ray_ring_allreduce(
     // Submit the full schedule asynchronously; object-reference data edges
     // and per-actor serial execution order the steps (standard ring: at
     // step s rank i sends chunk (i−s) mod n; the receiver reduces it).
-    // Within each step every send ("chunk") is queued before any receive
-    // ("reduce"/"set"), so all ranks transmit concurrently — the send/recv
-    // overlap a real ring has; receive-first ordering would serialize each
-    // step into a walk around the ring.
-    let mut acks = Vec::with_capacity(2 * (n - 1) * n);
-    let mut chunk_ids: Vec<ray_common::ObjectId> = Vec::with_capacity(2 * (n - 1) * n);
+    // `sending[i]` is the object rank i sends next. Every rank exports its
+    // first chunk before any receive is queued, so all ranks transmit
+    // concurrently from the first step on; after that a step is one
+    // `reduce` per rank, whose return is what that rank sends next.
+    let mut sending: Vec<ObjectRef<Blob>> = (0..n)
+        .map(|i| submit(ctx, &handles[i], "chunk", bounds[i], None))
+        .collect::<RayResult<_>>()?;
+    let mut garbage: Vec<ObjectId> = sending.iter().map(|r| r.id()).collect();
     for step in 0..n - 1 {
-        let mut chunk_refs = Vec::with_capacity(n);
-        for (i, handle) in handles.iter().enumerate() {
-            let send_chunk = (i + n - step) % n;
-            let (lo, hi) = bounds[send_chunk];
-            let chunk_ref = ctx.call_actor::<Blob>(
-                handle,
-                "chunk",
-                vec![Arg::value(&(lo as u64))?, Arg::value(&(hi as u64))?],
-            )?;
-            chunk_ids.push(chunk_ref.id());
-            chunk_refs.push((send_chunk, chunk_ref));
-        }
-        for (i, (send_chunk, chunk_ref)) in chunk_refs.into_iter().enumerate() {
-            let recv_rank = (i + 1) % n;
-            let (lo, hi) = bounds[send_chunk];
-            let ack = ctx.call_actor::<u8>(
-                &handles[recv_rank],
-                "reduce",
-                vec![
-                    Arg::value(&(lo as u64))?,
-                    Arg::value(&(hi as u64))?,
-                    Arg::from_ref(&chunk_ref),
-                ],
-            )?;
-            acks.push(ack);
+        sending = (0..n)
+            .map(|recv| {
+                let from = (recv + n - 1) % n;
+                let chunk = bounds[(from + n - step) % n];
+                submit(ctx, &handles[recv], "reduce", chunk, Some(&sending[from]))
+            })
+            .collect::<RayResult<_>>()?;
+        garbage.extend(sending.iter().map(|r| r.id()));
+    }
+    // Allgather: rank i now owns fully-reduced chunk (i+1) mod n, and
+    // `sending[i]` already holds it as an object. At step s rank r takes
+    // chunk (r−s) mod n straight from that object; each rank's serial
+    // mailbox keeps it to one incoming chunk per step, as in a ring.
+    let mut acks: Vec<ObjectRef<u8>> = Vec::with_capacity((n - 1) * n);
+    for step in 0..n - 1 {
+        for (recv, worker) in handles.iter().enumerate() {
+            let chunk = (recv + n - step) % n;
+            let owner = (chunk + n - 1) % n;
+            acks.push(submit(ctx, worker, "set", bounds[chunk], Some(&sending[owner]))?);
         }
     }
-    // Allgather: rank i starts owning fully-reduced chunk (i+1) mod n and
-    // circulates it, same send-before-receive discipline.
-    for step in 0..n - 1 {
-        let mut chunk_refs = Vec::with_capacity(n);
-        for (i, handle) in handles.iter().enumerate() {
-            let send_chunk = (i + 1 + n - step) % n;
-            let (lo, hi) = bounds[send_chunk];
-            let chunk_ref = ctx.call_actor::<Blob>(
-                handle,
-                "chunk",
-                vec![Arg::value(&(lo as u64))?, Arg::value(&(hi as u64))?],
-            )?;
-            chunk_ids.push(chunk_ref.id());
-            chunk_refs.push((send_chunk, chunk_ref));
-        }
-        for (i, (send_chunk, chunk_ref)) in chunk_refs.into_iter().enumerate() {
-            let recv_rank = (i + 1) % n;
-            let (lo, hi) = bounds[send_chunk];
-            let ack = ctx.call_actor::<u8>(
-                &handles[recv_rank],
-                "set",
-                vec![
-                    Arg::value(&(lo as u64))?,
-                    Arg::value(&(hi as u64))?,
-                    Arg::from_ref(&chunk_ref),
-                ],
-            )?;
-            acks.push(ack);
-        }
-    }
-    // Drain all acknowledgements (cheap scalars).
+    // Drain the acknowledgements (cheap scalars). A failed `reduce`
+    // surfaces here too: failure propagates along the data edges.
     for ack in &acks {
         ctx.get(ack)?;
     }
@@ -210,8 +177,7 @@ pub fn ray_ring_allreduce(
     // long-lived training loop runs thousands of allreduces, and without
     // `free` their chunks would accumulate until LRU pressure (Ray's
     // `ray.internal.free` serves exactly this purpose).
-    let mut garbage: Vec<ray_common::ObjectId> = acks.iter().map(|a| a.id()).collect();
-    garbage.extend(chunk_ids);
+    garbage.extend(acks.iter().map(|a| a.id()));
     ctx.free(&garbage)?;
     Ok(elapsed)
 }
@@ -241,12 +207,11 @@ pub fn ray_task_ring_allreduce(
     let start = Instant::now();
 
     // Seed the chunk objects: chunks[i][c] = worker i's slice c.
-    let mut chunks: Vec<Vec<rustray::task::ObjectRef<Blob>>> = Vec::with_capacity(n);
+    let mut chunks: Vec<Vec<ObjectRef<Blob>>> = Vec::with_capacity(n);
     for buf in &buffers {
         let mut row = Vec::with_capacity(n);
         for &(lo, hi) in &bounds {
-            let blob = Blob(TensorF64::from_vec(buf[lo..hi].to_vec()).to_bytes().to_vec());
-            row.push(rustray::task::ObjectRef::from_id(ctx.put(&blob)?.id()));
+            row.push(ctx.put(&Blob::from_f64s(&buf[lo..hi]))?);
         }
         chunks.push(row);
     }
@@ -262,7 +227,7 @@ pub fn ray_task_ring_allreduce(
         for i in 0..n {
             let c = (i + n - step) % n; // Chunk rank i sends this step.
             let recv = (i + 1) % n;
-            let sum: rustray::task::ObjectRef<Blob> = ctx.call(
+            let sum: ObjectRef<Blob> = ctx.call(
                 "add_chunks",
                 vec![Arg::from_ref(&chunks[recv][c]), Arg::from_ref(&chunks[i][c])],
             )?;
@@ -293,9 +258,7 @@ pub fn ray_task_ring_allreduce(
     for row in &chunks {
         let mut buf = Vec::with_capacity(len);
         for r in row {
-            let blob = ctx.get(r)?;
-            let t = TensorF64::from_bytes(&blob.0).map_err(RayError::from)?;
-            buf.extend_from_slice(t.data());
+            buf.extend(ctx.get(r)?.f64s().map_err(RayError::from)?.iter());
         }
         out.push(buf);
     }
@@ -303,8 +266,7 @@ pub fn ray_task_ring_allreduce(
     // Free the final chunk objects (intermediate sums were superseded in
     // `chunks` and freed by reference rewiring is not possible for task
     // outputs, so free the reachable set we still hold).
-    let garbage: Vec<ray_common::ObjectId> =
-        chunks.iter().flatten().map(|r| r.id()).collect();
+    let garbage: Vec<ObjectId> = chunks.iter().flatten().map(|r| r.id()).collect();
     ctx.free(&garbage)?;
     Ok((out, elapsed))
 }
@@ -312,21 +274,9 @@ pub fn ray_task_ring_allreduce(
 /// Registers the chunk-summing task used by [`ray_task_ring_allreduce`].
 pub fn register_task_allreduce(cluster: &Cluster) {
     cluster.register_raw("add_chunks", |_ctx, args| {
-        let a: Blob = decode_arg(args, 0)?;
-        let b: Blob = decode_arg(args, 1)?;
-        let mut va = TensorF64::from_bytes(&a.0)
-            .map(TensorF64::into_vec)
-            .map_err(|e| e.to_string())?;
-        let vb = TensorF64::from_bytes(&b.0)
-            .map(TensorF64::into_vec)
-            .map_err(|e| e.to_string())?;
-        if va.len() != vb.len() {
-            return Err("chunk length mismatch".into());
-        }
-        for (x, y) in va.iter_mut().zip(vb.iter()) {
-            *x += y;
-        }
-        encode_return(&Blob(TensorF64::from_vec(va).to_bytes().to_vec()))
+        let mut sum = f64s_arg(args, 0)?.to_vec();
+        f64s_arg(args, 1)?.add_into(&mut sum).map_err(|e| e.to_string())?;
+        encode_return_f64s(&sum)
     });
 }
 
@@ -335,9 +285,7 @@ pub fn read_buffers(ctx: &RayContext, handles: &[ActorHandle]) -> RayResult<Vec<
     let mut out = Vec::with_capacity(handles.len());
     for h in handles {
         let r = ctx.call_actor::<Blob>(h, "read", vec![])?;
-        let blob = ctx.get(&r)?;
-        let t = TensorF64::from_bytes(&blob.0).map_err(RayError::from)?;
-        out.push(t.into_vec());
+        out.push(ctx.get(&r)?.f64s().map_err(RayError::from)?.to_vec());
     }
     Ok(out)
 }
@@ -345,27 +293,45 @@ pub fn read_buffers(ctx: &RayContext, handles: &[ActorHandle]) -> RayResult<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ray_bsp::BspWorld;
+    use ray_common::config::TransportConfig;
     use ray_common::RayConfig;
 
+    /// Values whose sums round, so a different order of additions would
+    /// show up in the low bits.
+    fn rank_buffers(workers: usize, len: usize) -> Vec<Vec<f64>> {
+        (0..workers)
+            .map(|w| (0..len).map(|i| ((w + 2) as f64).sqrt() * (i + 1) as f64 / 7.0).collect())
+            .collect()
+    }
+
+    /// The fused ring against the BSP ring on the same inputs: every rank of
+    /// both must hold the same bits.
     fn run_allreduce(workers: usize, nodes: usize, len: usize) {
+        let buffers = rank_buffers(workers, len);
+        let fast = TransportConfig {
+            latency: Duration::from_micros(1),
+            ..TransportConfig::default()
+        };
+        let expected = BspWorld::new(workers, &fast).run(|rank| {
+            let mut data = buffers[rank.rank()].clone();
+            rank.allreduce_sum(&mut data);
+            data
+        });
+
         let cluster =
             Cluster::start(RayConfig::builder().nodes(nodes).workers_per_node(2).build()).unwrap();
         register(&cluster);
         let ctx = cluster.driver();
-        let buffers: Vec<Vec<f64>> = (0..workers)
-            .map(|w| (0..len).map(|i| (w + 1) as f64 * (i + 1) as f64).collect())
-            .collect();
-        let expected: Vec<f64> = (0..len)
-            .map(|i| (1..=workers).map(|w| w as f64 * (i + 1) as f64).sum())
-            .collect();
         let handles = create_ring(&ctx, nodes, buffers).unwrap();
         ray_ring_allreduce(&ctx, &handles, len).unwrap();
-        for buf in read_buffers(&ctx, &handles).unwrap() {
-            for (a, b) in buf.iter().zip(expected.iter()) {
-                assert!((a - b).abs() < 1e-9, "allreduce mismatch: {a} vs {b}");
-            }
-        }
+        let got = read_buffers(&ctx, &handles).unwrap();
         cluster.shutdown();
+
+        let bits = |bufs: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            bufs.iter().map(|b| b.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        assert_eq!(bits(&got), bits(&expected), "{workers} workers, {nodes} nodes, len {len}");
     }
 
     #[test]
@@ -380,7 +346,44 @@ mod tests {
 
     #[test]
     fn allreduce_more_workers_than_nodes() {
-        run_allreduce(6, 3, 48);
+        run_allreduce(6, 3, 47);
+    }
+
+    #[test]
+    fn allreduce_fewer_elements_than_ranks() {
+        run_allreduce(4, 4, 3);
+    }
+
+    #[test]
+    fn one_iteration_is_n_plus_2n_n_minus_1_calls() {
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(4).workers_per_node(2).build()).unwrap();
+        register(&cluster);
+        let ctx = cluster.driver();
+        let handles = create_ring(&ctx, 4, rank_buffers(4, 64)).unwrap();
+        let submitted = cluster.metrics().counter(ray_common::metrics::names::TASKS_SUBMITTED);
+        let before = submitted.get();
+        ray_ring_allreduce(&ctx, &handles, 64).unwrap();
+        assert_eq!(submitted.get() - before, 4 + 2 * 4 * 3);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn malformed_ranges_and_chunks_are_errors_not_panics() {
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(1).workers_per_node(1).build()).unwrap();
+        register(&cluster);
+        let ctx = cluster.driver();
+        let handles = create_ring(&ctx, 1, vec![vec![1.0, 2.0, 3.0]]).unwrap();
+        let two = ctx.put(&Blob::from_f64s(&[1.0, 1.0])).unwrap();
+        // Range past the buffer; chunk shorter than the range.
+        let h = &handles[0];
+        assert!(ctx.get(&submit::<Blob>(&ctx, h, "chunk", (2, 9), None).unwrap()).is_err());
+        assert!(ctx.get(&submit::<Blob>(&ctx, h, "reduce", (0, 3), Some(&two)).unwrap()).is_err());
+        assert!(ctx.get(&submit::<u8>(&ctx, h, "set", (0, 3), Some(&two)).unwrap()).is_err());
+        // The failed calls changed nothing.
+        assert_eq!(read_buffers(&ctx, &handles).unwrap()[0], vec![1.0, 2.0, 3.0]);
+        cluster.shutdown();
     }
 
     #[test]

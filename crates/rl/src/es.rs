@@ -21,12 +21,11 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use ray_codec::tensor::TensorF64;
 use ray_codec::Blob;
 use ray_common::{RayError, RayResult};
 use rustray::registry::RemoteResult;
 use rustray::task::{Arg, ObjectRef};
-use rustray::{decode_arg, encode_return, Cluster, RayContext};
+use rustray::{decode_arg, encode_return, encode_return_f64s, f64s_arg, Cluster, RayContext};
 use serde::{Deserialize, Serialize};
 
 use crate::envs::{make_env, EnvRng};
@@ -105,14 +104,6 @@ fn policy_for(env_name: &str) -> Result<LinearPolicy, String> {
     Ok(LinearPolicy::new(env.obs_dim(), env.action_dim(), 2.0))
 }
 
-fn params_to_blob(params: &[f64]) -> Blob {
-    Blob(TensorF64::from_vec(params.to_vec()).to_bytes().to_vec())
-}
-
-fn blob_to_params(blob: &Blob) -> Result<Vec<f64>, String> {
-    TensorF64::from_bytes(&blob.0).map(TensorF64::into_vec).map_err(|e| e.to_string())
-}
-
 /// Regenerates the noise vector for a seed.
 fn noise(seed: u64, n: usize) -> Vec<f64> {
     let mut rng = EnvRng::new(seed ^ 0xe5e5_e5e5_e5e5_e5e5);
@@ -140,12 +131,11 @@ pub fn register(cluster: &Cluster) {
     // Mirrored evaluation of one perturbation: (seed, r⁺, r⁻).
     cluster.register_raw("es_eval", |_ctx: &RayContext, args: &[Bytes]| -> RemoteResult {
         let env_name: String = decode_arg(args, 0)?;
-        let params_blob: Blob = decode_arg(args, 1)?;
         let sigma: f64 = decode_arg(args, 2)?;
         let noise_seed: u64 = decode_arg(args, 3)?;
         let episodes: u64 = decode_arg(args, 4)?;
         let max_steps: u64 = decode_arg(args, 5)?;
-        let base = blob_to_params(&params_blob)?;
+        let base = f64s_arg(args, 1)?.to_vec();
         let mut policy = policy_for(&env_name)?;
         let mut env = make_env(&env_name)?;
         if sigma == 0.0 {
@@ -192,28 +182,20 @@ pub fn register(cluster: &Cluster) {
                 *g += weight * e;
             }
         }
-        encode_return(&params_to_blob(&grad))
+        encode_return_f64s(&grad)
     });
 
     // Aggregation-tree inner node: sums any number of partial gradients.
     cluster.register_raw("es_sum", |_ctx: &RayContext, args: &[Bytes]| -> RemoteResult {
         let mut acc: Option<Vec<f64>> = None;
         for i in 0..args.len() {
-            let blob: Blob = decode_arg(args, i)?;
-            let part = blob_to_params(&blob)?;
+            let part = f64s_arg(args, i)?;
             match &mut acc {
-                None => acc = Some(part),
-                Some(a) => {
-                    if a.len() != part.len() {
-                        return Err("partial gradient length mismatch".into());
-                    }
-                    for (x, y) in a.iter_mut().zip(part.iter()) {
-                        *x += y;
-                    }
-                }
+                None => acc = Some(part.to_vec()),
+                Some(a) => part.add_into(a).map_err(|e| format!("partial gradient: {e}"))?,
             }
         }
-        encode_return(&params_to_blob(&acc.unwrap_or_default()))
+        encode_return_f64s(&acc.unwrap_or_default())
     });
 }
 
@@ -251,7 +233,7 @@ pub fn train_es(cluster: &Cluster, cfg: &EsConfig) -> RayResult<EsReport> {
 
     for iter in 0..cfg.iterations {
         // Broadcast θ once; every task references the same object.
-        let params_ref = ctx.put(&params_to_blob(&params))?;
+        let params_ref = ctx.put(&Blob::from_f64s(&params))?;
 
         // Fan out mirrored evaluations.
         let mut seeds = Vec::with_capacity(cfg.num_workers);
@@ -297,7 +279,7 @@ pub fn train_es(cluster: &Cluster, cfg: &EsConfig) -> RayResult<EsReport> {
             })
             .collect::<RayResult<_>>()?;
         let root = tree_sum(&ctx, leaves, cfg.agg_fan_in)?;
-        let grad = blob_to_params(&ctx.get(&root)?).map_err(RayError::Invalid)?;
+        let grad = ctx.get(&root)?.f64s().map_err(RayError::from)?.to_vec();
 
         let scale = cfg.lr / (cfg.num_workers as f64 * cfg.sigma);
         for (p, g) in params.iter_mut().zip(grad.iter()) {
@@ -309,7 +291,7 @@ pub fn train_es(cluster: &Cluster, cfg: &EsConfig) -> RayResult<EsReport> {
             "es_eval",
             vec![
                 Arg::value(&cfg.env)?,
-                Arg::value(&params_to_blob(&params))?,
+                Arg::value(&Blob::from_f64s(&params))?,
                 Arg::value(&0.0f64)?,
                 Arg::value(&(cfg.seed + iter as u64))?,
                 Arg::value(&(cfg.eval_episodes as u64))?,

@@ -23,12 +23,15 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use ray_codec::tensor::TensorF64;
+use ray_codec::tensor::encode_f64_blob;
 use ray_codec::Blob;
 use ray_common::RayResult;
 use rustray::registry::RemoteResult;
 use rustray::task::{Arg, ObjectRef, TaskOptions};
-use rustray::{decode_arg, encode_return, ActorHandle, ActorInstance, Cluster, RayContext};
+use rustray::{
+    decode_arg, encode_return, encode_return_f64s, f64s_arg, ActorHandle, ActorInstance, Cluster,
+    RayContext,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::envs::EnvRng;
@@ -85,14 +88,6 @@ pub struct PsReport {
     pub samples_per_sec: f64,
 }
 
-fn to_blob(v: &[f64]) -> Blob {
-    Blob(TensorF64::from_vec(v.to_vec()).to_bytes().to_vec())
-}
-
-fn from_blob(b: &Blob) -> Result<Vec<f64>, String> {
-    TensorF64::from_bytes(&b.0).map(TensorF64::into_vec).map_err(|e| e.to_string())
-}
-
 /// One parameter-server shard: a slice of the flat weight vector.
 pub struct PsShard {
     weights: Vec<f64>,
@@ -108,18 +103,9 @@ impl ActorInstance for PsShard {
             // Accumulate one replica's gradient slice; apply the averaged
             // update when the round completes (synchronous SGD).
             "push" => {
-                let blob: Blob = decode_arg(args, 0)?;
-                let grad = from_blob(&blob)?;
-                if grad.len() != self.weights.len() {
-                    return Err(format!(
-                        "gradient slice {} vs shard {}",
-                        grad.len(),
-                        self.weights.len()
-                    ));
-                }
-                for (a, g) in self.accum.iter_mut().zip(grad.iter()) {
-                    *a += g;
-                }
+                f64s_arg(args, 0)?
+                    .add_into(&mut self.accum)
+                    .map_err(|e| format!("gradient slice vs shard: {e}"))?;
                 self.pushes += 1;
                 if self.pushes == self.expected {
                     let scale = self.lr / self.expected as f64;
@@ -133,19 +119,19 @@ impl ActorInstance for PsShard {
             }
             // Current weights (valid between rounds, which the driver's
             // submission order guarantees).
-            "pull" => encode_return(&to_blob(&self.weights)),
+            "pull" => encode_return_f64s(&self.weights),
             other => Err(format!("PsShard has no method {other}")),
         }
     }
 
     fn checkpoint(&self) -> Option<Vec<u8>> {
-        ray_codec::encode(&(to_blob(&self.weights), self.lr, self.expected as u64)).ok()
+        ray_codec::encode(&(Blob::from_f64s(&self.weights), self.lr, self.expected as u64)).ok()
     }
 
     fn restore(&mut self, data: &[u8]) -> Result<(), String> {
         let (blob, lr, expected): (Blob, f64, u64) =
             ray_codec::decode(data).map_err(|e| e.to_string())?;
-        self.weights = from_blob(&blob)?;
+        self.weights = blob.f64s().map_err(|e| e.to_string())?.to_vec();
         self.accum = vec![0.0; self.weights.len()];
         self.pushes = 0;
         self.lr = lr;
@@ -203,18 +189,14 @@ impl ActorInstance for PsWorker {
                 let round: u64 = decode_arg(args, 0)?;
                 let mut shards = Vec::with_capacity(args.len() - 1);
                 for i in 1..args.len() {
-                    let blob: Blob = decode_arg(args, i)?;
-                    shards.push(from_blob(&blob)?);
+                    shards.push(f64s_arg(args, i)?.to_vec());
                 }
                 let shard_lens: Vec<usize> = shards.iter().map(|s| s.len()).collect();
                 let (grads, loss) = self.gradient(shards, round)?;
                 let mut outputs = Vec::with_capacity(shard_lens.len() + 1);
                 let mut off = 0;
                 for len in shard_lens {
-                    outputs.push(
-                        ray_codec::encode(&to_blob(&grads.0[off..off + len]))
-                            .map_err(|e| e.to_string())?,
-                    );
+                    outputs.push(encode_f64_blob(&grads.0[off..off + len]));
                     off += len;
                 }
                 outputs.push(ray_codec::encode(&loss).map_err(|e| e.to_string())?);
@@ -228,8 +210,7 @@ impl ActorInstance for PsWorker {
 /// Registers the parameter-server actor classes.
 pub fn register(cluster: &Cluster) {
     cluster.register_actor_class("PsShard", |_ctx, args| {
-        let blob: Blob = decode_arg(args, 0)?;
-        let weights = from_blob(&blob)?;
+        let weights = f64s_arg(args, 0)?.to_vec();
         let expected: u64 = decode_arg(args, 1)?;
         let lr: f64 = decode_arg(args, 2)?;
         let n = weights.len();
@@ -265,7 +246,7 @@ pub fn train_ps(cluster: &Cluster, cfg: &PsConfig) -> RayResult<PsReport> {
         let h = ctx.create_actor(
             "PsShard",
             vec![
-                Arg::value(&to_blob(&params[lo..hi]))?,
+                Arg::value(&Blob::from_f64s(&params[lo..hi]))?,
                 Arg::value(&(cfg.num_workers as u64))?,
                 Arg::value(&cfg.lr)?,
             ],

@@ -6,12 +6,14 @@
 //! Run with `cargo run --release --example serving_pipeline`.
 
 use bytes::Bytes;
-use ray_codec::tensor::TensorF64;
 use ray_codec::Blob;
 use ray_rl::envs::make_env;
 use rustray::registry::RemoteResult;
 use rustray::task::{Arg, ObjectRef, TaskOptions};
-use rustray::{decode_arg, encode_return, ActorInstance, Cluster, RayConfig, RayContext};
+use rustray::{
+    decode_arg, encode_return, encode_return_f64s, f64s_arg, ActorInstance, Cluster, RayConfig,
+    RayContext,
+};
 
 /// A linear policy served behind an actor; `update` hot-swaps weights.
 struct ServedPolicy {
@@ -38,19 +40,12 @@ impl ActorInstance for ServedPolicy {
         match method {
             // Serving: one observation in, one action out.
             "act" => {
-                let obs: Blob = decode_arg(args, 0)?;
-                let obs = TensorF64::from_bytes(&obs.0)
-                    .map(TensorF64::into_vec)
-                    .map_err(|e| e.to_string())?;
-                let action = self.act(&obs);
-                encode_return(&Blob(TensorF64::from_vec(action).to_bytes().to_vec()))
+                let action = self.act(&f64s_arg(args, 0)?.to_vec());
+                encode_return_f64s(&action)
             }
             // Deployment: install improved weights.
             "update" => {
-                let p: Blob = decode_arg(args, 0)?;
-                self.params = TensorF64::from_bytes(&p.0)
-                    .map(TensorF64::into_vec)
-                    .map_err(|e| e.to_string())?;
+                self.params = f64s_arg(args, 0)?.to_vec();
                 encode_return(&0u8)
             }
             other => Err(format!("no method {other}")),
@@ -71,11 +66,7 @@ fn main() {
     let num_params = obs_dim * act_dim + act_dim;
 
     cluster.register_actor_class("ServedPolicy", move |_ctx, args| {
-        let p: Blob = decode_arg(args, 0)?;
-        let params = TensorF64::from_bytes(&p.0)
-            .map(TensorF64::into_vec)
-            .map_err(|e| e.to_string())?;
-        Ok(Box::new(ServedPolicy { params, obs_dim, act_dim }))
+        Ok(Box::new(ServedPolicy { params: f64s_arg(args, 0)?.to_vec(), obs_dim, act_dim }))
     });
 
     // Simulation tasks drive the environment, querying the served policy
@@ -93,14 +84,12 @@ fn main() {
             let mut obs = env.reset(seed);
             let mut total = 0.0;
             for _ in 0..60 {
-                let obs_blob = Blob(TensorF64::from_vec(obs.clone()).to_bytes().to_vec());
+                let obs_blob = Blob::from_f64s(&obs);
                 let action_ref: ObjectRef<Blob> = ctx
                     .call_actor(&handle, "act", vec![Arg::value(&obs_blob).map_err(|e| e.to_string())?])
                     .map_err(|e| e.to_string())?;
                 let action_blob = ctx.get(&action_ref).map_err(|e| e.to_string())?;
-                let action = TensorF64::from_bytes(&action_blob.0)
-                    .map(TensorF64::into_vec)
-                    .map_err(|e| e.to_string())?;
+                let action = action_blob.f64s().map_err(|e| e.to_string())?.to_vec();
                 let (next, reward, done) = env.step(&action);
                 total += reward;
                 obs = next;
@@ -113,7 +102,7 @@ fn main() {
     });
 
     let ctx = cluster.driver();
-    let zeros = Blob(TensorF64::from_vec(vec![0.0; num_params]).to_bytes().to_vec());
+    let zeros = Blob::from_f64s(&vec![0.0; num_params]);
     let server = ctx
         .create_actor("ServedPolicy", vec![Arg::value(&zeros).unwrap()], TaskOptions::default())
         .unwrap();
@@ -148,7 +137,7 @@ fn main() {
         for p in &mut params {
             *p += 0.3 * rng.normal();
         }
-        let blob = Blob(TensorF64::from_vec(params.clone()).to_bytes().to_vec());
+        let blob = Blob::from_f64s(&params);
         let ack: ObjectRef<u8> =
             ctx.call_actor(&server, "update", vec![Arg::value(&blob).unwrap()]).unwrap();
         ctx.get(&ack).unwrap();

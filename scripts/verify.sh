@@ -56,6 +56,23 @@ trap 'rm -f "$trace_out"' EXIT
 ./target/release/fig08a_locality --quick --trace-out "$trace_out" >/dev/null
 cargo run -q -p xtask -- trace-check "$trace_out" --expect-nodes 2
 
+echo "== perf smoke =="
+# The benchmark (perf/, its own offline workspace) must still build against
+# the crates and pass its unit tests, and a short timed run of the two
+# actor workloads must verify every output: ring_allreduce compares each
+# reduced buffer with `==`, so a broken collective cannot pass this gate.
+perf_manifest=perf/Cargo.toml
+cargo test -q --release --offline --manifest-path "$perf_manifest"
+for workload in ring_allreduce serve_steady; do
+    result="$(cargo run -q --release --offline --manifest-path "$perf_manifest" -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
+    echo "$workload: $result"
+    if [[ "$result" != *'"correct":true'* || "$result" != *'"failed":0,'* ]]; then
+        echo "perf smoke: $workload reported a wrong or failed operation" >&2
+        exit 1
+    fi
+done
+
 if [[ "${VERIFY_MIRI:-0}" == "1" ]]; then
     echo "== miri smoke (opt-in) =="
     # Undefined-behaviour smoke over the sync layer's unit tests. Needs

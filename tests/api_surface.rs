@@ -247,7 +247,7 @@ fn values_survive_the_full_pipeline_bitwise() {
     });
     let ctx = cluster.driver();
     let tensor = TensorF64::from_vec(vec![f64::MIN, -0.0, f64::MAX, 1.5e-300]);
-    let blob = Blob(tensor.to_bytes().to_vec());
+    let blob = Blob::from_f64s(tensor.data());
     let input = ctx.put(&blob).unwrap();
     let out: ObjectRef<Blob> = ctx.call("relay", vec![Arg::from_ref(&input)]).unwrap();
     let round_tripped = ctx.get(&out).unwrap();
