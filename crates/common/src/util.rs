@@ -228,9 +228,75 @@ impl Backoff {
     }
 }
 
+/// The one retry loop: runs `op` until it succeeds, fails with an error
+/// `retryable` turns down, or has been retried `limit` times, sleeping
+/// `backoff`'s next delay between attempts.
+///
+/// `retryable(err, attempt)` is asked only when a retry is still within
+/// the limit, so a `true` from it means the retry happens: it doubles as
+/// the per-retry hook for counters and trace events (`attempt` counts the
+/// retries already made).
+///
+/// # Examples
+///
+/// ```
+/// use std::time::Duration;
+/// use ray_common::util::{retry, Backoff};
+/// let backoff = Backoff::new(Duration::from_micros(1), Duration::from_micros(4), 7);
+/// let mut calls = 0;
+/// let out: Result<u32, &str> = retry(backoff, 5, |e, _| *e == "busy", || {
+///     calls += 1;
+///     if calls < 3 { Err("busy") } else { Ok(calls) }
+/// });
+/// assert_eq!(out, Ok(3));
+/// ```
+pub fn retry<T, E>(
+    mut backoff: Backoff,
+    limit: u32,
+    mut retryable: impl FnMut(&E, u32) -> bool,
+    mut op: impl FnMut() -> Result<T, E>,
+) -> Result<T, E> {
+    loop {
+        match op() {
+            Err(e) if backoff.attempt() < limit && retryable(&e, backoff.attempt()) => {
+                std::thread::sleep(backoff.next_delay());
+            }
+            other => return other,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn retry_stops_at_the_limit_and_on_a_hard_error() {
+        let quick = || Backoff::new(Duration::from_micros(1), Duration::from_micros(2), 3);
+        let (mut calls, mut hooks) = (0u32, Vec::new());
+        let spent: Result<(), &str> = retry(
+            quick(),
+            3,
+            |_, attempt| {
+                hooks.push(attempt);
+                true
+            },
+            || {
+                calls += 1;
+                Err("busy")
+            },
+        );
+        assert_eq!(spent, Err("busy"));
+        // One first attempt plus `limit` retries; the hook saw each retry.
+        assert_eq!((calls, hooks), (4, vec![0, 1, 2]));
+
+        let mut calls = 0u32;
+        let hard: Result<(), &str> = retry(quick(), 3, |e, _| *e == "busy", || {
+            calls += 1;
+            Err("dead")
+        });
+        assert_eq!((hard, calls), (Err("dead"), 1));
+    }
 
     #[test]
     fn fnv_is_stable() {

@@ -20,9 +20,10 @@
 //!   were lost along the way.
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::AssertUnwindSafe;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
@@ -30,15 +31,16 @@ use ray_common::sync::{classes, OrderedMutex};
 
 use ray_common::metrics::names;
 use ray_common::trace::{TraceEntity, TraceEventKind};
+use ray_common::util::{retry, Backoff};
 use ray_common::{ActorId, NodeId, ObjectId, RayError, RayResult};
 use ray_gcs::tables::{ActorRecord, ActorState, CheckpointRecord};
 use ray_scheduler::TaskDescriptor;
 
 use crate::context::RayContext;
 use crate::registry::ActorInstance;
-use crate::runtime::{encode_error_object, RuntimeShared};
+use crate::runtime::RuntimeShared;
 use crate::task::{TaskKind, TaskSpec};
-use crate::worker::{panic_message, resolve_args};
+use crate::worker::{self, Mode};
 
 /// Messages to an actor host thread.
 pub(crate) enum ActorMsg {
@@ -256,110 +258,45 @@ impl ActorHost {
         }
     }
 
-    /// Executes one method: log → resolve → call → store → record →
-    /// maybe checkpoint. During replay, logging is skipped (the log entry
-    /// exists) and outputs are only stored if missing.
+    /// Executes one method through the shared execute path. What is
+    /// specific to actors stays here: the stateful-edge log append (a
+    /// replay finds the entry already there), the sequence number, and the
+    /// checkpoint cadence. Read-only methods have no stateful edge: not
+    /// logged, not sequenced, never replayed.
     fn execute(&mut self, spec: &TaskSpec, replay: bool) {
-        let seq = self.seq;
-        let (method, read_only) = match &spec.kind {
-            TaskKind::ActorMethod { method, read_only, .. } => (method.as_str(), *read_only),
-            _ => {
-                // Malformed routing; surface as a failed result.
-                let msg = "non-method spec delivered to actor host".to_string();
-                let outs =
-                    (0..spec.num_returns).map(|_| encode_error_object(spec.task, &msg)).collect();
-                let _ = self.store_outputs(spec, outs, replay);
-                return;
+        let (shared, actor, node, seq) = (&self.shared, self.actor, self.node, self.seq);
+        let instance = &mut self.instance;
+        let read_only = matches!(spec.kind, TaskKind::ActorMethod { read_only: true, .. });
+        let mode = if replay { Mode::Replay } else { Mode::Method };
+        // The log append runs only once the pre-run teardown check has
+        // passed: a torn-down method never enters the stateful-edge log,
+        // so it is never replayed on recovery and can leave no duplicate
+        // side effects. This is what makes hedged-request losers safe to
+        // cancel.
+        let log = || match (read_only, replay) {
+            (true, _) => {}
+            (false, false) => {
+                let _ = shared.gcs_client.log_actor_method(actor, seq, spec.task);
             }
-        };
-        if !replay {
-            // Chaos straggler injection (`DelayWorker`): actor hosts pay
-            // the same configured latency as stateless workers, which is
-            // what makes replica stragglers injectable for hedging tests.
-            // Replay is exempt — recovery speed is not the chaos target.
-            let delay_us = self.shared.worker_delays[self.node.index()]
-                .load(std::sync::atomic::Ordering::Relaxed);
-            if delay_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(delay_us));
-            }
-            // Cancellation / deadline teardown, checked *before* the
-            // method is logged: a torn-down method never enters the
-            // stateful-edge log, so it is never replayed on recovery and
-            // can leave no duplicate side effects. This is what makes
-            // hedged-request losers safe to cancel.
-            if let Some(cause) = self.shared.teardown_cause(spec) {
-                self.shared.teardown(self.node, spec, cause);
-                return;
-            }
-        }
-        if read_only {
-            // No stateful edge: not logged, not sequenced, never replayed.
-        } else if !replay {
-            let _ = self.shared.gcs_client.log_actor_method(self.actor, seq, spec.task);
-        } else {
-            self.shared.metrics.counter(names::METHODS_REPLAYED).inc();
-            self.shared.trace.emit(
-                self.node,
-                TraceEventKind::MethodReplayed,
-                TraceEntity::Actor(self.actor),
-                format_args!("seq={seq}"),
-            );
-        }
-        self.shared.trace.emit(
-            self.node,
-            TraceEventKind::Running,
-            TraceEntity::Task(spec.task),
-            format_args!("actor={} method={method}", self.actor),
-        );
-
-        let outputs = match resolve_args(&self.shared, self.node, None, spec) {
-            Ok(args) => {
-                let ctx = RayContext::for_task(
-                    self.shared.clone(),
-                    self.node,
-                    spec.task,
-                    spec.deadline_micros,
-                    None,
+            (false, true) => {
+                shared.metrics.counter(names::METHODS_REPLAYED).inc();
+                shared.trace.emit(
+                    node,
+                    TraceEventKind::MethodReplayed,
+                    TraceEntity::Actor(actor),
+                    format_args!("seq={seq}"),
                 );
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    self.instance.call(&ctx, method, &args)
-                }));
-                match result {
-                    Ok(Ok(outs)) if outs.len() == spec.num_returns as usize => {
-                        outs.into_iter().map(Bytes::from).collect::<Vec<_>>()
-                    }
-                    Ok(Ok(outs)) => {
-                        let msg = format!(
-                            "method {method} returned {} values, declared {}",
-                            outs.len(),
-                            spec.num_returns
-                        );
-                        (0..spec.num_returns)
-                            .map(|_| encode_error_object(spec.task, &msg))
-                            .collect()
-                    }
-                    Ok(Err(msg)) => (0..spec.num_returns)
-                        .map(|_| encode_error_object(spec.task, &msg))
-                        .collect(),
-                    Err(panic) => {
-                        let msg = panic_message(panic);
-                        (0..spec.num_returns)
-                            .map(|_| encode_error_object(spec.task, &msg))
-                            .collect()
-                    }
-                }
             }
-            Err(e) => (0..spec.num_returns)
-                .map(|_| encode_error_object(spec.task, &e.to_string()))
-                .collect(),
         };
-        let _ = self.store_outputs(spec, outputs, replay);
-        self.shared.trace.emit(
-            self.node,
-            TraceEventKind::Finished,
-            TraceEntity::Task(spec.task),
-            "",
-        );
+        let ran = worker::execute(shared, node, None, spec, mode, log, |ctx, args| {
+            match &spec.kind {
+                TaskKind::ActorMethod { method, .. } => instance.call(ctx, method, args),
+                _ => Err("non-method spec delivered to actor host".into()),
+            }
+        });
+        if !ran {
+            return;
+        }
         if !replay {
             // Completed: forget the cancel token (mirrors teardown's
             // cleanup) so long-lived serving pools don't accumulate one
@@ -403,30 +340,32 @@ impl ActorHost {
             }
         }
     }
+}
 
-    /// Stores method outputs; during replay only fills holes (objects with
-    /// no surviving replica).
-    fn store_outputs(&self, spec: &TaskSpec, outputs: Vec<Bytes>, replay: bool) -> RayResult<()> {
-        if !replay {
-            return self.shared.store_results(self.node, spec, outputs);
+/// Stores a replayed method's outputs, filling holes only: an output that
+/// still has a replica on a live node is left as it is.
+pub(crate) fn store_missing_results(
+    shared: &RuntimeShared,
+    node: NodeId,
+    spec: &TaskSpec,
+    outputs: Vec<Bytes>,
+) -> RayResult<()> {
+    let handle = shared.node(node).ok_or(RayError::NodeDead(node))?;
+    for (i, data) in outputs.into_iter().enumerate() {
+        let id = ObjectId::for_task_return(spec.task, i as u64);
+        let locs = shared.gcs_client.get_object_locations(id)?;
+        let any_live = locs.iter().any(|l| shared.fabric.is_alive(l.node));
+        if any_live {
+            continue;
         }
-        let handle = self.shared.node(self.node).ok_or(RayError::NodeDead(self.node))?;
-        for (i, data) in outputs.into_iter().enumerate() {
-            let id = ObjectId::for_task_return(spec.task, i as u64);
-            let locs = self.shared.gcs_client.get_object_locations(id)?;
-            let any_live = locs.iter().any(|l| self.shared.fabric.is_alive(l.node));
-            if any_live {
-                continue;
-            }
-            let size = data.len() as u64;
-            match handle.store.put_nocopy(id, data) {
-                Ok(_) | Err(RayError::DuplicateObject(_)) => {}
-                Err(e) => return Err(e),
-            }
-            self.shared.gcs_client.add_object_location(id, self.node, size)?;
+        let size = data.len() as u64;
+        match handle.store.put_nocopy(id, data) {
+            Ok(_) | Err(RayError::DuplicateObject(_)) => {}
+            Err(e) => return Err(e),
         }
-        Ok(())
+        shared.gcs_client.add_object_location(id, node, size)?;
     }
+    Ok(())
 }
 
 /// Creates a live actor on `node` from its creation task. Called by the
@@ -436,16 +375,15 @@ pub(crate) fn spawn_actor_here(
     node: NodeId,
     actor: ActorId,
     creation_spec: &TaskSpec,
+    ctx: &RayContext,
+    args: &[Bytes],
 ) -> RayResult<()> {
-    // Resolve constructor args *now* and persist the resolved payloads:
-    // recovery must not depend on argument objects that may later be lost.
-    let args = resolve_args(shared, node, None, creation_spec)?;
+    // Persist the *resolved* constructor payloads: recovery must not
+    // depend on argument objects that may later be lost.
     let arg_payloads: Vec<ray_codec::Blob> =
         args.iter().map(|b| ray_codec::Blob(b.to_vec())).collect();
     let ctor = shared.registry.actor_ctor(creation_spec.function)?;
-    let ctx =
-        RayContext::for_task(shared.clone(), node, creation_spec.task, creation_spec.deadline_micros, None);
-    let instance = ctor(&ctx, &args)
+    let instance = ctor(ctx, args)
         .map_err(|m| RayError::TaskFailed { task: creation_spec.task, message: m })?;
 
     let record = ActorRecord {
@@ -487,9 +425,10 @@ fn start_host(
     }
 }
 
-/// Bounds rebuild retries across a transient GCS outage: at 10ms per
-/// beat this rides out ~5s of control-plane unavailability, well past a
-/// shard's recovery-from-disk time.
+/// Bounds rebuild retries across a transient GCS outage: each beat past
+/// the third waits at least 10ms (half the backoff cap), so this rides out
+/// at least 5s of control-plane unavailability, well past a shard's
+/// recovery-from-disk time.
 const MAX_REBUILD_RETRIES: u32 = 500;
 
 /// Errors a rebuild should wait out rather than give up on.
@@ -519,25 +458,21 @@ pub(crate) fn rebuild_actor(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayR
             // scratch is safe: the record stays Recovering, the ctor and
             // replay re-derive the instance, and re-stored outputs are
             // deduplicated by the store.
-            let mut attempts = 0u32;
-            loop {
-                match rebuild_actor_blocking(&shared, actor) {
-                    Ok(()) => break,
-                    Err(e)
-                        if is_transient_rebuild_error(&e)
-                            && attempts < MAX_REBUILD_RETRIES
-                            && !shared.shutting_down.load(std::sync::atomic::Ordering::SeqCst) =>
-                    {
-                        attempts += 1;
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                    }
-                    Err(_) => {
-                        // Unrecoverable (e.g. record lost): the actor is
-                        // dead; pending calls will surface ActorDied.
-                        shared.actors.mark_dead(actor);
-                        break;
-                    }
-                }
+            let backoff = Backoff::new(
+                Duration::from_millis(5),
+                Duration::from_millis(20),
+                actor.0.digest(),
+            );
+            let transient = |e: &RayError, _| {
+                is_transient_rebuild_error(e) && !shared.shutting_down.load(Ordering::SeqCst)
+            };
+            let rebuilt = retry(backoff, MAX_REBUILD_RETRIES, transient, || {
+                rebuild_actor_blocking(&shared, actor)
+            });
+            if rebuilt.is_err() {
+                // Unrecoverable (e.g. record lost): the actor is dead;
+                // pending calls will surface ActorDied.
+                shared.actors.mark_dead(actor);
             }
         })
         .expect("invariant: thread spawn only fails on OS resource exhaustion");
@@ -577,7 +512,7 @@ fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayRes
     let node = loop {
         // A cluster tearing down has no feasible node and never will:
         // bail instead of spinning on a detached recovery thread.
-        if shared.shutting_down.load(std::sync::atomic::Ordering::SeqCst) {
+        if shared.shutting_down.load(Ordering::SeqCst) {
             return Err(RayError::Shutdown("cluster stopping".into()));
         }
         match shared.global.place(&desc)? {

@@ -22,7 +22,6 @@ use crossbeam_channel::Sender;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use ray_common::util::Backoff;
 use ray_common::{ActorId, FunctionId, NodeId, ObjectId, RayError, RayResult, TaskId};
 
 use crate::lineage::{ensure_object_at_deadline, Waiter, DEFAULT_GET_DEADLINE};
@@ -273,7 +272,7 @@ impl RayContext {
 
     /// `f.remote(args)`: submits a task for the registered function
     /// `name`, returning futures for its outputs. Non-blocking (admission
-    /// rejections are retried briefly with backoff; see [`Self::submit_spec`]).
+    /// rejections are retried briefly with backoff by the runtime's submit path).
     pub fn submit(&self, name: &str, args: Vec<Arg>, opts: TaskOptions) -> RayResult<Vec<ObjectId>> {
         let deadline_micros = self.child_deadline(&opts);
         let spec = TaskSpec {
@@ -288,7 +287,7 @@ impl RayContext {
             critical: opts.critical,
         };
         let returns = spec.return_ids();
-        self.submit_spec(spec)?;
+        self.shared.submit(self.node, self.task, spec)?;
         Ok(returns)
     }
 
@@ -307,39 +306,6 @@ impl RayContext {
                 Some(self.deadline_micros.map_or(own, |parent| parent.min(own)))
             }
             None => self.deadline_micros,
-        }
-    }
-
-    /// Registers the child's cancel token (linked under this task, so a
-    /// parent cancel fans out), then submits, retrying admission
-    /// rejections with bounded jittered backoff — the same shape as the
-    /// GCS-unavailable retry, so transient overload doesn't surface to
-    /// well-behaved callers while sustained overload still does.
-    fn submit_spec(&self, spec: TaskSpec) -> RayResult<()> {
-        self.shared.cancels.ensure(spec.task);
-        self.shared.cancels.link(self.task, spec.task);
-        let mut backoff = Backoff::new(
-            Duration::from_micros(500),
-            Duration::from_millis(10),
-            spec.task.digest(),
-        );
-        let limit = self.shared.config.scheduler.admission_retry_limit;
-        loop {
-            match self.shared.submit(self.node, spec.clone()) {
-                Err(RayError::Overloaded(_)) if backoff.attempt() < limit => {
-                    std::thread::sleep(backoff.next_delay());
-                }
-                other => {
-                    if other.is_err() {
-                        // The task never entered the system; drop its
-                        // registry entry so shed submissions don't
-                        // accumulate tokens. (The stale child link in the
-                        // parent's entry is harmless by design.)
-                        self.shared.cancels.remove(spec.task);
-                    }
-                    return other;
-                }
-            }
         }
     }
 
@@ -419,7 +385,7 @@ impl RayContext {
             critical: opts.critical,
         };
         let creation = spec.return_ids()[0];
-        self.submit_spec(spec)?;
+        self.shared.submit(self.node, self.task, spec)?;
         Ok(ActorHandle { actor, creation })
     }
 
@@ -465,7 +431,7 @@ impl RayContext {
         method: &str,
         args: Vec<Arg>,
     ) -> RayResult<ObjectRef<R>> {
-        let ids = self.call_actor_inner(handle, method, args, 1, true)?;
+        let ids = self.call_actor_spec(handle, method, args, 1, true, self.deadline_micros)?;
         Ok(ObjectRef::from_id(ids[0]))
     }
 
@@ -477,22 +443,12 @@ impl RayContext {
         args: Vec<Arg>,
         num_returns: u64,
     ) -> RayResult<Vec<ObjectId>> {
-        self.call_actor_inner(handle, method, args, num_returns, false)
+        self.call_actor_spec(handle, method, args, num_returns, false, self.deadline_micros)
     }
 
-    fn call_actor_inner(
-        &self,
-        handle: &ActorHandle,
-        method: &str,
-        args: Vec<Arg>,
-        num_returns: u64,
-        read_only: bool,
-    ) -> RayResult<Vec<ObjectId>> {
-        // Actor methods inherit the caller's deadline; they execute
-        // serially on the actor host, which checks it before running.
-        self.call_actor_spec(handle, method, args, num_returns, read_only, self.deadline_micros)
-    }
-
+    /// Builds a method's spec and submits it. Without `opts`, a method
+    /// inherits the caller's deadline; it executes serially on the actor
+    /// host, which checks the deadline before running it.
     fn call_actor_spec(
         &self,
         handle: &ActorHandle,
@@ -517,24 +473,8 @@ impl RayContext {
             deadline_micros,
             critical: false,
         };
-        let task = spec.task;
         let returns = spec.return_ids();
-        self.shared.metrics.counter(ray_common::metrics::names::TASKS_SUBMITTED).inc();
-        // Register the cancel token before the method can run: `ray.cancel`
-        // on a method future (e.g. a hedged request's losing attempt) fires
-        // it, and the actor host checks it before logging the method. The
-        // host removes the entry when the method completes.
-        self.shared.cancels.ensure(task);
-        self.shared.cancels.link(self.task, task);
-        // Lineage first: the method log + task table entry are what replay
-        // reads (Fig. 4's stateful-edge chain). Read-only calls skip it.
-        if !read_only {
-            self.shared.record_lineage(&spec)?;
-        }
-        if let Err(e) = self.shared.actors.invoke(handle.actor, spec) {
-            self.shared.cancels.remove(task);
-            return Err(e);
-        }
+        self.shared.submit(self.node, self.task, spec)?;
         Ok(returns)
     }
 

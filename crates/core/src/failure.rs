@@ -52,8 +52,10 @@ pub(crate) fn run_detector_pass(shared: &Arc<RuntimeShared>) {
             format!("age_ms={}", age.as_millis()),
         );
         if age >= declare_after {
-            shared.metrics.counter(names::NODES_DECLARED_DEAD).inc();
             declare_node_dead(shared, load.node);
+            // Counted once the death protocol has run: whoever waits on
+            // the counter may rely on the node being fenced and marked.
+            shared.metrics.counter(names::NODES_DECLARED_DEAD).inc();
         }
     }
 }

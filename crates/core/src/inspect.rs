@@ -203,6 +203,14 @@ mod tests {
             .collect();
         ctx.get_all(&futs).unwrap();
 
+        // Results become visible before the executing worker bumps its
+        // counter, so give the last increment a moment to land.
+        let t0 = std::time::Instant::now();
+        while cluster.metrics().counter("tasks_executed").get() < 5
+            && t0.elapsed() < std::time::Duration::from_secs(5)
+        {
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
         let snap = cluster.snapshot().unwrap();
         assert_eq!(snap.nodes.len(), 2);
         assert!(snap.nodes.iter().all(|n| n.alive));

@@ -98,7 +98,7 @@ pub(crate) fn ensure_object_at_deadline(
                 return Ok(data);
             }
             Err(RayError::ObjectLost(_)) => {
-                engaged = reconstruct(shared, id)?.or(engaged);
+                engaged = reconstruct(shared, id, Why::Lost)?.or(engaged);
                 // The lost-replica probe returns quickly, but the
                 // resubmitted producer may itself be recovering lost
                 // inputs or waiting for a node slot to restart. Pace the
@@ -110,7 +110,7 @@ pub(crate) fn ensure_object_at_deadline(
                 // The object may simply not be computed yet. If its
                 // producer is known and is *not* running anywhere live,
                 // resubmit it; otherwise keep waiting.
-                engaged = maybe_reconstruct_stalled(shared, id)?.or(engaged);
+                engaged = reconstruct(shared, id, Why::Stalled)?.or(engaged);
             }
             Err(e) => return Err(e),
         }
@@ -154,113 +154,82 @@ fn claim_resubmission(shared: &Arc<RuntimeShared>, task: TaskId) -> Claim {
     Claim::Go
 }
 
-/// Reconstructs a definitively lost object by re-executing its creating
-/// task (or rebuilding its actor). Returns the producer task whose
-/// resubmission budget this call engaged, so the caller can clear its
-/// stalled-entry once the object materializes.
-fn reconstruct(shared: &Arc<RuntimeShared>, id: ObjectId) -> RayResult<Option<TaskId>> {
+/// Why a consumer is asking for an object's producer to run again.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Why {
+    /// Every recorded replica sits on a dead node: without a producer to
+    /// re-run, the object is gone for good.
+    Lost,
+    /// A fetch round timed out: the object may simply not be computed yet,
+    /// so anything short of a known, idle producer means "keep waiting".
+    Stalled,
+}
+
+/// The single recover path: re-executes the task that creates `id` (or
+/// rebuilds its actor) unless it is already running somewhere live.
+/// Returns the producer task whose resubmission budget this call engaged,
+/// so the caller can clear its stalled-entry once the object materializes.
+fn reconstruct(shared: &Arc<RuntimeShared>, id: ObjectId, why: Why) -> RayResult<Option<TaskId>> {
+    // No way to name or re-run a producer (`put` objects have no lineage).
+    let no_producer = || match why {
+        Why::Lost => Err(RayError::ObjectLost(id)),
+        Why::Stalled => Ok(None),
+    };
     if !shared.config.fault.lineage_enabled {
-        return Err(RayError::ObjectLost(id));
+        return no_producer();
     }
-    let task = shared
-        .gcs_client
-        .get_object_lineage(id)?
-        .ok_or(RayError::ObjectLost(id))?; // `put` objects have no lineage.
+    let Some(task) = shared.gcs_client.get_object_lineage(id)? else {
+        return no_producer();
+    };
     // A cancelled task's outputs are marked in the GCS object table;
     // lineage must never resurrect them, even after its typed error
     // envelopes are lost with a node.
     if shared.gcs_client.object_cancelled(id)? {
         return Err(RayError::Cancelled(task));
     }
-    let spec_bytes = shared
-        .gcs_client
-        .get_task(task)?
-        .ok_or(RayError::ObjectLost(id))?;
+    if shared.task_running_on_live_node(task) {
+        // Still executing, or already re-executing (another consumer beat
+        // us to it).
+        return Ok(Some(task));
+    }
+    let Some(spec_bytes) = shared.gcs_client.get_task(task)? else {
+        return no_producer();
+    };
     let spec = TaskSpec::decode(&spec_bytes)?;
-    match &spec.kind {
-        TaskKind::Normal | TaskKind::ActorCreation { .. } => {
-            if shared.task_running_on_live_node(task) {
-                // Already re-executing (another consumer beat us to it).
-                return Ok(Some(task));
-            }
-            match claim_resubmission(shared, task) {
-                Claim::Wait => Ok(Some(task)),
-                Claim::Exhausted => Err(RayError::ObjectLost(id)),
-                Claim::Go => {
-                    let from = shared
-                        .any_live_node(NodeId(0))
-                        .ok_or(RayError::Shutdown("no live nodes".into()))?
-                        .node;
-                    shared.trace.emit(
-                        from,
-                        TraceEventKind::Reconstructing,
-                        TraceEntity::Object(id),
-                        format!("task={task}"),
-                    );
-                    shared.resubmit(from, spec)?;
-                    Ok(Some(task))
-                }
-            }
-        }
-        TaskKind::ActorMethod { actor, .. } => {
+    if let TaskKind::ActorMethod { actor, .. } = spec.kind {
+        match why {
             // A lost method result cannot be recomputed in isolation —
             // actor state has moved on. Rebuild the actor from its latest
             // checkpoint and replay the stateful-edge chain; replay
             // re-stores missing outputs (ours included).
-            actor::rebuild_actor(shared, *actor)?;
-            Ok(None)
-        }
-    }
-}
-
-/// Handles the "producer stalled" case during a fetch timeout: resubmit
-/// the task if it is known but not running on any live node (e.g. it was
-/// queued on a node that died before execution). Returns the producer task
-/// whose resubmission budget was engaged, if any.
-fn maybe_reconstruct_stalled(shared: &Arc<RuntimeShared>, id: ObjectId) -> RayResult<Option<TaskId>> {
-    if !shared.config.fault.lineage_enabled {
-        return Ok(None);
-    }
-    let Some(task) = shared.gcs_client.get_object_lineage(id)? else {
-        return Ok(None); // Unknown producer: just keep waiting.
-    };
-    if shared.gcs_client.object_cancelled(id)? {
-        return Err(RayError::Cancelled(task));
-    }
-    if shared.task_running_on_live_node(task) {
-        return Ok(None);
-    }
-    let Some(spec_bytes) = shared.gcs_client.get_task(task)? else {
-        return Ok(None);
-    };
-    let spec = TaskSpec::decode(&spec_bytes)?;
-    match &spec.kind {
-        TaskKind::Normal | TaskKind::ActorCreation { .. } => {
-            match claim_resubmission(shared, task) {
-                // Exhausted: keep waiting; the consumer's own deadline
-                // turns a producer that never lands into a typed Timeout.
-                Claim::Wait | Claim::Exhausted => Ok(Some(task)),
-                Claim::Go => {
-                    let from = shared
-                        .any_live_node(NodeId(0))
-                        .ok_or(RayError::Shutdown("no live nodes".into()))?
-                        .node;
-                    shared.trace.emit(
-                        from,
-                        TraceEventKind::Reconstructing,
-                        TraceEntity::Object(id),
-                        format!("task={task} stalled"),
-                    );
-                    shared.resubmit(from, spec)?;
-                    Ok(Some(task))
-                }
-            }
-        }
-        TaskKind::ActorMethod { actor, .. } => {
+            Why::Lost => actor::rebuild_actor(shared, actor)?,
             // The method is queued/pending at the actor router; poke
             // recovery in case its host died.
-            actor::ensure_actor_alive(shared, *actor)?;
-            Ok(None)
+            Why::Stalled => actor::ensure_actor_alive(shared, actor)?,
+        }
+        return Ok(None);
+    }
+    match claim_resubmission(shared, task) {
+        Claim::Exhausted if why == Why::Lost => Err(RayError::ObjectLost(id)),
+        // Stalled and exhausted: keep waiting; the consumer's own deadline
+        // turns a producer that never lands into a typed Timeout.
+        Claim::Wait | Claim::Exhausted => Ok(Some(task)),
+        Claim::Go => {
+            let from = shared
+                .any_live_node(NodeId(0))
+                .ok_or(RayError::Shutdown("no live nodes".into()))?
+                .node;
+            shared.trace.emit(
+                from,
+                TraceEventKind::Reconstructing,
+                TraceEntity::Object(id),
+                match why {
+                    Why::Lost => format!("task={task}"),
+                    Why::Stalled => format!("task={task} stalled"),
+                },
+            );
+            shared.resubmit(from, spec)?;
+            Ok(Some(task))
         }
     }
 }

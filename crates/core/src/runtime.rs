@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam_channel::Sender;
@@ -22,6 +22,7 @@ use ray_common::sync::{classes, OrderedMutex, OrderedRwLock};
 
 use ray_common::metrics::{names, MetricsRegistry};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
+use ray_common::util::{retry, Backoff};
 use ray_common::{NodeId, ObjectId, RayConfig, RayError, RayResult, Resources, TaskId};
 use ray_gcs::tables::GcsClient;
 use ray_gcs::Gcs;
@@ -218,12 +219,13 @@ impl RuntimeShared {
     }
 
     /// Admission control: sheds a non-critical submission when the target
-    /// node's submit queue is at or past the configured watermark.
+    /// node's submit queue is at or past the configured watermark. Actor
+    /// methods join their actor's mailbox, not a node's queue, and pass.
     fn admit(&self, from: NodeId, spec: &TaskSpec) -> RayResult<()> {
         let Some(watermark) = self.config.scheduler.admission_watermark else {
             return Ok(());
         };
-        if spec.critical {
+        if spec.critical || matches!(spec.kind, TaskKind::ActorMethod { .. }) {
             return Ok(());
         }
         let Some(handle) = self.any_live_node(from) else {
@@ -244,24 +246,53 @@ impl RuntimeShared {
         Err(RayError::Overloaded(node))
     }
 
-    /// The bottom-up submission entry point: admission, lineage, local
-    /// decision, then enqueue-or-forward (paper Fig. 6).
-    pub(crate) fn submit(&self, from: NodeId, spec: TaskSpec) -> RayResult<()> {
-        debug_assert!(
-            !matches!(spec.kind, TaskKind::ActorMethod { .. }),
-            "actor methods route through the actor router, not the scheduler"
-        );
-        self.admit(from, &spec)?;
-        self.cancels.ensure(spec.task);
-        self.metrics.counter(names::TASKS_SUBMITTED).inc();
-        self.trace.emit(
-            from,
-            TraceEventKind::Submitted,
-            TraceEntity::Task(spec.task),
-            &spec.function_name,
-        );
-        self.record_lineage(&spec)?;
-        self.dispatch_for_scheduling(from, spec)
+    /// The single submit path, for every task kind: one prologue, then a
+    /// route on `spec.kind`.
+    ///
+    /// Prologue: register the cancel token under `parent` (so a parent
+    /// cancel fans out) before the task can run (so `ray.cancel` on a
+    /// hedged request's losing attempt reaches the actor host ahead of the
+    /// method log); ask admission, retrying a rejection with bounded
+    /// jittered backoff so transient overload doesn't surface to callers
+    /// while sustained overload still does; count and trace the
+    /// submission; record lineage — what reconstruction and actor replay
+    /// read (Fig. 4) — except for a read-only method, which adds no
+    /// stateful edge. Route: tasks and actor creations take the bottom-up
+    /// scheduling path (paper Fig. 6), actor methods go to their actor's
+    /// router.
+    pub(crate) fn submit(&self, from: NodeId, parent: TaskId, spec: TaskSpec) -> RayResult<()> {
+        let task = spec.task;
+        self.cancels.ensure(task);
+        self.cancels.link(parent, task);
+        let backoff =
+            Backoff::new(Duration::from_micros(500), Duration::from_millis(10), task.digest());
+        let limit = self.config.scheduler.admission_retry_limit;
+        let overloaded = |e: &RayError, _| matches!(e, RayError::Overloaded(_));
+        let routed = retry(backoff, limit, overloaded, || self.admit(from, &spec)).and_then(|()| {
+            self.metrics.counter(names::TASKS_SUBMITTED).inc();
+            self.trace.emit(
+                from,
+                TraceEventKind::Submitted,
+                TraceEntity::Task(task),
+                &spec.function_name,
+            );
+            if !matches!(spec.kind, TaskKind::ActorMethod { read_only: true, .. }) {
+                self.record_lineage(&spec)?;
+            }
+            match spec.kind {
+                TaskKind::ActorMethod { actor, .. } => self.actors.invoke(actor, spec),
+                TaskKind::Normal | TaskKind::ActorCreation { .. } => {
+                    self.dispatch_for_scheduling(from, spec)
+                }
+            }
+        });
+        if routed.is_err() {
+            // The task never entered the system; drop its registry entry
+            // so shed submissions don't accumulate tokens. (The stale child
+            // link in the parent's entry is harmless by design.)
+            self.cancels.remove(task);
+        }
+        routed
     }
 
     /// Re-submission path used by lineage reconstruction (lineage is
@@ -431,9 +462,7 @@ impl RuntimeShared {
         for id in spec.return_ids() {
             let _ = self.gcs_client.mark_object_cancelled(id);
         }
-        let envelopes =
-            spec.return_ids().iter().map(|_| encode_error_object(spec.task, msg)).collect();
-        if self.store_results(node, spec, envelopes).is_err() {
+        if self.store_results(node, spec, error_envelopes(spec, msg)).is_err() {
             // No store reachable for the envelope: drop any local waiters
             // outright so the registrations don't leak; remote consumers
             // fall back to the GCS cancelled mark when their fetch times
@@ -483,12 +512,18 @@ pub(crate) enum TeardownCause {
 
 /// Builds the error-envelope payload stored as a failed task's result, so
 /// the failure propagates through futures to whoever `get`s them.
-pub(crate) fn encode_error_object(task: TaskId, message: &str) -> Bytes {
+fn encode_error_object(task: TaskId, message: &str) -> Bytes {
     let mut out = Vec::with_capacity(ERROR_MAGIC.len() + 16 + message.len());
     out.extend_from_slice(ERROR_MAGIC);
     out.extend_from_slice(&task.0.as_bytes());
     out.extend_from_slice(message.as_bytes());
     Bytes::from(out)
+}
+
+/// One error envelope per declared return of `spec`: what a task that
+/// failed or was torn down stores in place of its outputs.
+pub(crate) fn error_envelopes(spec: &TaskSpec, message: &str) -> Vec<Bytes> {
+    (0..spec.num_returns).map(|_| encode_error_object(spec.task, message)).collect()
 }
 
 /// Checks whether an object payload is an error envelope; returns the

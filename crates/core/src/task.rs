@@ -80,6 +80,19 @@ pub enum TaskKind {
     },
 }
 
+/// The name a running task's span carries in the timeline: actor methods
+/// say whose method they are; everything else is named by its task ID.
+impl std::fmt::Display for TaskKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TaskKind::ActorMethod { actor, method, .. } => {
+                write!(f, "actor={actor} method={method}")
+            }
+            TaskKind::Normal | TaskKind::ActorCreation { .. } => Ok(()),
+        }
+    }
+}
+
 /// The full, GCS-storable description of one task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskSpec {

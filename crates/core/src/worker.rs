@@ -8,8 +8,10 @@
 //! a [`RayContext`] for nested calls, and stores the results.
 
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Sender};
@@ -21,7 +23,8 @@ use ray_common::{NodeId, RayResult};
 use crate::actor;
 use crate::context::RayContext;
 use crate::lineage::{ensure_object_at, Waiter};
-use crate::runtime::{encode_error_object, NodeMsg, RuntimeShared};
+use crate::registry::RemoteResult;
+use crate::runtime::{error_envelopes, NodeMsg, RuntimeShared};
 use crate::task::{Arg, TaskKind, TaskSpec};
 
 /// Messages to a worker thread.
@@ -56,13 +59,14 @@ impl WorkerHandle {
                 // is the per-task hot loop.
                 let task_latency = shared.metrics.histogram(names::TASK_LATENCY_MICROS);
                 let tasks_executed = shared.metrics.counter(names::TASKS_EXECUTED);
+                let slot = (node_tx, index);
                 while let Ok(msg) = rx.recv() {
                     match msg {
                         WorkerMsg::Run(spec) => {
                             let start = clock.now();
                             let demand = spec.demand.clone();
                             let task = spec.task;
-                            execute_task(&shared, node, Some((node_tx.clone(), index)), &spec);
+                            run_task(&shared, node, &slot, &spec);
                             tasks_executed.inc();
                             shared.inflight.remove(task);
                             let elapsed = clock.now().duration_since(start);
@@ -72,7 +76,7 @@ impl WorkerHandle {
                                 demand,
                                 duration_ms: elapsed.as_secs_f64() * 1e3,
                             };
-                            if node_tx.send(done).is_err() {
+                            if slot.0.send(done).is_err() {
                                 return; // Node shut down mid-task.
                             }
                         }
@@ -88,7 +92,7 @@ impl WorkerHandle {
 /// Resolves a task's arguments to raw payloads, pulling remote objects
 /// into the local store first. `worker_slot` lets the blocking fetch
 /// notify the local scheduler (worker-pool growth; see node.rs).
-pub(crate) fn resolve_args(
+fn resolve_args(
     shared: &Arc<RuntimeShared>,
     node: NodeId,
     worker_slot: Option<&(Sender<NodeMsg>, usize)>,
@@ -133,91 +137,66 @@ fn notify_blocked<'a>(slot: Option<&'a (Sender<NodeMsg>, usize)>) -> BlockedGuar
     BlockedGuard(slot)
 }
 
-/// Executes one task end-to-end on `node`. Failures become error-envelope
-/// result objects so consumers observe them through `get`.
-pub(crate) fn execute_task(
-    shared: &Arc<RuntimeShared>,
-    node: NodeId,
-    worker_slot: Option<(Sender<NodeMsg>, usize)>,
-    spec: &TaskSpec,
-) {
-    // Chaos straggler injection (`DelayWorker`): pay the configured extra
-    // latency before touching the task at all.
-    let delay_us = shared.worker_delays[node.index()].load(std::sync::atomic::Ordering::Relaxed);
-    if delay_us > 0 {
-        std::thread::sleep(std::time::Duration::from_micros(delay_us));
-    }
-    // A task cancelled (or expired) after dispatch but before execution
-    // must tear down without ever emitting `running`.
-    if let Some(cause) = shared.teardown_cause(spec) {
-        shared.teardown(node, spec, cause);
-        return;
-    }
-    let outcome = run_task_body(shared, node, worker_slot.as_ref(), spec);
-    // Cancellation or deadline expiry observed mid-run (a blocking fetch
-    // returns the typed error, or the body simply outlived its deadline):
-    // whatever the body produced is discarded in favor of typed teardown
-    // envelopes, and the worker slot is freed by the normal `WorkerDone`
-    // path on return.
-    if let Some(cause) = shared.teardown_cause(spec) {
-        shared.teardown(node, spec, cause);
-        return;
-    }
-    let outputs = match outcome {
-        Ok(outputs) => {
-            if outputs.len() != spec.num_returns as usize {
-                let msg = format!(
-                    "function {} returned {} values, declared {}",
-                    spec.function_name,
-                    outputs.len(),
-                    spec.num_returns
-                );
-                shared.trace.emit(
-                    node,
-                    TraceEventKind::Failed,
-                    TraceEntity::Task(spec.task),
-                    &msg,
-                );
-                (0..spec.num_returns).map(|_| encode_error_object(spec.task, &msg)).collect()
-            } else {
-                shared.trace.emit(node, TraceEventKind::Finished, TraceEntity::Task(spec.task), "");
-                outputs.into_iter().map(Bytes::from).collect::<Vec<_>>()
-            }
-        }
-        Err(msg) => {
-            shared.trace.emit(
-                node,
-                TraceEventKind::Failed,
-                TraceEntity::Task(spec.task),
-                &msg,
-            );
-            (0..spec.num_returns)
-                .map(|_| encode_error_object(spec.task, &msg))
-                .collect()
-        }
-    };
-    if let Err(e) = shared.store_results(node, spec, outputs) {
-        // The node died under us; results are lost and will be
-        // reconstructed elsewhere if anyone needs them.
-        let _ = e;
-    }
+/// How much of the policy around a body applies to this execution. The
+/// stateless task is the full policy; the other two modes are the only
+/// places where running an actor method differs from running a task.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// A stateless task or an actor creation.
+    Task,
+    /// A live actor method. A cancel or deadline that lands *during* the
+    /// body does not tear it down afterwards: the method is already in the
+    /// stateful-edge log and its state change is already applied, so a
+    /// replay will produce these outputs again — discarding them now would
+    /// make the first run and the replay disagree.
+    Method,
+    /// A logged method replayed by an actor rebuild. It ran once already,
+    /// so nothing may stop it running again: no teardown check (the
+    /// original deadline has passed, the log says the method counts), no
+    /// straggler delay (recovery speed is not the chaos target), and its
+    /// outputs only fill holes — surviving replicas stay as they are.
+    Replay,
 }
 
-fn run_task_body(
+/// The single execute path: everything the runtime does before and after
+/// any body, whichever kind of task the body belongs to.
+///
+/// straggler delay → teardown check → `committed` → argument fetch →
+/// `deps_fetched`, `running` → the body under `catch_unwind` → arity check
+/// → `finished` | `failed` → store. `committed` runs once the task can no
+/// longer be torn down before its body — the actor host appends to the
+/// method log there, so a torn-down method is never logged. Returns
+/// `false` if the task was torn down instead of completing.
+pub(crate) fn execute(
     shared: &Arc<RuntimeShared>,
     node: NodeId,
     worker_slot: Option<&(Sender<NodeMsg>, usize)>,
     spec: &TaskSpec,
-) -> Result<Vec<Vec<u8>>, String> {
-    match &spec.kind {
-        TaskKind::Normal => {
-            let f = shared
-                .registry
-                .function(spec.function)
-                .map_err(|e| e.to_string())?;
-            let args = resolve_args(shared, node, worker_slot, spec).map_err(|e| e.to_string())?;
-            shared.trace.emit(node, TraceEventKind::DepsFetched, TraceEntity::Task(spec.task), "");
-            shared.trace.emit(node, TraceEventKind::Running, TraceEntity::Task(spec.task), "");
+    mode: Mode,
+    committed: impl FnOnce(),
+    body: impl FnOnce(&RayContext, &[Bytes]) -> RemoteResult,
+) -> bool {
+    let entity = TraceEntity::Task(spec.task);
+    if mode != Mode::Replay {
+        // Chaos straggler injection (`DelayWorker`): pay the configured
+        // extra latency before touching the task at all.
+        let delay_us = shared.worker_delays[node.index()].load(Ordering::Relaxed);
+        if delay_us > 0 {
+            std::thread::sleep(Duration::from_micros(delay_us));
+        }
+        // A task cancelled (or expired) after dispatch but before
+        // execution tears down without ever emitting `running`.
+        if let Some(cause) = shared.teardown_cause(spec) {
+            shared.teardown(node, spec, cause);
+            return false;
+        }
+    }
+    committed();
+    let outcome = resolve_args(shared, node, worker_slot, spec)
+        .map_err(|e| e.to_string())
+        .and_then(|args| {
+            shared.trace.emit(node, TraceEventKind::DepsFetched, entity, "");
+            shared.trace.emit(node, TraceEventKind::Running, entity, &spec.kind);
             let ctx = RayContext::for_task(
                 shared.clone(),
                 node,
@@ -225,29 +204,81 @@ fn run_task_body(
                 spec.deadline_micros,
                 worker_slot.cloned(),
             );
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&ctx, &args)));
-            match result {
-                Ok(r) => r,
-                Err(panic) => Err(panic_message(panic)),
+            std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx, &args)))
+                .unwrap_or_else(|panic| Err(panic_message(panic)))
+        })
+        .and_then(|outputs| {
+            if outputs.len() == spec.num_returns as usize {
+                Ok(outputs)
+            } else {
+                Err(format!(
+                    "{} returned {} values, declared {}",
+                    spec.function_name,
+                    outputs.len(),
+                    spec.num_returns
+                ))
             }
+        });
+    // Cancellation or deadline expiry observed mid-run (a blocking fetch
+    // returns the typed error, or the body simply outlived its deadline):
+    // whatever the body produced is discarded in favor of typed teardown
+    // envelopes.
+    if mode == Mode::Task {
+        if let Some(cause) = shared.teardown_cause(spec) {
+            shared.teardown(node, spec, cause);
+            return false;
+        }
+    }
+    let outputs = match outcome {
+        Ok(outputs) => {
+            shared.trace.emit(node, TraceEventKind::Finished, entity, "");
+            outputs.into_iter().map(Bytes::from).collect()
+        }
+        // Failures become error-envelope result objects so consumers
+        // observe them through `get`.
+        Err(msg) => {
+            shared.trace.emit(node, TraceEventKind::Failed, entity, &msg);
+            error_envelopes(spec, &msg)
+        }
+    };
+    // A store error means the node died under us; the results are lost and
+    // will be reconstructed elsewhere if anyone needs them.
+    let _ = match mode {
+        Mode::Replay => actor::store_missing_results(shared, node, spec, outputs),
+        Mode::Task | Mode::Method => shared.store_results(node, spec, outputs),
+    };
+    true
+}
+
+/// Runs a task a local scheduler handed to a worker: the body is the
+/// registered function, or the actor constructor for a creation task.
+fn run_task(
+    shared: &Arc<RuntimeShared>,
+    node: NodeId,
+    worker_slot: &(Sender<NodeMsg>, usize),
+    spec: &TaskSpec,
+) {
+    execute(shared, node, Some(worker_slot), spec, Mode::Task, || (), |ctx, args| match &spec.kind {
+        TaskKind::Normal => {
+            let f = shared.registry.function(spec.function).map_err(|e| e.to_string())?;
+            f(ctx, args)
         }
         TaskKind::ActorCreation { actor } => {
             // Spawn the stateful actor worker on this node; the creation
             // task's return object is the actor ID, so creation can be
             // awaited like any future.
-            shared.trace.emit(node, TraceEventKind::Running, TraceEntity::Task(spec.task), "");
-            actor::spawn_actor_here(shared, node, *actor, spec).map_err(|e| e.to_string())?;
-            let encoded = ray_codec::encode(actor).map_err(|e| e.to_string())?;
-            Ok(vec![encoded])
+            actor::spawn_actor_here(shared, node, *actor, spec, ctx, args)
+                .map_err(|e| e.to_string())?;
+            Ok(vec![ray_codec::encode(actor).map_err(|e| e.to_string())?])
         }
         TaskKind::ActorMethod { .. } => {
             Err("actor methods are executed by actor hosts, not workers".into())
         }
-    }
+    });
 }
 
 /// Extracts a readable message from a caught panic payload.
-pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         format!("task panicked: {s}")
     } else if let Some(s) = panic.downcast_ref::<String>() {
@@ -256,4 +287,3 @@ pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
         "task panicked".to_string()
     }
 }
-

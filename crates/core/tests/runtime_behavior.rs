@@ -332,6 +332,177 @@ fn actor_method_errors_do_not_kill_actor() {
     cluster.shutdown();
 }
 
+/// One body, registered both as the remote function `probe` and as the
+/// only method of the `Probe` actor class: what it does is picked by its
+/// first argument, so a task and an actor method can be driven through
+/// the same outcomes.
+fn probe_body(args: &[Bytes]) -> RemoteResult {
+    match decode_arg::<String>(args, 0)?.as_str() {
+        "ok" => encode_return(&7u64),
+        "err" => Err("deliberate failure".into()),
+        "panic" => panic!("deliberate panic"),
+        "arity" => Ok(Vec::new()),
+        other => Err(format!("unknown probe {other}")),
+    }
+}
+
+struct Probe;
+
+impl ActorInstance for Probe {
+    fn call(&mut self, _ctx: &RayContext, _method: &str, args: &[Bytes]) -> RemoteResult {
+        probe_body(args)
+    }
+}
+
+fn traced_probe_cluster() -> Cluster {
+    let cluster = Cluster::start(
+        RayConfig::builder().nodes(2).workers_per_node(2).seed(7).tracing(true).build(),
+    )
+    .unwrap();
+    cluster.register_raw("probe", |_: &RayContext, args: &[Bytes]| probe_body(args));
+    cluster.register_actor_class("Probe", |_ctx, _args| Ok(Box::new(Probe)));
+    cluster
+}
+
+/// The task that produces `id`, found among the log's task entities.
+fn producer(log: &ray_common::trace::TraceLog, id: ObjectId) -> ray_common::TaskId {
+    log.entities()
+        .into_iter()
+        .find_map(|e| match e {
+            TraceEntity::Task(t) if ObjectId::for_task_return(t, 0) == id => Some(t),
+            _ => None,
+        })
+        .expect("the producing task left no trace event")
+}
+
+#[test]
+fn failed_actor_methods_emit_failed_and_the_actor_lives_on() {
+    let cluster = traced_probe_cluster();
+    let ctx = cluster.driver();
+    let h = ctx.create_actor("Probe", vec![], TaskOptions::default()).unwrap();
+    let probe = |what: &str| -> ObjectRef<u64> {
+        ctx.call_actor(&h, "probe", vec![Arg::value(what).unwrap()]).unwrap()
+    };
+    let mut failed = Vec::new();
+    for (what, expect) in [
+        ("err", "deliberate failure"),
+        ("panic", "deliberate panic"),
+        ("arity", "probe returned 0 values, declared 1"),
+    ] {
+        let fut = probe(what);
+        match ctx.get(&fut) {
+            Err(RayError::TaskFailed { message, .. }) => {
+                assert!(message.contains(expect), "{what}: {message}")
+            }
+            other => panic!("{what}: expected TaskFailed, got {other:?}"),
+        }
+        failed.push(fut.id());
+        // The actor still serves the next call.
+        assert_eq!(ctx.get(&probe("ok")).unwrap(), 7);
+    }
+    let log = cluster.trace_log().unwrap();
+    for id in failed {
+        let task = TraceEntity::Task(producer(&log, id));
+        log.assert()
+            .count_eq(task, TraceEventKind::Failed, 1)
+            .count_eq(task, TraceEventKind::Finished, 0);
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn actor_methods_are_traced_from_submission() {
+    let cluster = traced_probe_cluster();
+    let ctx = cluster.driver();
+    let h = ctx.create_actor("Probe", vec![], TaskOptions::default()).unwrap();
+    let ok = || vec![Arg::value("ok").unwrap()];
+    let mut futs: Vec<ObjectRef<u64>> = Vec::new();
+    for _ in 0..8 {
+        futs.push(ctx.call_actor(&h, "probe", ok()).unwrap());
+        futs.push(ctx.call_actor_readonly(&h, "probe", ok()).unwrap());
+    }
+    assert_eq!(ctx.get_all(&futs).unwrap(), vec![7; 16]);
+    let log = cluster.trace_log().unwrap();
+    for fut in futs {
+        log.assert().ordered(
+            TraceEntity::Task(producer(&log, fut.id())),
+            &[TraceEventKind::Submitted, TraceEventKind::Running, TraceEventKind::Finished],
+        );
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn tasks_and_actor_methods_share_one_engine() {
+    use TraceEventKind::*;
+    let cluster = traced_probe_cluster();
+    let ctx = cluster.driver();
+    let h = ctx.create_actor("Probe", vec![], TaskOptions::default()).unwrap();
+    ctx.get(&h.ready()).unwrap();
+    let expired = TaskOptions::default().with_timeout(Duration::ZERO);
+    // Either engine column: submit one probe, as a task or as a method.
+    let submit = |as_method: bool, what: &str, opts: &TaskOptions| -> ObjectRef<u64> {
+        let args = vec![Arg::value(what).unwrap()];
+        if as_method {
+            ctx.call_actor_opts(&h, "probe", args, opts).unwrap()
+        } else {
+            ctx.call_opts("probe", args, opts.clone()).unwrap()
+        }
+    };
+    let outcome = |fut: &ObjectRef<u64>| match ctx.get(fut) {
+        Ok(v) => format!("ok {v}"),
+        Err(RayError::TaskFailed { message, .. }) => format!("failed: {message}"),
+        Err(RayError::Cancelled(_)) => "cancelled".into(),
+        Err(RayError::DeadlineExceeded(_)) => "deadline exceeded".into(),
+        Err(other) => format!("{other:?}"),
+    };
+    // (what the body does, cancel before it runs, options, outcome, lifecycle)
+    let none = TaskOptions::default();
+    let ran = |end| vec![Submitted, DepsFetched, Running, end];
+    let rows = [
+        ("ok", false, &none, "ok 7", ran(Finished)),
+        ("err", false, &none, "failed: deliberate failure", ran(Failed)),
+        ("panic", false, &none, "failed: task panicked: deliberate panic", ran(Failed)),
+        ("arity", false, &none, "failed: probe returned 0 values, declared 1", ran(Failed)),
+        ("ok", true, &none, "cancelled", vec![Submitted, TaskCancelled]),
+        ("ok", false, &expired, "deadline exceeded", vec![Submitted, TaskDeadlineExceeded]),
+    ];
+    let mut seen = Vec::new();
+    for (what, cancel, opts, want, kinds) in &rows {
+        for as_method in [false, true] {
+            if *cancel {
+                // Hold the task at the head of the execute path (the
+                // straggler delay comes before the teardown check) so the
+                // cancel lands before the body can start.
+                for n in 0..2 {
+                    cluster.set_worker_delay(NodeId(n), Duration::from_millis(300));
+                }
+            }
+            let fut = submit(as_method, what, opts);
+            if *cancel {
+                assert!(ctx.cancel_ref(&fut).unwrap());
+            }
+            assert_eq!(&outcome(&fut), want, "{what} as_method={as_method}");
+            for n in 0..2 {
+                cluster.set_worker_delay(NodeId(n), Duration::ZERO);
+            }
+            seen.push((fut.id(), kinds, *what, as_method));
+        }
+    }
+    let log = cluster.trace_log().unwrap();
+    for (id, kinds, what, as_method) in seen {
+        // Where a task was queued is the scheduler's business, not the
+        // engine's; an actor method has no such stage.
+        let lifecycle: Vec<TraceEventKind> = log
+            .kinds_for(TraceEntity::Task(producer(&log, id)))
+            .into_iter()
+            .filter(|k| !matches!(k, ScheduledLocal | SpilledGlobal | GlobalPlaced))
+            .collect();
+        assert_eq!(&lifecycle, kinds, "{what} as_method={as_method}");
+    }
+    cluster.shutdown();
+}
+
 #[test]
 fn actor_handles_shared_across_tasks() {
     // A handle passed (by actor ID) into a remote function can call the

@@ -16,7 +16,7 @@ use crossbeam_channel::{unbounded, Receiver};
 use serde::{Deserialize, Serialize};
 
 use ray_common::metrics::{names, MetricsRegistry};
-use ray_common::util::{fnv1a_64, Backoff};
+use ray_common::util::{fnv1a_64, retry, Backoff};
 use ray_common::{ActorId, FunctionId, NodeId, ObjectId, RayError, RayResult, TaskId};
 
 use crate::chain::Chain;
@@ -184,22 +184,27 @@ impl GcsClient {
         matches!(e, RayError::Timeout | RayError::GcsUnavailable(_))
     }
 
+    /// Runs one chain operation on `key`'s shard, retrying retryable
+    /// errors up to the client's budget and counting each retry.
+    fn with_retry<T>(&self, key: &Key, op: impl FnMut() -> RayResult<T>) -> RayResult<T> {
+        let backoff =
+            Backoff::new(Duration::from_millis(2), Duration::from_millis(25), fnv1a_64(&key.id));
+        let counted = |e: &RayError, _| {
+            let again = Self::is_retryable(e);
+            if again {
+                self.metrics.counter(names::GCS_RETRIES).inc();
+            }
+            again
+        };
+        retry(backoff, self.retry_limit, counted, op)
+    }
+
     /// Issues a fully-formed update with backoff-and-retry. All GCS writes
     /// — including subscription ops, whose replays are deduplicated by
     /// `sub_id` at the replicas — go through here.
     fn write_op(&self, key: &Key, op: UpdateOp) -> RayResult<()> {
         let shard = self.shard_for(key);
-        let mut backoff =
-            Backoff::new(Duration::from_millis(2), Duration::from_millis(25), fnv1a_64(&key.id));
-        loop {
-            match shard.write(op.clone()) {
-                Err(e) if Self::is_retryable(&e) && backoff.attempt() < self.retry_limit => {
-                    self.metrics.counter(names::GCS_RETRIES).inc();
-                    std::thread::sleep(backoff.next_delay());
-                }
-                other => return other,
-            }
-        }
+        self.with_retry(key, || shard.write(op.clone()))
     }
 
     fn write(&self, key: Key, op: impl FnOnce(Key) -> UpdateOp) -> RayResult<()> {
@@ -208,17 +213,8 @@ impl GcsClient {
     }
 
     fn read(&self, key: &Key) -> RayResult<Option<Entry>> {
-        let mut backoff =
-            Backoff::new(Duration::from_millis(2), Duration::from_millis(25), fnv1a_64(&key.id));
-        loop {
-            match self.shard_for(key).read(key) {
-                Err(e) if Self::is_retryable(&e) && backoff.attempt() < self.retry_limit => {
-                    self.metrics.counter(names::GCS_RETRIES).inc();
-                    std::thread::sleep(backoff.next_delay());
-                }
-                other => return other,
-            }
-        }
+        let shard = self.shard_for(key);
+        self.with_retry(key, || shard.read(key))
     }
 
     // ------------------------------------------------------------------

@@ -16,7 +16,7 @@ use ray_common::sync::{classes, OrderedRwLock};
 
 use ray_common::metrics::{names, MetricsRegistry};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
-use ray_common::util::Backoff;
+use ray_common::util::{retry, Backoff};
 use ray_common::{NodeId, ObjectId, RayError, RayResult};
 use ray_gcs::tables::GcsClient;
 use ray_transport::Fabric;
@@ -251,27 +251,27 @@ impl TransferManager {
         bytes: usize,
         id: ObjectId,
     ) -> RayResult<()> {
-        let mut backoff = Backoff::new(
+        let backoff = Backoff::new(
             Duration::from_micros(200),
             Duration::from_millis(20),
             id.digest() ^ u64::from(dst.0),
         );
-        loop {
-            match self.fabric.transfer(src, dst, bytes, self.connections) {
-                Ok(_) => return Ok(()),
-                Err(RayError::MessageDropped) if backoff.attempt() < TRANSFER_RETRY_LIMIT => {
-                    self.metrics.counter(names::TRANSFER_RETRIES).inc();
-                    self.tracer.emit(
-                        dst,
-                        TraceEventKind::TransferRetry,
-                        TraceEntity::Object(id),
-                        format_args!("from={src} attempt={}", backoff.attempt()),
-                    );
-                    std::thread::sleep(backoff.next_delay());
-                }
-                Err(e) => return Err(e),
+        let dropped = |e: &RayError, attempt: u32| {
+            let again = matches!(e, RayError::MessageDropped);
+            if again {
+                self.metrics.counter(names::TRANSFER_RETRIES).inc();
+                self.tracer.emit(
+                    dst,
+                    TraceEventKind::TransferRetry,
+                    TraceEntity::Object(id),
+                    format_args!("from={src} attempt={attempt}"),
+                );
             }
-        }
+            again
+        };
+        retry(backoff, TRANSFER_RETRY_LIMIT, dropped, || {
+            self.fabric.transfer(src, dst, bytes, self.connections).map(|_| ())
+        })
     }
 
     /// Like [`Self::fetch`] but leaves the payload where it is and only

@@ -24,6 +24,13 @@ cargo build --release
 echo "== tier 1: test suite =="
 cargo test -q
 
+echo "== tier 1: runtime and common crates =="
+# `cargo test` at the root runs only the root package's tests; the
+# runtime's own suite (crates/core/tests/runtime_behavior.rs, where the
+# engine-parity and trace-emission tests live) and ray-common's are named
+# here so the gate executes them.
+cargo test -q -p rustray -p ray-common
+
 echo "== chaos suite =="
 cargo test -q --test chaos
 
@@ -84,5 +91,8 @@ if [[ "${VERIFY_TSAN:-0}" == "1" ]]; then
     echo "== thread sanitizer soak (opt-in) =="
     scripts/tsan.sh
 fi
+
+echo "== code lines per crate (information) =="
+scripts/loc.sh
 
 echo "verify: OK"
