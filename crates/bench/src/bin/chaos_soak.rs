@@ -65,7 +65,6 @@ fn run_seed(seed: u64, window: Duration, faults: usize, chain: usize, adds: i64)
         max_reconstruction_attempts: 10,
         actor_checkpoint_interval: Some(3),
         heartbeat_timeout: Duration::from_millis(200),
-        ..FaultConfig::default()
     };
     // A little message loss on top of the node faults.
     cfg.transport.chaos.drop_probability = 0.03;

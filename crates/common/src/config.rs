@@ -150,8 +150,6 @@ pub struct SchedulerConfig {
     /// Local queue length above which a local scheduler forwards new tasks
     /// to the global scheduler (paper §4.2.2 "predefined threshold").
     pub spillover_threshold: usize,
-    /// Number of global scheduler replicas.
-    pub global_replicas: usize,
     /// Interval at which local schedulers send load/resource heartbeats.
     pub heartbeat_interval: Duration,
     /// Artificial latency added to every global scheduling decision
@@ -159,9 +157,9 @@ pub struct SchedulerConfig {
     pub added_decision_delay: Duration,
     /// EWMA smoothing factor for task-duration and bandwidth estimates.
     pub ewma_alpha: f64,
-    /// Admission-control watermark: when a node's submit queue depth
-    /// (queued + in-flight-to-queue) reaches this many tasks, new
-    /// non-critical submissions are shed with `RayError::Overloaded`.
+    /// Admission-control watermark: when a node's local queue holds this
+    /// many tasks, new non-critical submissions there are shed with
+    /// `RayError::Overloaded`.
     /// `None` disables admission control (the seed behaviour).
     pub admission_watermark: Option<usize>,
     /// Bounded-retry budget a submitting context spends on
@@ -175,7 +173,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             policy: SchedulerPolicy::BottomUp,
             spillover_threshold: 32,
-            global_replicas: 1,
             heartbeat_interval: Duration::from_millis(10),
             added_decision_delay: Duration::ZERO,
             ewma_alpha: 0.2,
@@ -211,14 +208,13 @@ pub struct FaultConfig {
     /// Checkpoint an actor every N method calls (`None` = never), bounding
     /// replay on failure (paper Fig. 11b).
     pub actor_checkpoint_interval: Option<u64>,
-    /// Whether the heartbeat failure detector runs (paper §4.2.2: node
-    /// failure is *discovered* via missed heartbeats, not declared by an
-    /// omniscient test harness).
-    pub detector_enabled: bool,
-    /// Suspicion threshold: a live node whose last heartbeat is older than
-    /// this is declared dead by the monitor. Must comfortably exceed
-    /// `scheduler.heartbeat_interval`; the generous default avoids false
-    /// positives on heavily loaded CI machines, chaos tests tighten it.
+    /// Suspicion threshold of the heartbeat failure detector (paper
+    /// §4.2.2: node failure is *discovered* via missed heartbeats, not
+    /// declared by an omniscient test harness): a live node whose last
+    /// heartbeat is older than this is declared dead by the monitor. Must
+    /// comfortably exceed `scheduler.heartbeat_interval`; the generous
+    /// default avoids false positives on heavily loaded CI machines, chaos
+    /// tests tighten it.
     pub heartbeat_timeout: Duration,
 }
 
@@ -228,7 +224,6 @@ impl Default for FaultConfig {
             lineage_enabled: true,
             max_reconstruction_attempts: 3,
             actor_checkpoint_interval: None,
-            detector_enabled: true,
             heartbeat_timeout: Duration::from_secs(2),
         }
     }
@@ -320,9 +315,6 @@ impl RayConfig {
         if self.gcs.recovery_threshold == 0 {
             return Err("gcs.recovery_threshold must be >= 1".into());
         }
-        if self.scheduler.global_replicas == 0 {
-            return Err("scheduler.global_replicas must be >= 1".into());
-        }
         if !(self.scheduler.ewma_alpha > 0.0 && self.scheduler.ewma_alpha <= 1.0) {
             return Err("scheduler.ewma_alpha must be in (0, 1]".into());
         }
@@ -345,9 +337,7 @@ impl RayConfig {
         if self.trace.enabled && self.trace.ring_capacity == 0 {
             return Err("trace.ring_capacity must be >= 1 when tracing is enabled".into());
         }
-        if self.fault.detector_enabled
-            && self.fault.heartbeat_timeout < self.scheduler.heartbeat_interval * 2
-        {
+        if self.fault.heartbeat_timeout < self.scheduler.heartbeat_interval * 2 {
             return Err(
                 "fault.heartbeat_timeout must be at least 2x scheduler.heartbeat_interval".into(),
             );
@@ -544,7 +534,7 @@ mod tests {
         let mut cfg = RayConfig::default();
         cfg.fault.heartbeat_timeout = cfg.scheduler.heartbeat_interval;
         assert!(cfg.validate().is_err());
-        cfg.fault.detector_enabled = false;
+        cfg.fault.heartbeat_timeout = cfg.scheduler.heartbeat_interval * 2;
         assert!(cfg.validate().is_ok());
     }
 }

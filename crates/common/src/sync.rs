@@ -123,18 +123,25 @@ pub mod classes {
     pub static RUNTIME_NODES: LockClass = LockClass::new("core.nodes", 110);
     /// The actor router's id → mailbox map.
     pub static ACTOR_ROUTER: LockClass = LockClass::new("core.actors", 120);
+    /// A node's run queue; held while a worker is started (`NODE_JOIN`),
+    /// a queued task's token is checked (`CANCEL_SHARD`) and its
+    /// resources are acquired (`SCHED_LEDGER`), so it ranks below all three.
+    pub static NODE_QUEUE: LockClass = LockClass::new("core.node_queue", 125);
     /// One shard of the inflight task table (16 instances, one class).
     pub static INFLIGHT_SHARD: LockClass = LockClass::new("core.inflight_shard", 130);
     /// One shard of the cancellation registry (task → token + children).
     pub static CANCEL_SHARD: LockClass = LockClass::new("core.cancel_shard", 135);
     /// Stalled-task resubmission ledger for lineage reconstruction.
     pub static STALLED_TASKS: LockClass = LockClass::new("core.stalled", 140);
-    /// A node thread's join handle.
+    /// A node's thread handles (heartbeat thread and workers).
     pub static NODE_JOIN: LockClass = LockClass::new("core.node_join", 150);
     /// The global-scheduler thread's join handle.
     pub static GLOBAL_JOIN: LockClass = LockClass::new("core.global_join", 155);
     /// The function registry map.
     pub static FUNCTION_REGISTRY: LockClass = LockClass::new("core.registry", 160);
+    /// Shared by a node's trace flush from ring drain to GCS commit,
+    /// exclusive for a reader of the event log waiting those flushes out.
+    pub static TRACE_FLUSH: LockClass = LockClass::new("core.trace_flush", 165);
 
     // --- scheduler (200–289) ---
 
@@ -144,6 +151,9 @@ pub mod classes {
     pub static SCHED_LOAD_BANDWIDTH: LockClass = LockClass::new("scheduler.load_bandwidth", 210);
     /// Global scheduler's object-location cache.
     pub static SCHED_LOCATION_CACHE: LockClass = LockClass::new("scheduler.location_cache", 220);
+    /// The global scheduler's tie-breaking RNG (a leaf: nothing is
+    /// acquired while it is held).
+    pub static SCHED_RNG: LockClass = LockClass::new("scheduler.rng", 225);
     /// A local scheduler's available-resource ledger.
     pub static SCHED_LEDGER: LockClass = LockClass::new("scheduler.ledger", 230);
 

@@ -1,13 +1,13 @@
 //! Cluster assembly: builds the system layer (Fig. 5) inside one process.
 //!
 //! A [`Cluster`] owns a GCS (sharded + chain-replicated), a global
-//! scheduler thread, and N simulated nodes — each a local scheduler
-//! thread, a worker pool, and an object store — wired together through the
+//! scheduler thread, and N simulated nodes — each a local scheduler (a run
+//! queue), a worker pool, and an object store — wired together through the
 //! simulated network fabric. Nodes can be killed and restarted at runtime
 //! to drive the fault-tolerance experiments (Fig. 10, Fig. 11).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -31,7 +31,7 @@ use crate::failure;
 use crate::global_loop::start_global;
 use crate::node::start_node;
 use crate::registry::{ActorInstance, FunctionRegistry};
-use crate::runtime::{GlobalMsg, InflightTable, NodeMsg, RuntimeShared};
+use crate::runtime::{GlobalMsg, InflightTable, RuntimeShared};
 
 /// A running rustray cluster.
 ///
@@ -108,14 +108,13 @@ impl Cluster {
             global,
             global_tx,
             nodes: OrderedRwLock::new(&classes::RUNTIME_NODES, Vec::new()),
-            queue_lens: (0..capacity).map(|_| AtomicUsize::new(0)).collect(),
-            queue_depth: (0..capacity).map(|_| AtomicIsize::new(0)).collect(),
             worker_delays: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             inflight: InflightTable::new(),
             cancels: CancelRegistry::new(),
             actors: ActorRouter::new(),
             stalled: OrderedMutex::new(&classes::STALLED_TASKS, HashMap::new()),
             topology: OrderedMutex::new(&classes::CLUSTER_TOPOLOGY, ()),
+            trace_flush: OrderedRwLock::new(&classes::TRACE_FLUSH, ()),
             shutting_down: AtomicBool::new(false),
             driver_counter: AtomicU64::new(1),
         });
@@ -283,11 +282,10 @@ impl Cluster {
                 None => return,
             }
         };
-        handle.alive.store(false, Ordering::SeqCst);
+        handle.stop();
         // The machine is gone: nothing can reach it (and it can no longer
         // deliver heartbeats), but nobody is told.
         self.shared.fabric.kill_node(node);
-        let _ = handle.tx.send(NodeMsg::Shutdown);
     }
 
     /// Restarts a previously killed node slot with a fresh (empty) store.
@@ -299,7 +297,7 @@ impl Cluster {
                 return Err(RayError::Invalid(format!("{node} is already running")));
             }
         }
-        if node.index() >= self.shared.queue_lens.len() {
+        if node.index() >= self.shared.fabric.num_nodes() {
             return Err(RayError::Invalid(format!("{node} exceeds cluster capacity")));
         }
         start_node(&self.shared, node);
@@ -322,7 +320,7 @@ impl Cluster {
             }
             idx
         };
-        if idx >= self.shared.queue_lens.len() {
+        if idx >= self.shared.fabric.num_nodes() {
             return Err(RayError::Invalid("cluster at node capacity".into()));
         }
         let node = NodeId(idx as u32);
@@ -337,7 +335,7 @@ impl Cluster {
             .read()
             .iter()
             .flatten()
-            .filter(|h| h.alive.load(Ordering::SeqCst))
+            .filter(|h| h.is_alive())
             .count()
     }
 
@@ -396,13 +394,15 @@ impl Cluster {
     }
 
     /// Drains every node's trace ring into the GCS event log as one final
-    /// batch. Node schedulers flush their own rings on each heartbeat
-    /// tick; this picks up whatever is still buffered (including events
-    /// from nodes that died with a non-empty ring).
+    /// batch. Nodes flush their own rings on each heartbeat tick; this
+    /// waits for any such flush still in flight, then picks up whatever is
+    /// still buffered (including events from nodes that died with a
+    /// non-empty ring).
     pub fn flush_traces(&self) -> RayResult<()> {
         if !self.shared.trace.is_enabled() {
             return Ok(());
         }
+        let _no_flush_in_flight = self.shared.trace_flush.write();
         let events = self.shared.trace.drain_all();
         if events.is_empty() {
             return Ok(());
@@ -432,14 +432,11 @@ impl Cluster {
             .map_err(|e| RayError::Invalid(format!("write {}: {e}", path.display())))
     }
 
-    /// Last-published local-scheduler queue length for a node (0 for
-    /// unknown nodes).
+    /// Tasks queued at a node's local scheduler right now (0 for unknown
+    /// or dead nodes). A hint only in that it may have changed by the time
+    /// the caller looks at it.
     pub fn queue_len_hint(&self, node: NodeId) -> usize {
-        self.shared
-            .queue_lens
-            .get(node.index())
-            .map(|q| q.load(Ordering::Relaxed))
-            .unwrap_or(0)
+        self.shared.node(node).map_or(0, |h| h.queue_len())
     }
 
     /// Injects a per-task straggler delay on `node`: every task body that
@@ -472,8 +469,7 @@ impl Cluster {
             nodes.iter_mut().filter_map(|s| s.take()).collect()
         };
         for h in &handles {
-            h.alive.store(false, Ordering::SeqCst);
-            let _ = h.tx.send(NodeMsg::Shutdown);
+            h.stop();
         }
         if let Some(j) = self.global_join.lock().take() {
             let _ = j.join();
@@ -482,9 +478,7 @@ impl Cluster {
         // fetches.
         self.shared.gcs.shutdown();
         for h in handles {
-            if let Some(j) = h.join.lock().take() {
-                let _ = j.join();
-            }
+            h.join();
         }
         // Each host owns its instance and an `Arc` of the runtime; joining
         // is what releases both.

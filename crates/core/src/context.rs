@@ -18,14 +18,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam_channel::Sender;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
 use ray_common::{ActorId, FunctionId, NodeId, ObjectId, RayError, RayResult, TaskId};
 
 use crate::lineage::{ensure_object_at_deadline, Waiter, DEFAULT_GET_DEADLINE};
-use crate::runtime::{check_error_object, NodeMsg, RuntimeShared};
+use crate::node::{Blocked, NodeHandle};
+use crate::runtime::{check_error_object, RuntimeShared};
 use crate::task::{Arg, ObjectRef, TaskKind, TaskOptions, TaskSpec};
 
 /// The two halves of a [`RayContext::wait_refs`] result: the refs that
@@ -69,7 +69,9 @@ pub struct RayContext {
     deadline_micros: Option<u64>,
     child_counter: AtomicU64,
     put_counter: AtomicU64,
-    worker_slot: Option<(Sender<NodeMsg>, usize)>,
+    /// The node whose worker runs this task; `None` for drivers and actor
+    /// hosts, which occupy no pool slot.
+    worker: Option<Arc<NodeHandle>>,
 }
 
 impl RayContext {
@@ -78,7 +80,7 @@ impl RayContext {
         node: NodeId,
         task: TaskId,
         deadline_micros: Option<u64>,
-        worker_slot: Option<(Sender<NodeMsg>, usize)>,
+        worker: Option<Arc<NodeHandle>>,
     ) -> RayContext {
         RayContext {
             shared,
@@ -87,7 +89,7 @@ impl RayContext {
             deadline_micros,
             child_counter: AtomicU64::new(0),
             put_counter: AtomicU64::new(0),
-            worker_slot,
+            worker,
         }
     }
 
@@ -154,7 +156,7 @@ impl RayContext {
 
     /// `get` returning the raw payload.
     pub fn get_raw(&self, id: ObjectId, timeout: Duration) -> RayResult<Bytes> {
-        let _guard = self.block_guard();
+        let _blocked = self.block();
         let waiter = Waiter { task: self.task, deadline_micros: self.deadline_micros };
         let data = ensure_object_at_deadline(&self.shared, id, self.node, timeout, Some(waiter))?;
         if let Some(err) = check_error_object(&data) {
@@ -204,7 +206,7 @@ impl RayContext {
     ) -> RayResult<(Vec<ObjectId>, Vec<ObjectId>)> {
         use ray_gcs::kv::Entry;
 
-        let _guard = self.block_guard();
+        let _blocked = self.block();
         let clock = self.shared.trace.clock();
         let deadline = clock.now() + timeout;
         let mut pending: std::collections::HashSet<ObjectId> = ids.iter().copied().collect();
@@ -478,21 +480,9 @@ impl RayContext {
         Ok(returns)
     }
 
-    fn block_guard(&self) -> Option<BlockGuard<'_>> {
-        self.worker_slot.as_ref().map(|(tx, idx)| {
-            let _ = tx.send(NodeMsg::WorkerBlocked { worker: *idx });
-            BlockGuard { tx, worker: *idx }
-        })
-    }
-}
-
-struct BlockGuard<'a> {
-    tx: &'a Sender<NodeMsg>,
-    worker: usize,
-}
-
-impl Drop for BlockGuard<'_> {
-    fn drop(&mut self) {
-        let _ = self.tx.send(NodeMsg::WorkerUnblocked { worker: self.worker });
+    /// Marks this task's worker blocked for the duration of a `get` or
+    /// `wait` (see [`NodeHandle::block`]).
+    fn block(&self) -> Option<Blocked<'_>> {
+        self.worker.as_ref().map(|w| w.block(&self.shared))
     }
 }

@@ -25,16 +25,14 @@ use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::NodeId;
 
 use crate::actor;
-use crate::runtime::{NodeMsg, RuntimeShared};
+use crate::runtime::RuntimeShared;
 
 /// One detector sweep. Nodes whose heartbeat age exceeds twice the publish
 /// interval count a missed heartbeat (suspicion); nodes silent past
-/// `fault.heartbeat_timeout` are declared dead. Disabled clusters and
-/// shutting-down clusters skip the sweep entirely.
+/// `fault.heartbeat_timeout` are declared dead. Shutting-down clusters
+/// skip the sweep entirely.
 pub(crate) fn run_detector_pass(shared: &Arc<RuntimeShared>) {
-    if !shared.config.fault.detector_enabled
-        || shared.shutting_down.load(Ordering::SeqCst)
-    {
+    if shared.shutting_down.load(Ordering::SeqCst) {
         return;
     }
     let suspect_after = shared.config.scheduler.heartbeat_interval * 2;
@@ -82,9 +80,9 @@ pub(crate) fn declare_node_dead(shared: &Arc<RuntimeShared>, node: NodeId) {
     }
     shared.trace.emit(node, TraceEventKind::NodeDeclaredDead, TraceEntity::Node(node), "");
     if let Some(h) = &handle {
-        h.alive.store(false, Ordering::SeqCst);
-        // Fencing: the scheduler loop exits; its workers drain and stop.
-        let _ = h.tx.send(NodeMsg::Shutdown);
+        // Fencing: nothing more is queued or taken; the workers finish the
+        // task they hold and stop.
+        h.stop();
     }
     shared.fabric.kill_node(node);
     // The store may outlive the handle (abrupt crash): drop its contents

@@ -96,7 +96,7 @@ fn try_place(
     // Cancelled or expired while waiting in the global queue: tear the
     // task down instead of placing it. This is the global half of the
     // "queued tasks are dropped, not run" guarantee; the local half is the
-    // dispatch-time scan in node.rs.
+    // heartbeat-tick purge in node.rs.
     if let Some(cause) = shared.teardown_cause(&spec) {
         shared.teardown(from, &spec, cause);
         return None;
@@ -110,7 +110,7 @@ fn try_place(
     match shared.global.place(&desc) {
         Ok(Some(node)) => {
             // Emit the placement decision *before* delivery: once the spec
-            // lands in the node's channel the task can run to completion
+            // lands in the node's queue the task can run to completion
             // concurrently, and its Running/Finished events must sequence
             // after this one. A failed delivery leaves a stray GlobalPlaced
             // for the retry to follow — harmless, the kind is volatile and
@@ -123,23 +123,12 @@ fn try_place(
             );
             match shared.place_on(node, spec.clone()) {
                 Ok(()) => None,
-                Err(_) => {
-                    // The chosen node died in the decision→delivery window.
-                    // With the failure detector running, leave discovery to
-                    // it: one failed delivery is suspicion, not a death
-                    // certificate, and marking the node dead here would drop
-                    // it from the detector's live-node sweep — silencing the
-                    // death protocol (GCS death mark, directory cleanup,
-                    // actor recovery) entirely. The task retries and places
-                    // elsewhere once the detector buries the node.
-                    if !shared.config.fault.detector_enabled {
-                        // No detector to notice the silence: update the
-                        // shared view directly so placement stops choosing
-                        // the vanished node.
-                        shared.load.mark_dead(node);
-                    }
-                    Some((spec, from))
-                }
+                // The chosen node died in the decision→delivery window.
+                // One failed delivery is suspicion, not a death certificate:
+                // discovery (and the death protocol) is the failure
+                // detector's; the task retries and places elsewhere once the
+                // detector buries the node.
+                Err(_) => Some((spec, from)),
             }
         }
         Ok(None) => Some((spec, from)),

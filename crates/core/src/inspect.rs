@@ -37,7 +37,7 @@ pub struct NodeSnapshot {
     pub resident_bytes: usize,
     /// Objects spilled to the node's disk tier.
     pub objects_spilled: usize,
-    /// Tasks queued at the node's local scheduler (most recent heartbeat).
+    /// Tasks queued at the node's local scheduler.
     pub queue_len: usize,
 }
 

@@ -1,32 +1,34 @@
-//! Per-node local scheduler: queueing, resource accounting, worker pool.
+//! Per-node local scheduler: the run queue, resource accounting, worker
+//! pool and heartbeat.
 //!
 //! The local scheduler is the first stop for every task created on its
-//! node (bottom-up scheduling, §4.2.2). It keeps a ready queue, acquires
-//! resources before dispatch, feeds heartbeats to the load table, and
-//! grows its worker pool when workers block inside `get` — the mechanism
-//! that lets nested remote calls (e.g. `train_policy` in paper Fig. 3)
-//! wait on children without deadlocking the node.
+//! node (bottom-up scheduling, §4.2.2). It is a queue with a length, not a
+//! thread: submitters push onto it from their own thread, workers pull
+//! from it, acquiring the task's resources as they do, and the pool grows
+//! when workers block inside `get` — the mechanism that lets nested remote
+//! calls (e.g. `train_policy` in paper Fig. 3) wait on children without
+//! deadlocking the node. The node's periodic work (purging cancelled
+//! tasks, the load heartbeat, the trace flush) runs beside the task path
+//! on its `heartbeat-N` thread.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam_channel::{unbounded, RecvTimeoutError};
-use ray_common::sync::{classes, OrderedMutex};
-
-use ray_common::metrics::names;
-use ray_common::NodeId;
-use ray_scheduler::{NodeLoad, ResourceLedger};
+use ray_common::sync::{classes, OrderedCondvar, OrderedMutex};
+use ray_common::{NodeId, RayError, RayResult, Resources};
 use ray_object_store::store::LocalObjectStore;
+use ray_scheduler::{NodeLoad, ResourceLedger};
 
-use crate::runtime::{GlobalMsg, NodeHandle, NodeMsg, RuntimeShared};
+use crate::runtime::{GlobalMsg, RuntimeShared};
 use crate::task::TaskSpec;
-use crate::worker::{WorkerHandle, WorkerMsg};
+use crate::worker;
 
-/// How many queued tasks the dispatcher scans past a blocked head-of-line
-/// entry (limited out-of-order dispatch, like Ray's dispatch of whichever
-/// ready task fits).
+/// How many queued tasks a worker scans past a blocked head-of-line entry
+/// (limited out-of-order dispatch, like Ray's dispatch of whichever ready
+/// task fits).
 const DISPATCH_SCAN: usize = 16;
 
 /// The automatic per-node affinity resource: a task or actor demanding
@@ -44,19 +46,181 @@ fn node_capacity(shared: &RuntimeShared, node: NodeId) -> ray_common::Resources 
         .with_custom(&format!("node:{}", node.0), 1_000_000.0)
 }
 
-/// Starts a node: object store, ledger, local scheduler thread, worker
-/// pool. Registers the node everywhere it must be visible (store
-/// directory, GCS client table, load table) and inserts the handle into
-/// `shared.nodes`.
+/// Handle to one running node: its object store, its resource ledger and
+/// its run queue.
+pub(crate) struct NodeHandle {
+    pub node: NodeId,
+    pub store: Arc<LocalObjectStore>,
+    pub ledger: ResourceLedger,
+    /// Written only under the queue lock (see [`NodeHandle::stop`]).
+    alive: AtomicBool,
+    queue: OrderedMutex<RunQueue>,
+    /// Wakes workers waiting in [`NodeHandle::next_task`].
+    wake: OrderedCondvar,
+    /// Wakes the heartbeat thread before its next tick (only `stop` does).
+    tick: OrderedCondvar,
+    /// The heartbeat thread and every worker ever started.
+    threads: OrderedMutex<Vec<JoinHandle<()>>>,
+}
+
+#[derive(Default)]
+struct RunQueue {
+    /// Each queued task carries its enqueue time for the queue-wait
+    /// histogram.
+    ready: VecDeque<(TaskSpec, Instant)>,
+    /// Worker threads started so far.
+    workers: usize,
+    /// Workers waiting for a task.
+    idle: usize,
+    /// Workers inside a [`Blocked`] guard.
+    blocked: usize,
+}
+
+/// Marks the calling worker as blocked in a `get`, `wait` or argument
+/// fetch until dropped: it no longer counts as runnable for pool growth.
+pub(crate) struct Blocked<'a>(&'a NodeHandle);
+
+impl Drop for Blocked<'_> {
+    fn drop(&mut self) {
+        self.0.queue.lock().blocked -= 1;
+    }
+}
+
+impl NodeHandle {
+    pub(crate) fn is_alive(&self) -> bool {
+        self.alive.load(Ordering::SeqCst)
+    }
+
+    /// Tasks queued here and not yet taken by a worker: the one number the
+    /// spillover rule, admission control, the heartbeat and `inspect` read.
+    pub(crate) fn queue_len(&self) -> usize {
+        self.queue.lock().ready.len()
+    }
+
+    /// Queues a task for this node's workers, on the caller's thread —
+    /// whether the task was submitted here or placed here by the global
+    /// scheduler.
+    pub(crate) fn enqueue(
+        self: &Arc<Self>,
+        shared: &Arc<RuntimeShared>,
+        spec: TaskSpec,
+    ) -> RayResult<()> {
+        if !self.ledger.feasible(&spec.demand) {
+            // Capacity can never satisfy this task here (stale placement
+            // after a reconfiguration): bounce to the global scheduler
+            // rather than wedging the queue.
+            return shared
+                .global_tx
+                .send(GlobalMsg::Forward(spec, self.node))
+                .map_err(|_| RayError::Shutdown("global scheduler stopped".into()));
+        }
+        let mut q = self.queue.lock();
+        if !self.is_alive() {
+            return Err(RayError::NodeDead(self.node));
+        }
+        q.ready.push_back((spec, shared.trace.clock().now()));
+        self.wake_if_queued(&q);
+        self.grow(shared, &mut q);
+        Ok(())
+    }
+
+    /// The pool rule: with a task waiting and nobody idle to take it, start
+    /// a worker — up to `workers_per_node` freely, and beyond that only to
+    /// keep that many runnable (non-blocked) workers while others sit in
+    /// blocking `get`s. Called at the two moments the rule can newly hold:
+    /// a task was queued, or a worker blocked.
+    fn grow(self: &Arc<Self>, shared: &Arc<RuntimeShared>, q: &mut RunQueue) {
+        if q.ready.is_empty() || q.idle > 0 || !self.is_alive() {
+            return;
+        }
+        let base = shared.config.workers_per_node;
+        let runnable = q.workers.saturating_sub(q.blocked);
+        if q.workers < base || (runnable < base && q.workers < base * 8 + 4) {
+            self.threads.lock().push(worker::spawn(shared.clone(), self.clone(), q.workers));
+            q.workers += 1;
+        }
+    }
+
+    /// Blocks the calling worker until a queued task's resources can be
+    /// acquired — the first such task within a bounded scan — and takes it,
+    /// resources held. `None` once the node is stopped: tasks still queued
+    /// are lost with the node; lineage reconstruction recovers their
+    /// outputs if anyone needs them.
+    pub(crate) fn next_task(&self) -> Option<(TaskSpec, Instant)> {
+        let mut q = self.queue.lock();
+        while self.is_alive() {
+            let fits = q
+                .ready
+                .iter()
+                .take(DISPATCH_SCAN)
+                .position(|(spec, _)| self.ledger.try_acquire(&spec.demand));
+            if let Some(i) = fits {
+                let task = q.ready.remove(i);
+                // Taking a task moves the scan window: the next entry may
+                // suit a worker that found nothing it could run.
+                self.wake_if_queued(&q);
+                return task;
+            }
+            q.idle += 1;
+            self.wake.wait(&mut q);
+            q.idle -= 1;
+        }
+        None
+    }
+
+    fn wake_if_queued(&self, q: &RunQueue) {
+        if q.idle > 0 && !q.ready.is_empty() {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Returns a finished task's resources; a queued task may fit now.
+    pub(crate) fn release(&self, demand: &Resources) {
+        self.ledger.release(demand);
+        self.wake_if_queued(&self.queue.lock());
+    }
+
+    /// Marks the calling worker blocked until the guard drops, growing the
+    /// pool if that leaves queued work with no runnable worker.
+    pub(crate) fn block(self: &Arc<Self>, shared: &Arc<RuntimeShared>) -> Blocked<'_> {
+        let mut q = self.queue.lock();
+        q.blocked += 1;
+        self.grow(shared, &mut q);
+        Blocked(self)
+    }
+
+    /// Stops the node: nothing more is queued or taken, and every worker
+    /// and the heartbeat thread exit once their current step ends. The
+    /// flag flips and the wake-ups go out under the queue lock, so a
+    /// thread between its `is_alive` check and its wait cannot miss them.
+    pub(crate) fn stop(&self) {
+        let _q = self.queue.lock();
+        self.alive.store(false, Ordering::SeqCst);
+        self.wake.notify_all();
+        self.tick.notify_all();
+    }
+
+    /// Joins the heartbeat thread and every worker, grown ones included
+    /// (none can start after `stop`).
+    pub(crate) fn join(&self) {
+        let threads = std::mem::take(&mut *self.threads.lock());
+        for t in threads {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Starts a node: object store, ledger, run queue, heartbeat thread
+/// (workers start as tasks arrive). Registers the node everywhere it must
+/// be visible (store directory, GCS client table, load table) and inserts
+/// the handle into `shared.nodes`.
 pub(crate) fn start_node(shared: &Arc<RuntimeShared>, node: NodeId) -> Arc<NodeHandle> {
     let store = Arc::new(LocalObjectStore::new_traced(
         node,
         &shared.config.object_store,
         shared.trace.clone(),
     ));
-    let ledger = Arc::new(ResourceLedger::new(node_capacity(shared, node)));
-    let alive = Arc::new(AtomicBool::new(true));
-    let (tx, rx) = unbounded::<NodeMsg>();
+    let ledger = ResourceLedger::new(node_capacity(shared, node));
 
     shared.directory.register(store.clone());
     let _ = shared.gcs_client.register_node(node);
@@ -67,9 +231,6 @@ pub(crate) fn start_node(shared: &Arc<RuntimeShared>, node: NodeId) -> Arc<NodeH
     // matter when a crashed node restarts before the failure detector
     // declared it dead.
     shared.inflight.remove_node(node);
-    // The previous incarnation's queue died with it: reset the admission
-    // depth so the fresh node doesn't start life "overloaded".
-    shared.queue_depth[node.index()].store(0, Ordering::Relaxed);
     crate::actor::recover_actors_on(shared, node);
     shared.load.heartbeat(NodeLoad {
         node,
@@ -81,11 +242,13 @@ pub(crate) fn start_node(shared: &Arc<RuntimeShared>, node: NodeId) -> Arc<NodeH
 
     let handle = Arc::new(NodeHandle {
         node,
-        tx: tx.clone(),
         store,
-        ledger: ledger.clone(),
-        alive: alive.clone(),
-        join: OrderedMutex::new(&classes::NODE_JOIN, None),
+        ledger,
+        alive: AtomicBool::new(true),
+        queue: OrderedMutex::new(&classes::NODE_QUEUE, RunQueue::default()),
+        wake: OrderedCondvar::new(),
+        tick: OrderedCondvar::new(),
+        threads: OrderedMutex::new(&classes::NODE_JOIN, Vec::new()),
     });
 
     {
@@ -96,146 +259,73 @@ pub(crate) fn start_node(shared: &Arc<RuntimeShared>, node: NodeId) -> Arc<NodeH
         nodes[node.index()] = Some(handle.clone());
     }
 
-    let shared2 = shared.clone();
-    let join = std::thread::Builder::new()
-        .name(format!("local-scheduler-{node}"))
-        .spawn(move || scheduler_loop(shared2, node, rx, tx, ledger, alive))
+    let (shared2, handle2) = (shared.clone(), handle.clone());
+    let heartbeat = std::thread::Builder::new()
+        .name(format!("heartbeat-{node}"))
+        .spawn(move || heartbeat_loop(shared2, handle2))
         .expect("invariant: thread spawn only fails on OS resource exhaustion");
-    *handle.join.lock() = Some(join);
+    handle.threads.lock().push(heartbeat);
     handle
 }
 
-struct Pool {
-    workers: Vec<WorkerHandle>,
-    idle: Vec<usize>,
-    blocked: HashSet<usize>,
-    base: usize,
-    max: usize,
-}
-
-impl Pool {
-    /// Picks a worker for dispatch, growing the pool when appropriate:
-    /// up to `base` workers freely, and beyond `base` only to keep `base`
-    /// runnable (non-blocked) workers available while others sit in
-    /// blocking `get`s.
-    fn pick(
-        &mut self,
-        shared: &Arc<RuntimeShared>,
-        node: NodeId,
-        node_tx: &crossbeam_channel::Sender<NodeMsg>,
-    ) -> Option<usize> {
-        if let Some(i) = self.idle.pop() {
-            return Some(i);
-        }
-        let runnable = self.workers.len() - self.blocked.len();
-        let may_grow =
-            self.workers.len() < self.base || (runnable < self.base && self.workers.len() < self.max);
-        if may_grow {
-            let idx = self.workers.len();
-            self.workers.push(WorkerHandle::spawn(shared.clone(), node, idx, node_tx.clone()));
-            return Some(idx);
-        }
-        None
-    }
-}
-
-fn scheduler_loop(
-    shared: Arc<RuntimeShared>,
-    node: NodeId,
-    rx: crossbeam_channel::Receiver<NodeMsg>,
-    tx: crossbeam_channel::Sender<NodeMsg>,
-    ledger: Arc<ResourceLedger>,
-    alive: Arc<AtomicBool>,
-) {
+/// The node's periodic work, off the task path: every
+/// `scheduler.heartbeat_interval`, purge the queue of cancelled and expired
+/// tasks, publish the load heartbeat and flush the trace ring.
+fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
     // Metrics emitted from this thread (long-hold counters) land in this
     // cluster's registry, not a sibling's (the sink is thread-scoped).
     ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
     let clock = shared.trace.clock().clone();
-    let base = shared.config.workers_per_node;
-    let mut pool = Pool {
-        workers: Vec::new(),
-        idle: Vec::new(),
-        blocked: HashSet::new(),
-        base,
-        max: base * 8 + 4,
-    };
-    // Each queued task carries its enqueue time for the queue-wait
-    // histogram. The histogram handle is resolved once — the registry
-    // lookup takes a lock, and dispatch runs per task.
-    let queue_wait = shared.metrics.histogram(names::QUEUE_WAIT_MICROS);
-    let mut ready: VecDeque<(TaskSpec, Instant)> = VecDeque::new();
-    let heartbeat_every = shared.config.scheduler.heartbeat_interval;
-    let mut last_heartbeat = clock.now();
-
+    let node = handle.node;
     loop {
-        let msg = rx.recv_timeout(heartbeat_every);
-        match msg {
-            Ok(NodeMsg::Submit(spec)) | Ok(NodeMsg::Placed(spec)) => {
-                if !ledger.feasible(&spec.demand) {
-                    // Capacity can never satisfy this task here (stale
-                    // placement after a reconfiguration): bounce to the
-                    // global scheduler rather than wedging the queue.
-                    shared.queue_depth[node.index()].fetch_sub(1, Ordering::Relaxed);
-                    let _ = shared.global_tx.send(GlobalMsg::Forward(spec, node));
-                } else {
-                    ready.push_back((spec, clock.now()));
-                }
-            }
-            Ok(NodeMsg::WorkerDone { worker, demand, duration_ms }) => {
-                ledger.release(&demand);
-                pool.blocked.remove(&worker);
-                pool.idle.push(worker);
-                shared.load.observe_task_duration(node, duration_ms);
-            }
-            Ok(NodeMsg::WorkerBlocked { worker }) => {
-                pool.blocked.insert(worker);
-            }
-            Ok(NodeMsg::WorkerUnblocked { worker }) => {
-                pool.blocked.remove(&worker);
-            }
-            Ok(NodeMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
-            Err(RecvTimeoutError::Timeout) => {}
+        let deadline = clock.now() + shared.config.scheduler.heartbeat_interval;
+        let mut q = handle.queue.lock();
+        while handle.is_alive() && clock.now() < deadline {
+            handle.tick.wait_until(&mut q, deadline);
         }
-
-        dispatch(&shared, node, &tx, &ledger, &mut ready, &mut pool, &queue_wait);
-        shared.queue_lens[node.index()].store(ready.len(), Ordering::Relaxed);
-
-        if clock.now().duration_since(last_heartbeat) >= heartbeat_every {
-            // Heartbeats ride the fabric (paper §4.2.2: the monitor learns
-            // liveness from heartbeats, not from the node's goodwill). A
-            // dead node, a chaos-dropped message, or a partition that cuts
-            // this node off from the majority of its peers suppresses the
-            // publish — which is exactly the silence the failure detector
-            // converts into a death declaration.
-            if shared.fabric.deliver_heartbeat(node).is_ok() {
-                shared.load.heartbeat(NodeLoad {
-                    node,
-                    queue_len: ready.len(),
-                    available: ledger.available(),
-                    capacity: ledger.capacity().clone(),
-                    alive: alive.load(Ordering::SeqCst),
-                });
-            }
-            // The node flushes its own trace ring alongside the heartbeat
-            // (per-node event batches ride the same cadence as the load
-            // publish; the GCS event log is the durable sink).
-            flush_trace_ring(&shared, node);
-            last_heartbeat = clock.now();
-        }
-        if !alive.load(Ordering::SeqCst) {
+        if !handle.is_alive() {
             break;
         }
-    }
-
-    // Drain: stop workers. Tasks still queued are lost with the node;
-    // lineage reconstruction recovers their outputs if anyone needs them.
-    for w in &mut pool.workers {
-        let _ = w.tx.send(WorkerMsg::Stop);
-    }
-    for w in &mut pool.workers {
-        if let Some(j) = w.join.take() {
-            let _ = j.join();
+        // Drop queued tasks whose cancel token fired or whose deadline
+        // passed before they ever reached a worker. Taking them out under
+        // the queue lock is what keeps a worker from running them; the
+        // teardown itself (which marks their outputs cancelled and wakes
+        // consumers) writes to the GCS, so it waits until the lock is gone.
+        let mut torn_down = Vec::new();
+        for _ in 0..q.ready.len() {
+            let Some((spec, enqueued)) = q.ready.pop_front() else { break };
+            match shared.teardown_cause(&spec) {
+                Some(cause) => torn_down.push((spec, cause)),
+                None => q.ready.push_back((spec, enqueued)),
+            }
         }
+        if !torn_down.is_empty() {
+            handle.wake_if_queued(&q);
+        }
+        let queue_len = q.ready.len();
+        drop(q);
+        for (spec, cause) in torn_down {
+            shared.teardown(node, &spec, cause);
+        }
+        // Heartbeats ride the fabric (paper §4.2.2: the monitor learns
+        // liveness from heartbeats, not from the node's goodwill). A
+        // dead node, a chaos-dropped message, or a partition that cuts
+        // this node off from the majority of its peers suppresses the
+        // publish — which is exactly the silence the failure detector
+        // converts into a death declaration.
+        if shared.fabric.deliver_heartbeat(node).is_ok() {
+            shared.load.heartbeat(NodeLoad {
+                node,
+                queue_len,
+                available: handle.ledger.available(),
+                capacity: handle.ledger.capacity().clone(),
+                alive: handle.is_alive(),
+            });
+        }
+        // The node flushes its own trace ring alongside the heartbeat
+        // (per-node event batches ride the same cadence as the load
+        // publish; the GCS event log is the durable sink).
+        flush_trace_ring(&shared, node);
     }
     // Final ring flush so an orderly shutdown loses no buffered events
     // (abrupt deaths leave theirs for `Cluster::flush_traces`).
@@ -251,6 +341,7 @@ fn flush_trace_ring(shared: &Arc<RuntimeShared>, node: NodeId) {
     if !shared.trace.is_enabled() {
         return;
     }
+    let _in_flight = shared.trace_flush.read();
     let events = shared.trace.drain_node(node);
     if events.is_empty() {
         return;
@@ -261,62 +352,6 @@ fn flush_trace_ring(shared: &Arc<RuntimeShared>, node: NodeId) {
     if let Ok(payload) = ray_codec::encode(&events) {
         if shared.gcs_client.log_trace_batch(bytes::Bytes::from(payload)).is_err() {
             shared.trace.requeue_node(node, events);
-        }
-    }
-}
-
-fn dispatch(
-    shared: &Arc<RuntimeShared>,
-    node: NodeId,
-    tx: &crossbeam_channel::Sender<NodeMsg>,
-    ledger: &Arc<ResourceLedger>,
-    ready: &mut VecDeque<(TaskSpec, Instant)>,
-    pool: &mut Pool,
-    queue_wait: &ray_common::metrics::Histogram,
-) {
-    // Drop queued tasks whose cancel token fired or whose deadline passed
-    // before they ever reached a worker: the teardown marks their outputs
-    // cancelled and wakes consumers, and the task never emits `running`.
-    ready.retain(|(spec, _)| match shared.teardown_cause(spec) {
-        Some(cause) => {
-            shared.teardown(node, spec, cause);
-            shared.queue_depth[node.index()].fetch_sub(1, Ordering::Relaxed);
-            false
-        }
-        None => true,
-    });
-    loop {
-        // Find the first task (within a bounded scan) whose resources are
-        // available right now.
-        let mut chosen: Option<usize> = None;
-        for (i, (spec, _)) in ready.iter().enumerate().take(DISPATCH_SCAN) {
-            if ledger.try_acquire(&spec.demand) {
-                chosen = Some(i);
-                break;
-            }
-        }
-        let Some(i) = chosen else { return };
-        // Resources are held; now find a worker.
-        let (spec, enqueued) = ready.remove(i).expect("invariant: i indexes ready, found by the scan above");
-        let demand = spec.demand.clone();
-        match pool.pick(shared, node, tx) {
-            Some(w) => {
-                let waited = shared.trace.clock().now().duration_since(enqueued);
-                queue_wait.observe(waited.as_micros() as u64);
-                shared.queue_depth[node.index()].fetch_sub(1, Ordering::Relaxed);
-                if pool.workers[w].tx.send(WorkerMsg::Run(spec)).is_err() {
-                    // Worker died (shutdown race); put resources back.
-                    ledger.release(&demand);
-                    return;
-                }
-            }
-            None => {
-                // No worker available: release, requeue, wait for a
-                // completion message.
-                ledger.release(&demand);
-                ready.push_front((spec, enqueued));
-                return;
-            }
         }
     }
 }

@@ -11,9 +11,8 @@
 //! scheduler or forward to the global scheduler (paper Fig. 6).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -23,49 +22,18 @@ use ray_common::sync::{classes, OrderedMutex, OrderedRwLock};
 use ray_common::metrics::{names, MetricsRegistry};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
 use ray_common::util::{retry, Backoff};
-use ray_common::{NodeId, ObjectId, RayConfig, RayError, RayResult, Resources, TaskId};
+use ray_common::{NodeId, ObjectId, RayConfig, RayError, RayResult, TaskId};
 use ray_gcs::tables::GcsClient;
 use ray_gcs::Gcs;
-use ray_object_store::store::LocalObjectStore;
 use ray_object_store::transfer::{StoreDirectory, TransferManager};
-use ray_scheduler::{decide_local_reason, GlobalScheduler, LoadTable, LocalDecision, ResourceLedger};
+use ray_scheduler::{decide_local_reason, GlobalScheduler, LoadTable, LocalDecision};
 use ray_transport::Fabric;
 
 use crate::actor::ActorRouter;
 use crate::cancel::{CancelReason, CancelRegistry};
+use crate::node::NodeHandle;
 use crate::registry::FunctionRegistry;
 use crate::task::{TaskKind, TaskSpec};
-
-/// Messages processed by a node's local scheduler thread.
-pub(crate) enum NodeMsg {
-    /// A task submitted at this node (bottom-up entry point).
-    Submit(TaskSpec),
-    /// A task placed here by the global scheduler; the local scheduler
-    /// must keep it (resources were checked against capacity).
-    Placed(TaskSpec),
-    /// A worker finished a task.
-    WorkerDone {
-        /// Worker slot index.
-        worker: usize,
-        /// Resources to release.
-        demand: Resources,
-        /// Observed duration in milliseconds (feeds the EWMA).
-        duration_ms: f64,
-    },
-    /// A worker entered a blocking `get`/`wait`; it no longer counts as
-    /// busy for worker-pool growth.
-    WorkerBlocked {
-        /// Worker slot index.
-        worker: usize,
-    },
-    /// The worker resumed.
-    WorkerUnblocked {
-        /// Worker slot index.
-        worker: usize,
-    },
-    /// Stop the node.
-    Shutdown,
-}
 
 /// Messages processed by the global-scheduler thread.
 pub(crate) enum GlobalMsg {
@@ -73,16 +41,6 @@ pub(crate) enum GlobalMsg {
     Forward(TaskSpec, NodeId),
     /// Stop the thread.
     Shutdown,
-}
-
-/// Handle to one running node.
-pub(crate) struct NodeHandle {
-    pub node: NodeId,
-    pub tx: Sender<NodeMsg>,
-    pub store: Arc<LocalObjectStore>,
-    pub ledger: Arc<ResourceLedger>,
-    pub alive: Arc<AtomicBool>,
-    pub join: OrderedMutex<Option<JoinHandle<()>>>,
 }
 
 /// Sharded task → assigned-node table, used to decide whether a missing
@@ -154,13 +112,6 @@ pub struct RuntimeShared {
     pub(crate) global: GlobalScheduler,
     pub(crate) global_tx: Sender<GlobalMsg>,
     pub(crate) nodes: OrderedRwLock<Vec<Option<Arc<NodeHandle>>>>,
-    pub(crate) queue_lens: Vec<AtomicUsize>,
-    /// Per-node admission depth: tasks accepted for a node's local queue
-    /// that have not yet been handed to a worker (or dropped). Unlike
-    /// `queue_lens` — which the scheduler loop publishes once per tick —
-    /// this counts synchronously at the submit edge, so a burst can't
-    /// outrun the watermark between ticks.
-    pub(crate) queue_depth: Vec<AtomicIsize>,
     /// Per-node straggler injection: extra microseconds a worker sleeps
     /// before each task body (the `DelayWorker` chaos action).
     pub(crate) worker_delays: Vec<AtomicU64>,
@@ -175,6 +126,11 @@ pub struct RuntimeShared {
     /// for a free slot and the `start_node` that fills it must be atomic
     /// with respect to other topology changes.
     pub(crate) topology: OrderedMutex<()>,
+    /// A node's periodic trace flush holds this shared from draining its
+    /// ring until the batch is committed to the GCS; `Cluster::flush_traces`
+    /// takes it exclusively, so a reader of the event log first waits out
+    /// every batch still on its way there.
+    pub(crate) trace_flush: OrderedRwLock<()>,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) driver_counter: AtomicU64,
 }
@@ -184,7 +140,7 @@ impl RuntimeShared {
     pub(crate) fn node(&self, node: NodeId) -> Option<Arc<NodeHandle>> {
         let nodes = self.nodes.read();
         let h = nodes.get(node.index())?.clone()?;
-        if h.alive.load(Ordering::SeqCst) {
+        if h.is_alive() {
             Some(h)
         } else {
             None
@@ -200,7 +156,7 @@ impl RuntimeShared {
         nodes
             .iter()
             .flatten()
-            .find(|h| h.alive.load(Ordering::SeqCst))
+            .find(|h| h.is_alive())
             .cloned()
     }
 
@@ -219,21 +175,22 @@ impl RuntimeShared {
     }
 
     /// Admission control: sheds a non-critical submission when the target
-    /// node's submit queue is at or past the configured watermark. Actor
-    /// methods join their actor's mailbox, not a node's queue, and pass.
-    fn admit(&self, from: NodeId, spec: &TaskSpec) -> RayResult<()> {
+    /// node's queue is at or past the configured watermark. Actor methods
+    /// join their actor's mailbox, not a node's queue: they have no target
+    /// and pass.
+    fn admit(&self, target: Option<&NodeHandle>, spec: &TaskSpec) -> RayResult<()> {
         let Some(watermark) = self.config.scheduler.admission_watermark else {
             return Ok(());
         };
-        if spec.critical || matches!(spec.kind, TaskKind::ActorMethod { .. }) {
+        if spec.critical {
             return Ok(());
         }
-        let Some(handle) = self.any_live_node(from) else {
-            return Ok(()); // dispatch will surface the shutdown error
+        let Some(handle) = target else {
+            return Ok(()); // no live node: dispatch will surface the shutdown error
         };
         let node = handle.node;
-        let depth = self.queue_depth[node.index()].load(Ordering::Relaxed);
-        if depth < watermark as isize {
+        let depth = handle.queue_len();
+        if depth < watermark {
             return Ok(());
         }
         self.metrics.counter(names::TASKS_SHED).inc();
@@ -260,15 +217,27 @@ impl RuntimeShared {
     /// stateful edge. Route: tasks and actor creations take the bottom-up
     /// scheduling path (paper Fig. 6), actor methods go to their actor's
     /// router.
-    pub(crate) fn submit(&self, from: NodeId, parent: TaskId, spec: TaskSpec) -> RayResult<()> {
+    pub(crate) fn submit(
+        self: &Arc<Self>,
+        from: NodeId,
+        parent: TaskId,
+        spec: TaskSpec,
+    ) -> RayResult<()> {
         let task = spec.task;
         self.cancels.ensure(task);
         self.cancels.link(parent, task);
+        // The node whose queue a task or actor creation enters first,
+        // resolved once for admission and the scheduling decision alike.
+        let target = match spec.kind {
+            TaskKind::ActorMethod { .. } => None,
+            TaskKind::Normal | TaskKind::ActorCreation { .. } => self.any_live_node(from),
+        };
         let backoff =
             Backoff::new(Duration::from_micros(500), Duration::from_millis(10), task.digest());
         let limit = self.config.scheduler.admission_retry_limit;
         let overloaded = |e: &RayError, _| matches!(e, RayError::Overloaded(_));
-        let routed = retry(backoff, limit, overloaded, || self.admit(from, &spec)).and_then(|()| {
+        let admitted = retry(backoff, limit, overloaded, || self.admit(target.as_deref(), &spec));
+        let routed = admitted.and_then(|()| {
             self.metrics.counter(names::TASKS_SUBMITTED).inc();
             self.trace.emit(
                 from,
@@ -282,7 +251,7 @@ impl RuntimeShared {
             match spec.kind {
                 TaskKind::ActorMethod { actor, .. } => self.actors.invoke(actor, spec),
                 TaskKind::Normal | TaskKind::ActorCreation { .. } => {
-                    self.dispatch_for_scheduling(from, spec)
+                    self.dispatch_for_scheduling(target, spec)
                 }
             }
         });
@@ -299,7 +268,7 @@ impl RuntimeShared {
     /// already recorded; do not double-write it). Resubmissions are always
     /// critical — shedding a reconstruction would livelock its consumers —
     /// and get a fresh cancel token so `ray.cancel` can still find them.
-    pub(crate) fn resubmit(&self, from: NodeId, mut spec: TaskSpec) -> RayResult<()> {
+    pub(crate) fn resubmit(self: &Arc<Self>, from: NodeId, mut spec: TaskSpec) -> RayResult<()> {
         spec.critical = true;
         self.cancels.ensure(spec.task);
         self.metrics.counter(names::TASKS_REEXECUTED).inc();
@@ -309,19 +278,21 @@ impl RuntimeShared {
             TraceEntity::Task(spec.task),
             &spec.function_name,
         );
-        self.dispatch_for_scheduling(from, spec)
+        self.dispatch_for_scheduling(self.any_live_node(from), spec)
     }
 
-    fn dispatch_for_scheduling(&self, from: NodeId, spec: TaskSpec) -> RayResult<()> {
-        let handle = self.any_live_node(from).ok_or(RayError::Shutdown(
-            "no live nodes in cluster".to_string(),
-        ))?;
+    fn dispatch_for_scheduling(
+        self: &Arc<Self>,
+        target: Option<Arc<NodeHandle>>,
+        spec: TaskSpec,
+    ) -> RayResult<()> {
+        let handle =
+            target.ok_or(RayError::Shutdown("no live nodes in cluster".to_string()))?;
         let node = handle.node;
-        let queue_len = self.queue_lens[node.index()].load(Ordering::Relaxed);
         let (decision, reason) = decide_local_reason(
             self.config.scheduler.policy,
             &handle.ledger,
-            queue_len,
+            handle.queue_len(),
             self.config.scheduler.spillover_threshold,
             &spec.demand,
         );
@@ -335,11 +306,7 @@ impl RuntimeShared {
                     reason.label(),
                 );
                 self.inflight.insert(spec.task, node);
-                self.queue_depth[node.index()].fetch_add(1, Ordering::Relaxed);
-                handle.tx.send(NodeMsg::Submit(spec)).map_err(|_| {
-                    self.queue_depth[node.index()].fetch_sub(1, Ordering::Relaxed);
-                    RayError::NodeDead(node)
-                })?;
+                handle.enqueue(self, spec)?;
             }
             LocalDecision::Forward => {
                 self.metrics.counter(names::TASKS_SPILLED).inc();
@@ -359,14 +326,10 @@ impl RuntimeShared {
 
     /// Places a task on a specific node (used by the global scheduler
     /// thread after a placement decision).
-    pub(crate) fn place_on(&self, node: NodeId, spec: TaskSpec) -> RayResult<()> {
+    pub(crate) fn place_on(self: &Arc<Self>, node: NodeId, spec: TaskSpec) -> RayResult<()> {
         let handle = self.node(node).ok_or(RayError::NodeDead(node))?;
         self.inflight.insert(spec.task, node);
-        self.queue_depth[node.index()].fetch_add(1, Ordering::Relaxed);
-        handle.tx.send(NodeMsg::Placed(spec)).map_err(|_| {
-            self.queue_depth[node.index()].fetch_sub(1, Ordering::Relaxed);
-            RayError::NodeDead(node)
-        })
+        handle.enqueue(self, spec)
     }
 
     /// Whether the producer of a task is believed to still be running on a
@@ -478,8 +441,8 @@ impl RuntimeShared {
     }
 
     /// `ray.cancel` entry point: cancels `task` and propagates to every
-    /// registered descendant. Queued occurrences are dropped by the next
-    /// scheduler-queue scan; running occurrences observe the token at
+    /// registered descendant. Queued occurrences are dropped by their
+    /// node's next heartbeat tick; running occurrences observe the token at
     /// their next fetch round or completion. Returns `false` if the task
     /// already completed (or was never scheduled here).
     pub(crate) fn cancel_task(&self, task: TaskId) -> bool {

@@ -2,10 +2,11 @@
 //!
 //! "A stateless process that executes tasks invoked by a driver or another
 //! worker ... A worker executes tasks serially, with no local state
-//! maintained across tasks" (paper §4.1). Each worker is a thread with an
-//! inbox; it resolves the task's object arguments (replicating remote ones
-//! into the local store first, §4.2.3), runs the registered function with
-//! a [`RayContext`] for nested calls, and stores the results.
+//! maintained across tasks" (paper §4.1). Each worker is a thread pulling
+//! from its node's run queue; it resolves the task's object arguments
+//! (replicating remote ones into the local store first, §4.2.3), runs the
+//! registered function with a [`RayContext`] for nested calls, and stores
+//! the results.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
@@ -14,7 +15,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Sender};
 
 use ray_common::metrics::names;
 use ray_common::trace::{TraceEntity, TraceEventKind};
@@ -23,79 +23,51 @@ use ray_common::{NodeId, RayResult};
 use crate::actor;
 use crate::context::RayContext;
 use crate::lineage::{ensure_object_at, Waiter};
+use crate::node::NodeHandle;
 use crate::registry::RemoteResult;
-use crate::runtime::{error_envelopes, NodeMsg, RuntimeShared};
+use crate::runtime::{error_envelopes, RuntimeShared};
 use crate::task::{Arg, TaskKind, TaskSpec};
 
-/// Messages to a worker thread.
-pub(crate) enum WorkerMsg {
-    /// Execute one task.
-    Run(TaskSpec),
-    /// Exit.
-    Stop,
-}
-
-/// Handle to one worker thread.
-pub(crate) struct WorkerHandle {
-    pub tx: Sender<WorkerMsg>,
-    pub join: Option<JoinHandle<()>>,
-}
-
-impl WorkerHandle {
-    /// Spawns worker `index` on `node`; completions report to `node_tx`.
-    pub fn spawn(
-        shared: Arc<RuntimeShared>,
-        node: NodeId,
-        index: usize,
-        node_tx: Sender<NodeMsg>,
-    ) -> WorkerHandle {
-        let (tx, rx) = unbounded();
-        let join = std::thread::Builder::new()
-            .name(format!("worker-{node}-{index}"))
-            .spawn(move || {
-                ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
-                let clock = shared.trace.clock().clone();
-                // Resolved once: the registry lookup takes a lock, and this
-                // is the per-task hot loop.
-                let task_latency = shared.metrics.histogram(names::TASK_LATENCY_MICROS);
-                let tasks_executed = shared.metrics.counter(names::TASKS_EXECUTED);
-                let slot = (node_tx, index);
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        WorkerMsg::Run(spec) => {
-                            let start = clock.now();
-                            let demand = spec.demand.clone();
-                            let task = spec.task;
-                            run_task(&shared, node, &slot, &spec);
-                            tasks_executed.inc();
-                            shared.inflight.remove(task);
-                            let elapsed = clock.now().duration_since(start);
-                            task_latency.observe(elapsed.as_micros() as u64);
-                            let done = NodeMsg::WorkerDone {
-                                worker: index,
-                                demand,
-                                duration_ms: elapsed.as_secs_f64() * 1e3,
-                            };
-                            if slot.0.send(done).is_err() {
-                                return; // Node shut down mid-task.
-                            }
-                        }
-                        WorkerMsg::Stop => return,
-                    }
-                }
-            })
-            .expect("invariant: thread spawn only fails on OS resource exhaustion");
-        WorkerHandle { tx, join: Some(join) }
-    }
+/// Spawns worker `index` of `handle`'s node: it pulls tasks from the node's
+/// run queue until the node stops.
+pub(crate) fn spawn(
+    shared: Arc<RuntimeShared>,
+    handle: Arc<NodeHandle>,
+    index: usize,
+) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("worker-{}-{index}", handle.node))
+        .spawn(move || {
+            ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
+            let clock = shared.trace.clock().clone();
+            // Resolved once: the registry lookup takes a lock, and this
+            // is the per-task hot loop.
+            let queue_wait = shared.metrics.histogram(names::QUEUE_WAIT_MICROS);
+            let task_latency = shared.metrics.histogram(names::TASK_LATENCY_MICROS);
+            let tasks_executed = shared.metrics.counter(names::TASKS_EXECUTED);
+            while let Some((spec, enqueued)) = handle.next_task() {
+                let start = clock.now();
+                queue_wait.observe(start.duration_since(enqueued).as_micros() as u64);
+                run_task(&shared, &handle, &spec);
+                tasks_executed.inc();
+                shared.inflight.remove(spec.task);
+                let elapsed = clock.now().duration_since(start);
+                task_latency.observe(elapsed.as_micros() as u64);
+                // Feeds the EWMA the global scheduler's wait estimate reads.
+                shared.load.observe_task_duration(handle.node, elapsed.as_secs_f64() * 1e3);
+                handle.release(&spec.demand);
+            }
+        })
+        .expect("invariant: thread spawn only fails on OS resource exhaustion")
 }
 
 /// Resolves a task's arguments to raw payloads, pulling remote objects
-/// into the local store first. `worker_slot` lets the blocking fetch
-/// notify the local scheduler (worker-pool growth; see node.rs).
+/// into the local store first. A `worker` is marked blocked for the
+/// duration of each fetch (worker-pool growth; see node.rs).
 fn resolve_args(
     shared: &Arc<RuntimeShared>,
     node: NodeId,
-    worker_slot: Option<&(Sender<NodeMsg>, usize)>,
+    worker: Option<&Arc<NodeHandle>>,
     spec: &TaskSpec,
 ) -> RayResult<Vec<Bytes>> {
     let mut resolved = Vec::with_capacity(spec.args.len());
@@ -103,7 +75,7 @@ fn resolve_args(
         match arg {
             Arg::Value(v) => resolved.push(Bytes::copy_from_slice(&v.0)),
             Arg::ObjectRef(id) => {
-                let blocked = notify_blocked(worker_slot);
+                let blocked = worker.map(|w| w.block(shared));
                 let waiter = Waiter { task: spec.task, deadline_micros: spec.deadline_micros };
                 let data = ensure_object_at(shared, *id, node, Some(waiter));
                 drop(blocked);
@@ -118,23 +90,6 @@ fn resolve_args(
         }
     }
     Ok(resolved)
-}
-
-struct BlockedGuard<'a>(Option<&'a (Sender<NodeMsg>, usize)>);
-
-impl Drop for BlockedGuard<'_> {
-    fn drop(&mut self) {
-        if let Some((tx, idx)) = self.0 {
-            let _ = tx.send(NodeMsg::WorkerUnblocked { worker: *idx });
-        }
-    }
-}
-
-fn notify_blocked<'a>(slot: Option<&'a (Sender<NodeMsg>, usize)>) -> BlockedGuard<'a> {
-    if let Some((tx, idx)) = slot {
-        let _ = tx.send(NodeMsg::WorkerBlocked { worker: *idx });
-    }
-    BlockedGuard(slot)
 }
 
 /// How much of the policy around a body applies to this execution. The
@@ -170,7 +125,7 @@ pub(crate) enum Mode {
 pub(crate) fn execute(
     shared: &Arc<RuntimeShared>,
     node: NodeId,
-    worker_slot: Option<&(Sender<NodeMsg>, usize)>,
+    worker: Option<&Arc<NodeHandle>>,
     spec: &TaskSpec,
     mode: Mode,
     committed: impl FnOnce(),
@@ -192,7 +147,7 @@ pub(crate) fn execute(
         }
     }
     committed();
-    let outcome = resolve_args(shared, node, worker_slot, spec)
+    let outcome = resolve_args(shared, node, worker, spec)
         .map_err(|e| e.to_string())
         .and_then(|args| {
             shared.trace.emit(node, TraceEventKind::DepsFetched, entity, "");
@@ -202,7 +157,7 @@ pub(crate) fn execute(
                 node,
                 spec.task,
                 spec.deadline_micros,
-                worker_slot.cloned(),
+                worker.cloned(),
             );
             std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx, &args)))
                 .unwrap_or_else(|panic| Err(panic_message(panic)))
@@ -250,15 +205,11 @@ pub(crate) fn execute(
     true
 }
 
-/// Runs a task a local scheduler handed to a worker: the body is the
+/// Runs a task a worker took from its node's queue: the body is the
 /// registered function, or the actor constructor for a creation task.
-fn run_task(
-    shared: &Arc<RuntimeShared>,
-    node: NodeId,
-    worker_slot: &(Sender<NodeMsg>, usize),
-    spec: &TaskSpec,
-) {
-    execute(shared, node, Some(worker_slot), spec, Mode::Task, || (), |ctx, args| match &spec.kind {
+fn run_task(shared: &Arc<RuntimeShared>, worker: &Arc<NodeHandle>, spec: &TaskSpec) {
+    let node = worker.node;
+    execute(shared, node, Some(worker), spec, Mode::Task, || (), |ctx, args| match &spec.kind {
         TaskKind::Normal => {
             let f = shared.registry.function(spec.function).map_err(|e| e.to_string())?;
             f(ctx, args)

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use ray_common::config::{FaultConfig, SchedulerPolicy};
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, ObjectId, RayConfig, RayError, Resources, ShardId};
@@ -96,28 +97,64 @@ fn nested_remote_functions() {
 
 #[test]
 fn deeply_nested_calls_do_not_deadlock_single_worker() {
-    // One worker per node; nested gets grow the pool instead of wedging.
+    // One worker per node; a worker that blocks on a child grows the pool
+    // instead of wedging — at each of the three sites that can block one.
+    struct CountsDrop(Arc<AtomicUsize>);
+    impl Drop for CountsDrop {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let dropped = Arc::new(AtomicUsize::new(0));
     let cluster =
         Cluster::start(RayConfig::builder().nodes(1).workers_per_node(1).build()).unwrap();
-    cluster.register_fn1("zero", |x: u64| x);
-    cluster.register_raw("recurse", |ctx: &RayContext, args: &[Bytes]| -> RemoteResult {
-        let depth: u64 = decode_arg(args, 0)?;
-        if depth == 0 {
-            let f: ObjectRef<u64> =
-                ctx.call("zero", vec![Arg::value(&0u64).map_err(|e| e.to_string())?])
-                    .map_err(|e| e.to_string())?;
-            return encode_return(&ctx.get(&f).map_err(|e| e.to_string())?);
-        }
-        let f: ObjectRef<u64> = ctx
-            .call("recurse", vec![Arg::value(&(depth - 1)).map_err(|e| e.to_string())?])
-            .map_err(|e| e.to_string())?;
-        let v = ctx.get(&f).map_err(|e| e.to_string())?;
-        encode_return(&(v + 1))
+    cluster.register_fn1("same", |x: u64| x);
+    let captured = CountsDrop(dropped.clone());
+    cluster.register_raw("nest", move |ctx: &RayContext, args: &[Bytes]| -> RemoteResult {
+        let _held_by_the_registry = &captured;
+        let how: String = decode_arg(args, 0)?;
+        let depth: u64 = decode_arg(args, 1)?;
+        let err = |e: RayError| e.to_string();
+        let child: ObjectRef<u64> = if depth == 0 {
+            ctx.call("same", vec![Arg::value(&0u64).map_err(err)?]).map_err(err)?
+        } else {
+            let args = vec![Arg::value(&how).map_err(err)?, Arg::value(&(depth - 1)).map_err(err)?];
+            ctx.call("nest", args).map_err(err)?
+        };
+        let v = match how.as_str() {
+            "get" => ctx.get(&child).map_err(err)?,
+            "wait" => {
+                let (ready, _) =
+                    ctx.wait(&[child.id()], 1, Duration::from_secs(30)).map_err(err)?;
+                assert_eq!(ready, vec![child.id()]);
+                ctx.get(&child).map_err(err)?
+            }
+            // The child's future goes to a second child, whose worker waits
+            // for it in its argument fetch while the first child is itself
+            // waiting on a grandchild.
+            "arg" => {
+                let via: ObjectRef<u64> =
+                    ctx.call("same", vec![Arg::from_ref(&child)]).map_err(err)?;
+                ctx.get(&via).map_err(err)?
+            }
+            other => return Err(format!("unknown site {other}")),
+        };
+        encode_return(&(v + u64::from(depth > 0)))
     });
     let ctx = cluster.driver();
-    let fut: ObjectRef<u64> = ctx.call("recurse", vec![Arg::value(&5u64).unwrap()]).unwrap();
-    assert_eq!(ctx.get(&fut).unwrap(), 5);
+    for (how, depth) in [("get", 5u64), ("wait", 5), ("arg", 3)] {
+        let args = vec![Arg::value(how).unwrap(), Arg::value(&depth).unwrap()];
+        let fut: ObjectRef<u64> = ctx.call("nest", args).unwrap();
+        assert_eq!(ctx.get(&fut).unwrap(), depth, "blocked in {how}");
+    }
+    // Every thread the node started — the heartbeat thread and the workers
+    // the pool grew — is joined by shutdown and has let go of the runtime,
+    // so the registry and what its functions captured die with the cluster.
+    drop(ctx);
     cluster.shutdown();
+    assert_eq!(dropped.load(Ordering::SeqCst), 0);
+    drop(cluster);
+    assert_eq!(dropped.load(Ordering::SeqCst), 1);
 }
 
 #[test]
@@ -428,6 +465,24 @@ fn actor_methods_are_traced_from_submission() {
             TraceEntity::Task(producer(&log, fut.id())),
             &[TraceEventKind::Submitted, TraceEventKind::Running, TraceEventKind::Finished],
         );
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn trace_log_includes_batches_a_heartbeat_still_has_in_flight() {
+    // A node's heartbeat drains its ring, then writes the batch to the GCS.
+    // A `trace_log` that falls between the two finds the ring empty and
+    // must wait for the write instead of reading the log without it: by
+    // the time `get` returns, the task's `finished` is part of the log.
+    let cluster = traced_probe_cluster();
+    let ctx = cluster.driver();
+    for round in 0..400 {
+        let fut: ObjectRef<u64> = ctx.call("probe", vec![Arg::value("ok").unwrap()]).unwrap();
+        assert_eq!(ctx.get(&fut).unwrap(), 7);
+        let log = cluster.trace_log().unwrap();
+        let task = TraceEntity::Task(producer(&log, fut.id()));
+        assert_eq!(log.count_for(task, TraceEventKind::Finished), 1, "round {round}");
     }
     cluster.shutdown();
 }
@@ -983,6 +1038,79 @@ fn spillover_balances_load_across_nodes() {
     ctx.get_all(&futs).unwrap();
     let spilled = cluster.metrics().counter("tasks_spilled").get();
     assert!(spilled > 0, "expected some spillover with a flooded queue");
+    cluster.shutdown();
+}
+
+/// Registers `gate`, a task that holds its worker until the returned
+/// sender is used or dropped; the returned receiver hears when it starts.
+fn register_gate(cluster: &Cluster) -> (Receiver<()>, Sender<()>) {
+    let (started_tx, started_rx) = unbounded();
+    let (open_tx, open_rx) = unbounded::<()>();
+    cluster.register_fn0("gate", move || {
+        let _ = started_tx.send(());
+        let _ = open_rx.recv();
+        0u8
+    });
+    (started_rx, open_tx)
+}
+
+#[test]
+fn spill_rule_and_admission_read_the_exact_queue_length() {
+    use TraceEventKind::{ScheduledLocal, SpilledGlobal};
+    const THRESHOLD: usize = 4;
+    const K: usize = 3;
+    // Node 0's only worker is held by the gate, so every task its driver
+    // submits next stays queued there: the queue's length is the number
+    // submitted so far, and both rules must act on exactly that number.
+    let held = |cfg: RayConfig| {
+        let cluster = Cluster::start(cfg).unwrap();
+        let (started, open) = register_gate(&cluster);
+        cluster.register_fn0("nop", || 0u8);
+        let ctx = cluster.driver();
+        let gate: ObjectRef<u8> = ctx.call("gate", vec![]).unwrap();
+        started.recv_timeout(Duration::from_secs(10)).expect("the gate never started");
+        (cluster, ctx, gate, open)
+    };
+    let config = || RayConfig::builder().nodes(2).workers_per_node(1).seed(7).tracing(true).build();
+
+    // Spillover forwards a task when the queue is *over* the threshold:
+    // lengths 0..=4 keep the first five, every later one spills.
+    // Lineage is off so that no GCS write paces the burst: a length that
+    // is published late lets extra tasks through.
+    let mut cfg = config();
+    cfg.scheduler.spillover_threshold = THRESHOLD;
+    cfg.fault.lineage_enabled = false;
+    let (cluster, ctx, gate, open) = held(cfg);
+    let futs: Vec<ObjectRef<u8>> =
+        (0..THRESHOLD + 1 + K).map(|_| ctx.call("nop", vec![]).unwrap()).collect();
+    drop(open);
+    ctx.get(&gate).unwrap();
+    ctx.get_all(&futs).unwrap();
+    let log = cluster.trace_log().unwrap();
+    for (i, fut) in futs.iter().enumerate() {
+        let task = TraceEntity::Task(producer(&log, fut.id()));
+        let (local, spilled) = if i <= THRESHOLD { (1, 0) } else { (0, 1) };
+        log.assert().count_eq(task, ScheduledLocal, local).count_eq(task, SpilledGlobal, spilled);
+    }
+    cluster.shutdown();
+
+    // Admission sheds a task when the queue is *at* the watermark: with
+    // nothing spilling and no retry, five are admitted and the sixth shed.
+    let mut cfg = config();
+    cfg.scheduler.spillover_threshold = 1_000;
+    cfg.scheduler.admission_watermark = Some(THRESHOLD + 1);
+    cfg.scheduler.admission_retry_limit = 0;
+    let (cluster, ctx, gate, open) = held(cfg);
+    let admitted: Vec<ObjectRef<u8>> =
+        (0..THRESHOLD + 1).map(|_| ctx.call("nop", vec![]).unwrap()).collect();
+    match ctx.call::<u8>("nop", vec![]) {
+        Err(RayError::Overloaded(NodeId(0))) => {}
+        other => panic!("expected Overloaded(N0), got {other:?}"),
+    }
+    assert_eq!(cluster.metrics().counter("tasks_shed").get(), 1);
+    drop(open);
+    ctx.get(&gate).unwrap();
+    ctx.get_all(&admitted).unwrap();
     cluster.shutdown();
 }
 

@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 use ray_common::sync::{classes, OrderedMutex};
 
 use ray_common::config::SchedulerPolicy;
+use ray_common::util::DetRng;
 use ray_common::{NodeId, ObjectId, RayError, RayResult, Resources, TaskId};
 use ray_gcs::tables::GcsClient;
 
@@ -66,7 +67,8 @@ struct Inner {
     decision_delay: Duration,
     location_cache: OrderedMutex<HashMap<ObjectId, LocationCacheEntry>>,
     decisions: AtomicU64,
-    rng_state: AtomicU64,
+    /// Placement tie-breaking only, not statistics.
+    rng: OrderedMutex<DetRng>,
 }
 
 impl GlobalScheduler {
@@ -86,7 +88,7 @@ impl GlobalScheduler {
                 decision_delay,
                 location_cache: OrderedMutex::new(&classes::SCHED_LOCATION_CACHE, HashMap::new()),
                 decisions: AtomicU64::new(0),
-                rng_state: AtomicU64::new(seed | 1),
+                rng: OrderedMutex::new(&classes::SCHED_RNG, DetRng::new(seed)),
             }),
         }
     }
@@ -124,8 +126,8 @@ impl GlobalScheduler {
 
         let chosen = match self.inner.policy {
             SchedulerPolicy::Random => {
-                let idx = (self.next_rand() as usize) % candidates.len();
-                candidates[idx].node
+                let idx = self.inner.rng.lock().next_below(candidates.len() as u64);
+                candidates[idx as usize].node
             }
             SchedulerPolicy::LocalityUnaware => {
                 self.argmin_wait(task, &candidates, /* locality: */ false)?
@@ -181,7 +183,7 @@ impl GlobalScheduler {
                         // Reservoir-sample among exact ties so equal nodes
                         // share load instead of hot-spotting the lowest ID.
                         ties += 1;
-                        if self.next_rand().is_multiple_of(ties + 1) {
+                        if self.inner.rng.lock().next_below(ties + 1) == 0 {
                             *best_node = cand.node;
                         }
                     }
@@ -247,16 +249,6 @@ impl GlobalScheduler {
             LocationCacheEntry { locations: locs.clone(), fetched: Instant::now() },
         );
         Ok(locs)
-    }
-
-    fn next_rand(&self) -> u64 {
-        // Xorshift64*; placement tie-breaking only, not statistics.
-        let mut x = self.inner.rng_state.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.inner.rng_state.store(x, Ordering::Relaxed);
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 }
 
@@ -422,6 +414,29 @@ mod tests {
             seen.insert(s.place(&task(vec![], Resources::cpus(1.0))).unwrap().unwrap());
         }
         assert!(seen.len() >= 3, "tie-breaking should spread load, saw {seen:?}");
+    }
+
+    #[test]
+    fn neighbouring_seeds_break_ties_differently() {
+        let r = rig();
+        for n in 0..4 {
+            heartbeat(&r.load, n, 0, 0.0);
+        }
+        let sequence = |policy, seed| -> Vec<NodeId> {
+            let (load, gcs) = (r.load.clone(), r.client.clone());
+            let s = GlobalScheduler::new(policy, load, gcs, Duration::ZERO, seed);
+            (0..32)
+                .map(|_| s.place(&task(vec![], Resources::cpus(1.0))).unwrap().unwrap())
+                .collect()
+        };
+        for policy in [SchedulerPolicy::BottomUp, SchedulerPolicy::Random] {
+            for k in [0u64, 21, 1 << 40] {
+                // `seed | 1` made every even seed collide with its odd
+                // neighbour.
+                assert_ne!(sequence(policy, 2 * k), sequence(policy, 2 * k + 1), "{policy:?} {k}");
+                assert_eq!(sequence(policy, 2 * k), sequence(policy, 2 * k), "{policy:?} {k}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! demand — only then does the task spill upward.
 //!
 //! This crate holds the *decision logic* and shared state; the execution
-//! plumbing (node threads, worker dispatch, channels) lives in the core
+//! plumbing (node run queues, worker threads, channels) lives in the core
 //! runtime, which is what lets these policies be unit-tested and swapped
 //! wholesale for the paper's baselines:
 //!

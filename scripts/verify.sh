@@ -22,14 +22,8 @@ echo "== tier 1: release build =="
 cargo build --release
 
 echo "== tier 1: test suite =="
+# Every workspace member's tests (the root manifest's `default-members`).
 cargo test -q
-
-echo "== tier 1: runtime and common crates =="
-# `cargo test` at the root runs only the root package's tests; the
-# runtime's own suite (crates/core/tests/runtime_behavior.rs, where the
-# engine-parity and trace-emission tests live) and ray-common's are named
-# here so the gate executes them.
-cargo test -q -p rustray -p ray-common
 
 echo "== chaos suite =="
 cargo test -q --test chaos
