@@ -10,6 +10,21 @@
 //! `ObjectId::for_task_return(T, i)`, so any node can compute an object's ID
 //! from lineage alone — the property that makes lineage-based reconstruction
 //! (paper §4.2.3) possible without coordination.
+//!
+//! # The slot
+//!
+//! The last two bytes of an ID are its *slot*. Every constructor leaves it
+//! zero except [`ObjectId::for_task_return`], which copies the task's ID and
+//! writes `index + 1` there: a return object names its producer, and
+//! [`ObjectId::producer`] reads it back by zeroing the slot again — no
+//! object → task table, no GCS read (the original system's
+//! `ComputeReturnId`/`ComputeTaskId` pair). `producer()` is therefore
+//! `Some(task)` for a task return and `None` for a `put` object, a random
+//! ID, a task ID reinterpreted as an object, and `NIL`. Sixteen bits bound a
+//! task at [`MAX_TASK_RETURNS`] returns and leave 112 hashed bits; a `put`
+//! counter is unbounded, which is why `put` IDs stay hashes and carry no
+//! producer. [`UniqueId::digest`] reads the first eight bytes only, so an
+//! object and its producer share a digest (and the short hex `Debug` prints).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,6 +35,10 @@ use crate::util::fnv1a_128;
 
 /// Number of bytes in a raw unique ID.
 pub const ID_LEN: usize = 16;
+
+/// The most return objects one task may declare: `index + 1` must fit the
+/// 16-bit slot.
+pub const MAX_TASK_RETURNS: u64 = u16::MAX as u64;
 
 /// An opaque 16-byte identifier, the common representation behind every
 /// typed ID in the system.
@@ -55,7 +74,7 @@ impl UniqueId {
         let mut bytes = [0u8; ID_LEN];
         bytes[..8].copy_from_slice(&lo.to_le_bytes());
         bytes[8..].copy_from_slice(&hi.to_le_bytes());
-        UniqueId(bytes)
+        UniqueId(bytes).with_slot(0)
     }
 
     /// Builds an ID from raw bytes.
@@ -69,13 +88,22 @@ impl UniqueId {
     }
 
     /// Deterministically derives a new ID by hashing this ID with a domain
-    /// tag and an index.
+    /// tag and an index. The result's slot is zero.
     pub fn derive(&self, domain: &str, index: u64) -> Self {
         let mut buf = Vec::with_capacity(ID_LEN + domain.len() + 8);
         buf.extend_from_slice(&self.0);
         buf.extend_from_slice(domain.as_bytes());
         buf.extend_from_slice(&index.to_le_bytes());
-        UniqueId(fnv1a_128(&buf))
+        UniqueId(fnv1a_128(&buf)).with_slot(0)
+    }
+
+    fn slot(&self) -> u16 {
+        u16::from_le_bytes([self.0[ID_LEN - 2], self.0[ID_LEN - 1]])
+    }
+
+    fn with_slot(mut self, slot: u16) -> Self {
+        self.0[ID_LEN - 2..].copy_from_slice(&slot.to_le_bytes());
+        self
     }
 
     /// Returns `true` for the all-zero sentinel ID.
@@ -181,17 +209,35 @@ typed_id!(
 );
 
 impl ObjectId {
-    /// The ID of the `index`-th return value of task `task`.
+    /// The ID of the `index`-th return value of task `task`: the task's own
+    /// bytes with `index + 1` in the slot.
     ///
     /// Deterministic so that lineage reconstruction can recompute which
-    /// objects a re-executed task will produce.
+    /// objects a re-executed task will produce, and invertible
+    /// ([`Self::producer`]) so that it can find the task from the object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= MAX_TASK_RETURNS`: a wrapped slot would alias
+    /// another return (or claim to be no return at all). Submission rejects
+    /// such a task before any ID is computed.
     pub fn for_task_return(task: TaskId, index: u64) -> Self {
-        ObjectId(task.0.derive("return", index))
+        assert!(index < MAX_TASK_RETURNS, "return index {index} does not fit the ID slot");
+        ObjectId(task.0.with_slot(index as u16 + 1))
     }
 
     /// The ID of an object created by `put` from a driver/worker.
     pub fn for_put(task: TaskId, put_index: u64) -> Self {
         ObjectId(task.0.derive("put", put_index))
+    }
+
+    /// The task that creates this object: `Some` exactly for IDs made by
+    /// [`Self::for_task_return`], `None` for `put` objects (no lineage).
+    pub fn producer(&self) -> Option<TaskId> {
+        match self.0.slot() {
+            0 => None,
+            _ => Some(TaskId(self.0.with_slot(0))),
+        }
     }
 }
 
@@ -330,6 +376,43 @@ mod tests {
     fn put_and_return_namespaces_do_not_collide() {
         let t = TaskId::random();
         assert_ne!(ObjectId::for_put(t, 0), ObjectId::for_task_return(t, 0));
+    }
+
+    #[test]
+    fn only_task_returns_name_a_producer() {
+        let mut rng = crate::util::DetRng::new(0x5107);
+        // The ends of the slot's range, its byte boundary, and a seeded
+        // spread in between.
+        let mut indices = vec![0, 1, 254, 255, 256, 257, MAX_TASK_RETURNS - 2, MAX_TASK_RETURNS - 1];
+        indices.extend((0..56).map(|_| rng.next_below(MAX_TASK_RETURNS)));
+        for _ in 0..64 {
+            let mut bytes = [0u8; ID_LEN];
+            bytes[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+            bytes[8..].copy_from_slice(&rng.next_u64().to_le_bytes());
+            // A task as the runtime makes one: some parent's child.
+            let t = TaskId::for_child(TaskId::from_bytes(bytes), rng.next_u64());
+            let returns: HashSet<ObjectId> =
+                indices.iter().map(|&i| ObjectId::for_task_return(t, i)).collect();
+            let distinct: HashSet<u64> = indices.iter().copied().collect();
+            assert_eq!(returns.len(), distinct.len(), "returns of one task collide");
+            for r in &returns {
+                assert_eq!(r.producer(), Some(t));
+            }
+            for n in [0, 1, u64::MAX] {
+                let put = ObjectId::for_put(t, n);
+                assert_eq!(put.producer(), None);
+                assert!(!returns.contains(&put), "put {n} collides with a return");
+            }
+            assert_eq!(ObjectId(t.0).producer(), None, "a task id is nobody's return");
+        }
+        assert_eq!(ObjectId::random().producer(), None);
+        assert_eq!(ObjectId::NIL.producer(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the ID slot")]
+    fn return_index_past_the_slot_is_refused_not_wrapped() {
+        ObjectId::for_task_return(TaskId::random(), MAX_TASK_RETURNS);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+use ray_common::id::MAX_TASK_RETURNS;
 use ray_common::{ActorId, FunctionId, NodeId, ObjectId, RayError, RayResult, TaskId};
 
 use crate::lineage::{ensure_object_at_deadline, Waiter, DEFAULT_GET_DEADLINE};
@@ -209,27 +210,24 @@ impl RayContext {
         let _blocked = self.block();
         let clock = self.shared.trace.clock();
         let deadline = clock.now() + timeout;
-        let mut pending: std::collections::HashSet<ObjectId> = ids.iter().copied().collect();
         // Duplicate ids collapse; cap the goal at the unique count.
-        let want = num_ready.min(pending.len());
+        let mut pending = std::collections::HashSet::with_capacity(ids.len());
+        let unique: Vec<ObjectId> = ids.iter().copied().filter(|id| pending.insert(*id)).collect();
+        let want = num_ready.min(unique.len());
         let mut ready: Vec<ObjectId> = Vec::with_capacity(want);
 
-        // One channel multiplexes every object's notifications; the
-        // subscribe op itself delivers a snapshot for entries that already
-        // exist, so there is no check-then-subscribe race.
-        let (tx, rx) = crossbeam_channel::unbounded();
-        let mut subs: Vec<(ObjectId, u64)> = Vec::with_capacity(ids.len());
-        for &id in pending.iter() {
-            let sub_id = self.shared.gcs_client.subscribe_object_shared(id, tx.clone())?;
-            subs.push((id, sub_id));
-        }
+        // One subscription multiplexes every object's notifications onto
+        // one channel, for one GCS update per shard; the subscribe op itself
+        // delivers a snapshot for entries that already exist, so there is
+        // no check-then-subscribe race. Dropped (unsubscribed) on return.
+        let sub = self.shared.gcs_client.subscribe_objects(&unique)?;
 
         while ready.len() < want {
             let remaining = deadline.saturating_duration_since(clock.now());
             if remaining.is_zero() {
                 break;
             }
-            let Ok(notification) = rx.recv_timeout(remaining) else { break };
+            let Ok(notification) = sub.receiver().recv_timeout(remaining) else { break };
             let created = matches!(&notification.entry, Some(Entry::Set(s)) if !s.is_empty());
             if !created {
                 continue;
@@ -243,9 +241,6 @@ impl RayContext {
             }
         }
 
-        for (id, sub_id) in subs {
-            let _ = self.shared.gcs_client.unsubscribe_object(id, sub_id);
-        }
         // Preserve the caller's order among still-pending ids.
         let pending_ordered: Vec<ObjectId> =
             ids.iter().copied().filter(|id| pending.contains(id)).collect();
@@ -288,6 +283,20 @@ impl RayContext {
             deadline_micros,
             critical: opts.critical,
         };
+        self.submit_spec(spec)
+    }
+
+    /// Where every spec this context builds enters the runtime: bounds the
+    /// return count (a return's index lives in its ID's 16-bit slot) before
+    /// any ID is computed or allocated for, then submits and names the
+    /// outputs.
+    fn submit_spec(&self, spec: TaskSpec) -> RayResult<Vec<ObjectId>> {
+        if spec.num_returns > MAX_TASK_RETURNS {
+            return Err(RayError::Invalid(format!(
+                "{} asks for {} returns; a task may declare at most {MAX_TASK_RETURNS}",
+                spec.function_name, spec.num_returns
+            )));
+        }
         let returns = spec.return_ids();
         self.shared.submit(self.node, self.task, spec)?;
         Ok(returns)
@@ -315,12 +324,10 @@ impl RayContext {
     /// produces `id`, fanning out to every descendant submitted under it.
     /// Returns `true` if this call newly cancelled the task, `false` if it
     /// was already cancelled, already finished and forgotten, or `id` was
-    /// a `put` object (nothing to cancel).
+    /// a `put` object (nothing to cancel). The producer is read off the ID;
+    /// the GCS is not consulted.
     pub fn cancel(&self, id: ObjectId) -> RayResult<bool> {
-        let Some(task) = self.shared.gcs_client.get_object_lineage(id)? else {
-            return Ok(false);
-        };
-        Ok(self.shared.cancel_task(task))
+        Ok(id.producer().is_some_and(|task| self.shared.cancel_task(task)))
     }
 
     /// Typed wrapper over [`Self::cancel`].
@@ -386,9 +393,8 @@ impl RayContext {
             deadline_micros,
             critical: opts.critical,
         };
-        let creation = spec.return_ids()[0];
-        self.shared.submit(self.node, self.task, spec)?;
-        Ok(ActorHandle { actor, creation })
+        let returns = self.submit_spec(spec)?;
+        Ok(ActorHandle { actor, creation: returns[0] })
     }
 
     /// `actor.method.remote(args)`: invokes a method, returning a single
@@ -475,9 +481,7 @@ impl RayContext {
             deadline_micros,
             critical: false,
         };
-        let returns = spec.return_ids();
-        self.shared.submit(self.node, self.task, spec)?;
-        Ok(returns)
+        self.submit_spec(spec)
     }
 
     /// Marks this task's worker blocked for the duration of a `get` or

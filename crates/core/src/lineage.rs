@@ -3,8 +3,8 @@
 //! "In the case of node failure, Ray recovers any needed objects through
 //! lineage re-execution" (§4.2.3). The entry point is
 //! [`ensure_object_at`]: fetch the object (Fig. 7's data path); if it has
-//! been lost — every recorded replica sits on a dead node — walk the
-//! inverse lineage edge to the creating task and resubmit it, recursively
+//! been lost — every recorded replica sits on a dead node — read the
+//! creating task off the object's ID and resubmit it, recursively
 //! pulling its own lost inputs the same way when its worker resolves
 //! arguments.
 //!
@@ -178,7 +178,7 @@ fn reconstruct(shared: &Arc<RuntimeShared>, id: ObjectId, why: Why) -> RayResult
     if !shared.config.fault.lineage_enabled {
         return no_producer();
     }
-    let Some(task) = shared.gcs_client.get_object_lineage(id)? else {
+    let Some(task) = id.producer() else {
         return no_producer();
     };
     // A cancelled task's outputs are marked in the GCS object table;

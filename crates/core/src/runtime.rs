@@ -160,18 +160,15 @@ impl RuntimeShared {
             .cloned()
     }
 
-    /// Records lineage for a task: the spec in the task table plus the
-    /// inverse edges from each return object (skipped when lineage is
-    /// disabled — the Fig. 8b ablation knob).
+    /// Records lineage for a task: its spec in the task table, one write
+    /// (skipped when lineage is disabled — the Fig. 8b ablation knob). The
+    /// inverse edge from a return object to its task needs no record: the
+    /// object's ID carries it ([`ObjectId::producer`]).
     pub(crate) fn record_lineage(&self, spec: &TaskSpec) -> RayResult<()> {
         if !self.config.fault.lineage_enabled {
             return Ok(());
         }
-        self.gcs_client.put_task(spec.task, Bytes::from(spec.encode()?))?;
-        for id in spec.return_ids() {
-            self.gcs_client.put_object_lineage(id, spec.task)?;
-        }
-        Ok(())
+        self.gcs_client.put_task(spec.task, Bytes::from(spec.encode()?))
     }
 
     /// Admission control: sheds a non-critical submission when the target
@@ -402,7 +399,8 @@ impl RuntimeShared {
     /// refuses to resurrect them), then stores typed error envelopes so
     /// every waiter blocked on the outputs wakes with
     /// [`RayError::Cancelled`] / [`RayError::DeadlineExceeded`] instead of
-    /// timing out.
+    /// timing out. With no store reachable for the envelopes, consumers
+    /// fall back to the GCS cancelled mark when their fetch times out.
     pub(crate) fn teardown(&self, node: NodeId, spec: &TaskSpec, cause: TeardownCause) {
         let (kind, counter, msg, detail) = match cause {
             TeardownCause::Cancelled(reason) => (
@@ -425,17 +423,7 @@ impl RuntimeShared {
         for id in spec.return_ids() {
             let _ = self.gcs_client.mark_object_cancelled(id);
         }
-        if self.store_results(node, spec, error_envelopes(spec, msg)).is_err() {
-            // No store reachable for the envelope: drop any local waiters
-            // outright so the registrations don't leak; remote consumers
-            // fall back to the GCS cancelled mark when their fetch times
-            // out.
-            if let Some(handle) = self.any_live_node(node) {
-                for id in spec.return_ids() {
-                    handle.store.drop_waiters(id);
-                }
-            }
-        }
+        let _ = self.store_results(node, spec, error_envelopes(spec, msg));
         self.inflight.remove(spec.task);
         self.cancels.remove(spec.task);
     }

@@ -127,7 +127,8 @@ pub struct TaskSpec {
 impl TaskSpec {
     /// IDs of the task's return objects (deterministic — anyone holding
     /// the spec can name its outputs, which is how reconstruction finds
-    /// them).
+    /// them). Panics past `ray_common::id::MAX_TASK_RETURNS` returns, which
+    /// submission rejects before it gets here.
     pub fn return_ids(&self) -> Vec<ObjectId> {
         (0..self.num_returns).map(|i| ObjectId::for_task_return(self.task, i)).collect()
     }

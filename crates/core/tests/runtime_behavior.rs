@@ -196,6 +196,83 @@ fn wait_times_out_with_partial_results() {
 }
 
 #[test]
+fn wait_over_more_ids_than_one_subscribe_op_carries() {
+    // Default four GCS shards. 300 objects that exist, 1 000 that never
+    // will: ~325 ids per shard, so every shard's group is split over two
+    // subscribe ops of one subscription.
+    let cluster = small_cluster();
+    let ctx = cluster.driver();
+    let exist: Vec<ObjectId> = (0..300u32).map(|i| ctx.put(&i).unwrap().id()).collect();
+    assert!(exist.len() + 1000 > 4 * ray_gcs::kv::MAX_SUBSCRIBE_KEYS);
+    let mut ids: Vec<ObjectId> = Vec::new();
+    for (i, &id) in exist.iter().enumerate() {
+        ids.push(id);
+        ids.extend((0..if i < 100 { 10 } else { 0 }).map(|_| ObjectId::random()));
+    }
+    // Duplicates, of both kinds.
+    ids.extend_from_within(..20);
+    let exist: std::collections::HashSet<ObjectId> = exist.into_iter().collect();
+    let distinct = |v: &[ObjectId]| v.iter().collect::<std::collections::HashSet<_>>().len();
+
+    // Fewer than are ready: exactly that many come back, the rest pending
+    // in the caller's order.
+    let (ready, pending) = ctx.wait(&ids, 120, Duration::from_secs(30)).unwrap();
+    assert_eq!(ready.len(), 120);
+    assert_eq!(distinct(&ready), 120);
+    assert!(ready.iter().all(|id| exist.contains(id)));
+    let rest: Vec<ObjectId> = ids.iter().copied().filter(|id| !ready.contains(id)).collect();
+    assert_eq!(pending, rest);
+
+    // More than are ready: every object that exists, once each, then the
+    // timeout.
+    let (ready, pending) = ctx.wait(&ids, ids.len(), Duration::from_millis(300)).unwrap();
+    assert_eq!(ready.len(), 300);
+    assert_eq!(distinct(&ready), 300);
+    assert!(ready.iter().all(|id| exist.contains(id)));
+    assert!(pending.iter().all(|id| !exist.contains(id)));
+    assert_eq!(distinct(&pending), 1000);
+    cluster.shutdown();
+}
+
+#[test]
+fn oversized_return_count_is_a_typed_error() {
+    use rustray::task::{TaskKind, TaskSpec};
+    use rustray::ActorHandle;
+
+    let cluster = small_cluster();
+    cluster.register_fn1("inc", |x: u64| x + 1);
+    let ctx = cluster.driver();
+    let arg = || vec![Arg::value(&1u64).unwrap()];
+    // Rejected before the return ids are computed, let alone allocated.
+    for n in [u64::MAX, 65_536] {
+        let err = ctx.submit("inc", arg(), TaskOptions::default().returns(n)).unwrap_err();
+        assert!(matches!(err, RayError::Invalid(_)), "{n} returns: {err:?}");
+    }
+    let nobody = ActorHandle::from_parts(ray_common::ActorId::random(), ObjectId::random());
+    let err = ctx.call_actor_multi(&nobody, "m", arg(), u64::MAX).unwrap_err();
+    assert!(matches!(err, RayError::Invalid(_)), "{err:?}");
+    // The cluster keeps serving.
+    let fut: ObjectRef<u64> = ctx.call("inc", arg()).unwrap();
+    assert_eq!(ctx.get(&fut).unwrap(), 2);
+    // The bound itself is a legal task: every return has an id that names it.
+    let spec = TaskSpec {
+        task: ray_common::TaskId::random(),
+        kind: TaskKind::Normal,
+        function: ray_common::FunctionId::for_name("inc"),
+        function_name: "inc".into(),
+        args: Vec::new(),
+        num_returns: 65_535,
+        demand: Resources::none(),
+        deadline_micros: None,
+        critical: false,
+    };
+    let returns = spec.return_ids();
+    assert_eq!(returns.len(), 65_535);
+    assert_eq!(returns.last().and_then(ObjectId::producer), Some(spec.task));
+    cluster.shutdown();
+}
+
+#[test]
 fn task_errors_propagate_through_get() {
     let cluster = small_cluster();
     cluster.register_raw("boom", |_: &RayContext, _: &[Bytes]| -> RemoteResult {
@@ -884,7 +961,7 @@ fn actor_methods_never_rewrite_the_actor_record() {
         // anything that arrives after the drain is a write of the record.
         let (tx, rx) = crossbeam_channel::unbounded();
         let key = Key::new(Table::Actor, h.id().0.as_bytes().to_vec());
-        shard.write(UpdateOp::Subscribe { key, sub_id, sender: tx }).unwrap();
+        shard.write(UpdateOp::Subscribe { keys: vec![key], sub_id, sender: tx }).unwrap();
         let warm: ObjectRef<i64> =
             ctx.call_actor(&h, "incr", vec![Arg::value(&0i64).unwrap()]).unwrap();
         ctx.get(&warm).unwrap();
@@ -909,6 +986,45 @@ fn actor_methods_never_rewrite_the_actor_record() {
         assert_eq!(gcs.get_actor(h.id()).unwrap().unwrap(), record);
     }
     assert_eq!(growth[0], growth[1], "GCS writes per method depend on constructor size");
+    cluster.shutdown();
+}
+
+#[test]
+fn an_empty_task_costs_two_gcs_writes() {
+    // Tracing off, lineage on, the default four shards, no flusher: the
+    // only GCS writes are the ones submit, the finishing worker and `wait`
+    // make.
+    let cluster = small_cluster();
+    cluster.register_fn1("inc", |x: u64| x + 1);
+    let ctx = cluster.driver();
+    let shards = cluster.gcs().num_shards();
+    let writes = || -> u64 {
+        (0..shards).map(|i| settled_writes(cluster.gcs().shard(ShardId(i as u32)))).sum()
+    };
+    let put = ctx.put(&7u64).unwrap();
+
+    const TASKS: u64 = 256;
+    let before = writes();
+    let ids: Vec<ObjectId> = (0..TASKS)
+        .map(|x| ctx.submit("inc", vec![Arg::value(&x).unwrap()], TaskOptions::default()).unwrap()[0])
+        .collect();
+    let (ready, pending) = ctx.wait(&ids, ids.len(), Duration::from_secs(60)).unwrap();
+    assert_eq!((ready.len(), pending.len()), (ids.len(), 0));
+    let growth = writes() - before;
+    // Per task: its spec, its result's location. Per `wait`: a subscribe
+    // and an unsubscribe per shard and per full op of keys.
+    let wait_ops = 2 * (shards as u64 + TASKS / ray_gcs::kv::MAX_SUBSCRIBE_KEYS as u64);
+    assert!(
+        (2 * TASKS..=2 * TASKS + wait_ops).contains(&growth),
+        "{TASKS} empty tasks and one wait made {growth} GCS writes"
+    );
+
+    // `cancel` reads the producer off the id: a `put` has none, a finished
+    // task has nothing left to stop, and neither answer touches the GCS.
+    let before = writes();
+    assert!(!ctx.cancel(put.id()).unwrap());
+    ctx.cancel(ids[0]).unwrap();
+    assert_eq!(writes(), before);
     cluster.shutdown();
 }
 

@@ -39,7 +39,7 @@ use std::sync::Arc;
 /// reconfiguration + retry stays under the paper's 30ms client-observed
 /// bound (Fig. 10a); false positives from slow ops are harmless (the
 /// master's probe finds everyone alive and the client just retries).
-const OP_TIMEOUT: Duration = Duration::from_millis(10);
+pub(crate) const OP_TIMEOUT: Duration = Duration::from_millis(10);
 /// How long the master waits for a probe reply before declaring a member
 /// dead.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(5);
@@ -545,17 +545,34 @@ mod tests {
     #[test]
     fn subscription_survives_tail_failover() {
         let chain = start_chain(2);
-        let key = Key::new(Table::Object, vec![5]);
+        let keys: Vec<Key> = (5..9u8).map(|i| Key::new(Table::Object, vec![i])).collect();
         let (tx, rx) = crossbeam_channel::unbounded();
+        let (other_tx, other_rx) = crossbeam_channel::unbounded();
+        chain.write(UpdateOp::Subscribe { keys: keys.clone(), sub_id: 1, sender: tx }).unwrap();
         chain
-            .write(UpdateOp::Subscribe { key: key.clone(), sub_id: 1, sender: tx })
+            .write(UpdateOp::Subscribe { keys: keys[..1].to_vec(), sub_id: 2, sender: other_tx })
             .unwrap();
         chain.crash_member(1); // Tail dies; subscription state must survive.
-        chain
-            .write(UpdateOp::SetAdd { key: key.clone(), member: vec![9] })
-            .unwrap();
-        let n = rx.recv_timeout(Duration::from_secs(2)).expect("notification after failover");
-        assert_eq!(n.key, key);
+        for key in &keys {
+            chain.write(UpdateOp::SetAdd { key: key.clone(), member: vec![9] }).unwrap();
+            // Every attempt of an acknowledged write has been applied, and
+            // a retried one notifies again: read up to the expected key.
+            while rx.recv_timeout(Duration::from_secs(2)).expect("notification after failover").key
+                != *key
+            {}
+        }
+        assert_eq!(other_rx.recv_timeout(Duration::from_secs(2)).unwrap().key, keys[0]);
+        // State transfer carried the subscription → keys index too: the
+        // replacement tail, now the one that notifies, drops all four keys
+        // of subscription 1 on one unsubscribe and leaves subscription 2.
+        chain.write(UpdateOp::Unsubscribe { sub_id: 1 }).unwrap();
+        while rx.try_recv().is_ok() {}
+        while other_rx.try_recv().is_ok() {}
+        for key in &keys {
+            chain.write(UpdateOp::SetAdd { key: key.clone(), member: vec![10] }).unwrap();
+        }
+        assert!(rx.try_recv().is_err(), "unsubscribed keys still notify after failover");
+        assert_eq!(other_rx.try_recv().unwrap().key, keys[0]);
         chain.shutdown();
     }
 

@@ -35,8 +35,10 @@ pub enum Table {
     Actor,
     /// Actor ID → latest checkpoint blob.
     Checkpoint,
-    /// Object ID → the task that creates it (inverse lineage edge, used to
-    /// find the re-execution entry point during reconstruction).
+    /// Object ID → the task that creates it. The runtime neither writes
+    /// nor reads it (a return object's ID names its producer); why the
+    /// table and its disk tag are still here is told at its accessors in
+    /// `tables.rs`.
     Lineage,
     /// Free-form event log entries for debugging/profiling tools.
     Event,
@@ -139,6 +141,15 @@ pub struct Notification {
 /// Channel end that receives [`Notification`]s for a subscription.
 pub type NotifySender = Sender<Notification>;
 
+/// Most keys one [`UpdateOp::Subscribe`] may carry; a larger set is split
+/// into several ops under one `sub_id`. An op is applied on every replica
+/// in turn inside the writer's 10 ms `chain::OP_TIMEOUT`, and a key costs a
+/// few allocations there (index entries, plus a notification when the entry
+/// exists). At 256 keys, every entry present, one apply takes 0.3 ms in a
+/// debug build — a thirtieth of the timeout, 0.6 ms at 512 — which
+/// `subscribe_apply_at_the_cap_is_far_under_the_op_timeout` keeps checked.
+pub const MAX_SUBSCRIBE_KEYS: usize = 256;
+
 /// A deterministic state-machine update. Replicas apply the same sequence
 /// of these, so chains stay consistent.
 #[derive(Clone)]
@@ -176,20 +187,21 @@ pub enum UpdateOp {
         /// Target key.
         key: Key,
     },
-    /// Register a subscriber for changes to a key. Subscriptions are part
-    /// of the replicated state so the commit point (tail) always has them.
+    /// Register a subscriber for changes to a set of keys. Subscriptions
+    /// are part of the replicated state so the commit point (tail) always
+    /// has them. Several ops may share a `sub_id` (their key sets add up);
+    /// a key is registered once per `(key, sub_id)` however often the op is
+    /// applied, because a writer whose ack timed out re-issues it.
     Subscribe {
-        /// Key to watch.
-        key: Key,
+        /// Keys to watch, at most [`MAX_SUBSCRIBE_KEYS`].
+        keys: Vec<Key>,
         /// Caller-chosen subscription ID (for unsubscribe).
         sub_id: u64,
         /// Where notifications are delivered.
         sender: NotifySender,
     },
-    /// Remove a subscriber.
+    /// Remove a subscriber from every key it watches on this shard.
     Unsubscribe {
-        /// Key that was watched.
-        key: Key,
         /// Subscription ID used at subscribe time.
         sub_id: u64,
     },
@@ -213,10 +225,10 @@ impl std::fmt::Debug for UpdateOp {
                 write!(f, "ListAppend({key:?}, {}B)", item.len())
             }
             UpdateOp::Delete { key } => write!(f, "Delete({key:?})"),
-            UpdateOp::Subscribe { key, sub_id, .. } => write!(f, "Subscribe({key:?}, {sub_id})"),
-            UpdateOp::Unsubscribe { key, sub_id } => {
-                write!(f, "Unsubscribe({key:?}, {sub_id})")
+            UpdateOp::Subscribe { keys, sub_id, .. } => {
+                write!(f, "Subscribe({} keys, {sub_id})", keys.len())
             }
+            UpdateOp::Unsubscribe { sub_id } => write!(f, "Unsubscribe({sub_id})"),
             UpdateOp::Flush { table, keep_entries } => {
                 write!(f, "Flush({table:?}, keep {keep_entries})")
             }
@@ -229,6 +241,7 @@ impl std::fmt::Debug for UpdateOp {
 pub struct ShardSnapshot {
     entries: HashMap<Key, Entry>,
     subs: HashMap<Key, Vec<(u64, NotifySender)>>,
+    sub_keys: BTreeMap<u64, Vec<Key>>,
     insert_order: BTreeMap<u64, Key>,
     key_order_seq: HashMap<Key, u64>,
     next_order_seq: u64,
@@ -237,7 +250,11 @@ pub struct ShardSnapshot {
 /// In-memory state of one shard replica.
 pub struct ShardState {
     entries: HashMap<Key, Entry>,
+    /// Key → its watchers, in registration order.
     subs: HashMap<Key, Vec<(u64, NotifySender)>>,
+    /// Subscription → the keys it is registered under in `subs`: what an
+    /// `Unsubscribe` has to visit.
+    sub_keys: BTreeMap<u64, Vec<Key>>,
     /// Insertion order of entries in flushable tables (order seq → key).
     insert_order: BTreeMap<u64, Key>,
     key_order_seq: HashMap<Key, u64>,
@@ -254,6 +271,7 @@ impl ShardState {
         ShardState {
             entries: HashMap::new(),
             subs: HashMap::new(),
+            sub_keys: BTreeMap::new(),
             insert_order: BTreeMap::new(),
             key_order_seq: HashMap::new(),
             next_order_seq: 0,
@@ -375,46 +393,36 @@ impl ShardState {
                 if let Some(seq) = self.key_order_seq.remove(key) {
                     self.insert_order.remove(&seq);
                 }
-                let notifs = self
-                    .subs
-                    .get(key)
-                    .map(|subs| {
-                        subs.iter()
-                            .map(|(_, tx)| {
-                                (tx.clone(), Notification { key: key.clone(), entry: None })
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                (notifs, 0)
+                (self.notifications_for(key), 0)
             }
-            UpdateOp::Subscribe { key, sub_id, sender } => {
-                let subs = self.subs.entry(key.clone()).or_default();
-                if !subs.iter().any(|(id, _)| id == sub_id) {
-                    subs.push((*sub_id, sender.clone()));
+            UpdateOp::Subscribe { keys, sub_id, sender } => {
+                let watched = self.sub_keys.entry(*sub_id).or_default();
+                let mut notifs = Vec::new();
+                for key in keys {
+                    let watchers = self.subs.entry(key.clone()).or_default();
+                    if !watchers.iter().any(|(id, _)| id == sub_id) {
+                        watchers.push((*sub_id, sender.clone()));
+                        watched.push(key.clone());
+                    }
+                    // If the entry already exists, notify immediately so the
+                    // subscriber never misses a creation that beat the
+                    // subscription (paper Fig. 7b step 2 registers a callback
+                    // only when the entry is absent; delivering current state
+                    // on subscribe closes the race).
+                    if let Some(e) = self.entries.get(key) {
+                        let current = Notification { key: key.clone(), entry: Some(e.clone()) };
+                        notifs.push((sender.clone(), current));
+                    }
                 }
-                // If the entry already exists, notify immediately so the
-                // subscriber never misses a creation that beat the
-                // subscription (paper Fig. 7b step 2 registers a callback
-                // only when the entry is absent; delivering current state on
-                // subscribe closes the race).
-                let notifs = self
-                    .entries
-                    .get(key)
-                    .map(|e| {
-                        vec![(
-                            sender.clone(),
-                            Notification { key: key.clone(), entry: Some(e.clone()) },
-                        )]
-                    })
-                    .unwrap_or_default();
                 (notifs, 0)
             }
-            UpdateOp::Unsubscribe { key, sub_id } => {
-                if let Some(subs) = self.subs.get_mut(key) {
-                    subs.retain(|(id, _)| id != sub_id);
-                    if subs.is_empty() {
-                        self.subs.remove(key);
+            UpdateOp::Unsubscribe { sub_id } => {
+                for key in self.sub_keys.remove(sub_id).unwrap_or_default() {
+                    if let Some(watchers) = self.subs.get_mut(&key) {
+                        watchers.retain(|(id, _)| id != sub_id);
+                        if watchers.is_empty() {
+                            self.subs.remove(&key);
+                        }
                     }
                 }
                 (Vec::new(), 0)
@@ -459,9 +467,10 @@ impl ShardState {
     fn notifications_for(&self, key: &Key) -> Vec<(NotifySender, Notification)> {
         match self.subs.get(key) {
             None => Vec::new(),
-            Some(subs) => {
+            Some(watchers) => {
                 let entry = self.entries.get(key).cloned();
-                subs.iter()
+                watchers
+                    .iter()
                     .map(|(_, tx)| {
                         (tx.clone(), Notification { key: key.clone(), entry: entry.clone() })
                     })
@@ -475,6 +484,7 @@ impl ShardState {
         ShardSnapshot {
             entries: self.entries.clone(),
             subs: self.subs.clone(),
+            sub_keys: self.sub_keys.clone(),
             insert_order: self.insert_order.clone(),
             key_order_seq: self.key_order_seq.clone(),
             next_order_seq: self.next_order_seq,
@@ -496,6 +506,7 @@ impl ShardState {
         self.charge(new_weight - old_weight);
         self.entries = snap.entries;
         self.subs = snap.subs;
+        self.sub_keys = snap.sub_keys;
         self.insert_order = snap.insert_order;
         self.key_order_seq = snap.key_order_seq;
         self.next_order_seq = snap.next_order_seq;
@@ -557,43 +568,138 @@ mod tests {
         }
     }
 
+    fn subscribe(keys: &[Key], sub_id: u64, sender: &NotifySender) -> UpdateOp {
+        UpdateOp::Subscribe { keys: keys.to_vec(), sub_id, sender: sender.clone() }
+    }
+
+    /// What a receiver holds right now, by key (the stand-in crossbeam used
+    /// for offline builds has no `try_iter`).
+    fn drain_keys(rx: &crossbeam_channel::Receiver<Notification>) -> Vec<Key> {
+        std::iter::from_fn(|| rx.try_recv().ok()).map(|n| n.key).collect()
+    }
+
+    /// Delivers what an apply returned (the tail's job) and reports how many.
+    fn deliver(notifs: Vec<(NotifySender, Notification)>) -> usize {
+        let n = notifs.len();
+        for (tx, notification) in notifs {
+            tx.send(notification).unwrap();
+        }
+        n
+    }
+
     #[test]
     fn subscribe_notifies_on_update_and_on_existing_entry() {
         let mut s = state();
         let k = key(1);
         let (tx, rx) = unbounded();
         // Subscribe before creation: no immediate notification.
-        let (notifs, _) =
-            s.apply(&UpdateOp::Subscribe { key: k.clone(), sub_id: 1, sender: tx.clone() });
+        let (notifs, _) = s.apply(&subscribe(std::slice::from_ref(&k), 1, &tx));
         assert!(notifs.is_empty());
         // Update fires a notification.
         let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k.clone(), member: vec![9] });
-        assert_eq!(notifs.len(), 1);
-        for (tx, n) in notifs {
-            tx.send(n).unwrap();
-        }
+        assert_eq!(deliver(notifs), 1);
         let n = rx.try_recv().unwrap();
         assert_eq!(n.key, k);
         assert!(matches!(n.entry, Some(Entry::Set(_))));
         // Subscribing after creation delivers current state immediately.
         let (tx2, rx2) = unbounded();
-        let (notifs, _) = s.apply(&UpdateOp::Subscribe { key: k.clone(), sub_id: 2, sender: tx2 });
-        assert_eq!(notifs.len(), 1);
-        for (tx, n) in notifs {
-            tx.send(n).unwrap();
-        }
+        let (notifs, _) = s.apply(&subscribe(std::slice::from_ref(&k), 2, &tx2));
+        assert_eq!(deliver(notifs), 1);
         assert!(rx2.try_recv().is_ok());
     }
 
     #[test]
-    fn unsubscribe_stops_notifications() {
+    fn key_set_subscribe_covers_existing_and_future_keys() {
         let mut s = state();
-        let k = key(2);
-        let (tx, _rx) = unbounded();
-        s.apply(&UpdateOp::Subscribe { key: k.clone(), sub_id: 7, sender: tx });
-        s.apply(&UpdateOp::Unsubscribe { key: k.clone(), sub_id: 7 });
-        let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k.clone(), member: vec![1] });
+        let keys: Vec<Key> = (0..6u8).map(key).collect();
+        for k in &keys[..3] {
+            s.apply(&UpdateOp::SetAdd { key: k.clone(), member: vec![1] });
+        }
+        let (tx, rx) = unbounded();
+        // The three entries that exist are delivered by the subscribe itself,
+        // in key order of the op.
+        let (notifs, _) = s.apply(&subscribe(&keys, 1, &tx));
+        assert_eq!(deliver(notifs), 3);
+        assert_eq!(drain_keys(&rx), keys[..3]);
+        // The other three fire as they are created.
+        for k in &keys[3..] {
+            let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k.clone(), member: vec![1] });
+            assert_eq!(deliver(notifs), 1);
+            assert_eq!(rx.try_recv().unwrap().key, *k);
+        }
+        // A key outside the set stays silent.
+        let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: key(9), member: vec![1] });
         assert!(notifs.is_empty());
+    }
+
+    #[test]
+    fn replayed_subscribe_registers_once() {
+        let mut s = state();
+        let keys: Vec<Key> = (0..4u8).map(key).collect();
+        let (tx, _rx) = unbounded();
+        // A writer whose ack timed out re-issues the op; a second op of the
+        // same subscription overlaps the first.
+        s.apply(&subscribe(&keys, 1, &tx));
+        s.apply(&subscribe(&keys, 1, &tx));
+        s.apply(&subscribe(&keys[2..], 1, &tx));
+        for k in &keys {
+            let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k.clone(), member: vec![1] });
+            assert_eq!(notifs.len(), 1, "{k:?} notifies once per write");
+        }
+        assert_eq!(s.sub_keys.get(&1).map(Vec::len), Some(keys.len()));
+    }
+
+    #[test]
+    fn unsubscribe_silences_the_whole_subscription_and_no_other() {
+        let mut s = state();
+        let keys: Vec<Key> = (0..4u8).map(key).collect();
+        let (tx, _rx) = unbounded();
+        let (other_tx, other_rx) = unbounded();
+        // Subscription 7 is built from two ops; 8 shares one of its keys.
+        s.apply(&subscribe(&keys[..2], 7, &tx));
+        s.apply(&subscribe(&keys[2..], 7, &tx));
+        s.apply(&subscribe(&keys[1..2], 8, &other_tx));
+        s.apply(&UpdateOp::Unsubscribe { sub_id: 7 });
+        for k in &keys {
+            let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k.clone(), member: vec![1] });
+            deliver(notifs);
+        }
+        assert_eq!(drain_keys(&other_rx), keys[1..2], "only subscription 8 is still registered");
+        // Nothing of 7 is left behind; unsubscribing again is a no-op.
+        assert!(!s.sub_keys.contains_key(&7));
+        assert_eq!(s.subs.len(), 1);
+        s.apply(&UpdateOp::Unsubscribe { sub_id: 7 });
+        s.apply(&UpdateOp::Unsubscribe { sub_id: 8 });
+        assert!(s.subs.is_empty() && s.sub_keys.is_empty());
+    }
+
+    #[test]
+    fn subscribe_apply_at_the_cap_is_far_under_the_op_timeout() {
+        // The costly shape: every entry exists, so every key also clones its
+        // entry into a notification. Best of five keeps a descheduled
+        // test thread from deciding the result.
+        let mut s = state();
+        let keys: Vec<Key> =
+            (0..MAX_SUBSCRIBE_KEYS as u64).map(|i| Key::new(Table::Object, i.to_le_bytes())).collect();
+        for k in &keys {
+            s.apply(&UpdateOp::SetAdd { key: k.clone(), member: vec![0; 12] });
+        }
+        let (tx, _rx) = unbounded();
+        let best = (0..5u64)
+            .map(|sub_id| {
+                let op = subscribe(&keys, sub_id, &tx);
+                let start = std::time::Instant::now();
+                let (notifs, _) = s.apply(&op);
+                let took = start.elapsed();
+                assert_eq!(notifs.len(), keys.len());
+                took
+            })
+            .min()
+            .unwrap();
+        assert!(
+            best * 8 < crate::chain::OP_TIMEOUT,
+            "a {MAX_SUBSCRIBE_KEYS}-key subscribe took {best:?} to apply"
+        );
     }
 
     #[test]
@@ -602,7 +708,7 @@ mod tests {
         let k = key(3);
         s.apply(&UpdateOp::SetAdd { key: k.clone(), member: vec![1] });
         let (tx, rx) = unbounded();
-        s.apply(&UpdateOp::Subscribe { key: k.clone(), sub_id: 1, sender: tx });
+        s.apply(&subscribe(std::slice::from_ref(&k), 1, &tx));
         rx.try_recv().ok(); // Drain the subscribe-time snapshot (delivered by caller normally).
         let (notifs, _) = s.apply(&UpdateOp::Delete { key: k.clone() });
         assert_eq!(notifs.len(), 1);

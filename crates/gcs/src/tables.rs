@@ -7,6 +7,7 @@
 //! Keys are routed to shards by ID digest, exactly like "GCS tables are
 //! sharded by object and task IDs" (§4.2.4).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,7 +21,7 @@ use ray_common::util::{fnv1a_64, retry, Backoff};
 use ray_common::{ActorId, FunctionId, NodeId, ObjectId, RayError, RayResult, TaskId};
 
 use crate::chain::Chain;
-use crate::kv::{Entry, Key, Notification, Table, UpdateOp};
+use crate::kv::{Entry, Key, Notification, Table, UpdateOp, MAX_SUBSCRIBE_KEYS};
 
 /// A recorded object replica: which node holds it and how large it is.
 ///
@@ -131,11 +132,15 @@ fn method_log_key(actor: ActorId, seq: u64) -> Vec<u8> {
     k
 }
 
+/// Source of subscription IDs. Process-wide, not per client: an
+/// `Unsubscribe` names nothing but the ID, so two clients of one GCS (every
+/// [`crate::Gcs::client`] call makes a new one) must never share one.
+static NEXT_SUB_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Cheap-clone typed handle to the GCS.
 #[derive(Clone)]
 pub struct GcsClient {
     shards: Arc<Vec<Chain>>,
-    next_sub_id: Arc<AtomicU64>,
     metrics: MetricsRegistry,
     retry_limit: u32,
 }
@@ -152,7 +157,6 @@ impl GcsClient {
     pub fn new(shards: Arc<Vec<Chain>>) -> GcsClient {
         GcsClient {
             shards,
-            next_sub_id: Arc::new(AtomicU64::new(1)),
             metrics: MetricsRegistry::new(),
             retry_limit: GCS_RETRY_LIMIT,
         }
@@ -170,9 +174,12 @@ impl GcsClient {
         self
     }
 
+    fn shard_index(&self, key: &Key) -> usize {
+        (fnv1a_64(&key.id) % self.shards.len() as u64) as usize
+    }
+
     fn shard_for(&self, key: &Key) -> &Chain {
-        let digest = fnv1a_64(&key.id);
-        &self.shards[(digest % self.shards.len() as u64) as usize]
+        &self.shards[self.shard_index(key)]
     }
 
     /// Whether a chain error is worth a client-side backoff-and-retry:
@@ -184,11 +191,11 @@ impl GcsClient {
         matches!(e, RayError::Timeout | RayError::GcsUnavailable(_))
     }
 
-    /// Runs one chain operation on `key`'s shard, retrying retryable
-    /// errors up to the client's budget and counting each retry.
-    fn with_retry<T>(&self, key: &Key, op: impl FnMut() -> RayResult<T>) -> RayResult<T> {
-        let backoff =
-            Backoff::new(Duration::from_millis(2), Duration::from_millis(25), fnv1a_64(&key.id));
+    /// Runs one chain operation, retrying retryable errors up to the
+    /// client's budget and counting each retry; `seed` (the key's hash, or
+    /// the subscription's ID) fixes the backoff jitter.
+    fn with_retry<T>(&self, seed: u64, op: impl FnMut() -> RayResult<T>) -> RayResult<T> {
+        let backoff = Backoff::new(Duration::from_millis(2), Duration::from_millis(25), seed);
         let counted = |e: &RayError, _| {
             let again = Self::is_retryable(e);
             if again {
@@ -199,22 +206,27 @@ impl GcsClient {
         retry(backoff, self.retry_limit, counted, op)
     }
 
-    /// Issues a fully-formed update with backoff-and-retry. All GCS writes
-    /// — including subscription ops, whose replays are deduplicated by
-    /// `sub_id` at the replicas — go through here.
-    fn write_op(&self, key: &Key, op: UpdateOp) -> RayResult<()> {
-        let shard = self.shard_for(key);
-        self.with_retry(key, || shard.write(op.clone()))
+    /// Issues an update on `key`'s shard with backoff-and-retry.
+    fn write(&self, key: Key, op: impl FnOnce(Key) -> UpdateOp) -> RayResult<()> {
+        let shard = self.shard_for(&key);
+        let seed = fnv1a_64(&key.id);
+        let op = op(key);
+        self.with_retry(seed, || shard.write(op.clone()))
     }
 
-    fn write(&self, key: Key, op: impl FnOnce(Key) -> UpdateOp) -> RayResult<()> {
-        let op = op(key.clone());
-        self.write_op(&key, op)
+    /// Issues a subscription op on one shard, with the same retry. A replay
+    /// is harmless: the replicas register each `(key, sub_id)` once.
+    fn write_subscription(&self, shard: usize, sub_id: u64, op: UpdateOp) -> RayResult<()> {
+        let chain = self
+            .shards
+            .get(shard)
+            .ok_or_else(|| RayError::Invalid(format!("no GCS shard {shard}")))?;
+        self.with_retry(sub_id, || chain.write(op.clone()))
     }
 
     fn read(&self, key: &Key) -> RayResult<Option<Entry>> {
         let shard = self.shard_for(key);
-        self.with_retry(key, || shard.read(key))
+        self.with_retry(fnv1a_64(&key.id), || shard.read(key))
     }
 
     // ------------------------------------------------------------------
@@ -289,31 +301,36 @@ impl GcsClient {
     /// already exists, a notification with the current state is delivered
     /// immediately (closing the create/subscribe race of Fig. 7b).
     pub fn subscribe_object(&self, object: ObjectId) -> RayResult<ObjectSubscription> {
-        let key = Key::new(Table::Object, object.0.as_bytes().to_vec());
+        self.subscribe_objects(&[object])
+    }
+
+    /// Subscribes one channel to the location entries of all of `objects`
+    /// (the event-driven `ray.wait`): the ids are grouped by shard and each
+    /// shard registers its group with one update per
+    /// [`MAX_SUBSCRIBE_KEYS`] keys. Entries that already exist are
+    /// delivered at once, like [`Self::subscribe_object`]. If a shard's
+    /// subscribe fails, the error is returned and the shards already
+    /// subscribed are unsubscribed.
+    pub fn subscribe_objects(&self, objects: &[ObjectId]) -> RayResult<ObjectSubscription> {
+        let mut by_shard: BTreeMap<usize, Vec<Key>> = BTreeMap::new();
+        for object in objects {
+            let key = Key::new(Table::Object, object.0.as_bytes().to_vec());
+            by_shard.entry(self.shard_index(&key)).or_default().push(key);
+        }
         let (tx, rx) = unbounded();
-        let sub_id = self.next_sub_id.fetch_add(1, Ordering::Relaxed);
-        self.write_op(&key, UpdateOp::Subscribe { key: key.clone(), sub_id, sender: tx })?;
-        Ok(ObjectSubscription { client: self.clone(), key, sub_id, rx })
-    }
-
-    /// Subscribes `sender` to `object`'s location entry, multiplexing many
-    /// objects onto one channel (the event-driven `ray.wait` uses this).
-    /// Returns the subscription ID for [`Self::unsubscribe_object`].
-    pub fn subscribe_object_shared(
-        &self,
-        object: ObjectId,
-        sender: crate::kv::NotifySender,
-    ) -> RayResult<u64> {
-        let key = Key::new(Table::Object, object.0.as_bytes().to_vec());
-        let sub_id = self.next_sub_id.fetch_add(1, Ordering::Relaxed);
-        self.write_op(&key, UpdateOp::Subscribe { key: key.clone(), sub_id, sender })?;
-        Ok(sub_id)
-    }
-
-    /// Removes a subscription created by [`Self::subscribe_object_shared`].
-    pub fn unsubscribe_object(&self, object: ObjectId, sub_id: u64) -> RayResult<()> {
-        let key = Key::new(Table::Object, object.0.as_bytes().to_vec());
-        self.write_op(&key, UpdateOp::Unsubscribe { key: key.clone(), sub_id })
+        let sub_id = NEXT_SUB_ID.fetch_add(1, Ordering::Relaxed);
+        let mut sub =
+            ObjectSubscription { client: self.clone(), sub_id, shards: Vec::new(), rx };
+        for (shard, keys) in by_shard {
+            // Listed before the write: a subscribe that reports failure may
+            // still have been applied, and dropping `sub` must undo it.
+            sub.shards.push(shard);
+            for chunk in keys.chunks(MAX_SUBSCRIBE_KEYS) {
+                let op = UpdateOp::Subscribe { keys: chunk.to_vec(), sub_id, sender: tx.clone() };
+                self.write_subscription(shard, sub_id, op)?;
+            }
+        }
+        Ok(sub)
     }
 
     // ------------------------------------------------------------------
@@ -338,20 +355,21 @@ impl GcsClient {
     }
 
     // ------------------------------------------------------------------
-    // Lineage table (object → creating task).
+    // Lineage table (object → creating task). Plain table accessors: the
+    // runtime finds a return object's task with `ObjectId::producer` and
+    // calls neither. They stay for the benchmark's
+    // `gcs.put_object_lineage_us` probe and `check::ConsistencyChecker`,
+    // and go when a benchmark change retires the probe.
     // ------------------------------------------------------------------
 
-    /// Records that `object` is created by `task` — the inverse data edge
-    /// the reconstruction path follows from a lost object back into the
-    /// task table.
+    /// Records that `object` is created by `task`.
     pub fn put_object_lineage(&self, object: ObjectId, task: TaskId) -> RayResult<()> {
         let key = Key::new(Table::Lineage, object.0.as_bytes().to_vec());
         let value = Bytes::copy_from_slice(&task.0.as_bytes());
         self.write(key, |key| UpdateOp::Put { key, value })
     }
 
-    /// Looks up which task creates `object` (`None` for `put` objects,
-    /// which have no lineage and cannot be reconstructed).
+    /// Looks up the task recorded by [`Self::put_object_lineage`].
     pub fn get_object_lineage(&self, object: ObjectId) -> RayResult<Option<TaskId>> {
         let key = Key::new(Table::Lineage, object.0.as_bytes().to_vec());
         match self.read(&key)? {
@@ -543,11 +561,13 @@ impl GcsClient {
 /// (distinct from the application timeline topic in `rustray::inspect`).
 pub const TRACE_TOPIC: &str = "__trace__";
 
-/// Live subscription to one object's location entry; unsubscribes on drop.
+/// Live subscription to the location entries of one or more objects;
+/// unsubscribes on drop, with one update per shard it touched.
 pub struct ObjectSubscription {
     client: GcsClient,
-    key: Key,
     sub_id: u64,
+    /// Indices of the shards a `Subscribe` was sent to.
+    shards: Vec<usize>,
     rx: Receiver<Notification>,
 }
 
@@ -557,8 +577,9 @@ impl ObjectSubscription {
         &self.rx
     }
 
-    /// Blocks until the object has at least one location, or the timeout
-    /// expires. Returns the locations seen in the triggering notification.
+    /// Blocks until a subscribed object has at least one location, or the
+    /// timeout expires. Returns the locations seen in the triggering
+    /// notification.
     pub fn wait_for_location(
         &self,
         timeout: std::time::Duration,
@@ -586,10 +607,10 @@ impl ObjectSubscription {
 
 impl Drop for ObjectSubscription {
     fn drop(&mut self) {
-        let _ = self.client.write_op(
-            &self.key,
-            UpdateOp::Unsubscribe { key: self.key.clone(), sub_id: self.sub_id },
-        );
+        for &shard in &self.shards {
+            let op = UpdateOp::Unsubscribe { sub_id: self.sub_id };
+            let _ = self.client.write_subscription(shard, self.sub_id, op);
+        }
     }
 }
 
@@ -673,6 +694,76 @@ mod tests {
         let sub = c.subscribe_object(id).unwrap();
         let locs = sub.wait_for_location(Duration::from_secs(1)).unwrap();
         assert_eq!(locs[0].node, NodeId(1));
+    }
+
+    /// Object ids that between them land on every shard of `c`, `per_shard`
+    /// on each.
+    fn ids_on_every_shard(c: &GcsClient, per_shard: usize) -> Vec<ObjectId> {
+        let mut by_shard = vec![Vec::new(); c.shards.len()];
+        while by_shard.iter().any(|ids| ids.len() < per_shard) {
+            let id = ObjectId::random();
+            let shard = c.shard_index(&Key::new(Table::Object, id.0.as_bytes().to_vec()));
+            if by_shard[shard].len() < per_shard {
+                by_shard[shard].push(id);
+            }
+        }
+        by_shard.concat()
+    }
+
+    #[test]
+    fn one_subscription_covers_ids_on_every_shard() {
+        let (gcs, c) = client();
+        let ids = ids_on_every_shard(&c, 3);
+        // Half exist before the subscribe, half are created after it.
+        let (early, late) = ids.split_at(ids.len() / 2);
+        for &id in early {
+            c.add_object_location(id, NodeId(1), 8).unwrap();
+        }
+        let before: u64 = (0..2).map(|i| gcs.shard(ray_common::ShardId(i)).committed_updates()).sum();
+        let sub = c.subscribe_objects(&ids).unwrap();
+        let after: u64 = (0..2).map(|i| gcs.shard(ray_common::ShardId(i)).committed_updates()).sum();
+        assert_eq!(after - before, 2, "one subscribe per shard, not one per id");
+        for &id in late {
+            c.add_object_location(id, NodeId(2), 8).unwrap();
+        }
+        let mut seen = std::collections::BTreeSet::new();
+        while seen.len() < ids.len() {
+            let n = sub.receiver().recv_timeout(Duration::from_secs(2)).expect("notification");
+            seen.insert(n.key.id);
+        }
+        let want: std::collections::BTreeSet<Vec<u8>> =
+            ids.iter().map(|id| id.0.as_bytes().to_vec()).collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn dropping_a_subscription_leaves_no_subscriber_on_any_shard() {
+        let (_gcs, c) = client();
+        let ids = ids_on_every_shard(&c, 2);
+        let sub = c.subscribe_objects(&ids).unwrap();
+        // A second handle on the channel: a subscriber left behind could
+        // still deliver into it after the subscription is gone.
+        let rx = sub.receiver().clone();
+        drop(sub);
+        for &id in &ids {
+            // The tail notifies before it acknowledges, so whatever this
+            // write delivers is in the channel when it returns.
+            c.add_object_location(id, NodeId(1), 8).unwrap();
+        }
+        assert!(rx.try_recv().is_err(), "a dropped subscription still notifies");
+    }
+
+    #[test]
+    fn failed_subscribe_undoes_the_shards_already_subscribed() {
+        let (gcs, c) = client();
+        let ids = ids_on_every_shard(&c, 2);
+        // Shard 1 is gone: its subscribe fails outright, after shard 0's
+        // has been applied.
+        gcs.shard(ray_common::ShardId(1)).shutdown();
+        let shard0 = gcs.shard(ray_common::ShardId(0));
+        let before = shard0.committed_updates();
+        assert!(matches!(c.subscribe_objects(&ids), Err(RayError::Shutdown(_))));
+        assert_eq!(shard0.committed_updates() - before, 2, "the subscribe and its undo");
     }
 
     #[test]

@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bytes::Bytes;
-use crossbeam_channel::Sender;
 use ray_common::sync::{classes, OrderedCondvar, OrderedMutex};
 
 use ray_common::config::ObjectStoreConfig;
@@ -48,7 +47,6 @@ struct StoreMap {
     /// access_seq → id; the BTreeMap head is the LRU victim.
     lru: BTreeMap<u64, ObjectId>,
     resident_bytes: usize,
-    waiters: HashMap<ObjectId, Vec<Sender<Bytes>>>,
 }
 
 /// A per-node object store.
@@ -86,7 +84,6 @@ impl LocalObjectStore {
                 objects: HashMap::new(),
                 lru: BTreeMap::new(),
                 resident_bytes: 0,
-                waiters: HashMap::new(),
             }),
             sealed_cond: OrderedCondvar::new(),
             access_counter: AtomicU64::new(0),
@@ -155,7 +152,6 @@ impl LocalObjectStore {
             return Err(RayError::StoreFull { requested: data.len(), capacity: self.capacity });
         }
         let mut outcome = PutOutcome::default();
-        let waiters;
         {
             let mut map = self.map.lock();
             if let Some(slot) = map.objects.get(&id) {
@@ -187,7 +183,6 @@ impl LocalObjectStore {
             map.resident_bytes += data.len();
             map.lru.insert(seq, id);
             map.objects.insert(id, Slot { data: data.clone(), access_seq: seq });
-            waiters = map.waiters.remove(&id);
         }
         self.puts.fetch_add(1, Ordering::Relaxed);
         if self.tracer.is_enabled() {
@@ -210,11 +205,6 @@ impl LocalObjectStore {
                 TraceEntity::Object(id),
                 format!("bytes={}", data.len()),
             );
-        }
-        if let Some(ws) = waiters {
-            for w in ws {
-                let _ = w.send(data.clone());
-            }
         }
         self.sealed_cond.notify_all();
         Ok(outcome)
@@ -263,43 +253,11 @@ impl LocalObjectStore {
         }
     }
 
-    /// Registers a waiter channel notified (with the payload) when the
-    /// object is created locally. Fires immediately if already present.
-    pub fn notify_on_local(&self, id: ObjectId, tx: Sender<Bytes>) {
-        let mut map = self.map.lock();
-        if let Some(slot) = map.objects.get(&id) {
-            let _ = tx.send(slot.data.clone());
-            return;
-        }
-        if let Some(b) = self.spill.read(id) {
-            let _ = tx.send(b);
-            return;
-        }
-        map.waiters.entry(id).or_default().push(tx);
-    }
-
-    /// Drops every waiter registered for `id` without firing it. Used when
-    /// the object will never materialize here — its producer was cancelled,
-    /// or the object was deleted — so registrations don't leak. Returns the
-    /// number of waiters dropped.
-    pub fn drop_waiters(&self, id: ObjectId) -> usize {
-        self.map.lock().waiters.remove(&id).map_or(0, |ws| ws.len())
-    }
-
-    /// Number of waiters currently registered for `id` (diagnostics,
-    /// leak-regression tests).
-    pub fn waiter_count(&self, id: ObjectId) -> usize {
-        self.map.lock().waiters.get(&id).map_or(0, |ws| ws.len())
-    }
-
     /// Removes one object from memory and spill (explicit `free` of
     /// consumed intermediates, lineage-reconstruction resets, tests).
-    /// Waiters registered for the object are dropped, not fired: their
-    /// channel disconnects, which a blocked receiver observes as an error.
     pub fn delete(&self, id: ObjectId) -> bool {
         let from_memory = {
             let mut map = self.map.lock();
-            map.waiters.remove(&id);
             if let Some(slot) = map.objects.remove(&id) {
                 map.resident_bytes -= slot.data.len();
                 map.lru.remove(&slot.access_seq);
@@ -319,7 +277,6 @@ impl LocalObjectStore {
         map.objects.clear();
         map.lru.clear();
         map.resident_bytes = 0;
-        map.waiters.clear();
         self.spill.clear();
     }
 
@@ -562,51 +519,6 @@ mod tests {
             s.wait_local(ObjectId::random(), Duration::from_millis(20)).unwrap_err(),
             RayError::Timeout
         );
-    }
-
-    #[test]
-    fn notify_on_local_fires_for_existing_and_future_objects() {
-        let s = store(1024, true);
-        let existing = ObjectId::random();
-        s.put(existing, Bytes::from_static(b"now")).unwrap();
-        let (tx, rx) = crossbeam_channel::unbounded();
-        s.notify_on_local(existing, tx);
-        assert_eq!(rx.try_recv().unwrap(), Bytes::from_static(b"now"));
-
-        let future = ObjectId::random();
-        let (tx2, rx2) = crossbeam_channel::unbounded();
-        s.notify_on_local(future, tx2);
-        assert!(rx2.try_recv().is_err());
-        s.put(future, Bytes::from_static(b"later")).unwrap();
-        assert_eq!(rx2.recv_timeout(Duration::from_secs(1)).unwrap(), Bytes::from_static(b"later"));
-    }
-
-    // Regression: waiters for objects that are deleted (or whose producer
-    // is cancelled and will never put) used to sit in the waiter map
-    // forever. Deregistration must drop them and disconnect the channel.
-    #[test]
-    fn waiters_for_dead_objects_are_deregistered() {
-        let s = store(1024, true);
-        let never = ObjectId::random();
-        let (tx, rx) = crossbeam_channel::unbounded();
-        s.notify_on_local(never, tx);
-        assert_eq!(s.waiter_count(never), 1);
-
-        // Explicit deregistration (cancelled producer).
-        assert_eq!(s.drop_waiters(never), 1);
-        assert_eq!(s.waiter_count(never), 0);
-        assert_eq!(rx.try_recv().unwrap_err(), crossbeam_channel::TryRecvError::Disconnected);
-
-        // Deleting an object drops its waiters too.
-        let doomed = ObjectId::random();
-        s.put(doomed, Bytes::from_static(b"x")).unwrap();
-        s.delete(doomed);
-        let (tx2, rx2) = crossbeam_channel::unbounded();
-        s.notify_on_local(doomed, tx2);
-        assert_eq!(s.waiter_count(doomed), 1);
-        s.delete(doomed);
-        assert_eq!(s.waiter_count(doomed), 0);
-        assert_eq!(rx2.try_recv().unwrap_err(), crossbeam_channel::TryRecvError::Disconnected);
     }
 
     #[test]

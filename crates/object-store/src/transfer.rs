@@ -18,7 +18,7 @@ use ray_common::metrics::{names, MetricsRegistry};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
 use ray_common::util::{retry, Backoff};
 use ray_common::{NodeId, ObjectId, RayError, RayResult};
-use ray_gcs::tables::GcsClient;
+use ray_gcs::tables::{GcsClient, ObjectLocation};
 use ray_transport::Fabric;
 
 use crate::store::{copy_payload, LocalObjectStore};
@@ -151,9 +151,10 @@ impl TransferManager {
             let mut fetched: Option<(NodeId, Bytes)> = None;
             for loc in &locations {
                 if loc.node == to {
-                    // A stale self-location (we just checked the local
-                    // store): fall through to other replicas.
-                    continue;
+                    match self.recheck_self_location(&local, id, *loc) {
+                        Some(b) => return Ok(b),
+                        None => continue,
+                    }
                 }
                 knew_of_replicas = true;
                 if !self.fabric.is_alive(loc.node) {
@@ -237,6 +238,26 @@ impl TransferManager {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// The object table lists `loc.node`'s own store, which missed a moment
+    /// ago. A local put publishes its location only after sealing, so a
+    /// second look decides it: a hit is a put that raced the first look; a
+    /// second miss proves the row stale (a previous incarnation of the node
+    /// wrote it — node death leaves object rows behind) and it is repaired
+    /// like any other node's. Left in place, a stale row that is the only
+    /// one makes every subscribe deliver it at once and the fetch loop spin.
+    fn recheck_self_location(
+        &self,
+        local: &LocalObjectStore,
+        id: ObjectId,
+        loc: ObjectLocation,
+    ) -> Option<Bytes> {
+        let sealed = local.get_local(id);
+        if sealed.is_none() {
+            let _ = self.gcs.remove_object_location(id, loc.node, loc.size);
+        }
+        sealed
     }
 
     /// One wire transfer with bounded retry on transient (dropped-message)
@@ -420,6 +441,38 @@ mod tests {
         r.stores[0].delete(id);
         let got = r.tm.fetch(id, NodeId(2), Duration::from_secs(1)).unwrap();
         assert_eq!(got, Bytes::from_static(b"dup"));
+    }
+
+    #[test]
+    fn stale_self_location_is_repaired_not_spun_on() {
+        // What a restarted node finds: the object table says it holds the
+        // object (its previous incarnation did), its store is empty, and
+        // nobody else has a copy.
+        let r = rig(2);
+        let id = ObjectId::random();
+        r.client.add_object_location(id, NodeId(1), 4).unwrap();
+        let shard = r._gcs.shard(ray_common::ShardId(0));
+        let before = shard.committed_updates();
+        let err = r.tm.fetch(id, NodeId(1), Duration::from_millis(100)).unwrap_err();
+        assert_eq!(err, RayError::Timeout);
+        // Repair the row, subscribe, unsubscribe — not a read and two
+        // writes per lap until the deadline.
+        let writes = shard.committed_updates() - before;
+        assert!(writes <= 4, "fetch made {writes} GCS writes waiting on a stale self-location");
+        assert!(r.client.get_object_locations(id).unwrap().is_empty());
+    }
+
+    #[test]
+    fn self_location_of_a_put_that_raced_the_first_look_is_kept() {
+        // `fetch` missed in the local store, then read the object table and
+        // found its own node there: a local put sealed and published in
+        // between. The second look returns the bytes and leaves the row.
+        let r = rig(2);
+        let id = seed(&r, 1, b"just-sealed");
+        let loc = r.client.get_object_locations(id).unwrap()[0];
+        let got = r.tm.recheck_self_location(&r.stores[1], id, loc);
+        assert_eq!(got, Some(Bytes::from_static(b"just-sealed")));
+        assert_eq!(r.client.get_object_locations(id).unwrap(), vec![loc]);
     }
 
     #[test]
