@@ -123,6 +123,8 @@ pub mod classes {
     pub static RUNTIME_NODES: LockClass = LockClass::new("core.nodes", 110);
     /// The actor router's id → mailbox map.
     pub static ACTOR_ROUTER: LockClass = LockClass::new("core.actors", 120);
+    /// One actor's mailbox: its undelivered calls and its host state.
+    pub static ACTOR_MAILBOX: LockClass = LockClass::new("core.actor_mailbox", 122);
     /// A node's run queue; held while a worker is started (`NODE_JOIN`),
     /// a queued task's token is checked (`CANCEL_SHARD`) and its
     /// resources are acquired (`SCHED_LEDGER`), so it ranks below all three.

@@ -6,18 +6,22 @@
 //! each method depends on the state resulting from the previous method
 //! execution" (paper §4.1). Here:
 //!
-//! - The [`ActorRouter`] is the client-visible face: it queues method
-//!   calls while an actor is being created or recovered and delivers them
-//!   in order once a host is live.
-//! - The actor *host* is a dedicated thread owning the user's
+//! - Every routed actor owns one [`Mailbox`]: the calls nobody has taken
+//!   yet, in submission order, and who may take them. A call is pushed to
+//!   the back whatever state the actor is in and leaves from the front,
+//!   once, into the live incarnation; nothing ever puts one back, so what
+//!   a dead incarnation did not take waits, in order, for the next. The
+//!   [`ActorRouter`] only finds the mailbox.
+//! - An *incarnation* is one thread owning the user's
 //!   [`ActorInstance`](crate::registry::ActorInstance). It assigns the
 //!   stateful-edge sequence numbers, logs each method into the GCS method
 //!   log (the lineage chain of Fig. 4), stores results, and checkpoints
 //!   every N methods when configured.
-//! - [`rebuild_actor`] implements Fig. 11b recovery: respawn from the
-//!   constructor, restore the latest checkpoint, replay the logged chain
-//!   from the checkpoint's sequence number, re-storing any outputs that
-//!   were lost along the way.
+//! - [`rebuild_actor`] implements Fig. 11b recovery on the thread that
+//!   then hosts the actor: respawn from the constructor, restore the
+//!   latest checkpoint, replay the logged chain from the checkpoint's
+//!   sequence number, re-storing any outputs that were lost along the
+//!   way, then go live.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -26,8 +30,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam_channel::{unbounded, Receiver, Sender};
-use ray_common::sync::{classes, OrderedMutex};
+use ray_common::sync::{classes, OrderedCondvar, OrderedMutex};
 
 use ray_common::metrics::names;
 use ray_common::trace::{TraceEntity, TraceEventKind};
@@ -37,41 +40,132 @@ use ray_gcs::tables::{ActorRecord, ActorState, CheckpointRecord};
 use ray_scheduler::TaskDescriptor;
 
 use crate::context::RayContext;
+use crate::node::NodeHandle;
 use crate::registry::ActorInstance;
-use crate::runtime::RuntimeShared;
+use crate::runtime::{error_envelopes, RuntimeShared};
 use crate::task::{TaskKind, TaskSpec};
 use crate::worker::{self, Mode};
 
-/// Messages to an actor host thread.
-pub(crate) enum ActorMsg {
-    /// Invoke one method (an `ActorMethod` task spec).
-    Invoke(TaskSpec),
-    /// Stop the host (node death or shutdown).
-    Stop,
-}
-
-enum ActorEntry {
-    /// Handle exists; creation task has not executed yet. Calls queue.
-    Pending { queued: VecDeque<TaskSpec> },
-    /// Host is live on `node`.
-    Alive { tx: Sender<ActorMsg>, node: NodeId, join: JoinHandle<()> },
-    /// Host lost; rebuild in progress. Calls queue.
-    Recovering { queued: VecDeque<TaskSpec> },
+/// Who may take calls out of a [`Mailbox`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Host {
+    /// Nobody yet: the creation task has not run, or a rebuild is under way.
+    Vacant,
+    /// The actor's `incarnation`-th host, on `node`.
+    Live { node: NodeId, incarnation: u64 },
     /// Permanently gone.
     Dead,
 }
 
+struct MailboxState {
+    /// Calls no incarnation has taken, in submission order.
+    calls: VecDeque<TaskSpec>,
+    host: Host,
+    /// Incarnations that have gone live so far.
+    incarnations: u64,
+}
+
+/// One actor's undelivered calls and its host state. It exists from
+/// `register_pending` on and is never copied, flushed or re-routed.
+struct Mailbox {
+    state: OrderedMutex<MailboxState>,
+    /// Wakes a waiting host: a call arrived, or the host state changed.
+    wake: OrderedCondvar,
+}
+
+impl Mailbox {
+    fn new() -> Mailbox {
+        let state = MailboxState { calls: VecDeque::new(), host: Host::Vacant, incarnations: 0 };
+        Mailbox {
+            state: OrderedMutex::new(&classes::ACTOR_MAILBOX, state),
+            wake: OrderedCondvar::new(),
+        }
+    }
+
+    /// Appends a call; only a dead actor refuses it (`false`).
+    fn push(&self, spec: TaskSpec) -> bool {
+        let mut st = self.state.lock();
+        if st.host == Host::Dead {
+            return false;
+        }
+        st.calls.push_back(spec);
+        // Unlock first: a host woken while the lock is still held would
+        // only block on it again.
+        drop(st);
+        self.wake.notify_one();
+        true
+    }
+
+    /// Blocks host `me` until there is a call for it and takes the front
+    /// one. `None` once `me` is no longer the live incarnation or its node
+    /// died — decided under the same lock as the pop, so a host that lost
+    /// its place takes nothing more.
+    fn next_call(&self, me: Host, home: &NodeHandle) -> Option<TaskSpec> {
+        let mut st = self.state.lock();
+        while st.host == me && home.is_alive() {
+            if let Some(spec) = st.calls.pop_front() {
+                return Some(spec);
+            }
+            self.wake.wait(&mut st);
+        }
+        None
+    }
+
+    /// Replaces the host state, waking every host to re-check its place.
+    fn set_host(&self, st: &mut MailboxState, host: Host) {
+        st.host = host;
+        self.wake.notify_all();
+    }
+
+    /// Makes the caller the live incarnation on `node`, superseding any
+    /// other. `None` if the actor is dead.
+    fn go_live(&self, node: NodeId) -> Option<Host> {
+        let mut st = self.state.lock();
+        if st.host == Host::Dead {
+            return None;
+        }
+        st.incarnations += 1;
+        let me = Host::Live { node, incarnation: st.incarnations };
+        self.set_host(&mut st, me);
+        Some(me)
+    }
+
+    /// Takes the place of a live host away (`true` if this call did it —
+    /// the caller then owns the rebuild). Its calls stay where they are.
+    fn begin_recovery(&self) -> bool {
+        let mut st = self.state.lock();
+        let live = matches!(st.host, Host::Live { .. });
+        if live {
+            self.set_host(&mut st, Host::Vacant);
+        }
+        live
+    }
+
+    /// Marks the actor dead and hands back the calls nobody will run.
+    fn kill(&self) -> VecDeque<TaskSpec> {
+        let mut st = self.state.lock();
+        self.set_host(&mut st, Host::Dead);
+        std::mem::take(&mut st.calls)
+    }
+
+    fn node(&self) -> Option<NodeId> {
+        match self.state.lock().host {
+            Host::Live { node, .. } => Some(node),
+            Host::Vacant | Host::Dead => None,
+        }
+    }
+}
+
 #[derive(Default)]
 struct RouterState {
-    entries: HashMap<ActorId, ActorEntry>,
-    /// Hosts told to stop by a recovery, and the recovery threads
-    /// themselves, not yet joined.
-    retired: Vec<JoinHandle<()>>,
-    /// Set by [`ActorRouter::stop_all`]: no host may go live any more.
+    mailboxes: HashMap<ActorId, Arc<Mailbox>>,
+    /// Incarnation threads not yet joined.
+    incarnations: Vec<JoinHandle<()>>,
+    /// Set by [`ActorRouter::stop_all`]: no incarnation may start any more.
     stopped: bool,
 }
 
-/// Client-side routing state for every actor in the cluster.
+/// Finds every actor's mailbox, and keeps the threads that host them.
 pub(crate) struct ActorRouter {
     inner: OrderedMutex<RouterState>,
 }
@@ -91,138 +185,103 @@ impl ActorRouter {
 
     /// Registers a just-created handle (before the creation task runs).
     pub fn register_pending(&self, actor: ActorId) {
-        self.inner
-            .lock()
-            .entries
-            .entry(actor)
-            .or_insert(ActorEntry::Pending { queued: VecDeque::new() });
+        self.inner.lock().mailboxes.entry(actor).or_insert_with(|| Arc::new(Mailbox::new()));
     }
 
-    /// Routes a method invocation: delivered in order if the actor is
-    /// alive, queued while pending/recovering.
+    fn mailbox(&self, actor: ActorId) -> Option<Arc<Mailbox>> {
+        self.inner.lock().mailboxes.get(&actor).cloned()
+    }
+
+    /// Routes a method invocation to the back of its actor's mailbox,
+    /// whether the actor is pending, live or being rebuilt.
     pub fn invoke(&self, actor: ActorId, spec: TaskSpec) -> RayResult<()> {
-        let mut inner = self.inner.lock();
-        match inner.entries.get_mut(&actor) {
-            None => Err(RayError::ActorDied(actor)),
-            Some(ActorEntry::Dead) => Err(RayError::ActorDied(actor)),
-            Some(ActorEntry::Pending { queued }) | Some(ActorEntry::Recovering { queued }) => {
-                queued.push_back(spec);
-                Ok(())
-            }
-            Some(ActorEntry::Alive { tx, .. }) => {
-                if tx.send(ActorMsg::Invoke(spec)).is_err() {
-                    // Host thread is gone but nobody marked it: treat as
-                    // recovering; the caller's get() will poke recovery.
-                    Err(RayError::ActorDied(actor))
-                } else {
-                    Ok(())
-                }
-            }
+        match self.mailbox(actor) {
+            Some(mailbox) if mailbox.push(spec) => Ok(()),
+            _ => Err(RayError::ActorDied(actor)),
         }
     }
 
-    /// Marks the actor alive on `node`, flushing queued calls to the new
-    /// host in submission order. Once the router has stopped, the host is
-    /// handed back instead, for the caller to stop and join.
-    fn activate(
-        &self,
-        actor: ActorId,
-        tx: Sender<ActorMsg>,
-        node: NodeId,
-        join: JoinHandle<()>,
-    ) -> Result<(), (Sender<ActorMsg>, JoinHandle<()>)> {
-        let mut inner = self.inner.lock();
-        if inner.stopped {
-            return Err((tx, join));
-        }
-        if let Some(ActorEntry::Pending { queued } | ActorEntry::Recovering { queued }) =
-            inner.entries.remove(&actor)
-        {
-            for spec in queued {
-                let _ = tx.send(ActorMsg::Invoke(spec));
-            }
-        }
-        inner.entries.insert(actor, ActorEntry::Alive { tx, node, join });
-        Ok(())
-    }
-
-    /// Transitions an alive actor to recovering (returns `true` if this
-    /// call performed the transition — the caller then owns the rebuild).
-    /// The old host is told to stop; `stop_all` joins it.
+    /// Transitions a live actor to recovering (returns `true` if this call
+    /// performed the transition — the caller then owns the rebuild). The
+    /// old host takes no further call and ends; `stop_all` joins it.
     pub fn begin_recovery(&self, actor: ActorId) -> bool {
-        let mut inner = self.inner.lock();
-        let Some(entry @ ActorEntry::Alive { .. }) = inner.entries.get_mut(&actor) else {
-            return false;
-        };
-        let old = std::mem::replace(entry, ActorEntry::Recovering { queued: VecDeque::new() });
-        if let ActorEntry::Alive { tx, join, .. } = old {
-            let _ = tx.send(ActorMsg::Stop);
-            inner.retired.push(join);
-        }
-        true
+        self.mailbox(actor).is_some_and(|m| m.begin_recovery())
     }
 
-    /// Hands over a thread that ends on its own (a stopped host, a
-    /// recovery) for `stop_all` to join; after `stop_all` it comes back.
-    fn retire(&self, join: JoinHandle<()>) -> Option<JoinHandle<()>> {
-        let mut inner = self.inner.lock();
-        if inner.stopped {
-            return Some(join);
-        }
-        inner.retired.retain(|j| !j.is_finished());
-        inner.retired.push(join);
-        None
-    }
-
-    /// Cluster shutdown: tells every live host to stop, marks every actor
-    /// dead so nothing routes or rebuilds any more, and returns the host
-    /// threads for the caller to join (outside the router lock, and once
-    /// whatever a method may be blocked on has been shut down too).
+    /// Cluster shutdown: marks every actor dead so nothing routes, goes
+    /// live or rebuilds any more, and returns the incarnation threads for
+    /// the caller to join (outside the router lock, and once whatever a
+    /// method may be blocked on has been shut down too).
     pub fn stop_all(&self) -> Vec<JoinHandle<()>> {
         let mut inner = self.inner.lock();
         inner.stopped = true;
-        let mut hosts = std::mem::take(&mut inner.retired);
-        for entry in inner.entries.values_mut() {
-            if let ActorEntry::Alive { tx, join, .. } = std::mem::replace(entry, ActorEntry::Dead) {
-                let _ = tx.send(ActorMsg::Stop);
-                hosts.push(join);
-            }
+        for mailbox in inner.mailboxes.values() {
+            mailbox.kill();
         }
-        hosts
-    }
-
-    /// Marks an actor permanently dead.
-    pub fn mark_dead(&self, actor: ActorId) {
-        self.inner.lock().entries.insert(actor, ActorEntry::Dead);
+        std::mem::take(&mut inner.incarnations)
     }
 
     /// The node hosting an actor, if alive.
     pub fn node_of(&self, actor: ActorId) -> Option<NodeId> {
-        match self.inner.lock().entries.get(&actor) {
-            Some(ActorEntry::Alive { node, .. }) => Some(*node),
-            _ => None,
-        }
+        self.mailbox(actor)?.node()
     }
 
     /// Actors currently hosted on `node` (for node-death handling).
     pub fn actors_on(&self, node: NodeId) -> Vec<ActorId> {
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .filter_map(|(id, e)| match e {
-                ActorEntry::Alive { node: n, .. } if *n == node => Some(*id),
-                _ => None,
-            })
-            .collect()
+        let inner = self.inner.lock();
+        inner.mailboxes.iter().filter(|(_, m)| m.node() == Some(node)).map(|(id, _)| *id).collect()
     }
 }
 
-/// Host-side state for one live actor.
+/// Starts the thread of one incarnation of `actor` and keeps its handle
+/// for `stop_all` to join. `false` once the router has stopped: nothing
+/// was started.
+fn spawn_incarnation(
+    shared: &Arc<RuntimeShared>,
+    actor: ActorId,
+    run: impl FnOnce(&Mailbox) + Send + 'static,
+) -> bool {
+    let mut router = shared.actors.inner.lock();
+    let mailbox = match router.mailboxes.get(&actor) {
+        Some(mailbox) if !router.stopped => mailbox.clone(),
+        _ => return false,
+    };
+    let metrics = shared.metrics.clone();
+    let thread = std::thread::Builder::new()
+        .name(format!("actor-{actor}"))
+        .spawn(move || {
+            ray_common::sync::install_long_hold_metrics(metrics);
+            run(&mailbox)
+        })
+        .expect("invariant: thread spawn only fails on OS resource exhaustion");
+    router.incarnations.retain(|j| !j.is_finished());
+    router.incarnations.push(thread);
+    true
+}
+
+/// Marks an actor permanently dead and fails every call still in its
+/// mailbox: each return gets a typed error envelope on a live node, so a
+/// caller blocked in `get` wakes now instead of waiting out its deadline.
+fn mark_dead(shared: &RuntimeShared, actor: ActorId, mailbox: &Mailbox) {
+    let orphaned = mailbox.kill();
+    let Some(node) = shared.any_live_node(NodeId(0)).map(|h| h.node) else {
+        return;
+    };
+    let died = RayError::ActorDied(actor).to_string();
+    for spec in orphaned {
+        shared.trace.emit(node, TraceEventKind::Failed, TraceEntity::Task(spec.task), &died);
+        let _ = shared.store_results(node, &spec, error_envelopes(&spec, &died));
+        shared.cancels.remove(spec.task);
+    }
+}
+
+/// One incarnation of an actor: the instance and what its thread needs to
+/// run methods on it.
 struct ActorHost {
     shared: Arc<RuntimeShared>,
     actor: ActorId,
-    node: NodeId,
+    /// The node this incarnation lives on; it dies with it.
+    home: Arc<NodeHandle>,
     instance: Box<dyn ActorInstance>,
     /// Next stateful-edge sequence number.
     seq: u64,
@@ -232,29 +291,20 @@ struct ActorHost {
 }
 
 impl ActorHost {
-    fn run(mut self, rx: Receiver<ActorMsg>) {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                ActorMsg::Invoke(spec) => {
-                    if self.shared.node(self.node).is_none() {
-                        // Node died under us (abrupt crash): kick recovery
-                        // and hand the method back to the router so the
-                        // rebuilt incarnation runs it, instead of letting
-                        // the caller's future dangle forever.
-                        let _ = rebuild_actor(&self.shared, self.actor);
-                        let _ = self.shared.actors.invoke(self.actor, spec);
-                        break;
-                    }
-                    self.execute(&spec, /* replay: */ false);
-                }
-                ActorMsg::Stop => break,
-            }
+    /// Goes live and runs calls from the mailbox, front first, for as long
+    /// as this incarnation is the live one.
+    fn run(mut self, mailbox: &Mailbox) {
+        let Some(me) = mailbox.go_live(self.home.node) else {
+            return;
+        };
+        while let Some(spec) = mailbox.next_call(me, &self.home) {
+            self.execute(&spec, /* replay: */ false);
         }
-        // Re-route anything still in this host's channel. Sends while the
-        // router said Alive strictly precede the recovery Stop, so every
-        // remaining Invoke belongs to the next incarnation's queue.
-        while let Ok(ActorMsg::Invoke(spec)) = rx.try_recv() {
-            let _ = self.shared.actors.invoke(self.actor, spec);
+        // A host that was superseded or stopped just ends. One whose node
+        // died without anybody telling the router (abrupt crash) starts
+        // its own successor, which finds the calls it left, in order.
+        if !self.home.is_alive() {
+            let _ = rebuild_actor(&self.shared, self.actor);
         }
     }
 
@@ -264,7 +314,7 @@ impl ActorHost {
     /// checkpoint cadence. Read-only methods have no stateful edge: not
     /// logged, not sequenced, never replayed.
     fn execute(&mut self, spec: &TaskSpec, replay: bool) {
-        let (shared, actor, node, seq) = (&self.shared, self.actor, self.node, self.seq);
+        let (shared, actor, node, seq) = (&self.shared, self.actor, self.home.node, self.seq);
         let instance = &mut self.instance;
         let read_only = matches!(spec.kind, TaskKind::ActorMethod { read_only: true, .. });
         let mode = if replay { Mode::Replay } else { Mode::Method };
@@ -294,16 +344,7 @@ impl ActorHost {
                 _ => Err("non-method spec delivered to actor host".into()),
             }
         });
-        if !ran {
-            return;
-        }
-        if !replay {
-            // Completed: forget the cancel token (mirrors teardown's
-            // cleanup) so long-lived serving pools don't accumulate one
-            // registry entry per request.
-            self.shared.cancels.remove(spec.task);
-        }
-        if read_only {
+        if !ran || read_only {
             return;
         }
         self.seq += 1;
@@ -326,7 +367,7 @@ impl ActorHost {
                 self.pending_checkpoint = false;
                 self.shared.metrics.counter(names::CHECKPOINTS_TAKEN).inc();
                 self.shared.trace.emit(
-                    self.node,
+                    self.home.node,
                     TraceEventKind::CheckpointTaken,
                     TraceEntity::Actor(self.actor),
                     format_args!("seq={}", self.seq),
@@ -368,11 +409,11 @@ pub(crate) fn store_missing_results(
     Ok(())
 }
 
-/// Creates a live actor on `node` from its creation task. Called by the
+/// Creates a live actor on `home` from its creation task. Called by the
 /// worker executing the `ActorCreation` spec (Fig. 4's `A₁₀` node).
 pub(crate) fn spawn_actor_here(
     shared: &Arc<RuntimeShared>,
-    node: NodeId,
+    home: &Arc<NodeHandle>,
     actor: ActorId,
     creation_spec: &TaskSpec,
     ctx: &RayContext,
@@ -388,7 +429,7 @@ pub(crate) fn spawn_actor_here(
 
     let record = ActorRecord {
         actor,
-        node,
+        node: home.node,
         constructor: creation_spec.function,
         creation_task: creation_spec.task,
         init_args: ray_codec::Blob(ray_codec::encode(&arg_payloads).map_err(RayError::from)?),
@@ -396,32 +437,18 @@ pub(crate) fn spawn_actor_here(
     };
     shared.gcs_client.put_actor(&record)?;
 
-    start_host(shared, node, actor, instance, 0);
-    Ok(())
-}
-
-fn start_host(
-    shared: &Arc<RuntimeShared>,
-    node: NodeId,
-    actor: ActorId,
-    instance: Box<dyn ActorInstance>,
-    seq: u64,
-) {
-    let (tx, rx) = unbounded();
-    let host =
-        ActorHost { shared: shared.clone(), actor, node, instance, seq, pending_checkpoint: false };
-    let metrics = shared.metrics.clone();
-    let join = std::thread::Builder::new()
-        .name(format!("actor-{actor}"))
-        .spawn(move || {
-            ray_common::sync::install_long_hold_metrics(metrics);
-            host.run(rx)
-        })
-        .expect("invariant: thread spawn only fails on OS resource exhaustion");
-    if let Err((tx, join)) = shared.actors.activate(actor, tx, node, join) {
-        // The cluster shut down while this host was being built.
-        let _ = tx.send(ActorMsg::Stop);
-        let _ = join.join();
+    let host = ActorHost {
+        shared: shared.clone(),
+        actor,
+        home: home.clone(),
+        instance,
+        seq: 0,
+        pending_checkpoint: false,
+    };
+    if spawn_incarnation(shared, actor, move |mailbox| host.run(mailbox)) {
+        Ok(())
+    } else {
+        Err(RayError::Shutdown("cluster stopping".into()))
     }
 }
 
@@ -440,46 +467,38 @@ fn is_transient_rebuild_error(err: &RayError) -> bool {
 }
 
 /// Rebuilds an actor after its host (or its host's node) died: Fig. 11b.
-/// Idempotent: concurrent callers coalesce on the router's state.
+/// Idempotent: concurrent callers coalesce on the mailbox's host state.
+/// The thread started here is the next incarnation: it reconstructs the
+/// instance and then hosts it.
 pub(crate) fn rebuild_actor(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayResult<()> {
     if !shared.actors.begin_recovery(actor) {
         return Ok(()); // Someone else is rebuilding (or it is not alive-but-stale).
     }
     let owned = shared.clone();
-    let recovery = std::thread::Builder::new()
-        .name(format!("actor-recovery-{actor}"))
-        .spawn(move || {
-            let shared = owned;
-            ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
-            // A rebuild can race a control-plane outage (a GCS shard
-            // crashing mid-recovery): those errors are transient — shards
-            // heal from their persistent log — so wait them out instead of
-            // declaring the actor dead. Restarting the rebuild from
-            // scratch is safe: the record stays Recovering, the ctor and
-            // replay re-derive the instance, and re-stored outputs are
-            // deduplicated by the store.
-            let backoff = Backoff::new(
-                Duration::from_millis(5),
-                Duration::from_millis(20),
-                actor.0.digest(),
-            );
-            let transient = |e: &RayError, _| {
-                is_transient_rebuild_error(e) && !shared.shutting_down.load(Ordering::SeqCst)
-            };
-            let rebuilt = retry(backoff, MAX_REBUILD_RETRIES, transient, || {
-                rebuild_actor_blocking(&shared, actor)
-            });
-            if rebuilt.is_err() {
-                // Unrecoverable (e.g. record lost): the actor is dead;
-                // pending calls will surface ActorDied.
-                shared.actors.mark_dead(actor);
-            }
-        })
-        .expect("invariant: thread spawn only fails on OS resource exhaustion");
-    if let Some(recovery) = shared.actors.retire(recovery) {
-        // Shutdown won the race; the rebuild bails out on `shutting_down`.
-        let _ = recovery.join();
-    }
+    // If shutdown won the race nothing starts, and nothing needs to.
+    spawn_incarnation(shared, actor, move |mailbox| {
+        let shared = owned;
+        // A rebuild can race a control-plane outage (a GCS shard
+        // crashing mid-recovery): those errors are transient — shards
+        // heal from their persistent log — so wait them out instead of
+        // declaring the actor dead. Restarting the rebuild from
+        // scratch is safe: the mailbox stays hostless, the ctor and
+        // replay re-derive the instance, and re-stored outputs are
+        // deduplicated by the store.
+        let backoff =
+            Backoff::new(Duration::from_millis(5), Duration::from_millis(20), actor.0.digest());
+        let transient = |e: &RayError, _| {
+            is_transient_rebuild_error(e) && !shared.shutting_down.load(Ordering::SeqCst)
+        };
+        let rebuilt =
+            retry(backoff, MAX_REBUILD_RETRIES, transient, || rebuild_actor_blocking(&shared, actor));
+        match rebuilt {
+            Ok(host) => host.run(mailbox),
+            // Unrecoverable (e.g. record lost): the actor is dead, and
+            // the calls waiting for it fail with it.
+            Err(_) => mark_dead(&shared, actor, mailbox),
+        }
+    });
     Ok(())
 }
 
@@ -492,8 +511,10 @@ pub(crate) fn ensure_actor_alive(shared: &Arc<RuntimeShared>, actor: ActorId) ->
     }
 }
 
-fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayResult<()> {
-    let record = shared
+/// Reconstructs an actor's instance on a node of the scheduler's choosing:
+/// ctor → checkpoint restore → replay. The host it returns is not live yet.
+fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayResult<ActorHost> {
+    let mut record = shared
         .gcs_client
         .get_actor(actor)?
         .ok_or(RayError::ActorDied(actor))?;
@@ -509,19 +530,19 @@ fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayRes
         inputs: Vec::new(),
         submitted_from: record.node,
     };
-    let node = loop {
+    let home = loop {
         // A cluster tearing down has no feasible node and never will:
-        // bail instead of spinning on a detached recovery thread.
+        // bail instead of spinning.
         if shared.shutting_down.load(Ordering::SeqCst) {
             return Err(RayError::Shutdown("cluster stopping".into()));
         }
-        match shared.global.place(&desc)? {
-            Some(n) => break n,
+        match shared.global.place(&desc)?.and_then(|n| shared.node(n)) {
+            Some(home) => break home,
             None => std::thread::sleep(std::time::Duration::from_millis(5)),
         }
     };
+    let node = home.node;
 
-    // Reconstruct the instance: ctor → checkpoint restore → replay.
     let ctor = shared.registry.actor_ctor(record.constructor)?;
     let arg_payloads: Vec<ray_codec::Blob> =
         ray_codec::decode(&record.init_args.0).map_err(RayError::from)?;
@@ -529,13 +550,14 @@ fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayRes
     // Rebuild replays with no deadline: the original creation deadline has
     // long passed and must not expire the recovery itself.
     let ctx = RayContext::for_task(shared.clone(), node, record.creation_task, None, None);
-    let mut instance = ctor(&ctx, &args)
+    let instance = ctor(&ctx, &args)
         .map_err(|m| RayError::TaskFailed { task: record.creation_task, message: m })?;
+    let mut host =
+        ActorHost { shared: shared.clone(), actor, home, instance, seq: 0, pending_checkpoint: false };
 
-    let mut start_seq = 0u64;
     if let Some(ck) = shared.gcs_client.get_checkpoint(actor)? {
-        if instance.restore(&ck.data.0).is_ok() {
-            start_seq = ck.seq;
+        if host.instance.restore(&ck.data.0).is_ok() {
+            host.seq = ck.seq;
             shared.trace.emit(
                 node,
                 TraceEventKind::CheckpointRestored,
@@ -548,29 +570,18 @@ fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayRes
     // Replay the stateful-edge chain from the checkpoint (Fig. 11b: "only
     // 500 methods to be re-executed, versus 10k without checkpointing").
     // The method log alone bounds replay: every logged method is applied
-    // exactly once, with its outputs re-stored if they were lost.
-    let mut host = ActorHost {
-        shared: shared.clone(),
-        actor,
-        node,
-        instance,
-        seq: start_seq,
-        pending_checkpoint: false,
-    };
-    let mut seq = start_seq;
-    // Stops at the end of the log (or a hole from a crash mid-log).
-    while let Some(task) = shared.gcs_client.get_actor_method(actor, seq)? {
-        let spec_bytes = match shared.gcs_client.get_task(task)? {
-            Some(b) => b,
-            None => break,
+    // exactly once, with its outputs re-stored if they were lost. Stops at
+    // the end of the log (or a hole from a crash mid-log); nothing stops a
+    // replay from running, so each one moves `seq` on.
+    let start_seq = host.seq;
+    while let Some(task) = shared.gcs_client.get_actor_method(actor, host.seq)? {
+        let Some(spec_bytes) = shared.gcs_client.get_task(task)? else {
+            break;
         };
-        let spec = TaskSpec::decode(&spec_bytes)?;
-        host.execute(&spec, /* replay: */ true);
-        seq += 1;
+        host.execute(&TaskSpec::decode(&spec_bytes)?, /* replay: */ true);
     }
 
-    // Publish the new placement and go live.
-    let mut record = record;
+    // Publish the new placement.
     record.node = node;
     record.state = ActorState::Alive;
     shared.gcs_client.put_actor(&record)?;
@@ -578,11 +589,9 @@ fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayRes
         node,
         TraceEventKind::ActorRebuilt,
         TraceEntity::Actor(actor),
-        format_args!("replayed={}", seq - start_seq),
+        format_args!("replayed={}", host.seq - start_seq),
     );
-    let ActorHost { instance, seq, .. } = host;
-    start_host(shared, node, actor, instance, seq);
-    Ok(())
+    Ok(host)
 }
 
 /// Node-death hook: kick recovery for every actor hosted on `node`.

@@ -187,8 +187,7 @@ impl CancelRegistry {
         self.shard(task).lock().remove(&task);
     }
 
-    /// Number of live entries (leak tests).
-    #[cfg(test)]
+    /// Number of live entries.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
     }

@@ -387,6 +387,11 @@ impl Cluster {
         self.shared.inflight.len()
     }
 
+    /// Cancel tokens currently registered (for `snapshot`).
+    pub(crate) fn cancel_tokens(&self) -> usize {
+        self.shared.cancels.len()
+    }
+
     /// The lifecycle trace collector (disabled unless
     /// `config.trace.enabled`).
     pub fn trace(&self) -> &TraceCollector {

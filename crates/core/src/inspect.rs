@@ -49,6 +49,9 @@ pub struct ClusterSnapshot {
     pub nodes: Vec<NodeSnapshot>,
     /// Tasks currently queued or executing cluster-wide.
     pub inflight_tasks: usize,
+    /// Cancel tokens registered: one per task submitted and not yet
+    /// finished, torn down or refused.
+    pub cancel_tokens: usize,
     /// Control-state bytes resident in GCS memory.
     pub gcs_resident_bytes: u64,
     /// Lineage entries flushed to the GCS disk tier.
@@ -158,6 +161,7 @@ impl Cluster {
         Ok(ClusterSnapshot {
             nodes,
             inflight_tasks: self.inflight_tasks(),
+            cancel_tokens: self.cancel_tokens(),
             gcs_resident_bytes: self.gcs().resident_bytes(),
             gcs_entries_flushed: self.gcs().entries_flushed(),
             tasks: (

@@ -212,8 +212,8 @@ impl RuntimeShared {
     /// submission; record lineage — what reconstruction and actor replay
     /// read (Fig. 4) — except for a read-only method, which adds no
     /// stateful edge. Route: tasks and actor creations take the bottom-up
-    /// scheduling path (paper Fig. 6), actor methods go to their actor's
-    /// router.
+    /// scheduling path (paper Fig. 6), actor methods join their actor's
+    /// mailbox.
     pub(crate) fn submit(
         self: &Arc<Self>,
         from: NodeId,

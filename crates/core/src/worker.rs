@@ -196,6 +196,9 @@ pub(crate) fn execute(
             error_envelopes(spec, &msg)
         }
     };
+    // Nothing can stop this task any more: its token goes before its
+    // results appear, so `cancel` on a finished task's return says `false`.
+    shared.cancels.remove(spec.task);
     // A store error means the node died under us; the results are lost and
     // will be reconstructed elsewhere if anyone needs them.
     let _ = match mode {
@@ -218,7 +221,7 @@ fn run_task(shared: &Arc<RuntimeShared>, worker: &Arc<NodeHandle>, spec: &TaskSp
             // Spawn the stateful actor worker on this node; the creation
             // task's return object is the actor ID, so creation can be
             // awaited like any future.
-            actor::spawn_actor_here(shared, node, *actor, spec, ctx, args)
+            actor::spawn_actor_here(shared, worker, *actor, spec, ctx, args)
                 .map_err(|e| e.to_string())?;
             Ok(vec![ray_codec::encode(actor).map_err(|e| e.to_string())?])
         }

@@ -918,6 +918,120 @@ fn rebuild_replays_only_past_the_checkpoint() {
     recovers_from_the_method_log(10, Some(4));
 }
 
+#[test]
+fn method_calls_keep_submission_order_across_a_rebuild() {
+    /// `push(x)` appends `x` and returns everything pushed so far;
+    /// `push(0)` first reports in and waits for the gate.
+    struct Pusher {
+        seen: Vec<u64>,
+        entered: Sender<()>,
+        gate: Receiver<()>,
+    }
+    impl ActorInstance for Pusher {
+        fn call(&mut self, _: &RayContext, _: &str, args: &[Bytes]) -> RemoteResult {
+            let x: u64 = decode_arg(args, 0)?;
+            if x == 0 {
+                let _ = self.entered.send(());
+                let _ = self.gate.recv();
+            }
+            self.seen.push(x);
+            encode_return(&self.seen)
+        }
+    }
+    // Rows: the first calls arrive at a live actor or at one whose
+    // constructor has not returned yet; the home node dies with an
+    // announcement (the router starts the rebuild) or abruptly (the old
+    // host finds out when it looks for its next call).
+    for (pending, abrupt) in [(false, false), (false, true), (true, false)] {
+        let row = format!("pending={pending} abrupt={abrupt}");
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(3).workers_per_node(2).seed(7).build())
+                .unwrap();
+        // Each gate holds whoever waits on it until its sender is dropped,
+        // and nobody after that: a rebuild's constructor and its replay of
+        // `push(0)` pass straight through.
+        let (entered_tx, entered) = unbounded();
+        let (open, gate) = unbounded::<()>();
+        let (ctor_open, ctor_gate) = unbounded::<()>();
+        cluster.register_actor_class("Pusher", move |_ctx, _args| {
+            let _ = ctor_gate.recv();
+            Ok(Box::new(Pusher { seen: Vec::new(), entered: entered_tx.clone(), gate: gate.clone() }))
+        });
+        let ctx = cluster.driver();
+        let h = cluster
+            .driver_on(NodeId(1))
+            .create_actor("Pusher", vec![], TaskOptions::default())
+            .unwrap();
+        let push = |x: u64| -> ObjectRef<Vec<u64>> {
+            ctx.call_actor(&h, "push", vec![Arg::value(&x).unwrap()]).unwrap()
+        };
+        let mut ctor_open = Some(ctor_open);
+        if !pending {
+            ctor_open = None;
+            ctx.get(&h.ready()).unwrap();
+        }
+        // `push(0)` holds the host; 1 and 2 wait behind it.
+        let _held = [push(0), push(1), push(2)];
+        drop(ctor_open);
+        entered.recv_timeout(Duration::from_secs(30)).expect("push(0) never started");
+        let home = cluster.actor_node(h.id()).expect("the actor is live");
+        assert_ne!(home, NodeId(0), "{row}: the actor shares the driver's node");
+        if abrupt {
+            cluster.kill_node_abrupt(home);
+        } else {
+            cluster.kill_node(home);
+        }
+        let _behind = push(3);
+        drop(open);
+        let all = ctx.get_with_timeout(&push(4), Duration::from_secs(60)).unwrap();
+        assert_eq!(all, vec![0, 1, 2, 3, 4], "{row}");
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn calls_left_in_a_dead_actors_mailbox_fail_at_once() {
+    let cluster =
+        Cluster::start(RayConfig::builder().nodes(3).workers_per_node(2).seed(7).build()).unwrap();
+    // The constructor works once; its second run (the rebuild) waits for
+    // the gate and then refuses, which leaves the actor dead.
+    let runs = Arc::new(AtomicUsize::new(0));
+    let (open, gate) = unbounded::<()>();
+    cluster.register_actor_class("Once", move |_ctx, _args| {
+        if runs.fetch_add(1, Ordering::SeqCst) > 0 {
+            let _ = gate.recv();
+            return Err("no second life".into());
+        }
+        Ok(Box::new(Counter { value: 0 }))
+    });
+    let ctx = cluster.driver();
+    let h = cluster.driver_on(NodeId(1)).create_actor("Once", vec![], TaskOptions::default()).unwrap();
+    ctx.get(&h.ready()).unwrap();
+    let home = cluster.actor_node(h.id()).expect("the actor is live");
+    assert_ne!(home, NodeId(0));
+    // The rebuild has begun by the time `kill_node` returns and cannot
+    // fail before the gate opens: this call joins a hostless mailbox.
+    cluster.kill_node(home);
+    let orphan: ObjectRef<i64> = ctx.call_actor(&h, "get", vec![]).unwrap();
+    drop(open);
+    let t0 = Instant::now();
+    let err = ctx.get_with_timeout(&orphan, Duration::from_secs(8)).unwrap_err();
+    assert!(t0.elapsed() < Duration::from_secs(2), "{err:?} after {:?}", t0.elapsed());
+    match &err {
+        RayError::ActorDied(a) => assert_eq!(*a, h.id()),
+        RayError::TaskFailed { message, .. } => {
+            assert_eq!(*message, RayError::ActorDied(h.id()).to_string())
+        }
+        other => panic!("expected the actor's death, got {other:?}"),
+    }
+    // A call made now is refused on the spot, as before.
+    match ctx.call_actor::<i64>(&h, "get", vec![]) {
+        Err(RayError::ActorDied(a)) => assert_eq!(a, h.id()),
+        other => panic!("expected ActorDied, got {other:?}"),
+    }
+    cluster.shutdown();
+}
+
 /// `committed_updates` once it has stopped moving: a writer bumps it on
 /// receiving the tail's ack, a moment after the write became readable.
 fn settled_writes(shard: &ray_gcs::chain::Chain) -> u64 {
@@ -1023,8 +1137,38 @@ fn an_empty_task_costs_two_gcs_writes() {
     // task has nothing left to stop, and neither answer touches the GCS.
     let before = writes();
     assert!(!ctx.cancel(put.id()).unwrap());
-    ctx.cancel(ids[0]).unwrap();
+    assert!(!ctx.cancel(ids[0]).unwrap());
     assert_eq!(writes(), before);
+    cluster.shutdown();
+}
+
+#[test]
+fn finished_tasks_leave_no_cancel_token_behind() {
+    let cluster = small_cluster();
+    cluster.register_fn1("inc", |x: u64| x + 1);
+    register_counter(&cluster);
+    let ctx = cluster.driver();
+    let h = ctx
+        .create_actor("Counter", vec![Arg::value(&0i64).unwrap()], TaskOptions::default())
+        .unwrap();
+    ctx.get(&h.ready()).unwrap();
+    let methods: Vec<ObjectRef<i64>> = (0..10)
+        .map(|_| ctx.call_actor(&h, "incr", vec![Arg::value(&1i64).unwrap()]).unwrap())
+        .collect();
+    let tasks: Vec<ObjectRef<u64>> =
+        (0..1_000u64).map(|x| ctx.call("inc", vec![Arg::value(&x).unwrap()]).unwrap()).collect();
+    ctx.get_all(&methods).unwrap();
+    ctx.get_all(&tasks).unwrap();
+    // A task gives up its token before its result appears, and leaves the
+    // in-flight table after: with every result in, the registry holds no
+    // more than what is still in flight, not one entry per task ever run.
+    let snap = cluster.snapshot().unwrap();
+    assert!(
+        snap.cancel_tokens <= snap.inflight_tasks,
+        "{} cancel tokens for {} tasks in flight",
+        snap.cancel_tokens,
+        snap.inflight_tasks
+    );
     cluster.shutdown();
 }
 
@@ -1058,6 +1202,48 @@ fn shutdown_stops_and_joins_actor_hosts() {
     // Every host thread has exited and released its instance by the time
     // shutdown returns, not at some later point.
     assert_eq!(dropped.load(Ordering::SeqCst), 3);
+
+    // A shutdown that lands during a rebuild: the incarnation's one thread
+    // is inside the constructor when the router stops. The instance it
+    // goes on to build is dropped, and the thread has ended and let go of
+    // the runtime, by the time shutdown returns.
+    let (built, dropped) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let released = Arc::new(());
+    let cluster =
+        Cluster::start(RayConfig::builder().nodes(3).workers_per_node(2).seed(7).build()).unwrap();
+    let (entered_tx, entered) = unbounded();
+    let (open, gate) = unbounded::<()>();
+    let (count, flag, held) = (built.clone(), dropped.clone(), released.clone());
+    cluster.register_actor_class("Flagged", move |_ctx, _args| {
+        let _held_by_the_registry = &held;
+        if count.fetch_add(1, Ordering::SeqCst) > 0 {
+            let _ = entered_tx.send(());
+            let _ = gate.recv();
+        }
+        Ok(Box::new(Flagged(flag.clone())))
+    });
+    let ctx = cluster.driver();
+    let h = cluster
+        .driver_on(NodeId(1))
+        .create_actor("Flagged", vec![], TaskOptions::default())
+        .unwrap();
+    ctx.get(&h.ready()).unwrap();
+    cluster.kill_node(cluster.actor_node(h.id()).expect("the actor is live"));
+    entered.recv_timeout(Duration::from_secs(30)).expect("the rebuild never reached the constructor");
+    drop(ctx);
+    std::thread::scope(|s| {
+        s.spawn(|| cluster.shutdown());
+        // Shutdown stops the router before it takes the nodes down, so with
+        // no node left the rebuild can only go live on a stopped router.
+        while cluster.live_nodes() > 0 {
+            std::thread::yield_now();
+        }
+        drop(open);
+    });
+    assert_eq!(built.load(Ordering::SeqCst), 2);
+    assert_eq!(dropped.load(Ordering::SeqCst), 2);
+    drop(cluster);
+    assert_eq!(Arc::strong_count(&released), 1, "a thread outlived shutdown holding the runtime");
 }
 
 #[test]

@@ -16,7 +16,7 @@ echo "== static analysis gate =="
 cargo run -q -p xtask -- analyze
 
 echo "== clippy =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier 1: release build =="
 cargo build --release

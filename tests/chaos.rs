@@ -74,7 +74,6 @@ fn chaos_config(nodes: usize, heartbeat_timeout: Duration) -> RayConfig {
         max_reconstruction_attempts: 10,
         actor_checkpoint_interval: Some(3),
         heartbeat_timeout,
-        ..FaultConfig::default()
     };
     cfg
 }

@@ -67,7 +67,6 @@ fn replay_is_bounded_by_the_last_checkpoint() {
         max_reconstruction_attempts: 10,
         actor_checkpoint_interval: Some(3),
         heartbeat_timeout: Duration::from_millis(250),
-        ..FaultConfig::default()
     };
     let cluster = Cluster::start(cfg).unwrap();
     cluster.register_fn1("seed_val", |x: i64| x);
