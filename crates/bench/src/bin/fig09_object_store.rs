@@ -6,8 +6,10 @@
 //! objects. Bar plots report throughput with 1, 2, 4, 8, 16 threads."
 //!
 //! The two regimes under reproduction: small objects are bound by
-//! bookkeeping (lock + map + LRU), large objects by memcpy, with
-//! multi-threaded copies raising the plateau.
+//! bookkeeping (lock + map + LRU), large objects by memcpy. The thread
+//! sweep (`copy_into`, scoped threads per call) is this figure's instrument
+//! only — the runtime copies on the calling thread — and needs as many
+//! cores as threads to raise the plateau; on one CPU it lowers it.
 
 use bytes::Bytes;
 use ray_bench::{fmt_bandwidth, fmt_rate, quick_mode, Report};
@@ -87,6 +89,6 @@ fn main() {
         }
     }
     report.note("paper: >15GB/s large objects (8 threads), ~18K IOPS small objects");
-    report.note("small objects: bookkeeping-bound; large: memcpy-bound, threads raise the plateau");
+    report.note("small objects: bookkeeping-bound; large: memcpy-bound (copy threads need cores: on one CPU they lower the plateau)");
     report.finish();
 }

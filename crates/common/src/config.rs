@@ -42,7 +42,8 @@ pub struct TransportConfig {
     /// (paper §4.2.4: "we stripe the object across multiple TCP
     /// connections"). `1` reproduces the "Ray*" single-threaded ablation.
     pub connections_per_transfer: usize,
-    /// Chunk size for striping.
+    /// Largest piece a transfer delivers at once: a fetch materialises
+    /// piece `k` in the receiver's store while piece `k + 1` is in flight.
     pub chunk_bytes: usize,
     /// Seeded fault injection applied to every message on the fabric.
     pub chaos: ChaosConfig,

@@ -401,7 +401,8 @@ pub(crate) fn store_missing_results(
         }
         let size = data.len() as u64;
         match handle.store.put_nocopy(id, data) {
-            Ok(_) | Err(RayError::DuplicateObject(_)) => {}
+            Ok(outcome) => outcome.unlist_dropped(&shared.gcs_client, node),
+            Err(RayError::DuplicateObject(_)) => {}
             Err(e) => return Err(e),
         }
         shared.gcs_client.add_object_location(id, node, size)?;

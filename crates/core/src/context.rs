@@ -131,10 +131,7 @@ impl RayContext {
         let id = ObjectId::for_put(self.task, self.put_counter.fetch_add(1, Ordering::Relaxed));
         let handle = self.shared.node(self.node).ok_or(RayError::NodeDead(self.node))?;
         let size = data.len() as u64;
-        let outcome = handle.store.put(id, data)?;
-        for (dropped, dsize) in outcome.dropped {
-            let _ = self.shared.gcs_client.remove_object_location(dropped, self.node, dsize);
-        }
+        handle.store.put(id, data)?.unlist_dropped(&self.shared.gcs_client, self.node);
         self.shared.gcs_client.add_object_location(id, self.node, size)?;
         Ok(id)
     }
@@ -181,11 +178,10 @@ impl RayContext {
     /// store growth instead of waiting for LRU pressure.
     pub fn free(&self, ids: &[ObjectId]) -> RayResult<()> {
         for &id in ids {
-            for loc in self.shared.gcs_client.get_object_locations(id)? {
+            for loc in self.shared.gcs_client.clear_object_locations(id)? {
                 if let Some(store) = self.shared.directory.get(loc.node) {
                     store.delete(id);
                 }
-                let _ = self.shared.gcs_client.remove_object_location(id, loc.node, loc.size);
             }
         }
         Ok(())

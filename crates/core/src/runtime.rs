@@ -353,11 +353,7 @@ impl RuntimeShared {
             let id = ObjectId::for_task_return(spec.task, i as u64);
             let size = data.len() as u64;
             match handle.store.put_nocopy(id, data) {
-                Ok(outcome) => {
-                    for (dropped, dsize) in outcome.dropped {
-                        let _ = self.gcs_client.remove_object_location(dropped, node, dsize);
-                    }
-                }
+                Ok(outcome) => outcome.unlist_dropped(&self.gcs_client, node),
                 Err(RayError::DuplicateObject(_)) => {
                     // Replay of a (nominally deterministic) task produced
                     // different bytes; keep the original (immutability wins)

@@ -1143,6 +1143,44 @@ fn an_empty_task_costs_two_gcs_writes() {
 }
 
 #[test]
+fn free_drops_an_objects_row_in_one_update() {
+    let cluster = small_cluster();
+    let ctx = cluster.driver();
+    let gcs = cluster.gcs().client();
+    let shards = cluster.gcs().num_shards();
+    let writes = || -> u64 {
+        (0..shards).map(|i| settled_writes(cluster.gcs().shard(ShardId(i as u32)))).sum()
+    };
+    let id = ctx.put_raw(Bytes::from_static(b"held on two nodes")).unwrap();
+    cluster.driver_on(NodeId(1)).get_raw(id, Duration::from_secs(5)).unwrap();
+    assert_eq!(gcs.get_object_locations(id).unwrap().len(), 2);
+
+    // Subscribed before the free, as a `wait` in flight would be: the
+    // deletion reaches the channel as a `None` entry that is not a location.
+    let sub = gcs.subscribe_object(id).unwrap();
+    assert_eq!(sub.wait_for_location(Duration::from_secs(5)).unwrap().len(), 2);
+    let before = writes();
+    ctx.free(&[id]).unwrap();
+    assert_eq!(writes() - before, 1, "one Delete, not one SetRemove per replica");
+    for node in 0..2 {
+        assert!(!cluster.object_store(NodeId(node)).unwrap().contains(id));
+    }
+    assert!(gcs.get_object_locations(id).unwrap().is_empty());
+    let row = Key::new(Table::Object, id.0.as_bytes().to_vec());
+    let rows = (0..shards).filter_map(|i| cluster.gcs().shard(ShardId(i as u32)).read(&row).unwrap());
+    assert_eq!(rows.count(), 0, "no empty set left behind");
+    assert_eq!(sub.wait_for_location(Duration::from_millis(100)).unwrap_err(), RayError::Timeout);
+    let (ready, pending) = ctx.wait(&[id], 1, Duration::from_millis(100)).unwrap();
+    assert_eq!((ready, pending), (vec![], vec![id]));
+    // Freeing what is already gone writes nothing.
+    drop(sub);
+    let before = writes();
+    ctx.free(&[id]).unwrap();
+    assert_eq!(writes(), before);
+    cluster.shutdown();
+}
+
+#[test]
 fn finished_tasks_leave_no_cancel_token_behind() {
     let cluster = small_cluster();
     cluster.register_fn1("inc", |x: u64| x + 1);

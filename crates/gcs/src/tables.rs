@@ -276,6 +276,28 @@ impl GcsClient {
         }
     }
 
+    /// Forgets every location of `object` (an explicit `free`) and returns
+    /// what was listed, for one read and one update: a row that holds
+    /// nothing but locations is deleted whole, so a freed object leaves no
+    /// empty set behind. A row that also carries the cancelled mark keeps
+    /// it and loses its locations one by one.
+    pub fn clear_object_locations(&self, object: ObjectId) -> RayResult<Vec<ObjectLocation>> {
+        let key = Key::new(Table::Object, object.0.as_bytes().to_vec());
+        let Some(Entry::Set(members)) = self.read(&key)? else {
+            return Ok(Vec::new());
+        };
+        let locations: Vec<ObjectLocation> =
+            members.iter().filter_map(|m| ObjectLocation::from_member(m)).collect();
+        if locations.len() < members.len() {
+            for loc in &locations {
+                self.remove_object_location(object, loc.node, loc.size)?;
+            }
+        } else if !members.is_empty() {
+            self.write(key, |key| UpdateOp::Delete { key })?;
+        }
+        Ok(locations)
+    }
+
     /// Marks `object` as cancelled: its producer was torn down and the
     /// object will never be (re)materialized. Stored as a sentinel member
     /// in the object's location set — [`ObjectLocation::from_member`]

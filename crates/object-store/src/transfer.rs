@@ -5,8 +5,9 @@
 //! implements the Fig. 7 protocol: look up locations in the GCS object
 //! table (or register a callback and wait if the object does not exist
 //! yet), pick a live source, pay the modeled wire time on the fabric with
-//! connection striping, materialize the payload locally, and record the
-//! new location back in the GCS.
+//! connection striping, materialize each piece of the payload locally
+//! while the next one is on the wire, and record the new location back in
+//! the GCS.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +22,7 @@ use ray_common::{NodeId, ObjectId, RayError, RayResult};
 use ray_gcs::tables::{GcsClient, ObjectLocation};
 use ray_transport::Fabric;
 
-use crate::store::{copy_payload, LocalObjectStore};
+use crate::store::LocalObjectStore;
 
 /// How many times one wire transfer is retried after a transient
 /// (chaos-dropped) failure before the fetch moves on to another replica.
@@ -173,18 +174,17 @@ impl TransferManager {
                         continue;
                     }
                 };
-                // Pay the wire time (striped), then materialize locally.
-                if self.transfer_with_retry(loc.node, to, data.len(), id).is_err() {
-                    continue;
+                // Pay the wire time (striped), materializing each piece
+                // while the next is in flight.
+                if let Ok(materialized) = self.transfer_with_retry(loc.node, to, &data, id) {
+                    fetched = Some((loc.node, materialized));
+                    break;
                 }
-                let materialized = copy_payload(&data);
-                fetched = Some((loc.node, materialized));
-                break;
             }
 
             if let Some((src, data)) = fetched {
                 let size = data.len() as u64;
-                local.put_nocopy(id, data.clone())?;
+                local.put_nocopy(id, data.clone())?.unlist_dropped(&self.gcs, to);
                 self.gcs.add_object_location(id, to, size)?;
                 self.metrics.counter(names::BYTES_TRANSFERRED).add(size);
                 self.metrics.histogram(names::TRANSFER_BYTES).observe(size);
@@ -260,18 +260,19 @@ impl TransferManager {
         sealed
     }
 
-    /// One wire transfer with bounded retry on transient (dropped-message)
-    /// errors: exponential backoff with deterministic jitter seeded from
-    /// the object ID, so a given fetch retries on the same schedule every
-    /// run. Hard failures (dead node, partition) propagate immediately —
-    /// retrying those is the failure detector's job, not ours.
+    /// One wire transfer of `data`, returning the receiver's own copy of
+    /// it, with bounded retry on transient (dropped-message) errors:
+    /// exponential backoff with deterministic jitter seeded from the object
+    /// ID, so a given fetch retries on the same schedule every run. Hard
+    /// failures (dead node, partition) propagate immediately — retrying
+    /// those is the failure detector's job, not ours.
     fn transfer_with_retry(
         &self,
         src: NodeId,
         dst: NodeId,
-        bytes: usize,
+        data: &Bytes,
         id: ObjectId,
-    ) -> RayResult<()> {
+    ) -> RayResult<Bytes> {
         let backoff = Backoff::new(
             Duration::from_micros(200),
             Duration::from_millis(20),
@@ -290,9 +291,16 @@ impl TransferManager {
             }
             again
         };
+        // A dropped message is rolled before the first piece, so an attempt
+        // that gets retried has delivered nothing.
+        let mut received = Vec::with_capacity(data.len());
         retry(backoff, TRANSFER_RETRY_LIMIT, dropped, || {
-            self.fabric.transfer(src, dst, bytes, self.connections).map(|_| ())
-        })
+            self.fabric.transfer_streamed(src, dst, data.len(), self.connections, |piece| {
+                let piece = data.get(piece).expect("invariant: pieces tile 0..data.len()");
+                received.extend_from_slice(piece);
+            })
+        })?;
+        Ok(Bytes::from(received))
     }
 
     /// Like [`Self::fetch`] but leaves the payload where it is and only
@@ -339,6 +347,10 @@ mod tests {
     }
 
     fn rig_with(nodes: usize, transport: TransportConfig) -> Rig {
+        rig_with_stores(nodes, transport, ObjectStoreConfig::default())
+    }
+
+    fn rig_with_stores(nodes: usize, transport: TransportConfig, store: ObjectStoreConfig) -> Rig {
         let gcs = Gcs::start(&GcsConfig { num_shards: 1, chain_length: 1, ..GcsConfig::default() })
             .unwrap();
         let client = gcs.client();
@@ -347,10 +359,7 @@ mod tests {
         let directory = StoreDirectory::new();
         let mut stores = Vec::new();
         for i in 0..nodes {
-            let s = Arc::new(LocalObjectStore::new(
-                NodeId(i as u32),
-                &ObjectStoreConfig::default(),
-            ));
+            let s = Arc::new(LocalObjectStore::new(NodeId(i as u32), &store));
             directory.register(s.clone());
             stores.push(s);
         }
@@ -365,12 +374,22 @@ mod tests {
     }
 
     fn seed(r: &Rig, node: usize, data: &'static [u8]) -> ObjectId {
+        seed_bytes(r, node, Bytes::from_static(data))
+    }
+
+    fn seed_bytes(r: &Rig, node: usize, data: Bytes) -> ObjectId {
         let id = ObjectId::random();
-        r.stores[node].put(id, Bytes::from_static(data)).unwrap();
-        r.client
-            .add_object_location(id, NodeId(node as u32), data.len() as u64)
-            .unwrap();
+        let size = data.len() as u64;
+        r.stores[node].put(id, data).unwrap();
+        r.client.add_object_location(id, NodeId(node as u32), size).unwrap();
         id
+    }
+
+    fn holders(r: &Rig, id: ObjectId) -> Vec<NodeId> {
+        let mut nodes: Vec<NodeId> =
+            r.client.get_object_locations(id).unwrap().iter().map(|l| l.node).collect();
+        nodes.sort();
+        nodes
     }
 
     #[test]
@@ -393,6 +412,64 @@ mod tests {
         let locs = r.client.get_object_locations(id).unwrap();
         assert_eq!(locs.len(), 2);
         assert_eq!(r.fabric.transfer_count(), 1);
+    }
+
+    #[test]
+    fn a_payload_fetched_in_pieces_equals_its_source_and_is_one_transfer() {
+        let r = rig(2);
+        r.fabric.set_virtual_time(true);
+        let payload: Vec<u8> = (0..(3 << 20) + 5).map(|i| (i % 251) as u8).collect();
+        let pieces = payload.len().div_ceil(TransportConfig::default().chunk_bytes);
+        assert!(pieces > 1, "the payload must span several pieces");
+        let id = seed_bytes(&r, 0, Bytes::from(payload.clone()));
+        let got = r.tm.fetch(id, NodeId(1), Duration::from_secs(5)).unwrap();
+        assert!(got.as_ref() == payload.as_slice(), "fetched bytes differ from the source");
+        assert!(r.stores[1].get_local(id).unwrap() == got);
+        assert_eq!(r.fabric.transfer_count(), 1);
+        assert_eq!(r.fabric.bytes_transferred(), payload.len() as u64);
+        assert_eq!(r.metrics.counter(names::BYTES_TRANSFERRED).get(), payload.len() as u64);
+    }
+
+    #[test]
+    fn eviction_by_an_incoming_replica_unlists_the_victim() {
+        // Node 1 has room for one payload and cannot spill: pulling B in
+        // drops A's replica there, and the object table must stop saying
+        // node 1 holds A.
+        let payload = vec![7u8; 1000];
+        let store = ObjectStoreConfig { capacity_bytes: payload.len() + 100, spill_enabled: false };
+        let r = rig_with_stores(3, TransportConfig::default(), store);
+        let a = seed_bytes(&r, 0, Bytes::from(payload.clone()));
+        let b = seed_bytes(&r, 2, Bytes::from(payload));
+        r.tm.fetch(a, NodeId(1), Duration::from_secs(5)).unwrap();
+        assert_eq!(holders(&r, a), vec![NodeId(0), NodeId(1)]);
+        r.tm.fetch(b, NodeId(1), Duration::from_secs(5)).unwrap();
+        assert!(!r.stores[1].contains(a) && r.stores[1].contains(b));
+        assert_eq!(holders(&r, a), vec![NodeId(0)]);
+        assert_eq!(holders(&r, b), vec![NodeId(1), NodeId(2)]);
+    }
+
+    #[test]
+    fn destination_lost_mid_stream_seals_nothing() {
+        // 8 pieces of 10 ms on one slow lane; node 1 dies a few pieces in.
+        let transport = TransportConfig {
+            bandwidth_bytes_per_sec: 1 << 20,
+            connections_per_transfer: 1,
+            chunk_bytes: 10 << 10,
+            ..TransportConfig::default()
+        };
+        let r = rig_with(2, transport);
+        let id = seed_bytes(&r, 0, Bytes::from(vec![9u8; 80 << 10]));
+        let fabric = r.fabric.clone();
+        let killer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            fabric.kill_node(NodeId(1));
+        });
+        let err = r.tm.fetch(id, NodeId(1), Duration::from_millis(200)).unwrap_err();
+        killer.join().unwrap();
+        assert_eq!(err, RayError::ObjectLost(id));
+        assert!(!r.stores[1].contains(id));
+        assert_eq!(holders(&r, id), vec![NodeId(0)]);
+        assert_eq!(r.fabric.transfer_count(), 0);
     }
 
     #[test]

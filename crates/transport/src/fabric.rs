@@ -1,9 +1,10 @@
 //! The fabric: liveness, partitions, and lane-contended transfers.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ray_common::config::{ChaosConfig, TransportConfig};
 use ray_common::metrics::{names, MetricsRegistry};
@@ -37,6 +38,8 @@ pub struct Fabric {
 
 struct Inner {
     model: LinkModel,
+    /// Largest piece a streamed transfer hands its receiver.
+    chunk_bytes: usize,
     alive: Vec<AtomicBool>,
     partitions: OrderedRwLock<HashSet<(u32, u32)>>,
     lanes: OrderedRwLock<HashMap<(u32, u32), Arc<Semaphore>>>,
@@ -71,6 +74,7 @@ impl Fabric {
         Fabric {
             inner: Arc::new(Inner {
                 model: LinkModel::from_config(cfg),
+                chunk_bytes: cfg.chunk_bytes.max(1),
                 alive: (0..num_nodes).map(|_| AtomicBool::new(true)).collect(),
                 partitions: OrderedRwLock::new(&classes::FABRIC_PARTITIONS, HashSet::new()),
                 lanes: OrderedRwLock::new(&classes::FABRIC_LANES, HashMap::new()),
@@ -233,8 +237,32 @@ impl Fabric {
         bytes: usize,
         connections: usize,
     ) -> RayResult<Duration> {
+        self.transfer_streamed(src, dst, bytes, connections, |_| {})
+    }
+
+    /// [`Fabric::transfer`], handing `on_piece` each piece `lo..hi` of at
+    /// most `transport.chunk_bytes` as it arrives: the pieces tile
+    /// `0..bytes` in order (one empty piece when `bytes` is 0) and piece
+    /// `lo..hi` is delivered `latency + hi / bandwidth` after the transfer
+    /// started. That instant is an absolute deadline, so time the receiver
+    /// spends on one piece comes out of the wait for the next, and the last
+    /// piece lands when `transfer` would have returned. Virtual time
+    /// delivers the pieces back to back.
+    ///
+    /// An `Err` means the payload did not arrive — dropped before the first
+    /// piece, or an endpoint lost while pieces were in flight — and the
+    /// receiver must discard what it was handed.
+    pub fn transfer_streamed(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+        connections: usize,
+        mut on_piece: impl FnMut(Range<usize>),
+    ) -> RayResult<Duration> {
         self.check_link(src, dst)?;
         if src == dst {
+            on_piece(0..bytes);
             return Ok(Duration::ZERO);
         }
         if self.chaos_drop(src) {
@@ -242,10 +270,22 @@ impl Fabric {
         }
         let lanes = self.link_lanes(src, dst);
         let permit = lanes.acquire(connections);
-        let d = self.inner.model.transfer_duration(bytes, permit.count()) + self.chaos_delay();
-        if self.inner.real_time.load(Ordering::Relaxed) {
-            std::thread::sleep(d);
-        }
+        let real_time = self.inner.real_time.load(Ordering::Relaxed);
+        let started = Instant::now();
+        let extra = self.chaos_delay();
+        let mut lo = 0usize;
+        let d = loop {
+            let hi = bytes.min(lo.saturating_add(self.inner.chunk_bytes));
+            let arrival = self.inner.model.transfer_duration(hi, permit.count()) + extra;
+            if real_time {
+                std::thread::sleep((started + arrival).saturating_duration_since(Instant::now()));
+            }
+            on_piece(lo..hi);
+            if hi == bytes {
+                break arrival;
+            }
+            lo = hi;
+        };
         drop(permit);
         // The destination may have died while the bytes were in flight.
         self.check_link(src, dst)?;
@@ -338,7 +378,6 @@ fn ordered(a: NodeId, b: NodeId) -> (u32, u32) {
 mod tests {
     use super::*;
     use std::thread;
-    use std::time::Instant;
 
     fn cfg() -> TransportConfig {
         TransportConfig {
@@ -428,6 +467,82 @@ mod tests {
         f.transfer(NodeId(0), NodeId(0), 999, 1).unwrap();
         assert_eq!(f.bytes_transferred(), 150);
         assert_eq!(f.transfer_count(), 2);
+    }
+
+    #[test]
+    fn streamed_pieces_tile_the_payload_and_count_as_one_transfer() {
+        let f = Fabric::new(2, &cfg());
+        f.set_virtual_time(true);
+        let chunk = cfg().chunk_bytes;
+        for bytes in [0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 7] {
+            let (moved, count) = (f.bytes_transferred(), f.transfer_count());
+            let mut pieces = Vec::new();
+            let d = f
+                .transfer_streamed(NodeId(0), NodeId(1), bytes, 4, |piece| pieces.push(piece))
+                .unwrap();
+            assert_eq!(d, f.model().transfer_duration(bytes, 4), "{bytes} bytes");
+            assert_eq!(pieces.len(), bytes.div_ceil(chunk).max(1), "{bytes} bytes");
+            let mut next = 0;
+            for piece in &pieces {
+                assert_eq!(piece.start, next, "{bytes} bytes: {pieces:?}");
+                assert!(piece.len() <= chunk, "{bytes} bytes: {pieces:?}");
+                next = piece.end;
+            }
+            assert_eq!(next, bytes);
+            assert_eq!(f.bytes_transferred() - moved, bytes as u64);
+            assert_eq!(f.transfer_count() - count, 1);
+        }
+    }
+
+    #[test]
+    fn a_slow_receiver_overlaps_the_wire() {
+        // 16 pieces of 4 ms wire time each on one lane; the receiver sleeps
+        // away half of that per piece. Store-and-forward would take 1.5x
+        // the wire time; streamed, only the last piece's work is exposed.
+        let piece_time = Duration::from_millis(4);
+        let config = TransportConfig {
+            latency: Duration::from_micros(100),
+            bandwidth_bytes_per_sec: 16 << 20,
+            chunk_bytes: 64 << 10,
+            ..cfg()
+        };
+        let f = Fabric::new(2, &config);
+        let bytes = 16 * config.chunk_bytes;
+        let wire = f.model().transfer_duration(bytes, 1);
+        let start = Instant::now();
+        let mut early = Vec::new();
+        let d = f
+            .transfer_streamed(NodeId(0), NodeId(1), bytes, 1, |piece| {
+                let (at, due) = (start.elapsed(), f.model().transfer_duration(piece.end, 1));
+                if at < due {
+                    early.push((piece, at, due));
+                }
+                thread::sleep(piece_time / 2);
+            })
+            .unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(d, wire);
+        assert!(early.is_empty(), "pieces delivered before they arrived: {early:?}");
+        assert!(
+            elapsed < wire.mul_f64(1.25),
+            "16 half-busy pieces took {elapsed:?} against {wire:?} of wire time"
+        );
+    }
+
+    #[test]
+    fn destination_killed_mid_stream_fails_the_transfer() {
+        let f = Fabric::new(2, &cfg());
+        f.set_virtual_time(true);
+        let mut pieces = 0;
+        let err = f
+            .transfer_streamed(NodeId(0), NodeId(1), 4 * cfg().chunk_bytes, 1, |_| {
+                pieces += 1;
+                f.kill_node(NodeId(1));
+            })
+            .unwrap_err();
+        assert_eq!(err, RayError::NodeDead(NodeId(1)));
+        assert_eq!(pieces, 4, "the liveness check comes after the flight, as for `transfer`");
+        assert_eq!((f.transfer_count(), f.bytes_transferred()), (0, 0));
     }
 
     #[test]

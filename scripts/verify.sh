@@ -59,15 +59,15 @@ cargo run -q -p xtask -- trace-check "$trace_out" --expect-nodes 2
 
 echo "== perf smoke =="
 # The benchmark (perf/, its own offline workspace) must still build against
-# the crates and pass its unit tests, and a short timed run of the control
-# plane's workload and the two actor workloads must verify every output:
-# task_storm checks `inc` results and counts every id a `wait` did not
-# return or a submit refused, ring_allreduce compares each reduced buffer
-# with `==`, so a lost notification or a broken collective cannot pass
-# this gate.
+# the crates and pass its unit tests, and a short timed run of every
+# workload must verify every output: task_storm checks `inc` results and
+# counts every id a `wait` did not return or a submit refused, object_flow
+# checks the checksum of every payload it pulled across nodes,
+# ring_allreduce compares each reduced buffer with `==`, so a lost
+# notification, a torn fetch or a broken collective cannot pass this gate.
 perf_manifest=perf/Cargo.toml
 cargo test -q --release --offline --manifest-path "$perf_manifest"
-for workload in task_storm ring_allreduce serve_steady; do
+for workload in task_storm object_flow ring_allreduce serve_steady; do
     result="$(cargo run -q --release --offline --manifest-path "$perf_manifest" -- \
         --workload "$workload" --seed 1 --seconds 3 --trace 0 | tail -n 1)"
     echo "$workload: $result"
