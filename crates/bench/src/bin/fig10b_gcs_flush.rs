@@ -26,7 +26,6 @@ fn run(total: usize, sample_every: usize, flush: bool) -> (Vec<(usize, u64)>, u6
         // memory is kept as low as possible".
         flush_threshold_entries: 2_000,
         flush_interval: Duration::from_millis(10),
-        op_delay: Duration::ZERO,
         ..GcsConfig::default()
     };
     let cluster = Cluster::start(cfg).expect("start cluster");

@@ -114,9 +114,6 @@ pub struct GcsConfig {
     pub flush_threshold_entries: usize,
     /// How often the flusher scans shards.
     pub flush_interval: Duration,
-    /// Simulated per-operation processing delay inside a replica (models
-    /// Redis command latency; zero for microbenchmarks).
-    pub op_delay: Duration,
     /// Consecutive all-probes-dead reconfiguration rounds before the chain
     /// master treats a shard as wholly lost and rebuilds it from the
     /// flushed disk log. Low values recover fast; higher values tolerate
@@ -136,7 +133,6 @@ impl Default for GcsConfig {
             flush_enabled: false,
             flush_threshold_entries: 100_000,
             flush_interval: Duration::from_millis(50),
-            op_delay: Duration::ZERO,
             recovery_threshold: 3,
             client_retry_limit: 3,
         }

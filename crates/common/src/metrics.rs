@@ -307,6 +307,10 @@ pub mod names {
     pub const TRANSFER_RETRIES: &str = "transfer_retries";
     /// GCS client operations retried after a transient error.
     pub const GCS_RETRIES: &str = "gcs_retries";
+    /// GCS chain reconfigurations (a dead member replaced, or a whole
+    /// shard rebuilt from its disk log), summed over shards; zero on a
+    /// run that injected no GCS fault.
+    pub const GCS_RECONFIGURATIONS: &str = "gcs_reconfigurations";
     /// Lock holds that exceeded the configured long-hold threshold
     /// (debug builds only; see `ray_common::sync`).
     pub const LOCK_LONG_HOLDS: &str = "lock_long_holds";

@@ -177,6 +177,13 @@ pub mod classes {
     pub static GCS_RECONFIG: LockClass = LockClass::new("gcs.reconfig", 400);
     /// The replication-chain member list.
     pub static GCS_MEMBERS: LockClass = LockClass::new("gcs.members", 410);
+    /// A chain's write order: held by the one writer walking an update
+    /// from head to tail, so every member applies the same sequence.
+    pub static GCS_CHAIN_ORDER: LockClass = LockClass::new("gcs.chain_order", 412);
+    /// One chain member's shard state; a write holds one at a time (under
+    /// `GCS_CHAIN_ORDER`), a read only the tail's. Held while flushing
+    /// into the disk tier.
+    pub static GCS_REPLICA_STATE: LockClass = LockClass::new("gcs.replica_state", 415);
     /// Durable-store backing buffer (flush target).
     pub static GCS_DISK_BACKING: LockClass = LockClass::new("gcs.disk_backing", 420);
     /// Durable-store key index.

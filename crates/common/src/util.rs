@@ -201,13 +201,21 @@ pub struct Backoff {
     base: Duration,
     cap: Duration,
     attempt: u32,
-    rng: DetRng,
+    /// `None` for a [`Backoff::fixed`] wait: no jitter.
+    rng: Option<DetRng>,
 }
 
 impl Backoff {
     /// Creates a backoff schedule.
     pub fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
-        Backoff { base, cap, attempt: 0, rng: DetRng::new(seed) }
+        Backoff { base, cap, attempt: 0, rng: Some(DetRng::new(seed)) }
+    }
+
+    /// The same `wait` before every retry, unjittered: a timeout being
+    /// waited out (the GCS chain's `OP_TIMEOUT`), not contention being
+    /// spread.
+    pub fn fixed(wait: Duration) -> Backoff {
+        Backoff { base: wait, cap: wait, attempt: 0, rng: None }
     }
 
     /// Number of delays handed out so far.
@@ -223,8 +231,10 @@ impl Backoff {
             .base
             .saturating_mul(1u32 << exp)
             .min(self.cap);
-        let jitter = 0.5 + 0.5 * self.rng.next_f64();
-        raw.mul_f64(jitter)
+        match &mut self.rng {
+            Some(rng) => raw.mul_f64(0.5 + 0.5 * rng.next_f64()),
+            None => raw,
+        }
     }
 }
 
@@ -382,6 +392,9 @@ mod tests {
         assert!(delays[7] <= Duration::from_millis(10));
         assert!(delays[7] >= Duration::from_millis(5));
         assert_eq!(b.attempt(), 8);
+        // A fixed wait neither grows nor jitters.
+        let mut fixed = Backoff::fixed(Duration::from_millis(10));
+        assert!((0..4).all(|_| fixed.next_delay() == Duration::from_millis(10)));
     }
 
     #[test]

@@ -132,9 +132,11 @@ impl Mailbox {
 
     /// Takes the place of a live host away (`true` if this call did it —
     /// the caller then owns the rebuild). Its calls stay where they are.
-    fn begin_recovery(&self) -> bool {
+    /// With `only`, just that host's place: a host ending after its node
+    /// died must not unseat the successor a rebuild has already made live.
+    fn begin_recovery(&self, only: Option<Host>) -> bool {
         let mut st = self.state.lock();
-        let live = matches!(st.host, Host::Live { .. });
+        let live = matches!(st.host, Host::Live { .. }) && only.is_none_or(|h| h == st.host);
         if live {
             self.set_host(&mut st, Host::Vacant);
         }
@@ -205,7 +207,7 @@ impl ActorRouter {
     /// performed the transition — the caller then owns the rebuild). The
     /// old host takes no further call and ends; `stop_all` joins it.
     pub fn begin_recovery(&self, actor: ActorId) -> bool {
-        self.mailbox(actor).is_some_and(|m| m.begin_recovery())
+        self.mailbox(actor).is_some_and(|m| m.begin_recovery(None))
     }
 
     /// Cluster shutdown: marks every actor dead so nothing routes, goes
@@ -303,8 +305,8 @@ impl ActorHost {
         // A host that was superseded or stopped just ends. One whose node
         // died without anybody telling the router (abrupt crash) starts
         // its own successor, which finds the calls it left, in order.
-        if !self.home.is_alive() {
-            let _ = rebuild_actor(&self.shared, self.actor);
+        if !self.home.is_alive() && mailbox.begin_recovery(Some(me)) {
+            spawn_rebuild(&self.shared, self.actor);
         }
     }
 
@@ -472,9 +474,16 @@ fn is_transient_rebuild_error(err: &RayError) -> bool {
 /// The thread started here is the next incarnation: it reconstructs the
 /// instance and then hosts it.
 pub(crate) fn rebuild_actor(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayResult<()> {
-    if !shared.actors.begin_recovery(actor) {
-        return Ok(()); // Someone else is rebuilding (or it is not alive-but-stale).
+    // Otherwise someone else is rebuilding (or it is not alive-but-stale).
+    if shared.actors.begin_recovery(actor) {
+        spawn_rebuild(shared, actor);
     }
+    Ok(())
+}
+
+/// Starts the incarnation that rebuilds `actor`; the caller has vacated
+/// the mailbox (`begin_recovery`).
+fn spawn_rebuild(shared: &Arc<RuntimeShared>, actor: ActorId) {
     let owned = shared.clone();
     // If shutdown won the race nothing starts, and nothing needs to.
     spawn_incarnation(shared, actor, move |mailbox| {
@@ -500,7 +509,6 @@ pub(crate) fn rebuild_actor(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayR
             Err(_) => mark_dead(&shared, actor, mailbox),
         }
     });
-    Ok(())
 }
 
 /// Checks an actor's host is live; kicks recovery if its node died.

@@ -20,7 +20,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ray_common::{NodeId, RayResult};
+use ray_common::{NodeId, RayResult, ShardId};
 
 use crate::cluster::Cluster;
 
@@ -56,6 +56,9 @@ pub struct ClusterSnapshot {
     pub gcs_resident_bytes: u64,
     /// Lineage entries flushed to the GCS disk tier.
     pub gcs_entries_flushed: u64,
+    /// Chain reconfigurations per GCS shard (a dead member replaced, or the
+    /// shard rebuilt from disk); all zero unless a GCS fault was injected.
+    pub gcs_reconfigurations: Vec<u64>,
     /// Total tasks submitted / executed / re-executed so far.
     pub tasks: (u64, u64, u64),
 }
@@ -68,11 +71,13 @@ impl ClusterSnapshot {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "cluster: {} node(s), {} task(s) in flight, GCS {}B resident ({} flushed)",
+            "cluster: {} node(s), {} task(s) in flight, GCS {}B resident ({} flushed), \
+             reconfigurations per shard {:?}",
             self.nodes.len(),
             self.inflight_tasks,
             self.gcs_resident_bytes,
-            self.gcs_entries_flushed
+            self.gcs_entries_flushed,
+            self.gcs_reconfigurations
         );
         let (submitted, executed, reexecuted) = self.tasks;
         let _ = writeln!(
@@ -164,6 +169,9 @@ impl Cluster {
             cancel_tokens: self.cancel_tokens(),
             gcs_resident_bytes: self.gcs().resident_bytes(),
             gcs_entries_flushed: self.gcs().entries_flushed(),
+            gcs_reconfigurations: (0..self.gcs().num_shards() as u32)
+                .map(|i| self.gcs().shard(ShardId(i)).reconfigurations())
+                .collect(),
             tasks: (
                 m.counter("tasks_submitted").get(),
                 m.counter("tasks_executed").get(),
@@ -222,8 +230,10 @@ mod tests {
         // The result objects are resident somewhere.
         let total_objects: usize = snap.nodes.iter().map(|n| n.objects_in_memory).sum();
         assert!(total_objects >= 5);
+        assert_eq!(snap.gcs_reconfigurations, vec![0; cluster.gcs().num_shards()]);
         let rendered = snap.render();
         assert!(rendered.contains("2 node(s)"));
+        assert!(rendered.contains("reconfigurations per shard [0, 0, 0, 0]"));
 
         cluster.kill_node(ray_common::NodeId(1));
         let snap = cluster.snapshot().unwrap();

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use ray_common::config::{FaultConfig, SchedulerPolicy};
+use ray_common::metrics::names;
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, ObjectId, RayConfig, RayError, Resources, ShardId};
 use ray_gcs::kv::{Key, Table, UpdateOp};
@@ -1032,18 +1033,6 @@ fn calls_left_in_a_dead_actors_mailbox_fail_at_once() {
     cluster.shutdown();
 }
 
-/// `committed_updates` once it has stopped moving: a writer bumps it on
-/// receiving the tail's ack, a moment after the write became readable.
-fn settled_writes(shard: &ray_gcs::chain::Chain) -> u64 {
-    loop {
-        let seen = shard.committed_updates();
-        std::thread::sleep(Duration::from_millis(50));
-        if shard.committed_updates() == seen {
-            return seen;
-        }
-    }
-}
-
 #[test]
 fn actor_methods_never_rewrite_the_actor_record() {
     // One shard, no flusher: every GCS write lands in one counter and
@@ -1081,7 +1070,7 @@ fn actor_methods_never_rewrite_the_actor_record() {
         ctx.get(&warm).unwrap();
         while rx.try_recv().is_ok() {}
 
-        let before = settled_writes(shard);
+        let before = shard.committed_updates();
         let calls: Vec<ObjectRef<i64>> = (0..100)
             .map(|_| ctx.call_actor(&h, "incr", vec![Arg::value(&1i64).unwrap()]).unwrap())
             .collect();
@@ -1093,7 +1082,7 @@ fn actor_methods_never_rewrite_the_actor_record() {
             assert!(Instant::now() < deadline, "methods never finished");
             std::thread::sleep(Duration::from_millis(2));
         }
-        growth.push(settled_writes(shard) - before);
+        growth.push(shard.committed_updates() - before);
 
         assert_eq!(ctx.get(&calls[99]).unwrap(), padding as i64 + 100);
         assert!(rx.try_recv().is_err(), "the actor record was rewritten after creation");
@@ -1113,7 +1102,7 @@ fn an_empty_task_costs_two_gcs_writes() {
     let ctx = cluster.driver();
     let shards = cluster.gcs().num_shards();
     let writes = || -> u64 {
-        (0..shards).map(|i| settled_writes(cluster.gcs().shard(ShardId(i as u32)))).sum()
+        (0..shards).map(|i| cluster.gcs().shard(ShardId(i as u32)).committed_updates()).sum()
     };
     let put = ctx.put(&7u64).unwrap();
 
@@ -1139,6 +1128,37 @@ fn an_empty_task_costs_two_gcs_writes() {
     assert!(!ctx.cancel(put.id()).unwrap());
     assert!(!ctx.cancel(ids[0]).unwrap());
     assert_eq!(writes(), before);
+    // No fault was injected, so no chain replaced a member: a slow apply
+    // is waited for, not reported.
+    assert_eq!(cluster.metrics().counter(names::GCS_RECONFIGURATIONS).get(), 0);
+    assert_eq!(cluster.snapshot().unwrap().gcs_reconfigurations, vec![0; shards]);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_chain_reconfigures_once_per_crashed_member() {
+    let cluster = small_cluster();
+    cluster.register_fn1("inc", |x: u64| x + 1);
+    let ctx = cluster.driver();
+    let shard = cluster.gcs().shard(ShardId(0));
+    // Task specs and result locations spread over all four shards, so a
+    // round writes to (and meets the dead member of) the shard under attack.
+    let round = || {
+        let ids: Vec<ObjectId> = (0..64u64)
+            .map(|x| ctx.submit("inc", vec![Arg::value(&x).unwrap()], TaskOptions::default()).unwrap()[0])
+            .collect();
+        let (ready, _) = ctx.wait(&ids, ids.len(), Duration::from_secs(60)).unwrap();
+        assert_eq!(ready.len(), ids.len());
+    };
+    round();
+    for (crashes, member) in [(1, 0), (2, 1)] {
+        // A head, then (once the head's replacement has joined) a tail.
+        shard.crash_member(member);
+        round();
+        assert_eq!((shard.reconfigurations(), shard.replica_count()), (crashes, 2));
+    }
+    assert_eq!(cluster.snapshot().unwrap().gcs_reconfigurations, vec![2, 0, 0, 0]);
+    assert_eq!(cluster.metrics().counter(names::GCS_RECONFIGURATIONS).get(), 2);
     cluster.shutdown();
 }
 
@@ -1149,7 +1169,7 @@ fn free_drops_an_objects_row_in_one_update() {
     let gcs = cluster.gcs().client();
     let shards = cluster.gcs().num_shards();
     let writes = || -> u64 {
-        (0..shards).map(|i| settled_writes(cluster.gcs().shard(ShardId(i as u32)))).sum()
+        (0..shards).map(|i| cluster.gcs().shard(ShardId(i as u32)).committed_updates()).sum()
     };
     let id = ctx.put_raw(Bytes::from_static(b"held on two nodes")).unwrap();
     cluster.driver_on(NodeId(1)).get_raw(id, Duration::from_secs(5)).unwrap();

@@ -5,58 +5,60 @@
 //! tail. The paper builds "a lightweight chain replication layer on top of
 //! Redis" and shows (Fig. 10a) that a member kill plus rejoin keeps the
 //! maximum client-observed latency under 30ms. This module reproduces that
-//! protocol and that experiment's mechanics:
+//! protocol and that experiment's mechanics, with the members as values
+//! the client drives (`replica.rs`) — a write is the caller's thread
+//! applying the update at each member from head to tail, one writer per
+//! chain at a time, not a message relayed between member threads:
 //!
-//! - failure *reporting*: clients time out and call [`Chain::reconfigure`];
-//! - failure *detection*: the master probes all members in parallel and
-//!   drops those that do not answer;
-//! - *recovery*: a fresh replica is spawned, receives a state-transfer
-//!   snapshot from the current tail, and is spliced in as the new tail;
+//! - failure *reporting*: a client that meets a crashed member gets no
+//!   answer, waits out [`OP_TIMEOUT`] and calls [`Chain::reconfigure`];
+//! - failure *detection*: the master probes all members and drops those
+//!   that do not answer within [`PROBE_TIMEOUT`];
+//! - *recovery*: a fresh replica receives a state-transfer snapshot from
+//!   the current tail and is spliced in as the new tail;
 //! - retries: update operations are idempotent (`Put`/`SetAdd`/`SetRemove`;
 //!   `ListAppend` is at-least-once, documented for event logs), so client
-//!   retry after timeout is safe.
+//!   retry after timeout is safe — the head may have applied what the
+//!   tail never saw.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam_channel::bounded;
 
 use ray_common::config::GcsConfig;
 use ray_common::id::NodeId;
-use ray_common::metrics::MetricsRegistry;
+use ray_common::metrics::{names, Counter, MetricsRegistry};
 use ray_common::sync::{classes, OrderedMutex, OrderedRwLock};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
+use ray_common::util::{retry, Backoff};
 use ray_common::{RayError, RayResult, ShardId};
 
 use crate::flush::DiskStore;
 use crate::kv::{Entry, Key, Table, UpdateOp};
-use crate::replica::{ReplicaHandle, ReplicaMsg};
+use crate::replica::Replica;
 
-use std::sync::Arc;
-
-/// How long a client waits for a write ack / read reply before reporting a
-/// failure to the master. Tuned with [`PROBE_TIMEOUT`] so that detection +
-/// reconfiguration + retry stays under the paper's 30ms client-observed
-/// bound (Fig. 10a); false positives from slow ops are harmless (the
-/// master's probe finds everyone alive and the client just retries).
+/// How long a client waits on a member that does not answer before
+/// reporting a failure to the master. With [`PROBE_TIMEOUT`] it is half
+/// of the paper's 30ms client-observed bound (Fig. 10a); the state
+/// transfer and the retry have the other half. Only a crashed member
+/// costs it: a live one answers however long its apply takes.
 pub(crate) const OP_TIMEOUT: Duration = Duration::from_millis(10);
 /// How long the master waits for a probe reply before declaring a member
 /// dead.
 const PROBE_TIMEOUT: Duration = Duration::from_millis(5);
-/// How long the master waits for a state-transfer snapshot while splicing
-/// in a replacement replica. Generous: a large shard takes a while to
-/// clone, and failing here would leave the chain under-replicated.
-const SNAPSHOT_TIMEOUT: Duration = Duration::from_secs(5);
-/// Client retry budget across reconfigurations.
-const MAX_RETRIES: usize = 8;
+/// Client attempts across reconfigurations.
+const MAX_RETRIES: u32 = 8;
 
 /// One chain-replicated shard.
 pub struct Chain {
     shard_id: ShardId,
     cfg: GcsConfig,
-    metrics: MetricsRegistry,
     trace: TraceCollector,
-    members: OrderedRwLock<Vec<ReplicaHandle>>,
+    members: OrderedRwLock<Vec<Replica>>,
+    /// Held by the one writer walking an update down the chain, so every
+    /// member applies the same sequence (the rank rule forbids holding two
+    /// members' state locks hand over hand).
+    order: OrderedMutex<()>,
     reconfig: OrderedMutex<()>,
     next_replica_id: AtomicU64,
     committed: AtomicU64,
@@ -67,6 +69,9 @@ pub struct Chain {
     /// to clear.
     all_dead_streak: AtomicUsize,
     disk: Arc<DiskStore>,
+    entries_flushed: Arc<Counter>,
+    /// `reconfigurations`, summed over the shards of one registry.
+    reconfigurations_total: Arc<Counter>,
 }
 
 impl Chain {
@@ -77,33 +82,28 @@ impl Chain {
         metrics: MetricsRegistry,
         trace: TraceCollector,
     ) -> RayResult<Chain> {
-        let disk = Arc::new(DiskStore::in_memory());
         let chain = Chain {
             shard_id,
             cfg: cfg.clone(),
-            metrics,
             trace,
             members: OrderedRwLock::new(&classes::GCS_MEMBERS, Vec::new()),
+            order: OrderedMutex::new(&classes::GCS_CHAIN_ORDER, ()),
             reconfig: OrderedMutex::new(&classes::GCS_RECONFIG, ()),
             next_replica_id: AtomicU64::new(0),
             committed: AtomicU64::new(0),
             reconfigurations: AtomicU64::new(0),
             all_dead_streak: AtomicUsize::new(0),
-            disk,
+            disk: Arc::new(DiskStore::in_memory()),
+            entries_flushed: metrics.counter(names::GCS_ENTRIES_FLUSHED),
+            reconfigurations_total: metrics.counter(names::GCS_RECONFIGURATIONS),
         };
-        {
-            let mut members = chain.members.write();
-            for _ in 0..cfg.chain_length {
-                members.push(chain.spawn_replica());
-            }
-            relink(&members);
-        }
+        chain.members.write().extend((0..cfg.chain_length).map(|_| chain.new_replica()));
         Ok(chain)
     }
 
-    fn spawn_replica(&self) -> ReplicaHandle {
+    fn new_replica(&self) -> Replica {
         let id = self.next_replica_id.fetch_add(1, Ordering::SeqCst);
-        ReplicaHandle::spawn(id, self.disk.clone(), self.metrics.clone(), self.cfg.op_delay)
+        Replica::new(id, self.disk.clone())
     }
 
     /// This shard's ID.
@@ -116,7 +116,7 @@ impl Chain {
         self.members.read().len()
     }
 
-    /// Writes acknowledged by the tail so far.
+    /// Writes committed at the tail so far.
     pub fn committed_updates(&self) -> u64 {
         self.committed.load(Ordering::Relaxed)
     }
@@ -195,56 +195,71 @@ impl Chain {
         Ok(())
     }
 
-    /// Applies an update through the chain (head → ... → tail → ack).
+    /// Applies an update through the chain (head → ... → tail), on the
+    /// caller's thread. The tail is the commit point: its apply is the one
+    /// that is counted (under its state lock, so the count never trails
+    /// what a read can see) and the one subscribers hear about.
     pub fn write(&self, op: UpdateOp) -> RayResult<()> {
-        for _ in 0..MAX_RETRIES {
-            let head = match self.members.read().first() {
-                Some(h) => h.tx.clone(),
-                None => return Err(RayError::Shutdown(format!("shard {} lost", self.shard_id))),
-            };
-            let (ack_tx, ack_rx) = bounded(1);
-            if head.send(ReplicaMsg::Update { op: clone_op(&op), reply: Some(ack_tx) }).is_err() {
-                self.reconfigure();
-                continue;
+        self.attempt(|members| {
+            let _order = self.order.lock();
+            let (tail, upstream) = members.split_last()?;
+            for member in upstream {
+                member.live_state()?.apply(&op);
             }
-            match ack_rx.recv_timeout(OP_TIMEOUT) {
-                Ok(()) => {
-                    self.committed.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(_) => {
-                    // Timeout despite a healthy-looking send: report to the
-                    // master (paper: "Failures are reported to the chain
-                    // master ... from the client").
+            let mut state = tail.live_state()?;
+            let (notifications, flushed) = state.apply(&op);
+            self.committed.fetch_add(1, Ordering::Relaxed);
+            drop(state);
+            if flushed > 0 {
+                self.entries_flushed.add(flushed);
+            }
+            for (subscriber, notification) in notifications {
+                let _ = subscriber.send(notification);
+            }
+            Some(())
+        })
+    }
+
+    /// Reads a key from the tail (the commit point); only the tail's state
+    /// is locked, so a read never waits for a write still at the head.
+    pub fn read(&self, key: &Key) -> RayResult<Option<Entry>> {
+        self.attempt(|members| Some(members.last()?.live_state()?.get(key)))
+    }
+
+    /// The client side of the protocol. `op` runs under the membership
+    /// read lock and returns `None`, holding no other lock, when a member
+    /// it needs is crashed: such a member never answers, so the client
+    /// waits out [`OP_TIMEOUT`] (`retry`'s sleep), reports to the master
+    /// (paper: "Failures are reported to the chain master ... from the
+    /// client") and tries again, [`MAX_RETRIES`] attempts in all.
+    fn attempt<T>(&self, op: impl Fn(&[Replica]) -> Option<T>) -> RayResult<T> {
+        let unanswered = RayError::GcsUnavailable(self.shard_id);
+        let mut timed_out = false;
+        let outcome = retry(
+            Backoff::fixed(OP_TIMEOUT),
+            MAX_RETRIES - 1,
+            |e, _| *e == unanswered,
+            || {
+                if std::mem::replace(&mut timed_out, true) {
                     self.reconfigure();
                 }
-            }
+                let members = self.members.read();
+                if members.is_empty() {
+                    return Err(RayError::Shutdown(format!("shard {} lost", self.shard_id)));
+                }
+                op(&members).ok_or_else(|| unanswered.clone())
+            },
+        );
+        if outcome.as_ref().err() == Some(&unanswered) {
+            // The last attempt's failure is reported like the others, so
+            // a caller's own retry meets a chain the master has seen.
+            self.reconfigure();
         }
-        Err(RayError::GcsUnavailable(self.shard_id))
+        outcome
     }
 
-    /// Reads a key from the tail (the commit point).
-    pub fn read(&self, key: &Key) -> RayResult<Option<Entry>> {
-        for _ in 0..MAX_RETRIES {
-            let tail = match self.members.read().last() {
-                Some(t) => t.tx.clone(),
-                None => return Err(RayError::Shutdown(format!("shard {} lost", self.shard_id))),
-            };
-            let (tx, rx) = bounded(1);
-            if tail.send(ReplicaMsg::Read { key: key.clone(), reply: tx }).is_err() {
-                self.reconfigure();
-                continue;
-            }
-            match rx.recv_timeout(OP_TIMEOUT) {
-                Ok(e) => return Ok(e),
-                Err(_) => self.reconfigure(),
-            }
-        }
-        Err(RayError::GcsUnavailable(self.shard_id))
-    }
-
-    /// Master logic: probe all members, drop the dead, splice in a
-    /// replacement via state transfer, and restore chain links.
+    /// Master logic: probe all members, drop the dead, and splice in a
+    /// replacement via state transfer.
     ///
     /// Serialized by the master lock; concurrent reporters coalesce (the
     /// second caller finds a healthy chain and does nothing). When every
@@ -263,40 +278,20 @@ impl Chain {
 
     fn reconfigure_inner(&self, force_recover: bool) {
         let _master = self.reconfig.lock();
-        // Probe in parallel: send all pings first, then collect.
-        let probes: Vec<_> = {
-            let members = self.members.read();
-            members
-                .iter()
-                .map(|m| {
-                    let (tx, rx) = bounded(1);
-                    let sent = m.tx.send(ReplicaMsg::Ping { reply: tx }).is_ok();
-                    (sent, rx)
-                })
-                .collect()
-        };
-        if probes.is_empty() {
+        let alive: Vec<bool> = self.members.read().iter().map(|m| !m.is_crashed()).collect();
+        if alive.is_empty() {
             // Shut down (members cleared); nothing to probe or rebuild.
             return;
         }
-        let clock = self.trace.clock().clone();
-        let deadline = clock.now() + PROBE_TIMEOUT;
-        let alive: Vec<bool> = probes
-            .into_iter()
-            .map(|(sent, rx)| {
-                if !sent {
-                    return false;
-                }
-                let now = clock.now();
-                let remaining = deadline.saturating_duration_since(now).max(Duration::from_millis(1));
-                rx.recv_timeout(remaining).is_ok()
-            })
-            .collect();
         if alive.iter().all(|&a| a) {
-            // False alarm (e.g. slow op); nothing to do.
+            // Everyone answered: the failure was already repaired by an
+            // earlier reporter.
             self.all_dead_streak.store(0, Ordering::Relaxed);
             return;
         }
+        // The probes go out in parallel and a dead member never answers
+        // its own, so finding one dead costs the master one full timeout.
+        std::thread::sleep(PROBE_TIMEOUT);
         if !alive.iter().any(|&a| a) {
             // Every probe timed out at once. A single occurrence is more
             // likely a scheduling stall than a simultaneous whole-chain
@@ -313,33 +308,22 @@ impl Chain {
         self.all_dead_streak.store(0, Ordering::Relaxed);
 
         let mut members = self.members.write();
-        let mut idx = 0;
-        members.retain(|_| {
-            let keep = alive.get(idx).copied().unwrap_or(false);
-            idx += 1;
-            keep
-        });
+        let mut answered = alive.iter();
+        members.retain(|_| answered.next().copied().unwrap_or(false));
 
-        // Respawn replacements up to the configured chain length, each
-        // initialized by state transfer from the current tail.
+        // Add replacements up to the configured chain length, each
+        // initialized by state transfer from the current tail. The
+        // membership write lock keeps every writer out meanwhile.
         while !members.is_empty() && members.len() < self.cfg.chain_length {
-            let snapshot = {
-                let tail = members.last().expect("invariant: chain membership is never empty");
-                let (tx, rx) = bounded(1);
-                if tail.tx.send(ReplicaMsg::Snapshot { reply: tx }).is_err() {
-                    break;
-                }
-                match rx.recv_timeout(SNAPSHOT_TIMEOUT) {
-                    Ok(s) => s,
-                    Err(_) => break,
-                }
+            let Some(snapshot) = members.last().and_then(Replica::live_state).map(|s| s.snapshot())
+            else {
+                break; // The tail died after its probe; the next report sees it.
             };
-            let replacement = self.spawn_replica();
-            let _ = replacement.tx.send(ReplicaMsg::Install { snap: snapshot });
-            members.push(replacement);
+            let joiner = self.new_replica();
+            joiner.live_state().expect("invariant: a new member has not crashed").install(snapshot);
+            members.push(joiner);
         }
-        relink(&members);
-        self.reconfigurations.fetch_add(1, Ordering::Relaxed);
+        self.count_reconfiguration();
         self.trace.emit(
             NodeId(0),
             TraceEventKind::GcsReconfigured,
@@ -348,7 +332,12 @@ impl Chain {
         );
     }
 
-    /// Whole-shard recovery: every replica is gone, so spawn a fresh chain
+    fn count_reconfiguration(&self) {
+        self.reconfigurations.fetch_add(1, Ordering::Relaxed);
+        self.reconfigurations_total.inc();
+    }
+
+    /// Whole-shard recovery: every replica is gone, so start a fresh chain
     /// over the surviving disk log. Flushed entries (the lineage tables —
     /// paper Fig. 10b) are replayed through the disk tier's index and stay
     /// readable via read-through; unflushed in-memory entries and live
@@ -358,18 +347,14 @@ impl Chain {
     /// Caller must hold the reconfig (master) lock.
     fn recover_from_disk(&self) {
         let mut members = self.members.write();
-        // Dropping the old handles joins the crashed replica threads.
         members.clear();
         // Validate the log end-to-end before serving from it: every record
         // must decode (reopen already truncated any torn tail for
         // file-backed stores).
         let replayed = self.disk.replay().len();
-        for _ in 0..self.cfg.chain_length {
-            members.push(self.spawn_replica());
-        }
-        relink(&members);
+        members.extend((0..self.cfg.chain_length).map(|_| self.new_replica()));
         drop(members);
-        self.reconfigurations.fetch_add(1, Ordering::Relaxed);
+        self.count_reconfiguration();
         self.all_dead_streak.store(0, Ordering::Relaxed);
         self.trace.emit(
             NodeId(0),
@@ -385,26 +370,10 @@ impl Chain {
         );
     }
 
-    /// Stops all replica threads.
+    /// Drops every member; later operations fail with `Shutdown`.
     pub fn shutdown(&self) {
-        let mut members = self.members.write();
-        for m in members.iter_mut() {
-            m.shutdown();
-        }
-        members.clear();
+        self.members.write().clear();
     }
-}
-
-fn relink(members: &[ReplicaHandle]) {
-    for i in 0..members.len() {
-        let next = members.get(i + 1).map(|m| m.tx.clone());
-        let _ = members[i].tx.send(ReplicaMsg::SetNext { next });
-    }
-}
-
-// `UpdateOp` derives `Clone`, but retry loops make the intent worth naming.
-fn clone_op(op: &UpdateOp) -> UpdateOp {
-    op.clone()
 }
 
 #[cfg(test)]
@@ -591,6 +560,110 @@ mod tests {
         for i in 0..50u8 {
             assert!(get(&chain, i).is_some(), "entry {i} lost under churn");
         }
+        chain.shutdown();
+    }
+
+    // --- the member as a value the client drives ---
+
+    fn residents(chain: &Chain) -> Vec<i64> {
+        chain.members.read().iter().map(|m| m.resident.load(Ordering::Relaxed)).collect()
+    }
+
+    #[test]
+    fn a_write_is_applied_at_every_member_and_committed_once() {
+        for len in [1, 2, 3] {
+            let chain = start_chain(len);
+            put(&chain, 1, b"v").unwrap();
+            assert_eq!(chain.committed_updates(), 1);
+            for member in chain.members.read().iter() {
+                let held = member.live_state().unwrap().get(&Key::new(Table::Task, vec![1]));
+                assert_eq!(held, Some(Entry::Blob(Bytes::from_static(b"v"))), "{}", member.id);
+            }
+            assert_eq!(get(&chain, 1), Some(Entry::Blob(Bytes::from_static(b"v"))));
+            assert_eq!(chain.reconfigurations(), 0);
+            chain.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_crashed_member_is_never_applied_to() {
+        let chain = start_chain(2);
+        put(&chain, 1, b"before").unwrap();
+        let dead_tail = chain.members.read().last().unwrap().resident.clone();
+        let (head_before, tail_before) = (residents(&chain)[0], dead_tail.load(Ordering::Relaxed));
+        chain.crash_member(1);
+        let start = std::time::Instant::now();
+        put(&chain, 2, b"after").unwrap();
+        assert!(start.elapsed() >= OP_TIMEOUT, "a dead member costs its client a full timeout");
+        // The head applied both attempts' worth of one idempotent put; the
+        // dead tail saw neither, and the write committed on its successor.
+        assert_eq!(dead_tail.load(Ordering::Relaxed), tail_before);
+        assert!(residents(&chain).iter().all(|&r| r > head_before), "{:?}", residents(&chain));
+        assert_eq!(get(&chain, 2), Some(Entry::Blob(Bytes::from_static(b"after"))));
+        assert_eq!((chain.replica_count(), chain.reconfigurations()), (2, 1));
+        assert_eq!(chain.committed_updates(), 2);
+        chain.shutdown();
+    }
+
+    #[test]
+    fn only_the_commit_point_notifies() {
+        let chain = start_chain(3);
+        let key = Key::new(Table::Object, vec![1]);
+        let (tx, rx) = crossbeam_channel::unbounded();
+        let subscribe = UpdateOp::Subscribe { keys: vec![key.clone()], sub_id: 1, sender: tx };
+        chain.write(subscribe).unwrap();
+        for member in 0..4u8 {
+            chain.write(UpdateOp::SetAdd { key: key.clone(), member: vec![member] }).unwrap();
+            // Three members applied the write; the subscriber hears it once,
+            // with the committed entry.
+            match rx.try_recv().unwrap().entry {
+                Some(Entry::Set(s)) => assert_eq!(s.len(), member as usize + 1),
+                other => panic!("expected the location set, got {other:?}"),
+            }
+            assert!(rx.try_recv().is_err());
+        }
+        chain.shutdown();
+    }
+
+    #[test]
+    fn a_read_does_not_wait_for_a_write_in_progress_at_the_head() {
+        let chain = start_chain(2);
+        put(&chain, 1, b"committed").unwrap();
+        let (read_tx, read_rx) = crossbeam_channel::unbounded();
+        std::thread::scope(|scope| {
+            let members = chain.members.read();
+            let head = members.first().unwrap().live_state().unwrap();
+            // The writer takes the order lock and stops at the head.
+            let writer = scope.spawn(|| put(&chain, 2, b"in flight"));
+            scope.spawn(|| read_tx.send((get(&chain, 1), get(&chain, 2))).unwrap());
+            let (committed, in_flight) =
+                read_rx.recv_timeout(Duration::from_secs(5)).expect("the read waited for the head");
+            assert_eq!(committed, Some(Entry::Blob(Bytes::from_static(b"committed"))));
+            assert_eq!(in_flight, None, "the tail has not committed it");
+            drop(head);
+            drop(members);
+            writer.join().unwrap().unwrap();
+        });
+        assert_eq!(get(&chain, 2), Some(Entry::Blob(Bytes::from_static(b"in flight"))));
+        chain.shutdown();
+    }
+
+    #[test]
+    fn growing_a_shard_evicts_no_replica() {
+        // 120 000 distinct keys take the shard's hash maps through every
+        // growth point up to 114 688 entries, where one apply rehashes the
+        // whole table: slow, and nothing a master may mistake for a death.
+        let chain = start_chain(2);
+        for i in 0..120_000u32 {
+            chain
+                .write(UpdateOp::Put {
+                    key: Key::new(Table::Task, i.to_le_bytes()),
+                    value: Bytes::from_static(b"spec"),
+                })
+                .unwrap();
+        }
+        assert_eq!(chain.committed_updates(), 120_000);
+        assert_eq!((chain.reconfigurations(), chain.replica_count()), (0, 2));
         chain.shutdown();
     }
 }

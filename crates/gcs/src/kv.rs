@@ -143,10 +143,12 @@ pub type NotifySender = Sender<Notification>;
 
 /// Most keys one [`UpdateOp::Subscribe`] may carry; a larger set is split
 /// into several ops under one `sub_id`. An op is applied on every replica
-/// in turn inside the writer's 10 ms `chain::OP_TIMEOUT`, and a key costs a
-/// few allocations there (index entries, plus a notification when the entry
-/// exists). At 256 keys, every entry present, one apply takes 0.3 ms in a
-/// debug build — a thirtieth of the timeout, 0.6 ms at 512 — which
+/// in turn while its writer holds the chain's order lock, which every other
+/// writer of the shard waits for, and a key costs a few allocations there
+/// (index entries, plus a notification when the entry exists). At 256 keys,
+/// every entry present, one apply takes 0.3 ms in a debug build — a
+/// thirtieth of `chain::OP_TIMEOUT`, the yardstick for "a stall a client
+/// would notice"; 0.6 ms at 512 — which
 /// `subscribe_apply_at_the_cap_is_far_under_the_op_timeout` keeps checked.
 pub const MAX_SUBSCRIBE_KEYS: usize = 256;
 
@@ -191,7 +193,7 @@ pub enum UpdateOp {
     /// are part of the replicated state so the commit point (tail) always
     /// has them. Several ops may share a `sub_id` (their key sets add up);
     /// a key is registered once per `(key, sub_id)` however often the op is
-    /// applied, because a writer whose ack timed out re-issues it.
+    /// applied, because a writer that met a crashed member re-issues it.
     Subscribe {
         /// Keys to watch, at most [`MAX_SUBSCRIBE_KEYS`].
         keys: Vec<Key>,
@@ -333,15 +335,17 @@ impl ShardState {
                 (self.notifications_for(key), 0)
             }
             UpdateOp::SetAdd { key, member } => {
-                let entry = self
-                    .entries
-                    .entry(key.clone())
-                    .or_insert_with(|| Entry::Set(BTreeSet::new()));
+                let mut added = 0;
+                let entry = self.entries.entry(key.clone()).or_insert_with(|| {
+                    added += key.weight() as i64;
+                    Entry::Set(BTreeSet::new())
+                });
                 if let Entry::Set(s) = entry {
                     if s.insert(member.clone()) {
-                        self.charge(member.len() as i64);
+                        added += member.len() as i64;
                     }
                 }
+                self.charge(added);
                 // Type mismatch (blob under a set op) is ignored: ops are
                 // generated by the typed client so this cannot happen in a
                 // well-formed system; dropping keeps replicas deterministic.
@@ -375,14 +379,16 @@ impl ShardState {
                         self.entries.insert(key.clone(), prev);
                     }
                 }
-                let entry = self
-                    .entries
-                    .entry(key.clone())
-                    .or_insert_with(|| Entry::List(Vec::new()));
+                let mut added = 0;
+                let entry = self.entries.entry(key.clone()).or_insert_with(|| {
+                    added += key.weight() as i64;
+                    Entry::List(Vec::new())
+                });
                 if let Entry::List(l) = entry {
                     l.push(item.clone());
-                    self.charge(item.len() as i64);
+                    added += item.len() as i64;
                 }
+                self.charge(added);
                 self.track_order(key);
                 (self.notifications_for(key), 0)
             }
@@ -637,8 +643,8 @@ mod tests {
         let mut s = state();
         let keys: Vec<Key> = (0..4u8).map(key).collect();
         let (tx, _rx) = unbounded();
-        // A writer whose ack timed out re-issues the op; a second op of the
-        // same subscription overlaps the first.
+        // A writer that met a crashed member re-issues the op; a second op of
+        // the same subscription overlaps the first.
         s.apply(&subscribe(&keys, 1, &tx));
         s.apply(&subscribe(&keys, 1, &tx));
         s.apply(&subscribe(&keys[2..], 1, &tx));
@@ -723,6 +729,19 @@ mod tests {
         s.apply(&UpdateOp::Put { key: k.clone(), value: Bytes::from(vec![0u8; 100]) });
         assert!(resident.load(Ordering::Relaxed) >= 100);
         s.apply(&UpdateOp::Delete { key: k });
+        assert_eq!(resident.load(Ordering::Relaxed), 0);
+        // An entry a `SetAdd` or `ListAppend` creates pays for its key
+        // like one a `Put` creates, because removing it refunds the key.
+        let set = key(7);
+        s.apply(&UpdateOp::SetAdd { key: set.clone(), member: vec![1, 2] });
+        assert_eq!(resident.load(Ordering::Relaxed), (set.weight() + 2) as i64);
+        s.apply(&UpdateOp::SetRemove { key: set, member: vec![1, 2] });
+        assert_eq!(resident.load(Ordering::Relaxed), 0);
+        let list = Key::new(Table::Event, vec![9; 16]);
+        s.apply(&UpdateOp::ListAppend { key: list.clone(), item: Bytes::from_static(b"evt") });
+        s.apply(&UpdateOp::ListAppend { key: list.clone(), item: Bytes::from_static(b"evt") });
+        assert_eq!(resident.load(Ordering::Relaxed), (list.weight() + 6) as i64);
+        s.apply(&UpdateOp::Delete { key: list });
         assert_eq!(resident.load(Ordering::Relaxed), 0);
     }
 

@@ -12,14 +12,16 @@
 //! - [`kv`]: the replicated state machine of one shard — tables, entries
 //!   (blobs / location sets / append logs), update operations, and pub-sub
 //!   subscriber bookkeeping.
-//! - [`replica`]: one chain member: a thread applying updates in sequence,
-//!   forwarding down the chain, answering reads at the tail, and supporting
-//!   snapshot/state-transfer for reconfiguration. Replicas can be "crashed"
-//!   (they stop responding) to exercise failure handling.
-//! - [`chain`]: the chain itself: client write/read paths with retry, the
-//!   master's failure detection (probe on timeout) and reconfiguration
-//!   (drop dead members, splice a fresh replica in via state transfer) —
-//!   the mechanism behind paper Fig. 10a.
+//! - [`replica`]: one chain member: a shard state behind its own lock,
+//!   which the calling client applies updates to (no thread of its own).
+//!   Replicas can be "crashed" (they stop applying and answering) to
+//!   exercise failure handling.
+//! - [`chain`]: the chain itself: the client's write path (apply at every
+//!   member head → tail, commit and notify at the tail) and read path (the
+//!   tail only) with timeout and retry, the master's failure detection
+//!   (probe on report) and reconfiguration (drop dead members, splice a
+//!   fresh replica in via state transfer) — the mechanism behind paper
+//!   Fig. 10a.
 //! - [`flush`]: the flusher that moves cold lineage entries to an
 //!   append-only disk file, bounding GCS memory (paper Fig. 10b), with a
 //!   read-through path for reconstruction after flushing.
@@ -181,7 +183,7 @@ impl Gcs {
         }
     }
 
-    /// Stops the flusher and all replica threads.
+    /// Stops the flusher and drops every shard's replicas.
     pub fn shutdown(&self) {
         if let Some(f) = &self.flusher {
             f.stop();

@@ -1,306 +1,125 @@
-//! One chain member: a single-threaded replica applying updates in order.
+//! One chain member: a shard state behind its own lock, and a crash flag.
 //!
-//! "We implement both the local and global schedulers as event-driven,
-//! single-threaded processes" (paper §4.2.4) — GCS shard replicas follow
-//! the same discipline: one thread, one inbound queue, deterministic state
-//! transitions. A replica can be *crashed* for failure injection: the
-//! thread keeps draining its queue (so senders never block) but stops
-//! replying, forwarding, or mutating state — indistinguishable from a hung
-//! process to clients, which is what drives the timeout-based failure
-//! reporting of paper Fig. 10a.
+//! A member is a value, not a thread. The client that issues an operation
+//! drives it through the chain on its own thread (`chain.rs`): it takes
+//! each member's state lock in turn and applies the update there, so the
+//! state transitions are as deterministic as those of the paper's
+//! "event-driven, single-threaded processes" (§4.2.4) without a wake-up
+//! per member. A member can be *crashed* for failure injection: from then
+//! on [`Replica::live_state`] hands its state to nobody, so it neither
+//! applies nor answers — to a client, which learns nothing from it and can
+//! only wait out its timeout, that is a hung process, and it is what drives
+//! the timeout-based failure reporting of paper Fig. 10a. A member that is
+//! merely busy holds its lock and the caller waits for it: slow is no
+//! longer the same observation as dead.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
-
-use ray_common::metrics::{names, MetricsRegistry};
+use ray_common::sync::{classes, OrderedMutex, OrderedMutexGuard};
 
 use crate::flush::DiskStore;
-use crate::kv::{Entry, Key, ShardSnapshot, ShardState, UpdateOp};
+use crate::kv::ShardState;
 
-/// Messages a replica processes.
-pub enum ReplicaMsg {
-    /// Apply an update and forward it down the chain; the tail replies.
-    Update {
-        /// The operation to apply.
-        op: UpdateOp,
-        /// Reply channel handed from the client through the chain; the
-        /// commit point (tail) acknowledges on it.
-        reply: Option<Sender<()>>,
-    },
-    /// Serve a read (sent to the tail: the commit point).
-    Read {
-        /// Key to read.
-        key: Key,
-        /// Where to send the result.
-        reply: Sender<Option<Entry>>,
-    },
-    /// Produce a state-transfer snapshot.
-    Snapshot {
-        /// Where to send the snapshot.
-        reply: Sender<ShardSnapshot>,
-    },
-    /// Install a state-transfer snapshot (new member joining).
-    Install {
-        /// The snapshot to adopt.
-        snap: ShardSnapshot,
-    },
-    /// Update this replica's successor pointer (reconfiguration).
-    SetNext {
-        /// The next member's inbox, or `None` if this replica is now the
-        /// tail.
-        next: Option<Sender<ReplicaMsg>>,
-    },
-    /// Liveness probe.
-    Ping {
-        /// Where to acknowledge.
-        reply: Sender<()>,
-    },
-    /// Stop the replica thread.
-    Shutdown,
-}
-
-/// Handle to a running replica.
-pub struct ReplicaHandle {
-    /// Unique ID within the chain (monotonic across respawns).
+/// One member of a shard's chain.
+pub struct Replica {
+    /// Unique ID within the chain (monotonic across replacements).
     pub id: u64,
-    /// The replica's inbox.
-    pub tx: Sender<ReplicaMsg>,
-    /// Failure-injection flag; see [`ReplicaHandle::crash`].
-    crashed: Arc<AtomicBool>,
+    /// Failure-injection flag; see [`Replica::crash`].
+    crashed: AtomicBool,
     /// Bytes of table data resident in this replica's memory.
     pub resident: Arc<AtomicI64>,
-    handle: Option<JoinHandle<()>>,
+    state: OrderedMutex<ShardState>,
 }
 
-impl ReplicaHandle {
-    /// Spawns a replica thread.
-    pub fn spawn(
-        id: u64,
-        disk: Arc<DiskStore>,
-        metrics: MetricsRegistry,
-        op_delay: Duration,
-    ) -> ReplicaHandle {
-        let (tx, rx) = unbounded();
-        let crashed = Arc::new(AtomicBool::new(false));
+impl Replica {
+    /// A member with empty state over the shard's disk tier.
+    pub fn new(id: u64, disk: Arc<DiskStore>) -> Replica {
         let resident = Arc::new(AtomicI64::new(0));
-        let crashed2 = crashed.clone();
-        let resident2 = resident.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("gcs-replica-{id}"))
-            .spawn(move || run_replica(rx, crashed2, resident2, disk, metrics, op_delay))
-            .expect("invariant: thread spawn only fails on OS resource exhaustion");
-        ReplicaHandle { id, tx, crashed, resident, handle: Some(handle) }
+        let state = ShardState::new(resident.clone(), disk);
+        Replica {
+            id,
+            crashed: AtomicBool::new(false),
+            resident,
+            state: OrderedMutex::new(&classes::GCS_REPLICA_STATE, state),
+        }
     }
 
-    /// Simulates a crash: the replica stops responding but its queue keeps
-    /// draining. Irreversible (a recovered member joins as a *new* replica
-    /// via state transfer, as in chain replication).
+    /// Simulates a crash: the member stops applying and answering.
+    /// Irreversible (a recovered member joins as a *new* replica via state
+    /// transfer, as in chain replication).
     pub fn crash(&self) {
         self.crashed.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the crash flag is set (used by tests; the chain master uses
-    /// probing, not this, to detect failures).
+    /// Whether the crash flag is set: what the chain master's probe learns
+    /// (after its timeout) from a member that does not answer.
     pub fn is_crashed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
     }
 
-    /// Asks the thread to exit and joins it.
-    pub fn shutdown(&mut self) {
-        let _ = self.tx.send(ReplicaMsg::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReplicaHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn run_replica(
-    rx: Receiver<ReplicaMsg>,
-    crashed: Arc<AtomicBool>,
-    resident: Arc<AtomicI64>,
-    disk: Arc<DiskStore>,
-    metrics: MetricsRegistry,
-    op_delay: Duration,
-) {
-    let mut state = ShardState::new(resident, disk);
-    let mut next: Option<Sender<ReplicaMsg>> = None;
-    let flushed_counter = metrics.counter(names::GCS_ENTRIES_FLUSHED);
-
-    while let Ok(msg) = rx.recv() {
-        if crashed.load(Ordering::SeqCst) {
-            // Crashed: drain silently. Shutdown still honoured so tests can
-            // reclaim the thread.
-            if matches!(msg, ReplicaMsg::Shutdown) {
-                return;
-            }
-            continue;
-        }
-        match msg {
-            ReplicaMsg::Update { op, reply } => {
-                if !op_delay.is_zero() {
-                    std::thread::sleep(op_delay);
-                }
-                let (notifications, flushed) = state.apply(&op);
-                match &next {
-                    Some(succ) => {
-                        // Not the commit point: forward, drop local
-                        // notifications (the tail delivers them).
-                        let _ = succ.send(ReplicaMsg::Update { op, reply });
-                    }
-                    None => {
-                        // Tail: commit point. Deliver notifications, count
-                        // flush work once, acknowledge the client.
-                        if flushed > 0 {
-                            flushed_counter.add(flushed);
-                        }
-                        for (tx, n) in notifications {
-                            let _ = tx.send(n);
-                        }
-                        if let Some(r) = reply {
-                            let _ = r.send(());
-                        }
-                    }
-                }
-            }
-            ReplicaMsg::Read { key, reply } => {
-                let _ = reply.send(state.get(&key));
-            }
-            ReplicaMsg::Snapshot { reply } => {
-                let _ = reply.send(state.snapshot());
-            }
-            ReplicaMsg::Install { snap } => {
-                state.install(snap);
-            }
-            ReplicaMsg::SetNext { next: n } => {
-                next = n;
-            }
-            ReplicaMsg::Ping { reply } => {
-                let _ = reply.send(());
-            }
-            ReplicaMsg::Shutdown => return,
-        }
+    /// Locks this member's state; `None` from a crashed member. The flag is
+    /// read under the lock, so once `crash` has returned no operation that
+    /// starts afterwards touches the state.
+    pub fn live_state(&self) -> Option<OrderedMutexGuard<'_, ShardState>> {
+        let state = self.state.lock();
+        (!self.is_crashed()).then_some(state)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kv::{Entry, Key, Table, UpdateOp};
     use bytes::Bytes;
-    use crate::kv::Table;
-    use crossbeam_channel::bounded;
 
-    fn spawn_one() -> ReplicaHandle {
-        ReplicaHandle::spawn(
-            0,
-            Arc::new(DiskStore::in_memory()),
-            MetricsRegistry::new(),
-            Duration::ZERO,
-        )
+    fn replica(id: u64) -> Replica {
+        Replica::new(id, Arc::new(DiskStore::in_memory()))
     }
 
     #[test]
-    fn single_replica_acts_as_tail() {
-        let r = spawn_one();
-        let (ack_tx, ack_rx) = bounded(1);
+    fn a_crashed_member_hands_its_state_to_nobody() {
+        let r = replica(0);
         let key = Key::new(Table::Task, vec![1]);
-        r.tx.send(ReplicaMsg::Update {
-            op: UpdateOp::Put { key: key.clone(), value: Bytes::from_static(b"x") },
-            reply: Some(ack_tx),
-        })
-        .unwrap();
-        ack_rx.recv_timeout(Duration::from_secs(1)).unwrap();
-        let (read_tx, read_rx) = bounded(1);
-        r.tx.send(ReplicaMsg::Read { key, reply: read_tx }).unwrap();
-        let e = read_rx.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(e, Some(Entry::Blob(Bytes::from_static(b"x"))));
-    }
-
-    #[test]
-    fn two_member_chain_forwards_and_tail_acks() {
-        let head = spawn_one();
-        let tail = ReplicaHandle::spawn(
-            1,
-            Arc::new(DiskStore::in_memory()),
-            MetricsRegistry::new(),
-            Duration::ZERO,
-        );
-        head.tx.send(ReplicaMsg::SetNext { next: Some(tail.tx.clone()) }).unwrap();
-        let (ack_tx, ack_rx) = bounded(1);
-        let key = Key::new(Table::Object, vec![2]);
-        head.tx
-            .send(ReplicaMsg::Update {
-                op: UpdateOp::SetAdd { key: key.clone(), member: vec![7] },
-                reply: Some(ack_tx),
-            })
-            .unwrap();
-        ack_rx.recv_timeout(Duration::from_secs(1)).unwrap();
-        // Both replicas hold the entry.
-        for r in [&head, &tail] {
-            let (tx, rx) = bounded(1);
-            r.tx.send(ReplicaMsg::Read { key: key.clone(), reply: tx }).unwrap();
-            assert!(rx.recv_timeout(Duration::from_secs(1)).unwrap().is_some());
-        }
-    }
-
-    #[test]
-    fn crashed_replica_stops_replying_but_drains() {
-        let r = spawn_one();
+        let put = UpdateOp::Put { key: key.clone(), value: Bytes::from_static(b"x") };
+        r.live_state().unwrap().apply(&put);
+        assert!(r.resident.load(Ordering::Relaxed) > 0);
         r.crash();
-        let (ack_tx, ack_rx) = bounded(1);
-        r.tx.send(ReplicaMsg::Update {
-            op: UpdateOp::Put {
-                key: Key::new(Table::Task, vec![1]),
-                value: Bytes::from_static(b"x"),
-            },
-            reply: Some(ack_tx),
-        })
-        .unwrap();
-        assert!(ack_rx.recv_timeout(Duration::from_millis(50)).is_err());
-        // Queue keeps draining: sends never block or error.
-        for _ in 0..100 {
-            let (tx, _rx) = bounded(1);
-            r.tx.send(ReplicaMsg::Ping { reply: tx }).unwrap();
-        }
+        assert!(r.is_crashed());
+        assert!(r.live_state().is_none());
+        // The state is still there (nothing was applied or dropped); no
+        // caller can reach it any more.
+        assert_eq!(r.state.lock().get(&key), Some(Entry::Blob(Bytes::from_static(b"x"))));
     }
 
     #[test]
-    fn snapshot_install_transfers_state() {
-        let a = spawn_one();
-        let key = Key::new(Table::Task, vec![3]);
-        let (ack_tx, ack_rx) = bounded(1);
-        a.tx.send(ReplicaMsg::Update {
-            op: UpdateOp::Put { key: key.clone(), value: Bytes::from_static(b"s") },
-            reply: Some(ack_tx),
-        })
-        .unwrap();
-        ack_rx.recv_timeout(Duration::from_secs(1)).unwrap();
+    fn snapshot_install_carries_entries_and_subscriptions() {
+        let a = replica(0);
+        let blob = Key::new(Table::Task, vec![3]);
+        let watched = Key::new(Table::Object, vec![4]);
+        let (tx, rx) = crossbeam_channel::unbounded();
+        {
+            let mut state = a.live_state().unwrap();
+            state.apply(&UpdateOp::Put { key: blob.clone(), value: Bytes::from_static(b"s") });
+            let keys = vec![watched.clone()];
+            state.apply(&UpdateOp::Subscribe { keys, sub_id: 1, sender: tx });
+        }
+        let snap = a.live_state().unwrap().snapshot();
 
-        let (snap_tx, snap_rx) = bounded(1);
-        a.tx.send(ReplicaMsg::Snapshot { reply: snap_tx }).unwrap();
-        let snap = snap_rx.recv_timeout(Duration::from_secs(1)).unwrap();
-
-        let b = ReplicaHandle::spawn(
-            1,
-            Arc::new(DiskStore::in_memory()),
-            MetricsRegistry::new(),
-            Duration::ZERO,
-        );
-        b.tx.send(ReplicaMsg::Install { snap }).unwrap();
-        let (tx, rx) = bounded(1);
-        b.tx.send(ReplicaMsg::Read { key, reply: tx }).unwrap();
+        let b = replica(1);
+        b.live_state().unwrap().install(snap);
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(1)).unwrap(),
+            b.live_state().unwrap().get(&blob),
             Some(Entry::Blob(Bytes::from_static(b"s")))
         );
+        assert_eq!(b.resident.load(Ordering::Relaxed), a.resident.load(Ordering::Relaxed));
+        // The joiner notifies the subscriber it has never been told about.
+        let add = UpdateOp::SetAdd { key: watched.clone(), member: vec![7] };
+        let (notifs, _) = b.live_state().unwrap().apply(&add);
+        assert_eq!(notifs.len(), 1);
+        for (sender, n) in notifs {
+            sender.send(n).unwrap();
+        }
+        assert_eq!(rx.try_recv().unwrap().key, watched);
     }
 }

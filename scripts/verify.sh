@@ -32,7 +32,11 @@ echo "== gcs chaos soak =="
 # Control-plane faults: shard loss + disk recovery, flusher stalls, and
 # seeded mixed schedules. The shard-loss scenario runs twice with the
 # same seed and asserts identical trace signatures (determinism gate).
-cargo test -q --test gcs_chaos
+# Three times over: the chain's failure path (timeout, report, splice,
+# retry) is all timing, and each run is a few seconds.
+for _ in 1 2 3; do
+    cargo test -q --test gcs_chaos
+done
 
 echo "== cancel chaos soak =="
 # Cancellation, deadline propagation, and admission control under load:

@@ -132,7 +132,6 @@ fn gcs_flushing_bounds_memory_during_workload() {
         flush_enabled: true,
         flush_threshold_entries: 200,
         flush_interval: Duration::from_millis(5),
-        op_delay: Duration::ZERO,
         ..GcsConfig::default()
     };
     let cluster = Cluster::start(cfg).unwrap();
