@@ -18,6 +18,7 @@ const EXPERIMENTS: &[&str] = &[
     "fig12b_scheduler_ablation",
     "fig13_sgd_throughput",
     "table3_serving",
+    "table3_pools",
     "table4_simulation",
     "fig14a_es",
     "fig14b_ppo",
@@ -61,5 +62,28 @@ fn main() {
     if !failures.is_empty() {
         eprintln!("failed: {failures:?}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn every_figure_binary_is_in_the_suite() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut bins: Vec<String> = std::fs::read_dir(dir)
+            .expect("src/bin")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
+            // `repro_all` is this runner; `chaos_soak` is a failure soak
+            // that reproduces no table or figure of the paper.
+            .filter(|stem| stem != "repro_all" && stem != "chaos_soak")
+            .collect();
+        bins.sort();
+        let mut listed: Vec<String> = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        listed.sort();
+        assert_eq!(listed, bins);
     }
 }

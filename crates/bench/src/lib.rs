@@ -7,8 +7,8 @@
 //! design; the claims under reproduction are *shapes*: who wins, by
 //! roughly what factor, and where behaviour changes.
 //!
-//! Every binary supports `--quick` (or `RAY_BENCH_QUICK=1`) to run a
-//! scaled-down version in a few seconds.
+//! Every binary supports `--quick` to run a scaled-down version in a few
+//! seconds.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -18,7 +18,6 @@ use std::time::Duration;
 /// Whether the harness should run in quick mode.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || std::env::var("RAY_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
 /// Destination for a Chrome `trace_event` timeline, when the binary was
@@ -177,16 +176,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Median (of a copy) of a slice.
-pub fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    v[v.len() / 2]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +205,6 @@ mod tests {
     #[test]
     fn stats_helpers() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
         assert_eq!(mean(&[]), 0.0);
     }
 }

@@ -12,6 +12,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::resources::Resources;
 
+/// Interval at which local schedulers send load/resource heartbeats; a
+/// node's run queue also purges cancelled and expired tasks at this
+/// cadence.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
+
 /// Which placement policy the cluster runs.
 ///
 /// The paper's contribution is [`BottomUp`](SchedulerPolicy::BottomUp); the
@@ -27,8 +32,6 @@ pub enum SchedulerPolicy {
     /// Bottom-up forwarding, but the global scheduler ignores input
     /// locations when placing (Fig. 8a "unaware" baseline).
     LocalityUnaware,
-    /// Spilled tasks are placed on a uniformly random feasible node.
-    Random,
 }
 
 /// Transport (simulated network) parameters.
@@ -63,40 +66,25 @@ impl Default for TransportConfig {
     }
 }
 
-/// Seeded fault injection on the fabric: per-message drop probability and
-/// extra-delay injection. Disabled by default (all probabilities zero);
-/// chaos tests turn it on to exercise the retry and failure-detection
-/// paths deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Seeded fault injection on the fabric: a per-message drop probability.
+/// Disabled by default (probability zero); chaos tests turn it on to
+/// exercise the retry and failure-detection paths deterministically.
+/// Stragglers are injected by the `DelayWorker` chaos action, not on the
+/// wire.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosConfig {
     /// Probability in `[0, 1]` that any single message (transfer, control
     /// hop, or heartbeat) is dropped on the wire.
     pub drop_probability: f64,
-    /// Probability in `[0, 1]` that a message is delayed by `extra_delay`
-    /// on top of its modeled cost.
-    pub delay_probability: f64,
-    /// The extra delay injected when the delay coin comes up.
-    pub extra_delay: Duration,
-    /// Seed for the injection RNG; the same seed yields the same
-    /// drop/delay sequence.
+    /// Seed for the injection RNG; the same seed yields the same drop
+    /// sequence.
     pub seed: u64,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            drop_probability: 0.0,
-            delay_probability: 0.0,
-            extra_delay: Duration::ZERO,
-            seed: 0,
-        }
-    }
 }
 
 impl ChaosConfig {
     /// Whether any injection is configured at all (fast path check).
     pub fn is_active(&self) -> bool {
-        self.drop_probability > 0.0 || self.delay_probability > 0.0
+        self.drop_probability > 0.0
     }
 }
 
@@ -119,10 +107,6 @@ pub struct GcsConfig {
     /// flushed disk log. Low values recover fast; higher values tolerate
     /// longer scheduling stalls before declaring whole-shard loss.
     pub recovery_threshold: usize,
-    /// Client-side retry budget (beyond the chain's internal retries)
-    /// before a timed-out or shard-unavailable GCS operation is surfaced
-    /// to the caller.
-    pub client_retry_limit: u32,
 }
 
 impl Default for GcsConfig {
@@ -134,7 +118,6 @@ impl Default for GcsConfig {
             flush_threshold_entries: 100_000,
             flush_interval: Duration::from_millis(50),
             recovery_threshold: 3,
-            client_retry_limit: 3,
         }
     }
 }
@@ -147,13 +130,9 @@ pub struct SchedulerConfig {
     /// Local queue length above which a local scheduler forwards new tasks
     /// to the global scheduler (paper §4.2.2 "predefined threshold").
     pub spillover_threshold: usize,
-    /// Interval at which local schedulers send load/resource heartbeats.
-    pub heartbeat_interval: Duration,
     /// Artificial latency added to every global scheduling decision
     /// (Fig. 12b ablation).
     pub added_decision_delay: Duration,
-    /// EWMA smoothing factor for task-duration and bandwidth estimates.
-    pub ewma_alpha: f64,
     /// Admission-control watermark: when a node's local queue holds this
     /// many tasks, new non-critical submissions there are shed with
     /// `RayError::Overloaded`.
@@ -170,9 +149,7 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             policy: SchedulerPolicy::BottomUp,
             spillover_threshold: 32,
-            heartbeat_interval: Duration::from_millis(10),
             added_decision_delay: Duration::ZERO,
-            ewma_alpha: 0.2,
             admission_watermark: None,
             admission_retry_limit: 5,
         }
@@ -209,7 +186,7 @@ pub struct FaultConfig {
     /// §4.2.2: node failure is *discovered* via missed heartbeats, not
     /// declared by an omniscient test harness): a live node whose last
     /// heartbeat is older than this is declared dead by the monitor. Must
-    /// comfortably exceed `scheduler.heartbeat_interval`; the generous
+    /// comfortably exceed [`HEARTBEAT_INTERVAL`]; the generous
     /// default avoids false positives on heavily loaded CI machines, chaos
     /// tests tighten it.
     pub heartbeat_timeout: Duration,
@@ -223,23 +200,6 @@ impl Default for FaultConfig {
             actor_checkpoint_interval: None,
             heartbeat_timeout: Duration::from_secs(2),
         }
-    }
-}
-
-/// Lifecycle-tracing parameters (see `ray_common::trace`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceConfig {
-    /// Whether lifecycle events are collected at all. Off by default:
-    /// disabled tracing is one relaxed atomic load per would-be event.
-    pub enabled: bool,
-    /// Per-node ring-buffer capacity in events; oldest events are dropped
-    /// (and counted) on overflow between flushes.
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { enabled: false, ring_capacity: 65_536 }
     }
 }
 
@@ -271,8 +231,10 @@ pub struct RayConfig {
     pub object_store: ObjectStoreConfig,
     /// Fault-tolerance behaviour.
     pub fault: FaultConfig,
-    /// Lifecycle tracing.
-    pub trace: TraceConfig,
+    /// Whether lifecycle events are collected (see `ray_common::trace`).
+    /// Off by default: disabled tracing is one relaxed atomic load per
+    /// would-be event.
+    pub tracing: bool,
     /// Seed for deterministic components (workload generators, policies).
     pub seed: u64,
 }
@@ -312,9 +274,6 @@ impl RayConfig {
         if self.gcs.recovery_threshold == 0 {
             return Err("gcs.recovery_threshold must be >= 1".into());
         }
-        if !(self.scheduler.ewma_alpha > 0.0 && self.scheduler.ewma_alpha <= 1.0) {
-            return Err("scheduler.ewma_alpha must be in (0, 1]".into());
-        }
         if self.scheduler.admission_watermark == Some(0) {
             return Err("scheduler.admission_watermark must be >= 1 when set".into());
         }
@@ -328,16 +287,8 @@ impl RayConfig {
         if !(0.0..=1.0).contains(&chaos.drop_probability) {
             return Err("transport.chaos.drop_probability must be in [0, 1]".into());
         }
-        if !(0.0..=1.0).contains(&chaos.delay_probability) {
-            return Err("transport.chaos.delay_probability must be in [0, 1]".into());
-        }
-        if self.trace.enabled && self.trace.ring_capacity == 0 {
-            return Err("trace.ring_capacity must be >= 1 when tracing is enabled".into());
-        }
-        if self.fault.heartbeat_timeout < self.scheduler.heartbeat_interval * 2 {
-            return Err(
-                "fault.heartbeat_timeout must be at least 2x scheduler.heartbeat_interval".into(),
-            );
+        if self.fault.heartbeat_timeout < HEARTBEAT_INTERVAL * 2 {
+            return Err("fault.heartbeat_timeout must be at least 2x HEARTBEAT_INTERVAL".into());
         }
         Ok(())
     }
@@ -362,7 +313,7 @@ impl Default for RayConfigBuilder {
                 scheduler: SchedulerConfig::default(),
                 object_store: ObjectStoreConfig::default(),
                 fault: FaultConfig::default(),
-                trace: TraceConfig::default(),
+                tracing: false,
                 seed: 0,
             },
             explicit_resources: false,
@@ -401,46 +352,15 @@ impl RayConfigBuilder {
         self
     }
 
-    /// Sets the GCS layout.
-    pub fn gcs(mut self, g: GcsConfig) -> Self {
-        self.cfg.gcs = g;
-        self
-    }
-
-    /// Sets the scheduler behaviour.
-    pub fn scheduler(mut self, s: SchedulerConfig) -> Self {
-        self.cfg.scheduler = s;
-        self
-    }
-
     /// Sets the scheduling policy, keeping other scheduler defaults.
     pub fn policy(mut self, p: SchedulerPolicy) -> Self {
         self.cfg.scheduler.policy = p;
         self
     }
 
-    /// Sets the per-node object store parameters.
-    pub fn object_store(mut self, o: ObjectStoreConfig) -> Self {
-        self.cfg.object_store = o;
-        self
-    }
-
-    /// Sets fault-tolerance behaviour.
-    pub fn fault(mut self, f: FaultConfig) -> Self {
-        self.cfg.fault = f;
-        self
-    }
-
-    /// Enables or disables lifecycle tracing, keeping other trace
-    /// defaults.
+    /// Enables or disables lifecycle tracing.
     pub fn tracing(mut self, enabled: bool) -> Self {
-        self.cfg.trace.enabled = enabled;
-        self
-    }
-
-    /// Sets the full tracing configuration.
-    pub fn trace(mut self, t: TraceConfig) -> Self {
-        self.cfg.trace = t;
+        self.cfg.tracing = enabled;
         self
     }
 
@@ -496,13 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn validation_catches_bad_ewma() {
-        let mut cfg = RayConfig::default();
-        cfg.scheduler.ewma_alpha = 0.0;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
     fn total_workers() {
         let cfg = RayConfig::builder().nodes(3).workers_per_node(4).build();
         assert_eq!(cfg.total_workers(), 12);
@@ -529,9 +442,9 @@ mod tests {
     #[test]
     fn validation_catches_tight_heartbeat_timeout() {
         let mut cfg = RayConfig::default();
-        cfg.fault.heartbeat_timeout = cfg.scheduler.heartbeat_interval;
+        cfg.fault.heartbeat_timeout = HEARTBEAT_INTERVAL;
         assert!(cfg.validate().is_err());
-        cfg.fault.heartbeat_timeout = cfg.scheduler.heartbeat_interval * 2;
+        cfg.fault.heartbeat_timeout = HEARTBEAT_INTERVAL * 2;
         assert!(cfg.validate().is_ok());
     }
 }

@@ -348,7 +348,9 @@ pub mod names {
     pub const SERVE_REPLICAS_SPAWNED: &str = "serve_replicas_spawned";
     /// Replicas drained and retired from pools.
     pub const SERVE_REPLICAS_RETIRED: &str = "serve_replicas_retired";
-    /// Batched dispatches issued by pool dispatchers.
+    /// Nothing increments this: a pool routes each request on its caller's
+    /// thread, one request per replica call. The name stays because the
+    /// benchmark (`perf/`) reads it.
     pub const SERVE_BATCHES: &str = "serve_batches";
     /// Histogram: end-to-end served-request latency in microseconds
     /// (pool admission → response delivered, hedges and failover included).

@@ -116,9 +116,6 @@ pub mod classes {
     pub static SERVE_POOL: LockClass = LockClass::new("serve.pool", 50);
     /// A pool's control state (autoscaler bookkeeping, worker threads).
     pub static SERVE_CONTROL: LockClass = LockClass::new("serve.control", 60);
-    /// A pool's batch queue, shared by its dispatcher threads (a leaf:
-    /// nothing is acquired while it is held).
-    pub static SERVE_BATCH_QUEUE: LockClass = LockClass::new("serve.batch_queue", 70);
 
     // --- core runtime (100–199): cluster orchestration, outermost ---
 

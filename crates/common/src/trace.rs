@@ -105,11 +105,6 @@ impl Clock {
             m.fetch_add(micros, Ordering::Relaxed);
         }
     }
-
-    /// Whether this is a manual (test) clock.
-    pub fn is_manual(&self) -> bool {
-        matches!(&*self.inner, ClockInner::Manual { .. })
-    }
 }
 
 impl Default for Clock {

@@ -15,11 +15,12 @@ use std::time::Duration;
 use ray_common::sync::{classes, OrderedMutex, OrderedRwLock};
 
 use ray_common::metrics::{names, MetricsRegistry};
-use ray_common::trace::{render_chrome_trace, TraceCollector, TraceLog};
+use ray_common::trace::{render_chrome_trace, TraceCollector, TraceLog, DEFAULT_RING_CAPACITY};
 use ray_common::{NodeId, RayConfig, RayError, RayResult};
 use ray_gcs::Gcs;
 use ray_object_store::store::LocalObjectStore;
 use ray_object_store::transfer::{StoreDirectory, TransferManager};
+use ray_scheduler::load::EWMA_ALPHA;
 use ray_scheduler::{GlobalScheduler, LoadTable};
 use ray_transport::Fabric;
 
@@ -64,8 +65,8 @@ impl Cluster {
         // Node-slot capacity leaves headroom for add_node/restart cycles.
         let capacity = config.num_nodes * 2 + 8;
 
-        let trace = if config.trace.enabled {
-            TraceCollector::new(config.trace.ring_capacity)
+        let trace = if config.tracing {
+            TraceCollector::new(DEFAULT_RING_CAPACITY)
         } else {
             TraceCollector::disabled()
         };
@@ -83,7 +84,7 @@ impl Cluster {
             metrics.clone(),
         )
         .with_tracer(trace.clone());
-        let load = Arc::new(LoadTable::new(config.scheduler.ewma_alpha));
+        let load = Arc::new(LoadTable::new(EWMA_ALPHA));
         let global = GlobalScheduler::new(
             config.scheduler.policy,
             load.clone(),
@@ -135,11 +136,6 @@ impl Cluster {
 
         let global_join = start_global(shared.clone(), global_rx);
         Ok(Cluster { shared, global_join: OrderedMutex::new(&classes::GLOBAL_JOIN, Some(global_join)) })
-    }
-
-    /// Starts a cluster with the default (2-node) configuration.
-    pub fn start_default() -> RayResult<Cluster> {
-        Cluster::start(RayConfig::default())
     }
 
     // ------------------------------------------------------------------
@@ -390,8 +386,7 @@ impl Cluster {
         self.shared.cancels.len()
     }
 
-    /// The lifecycle trace collector (disabled unless
-    /// `config.trace.enabled`).
+    /// The lifecycle trace collector (disabled unless `config.tracing`).
     pub fn trace(&self) -> &TraceCollector {
         &self.shared.trace
     }

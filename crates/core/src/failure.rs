@@ -20,6 +20,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use ray_common::config::HEARTBEAT_INTERVAL;
 use ray_common::metrics::names;
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::NodeId;
@@ -35,7 +36,7 @@ pub(crate) fn run_detector_pass(shared: &Arc<RuntimeShared>) {
     if shared.shutting_down.load(Ordering::SeqCst) {
         return;
     }
-    let suspect_after = shared.config.scheduler.heartbeat_interval * 2;
+    let suspect_after = HEARTBEAT_INTERVAL * 2;
     let declare_after = shared.config.fault.heartbeat_timeout;
     for load in shared.load.live_nodes() {
         let Some(age) = shared.load.heartbeat_age(load.node) else { continue };

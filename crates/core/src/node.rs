@@ -17,6 +17,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use ray_common::config::HEARTBEAT_INTERVAL;
 use ray_common::sync::{classes, OrderedCondvar, OrderedMutex};
 use ray_common::{NodeId, RayError, RayResult, Resources};
 use ray_object_store::store::LocalObjectStore;
@@ -125,17 +126,21 @@ impl NodeHandle {
     }
 
     /// The pool rule: with a task waiting and nobody idle to take it, start
-    /// a worker — up to `workers_per_node` freely, and beyond that only to
-    /// keep that many runnable (non-blocked) workers while others sit in
-    /// blocking `get`s. Called at the two moments the rule can newly hold:
-    /// a task was queued, or a worker blocked.
+    /// a worker — up to `workers_per_node` freely, beyond that to keep that
+    /// many runnable (non-blocked) workers while others sit in blocking
+    /// `get`s, up to a cap, and past the cap whenever no worker is runnable
+    /// at all: the queued task may be the producer every blocked worker
+    /// waits for (a lineage resubmission queues behind its consumers).
+    /// Past the cap the pool is at most one thread more than its blocked
+    /// workers. Called at the two moments the rule can newly hold: a task
+    /// was queued, or a worker blocked.
     fn grow(self: &Arc<Self>, shared: &Arc<RuntimeShared>, q: &mut RunQueue) {
         if q.ready.is_empty() || q.idle > 0 || !self.is_alive() {
             return;
         }
         let base = shared.config.workers_per_node;
         let runnable = q.workers.saturating_sub(q.blocked);
-        if q.workers < base || (runnable < base && q.workers < base * 8 + 4) {
+        if q.workers < base || (runnable < base && q.workers < base * 8 + 4) || runnable == 0 {
             self.threads.lock().push(worker::spawn(shared.clone(), self.clone(), q.workers));
             q.workers += 1;
         }
@@ -269,7 +274,7 @@ pub(crate) fn start_node(shared: &Arc<RuntimeShared>, node: NodeId) -> Arc<NodeH
 }
 
 /// The node's periodic work, off the task path: every
-/// `scheduler.heartbeat_interval`, purge the queue of cancelled and expired
+/// [`HEARTBEAT_INTERVAL`], purge the queue of cancelled and expired
 /// tasks, publish the load heartbeat and flush the trace ring.
 fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
     // Metrics emitted from this thread (long-hold counters) land in this
@@ -278,7 +283,7 @@ fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
     let clock = shared.trace.clock().clone();
     let node = handle.node;
     loop {
-        let deadline = clock.now() + shared.config.scheduler.heartbeat_interval;
+        let deadline = clock.now() + HEARTBEAT_INTERVAL;
         let mut q = handle.queue.lock();
         while handle.is_alive() && clock.now() < deadline {
             handle.tick.wait_until(&mut q, deadline);

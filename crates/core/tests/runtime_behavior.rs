@@ -184,6 +184,39 @@ fn deeply_nested_calls_do_not_deadlock_single_worker() {
 }
 
 #[test]
+fn a_producer_resubmitted_behind_its_blocked_consumers_still_runs() {
+    // One worker per node caps the pool at 12 threads. Thirteen consumers
+    // of a freed object take all twelve and block in their argument
+    // fetches; lineage then resubmits the producer behind the thirteenth.
+    // The pool must still start a thread for it, or every consumer waits
+    // out its deadline.
+    const CONSUMERS: usize = 13;
+    let cluster =
+        Cluster::start(RayConfig::builder().nodes(1).workers_per_node(1).build()).unwrap();
+    cluster.register_fn0("produce", || 7u64);
+    cluster.register_fn1("consume", |x: u64| x + 1);
+    let ctx = cluster.driver();
+    let x: ObjectRef<u64> = ctx.call("produce", vec![]).unwrap();
+    assert_eq!(ctx.get(&x).unwrap(), 7);
+    ctx.free(&[x.id()]).unwrap();
+    let start = Instant::now();
+    let opts = TaskOptions::default().with_timeout(Duration::from_secs(10));
+    let outs: Vec<ObjectRef<u64>> = (0..CONSUMERS)
+        .map(|_| {
+            ctx.call_opts("consume", vec![Arg::from_ref(&x)], opts.clone())
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(ctx.get_all(&outs).unwrap(), vec![8; CONSUMERS]);
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "consumers took {elapsed:?}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
 fn wait_returns_first_k_ready() {
     let cluster = small_cluster();
     cluster.register_fn1("sleepy", |ms: u64| {

@@ -72,7 +72,6 @@ pub struct Gcs {
     shards: Arc<Vec<Chain>>,
     metrics: MetricsRegistry,
     flusher: Option<flush::Flusher>,
-    client_retry_limit: u32,
 }
 
 impl Gcs {
@@ -103,15 +102,13 @@ impl Gcs {
         } else {
             None
         };
-        Ok(Gcs { shards, metrics, flusher, client_retry_limit: cfg.client_retry_limit })
+        Ok(Gcs { shards, metrics, flusher })
     }
 
     /// Returns a cheap-clone typed client (reporting retries into this
     /// GCS's metrics registry).
     pub fn client(&self) -> GcsClient {
-        GcsClient::new(self.shards.clone())
-            .with_metrics(self.metrics.clone())
-            .with_retry_limit(self.client_retry_limit)
+        GcsClient::new(self.shards.clone()).with_metrics(self.metrics.clone())
     }
 
     /// Number of shards.

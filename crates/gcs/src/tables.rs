@@ -149,35 +149,23 @@ static NEXT_SUB_ID: AtomicU64 = AtomicU64::new(1);
 pub struct GcsClient {
     shards: Arc<Vec<Chain>>,
     metrics: MetricsRegistry,
-    retry_limit: u32,
 }
 
 /// Extra client-side attempts (beyond the chain's own internal retries)
 /// before a GCS operation's timeout is surfaced to the caller. Chain ops
 /// are idempotent (`Put`/`SetAdd`/`SetRemove`), so re-issuing is safe;
 /// `ListAppend` logs tolerate at-least-once delivery by sequence number.
-/// Overridden per deployment by `GcsConfig::client_retry_limit`.
-const GCS_RETRY_LIMIT: u32 = 3;
+pub const GCS_RETRY_LIMIT: u32 = 3;
 
 impl GcsClient {
     /// Wraps the shard set.
     pub fn new(shards: Arc<Vec<Chain>>) -> GcsClient {
-        GcsClient {
-            shards,
-            metrics: MetricsRegistry::new(),
-            retry_limit: GCS_RETRY_LIMIT,
-        }
+        GcsClient { shards, metrics: MetricsRegistry::new() }
     }
 
     /// Reports retry counters into an existing registry.
     pub fn with_metrics(mut self, metrics: MetricsRegistry) -> GcsClient {
         self.metrics = metrics;
-        self
-    }
-
-    /// Overrides the client-side retry budget (`GcsConfig::client_retry_limit`).
-    pub fn with_retry_limit(mut self, limit: u32) -> GcsClient {
-        self.retry_limit = limit;
         self
     }
 
@@ -198,9 +186,9 @@ impl GcsClient {
         matches!(e, RayError::Timeout | RayError::GcsUnavailable(_))
     }
 
-    /// Runs one chain operation, retrying retryable errors up to the
-    /// client's budget and counting each retry; `seed` (the key's hash, or
-    /// the subscription's ID) fixes the backoff jitter.
+    /// Runs one chain operation, retrying retryable errors up to
+    /// [`GCS_RETRY_LIMIT`] times and counting each retry; `seed` (the key's
+    /// hash, or the subscription's ID) fixes the backoff jitter.
     fn with_retry<T>(&self, seed: u64, op: impl FnMut() -> RayResult<T>) -> RayResult<T> {
         let backoff = Backoff::new(Duration::from_millis(2), Duration::from_millis(25), seed);
         let counted = |e: &RayError, _| {
@@ -210,7 +198,7 @@ impl GcsClient {
             }
             again
         };
-        retry(backoff, self.retry_limit, counted, op)
+        retry(backoff, GCS_RETRY_LIMIT, counted, op)
     }
 
     /// Issues `op`, an update of `key`, on `key`'s shard with
@@ -786,6 +774,29 @@ mod tests {
         assert_eq!(c.get_task(t).unwrap(), None);
         c.put_task(t, Bytes::from_static(b"spec")).unwrap();
         assert_eq!(c.get_task(t).unwrap(), Some(Bytes::from_static(b"spec")));
+    }
+
+    #[test]
+    fn an_unavailable_shard_is_surfaced_after_the_client_retry_limit() {
+        // One member, and a threshold the test never reaches: the shard
+        // stays unavailable for as long as the client keeps asking.
+        let cfg = GcsConfig {
+            num_shards: 1,
+            chain_length: 1,
+            recovery_threshold: 100,
+            ..GcsConfig::default()
+        };
+        let gcs = Gcs::start(&cfg).unwrap();
+        let c = gcs.client();
+        let shard = ray_common::ShardId(0);
+        gcs.crash_shard(shard);
+        let retries = || gcs.metrics().counter(names::GCS_RETRIES).get();
+        let before = retries();
+        let err = c
+            .put_task(TaskId::random(), Bytes::from_static(b"spec"))
+            .unwrap_err();
+        assert_eq!(err, RayError::GcsUnavailable(shard));
+        assert_eq!(retries() - before, u64::from(GCS_RETRY_LIMIT));
     }
 
     #[test]

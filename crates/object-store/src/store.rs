@@ -290,11 +290,6 @@ impl LocalObjectStore {
         map.resident_bytes = 0;
         self.spill.clear();
     }
-
-    /// IDs of all objects currently in memory (diagnostics).
-    pub fn resident_ids(&self) -> Vec<ObjectId> {
-        self.map.lock().objects.keys().copied().collect()
-    }
 }
 
 /// Tells the allocator, once per process, that multi-megabyte buffers are

@@ -562,7 +562,6 @@ mod tests {
                 chaos: ChaosConfig {
                     drop_probability: 0.5,
                     seed: 0xC0FFEE,
-                    ..ChaosConfig::default()
                 },
                 ..TransportConfig::default()
             },

@@ -190,13 +190,19 @@ pub fn ray_ring_allreduce(
 /// quadratically with the number of participants").
 ///
 /// Returns each participant's reduced buffer and the collective's wall
-/// time.
+/// time, or [`RayError::Invalid`] if the buffers differ in length.
 pub fn ray_task_ring_allreduce(
     ctx: &RayContext,
     buffers: Vec<Vec<f64>>,
 ) -> RayResult<(Vec<Vec<f64>>, Duration)> {
     let n = buffers.len();
     let len = buffers.first().map(Vec::len).unwrap_or(0);
+    if let Some((rank, buf)) = buffers.iter().enumerate().find(|(_, b)| b.len() != len) {
+        return Err(RayError::Invalid(format!(
+            "rank {rank} holds {} elements, rank 0 holds {len}",
+            buf.len()
+        )));
+    }
     if n == 0 {
         return Ok((Vec::new(), Duration::ZERO));
     }
@@ -404,6 +410,25 @@ mod tests {
         for buf in out {
             for (a, b) in buf.iter().zip(expected.iter()) {
                 assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+            }
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn task_allreduce_rejects_ragged_buffers() {
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(1).workers_per_node(1).build()).unwrap();
+        register_task_allreduce(&cluster);
+        let ctx = cluster.driver();
+        for (first, second) in [(4, 3), (3, 4)] {
+            let buffers = vec![vec![1.0; first], vec![2.0; second]];
+            match ray_task_ring_allreduce(&ctx, buffers) {
+                Err(RayError::Invalid(msg)) => assert_eq!(
+                    msg,
+                    format!("rank 1 holds {second} elements, rank 0 holds {first}")
+                ),
+                other => panic!("lengths [{first}, {second}]: expected Invalid, got {other:?}"),
             }
         }
         cluster.shutdown();

@@ -149,18 +149,6 @@ impl ActorInstance for PolicyServer {
                 let actions = evaluate_batch(&states.0, self.state_bytes, self.eval_spin);
                 encode_return(&Blob(actions))
             }
-            // The serving pool's batched dispatch: one `Vec<Blob>` in
-            // (one element per pooled request), one `Vec<Blob>` out in
-            // the same order.
-            "predict_batch" => {
-                let batches: Vec<Blob> = decode_arg(args, 0)?;
-                self.requests += batches.len() as u64;
-                let actions: Vec<Blob> = batches
-                    .iter()
-                    .map(|b| Blob(evaluate_batch(&b.0, self.state_bytes, self.eval_spin)))
-                    .collect();
-                encode_return(&actions)
-            }
             // Health probe for the serving pool: invoked read-only (not
             // logged, not replayed), must stay state-free.
             "ping" => encode_return(&self.requests),
@@ -242,16 +230,15 @@ pub fn embedded_throughput(
 // ----------------------------------------------------------------------
 
 /// A [`PoolConfig`] serving this workload through `PolicyServer`
-/// replicas: single-request `predict`, batched `predict_batch`, and the
-/// read-only `ping` probe. Starts from the deterministic baseline — the
-/// caller opts into hedging / autoscaling / batching / SLOs.
+/// replicas: `predict` per request and the read-only `ping` probe.
+/// Starts from the deterministic baseline — the caller opts into hedging /
+/// autoscaling / SLOs.
 pub fn pool_config(workload: &ServingWorkload) -> RayResult<PoolConfig> {
     let mut cfg = PoolConfig::deterministic("PolicyServer", "predict");
     cfg.ctor_args = vec![
         Arg::value(&(workload.state_bytes as u64))?,
         Arg::value(&workload.eval_spin)?,
     ];
-    cfg.batch_method = Some("predict_batch".to_string());
     Ok(cfg)
 }
 

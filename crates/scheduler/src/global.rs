@@ -98,11 +98,6 @@ impl GlobalScheduler {
         self.inner.decisions.load(Ordering::Relaxed)
     }
 
-    /// The load table this replica reads.
-    pub fn load_table(&self) -> &Arc<LoadTable> {
-        &self.inner.load
-    }
-
     /// Places a task, returning the chosen node, or `None` when no live
     /// node can ever satisfy the demand (the caller re-queues and retries
     /// as the cluster changes).
@@ -125,10 +120,6 @@ impl GlobalScheduler {
         }
 
         let chosen = match self.inner.policy {
-            SchedulerPolicy::Random => {
-                let idx = self.inner.rng.lock().next_below(candidates.len() as u64);
-                candidates[idx as usize].node
-            }
             SchedulerPolicy::LocalityUnaware => {
                 self.argmin_wait(task, &candidates, /* locality: */ false)?
             }
@@ -389,20 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn random_policy_spreads_placements() {
-        let r = rig();
-        for n in 0..4 {
-            heartbeat(&r.load, n, 0, 0.0);
-        }
-        let s = scheduler(&r, SchedulerPolicy::Random);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..200 {
-            seen.insert(s.place(&task(vec![], Resources::cpus(1.0))).unwrap().unwrap());
-        }
-        assert_eq!(seen.len(), 4, "random placement should hit every node");
-    }
-
-    #[test]
     fn ties_are_spread_not_hotspotted() {
         let r = rig();
         for n in 0..4 {
@@ -422,20 +399,17 @@ mod tests {
         for n in 0..4 {
             heartbeat(&r.load, n, 0, 0.0);
         }
-        let sequence = |policy, seed| -> Vec<NodeId> {
+        let sequence = |seed| -> Vec<NodeId> {
             let (load, gcs) = (r.load.clone(), r.client.clone());
-            let s = GlobalScheduler::new(policy, load, gcs, Duration::ZERO, seed);
+            let s = GlobalScheduler::new(SchedulerPolicy::BottomUp, load, gcs, Duration::ZERO, seed);
             (0..32)
                 .map(|_| s.place(&task(vec![], Resources::cpus(1.0))).unwrap().unwrap())
                 .collect()
         };
-        for policy in [SchedulerPolicy::BottomUp, SchedulerPolicy::Random] {
-            for k in [0u64, 21, 1 << 40] {
-                // `seed | 1` made every even seed collide with its odd
-                // neighbour.
-                assert_ne!(sequence(policy, 2 * k), sequence(policy, 2 * k + 1), "{policy:?} {k}");
-                assert_eq!(sequence(policy, 2 * k), sequence(policy, 2 * k), "{policy:?} {k}");
-            }
+        for k in [0u64, 21, 1 << 40] {
+            // `seed | 1` made every even seed collide with its odd neighbour.
+            assert_ne!(sequence(2 * k), sequence(2 * k + 1), "{k}");
+            assert_eq!(sequence(2 * k), sequence(2 * k), "{k}");
         }
     }
 

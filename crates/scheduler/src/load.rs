@@ -13,6 +13,9 @@ use ray_common::sync::{classes, OrderedRwLock};
 use ray_common::util::Ewma;
 use ray_common::{NodeId, Resources};
 
+/// The smoothing factor of every task-duration and bandwidth estimate.
+pub const EWMA_ALPHA: f64 = 0.2;
+
 /// One node's load snapshot as carried by a heartbeat.
 #[derive(Debug, Clone)]
 pub struct NodeLoad {

@@ -96,7 +96,7 @@ pub fn decide_local_reason(
         SchedulerPolicy::Centralized | SchedulerPolicy::LocalityUnaware => {
             (LocalDecision::Forward, LocalDecisionReason::PolicyForwardsAll)
         }
-        SchedulerPolicy::BottomUp | SchedulerPolicy::Random => {
+        SchedulerPolicy::BottomUp => {
             if !ledger.feasible(demand) {
                 return (LocalDecision::Forward, LocalDecisionReason::Infeasible);
             }
@@ -162,19 +162,6 @@ mod tests {
         let l = ledger();
         assert_eq!(
             decide_local(SchedulerPolicy::Centralized, &l, 0, 1000, &Resources::cpus(1.0)),
-            LocalDecision::Forward
-        );
-    }
-
-    #[test]
-    fn random_uses_bottom_up_spillover() {
-        let l = ledger();
-        assert_eq!(
-            decide_local(SchedulerPolicy::Random, &l, 0, 8, &Resources::cpus(1.0)),
-            LocalDecision::KeepLocal
-        );
-        assert_eq!(
-            decide_local(SchedulerPolicy::Random, &l, 99, 8, &Resources::cpus(1.0)),
             LocalDecision::Forward
         );
     }

@@ -60,6 +60,11 @@ impl Default for AutoscaleConfig {
 }
 
 /// Everything a [`crate::ReplicaPool`] needs to deploy and run.
+///
+/// Health probes call the replica class's read-only `"ping"` method, so
+/// every class a pool serves must answer it: return a `u64` and touch no
+/// state (a read-only call is not logged, so it never slows
+/// reconstruction down).
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Registered actor class instantiated per replica.
@@ -69,14 +74,6 @@ pub struct PoolConfig {
     /// Stateful method handling a single request. Contract: one
     /// [`ray_codec::Blob`] argument in, a `Blob` return out.
     pub method: String,
-    /// Optional batched variant of `method`. Contract: one argument
-    /// encoding `Vec<Blob>` (one element per request), returning
-    /// `Vec<Blob>` in the same order. Batching is enabled when this is
-    /// `Some` and `batch_max > 1`.
-    pub batch_method: Option<String>,
-    /// Read-only health-probe method; must return `u64` and touch no
-    /// state (it is not logged, so it never slows reconstruction down).
-    pub probe_method: String,
     /// Replica count at deploy and the autoscaler's floor. Must be >= 1.
     pub replicas_min: usize,
     /// The autoscaler's ceiling.
@@ -102,16 +99,8 @@ pub struct PoolConfig {
     pub slo: Option<Duration>,
     /// Autoscaling policy.
     pub autoscale: AutoscaleConfig,
-    /// Largest batch one dispatch drains from the queue. `1` disables
-    /// batching (requests route inline on the caller's thread).
-    pub batch_max: usize,
-    /// Dispatcher threads draining the batch queue (ignored unless
-    /// batching is on).
-    pub dispatchers: usize,
     /// Deadline for one health-probe round trip.
     pub probe_timeout: Duration,
-    /// Deadline for a spawned replica's constructor to finish.
-    pub spawn_timeout: Duration,
     /// Background monitor cadence (probes + autoscaler). `None` runs no
     /// monitor thread: tests drive `probe_now` / `autoscale_once`
     /// explicitly for determinism.
@@ -120,14 +109,12 @@ pub struct PoolConfig {
 
 impl PoolConfig {
     /// A config with everything time-driven off: no hedging, no
-    /// autoscaler, no monitor thread, no batching. Same seed, same trace.
+    /// autoscaler, no monitor thread. Same seed, same trace.
     pub fn deterministic(class: &str, method: &str) -> PoolConfig {
         PoolConfig {
             class: class.to_string(),
             ctor_args: Vec::new(),
             method: method.to_string(),
-            batch_method: None,
-            probe_method: "ping".to_string(),
             replicas_min: 2,
             replicas_max: 4,
             replica_demand: Resources::cpus(1.0),
@@ -137,17 +124,9 @@ impl PoolConfig {
             hedge: None,
             slo: None,
             autoscale: AutoscaleConfig::default(),
-            batch_max: 1,
-            dispatchers: 1,
             probe_timeout: Duration::from_millis(500),
-            spawn_timeout: Duration::from_secs(5),
             monitor_interval: None,
         }
-    }
-
-    /// Whether the batched dispatch path is active.
-    pub fn batching(&self) -> bool {
-        self.batch_max > 1 && self.batch_method.is_some()
     }
 
     /// Rejects configs that cannot work before any replica is spawned.
@@ -161,10 +140,8 @@ impl PoolConfig {
                 self.replicas_min, self.replicas_max
             )));
         }
-        if self.shed_watermark == 0 || self.batch_max == 0 || self.dispatchers == 0 {
-            return Err(RayError::Invalid(
-                "shed_watermark, batch_max, and dispatchers must be >= 1".into(),
-            ));
+        if self.shed_watermark == 0 {
+            return Err(RayError::Invalid("shed_watermark must be >= 1".into()));
         }
         if self.request_timeout.is_zero() {
             return Err(RayError::Invalid("request_timeout must be positive".into()));
@@ -194,7 +171,6 @@ mod tests {
     #[test]
     fn deterministic_config_validates() {
         assert!(PoolConfig::deterministic("PolicyServer", "predict").validate().is_ok());
-        assert!(!PoolConfig::deterministic("PolicyServer", "predict").batching());
     }
 
     #[test]

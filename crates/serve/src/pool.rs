@@ -17,20 +17,17 @@
 //! stateful-edge log. An attempt either executes exactly once (and its
 //! result is fetched) or is torn down unlogged.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ray_common::metrics::names;
-use ray_common::sync::{classes, OrderedCondvar, OrderedMutex, OrderedRwLock};
+use ray_common::sync::{classes, OrderedMutex, OrderedRwLock};
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{ActorId, NodeId, RayError, RayResult};
 use ray_codec::Blob;
 use rustray::{node_affinity, ActorHandle, Arg, Cluster, ObjectRef, RayContext, TaskOptions};
-use serde::de::DeserializeOwned;
 
 use crate::config::{HedgeConfig, PoolConfig};
 use crate::stats::LatencyDigest;
@@ -42,9 +39,12 @@ const NO_REPLICA_WAIT: Duration = Duration::from_micros(500);
 /// Cadence of the drain check while retiring a replica.
 const DRAIN_POLL: Duration = Duration::from_micros(500);
 
-/// How long a dispatcher blocks on an empty queue before re-checking the
-/// shutdown flag.
-const DISPATCH_IDLE: Duration = Duration::from_millis(20);
+/// Deadline for a spawned replica's constructor to finish.
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The read-only health-probe method every replica class answers (see
+/// [`PoolConfig`]).
+const PROBE_METHOD: &str = "ping";
 
 /// A snapshot row of [`ReplicaPool::replicas`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,13 +112,6 @@ impl Drop for PendingGuard<'_> {
     }
 }
 
-/// A request parked on the batch queue.
-struct Queued {
-    payload: Blob,
-    deadline_us: u64,
-    reply: SyncSender<RayResult<Blob>>,
-}
-
 struct PoolInner {
     cluster: Arc<Cluster>,
     /// One driver context for the pool's lifetime: creating it once at
@@ -131,9 +124,6 @@ struct PoolInner {
     /// Round-robin cursor for tie-breaking among equally loaded replicas.
     rr: AtomicUsize,
     digest: LatencyDigest,
-    /// The batch queue, shared by the `cfg.dispatchers` threads.
-    queue: OrderedMutex<VecDeque<Queued>>,
-    queued: OrderedCondvar,
     shutdown: AtomicBool,
     /// Trace-clock micros of the last autoscaling decision (cooldown).
     last_scale_us: AtomicU64,
@@ -148,8 +138,8 @@ pub struct ReplicaPool {
 }
 
 impl ReplicaPool {
-    /// Deploys `cfg.replicas_min` replicas and starts the configured
-    /// background threads (batch dispatchers, health/autoscale monitor).
+    /// Deploys `cfg.replicas_min` replicas and starts the health/autoscale
+    /// monitor thread if one is configured.
     pub fn deploy(cluster: &Arc<Cluster>, cfg: PoolConfig) -> RayResult<ReplicaPool> {
         cfg.validate()?;
         let ctx = cluster.driver();
@@ -161,8 +151,6 @@ impl ReplicaPool {
             pending: AtomicUsize::new(0),
             rr: AtomicUsize::new(0),
             digest: LatencyDigest::new(),
-            queue: OrderedMutex::new(&classes::SERVE_BATCH_QUEUE, VecDeque::new()),
-            queued: OrderedCondvar::new(),
             shutdown: AtomicBool::new(false),
             last_scale_us: AtomicU64::new(0),
         });
@@ -170,17 +158,6 @@ impl ReplicaPool {
             inner.spawn_replica("deploy")?;
         }
         let mut workers = Vec::new();
-        if inner.cfg.batching() {
-            for i in 0..inner.cfg.dispatchers {
-                let inner = Arc::clone(&inner);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("serve-dispatch-{i}"))
-                        .spawn(move || dispatcher_loop(&inner))
-                        .map_err(|e| RayError::Io(e.to_string()))?,
-                );
-            }
-        }
         if let Some(interval) = inner.cfg.monitor_interval {
             let inner = Arc::clone(&inner);
             workers.push(
@@ -252,11 +229,6 @@ impl ReplicaPool {
         self.inner.healthy_count()
     }
 
-    /// Admitted requests not yet answered.
-    pub fn pending(&self) -> usize {
-        self.inner.pending.load(Ordering::Relaxed)
-    }
-
     /// Observed success latency at quantile `q` (µs), if any samples.
     pub fn latency_percentile(&self, q: f64) -> Option<u64> {
         self.inner.digest.percentile(q)
@@ -319,12 +291,7 @@ impl PoolInner {
         }
         let start = self.now_micros();
         let deadline_us = start.saturating_add(duration_micros(self.cfg.request_timeout));
-        let out = if self.cfg.batching() {
-            self.request_batched(Blob(payload), deadline_us)
-        } else {
-            let arg = Arg::value(&Blob(payload))?;
-            self.route::<Blob>(&self.cfg.method, &arg, deadline_us)
-        };
+        let out = self.route(&Arg::value(&Blob(payload))?, deadline_us);
         if out.is_ok() {
             let latency = self.now_micros().saturating_sub(start);
             self.digest.record(latency);
@@ -344,23 +311,10 @@ impl PoolInner {
         out
     }
 
-    fn request_batched(&self, payload: Blob, deadline_us: u64) -> RayResult<Blob> {
-        let (reply_tx, reply_rx) = sync_channel(1);
-        self.queue.lock().push_back(Queued { payload, deadline_us, reply: reply_tx });
-        self.queued.notify_one();
-        // The dispatcher owns the deadline; the slack only covers its
-        // scheduling jitter so a dead dispatcher can't hang the caller.
-        let slack = self.cfg.request_timeout + Duration::from_millis(250);
-        match reply_rx.recv_timeout(slack) {
-            Ok(result) => result,
-            Err(_) => Err(RayError::Timeout),
-        }
-    }
-
     /// Routes one logical call: picks a healthy replica, attempts (with
     /// hedging), and on replica faults retries on survivors while
     /// deadline budget remains. Application errors surface immediately.
-    fn route<T: DeserializeOwned>(&self, method: &str, arg: &Arg, deadline_us: u64) -> RayResult<T> {
+    fn route(&self, arg: &Arg, deadline_us: u64) -> RayResult<Blob> {
         let mut last_err = RayError::Timeout;
         loop {
             let now = self.now_micros();
@@ -385,9 +339,9 @@ impl PoolInner {
             };
             let opts = TaskOptions::default()
                 .with_timeout(Duration::from_micros(attempt_deadline_us - now));
-            let first = match self.ctx.call_actor_opts::<T>(
+            let first = match self.ctx.call_actor_opts::<Blob>(
                 &slot.handle,
-                method,
+                &self.cfg.method,
                 vec![arg.clone()],
                 &opts,
             ) {
@@ -398,7 +352,7 @@ impl PoolInner {
                     continue;
                 }
             };
-            match self.finish_attempt::<T>(&slot, method, arg, first, attempt_deadline_us) {
+            match self.finish_attempt(&slot, arg, first, attempt_deadline_us) {
                 Ok(v) => return Ok(v),
                 Err(e) if is_replica_fault(&e) => {
                     self.note_replica_failure(&slot, &e);
@@ -418,14 +372,13 @@ impl PoolInner {
     /// Any attempt that is abandoned (failed, lost the race, or left
     /// behind on error) is cancelled so it cannot execute later and
     /// duplicate a side effect on retry.
-    fn finish_attempt<T: DeserializeOwned>(
+    fn finish_attempt(
         &self,
         slot: &Arc<ReplicaSlot>,
-        method: &str,
         arg: &Arg,
-        first: ObjectRef<T>,
+        first: ObjectRef<Blob>,
         deadline_us: u64,
-    ) -> RayResult<T> {
+    ) -> RayResult<Blob> {
         let remaining =
             |inner: &PoolInner| Duration::from_micros(deadline_us.saturating_sub(inner.now_micros()));
         let Some(hedge) = &self.cfg.hedge else {
@@ -456,9 +409,9 @@ impl PoolInner {
             format!("straggler={} trigger_us={}", slot.handle.id(), trigger.as_micros()),
         );
         let opts = TaskOptions::default().with_timeout(remaining(self));
-        let second = match self.ctx.call_actor_opts::<T>(
+        let second = match self.ctx.call_actor_opts::<Blob>(
             &other.handle,
-            method,
+            &self.cfg.method,
             vec![arg.clone()],
             &opts,
         ) {
@@ -512,11 +465,7 @@ impl PoolInner {
 
     /// Blocking fetch; cancels the attempt on failure so it cannot run
     /// after the router has given up on it.
-    fn fetch_or_cancel<T: DeserializeOwned>(
-        &self,
-        r: &ObjectRef<T>,
-        timeout: Duration,
-    ) -> RayResult<T> {
+    fn fetch_or_cancel(&self, r: &ObjectRef<Blob>, timeout: Duration) -> RayResult<Blob> {
         let out = self.ctx.get_with_timeout(r, timeout);
         if out.is_err() {
             let _ = self.ctx.cancel_ref(r);
@@ -591,9 +540,9 @@ impl PoolInner {
         let opts = TaskOptions::default()
             .with_demand(self.cfg.replica_demand.add(&node_affinity(node)))
             .critical()
-            .with_timeout(self.cfg.spawn_timeout);
+            .with_timeout(SPAWN_TIMEOUT);
         let handle = self.ctx.create_actor(&self.cfg.class, self.cfg.ctor_args.clone(), opts)?;
-        self.ctx.get_with_timeout(&handle.ready(), self.cfg.spawn_timeout)?;
+        self.ctx.get_with_timeout(&handle.ready(), SPAWN_TIMEOUT)?;
         let id = handle.id();
         self.slots.write().push(Arc::new(ReplicaSlot::new(handle, node)));
         self.metrics().counter(names::SERVE_REPLICAS_SPAWNED).inc();
@@ -645,7 +594,7 @@ impl PoolInner {
         for slot in &slots {
             let answer = self
                 .ctx
-                .call_actor_readonly::<u64>(&slot.handle, &self.cfg.probe_method, Vec::new())
+                .call_actor_readonly::<u64>(&slot.handle, PROBE_METHOD, Vec::new())
                 .and_then(|r| self.ctx.get_with_timeout(&r, self.cfg.probe_timeout));
             match answer {
                 Ok(_) => {
@@ -714,59 +663,6 @@ fn is_replica_fault(err: &RayError) -> bool {
 /// Saturating `Duration` → whole microseconds.
 fn duration_micros(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
-}
-
-/// Drains the batch queue: waits for one request, takes up to
-/// `batch_max`, and dispatches them as a single `batch_method` call whose
-/// argument encodes `Vec<Blob>` and whose return distributes one `Blob`
-/// per request, in order.
-fn dispatcher_loop(inner: &Arc<PoolInner>) {
-    let batch_method = match &inner.cfg.batch_method {
-        Some(m) => m.clone(),
-        None => return,
-    };
-    while !inner.shutdown.load(Ordering::Relaxed) {
-        let batch: Vec<Queued> = {
-            let mut queue = inner.queue.lock();
-            if queue.is_empty() {
-                inner.queued.wait_until(&mut queue, Instant::now() + DISPATCH_IDLE);
-            }
-            let n = queue.len().min(inner.cfg.batch_max);
-            queue.drain(..n).collect()
-        };
-        if batch.is_empty() {
-            continue;
-        }
-        inner.metrics().counter(names::SERVE_BATCHES).inc();
-        // The earliest member deadline governs the whole batch: a batch
-        // must not outlive any request it carries.
-        let deadline_us = batch.iter().map(|q| q.deadline_us).min().unwrap_or(0);
-        let payloads: Vec<Blob> = batch.iter().map(|q| q.payload.clone()).collect();
-        let result = Arg::value(&payloads)
-            .and_then(|arg| inner.route::<Vec<Blob>>(&batch_method, &arg, deadline_us));
-        match result {
-            Ok(outs) if outs.len() == batch.len() => {
-                for (queued, out) in batch.into_iter().zip(outs) {
-                    let _ = queued.reply.send(Ok(out));
-                }
-            }
-            Ok(outs) => {
-                let err = RayError::Invalid(format!(
-                    "batch arity mismatch: {} requests, {} replies",
-                    batch.len(),
-                    outs.len()
-                ));
-                for queued in batch {
-                    let _ = queued.reply.send(Err(err.clone()));
-                }
-            }
-            Err(err) => {
-                for queued in batch {
-                    let _ = queued.reply.send(Err(err.clone()));
-                }
-            }
-        }
-    }
 }
 
 /// Background health + autoscale cadence.

@@ -48,7 +48,7 @@ struct Inner {
     /// When `false`, wire time is computed but not slept (pure-model mode
     /// for deterministic unit tests).
     real_time: AtomicBool,
-    /// Seeded fault injection (drops + extra delay) applied per message.
+    /// Seeded message drops applied per message.
     chaos: ChaosConfig,
     chaos_rng: OrderedMutex<DetRng>,
     dropped: AtomicU64,
@@ -185,18 +185,6 @@ impl Fabric {
         }
     }
 
-    /// Rolls the chaos delay coin; returns the extra delay to charge.
-    fn chaos_delay(&self) -> Duration {
-        if self.inner.chaos.delay_probability <= 0.0 || self.inner.chaos.extra_delay.is_zero() {
-            return Duration::ZERO;
-        }
-        if self.inner.chaos_rng.lock().next_f64() < self.inner.chaos.delay_probability {
-            self.inner.chaos.extra_delay
-        } else {
-            Duration::ZERO
-        }
-    }
-
     fn check_link(&self, src: NodeId, dst: NodeId) -> RayResult<()> {
         if !self.is_alive(src) {
             return Err(RayError::NodeDead(src));
@@ -272,11 +260,10 @@ impl Fabric {
         let permit = lanes.acquire(connections);
         let real_time = self.inner.real_time.load(Ordering::Relaxed);
         let started = Instant::now();
-        let extra = self.chaos_delay();
         let mut lo = 0usize;
         let d = loop {
             let hi = bytes.min(lo.saturating_add(self.inner.chunk_bytes));
-            let arrival = self.inner.model.transfer_duration(hi, permit.count()) + extra;
+            let arrival = self.inner.model.transfer_duration(hi, permit.count());
             if real_time {
                 std::thread::sleep((started + arrival).saturating_duration_since(Instant::now()));
             }
@@ -303,7 +290,7 @@ impl Fabric {
         if self.chaos_drop(src) {
             return Err(RayError::MessageDropped);
         }
-        let d = self.inner.model.control_delay() + self.chaos_delay();
+        let d = self.inner.model.control_delay();
         if self.inner.real_time.load(Ordering::Relaxed) {
             std::thread::sleep(d);
         }
@@ -391,7 +378,7 @@ mod tests {
 
     fn chaos_cfg(drop_p: f64, seed: u64) -> TransportConfig {
         TransportConfig {
-            chaos: ChaosConfig { drop_probability: drop_p, seed, ..ChaosConfig::default() },
+            chaos: ChaosConfig { drop_probability: drop_p, seed },
             ..cfg()
         }
     }
@@ -613,17 +600,6 @@ mod tests {
         }
         assert_eq!(f.message_drop_count(), 16);
         assert_eq!(f.transfer_count(), 0);
-    }
-
-    #[test]
-    fn chaos_extra_delay_charges_the_model() {
-        let mut cfg = cfg();
-        cfg.chaos =
-            ChaosConfig { delay_probability: 1.0, extra_delay: Duration::from_millis(50), ..ChaosConfig::default() };
-        let f = Fabric::new(2, &cfg);
-        f.set_virtual_time(true);
-        let d = f.transfer(NodeId(0), NodeId(1), 8, 1).unwrap();
-        assert!(d >= Duration::from_millis(50), "extra delay must be charged, got {d:?}");
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn cfg() -> TransportConfig {
 
 fn chaos(drop_p: f64, seed: u64) -> TransportConfig {
     TransportConfig {
-        chaos: ChaosConfig { drop_probability: drop_p, seed, ..ChaosConfig::default() },
+        chaos: ChaosConfig { drop_probability: drop_p, seed },
         ..cfg()
     }
 }

@@ -346,7 +346,6 @@ fn global_placement_is_always_feasible_and_live() {
             SchedulerPolicy::BottomUp,
             SchedulerPolicy::Centralized,
             SchedulerPolicy::LocalityUnaware,
-            SchedulerPolicy::Random,
         ] {
             let s = GlobalScheduler::new(policy, load.clone(), gcs.client(), Duration::ZERO, 7);
             let placed = s
