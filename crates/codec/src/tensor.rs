@@ -60,10 +60,28 @@ fn parse(bytes: &[u8], dtype: u8, elem: usize) -> Result<(Vec<usize>, &[u8]), Co
 /// actor method returns or a task takes for a slice of `f64`s — written
 /// straight from the slice, so the payload is copied once.
 pub fn encode_f64_blob(data: &[f64]) -> Vec<u8> {
-    let body = TensorF64::slice_encoded_len(data.len());
+    let mut out = f64_blob_header(data.len());
+    TensorF64::write_payload(&mut out, data);
+    out
+}
+
+/// The [`encode_f64_blob`] encoding of `a[i] + b[i]`, written in one pass
+/// over both views: the sum is never materialized as `f64`s first. The
+/// lengths must agree; a mismatch is the error `b.add_into(a)` gives.
+pub fn encode_f64_sum_blob(a: F64View<'_>, b: F64View<'_>) -> Result<Vec<u8>, CodecError> {
+    b.check_len(a.len())?;
+    let mut out = f64_blob_header(a.len());
+    out.extend(a.iter().zip(b.iter()).flat_map(|(x, y)| (x + y).to_le_bytes()));
+    Ok(out)
+}
+
+/// A buffer sized for the blob of `n` `f64`s, holding everything up to
+/// the payload: the blob's length prefix and the rank-1 tensor header.
+fn f64_blob_header(n: usize) -> Vec<u8> {
+    let body = TensorF64::slice_encoded_len(n);
     let mut out = Vec::with_capacity(8 + body);
     out.extend_from_slice(&(body as u64).to_le_bytes());
-    TensorF64::write(&mut out, &[data.len()], data);
+    TensorF64::write_header(&mut out, &[n]);
     out
 }
 
@@ -242,12 +260,20 @@ macro_rules! tensor_impl {
             }
 
             fn write(out: &mut Vec<u8>, shape: &[usize], data: &[$elem]) {
+                Self::write_header(out, shape);
+                Self::write_payload(out, data);
+            }
+
+            fn write_header(out: &mut Vec<u8>, shape: &[usize]) {
                 out.extend_from_slice(&MAGIC);
                 out.push($dtype);
                 out.extend_from_slice(&(shape.len() as u32).to_le_bytes());
                 for &d in shape {
                     out.extend_from_slice(&(d as u64).to_le_bytes());
                 }
+            }
+
+            fn write_payload(out: &mut Vec<u8>, data: &[$elem]) {
                 #[cfg(target_endian = "little")]
                 {
                     // SAFETY: `$elem` is a plain IEEE-754 float with no

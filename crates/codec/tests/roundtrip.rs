@@ -13,10 +13,12 @@
 //! 4. The one-copy slice encoders write exactly the bytes the owned
 //!    tensor path writes, and the borrowed view reads them back at every
 //!    payload alignment.
+//! 5. The one-pass sum of two views writes what `add_into` followed by
+//!    `encode_f64_blob` writes, whatever the alignment of either input.
 
 use std::collections::BTreeMap;
 
-use ray_codec::tensor::{encode_f64_blob, F64View, TensorF32, TensorF64};
+use ray_codec::tensor::{encode_f64_blob, encode_f64_sum_blob, F64View, TensorF32, TensorF64};
 use ray_codec::Blob;
 use ray_common::util::DetRng;
 use serde::{Deserialize, Serialize};
@@ -279,4 +281,46 @@ fn borrowed_view_rejects_truncated_and_mistyped_buffers() {
     huge[9..25].fill(0xFF);
     assert!(F64View::of_tensor(&huge).is_err());
     assert!(TensorF64::from_bytes(&huge).is_err());
+}
+
+#[test]
+fn one_pass_sum_matches_add_into_then_encode_at_every_alignment() {
+    let mut rng = DetRng::new(0x5053);
+    for len in [0usize, 1, 7, 4099] {
+        let a: Vec<f64> = (0..len).map(|_| f64::from_bits(rng.next_u64())).collect();
+        let b: Vec<f64> = (0..len).map(|_| f64::from_bits(rng.next_u64())).collect();
+        let mut sum = a.clone();
+        F64View::of_encoded_blob(&encode_f64_blob(&b)).unwrap().add_into(&mut sum).unwrap();
+        let expected = encode_f64_blob(&sum);
+        // `pad` leading bytes put each input's payload at every offset
+        // modulo the alignment of f64, independently of the other's.
+        let framed = |v: &[f64], pad: usize| {
+            let mut buf = vec![0xEEu8; pad];
+            buf.extend_from_slice(&encode_f64_blob(v));
+            buf
+        };
+        for pad_a in 0..8 {
+            let buf_a = framed(&a, pad_a);
+            let view_a = F64View::of_encoded_blob(&buf_a[pad_a..]).unwrap();
+            for pad_b in 0..8 {
+                let buf_b = framed(&b, pad_b);
+                let view_b = F64View::of_encoded_blob(&buf_b[pad_b..]).unwrap();
+                let got = encode_f64_sum_blob(view_a, view_b).unwrap();
+                assert!(got == expected, "len {len}, pads {pad_a}/{pad_b}");
+            }
+        }
+    }
+}
+
+#[test]
+fn one_pass_sum_of_unequal_lengths_is_an_error() {
+    let short = encode_f64_blob(&[1.0; 3]);
+    let long = encode_f64_blob(&[1.0; 4]);
+    let (short, long) = (
+        F64View::of_encoded_blob(&short).unwrap(),
+        F64View::of_encoded_blob(&long).unwrap(),
+    );
+    let err = encode_f64_sum_blob(long, short).unwrap_err();
+    assert_eq!(err.to_string(), short.add_into(&mut [0.0; 4]).unwrap_err().to_string());
+    assert!(encode_f64_sum_blob(short, long).is_err());
 }

@@ -25,7 +25,11 @@ use crate::context::RayContext;
 
 /// Outcome of a user function: encoded return payloads or an
 /// application-level error message.
-pub type RemoteResult = Result<Vec<Vec<u8>>, String>;
+///
+/// A payload is stored as the object exactly as returned, without a copy,
+/// so an actor may return a clone of bytes it keeps: `Bytes` is immutable,
+/// so the sealed object and the actor's copy can never disagree.
+pub type RemoteResult = Result<Vec<Bytes>, String>;
 
 /// A registered remote function.
 pub type RemoteFn = Arc<dyn Fn(&RayContext, &[Bytes]) -> RemoteResult + Send + Sync>;
@@ -162,7 +166,7 @@ pub fn decode_arg<T: DeserializeOwned>(args: &[Bytes], i: usize) -> Result<T, St
 /// Encodes a single return value.
 pub fn encode_return<T: Serialize>(value: &T) -> RemoteResult {
     match ray_codec::encode(value) {
-        Ok(b) => Ok(vec![b]),
+        Ok(b) => Ok(vec![Bytes::from(b)]),
         Err(e) => Err(format!("encode return: {e}")),
     }
 }
@@ -178,14 +182,14 @@ pub fn f64s_arg(args: &[Bytes], i: usize) -> Result<ray_codec::tensor::F64View<'
 /// Encodes a slice of `f64`s as a single tensor-blob return value (callers
 /// read it as `ObjectRef<Blob>`), copying the payload once.
 pub fn encode_return_f64s(data: &[f64]) -> RemoteResult {
-    Ok(vec![ray_codec::tensor::encode_f64_blob(data)])
+    Ok(vec![Bytes::from(ray_codec::tensor::encode_f64_blob(data))])
 }
 
 /// Encodes multiple return values.
 pub fn encode_returns<T: Serialize>(values: &[T]) -> RemoteResult {
     values
         .iter()
-        .map(|v| ray_codec::encode(v).map_err(|e| format!("encode return: {e}")))
+        .map(|v| ray_codec::encode(v).map(Bytes::from).map_err(|e| format!("encode return: {e}")))
         .collect()
 }
 

@@ -24,7 +24,7 @@ use crate::actor;
 use crate::context::RayContext;
 use crate::lineage::{ensure_object_at, Waiter};
 use crate::node::NodeHandle;
-use crate::registry::RemoteResult;
+use crate::registry::{encode_return, RemoteResult};
 use crate::runtime::{error_envelopes, RuntimeShared};
 use crate::task::{Arg, TaskKind, TaskSpec};
 
@@ -186,7 +186,7 @@ pub(crate) fn execute(
     let outputs = match outcome {
         Ok(outputs) => {
             shared.trace.emit(node, TraceEventKind::Finished, entity, "");
-            outputs.into_iter().map(Bytes::from).collect()
+            outputs
         }
         // Failures become error-envelope result objects so consumers
         // observe them through `get`.
@@ -222,7 +222,7 @@ fn run_task(shared: &Arc<RuntimeShared>, worker: &Arc<NodeHandle>, spec: &TaskSp
             // awaited like any future.
             actor::spawn_actor_here(shared, worker, *actor, spec, ctx, args)
                 .map_err(|e| e.to_string())?;
-            Ok(vec![ray_codec::encode(actor).map_err(|e| e.to_string())?])
+            encode_return(actor)
         }
         TaskKind::ActorMethod { .. } => {
             Err("actor methods are executed by actor hosts, not workers".into())

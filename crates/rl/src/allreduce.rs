@@ -12,15 +12,17 @@
 //!   dependency is an object reference: the receiving actor *fetches* the
 //!   chunk object from the sender's node through the distributed object
 //!   store — paying the striped transfer the experiment measures — reduces
-//!   it into its buffer, and returns the reduced slice, which is the chunk
+//!   it into its buffer, and returns the sum, which is the chunk
 //!   it sends in the next step (Hoplite's fused receive-reduce-send);
 //! - the driver submits the entire `2(n−1)`-step schedule asynchronously
 //!   and only blocks on the acknowledgements, so steps pipeline exactly as
 //!   the dynamic task graph allows.
 
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use ray_codec::tensor::{encode_f64_blob, encode_f64_sum_blob, F64View};
 use ray_codec::Blob;
 use ray_common::{NodeId, ObjectId, RayError, RayResult};
 use rustray::registry::RemoteResult;
@@ -32,9 +34,21 @@ use rustray::{
 
 pub use ray_bsp::allreduce::chunk_bounds;
 
-/// The per-participant actor: owns one full-length buffer.
+/// The per-participant actor. Its buffer is the sealed objects it sent and
+/// received: contiguous segments covering `0..len`, each an encoded `f64`
+/// blob. A `chunk` of a held segment returns that segment, a `set` keeps
+/// the incoming object, and a `reduce` writes its sum once and keeps it,
+/// so a ring step copies a chunk only where the wire does.
 pub struct RingWorker {
-    buffer: Vec<f64>,
+    segments: Vec<Segment>,
+    len: usize,
+}
+
+/// Elements `lo..hi` of a ring worker's buffer, encoded as one blob.
+struct Segment {
+    lo: usize,
+    hi: usize,
+    blob: Bytes,
 }
 
 impl ActorInstance for RingWorker {
@@ -42,44 +56,116 @@ impl ActorInstance for RingWorker {
         match method {
             // Returns buffer[lo..hi] as a tensor blob (the chunk object the
             // next ring member will pull across the network).
-            "chunk" => encode_return_f64s(self.range(args)?),
+            "chunk" => {
+                let range = self.range(args)?;
+                Ok(vec![self.segment(range)?.blob.clone()])
+            }
             // Adds an incoming chunk into buffer[lo..hi] and returns the
             // sum: the chunk this rank sends in the next step.
             "reduce" => {
-                let slice = self.range(args)?;
-                f64s_arg(args, 2)?.add_into(slice).map_err(|e| e.to_string())?;
-                encode_return_f64s(slice)
+                let range = self.range(args)?;
+                let held = self.segment(range)?;
+                let sum = encode_f64_sum_blob(view(&held.blob)?, f64s_arg(args, 2)?)
+                    .map_err(|e| e.to_string())?;
+                held.blob = Bytes::from(sum);
+                Ok(vec![held.blob.clone()])
             }
             // Overwrites buffer[lo..hi] with a reduced chunk (allgather).
+            // The incoming object replaces whatever segments the range
+            // covers, so their contents are never merged.
             "set" => {
-                let slice = self.range(args)?;
-                f64s_arg(args, 2)?.copy_into(slice).map_err(|e| e.to_string())?;
+                let (lo, hi) = self.range(args)?;
+                let (incoming, len) = (f64s_arg(args, 2)?.len(), hi - lo);
+                if incoming != len {
+                    return Err(format!("tensor of {incoming} elements into a slice of {len}"));
+                }
+                let covered = self.span(lo, hi)?;
+                self.segments.splice(covered, [Segment { lo, hi, blob: args[2].clone() }]);
                 encode_return(&0u8)
             }
             // Returns the whole buffer.
-            "read" => encode_return_f64s(&self.buffer),
+            "read" => {
+                let mut all = Vec::with_capacity(self.len);
+                for s in &self.segments {
+                    all.extend(view(&s.blob)?.iter());
+                }
+                encode_return_f64s(&all)
+            }
             other => Err(format!("RingWorker has no method {other}")),
         }
     }
 }
 
 impl RingWorker {
-    /// `buffer[lo..hi]` for the `(lo, hi)` a method's first two arguments
-    /// carry.
-    fn range(&mut self, args: &[Bytes]) -> Result<&mut [f64], String> {
+    /// The `buffer[lo..hi]` a method's first two arguments carry.
+    fn range(&self, args: &[Bytes]) -> Result<(usize, usize), String> {
         let lo: u64 = decode_arg(args, 0)?;
         let hi: u64 = decode_arg(args, 1)?;
-        let len = self.buffer.len();
-        self.buffer
-            .get_mut(lo as usize..hi as usize)
-            .ok_or_else(|| format!("range {lo}..{hi} outside a buffer of {len}"))
+        let (lo, hi) = (lo as usize, hi as usize);
+        if lo > hi || hi > self.len {
+            return Err(format!("range {lo}..{hi} outside a buffer of {}", self.len));
+        }
+        Ok((lo, hi))
     }
+
+    /// The held segment for `buffer[lo..hi]`. A range that is not one
+    /// segment already becomes one, by copying the segments it spans.
+    fn segment(&mut self, (lo, hi): (usize, usize)) -> Result<&mut Segment, String> {
+        let covered = self.span(lo, hi)?;
+        let at = covered.start;
+        if covered.len() != 1 {
+            let mut merged = Vec::with_capacity(hi - lo);
+            for s in &self.segments[covered.clone()] {
+                merged.extend(view(&s.blob)?.iter());
+            }
+            let blob = Bytes::from(encode_f64_blob(&merged));
+            self.segments.splice(covered, [Segment { lo, hi, blob }]);
+        }
+        Ok(&mut self.segments[at])
+    }
+
+    /// The indices of the segments that exactly cover `lo..hi`: the one
+    /// held segment that is that range, or else the run between segment
+    /// boundaries put at `lo` and `hi`.
+    fn span(&mut self, lo: usize, hi: usize) -> Result<Range<usize>, String> {
+        if let Some(at) = self.segments.iter().position(|s| (s.lo, s.hi) == (lo, hi)) {
+            return Ok(at..at + 1);
+        }
+        Ok(self.cut(lo)?..self.cut(hi)?)
+    }
+
+    /// Puts a segment boundary at element `x`, splitting the segment that
+    /// straddles it into two blobs, and returns the index of the first
+    /// segment that ends past `x`.
+    fn cut(&mut self, x: usize) -> Result<usize, String> {
+        let Some(i) = self.segments.iter().position(|s| s.hi > x) else {
+            return Ok(self.segments.len());
+        };
+        let s = &mut self.segments[i];
+        if s.lo == x {
+            return Ok(i);
+        }
+        let values = view(&s.blob)?.to_vec();
+        let (left, right) = values.split_at(x - s.lo);
+        let right = Segment { lo: x, hi: s.hi, blob: Bytes::from(encode_f64_blob(right)) };
+        s.blob = Bytes::from(encode_f64_blob(left));
+        s.hi = x;
+        self.segments.insert(i + 1, right);
+        Ok(i + 1)
+    }
+}
+
+/// The elements of an encoded blob.
+fn view(blob: &Bytes) -> Result<F64View<'_>, String> {
+    F64View::of_encoded_blob(blob).map_err(|e| e.to_string())
 }
 
 /// Registers the ring-worker actor class with a cluster.
 pub fn register(cluster: &Cluster) {
     cluster.register_actor_class("RingWorker", |_ctx, args| {
-        Ok(Box::new(RingWorker { buffer: f64s_arg(args, 0)?.to_vec() }))
+        let len = f64s_arg(args, 0)?.len();
+        let segments = vec![Segment { lo: 0, hi: len, blob: args[0].clone() }];
+        Ok(Box::new(RingWorker { segments, len }))
     });
 }
 
@@ -280,9 +366,9 @@ pub fn ray_task_ring_allreduce(
 /// Registers the chunk-summing task used by [`ray_task_ring_allreduce`].
 pub fn register_task_allreduce(cluster: &Cluster) {
     cluster.register_raw("add_chunks", |_ctx, args| {
-        let mut sum = f64s_arg(args, 0)?.to_vec();
-        f64s_arg(args, 1)?.add_into(&mut sum).map_err(|e| e.to_string())?;
-        encode_return_f64s(&sum)
+        let sum = encode_f64_sum_blob(f64s_arg(args, 0)?, f64s_arg(args, 1)?)
+            .map_err(|e| e.to_string())?;
+        Ok(vec![Bytes::from(sum)])
     });
 }
 
@@ -389,6 +475,129 @@ mod tests {
         assert!(ctx.get(&submit::<u8>(&ctx, h, "set", (0, 3), Some(&two)).unwrap()).is_err());
         // The failed calls changed nothing.
         assert_eq!(read_buffers(&ctx, &handles).unwrap()[0], vec![1.0, 2.0, 3.0]);
+        cluster.shutdown();
+    }
+
+    /// A 1-node ring of one worker holding `buffer`.
+    fn one_worker(buffer: Vec<f64>) -> (Cluster, RayContext, ActorHandle) {
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(1).workers_per_node(1).build()).unwrap();
+        register(&cluster);
+        let ctx = cluster.driver();
+        let h = create_ring(&ctx, 1, vec![buffer]).unwrap().remove(0);
+        (cluster, ctx, h)
+    }
+
+    /// The payload address of an object as the store on node 0 holds it.
+    fn payload_ptr(ctx: &RayContext, id: ObjectId) -> *const u8 {
+        ctx.get_raw(id, Duration::from_secs(10)).unwrap().as_ptr()
+    }
+
+    #[test]
+    fn a_set_chunk_is_the_sealed_argument_itself() {
+        let (cluster, ctx, h) = one_worker(vec![0.0; 8]);
+        let incoming = ctx.put(&Blob::from_f64s(&[1.0, 2.0, 3.0])).unwrap();
+        ctx.get(&submit::<u8>(&ctx, &h, "set", (2, 5), Some(&incoming)).unwrap()).unwrap();
+        let out = submit::<Blob>(&ctx, &h, "chunk", (2, 5), None).unwrap();
+        assert_eq!(ctx.get(&out).unwrap().f64s().unwrap().to_vec(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(payload_ptr(&ctx, out.id()), payload_ptr(&ctx, incoming.id()));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_reduce_return_is_the_next_chunk_of_its_range() {
+        let (cluster, ctx, h) = one_worker(vec![1.0; 8]);
+        let incoming = ctx.put(&Blob::from_f64s(&[0.5; 4])).unwrap();
+        let sum = submit::<Blob>(&ctx, &h, "reduce", (4, 8), Some(&incoming)).unwrap();
+        let next = submit::<Blob>(&ctx, &h, "chunk", (4, 8), None).unwrap();
+        assert_eq!(ctx.get(&next).unwrap().f64s().unwrap().to_vec(), vec![1.5; 4]);
+        assert_eq!(payload_ptr(&ctx, sum.id()), payload_ptr(&ctx, next.id()));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn held_segments_match_a_flat_buffer_bit_for_bit() {
+        use ray_common::util::DetRng;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let blob = |v: &[f64]| Bytes::from(encode_f64_blob(v));
+        let index = |x: usize| Bytes::from(ray_codec::encode(&(x as u64)).unwrap());
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(1).workers_per_node(1).build()).unwrap();
+        let ctx = cluster.driver();
+        for seed in 0..40u64 {
+            let mut rng = DetRng::new(seed ^ 0x5E6);
+            let len = 1 + rng.next_below(40) as usize;
+            let mut model: Vec<f64> = (0..len).map(|_| rng.next_f64()).collect();
+            let mut worker = RingWorker {
+                segments: vec![Segment { lo: 0, hi: len, blob: blob(&model) }],
+                len,
+            };
+            for step in 0..60 {
+                // Whole buffer, a ring's chunk, or any range at all (most
+                // of which straddle segments).
+                let (lo, hi) = match rng.next_below(3) {
+                    0 => (0, len),
+                    1 => {
+                        let ranks = 1 + rng.next_below(5) as usize;
+                        chunk_bounds(len, ranks)[rng.next_below(ranks as u64) as usize]
+                    }
+                    _ => {
+                        let a = rng.next_below(len as u64 + 1) as usize;
+                        let b = rng.next_below(len as u64 + 1) as usize;
+                        (a.min(b), a.max(b))
+                    }
+                };
+                let values: Vec<f64> = (lo..hi).map(|_| rng.next_f64() * 1e3).collect();
+                let mut args = vec![index(lo), index(hi), blob(&values)];
+                let method = ["set", "reduce", "chunk"][rng.next_below(3) as usize];
+                match method {
+                    "set" => model[lo..hi].copy_from_slice(&values),
+                    "reduce" => model[lo..hi].iter_mut().zip(&values).for_each(|(m, v)| *m += v),
+                    _ => args.truncate(2),
+                }
+                let out = worker.call(&ctx, method, &args).unwrap();
+                let at = format!("seed {seed} step {step}: {method} {lo}..{hi}");
+                if method != "set" {
+                    let got = F64View::of_encoded_blob(&out[0]).unwrap().to_vec();
+                    assert_eq!(bits(&got), bits(&model[lo..hi]), "{at}");
+                }
+                // Contiguous from 0 to len, each the length of its blob; at
+                // most one empty segment per boundary, so repeated empty
+                // ranges do not pile up.
+                let mut next = 0;
+                for s in &worker.segments {
+                    assert!(s.lo == next && s.lo <= s.hi, "{at}: segment {}..{}", s.lo, s.hi);
+                    let held = view(&s.blob).map(|v| v.len());
+                    assert_eq!(held, Ok(s.hi - s.lo), "{at}: segment {}..{}", s.lo, s.hi);
+                    next = s.hi;
+                }
+                assert_eq!(next, len, "{at}");
+                let held = worker.segments.len();
+                assert!(held <= 2 * len + 1, "{at}: {held} segments");
+            }
+            let read = worker.call(&ctx, "read", &[]).unwrap();
+            let got = F64View::of_encoded_blob(&read[0]).unwrap().to_vec();
+            assert_eq!(bits(&got), bits(&model), "seed {seed}: read");
+        }
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn one_iteration_moves_every_chunk_across_the_fabric() {
+        let (n, len) = (4, 64);
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(n).workers_per_node(2).build()).unwrap();
+        register(&cluster);
+        let ctx = cluster.driver();
+        let handles = create_ring(&ctx, n, rank_buffers(n, len)).unwrap();
+        let before = cluster.fabric().bytes_transferred();
+        ray_ring_allreduce(&ctx, &handles, len).unwrap();
+        let moved = cluster.fabric().bytes_transferred() - before;
+        // Every step's chunk crosses once; so do the `set` acks of the
+        // ranks off the driver's node, one encoded byte each.
+        let chunk = encode_f64_blob(&[0.0; 16]).len();
+        let ack = ray_codec::encode(&0u8).unwrap().len();
+        assert_eq!(moved as usize, 2 * n * (n - 1) * chunk + (n - 1) * (n - 1) * ack);
         cluster.shutdown();
     }
 

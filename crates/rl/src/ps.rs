@@ -196,10 +196,10 @@ impl ActorInstance for PsWorker {
                 let mut outputs = Vec::with_capacity(shard_lens.len() + 1);
                 let mut off = 0;
                 for len in shard_lens {
-                    outputs.push(encode_f64_blob(&grads.0[off..off + len]));
+                    outputs.push(Bytes::from(encode_f64_blob(&grads.0[off..off + len])));
                     off += len;
                 }
-                outputs.push(ray_codec::encode(&loss).map_err(|e| e.to_string())?);
+                outputs.push(Bytes::from(ray_codec::encode(&loss).map_err(|e| e.to_string())?));
                 Ok(outputs)
             }
             other => Err(format!("PsWorker has no method {other}")),

@@ -9,6 +9,14 @@
 # at start: frames in the binary against `nm`, frames in shared objects
 # against `nm -D` of that object — so time spent in libc (futex waits and
 # wakes show up as `libc:syscall`) is named, not printed as `??`.
+# libc's string functions are IFUNCs: `memcpy` runs a variant picked at
+# load time that the dynamic table does not list (glibc 2.36 on x86-64
+# puts it past the last exported symbol, so it used to print as
+# `libc:<after __nss_database_lookup>`). The shim also writes where
+# `dlsym` resolves `memcpy`, `memmove`, `memset`, `memcmp` and `strlen`,
+# and the fold adds those addresses to libc's table under the name asked
+# for (the first one, where two share an implementation) — a pc up to
+# 4 KiB past one, and before the next known symbol, is that function.
 #
 # Usage: scripts/cpu_profile.sh <workload> [seconds] [from_s] [to_s] [seed] [regex]
 #   seconds        run length (default 20)
@@ -42,10 +50,12 @@ shim="$target/cpu_profile/shim.so"
 samples="$target/cpu_profile/$workload.samples"
 cat > "$target/cpu_profile/shim.c" <<'C'
 #define _GNU_SOURCE
+#include <dlfcn.h>
 #include <execinfo.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 #include <sys/prctl.h>
@@ -103,6 +113,14 @@ __attribute__((constructor)) static void start(void) {
     while (maps >= 0 && (got = read(maps, buf, sizeof buf)) > 0)
         if (write(out, buf, (size_t)got) < 0) break;
     if (maps >= 0) close(maps);
+    /* Where the string functions resolve at run time, one line each:
+     * `resolved\t<name>\t<address>`. */
+    static const char *const resolved[] = {"memcpy", "memmove", "memset", "memcmp", "strlen"};
+    for (size_t i = 0; i < sizeof resolved / sizeof *resolved; i++) {
+        int len = snprintf(buf, sizeof buf, "resolved\t%s\t%lx\n", resolved[i],
+                           (unsigned long)(uintptr_t)dlsym(RTLD_DEFAULT, resolved[i]));
+        if (len > 0 && write(out, buf, (size_t)len) < 0) return;
+    }
     if (write(out, "--samples--\n", 12) < 0) return;
     void *warm[4];
     backtrace(warm, 4);
@@ -115,7 +133,7 @@ __attribute__((constructor)) static void start(void) {
     setitimer(ITIMER_PROF, &every, NULL);
 }
 C
-gcc -O2 -shared -fPIC -o "$shim" "$target/cpu_profile/shim.c"
+gcc -O2 -shared -fPIC -o "$shim" "$target/cpu_profile/shim.c" -ldl
 
 CPU_PROFILE_SAMPLES="$samples" LD_PRELOAD="$shim" \
     "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1
@@ -124,13 +142,16 @@ python3 - "$samples" "$from_s" "$to_s" "$payer_regex" <<'PY'
 import bisect, collections, os, re, subprocess, sys
 
 path, from_s, to_s, payer_regex = sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), sys.argv[4]
-maps, samples, in_samples = [], [], False
+maps, samples, in_samples, resolved = [], [], False, {}
 for line in open(path, errors="replace"):
     if line.startswith("--samples--"):
         in_samples = True
     elif in_samples:
         name, at, frames = line.rstrip("\n").split("\t")
         samples.append((name, int(at, 16), [int(f, 16) for f in frames.split()]))
+    elif line.startswith("resolved\t"):
+        _, fn, addr = line.split()
+        resolved.setdefault(int(addr, 16), fn)
     else:
         f = line.split()
         if len(f) >= 6 and f[5].startswith("/"):
@@ -148,7 +169,7 @@ tables = {}
 def table(obj):
     """`obj`'s defined function symbols as sorted (start, end, name): the
     static table when it has one (the benchmark binary), else the dynamic
-    one (libc)."""
+    one (libc), plus the string functions the shim resolved inside it."""
     if obj not in tables:
         syms = []
         for flags in (["-CS", "--defined-only"], ["-CSD", "--defined-only"]):
@@ -160,6 +181,11 @@ def table(obj):
                     syms.append((start, start + int(m[2] or "0", 16), m[4]))
             if syms:
                 break
+        for addr, fn in resolved.items():
+            i = bisect.bisect_right(starts, addr) - 1
+            if i >= 0 and addr < maps[i][1] and maps[i][3] == obj:
+                at = addr - base.get(obj, maps[i][0])
+                syms.append((at, at + 4096, fn))
         tables[obj] = sorted(syms)
     return tables[obj]
 

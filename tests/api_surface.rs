@@ -98,8 +98,8 @@ fn multi_return_tasks() {
         let v: Vec<u64> = decode_arg(args, 0)?;
         let (lo, hi): (Vec<u64>, Vec<u64>) = v.iter().partition(|&&x| x < 10);
         Ok(vec![
-            ray_codec::encode(&lo).map_err(|e| e.to_string())?,
-            ray_codec::encode(&hi).map_err(|e| e.to_string())?,
+            Bytes::from(ray_codec::encode(&lo).map_err(|e| e.to_string())?),
+            Bytes::from(ray_codec::encode(&hi).map_err(|e| e.to_string())?),
         ])
     });
     let ctx = cluster.driver();
