@@ -8,8 +8,9 @@
 //! The two regimes under reproduction: small objects are bound by
 //! bookkeeping (lock + map + LRU), large objects by memcpy. The thread
 //! sweep (`copy_into`, scoped threads per call) is this figure's instrument
-//! only — the runtime copies on the calling thread — and needs as many
-//! cores as threads to raise the plateau; on one CPU it lowers it.
+//! only — the runtime's `put` seals the caller's buffer and copies nothing —
+//! and needs as many cores as threads to raise the plateau; on one CPU it
+//! lowers it.
 
 use bytes::Bytes;
 use ray_bench::{fmt_bandwidth, fmt_rate, quick_mode, Report};
@@ -45,14 +46,14 @@ fn put_rate(size: usize, threads: usize, budget_bytes: usize) -> (f64, f64) {
             let id = ObjectId::random();
             // Admission bookkeeping on a zero-copy handle to the segment's
             // contents (the store indexes the mapped region in plasma).
-            s.put_nocopy(id, Bytes::from_static(b"")).expect("put");
+            s.put(id, Bytes::from_static(b"")).expect("put");
             s.delete(id);
         }
     } else {
         for _ in 0..ops {
             let id = ObjectId::random();
             let copied = copy_payload_with_threads(&data, threads);
-            s.put_nocopy(id, copied).expect("put");
+            s.put(id, copied).expect("put");
             // Keep the store small so admission cost stays constant.
             s.delete(id);
         }

@@ -109,7 +109,16 @@ pub fn encode<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CodecE
 /// Serializes `value` into [`Bytes`], the zero-copy buffer type the object
 /// store shares between co-located tasks.
 pub fn encode_bytes<T: serde::Serialize + ?Sized>(value: &T) -> Result<Bytes, CodecError> {
-    encode(value).map(Bytes::from)
+    encode_exact(value).map(Bytes::from)
+}
+
+/// [`encode`] with the buffer's growth slack handed back (a shrinking
+/// `realloc`, which under glibc moves no bytes): a `put` seals the buffer
+/// as it is and the store charges only its length.
+fn encode_exact<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError> {
+    let mut out = encode(value)?;
+    out.shrink_to_fit();
+    Ok(out)
 }
 
 /// Deserializes a `T` from `bytes`, requiring the buffer to be fully
@@ -268,5 +277,16 @@ mod tests {
         // A sequence claiming u64::MAX elements must not OOM the decoder.
         let buf = u64::MAX.to_le_bytes().to_vec();
         assert!(decode::<Vec<u8>>(&buf).is_err());
+    }
+
+    #[test]
+    fn a_buffer_for_the_store_has_no_growth_slack() {
+        let v: Vec<f64> = (0..100_001).map(f64::from).collect();
+        let grown = encode(&v).unwrap();
+        assert!(grown.capacity() > grown.len(), "the case must leave slack to hand back");
+        let exact = encode_exact(&v).unwrap();
+        assert_eq!(exact.capacity(), exact.len());
+        assert_eq!(exact, grown);
+        assert_eq!(encode_bytes(&v).unwrap(), grown);
     }
 }

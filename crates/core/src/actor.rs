@@ -417,7 +417,7 @@ pub(crate) fn store_missing_results(
             continue;
         }
         let size = data.len() as u64;
-        match handle.store.put_nocopy(id, data) {
+        match handle.store.put(id, data) {
             Ok(outcome) => outcome.unlist_dropped(&shared.gcs_client, node),
             Err(RayError::DuplicateObject(_)) => {}
             Err(e) => return Err(e),

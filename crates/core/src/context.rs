@@ -126,7 +126,9 @@ impl RayContext {
         Ok(ObjectRef::from_id(self.put_raw(bytes)?))
     }
 
-    /// Stores raw payload bytes, returning the new object's ID.
+    /// Stores raw payload bytes, returning the new object's ID. The store
+    /// seals `data` itself, without a copy: a `get` on this node returns
+    /// the caller's buffer.
     pub fn put_raw(&self, data: Bytes) -> RayResult<ObjectId> {
         let id = ObjectId::for_put(self.task, self.put_counter.fetch_add(1, Ordering::Relaxed));
         let handle = self.shared.node(self.node).ok_or(RayError::NodeDead(self.node))?;

@@ -306,7 +306,7 @@ impl RuntimeShared {
         for (i, data) in outputs.into_iter().enumerate() {
             let id = ObjectId::for_task_return(spec.task, i as u64);
             let size = data.len() as u64;
-            match handle.store.put_nocopy(id, data) {
+            match handle.store.put(id, data) {
                 Ok(outcome) => outcome.unlist_dropped(&self.gcs_client, node),
                 Err(RayError::DuplicateObject(_)) => {
                     // Replay of a (nominally deterministic) task produced

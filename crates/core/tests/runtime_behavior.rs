@@ -84,6 +84,28 @@ fn put_and_get_values() {
 }
 
 #[test]
+fn a_put_is_the_callers_buffer_on_its_node_and_a_copy_elsewhere() {
+    let cluster = small_cluster();
+    cluster.register_raw("address_of_arg", |_ctx, args| {
+        encode_return(&(args[0].as_ptr() as usize as u64))
+    });
+    let ctx = cluster.driver_on(NodeId(0));
+    let data = Bytes::from(vec![42u8; 64 << 10]);
+    let id = ctx.put_raw(data.clone()).unwrap();
+    let got = ctx.get_raw(id, Duration::from_secs(10)).unwrap();
+    assert_eq!(got.as_ptr(), data.as_ptr(), "a local get must not copy");
+    let address_on = |node: u32| -> u64 {
+        let pin = TaskOptions::default().with_demand(node_affinity(NodeId(node)));
+        let r: ObjectRef<u64> =
+            ctx.call_opts("address_of_arg", vec![Arg::from_id(id)], pin).unwrap();
+        ctx.get(&r).unwrap()
+    };
+    assert_eq!(address_on(0), data.as_ptr() as usize as u64, "a co-located task reads the put");
+    assert_ne!(address_on(1), data.as_ptr() as usize as u64, "a remote task reads the wire's copy");
+    cluster.shutdown();
+}
+
+#[test]
 fn parallel_fan_out_fan_in() {
     let cluster =
         Cluster::start(RayConfig::builder().nodes(4).workers_per_node(2).build()).unwrap();

@@ -8,8 +8,9 @@
 //! multiple connections (§4.2.4).
 //!
 //! - [`store::LocalObjectStore`] — one node's store: `put`/`get`/waiters,
-//!   LRU eviction into a [`spill::SpillStore`], memcpy-realistic object
-//!   creation (including the multi-threaded copy path of Fig. 9).
+//!   LRU eviction into a [`spill::SpillStore`]; a `put` seals the caller's
+//!   `Bytes` without copying them (Fig. 9's multi-threaded copy is kept
+//!   as a measurement only).
 //! - [`transfer::TransferManager`] — pull-based replication between nodes:
 //!   looks up locations in the GCS, pays modeled wire time on the
 //!   [`ray_transport::Fabric`], copies the payload, and registers the new

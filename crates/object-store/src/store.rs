@@ -5,11 +5,20 @@
 //! protocols entirely: a `put` of an existing ID with identical bytes is
 //! idempotent, with different bytes it is an error.
 //!
-//! Object creation really copies the payload into the store — mirroring
-//! the shared-memory write in the original — in one pass on the calling
-//! thread. The paper's store "uses 8 threads to copy objects larger than
-//! 0.5MB" (Fig. 9 caption); [`copy_into`] keeps that sweep as a
-//! measurement, and on the one-CPU reference host it loses to one thread.
+//! A `put` seals the caller's buffer: the store keeps the `Bytes` it is
+//! given, so creating an object copies nothing. `Bytes` offers no mutable
+//! access, so a payload shared with its producer is as immutable as a
+//! copy. The bytes a producer wrote are then the bytes every co-located
+//! reader gets, and the one copy an object's data takes is the wire's,
+//! when [`crate::transfer`] replicates it to another node. The original
+//! system writes the payload into shared memory instead, with "8 threads
+//! to copy objects larger than 0.5MB" (Fig. 9 caption); [`copy_into`]
+//! keeps that sweep as a measurement, and on the one-CPU reference host
+//! it loses to one thread.
+//!
+//! `resident_bytes` counts each entry's length. A `put` of a view into a
+//! larger buffer keeps the whole buffer alive, and a freed object's bytes
+//! live on while anyone still holds them.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -145,20 +154,13 @@ impl LocalObjectStore {
         &self.spill
     }
 
-    /// Stores an object, copying the payload into the store (like the
-    /// shared-memory write in the original system).
+    /// Seals `data` as object `id`, without copying it: the store holds
+    /// the caller's buffer, and [`LocalObjectStore::get_local`] hands out
+    /// that same buffer.
     ///
     /// Idempotent for identical contents; rejects a different payload under
     /// the same ID (immutability).
     pub fn put(&self, id: ObjectId, data: Bytes) -> RayResult<PutOutcome> {
-        let copied = copy_payload(&data);
-        self.put_nocopy(id, copied)
-    }
-
-    /// Stores an already-owned buffer without the creation copy. Used by
-    /// the transfer path, which has just materialized its own copy of the
-    /// bytes off the wire.
-    pub fn put_nocopy(&self, id: ObjectId, data: Bytes) -> RayResult<PutOutcome> {
         if data.len() > self.capacity {
             return Err(RayError::StoreFull { requested: data.len(), capacity: self.capacity });
         }
@@ -299,24 +301,18 @@ impl LocalObjectStore {
 /// the largest mmapped block it has seen freed (`mallopt(3)`, the dynamic
 /// `M_MMAP_THRESHOLD`). After the first 4 MiB object dies that is 8 MiB, so
 /// a store cycling 4 MiB objects has its heap trimmed whenever two freed
-/// buffers meet at the top, and the next `put` or fetch pays a thousand page
-/// faults to grow it back: 0.5–0.6 M faults in 5 s of the `object_flow`
-/// benchmark and a fifth of its throughput, in three runs of ten (which
-/// three depends on how small allocations happen to fence the buffers off
-/// from the top). Freeing one block just under the 32 MiB that rule stops
-/// adapting at — never touched, so never resident — moves the threshold
-/// past what the runtime keeps in flight: under 0.05 M faults in every run.
+/// buffers meet at the top, and the next fetch pays a thousand page faults
+/// to grow it back: 0.20–0.45 M faults in 5 s of the `object_flow`
+/// benchmark and a sixth more CPU per op, in every run of ten (a `put`
+/// allocates nothing, so the buffers that cycle are the fetches' copies).
+/// Freeing one block just under the 32 MiB that rule stops adapting at —
+/// never touched, so never resident — moves the threshold past what the
+/// runtime keeps in flight: under 0.05 M faults in every run.
 /// Under another allocator this frees a block and nothing else happens.
 fn keep_freed_heap_mapped() {
     const LARGEST_ADAPTIVE_BLOCK: usize = (32 << 20) - (64 << 10);
     static ONCE: Once = Once::new();
     ONCE.call_once(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(LARGEST_ADAPTIVE_BLOCK))));
-}
-
-/// Copies a payload into a fresh buffer: one pass on the calling thread,
-/// whatever the size.
-pub fn copy_payload(data: &Bytes) -> Bytes {
-    Bytes::copy_from_slice(data)
 }
 
 /// Copies a payload with `threads` copy threads — the Fig. 9 thread-sweep
@@ -325,7 +321,7 @@ pub fn copy_payload(data: &Bytes) -> Bytes {
 pub fn copy_payload_with_threads(data: &Bytes, threads: usize) -> Bytes {
     // One thread needs no destination zeroed ahead of it.
     if threads <= 1 {
-        return copy_payload(data);
+        return Bytes::copy_from_slice(data);
     }
     let mut dst = vec![0u8; data.len()];
     copy_into(data, &mut dst, threads);
@@ -375,6 +371,26 @@ mod tests {
         s.put(id, Bytes::from_static(b"data")).unwrap();
         assert_eq!(s.get_local(id), Some(Bytes::from_static(b"data")));
         assert_eq!(s.resident_bytes(), 4);
+    }
+
+    #[test]
+    fn a_put_seals_the_callers_buffer() {
+        let s = store(1 << 20, true);
+        let (id, data) = (ObjectId::random(), Bytes::from(vec![7u8; 4096]));
+        s.put(id, data.clone()).unwrap();
+        assert_eq!(s.get_local(id).unwrap().as_ptr(), data.as_ptr());
+        let waited = s.wait_local(id, Duration::from_millis(10)).unwrap();
+        assert_eq!(waited.as_ptr(), data.as_ptr());
+    }
+
+    #[test]
+    fn a_view_is_charged_its_own_length() {
+        let s = store(100, true);
+        let whole = Bytes::from(vec![3u8; 1000]);
+        let id = ObjectId::random();
+        s.put(id, whole.slice(10..50)).unwrap();
+        assert_eq!(s.resident_bytes(), 40);
+        assert_eq!(s.get_local(id).unwrap().as_ptr(), whole[10..].as_ptr());
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl TransferManager {
 
             if let Some((src, data)) = fetched {
                 let size = data.len() as u64;
-                local.put_nocopy(id, data.clone())?.unlist_dropped(&self.gcs, to);
+                local.put(id, data.clone())?.unlist_dropped(&self.gcs, to);
                 self.gcs.add_object_location(id, to, size)?;
                 self.metrics.counter(names::BYTES_TRANSFERRED).add(size);
                 self.metrics.histogram(names::TRANSFER_BYTES).observe(size);
@@ -428,6 +428,19 @@ mod tests {
         assert_eq!(r.fabric.transfer_count(), 1);
         assert_eq!(r.fabric.bytes_transferred(), payload.len() as u64);
         assert_eq!(r.metrics.counter(names::BYTES_TRANSFERRED).get(), payload.len() as u64);
+    }
+
+    #[test]
+    fn a_replica_is_the_wires_copy_never_the_source_buffer() {
+        let r = rig(2);
+        r.fabric.set_virtual_time(true);
+        let id = seed_bytes(&r, 0, Bytes::from(vec![5u8; 64 << 10]));
+        let source = r.stores[0].get_local(id).unwrap();
+        let got = r.tm.fetch(id, NodeId(1), Duration::from_secs(5)).unwrap();
+        assert!(got == source);
+        assert_ne!(got.as_ptr(), source.as_ptr(), "the replica must be a copy");
+        assert_eq!(r.stores[1].get_local(id).unwrap().as_ptr(), got.as_ptr());
+        assert_eq!(r.fabric.bytes_transferred(), source.len() as u64);
     }
 
     #[test]
