@@ -61,7 +61,6 @@ fn run_seed(seed: u64, window: Duration, faults: usize, chain: usize, adds: i64)
     let mut cfg =
         RayConfig::builder().nodes(nodes as usize).workers_per_node(2).seed(seed).build();
     cfg.fault = FaultConfig {
-        lineage_enabled: true,
         max_reconstruction_attempts: 10,
         actor_checkpoint_interval: Some(3),
         heartbeat_timeout: Duration::from_millis(200),

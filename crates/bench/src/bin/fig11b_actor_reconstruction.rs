@@ -50,7 +50,6 @@ struct Outcome {
 fn run(actors: usize, methods: usize, nodes: usize, checkpoint: Option<u64>) -> Outcome {
     let mut cfg = RayConfig::builder().nodes(nodes).workers_per_node(2).seed(9).build();
     cfg.fault = FaultConfig {
-        lineage_enabled: true,
         max_reconstruction_attempts: 3,
         actor_checkpoint_interval: checkpoint,
         ..FaultConfig::default()

@@ -223,11 +223,6 @@ macro_rules! tensor_impl {
                 &self.data
             }
 
-            /// Flat mutable access to the elements.
-            pub fn data_mut(&mut self) -> &mut [$elem] {
-                &mut self.data
-            }
-
             /// Consumes the tensor, returning its flat data.
             pub fn into_vec(self) -> Vec<$elem> {
                 self.data

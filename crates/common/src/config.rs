@@ -133,15 +133,6 @@ pub struct SchedulerConfig {
     /// Artificial latency added to every global scheduling decision
     /// (Fig. 12b ablation).
     pub added_decision_delay: Duration,
-    /// Admission-control watermark: when a node's local queue holds this
-    /// many tasks, new non-critical submissions there are shed with
-    /// `RayError::Overloaded`.
-    /// `None` disables admission control (the seed behaviour).
-    pub admission_watermark: Option<usize>,
-    /// Bounded-retry budget a submitting context spends on
-    /// `RayError::Overloaded` before surfacing it to the caller (mirrors
-    /// the GCS client retry pattern).
-    pub admission_retry_limit: u32,
 }
 
 impl Default for SchedulerConfig {
@@ -150,8 +141,6 @@ impl Default for SchedulerConfig {
             policy: SchedulerPolicy::BottomUp,
             spillover_threshold: 32,
             added_decision_delay: Duration::ZERO,
-            admission_watermark: None,
-            admission_retry_limit: 5,
         }
     }
 }
@@ -175,8 +164,6 @@ impl Default for ObjectStoreConfig {
 /// Fault-tolerance parameters for the core runtime.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultConfig {
-    /// Whether lineage is recorded and reconstruction attempted at all.
-    pub lineage_enabled: bool,
     /// Max times one object reconstruction is retried before reporting loss.
     pub max_reconstruction_attempts: usize,
     /// Checkpoint an actor every N method calls (`None` = never), bounding
@@ -195,7 +182,6 @@ pub struct FaultConfig {
 impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
-            lineage_enabled: true,
             max_reconstruction_attempts: 3,
             actor_checkpoint_interval: None,
             heartbeat_timeout: Duration::from_secs(2),
@@ -273,9 +259,6 @@ impl RayConfig {
         }
         if self.gcs.recovery_threshold == 0 {
             return Err("gcs.recovery_threshold must be >= 1".into());
-        }
-        if self.scheduler.admission_watermark == Some(0) {
-            return Err("scheduler.admission_watermark must be >= 1 when set".into());
         }
         if self.transport.connections_per_transfer == 0 {
             return Err("transport.connections_per_transfer must be >= 1".into());

@@ -59,9 +59,9 @@ pub enum RayError {
     /// The task's absolute deadline (set at submit, inherited by children)
     /// expired before it produced its results.
     DeadlineExceeded(TaskId),
-    /// Admission control shed the task: the node's submit queue was past its
-    /// configured watermark and the task was not marked critical. Transient —
-    /// callers retry with bounded backoff, like [`RayError::GcsUnavailable`].
+    /// A serve pool shed the request at its door: the requests in flight
+    /// were past the pool's `shed_watermark`. The node is the caller's.
+    /// Transient — the caller may retry later.
     Overloaded(NodeId),
 }
 
@@ -94,7 +94,7 @@ impl fmt::Display for RayError {
             RayError::Cancelled(task) => write!(f, "task {task} cancelled"),
             RayError::DeadlineExceeded(task) => write!(f, "task {task} deadline exceeded"),
             RayError::Overloaded(node) => {
-                write!(f, "node {node} overloaded: submit queue past admission watermark")
+                write!(f, "node {node} overloaded: serve pool past its shed watermark")
             }
         }
     }

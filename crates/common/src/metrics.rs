@@ -311,9 +311,6 @@ pub mod names {
     /// shard rebuilt from its disk log), summed over shards; zero on a
     /// run that injected no GCS fault.
     pub const GCS_RECONFIGURATIONS: &str = "gcs_reconfigurations";
-    /// Lock holds that exceeded the configured long-hold threshold
-    /// (debug builds only; see `ray_common::sync`).
-    pub const LOCK_LONG_HOLDS: &str = "lock_long_holds";
     /// Histogram: end-to-end task execution latency in microseconds
     /// (worker dequeue → results stored).
     pub const TASK_LATENCY_MICROS: &str = "task_latency_micros";
@@ -327,7 +324,9 @@ pub mod names {
     pub const RECONSTRUCTION_ATTEMPTS: &str = "reconstruction_attempts";
     /// Tasks torn down by `ray.cancel` (any lifecycle stage).
     pub const TASKS_CANCELLED: &str = "tasks_cancelled";
-    /// Tasks shed by admission control at submit.
+    /// Nothing increments this: a submit is never shed (a serve pool sheds
+    /// requests, counted in [`SERVE_SHED`]). The name stays because the
+    /// benchmark (`perf/`) reads it.
     pub const TASKS_SHED: &str = "tasks_shed";
     /// Tasks torn down because their absolute deadline expired.
     pub const DEADLINE_EXCEEDED: &str = "deadline_exceeded";
@@ -344,7 +343,8 @@ pub mod names {
     pub const SERVE_FAILOVERS: &str = "serve_failovers";
     /// Served requests that completed past the configured latency SLO.
     pub const SERVE_SLO_VIOLATIONS: &str = "serve_slo_violations";
-    /// Replicas spawned into pools (deploys, autoscale-up, re-admission).
+    /// Replicas spawned into pools (deploys and autoscale-up). A probe that
+    /// re-admits a rebuilt replica emits `replica_spawned` but counts nothing.
     pub const SERVE_REPLICAS_SPAWNED: &str = "serve_replicas_spawned";
     /// Replicas drained and retired from pools.
     pub const SERVE_REPLICAS_RETIRED: &str = "serve_replicas_retired";

@@ -16,10 +16,7 @@
 //! - a global acquisition-order graph accumulates one edge per observed
 //!   "A held while acquiring B" pair; [`detect_cycle`] /
 //!   [`assert_acyclic`] let tests fail on *potential* deadlocks even when
-//!   the fatal interleaving never manifested in that run;
-//! - holds longer than a configurable threshold
-//!   ([`set_long_hold_threshold`]) are counted and fed to
-//!   [`crate::metrics`] under [`crate::metrics::names::LOCK_LONG_HOLDS`].
+//!   the fatal interleaving never manifested in that run.
 //!
 //! In release builds (`not(debug_assertions)`) every check compiles away
 //! and the wrappers are thin newtypes over `std::sync` — hot paths pay
@@ -242,18 +239,16 @@ pub mod classes {
 }
 
 // ---------------------------------------------------------------------------
-// Debug-build tracking: held stack, order graph, violations, long holds.
+// Debug-build tracking: held stack, order graph, violations.
 // ---------------------------------------------------------------------------
 
 #[cfg(debug_assertions)]
 mod order {
     use super::LockClass;
-    use crate::metrics::{names, MetricsRegistry};
-    use std::cell::{Cell, RefCell};
+    use std::cell::RefCell;
     use std::collections::BTreeSet;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
-    use std::time::{Duration, Instant};
 
     /// Global registry + acquisition-order graph. Edges are pairs of dense
     /// class ids; `BTreeSet` keeps iteration (and thus cycle reports)
@@ -274,21 +269,9 @@ mod order {
     /// Tests that deliberately invert flip this off first.
     static PANIC_ON_VIOLATION: AtomicBool = AtomicBool::new(true);
 
-    /// Long-hold threshold in microseconds (default 250ms) and counter.
-    static LONG_HOLD_MICROS: AtomicU64 = AtomicU64::new(250_000);
-    static LONG_HOLD_COUNT: AtomicU64 = AtomicU64::new(0);
-
     thread_local! {
         /// The classes this thread currently holds, in acquisition order.
         static HELD: RefCell<Vec<&'static LockClass>> = const { RefCell::new(Vec::new()) };
-        /// Re-entrancy guard: long-hold reporting touches the metrics
-        /// registry, whose own locks must not re-report.
-        static REPORTING: Cell<bool> = const { Cell::new(false) };
-        /// Per-thread metrics sink for long-hold events. Thread-scoped on
-        /// purpose: two `Cluster`s in one process (parallel `cargo test`)
-        /// must not feed each other's registries, so each cluster installs
-        /// its registry on the threads it owns instead of process-wide.
-        static METRICS_SINK: RefCell<Option<MetricsRegistry>> = const { RefCell::new(None) };
     }
 
     /// Assigns (once) and returns the dense 1-based id of `class`.
@@ -360,43 +343,14 @@ mod order {
     }
 
     /// Pops `class` (topmost matching entry — releases may be
-    /// out-of-LIFO) and runs the long-hold check.
-    pub(super) fn on_release(class: &'static LockClass, acquired: Instant) {
+    /// out-of-LIFO).
+    pub(super) fn on_release(class: &'static LockClass) {
         let _ = HELD.try_with(|h| {
             let mut held = h.borrow_mut();
             if let Some(pos) = held.iter().rposition(|c| std::ptr::eq(*c, class)) {
                 held.remove(pos);
             }
         });
-        let held_for = acquired.elapsed();
-        if held_for >= Duration::from_micros(LONG_HOLD_MICROS.load(Ordering::Relaxed)) {
-            report_long_hold(class, held_for);
-        }
-    }
-
-    fn report_long_hold(class: &'static LockClass, _held_for: Duration) {
-        LONG_HOLD_COUNT.fetch_add(1, Ordering::Relaxed);
-        let entered = REPORTING
-            .try_with(|r| {
-                if r.get() {
-                    false
-                } else {
-                    r.set(true);
-                    true
-                }
-            })
-            .unwrap_or(false);
-        if !entered {
-            return;
-        }
-        let sink = METRICS_SINK
-            .try_with(|s| s.borrow().clone())
-            .unwrap_or_default();
-        if let Some(m) = sink {
-            m.counter(names::LOCK_LONG_HOLDS).inc();
-        }
-        let _ = class; // identity available for future per-class metrics
-        let _ = REPORTING.try_with(|r| r.set(false));
     }
 
     // ---- public (re-exported) debug API ----
@@ -473,18 +427,6 @@ mod order {
         }
         None
     }
-
-    pub(super) fn set_long_hold_threshold(d: Duration) {
-        LONG_HOLD_MICROS.store(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    pub(super) fn long_hold_count() -> u64 {
-        LONG_HOLD_COUNT.load(Ordering::Relaxed)
-    }
-
-    pub(super) fn install_long_hold_metrics(m: MetricsRegistry) {
-        let _ = METRICS_SINK.try_with(|s| *s.borrow_mut() = Some(m));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -558,41 +500,6 @@ pub fn assert_acyclic() {
     }
 }
 
-/// Sets the hold-duration threshold beyond which a release is counted as
-/// a long hold (debug builds; default 250ms).
-pub fn set_long_hold_threshold(d: std::time::Duration) {
-    #[cfg(debug_assertions)]
-    order::set_long_hold_threshold(d);
-    #[cfg(not(debug_assertions))]
-    let _ = d;
-}
-
-/// Number of long holds observed so far (debug builds; 0 in release).
-pub fn long_hold_count() -> u64 {
-    #[cfg(debug_assertions)]
-    {
-        order::long_hold_count()
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        0
-    }
-}
-
-/// Routes long-hold events on the **calling thread** to `m` as
-/// [`crate::metrics::names::LOCK_LONG_HOLDS`] increments (debug builds).
-/// The sink is thread-scoped: a cluster installs its registry on every
-/// thread it owns (schedulers, workers, actor hosts) plus the thread that
-/// called `Cluster::start`, so two clusters in one process — parallel
-/// `cargo test`, notably — cannot contaminate each other's counters. A
-/// later install on the same thread replaces that thread's sink.
-pub fn install_long_hold_metrics(m: crate::metrics::MetricsRegistry) {
-    #[cfg(debug_assertions)]
-    order::install_long_hold_metrics(m);
-    #[cfg(not(debug_assertions))]
-    let _ = m;
-}
-
 // ---------------------------------------------------------------------------
 // OrderedMutex
 // ---------------------------------------------------------------------------
@@ -630,8 +537,6 @@ impl<T: ?Sized> OrderedMutex<T> {
         OrderedMutexGuard {
             #[cfg(debug_assertions)]
             class: self.class,
-            #[cfg(debug_assertions)]
-            acquired: Instant::now(),
             inner: Some(inner),
         }
     }
@@ -660,8 +565,6 @@ impl<T: fmt::Debug> fmt::Debug for OrderedMutex<T> {
 pub struct OrderedMutexGuard<'a, T: ?Sized> {
     #[cfg(debug_assertions)]
     class: &'static LockClass,
-    #[cfg(debug_assertions)]
-    acquired: Instant,
     /// `None` only inside an [`OrderedCondvar`] wait, while std owns it.
     inner: Option<sync::MutexGuard<'a, T>>,
 }
@@ -684,7 +587,7 @@ impl<T: ?Sized> DerefMut for OrderedMutexGuard<'_, T> {
 impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
-        order::on_release(self.class, self.acquired);
+        order::on_release(self.class);
     }
 }
 
@@ -738,8 +641,6 @@ impl<T: ?Sized> OrderedRwLock<T> {
         OrderedRwLockReadGuard {
             #[cfg(debug_assertions)]
             class: self.class,
-            #[cfg(debug_assertions)]
-            acquired: Instant::now(),
             inner,
         }
     }
@@ -754,8 +655,6 @@ impl<T: ?Sized> OrderedRwLock<T> {
         OrderedRwLockWriteGuard {
             #[cfg(debug_assertions)]
             class: self.class,
-            #[cfg(debug_assertions)]
-            acquired: Instant::now(),
             inner,
         }
     }
@@ -784,8 +683,6 @@ impl<T: fmt::Debug> fmt::Debug for OrderedRwLock<T> {
 pub struct OrderedRwLockReadGuard<'a, T: ?Sized> {
     #[cfg(debug_assertions)]
     class: &'static LockClass,
-    #[cfg(debug_assertions)]
-    acquired: Instant,
     inner: sync::RwLockReadGuard<'a, T>,
 }
 
@@ -799,7 +696,7 @@ impl<T: ?Sized> Deref for OrderedRwLockReadGuard<'_, T> {
 impl<T: ?Sized> Drop for OrderedRwLockReadGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
-        order::on_release(self.class, self.acquired);
+        order::on_release(self.class);
     }
 }
 
@@ -813,8 +710,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for OrderedRwLockReadGuard<'_, T> {
 pub struct OrderedRwLockWriteGuard<'a, T: ?Sized> {
     #[cfg(debug_assertions)]
     class: &'static LockClass,
-    #[cfg(debug_assertions)]
-    acquired: Instant,
     inner: sync::RwLockWriteGuard<'a, T>,
 }
 
@@ -834,7 +729,7 @@ impl<T: ?Sized> DerefMut for OrderedRwLockWriteGuard<'_, T> {
 impl<T: ?Sized> Drop for OrderedRwLockWriteGuard<'_, T> {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
-        order::on_release(self.class, self.acquired);
+        order::on_release(self.class);
     }
 }
 
@@ -860,8 +755,7 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable paired with [`OrderedMutex`]. Waiting releases the
-/// mutex; on wake the guard's hold timer restarts so long-hold detection
-/// measures actual hold time, not wait time.
+/// mutex and re-acquires it before returning.
 pub struct OrderedCondvar {
     inner: sync::Condvar,
 }
@@ -888,10 +782,6 @@ impl OrderedCondvar {
     pub fn wait<T>(&self, guard: &mut OrderedMutexGuard<'_, T>) {
         let held = guard.inner.take().expect(GUARD_HELD);
         guard.inner = Some(self.inner.wait(held).unwrap_or_else(PoisonError::into_inner));
-        #[cfg(debug_assertions)]
-        {
-            guard.acquired = Instant::now();
-        }
     }
 
     /// Blocks until notified or `deadline` passes; the result's
@@ -908,10 +798,6 @@ impl OrderedCondvar {
             .wait_timeout(held, timeout)
             .unwrap_or_else(PoisonError::into_inner);
         guard.inner = Some(held);
-        #[cfg(debug_assertions)]
-        {
-            guard.acquired = Instant::now();
-        }
         WaitTimeoutResult(res.timed_out())
     }
 }
@@ -976,54 +862,6 @@ mod tests {
         assert_eq!(l.read().len(), 3);
         l.write().push(4);
         assert_eq!(l.read().len(), 4);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn long_holds_are_counted() {
-        set_long_hold_threshold(Duration::from_millis(1));
-        let before = long_hold_count();
-        let m = OrderedMutex::new(&T_HOLD, ());
-        {
-            let _g = m.lock();
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(long_hold_count() > before);
-        set_long_hold_threshold(Duration::from_millis(250));
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn long_hold_sink_is_scoped_per_thread() {
-        use crate::metrics::{names, MetricsRegistry};
-        static T_SCOPE: LockClass = LockClass::new("test.sink_scope", 10_040);
-        // Two "clusters" on two threads, each with its own registry: a
-        // long hold on one thread must only land in that thread's sink.
-        // Holds are longer than the default 250ms threshold so this test
-        // never touches the (process-global) threshold knob and cannot
-        // race sibling tests that do.
-        let spawn_cluster_thread = |hold: bool| {
-            std::thread::spawn(move || {
-                let reg = MetricsRegistry::new();
-                install_long_hold_metrics(reg.clone());
-                let m = OrderedMutex::new(&T_SCOPE, ());
-                {
-                    let _g = m.lock();
-                    if hold {
-                        std::thread::sleep(Duration::from_millis(300));
-                    }
-                }
-                reg.counter(names::LOCK_LONG_HOLDS).get()
-            })
-        };
-        let holder = spawn_cluster_thread(true);
-        let bystander = spawn_cluster_thread(false);
-        // The holding thread's registry saw its long hold; the bystander
-        // cluster's registry saw nothing — a process-global sink (the old
-        // behaviour) could route the holder's event into whichever
-        // registry installed last.
-        assert!(holder.join().unwrap() >= 1);
-        assert_eq!(bystander.join().unwrap(), 0);
     }
 
     #[test]

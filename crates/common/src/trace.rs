@@ -234,8 +234,6 @@ pub enum TraceEventKind {
     TaskCancelled,
     /// The task's absolute deadline expired before it produced results.
     TaskDeadlineExceeded,
-    /// Admission control shed the task at submit (queue past watermark).
-    TaskShed,
     /// A cancel propagated from a parent task to a registered child.
     CancelPropagated,
     /// A serving replica entered (or re-entered) a pool's routable set:
@@ -287,7 +285,6 @@ impl TraceEventKind {
             GcsFlush => "gcs_flush",
             TaskCancelled => "task_cancelled",
             TaskDeadlineExceeded => "task_deadline_exceeded",
-            TaskShed => "task_shed",
             CancelPropagated => "cancel_propagated",
             ReplicaSpawned => "replica_spawned",
             ReplicaRetired => "replica_retired",
@@ -319,7 +316,6 @@ impl TraceEventKind {
                 | DepsFetched
                 | GcsReconfigured
                 | GcsFlush
-                | TaskShed
                 | CancelPropagated
                 | RequestHedged
                 | SloViolated

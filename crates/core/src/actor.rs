@@ -249,13 +249,9 @@ fn spawn_incarnation(
         Some(mailbox) if !router.stopped => mailbox.clone(),
         _ => return false,
     };
-    let metrics = shared.metrics.clone();
     let thread = std::thread::Builder::new()
         .name(format!("actor-{actor}"))
-        .spawn(move || {
-            ray_common::sync::install_long_hold_metrics(metrics);
-            run(&mailbox)
-        })
+        .spawn(move || run(&mailbox))
         .expect("invariant: thread spawn only fails on OS resource exhaustion");
     router.incarnations.retain(|j| !j.is_finished());
     router.incarnations.push(thread);

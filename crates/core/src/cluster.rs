@@ -60,8 +60,6 @@ impl Cluster {
     pub fn start(config: RayConfig) -> RayResult<Cluster> {
         config.validate().map_err(RayError::Invalid)?;
         let metrics = MetricsRegistry::new();
-        // Long lock holds (debug builds) surface as a counter here.
-        ray_common::sync::install_long_hold_metrics(metrics.clone());
         // Node-slot capacity leaves headroom for add_node/restart cycles.
         let capacity = config.num_nodes * 2 + 8;
 
@@ -118,10 +116,10 @@ impl Cluster {
             driver_counter: AtomicU64::new(1),
         });
 
-        // Register the cancellation/admission counters eagerly so the
-        // Prometheus exposition includes them from the first scrape, not
-        // only after the first teardown.
-        for name in [names::TASKS_CANCELLED, names::TASKS_SHED, names::DEADLINE_EXCEEDED] {
+        // Register the cancellation counters eagerly so the Prometheus
+        // exposition includes them from the first scrape, not only after
+        // the first teardown.
+        for name in [names::TASKS_CANCELLED, names::DEADLINE_EXCEEDED] {
             let _ = shared.metrics.counter(name);
         }
 

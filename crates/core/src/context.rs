@@ -266,8 +266,7 @@ impl RayContext {
     // ------------------------------------------------------------------
 
     /// `f.remote(args)`: submits a task for the registered function
-    /// `name`, returning futures for its outputs. Non-blocking (admission
-    /// rejections are retried briefly with backoff by the runtime's submit path).
+    /// `name`, returning futures for its outputs. Non-blocking.
     pub fn submit(&self, name: &str, args: Vec<Arg>, opts: TaskOptions) -> RayResult<Vec<ObjectId>> {
         let deadline_micros = self.child_deadline(&opts);
         let spec = TaskSpec {
@@ -279,7 +278,7 @@ impl RayContext {
             num_returns: opts.num_returns.unwrap_or(1),
             demand: opts.demand,
             deadline_micros,
-            critical: opts.critical,
+            critical: false,
         };
         self.submit_spec(spec)
     }
@@ -389,7 +388,7 @@ impl RayContext {
             num_returns: 1,
             demand: opts.demand,
             deadline_micros,
-            critical: opts.critical,
+            critical: false,
         };
         let returns = self.submit_spec(spec)?;
         Ok(ActorHandle { actor, creation: returns[0] })

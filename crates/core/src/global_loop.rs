@@ -36,7 +36,6 @@ pub(crate) fn start_global(
 }
 
 fn global_loop(shared: Arc<RuntimeShared>, rx: Receiver<GlobalMsg>) {
-    ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
     let clock = shared.trace.clock().clone();
     let mut pending: Vec<(TaskSpec, NodeId)> = Vec::new();
     // With injected decision latency (Fig. 12b), decisions run on spawned
@@ -51,7 +50,6 @@ fn global_loop(shared: Arc<RuntimeShared>, rx: Receiver<GlobalMsg>) {
                 if delayed {
                     let shared = shared.clone();
                     std::thread::spawn(move || {
-                        ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
                         let mut item = Some((spec, from));
                         while let Some((spec, from)) = item.take() {
                             item = try_place(&shared, spec, from);

@@ -175,9 +175,6 @@ fn reconstruct(shared: &Arc<RuntimeShared>, id: ObjectId, why: Why) -> RayResult
         Why::Lost => Err(RayError::ObjectLost(id)),
         Why::Stalled => Ok(None),
     };
-    if !shared.config.fault.lineage_enabled {
-        return no_producer();
-    }
     let Some(task) = id.producer() else {
         return no_producer();
     };

@@ -93,7 +93,7 @@ impl NodeHandle {
     }
 
     /// Tasks queued here and not yet taken by a worker: the one number the
-    /// spillover rule, admission control, the heartbeat and `inspect` read.
+    /// spillover rule, the heartbeat and `inspect` read.
     pub(crate) fn queue_len(&self) -> usize {
         self.queue.lock().ready.len()
     }
@@ -277,9 +277,6 @@ pub(crate) fn start_node(shared: &Arc<RuntimeShared>, node: NodeId) -> Arc<NodeH
 /// [`HEARTBEAT_INTERVAL`], purge the queue of cancelled and expired
 /// tasks, publish the load heartbeat and flush the trace ring.
 fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
-    // Metrics emitted from this thread (long-hold counters) land in this
-    // cluster's registry, not a sibling's (the sink is thread-scoped).
-    ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
     let clock = shared.trace.clock().clone();
     let node = handle.node;
     loop {

@@ -14,14 +14,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 use ray_common::sync::{OrderedMutex, OrderedRwLock};
 
 use ray_common::metrics::{names, MetricsRegistry};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
-use ray_common::util::{retry, Backoff};
 use ray_common::{NodeId, ObjectId, RayConfig, RayError, RayResult, TaskId};
 use ray_gcs::tables::GcsClient;
 use ray_gcs::Gcs;
@@ -114,44 +113,11 @@ impl RuntimeShared {
             .cloned()
     }
 
-    /// Records lineage for a task: its spec in the task table, one write
-    /// (skipped when lineage is disabled — the Fig. 8b ablation knob). The
-    /// inverse edge from a return object to its task needs no record: the
-    /// object's ID carries it ([`ObjectId::producer`]).
+    /// Records lineage for a task: its spec in the task table, one write.
+    /// The inverse edge from a return object to its task needs no record:
+    /// the object's ID carries it ([`ObjectId::producer`]).
     pub(crate) fn record_lineage(&self, spec: &TaskSpec) -> RayResult<()> {
-        if !self.config.fault.lineage_enabled {
-            return Ok(());
-        }
         self.gcs_client.put_task(spec.task, Bytes::from(spec.encode()?))
-    }
-
-    /// Admission control: sheds a non-critical submission when the target
-    /// node's queue is at or past the configured watermark. Actor methods
-    /// join their actor's mailbox, not a node's queue: they have no target
-    /// and pass.
-    fn admit(&self, target: Option<&NodeHandle>, spec: &TaskSpec) -> RayResult<()> {
-        let Some(watermark) = self.config.scheduler.admission_watermark else {
-            return Ok(());
-        };
-        if spec.critical {
-            return Ok(());
-        }
-        let Some(handle) = target else {
-            return Ok(()); // no live node: dispatch will surface the shutdown error
-        };
-        let node = handle.node;
-        let depth = handle.queue_len();
-        if depth < watermark {
-            return Ok(());
-        }
-        self.metrics.counter(names::TASKS_SHED).inc();
-        self.trace.emit(
-            node,
-            TraceEventKind::TaskShed,
-            TraceEntity::Task(spec.task),
-            format!("depth={depth} watermark={watermark}"),
-        );
-        Err(RayError::Overloaded(node))
     }
 
     /// The single submit path, for every task kind: one prologue, then a
@@ -160,14 +126,11 @@ impl RuntimeShared {
     /// Prologue: register the cancel token under `parent` (so a parent
     /// cancel fans out) before the task can run (so `ray.cancel` on a
     /// hedged request's losing attempt reaches the actor host ahead of the
-    /// method log); ask admission, retrying a rejection with bounded
-    /// jittered backoff so transient overload doesn't surface to callers
-    /// while sustained overload still does; count and trace the
-    /// submission; record lineage — what reconstruction and actor replay
-    /// read (Fig. 4) — except for a read-only method, which adds no
-    /// stateful edge. Route: tasks and actor creations take the bottom-up
-    /// scheduling path (paper Fig. 6), actor methods join their actor's
-    /// mailbox.
+    /// method log); count and trace the submission; record lineage — what
+    /// reconstruction and actor replay read (Fig. 4) — except for a
+    /// read-only method, which adds no stateful edge. Route: tasks and
+    /// actor creations take the bottom-up scheduling path (paper Fig. 6),
+    /// actor methods join their actor's mailbox.
     pub(crate) fn submit(
         self: &Arc<Self>,
         from: NodeId,
@@ -177,50 +140,36 @@ impl RuntimeShared {
         let task = spec.task;
         self.cancels.ensure(task);
         self.cancels.link(parent, task);
-        // The node whose queue a task or actor creation enters first,
-        // resolved once for admission and the scheduling decision alike.
-        let target = match spec.kind {
-            TaskKind::ActorMethod { .. } => None,
-            TaskKind::Normal | TaskKind::ActorCreation { .. } => self.any_live_node(from),
+        self.metrics.counter(names::TASKS_SUBMITTED).inc();
+        self.trace.emit(
+            from,
+            TraceEventKind::Submitted,
+            TraceEntity::Task(task),
+            &spec.function_name,
+        );
+        let lineage = match spec.kind {
+            TaskKind::ActorMethod { read_only: true, .. } => Ok(()),
+            _ => self.record_lineage(&spec),
         };
-        let backoff =
-            Backoff::new(Duration::from_micros(500), Duration::from_millis(10), task.digest());
-        let limit = self.config.scheduler.admission_retry_limit;
-        let overloaded = |e: &RayError, _| matches!(e, RayError::Overloaded(_));
-        let admitted = retry(backoff, limit, overloaded, || self.admit(target.as_deref(), &spec));
-        let routed = admitted.and_then(|()| {
-            self.metrics.counter(names::TASKS_SUBMITTED).inc();
-            self.trace.emit(
-                from,
-                TraceEventKind::Submitted,
-                TraceEntity::Task(task),
-                &spec.function_name,
-            );
-            if !matches!(spec.kind, TaskKind::ActorMethod { read_only: true, .. }) {
-                self.record_lineage(&spec)?;
-            }
-            match spec.kind {
-                TaskKind::ActorMethod { actor, .. } => self.actors.invoke(actor, spec),
-                TaskKind::Normal | TaskKind::ActorCreation { .. } => {
-                    self.dispatch_for_scheduling(target, spec)
-                }
+        let routed = lineage.and_then(|()| match spec.kind {
+            TaskKind::ActorMethod { actor, .. } => self.actors.invoke(actor, spec),
+            TaskKind::Normal | TaskKind::ActorCreation { .. } => {
+                self.dispatch_for_scheduling(from, spec)
             }
         });
         if routed.is_err() {
             // The task never entered the system; drop its registry entry
-            // so shed submissions don't accumulate tokens. (The stale child
-            // link in the parent's entry is harmless by design.)
+            // so failed submissions don't accumulate tokens. (The stale
+            // child link in the parent's entry is harmless by design.)
             self.cancels.remove(task);
         }
         routed
     }
 
     /// Re-submission path used by lineage reconstruction (lineage is
-    /// already recorded; do not double-write it). Resubmissions are always
-    /// critical — shedding a reconstruction would livelock its consumers —
-    /// and get a fresh cancel token so `ray.cancel` can still find them.
-    pub(crate) fn resubmit(self: &Arc<Self>, from: NodeId, mut spec: TaskSpec) -> RayResult<()> {
-        spec.critical = true;
+    /// already recorded; do not double-write it). A resubmission gets a
+    /// fresh cancel token so `ray.cancel` can still find it.
+    pub(crate) fn resubmit(self: &Arc<Self>, from: NodeId, spec: TaskSpec) -> RayResult<()> {
         self.cancels.ensure(spec.task);
         self.metrics.counter(names::TASKS_REEXECUTED).inc();
         self.trace.emit(
@@ -229,16 +178,16 @@ impl RuntimeShared {
             TraceEntity::Task(spec.task),
             &spec.function_name,
         );
-        self.dispatch_for_scheduling(self.any_live_node(from), spec)
+        self.dispatch_for_scheduling(from, spec)
     }
 
-    fn dispatch_for_scheduling(
-        self: &Arc<Self>,
-        target: Option<Arc<NodeHandle>>,
-        spec: TaskSpec,
-    ) -> RayResult<()> {
-        let handle =
-            target.ok_or(RayError::Shutdown("no live nodes in cluster".to_string()))?;
+    /// The bottom-up rule on the node a task enters first (`from`, or any
+    /// live node if `from` is gone): keep it there or forward it to the
+    /// global scheduler.
+    fn dispatch_for_scheduling(self: &Arc<Self>, from: NodeId, spec: TaskSpec) -> RayResult<()> {
+        let handle = self
+            .any_live_node(from)
+            .ok_or(RayError::Shutdown("no live nodes in cluster".to_string()))?;
         let node = handle.node;
         let (decision, reason) = decide_local_reason(
             self.config.scheduler.policy,

@@ -117,9 +117,8 @@ pub struct TaskSpec {
     /// expired task expires too instead of resurrecting stale work.
     #[serde(default)]
     pub deadline_micros: Option<u64>,
-    /// Critical tasks bypass admission-control shedding (and lineage
-    /// resubmissions are always critical — reconstruction must not be
-    /// load-shed into a livelock).
+    /// Read by nothing: kept only because the benchmark builds `TaskSpec`
+    /// literals; a change to the benchmark deletes it.
     #[serde(default)]
     pub critical: bool,
 }
@@ -218,8 +217,6 @@ pub struct TaskOptions {
     /// finish within this much time of submission. Combined with any
     /// inherited parent deadline by taking the earlier of the two.
     pub timeout: Option<std::time::Duration>,
-    /// Exempt from admission-control shedding.
-    pub critical: bool,
 }
 
 impl TaskOptions {
@@ -250,12 +247,6 @@ impl TaskOptions {
     /// inherits whatever budget the parent has left).
     pub fn with_timeout(mut self, timeout: std::time::Duration) -> TaskOptions {
         self.timeout = Some(timeout);
-        self
-    }
-
-    /// Marks the task critical: admission control never sheds it.
-    pub fn critical(mut self) -> TaskOptions {
-        self.critical = true;
         self
     }
 }
@@ -333,11 +324,8 @@ mod tests {
         let o = TaskOptions::gpus(2.0).returns(3);
         assert_eq!(o.demand.gpu(), 2.0);
         assert_eq!(o.num_returns, Some(3));
-        let o = TaskOptions::default()
-            .with_timeout(std::time::Duration::from_millis(50))
-            .critical();
+        let o = TaskOptions::default().with_timeout(std::time::Duration::from_millis(50));
         assert_eq!(o.timeout, Some(std::time::Duration::from_millis(50)));
-        assert!(o.critical);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub(crate) fn spawn(
     std::thread::Builder::new()
         .name(format!("worker-{}-{index}", handle.node))
         .spawn(move || {
-            ray_common::sync::install_long_hold_metrics(shared.metrics.clone());
             let clock = shared.trace.clock().clone();
             // Resolved once: the registry lookup takes a lock, and this
             // is the per-task hot loop.

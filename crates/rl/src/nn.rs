@@ -250,16 +250,6 @@ impl Mlp {
             off += blen;
         }
     }
-
-    /// Applies a gradient step `θ ← θ − lr·g`.
-    pub fn apply_gradients(&mut self, grads: &Gradients, lr: f64) {
-        let mut params = self.params();
-        assert_eq!(grads.0.len(), params.len());
-        for (p, g) in params.iter_mut().zip(grads.0.iter()) {
-            *p -= lr * g;
-        }
-        self.set_params(&params);
-    }
 }
 
 /// SGD with momentum over flat parameter vectors.

@@ -124,11 +124,6 @@ impl MlpPolicy {
         &self.net
     }
 
-    /// Mutable access to the underlying network.
-    pub fn net_mut(&mut self) -> &mut Mlp {
-        &mut self.net
-    }
-
     /// The action scaling factor.
     pub fn action_scale(&self) -> f64 {
         self.action_scale

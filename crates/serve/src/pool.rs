@@ -535,11 +535,10 @@ impl PoolInner {
             .scheduler()
             .place_replica(&self.cfg.replica_demand, &occupied)
             .ok_or_else(|| RayError::Invalid("no feasible node for a new replica".into()))?;
-        // Pin to the chosen node; `critical` makes core reconstruct the
-        // replica (checkpoint + log replay) if that node dies.
+        // Pin to the chosen node. Like every actor, the replica is
+        // reconstructed by core (checkpoint + log replay) if that node dies.
         let opts = TaskOptions::default()
             .with_demand(self.cfg.replica_demand.add(&node_affinity(node)))
-            .critical()
             .with_timeout(SPAWN_TIMEOUT);
         let handle = self.ctx.create_actor(&self.cfg.class, self.cfg.ctor_args.clone(), opts)?;
         self.ctx.get_with_timeout(&handle.ready(), SPAWN_TIMEOUT)?;

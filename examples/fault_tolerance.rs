@@ -39,7 +39,6 @@ impl ActorInstance for Tally {
 fn main() {
     let mut config = RayConfig::builder().nodes(3).workers_per_node(2).build();
     config.fault = FaultConfig {
-        lineage_enabled: true,
         max_reconstruction_attempts: 3,
         actor_checkpoint_interval: Some(5),
         ..FaultConfig::default()

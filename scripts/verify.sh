@@ -60,10 +60,10 @@ for _ in 1 2 3; do
 done
 
 echo "== cancel chaos soak =="
-# Cancellation, deadline propagation, and admission control under load:
-# cancel mid-queue / mid-run, a deadline cascading through a child chain,
-# shed-under-burst drain, and a same-seed trace-signature determinism
-# gate over a mixed kill + straggler + cancel schedule.
+# Cancellation and deadline propagation under load: cancel mid-queue /
+# mid-run, a deadline cascading through a child chain, and a same-seed
+# trace-signature determinism gate over a mixed kill + straggler +
+# cancel schedule.
 cargo test -q --test cancel_chaos
 
 echo "== serve chaos soak =="

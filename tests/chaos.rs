@@ -70,7 +70,6 @@ fn chaos_config(nodes: usize, heartbeat_timeout: Duration) -> RayConfig {
     let mut cfg =
         RayConfig::builder().nodes(nodes).workers_per_node(2).seed(7).tracing(true).build();
     cfg.fault = FaultConfig {
-        lineage_enabled: true,
         max_reconstruction_attempts: 10,
         actor_checkpoint_interval: Some(3),
         heartbeat_timeout,

@@ -33,7 +33,6 @@ fn gcs_chaos_config(nodes: usize, seed: u64) -> RayConfig {
         RayConfig::builder().nodes(nodes).workers_per_node(2).seed(seed).tracing(true).build();
     cfg.gcs = GcsConfig { num_shards: 1, chain_length: 2, ..GcsConfig::default() };
     cfg.fault = FaultConfig {
-        lineage_enabled: true,
         heartbeat_timeout: Duration::from_millis(500),
         ..FaultConfig::default()
     };

@@ -63,7 +63,6 @@ fn wait_for_counter(cluster: &Cluster, name: &str, min: u64, deadline: Duration)
 fn replay_is_bounded_by_the_last_checkpoint() {
     let mut cfg = RayConfig::builder().nodes(3).workers_per_node(2).seed(13).tracing(true).build();
     cfg.fault = FaultConfig {
-        lineage_enabled: true,
         max_reconstruction_attempts: 10,
         actor_checkpoint_interval: Some(3),
         heartbeat_timeout: Duration::from_millis(250),

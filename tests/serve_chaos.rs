@@ -120,7 +120,6 @@ fn serve_pool_survives_replica_and_gcs_chaos() {
     let mut cfg =
         RayConfig::builder().nodes(4).workers_per_node(2).seed(0xE57).tracing(true).build();
     cfg.fault = FaultConfig {
-        lineage_enabled: true,
         max_reconstruction_attempts: 10,
         actor_checkpoint_interval: Some(8),
         ..FaultConfig::default()
@@ -244,7 +243,6 @@ fn recovery_scenario(seed: u64) -> String {
     let mut cfg =
         RayConfig::builder().nodes(3).workers_per_node(2).seed(seed).tracing(true).build();
     cfg.fault = FaultConfig {
-        lineage_enabled: true,
         max_reconstruction_attempts: 10,
         actor_checkpoint_interval: Some(3),
         ..FaultConfig::default()
@@ -284,6 +282,10 @@ fn recovery_scenario(seed: u64) -> String {
     // is re-admitted.
     pool.probe_now();
     assert_eq!(pool.healthy_count(), 2);
+    // Re-admission emits `replica_spawned` but spawns nothing: the
+    // counter still holds the two deployed replicas. Core rebuilt the
+    // victim like any other actor: its creation carries no special option.
+    assert_eq!(cluster.metrics().counter(names::SERVE_REPLICAS_SPAWNED).get(), 2);
 
     // Two post-recovery requests exercise both replicas again.
     for round in 6..8u64 {

@@ -223,7 +223,6 @@ fn traced_recovery_signature(seed: u64) -> String {
     let mut cfg =
         RayConfig::builder().nodes(3).workers_per_node(2).seed(seed).tracing(true).build();
     cfg.fault = FaultConfig {
-        lineage_enabled: true,
         max_reconstruction_attempts: 10,
         heartbeat_timeout: Duration::from_millis(250),
         ..FaultConfig::default()
