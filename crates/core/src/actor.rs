@@ -397,7 +397,10 @@ impl ActorHost {
 }
 
 /// Stores a replayed method's outputs, filling holes only: an output that
-/// still has a replica on a live node is left as it is.
+/// still has a replica on a live node is left as it is. A replica is one a
+/// live node's store holds, not a row that names the node: node death
+/// leaves object rows behind, and a node restarted since has them listed
+/// against an empty store.
 pub(crate) fn store_missing_results(
     shared: &RuntimeShared,
     node: NodeId,
@@ -408,17 +411,21 @@ pub(crate) fn store_missing_results(
     for (i, data) in outputs.into_iter().enumerate() {
         let id = ObjectId::for_task_return(spec.task, i as u64);
         let locs = shared.gcs_client.get_object_locations(id)?;
-        let any_live = locs.iter().any(|l| shared.fabric.is_alive(l.node));
+        let any_live = locs.iter().any(|l| {
+            shared.fabric.is_alive(l.node)
+                && shared.directory.get(l.node).is_some_and(|store| store.contains(id))
+        });
         if any_live {
             continue;
         }
         let size = data.len() as u64;
-        match handle.store.put(id, data) {
-            Ok(outcome) => outcome.unlist_dropped(&shared.gcs_client, node),
-            Err(RayError::DuplicateObject(_)) => {}
+        match handle.store.put_listed(id, data, &shared.gcs_client) {
+            Ok(()) => {}
+            Err(RayError::DuplicateObject(_)) => {
+                shared.gcs_client.add_object_location(id, node, size)?
+            }
             Err(e) => return Err(e),
         }
-        shared.gcs_client.add_object_location(id, node, size)?;
     }
     Ok(())
 }

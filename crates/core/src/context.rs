@@ -132,9 +132,7 @@ impl RayContext {
     pub fn put_raw(&self, data: Bytes) -> RayResult<ObjectId> {
         let id = ObjectId::for_put(self.task, self.put_counter.fetch_add(1, Ordering::Relaxed));
         let handle = self.shared.node(self.node).ok_or(RayError::NodeDead(self.node))?;
-        let size = data.len() as u64;
-        handle.store.put(id, data)?.unlist_dropped(&self.shared.gcs_client, self.node);
-        self.shared.gcs_client.add_object_location(id, self.node, size)?;
+        handle.store.put_listed(id, data, &self.shared.gcs_client)?;
         Ok(id)
     }
 
@@ -191,20 +189,32 @@ impl RayContext {
 
     /// `ray.wait`: blocks until `num_ready` of the given objects are
     /// available anywhere in the cluster, or the timeout expires. Returns
-    /// `(ready, pending)` in first-ready order (paper §3.1: added to
-    /// "accommodate rollouts with heterogeneous durations").
+    /// `(ready, pending)` (paper §3.1: added to "accommodate rollouts with
+    /// heterogeneous durations"). An object is ready once it has a
+    /// location or was cancelled ([`object_entry_ready`]). `ready` holds at
+    /// most `num_ready` ids: those already ready when the call began, in
+    /// the caller's order, then the rest in the order they became ready.
+    /// `pending` keeps the caller's order.
     ///
-    /// Event-driven: registers callbacks with the GCS object table
-    /// (Fig. 7b step 2) rather than polling, so waiting on many futures
-    /// costs nothing until they complete.
+    /// Reads before it subscribes: one batched read of the object table
+    /// answers which ids are ready, and when that covers `num_ready` the
+    /// call writes nothing. Otherwise it registers callbacks (Fig. 7b
+    /// step 2) for the missing ids only, rather than polling, so waiting on
+    /// many futures costs nothing until they complete. `num_ready == 0`
+    /// returns at once, touching nothing.
+    ///
+    /// [`object_entry_ready`]: ray_gcs::tables::object_entry_ready
     pub fn wait(
         &self,
         ids: &[ObjectId],
         num_ready: usize,
         timeout: Duration,
     ) -> RayResult<(Vec<ObjectId>, Vec<ObjectId>)> {
-        use ray_gcs::kv::Entry;
+        use ray_gcs::tables::object_entry_ready;
 
+        if num_ready == 0 || ids.is_empty() {
+            return Ok((Vec::new(), ids.to_vec()));
+        }
         let _blocked = self.block();
         let clock = self.shared.trace.clock();
         let deadline = clock.now() + timeout;
@@ -212,30 +222,42 @@ impl RayContext {
         let mut pending = std::collections::HashSet::with_capacity(ids.len());
         let unique: Vec<ObjectId> = ids.iter().copied().filter(|id| pending.insert(*id)).collect();
         let want = num_ready.min(unique.len());
+
+        let found = self.shared.gcs_client.objects_ready(&unique)?;
         let mut ready: Vec<ObjectId> = Vec::with_capacity(want);
-
-        // One subscription multiplexes every object's notifications onto
-        // one channel, for one GCS update per shard; the subscribe op itself
-        // delivers a snapshot for entries that already exist, so there is
-        // no check-then-subscribe race. Dropped (unsubscribed) on return.
-        let sub = self.shared.gcs_client.subscribe_objects(&unique)?;
-
-        while ready.len() < want {
-            let remaining = deadline.saturating_duration_since(clock.now());
-            if remaining.is_zero() {
-                break;
-            }
-            let Ok(notification) = sub.receiver().recv_timeout(remaining) else { break };
-            let created = matches!(&notification.entry, Some(Entry::Set(s)) if !s.is_empty());
-            if !created {
-                continue;
-            }
-            let Ok(raw) = <[u8; 16]>::try_from(notification.key.id.as_slice()) else {
-                continue;
-            };
-            let id = ObjectId::from_bytes(raw);
-            if pending.remove(&id) {
+        let mut missing: Vec<ObjectId> = Vec::new();
+        for (id, here) in unique.into_iter().zip(found) {
+            if !here {
+                missing.push(id);
+            } else if ready.len() < want {
+                pending.remove(&id);
                 ready.push(id);
+            }
+        }
+
+        if ready.len() < want {
+            // One subscription multiplexes every missing object's
+            // notifications onto one channel, for one GCS update per shard;
+            // the subscribe op itself delivers a snapshot for entries made
+            // since the read above, so there is no read-then-subscribe
+            // race. Dropped (unsubscribed) on return.
+            let sub = self.shared.gcs_client.subscribe_objects(&missing)?;
+            while ready.len() < want {
+                let remaining = deadline.saturating_duration_since(clock.now());
+                if remaining.is_zero() {
+                    break;
+                }
+                let Ok(notification) = sub.receiver().recv_timeout(remaining) else { break };
+                if !object_entry_ready(notification.entry.as_ref()) {
+                    continue;
+                }
+                let Ok(raw) = <[u8; 16]>::try_from(notification.key.id.as_slice()) else {
+                    continue;
+                };
+                let id = ObjectId::from_bytes(raw);
+                if pending.remove(&id) {
+                    ready.push(id);
+                }
             }
         }
 

@@ -31,6 +31,12 @@ use crate::task::{TaskKind, TaskSpec};
 /// normal task's output, short enough that loss is detected promptly.
 const FETCH_ROUND: Duration = Duration::from_millis(200);
 
+/// How long a round waits on the caller's own store for a result whose
+/// producer is dispatched there before it turns to the object table. A
+/// task that finishes inside it costs its getter no GCS write; one that
+/// runs longer costs the subscription it always did, 10 ms later.
+const LOCAL_SEAL_WINDOW: Duration = Duration::from_millis(10);
+
 /// Overall deadline for one `ensure` call; reconstruction chains reset it
 /// per attempt, so deep recoveries still finish.
 pub(crate) const DEFAULT_GET_DEADLINE: Duration = Duration::from_secs(60);
@@ -56,7 +62,23 @@ pub(crate) fn ensure_object_at(
     ensure_object_at_deadline(shared, id, node, DEFAULT_GET_DEADLINE, waiter)
 }
 
-/// [`ensure_object_at`] with an explicit deadline.
+/// [`ensure_object_at`] with an explicit deadline: the path of `get`,
+/// `get_raw` and a worker's argument fetch.
+///
+/// Each round first checks the waiter's cancel token and deadline. A task
+/// return whose producer is dispatched to `node` itself is then awaited
+/// on `node`'s store for up to [`LOCAL_SEAL_WINDOW`]: the finishing worker
+/// seals the result there (or a teardown or failure envelope in its
+/// place) and wakes the caller once the location is listed; the caller
+/// writes nothing to the GCS. Any other
+/// object, or one not sealed within the window, goes through the object
+/// table for the rest of the round ([`TransferManager::fetch`]: locations,
+/// else a subscription); a round that ends empty-handed asks lineage to
+/// re-run a lost or stalled producer. Actor-method results always take
+/// the object table: their producer is not dispatched to a node, and an
+/// actor can move on rebuild.
+///
+/// [`TransferManager::fetch`]: ray_object_store::transfer::TransferManager::fetch
 pub(crate) fn ensure_object_at_deadline(
     shared: &Arc<RuntimeShared>,
     id: ObjectId,
@@ -90,7 +112,20 @@ pub(crate) fn ensure_object_at_deadline(
         if round.is_zero() {
             return Err(RayError::Timeout);
         }
-        match shared.transfer.fetch(id, node, round) {
+        let local = id
+            .producer()
+            .filter(|&task| shared.cancels.node_of(task) == Some(node))
+            .and_then(|_| shared.directory.get(node));
+        let fetched = match local {
+            Some(store) => {
+                let window = LOCAL_SEAL_WINDOW.min(round);
+                store.wait_local(id, window).or_else(|_| {
+                    shared.transfer.fetch(id, node, round.saturating_sub(window))
+                })
+            }
+            None => shared.transfer.fetch(id, node, round),
+        };
+        match fetched {
             Ok(data) => {
                 if let Some(task) = engaged {
                     shared.stalled.lock().remove(&task);

@@ -242,7 +242,8 @@ impl RuntimeShared {
     }
 
     /// Stores task outputs into a node's local store and publishes their
-    /// locations (Fig. 7b steps 3–4). During replays, existing objects are
+    /// locations (Fig. 7b steps 3–4), waking a getter parked on that store
+    /// only once the location is in. During replays, existing objects are
     /// left untouched (deterministic functions recompute identical bytes;
     /// see paper §7 "deterministic replay").
     pub(crate) fn store_results(
@@ -254,18 +255,13 @@ impl RuntimeShared {
         let handle = self.node(node).ok_or(RayError::NodeDead(node))?;
         for (i, data) in outputs.into_iter().enumerate() {
             let id = ObjectId::for_task_return(spec.task, i as u64);
-            let size = data.len() as u64;
-            match handle.store.put(id, data) {
-                Ok(outcome) => outcome.unlist_dropped(&self.gcs_client, node),
-                Err(RayError::DuplicateObject(_)) => {
-                    // Replay of a (nominally deterministic) task produced
-                    // different bytes; keep the original (immutability wins)
-                    // and move on.
-                    continue;
-                }
+            match handle.store.put_listed(id, data, &self.gcs_client) {
+                // Replay of a (nominally deterministic) task produced
+                // different bytes; keep the original (immutability wins)
+                // and move on.
+                Ok(()) | Err(RayError::DuplicateObject(_)) => {}
                 Err(e) => return Err(e),
             }
-            self.gcs_client.add_object_location(id, node, size)?;
         }
         Ok(())
     }

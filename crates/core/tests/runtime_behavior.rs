@@ -278,22 +278,24 @@ fn wait_times_out_with_partial_results() {
 
 #[test]
 fn wait_over_more_ids_than_one_subscribe_op_carries() {
-    // Default four GCS shards. 300 objects that exist, 1 000 that never
-    // will: ~325 ids per shard, so every shard's group is split over two
-    // subscribe ops of one subscription.
+    // Default four GCS shards. 300 objects that exist, 1 200 that never
+    // will: a `wait` subscribes only to ids without a location, ~300 per
+    // shard, so every shard's group is split over two subscribe ops of one
+    // subscription.
     let cluster = small_cluster();
     let ctx = cluster.driver();
     let exist: Vec<ObjectId> = (0..300u32).map(|i| ctx.put(&i).unwrap().id()).collect();
-    assert!(exist.len() + 1000 > 4 * ray_gcs::kv::MAX_SUBSCRIBE_KEYS);
     let mut ids: Vec<ObjectId> = Vec::new();
     for (i, &id) in exist.iter().enumerate() {
         ids.push(id);
-        ids.extend((0..if i < 100 { 10 } else { 0 }).map(|_| ObjectId::random()));
+        ids.extend((0..if i < 100 { 12 } else { 0 }).map(|_| ObjectId::random()));
     }
     // Duplicates, of both kinds.
     ids.extend_from_within(..20);
     let exist: std::collections::HashSet<ObjectId> = exist.into_iter().collect();
     let distinct = |v: &[ObjectId]| v.iter().collect::<std::collections::HashSet<_>>().len();
+    let missing: Vec<ObjectId> = ids.iter().copied().filter(|id| !exist.contains(id)).collect();
+    assert!(distinct(&missing) > 4 * ray_gcs::kv::MAX_SUBSCRIBE_KEYS);
 
     // Fewer than are ready: exactly that many come back, the rest pending
     // in the caller's order.
@@ -311,7 +313,7 @@ fn wait_over_more_ids_than_one_subscribe_op_carries() {
     assert_eq!(distinct(&ready), 300);
     assert!(ready.iter().all(|id| exist.contains(id)));
     assert!(pending.iter().all(|id| !exist.contains(id)));
-    assert_eq!(distinct(&pending), 1000);
+    assert_eq!(distinct(&pending), 1200);
     cluster.shutdown();
 }
 
@@ -1251,6 +1253,156 @@ fn an_empty_task_costs_two_gcs_writes() {
     // is waited for, not reported.
     assert_eq!(cluster.metrics().counter(names::GCS_RECONFIGURATIONS).get(), 0);
     assert_eq!(cluster.snapshot().unwrap().gcs_reconfigurations, vec![0; shards]);
+    cluster.shutdown();
+}
+
+/// Updates committed at the tail of every shard of `cluster`'s GCS so far.
+fn committed_updates(cluster: &Cluster) -> u64 {
+    let gcs = cluster.gcs();
+    (0..gcs.num_shards()).map(|i| gcs.shard(ShardId(i as u32)).committed_updates()).sum()
+}
+
+#[test]
+fn a_serial_call_and_get_on_one_node_commits_two_gcs_updates() {
+    // A serial caller's task is kept on the caller's node, so its `get`
+    // waits on that node's store: the spec and the result's location are
+    // the only writes, with no subscribe or unsubscribe beside them.
+    let cluster = small_cluster();
+    cluster.register_fn1("inc", |x: u64| x + 1);
+    let ctx = cluster.driver();
+    const CALLS: u64 = 8;
+    let before = committed_updates(&cluster);
+    for x in 0..CALLS {
+        let fut: ObjectRef<u64> = ctx.call("inc", vec![Arg::value(&x).unwrap()]).unwrap();
+        assert_eq!(ctx.get(&fut).unwrap(), x + 1);
+    }
+    // The seal wakes the getter only once the location is listed, so both
+    // writes of every call are in.
+    assert_eq!(committed_updates(&cluster) - before, 2 * CALLS);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_get_then_free_on_the_producers_node_leaves_nothing_listed_or_resident() {
+    // The getter parks on its own node's store. Woken by the seal before
+    // the worker lists the location, its `free` would find no row and
+    // delete nothing, and the row listed after it would keep the freed
+    // object listed and resident. One worker runs the calls in order, so
+    // once a `get` returns, every earlier call's results are stored and
+    // listed: each round also checks the call before it.
+    let cluster =
+        Cluster::start(RayConfig::builder().nodes(1).workers_per_node(1).seed(7).build()).unwrap();
+    cluster.register_fn1("inc", |x: u64| x + 1);
+    let ctx = cluster.driver();
+    let gcs = cluster.gcs().client();
+    let store = cluster.object_store(NodeId(0)).unwrap();
+    let gone = |id: ObjectId, x: u64| {
+        assert!(gcs.get_object_locations(id).unwrap().is_empty(), "call {x}: still listed");
+        assert!(!store.contains(id), "call {x}: still resident");
+    };
+    let mut previous = None;
+    for x in 0..500u64 {
+        let fut: ObjectRef<u64> = ctx.call("inc", vec![Arg::value(&x).unwrap()]).unwrap();
+        assert_eq!(ctx.get(&fut).unwrap(), x + 1);
+        if let Some(id) = previous {
+            gone(id, x - 1);
+        }
+        ctx.free(&[fut.id()]).unwrap();
+        gone(fut.id(), x);
+        previous = Some(fut.id());
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_wait_with_nothing_to_wait_for_writes_nothing() {
+    let cluster = small_cluster();
+    let ctx = cluster.driver();
+    // Located objects on every shard, and ids nobody will create.
+    let located: Vec<ObjectId> = (0..64u32).map(|i| ctx.put(&i).unwrap().id()).collect();
+    let never: Vec<ObjectId> = (0..64).map(|_| ObjectId::random()).collect();
+    let mixed: Vec<ObjectId> = never.iter().zip(&located).flat_map(|(&n, &l)| [n, l]).collect();
+    // A row that holds only the cancelled mark (its envelope not stored
+    // yet): the object will only ever be the cancellation's error, so it is
+    // ready, to the read as to a subscription.
+    let cancelled = ObjectId::random();
+    cluster.gcs().client().mark_object_cancelled(cancelled).unwrap();
+    let long = Duration::from_secs(30);
+    let before = committed_updates(&cluster);
+
+    // Every id located: all ready, in the caller's order.
+    assert_eq!(ctx.wait(&located, located.len(), long).unwrap(), (located.clone(), vec![]));
+    // Enough of them located: the first `num_ready` in the caller's order;
+    // the rest, missing ones included, pending in the caller's order.
+    let (ready, pending) = ctx.wait(&mixed, 10, long).unwrap();
+    assert_eq!(ready, located[..10]);
+    let rest: Vec<ObjectId> = mixed.iter().copied().filter(|id| !ready.contains(id)).collect();
+    assert_eq!(pending, rest);
+    let with_cancelled = [never[0], cancelled];
+    assert_eq!(ctx.wait(&with_cancelled, 1, long).unwrap(), (vec![cancelled], vec![never[0]]));
+    // Nothing asked for, or nothing to ask about.
+    assert_eq!(ctx.wait(&mixed, 0, long).unwrap(), (vec![], mixed.clone()));
+    assert_eq!(ctx.wait(&[], 3, long).unwrap(), (vec![], vec![]));
+    assert_eq!(committed_updates(&cluster), before);
+
+    // Waiting on a missing id is what subscribes: one subscribe and one
+    // unsubscribe on its shard.
+    let (ready, pending) = ctx.wait(&never[..1], 1, Duration::from_millis(20)).unwrap();
+    assert_eq!((ready, pending), (vec![], never[..1].to_vec()));
+    assert_eq!(committed_updates(&cluster) - before, 2);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_getter_on_its_producers_node_wakes_with_the_typed_error() {
+    // One node whose one worker is held: every producer below is queued
+    // on the getter's own node, where the get waits on the store, and is
+    // torn down there. Each get must end on the teardown's envelope, not
+    // ride out its 30 s timeout.
+    let cluster =
+        Cluster::start(RayConfig::builder().nodes(1).workers_per_node(1).seed(7).build()).unwrap();
+    let (started, open) = register_gate(&cluster);
+    cluster.register_fn1("inc", |x: u64| x + 1);
+    cluster.register_fn0("panics", || -> u8 { panic!("deliberate") });
+    let ctx = cluster.driver();
+    let long = Duration::from_secs(30);
+    let gate: ObjectRef<u8> = ctx.call("gate", vec![]).unwrap();
+    started.recv_timeout(Duration::from_secs(10)).expect("the gate never started");
+    let arg = || vec![Arg::value(&1u64).unwrap()];
+
+    // Cancelled by another driver while this one is parked in `get`.
+    let victim = ctx.submit("inc", arg(), TaskOptions::default()).unwrap()[0];
+    let canceller = cluster.driver();
+    let cancel = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(50));
+        let at = Instant::now();
+        assert!(canceller.cancel(victim).unwrap());
+        at
+    });
+    let got = ctx.get_raw(victim, long);
+    let returned = Instant::now();
+    let cancelled_at = cancel.join().unwrap();
+    assert!(matches!(got, Err(RayError::Cancelled(_))), "{got:?}");
+    let after = returned.saturating_duration_since(cancelled_at);
+    assert!(after < Duration::from_secs(1), "woke {after:?} after the cancel");
+
+    // Expires in the queue.
+    let budget = Duration::from_millis(50);
+    let expiring = TaskOptions::default().with_timeout(budget);
+    let submitted = Instant::now();
+    let late = ctx.submit("inc", arg(), expiring).unwrap()[0];
+    let got = ctx.get_raw(late, long);
+    assert!(matches!(got, Err(RayError::DeadlineExceeded(_))), "{got:?}");
+    let after = submitted.elapsed().saturating_sub(budget);
+    assert!(after < Duration::from_secs(1), "woke {after:?} after the deadline");
+
+    // Panics once it runs.
+    drop(open);
+    ctx.get(&gate).unwrap();
+    let start = Instant::now();
+    let got = ctx.get(&ctx.call::<u8>("panics", vec![]).unwrap());
+    assert!(matches!(&got, Err(RayError::TaskFailed { message, .. }) if message.contains("deliberate")));
+    assert!(start.elapsed() < Duration::from_secs(1), "woke after {:?}", start.elapsed());
     cluster.shutdown();
 }
 

@@ -226,6 +226,16 @@ impl Chain {
         self.attempt(|members| Some(members.last()?.live_state()?.get(key)))
     }
 
+    /// Reads several keys from the tail under one hold of its state lock,
+    /// answering in the order asked. The caller bounds the batch: every
+    /// writer of the shard waits for the tail while it is held.
+    pub fn read_many(&self, keys: &[Key]) -> RayResult<Vec<Option<Entry>>> {
+        self.attempt(|members| {
+            let tail = members.last()?.live_state()?;
+            Some(keys.iter().map(|key| tail.get(key)).collect())
+        })
+    }
+
     /// The client side of the protocol. `op` runs under the membership
     /// read lock and returns `None`, holding no other lock, when a member
     /// it needs is crashed: such a member never answers, so the client

@@ -57,6 +57,15 @@ impl ObjectLocation {
 /// requires exactly 12) can never confuse it with a real replica.
 const CANCELLED_MEMBER: Member = Member::from_array(*b"__CANCELLED__");
 
+/// Whether an object-table entry makes its object ready for `ray.wait`:
+/// it holds a location, or the cancelled mark (the object's only value is
+/// then the cancellation's error). The one definition both halves of a
+/// wait use, [`GcsClient::objects_ready`] and its subscription's
+/// notifications.
+pub fn object_entry_ready(entry: Option<&Entry>) -> bool {
+    matches!(entry, Some(Entry::Set(members)) if !members.is_empty())
+}
+
 /// Node-membership record (client table).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ClientRecord {
@@ -188,7 +197,8 @@ impl GcsClient {
 
     /// Runs one chain operation, retrying retryable errors up to
     /// [`GCS_RETRY_LIMIT`] times and counting each retry; `seed` (the key's
-    /// hash, or the subscription's ID) fixes the backoff jitter.
+    /// hash, the subscription's ID, or a batched read's shard) fixes the
+    /// backoff jitter.
     fn with_retry<T>(&self, seed: u64, op: impl FnMut() -> RayResult<T>) -> RayResult<T> {
         let backoff = Backoff::new(Duration::from_millis(2), Duration::from_millis(25), seed);
         let counted = |e: &RayError, _| {
@@ -216,6 +226,17 @@ impl GcsClient {
             .get(shard)
             .ok_or_else(|| RayError::Invalid(format!("no GCS shard {shard}")))?;
         self.with_retry(sub_id, || chain.write(op.clone()))
+    }
+
+    /// The object-table keys of `objects` grouped by shard, each beside
+    /// its index in `objects`.
+    fn keys_by_shard(&self, objects: &[ObjectId]) -> BTreeMap<usize, Vec<(usize, Key)>> {
+        let mut by_shard: BTreeMap<usize, Vec<(usize, Key)>> = BTreeMap::new();
+        for (at, object) in objects.iter().enumerate() {
+            let key = object_key(*object);
+            by_shard.entry(self.shard_index(&key)).or_default().push((at, key));
+        }
+        by_shard
     }
 
     fn read(&self, key: &Key) -> RayResult<Option<Entry>> {
@@ -262,6 +283,31 @@ impl GcsClient {
                 .collect()),
             Some(_) | None => Ok(Vec::new()),
         }
+    }
+
+    /// Whether each of `objects` is ready ([`object_entry_ready`]: a
+    /// location or the cancelled mark), in the order given: the read half
+    /// of `ray.wait`, which subscribes only to what this answers `false`
+    /// for. One tail read per shard and per [`MAX_SUBSCRIBE_KEYS`] of its
+    /// ids, writing nothing.
+    pub fn objects_ready(&self, objects: &[ObjectId]) -> RayResult<Vec<bool>> {
+        let mut ready = vec![false; objects.len()];
+        for (shard, group) in self.keys_by_shard(objects) {
+            let chain = self
+                .shards
+                .get(shard)
+                .ok_or_else(|| RayError::Invalid(format!("no GCS shard {shard}")))?;
+            for chunk in group.chunks(MAX_SUBSCRIBE_KEYS) {
+                let keys: Vec<Key> = chunk.iter().map(|&(_, key)| key).collect();
+                let entries = self.with_retry(shard as u64, || chain.read_many(&keys))?;
+                for (&(at, _), entry) in chunk.iter().zip(entries) {
+                    if let Some(slot) = ready.get_mut(at) {
+                        *slot = object_entry_ready(entry.as_ref());
+                    }
+                }
+            }
+        }
+        Ok(ready)
     }
 
     /// Forgets every location of `object` (an explicit `free`) and returns
@@ -314,28 +360,26 @@ impl GcsClient {
     }
 
     /// Subscribes one channel to the location entries of all of `objects`
-    /// (the event-driven `ray.wait`): the ids are grouped by shard and each
+    /// (the event-driven half of `ray.wait`, for the ids
+    /// [`Self::objects_ready`] found not ready, and of a fetch
+    /// of an object no node holds yet): the ids are grouped by shard and each
     /// shard registers its group with one update per
     /// [`MAX_SUBSCRIBE_KEYS`] keys. Entries that already exist are
     /// delivered at once, like [`Self::subscribe_object`]. If a shard's
     /// subscribe fails, the error is returned and the shards already
     /// subscribed are unsubscribed.
     pub fn subscribe_objects(&self, objects: &[ObjectId]) -> RayResult<ObjectSubscription> {
-        let mut by_shard: BTreeMap<usize, Vec<Key>> = BTreeMap::new();
-        for object in objects {
-            let key = object_key(*object);
-            by_shard.entry(self.shard_index(&key)).or_default().push(key);
-        }
         let (tx, rx) = channel();
         let sub_id = NEXT_SUB_ID.fetch_add(1, Ordering::Relaxed);
         let mut sub =
             ObjectSubscription { client: self.clone(), sub_id, shards: Vec::new(), rx };
-        for (shard, keys) in by_shard {
+        for (shard, group) in self.keys_by_shard(objects) {
             // Listed before the write: a subscribe that reports failure may
             // still have been applied, and dropping `sub` must undo it.
             sub.shards.push(shard);
-            for chunk in keys.chunks(MAX_SUBSCRIBE_KEYS) {
-                let op = UpdateOp::Subscribe { keys: chunk.to_vec(), sub_id, sender: tx.clone() };
+            for chunk in group.chunks(MAX_SUBSCRIBE_KEYS) {
+                let keys = chunk.iter().map(|&(_, key)| key).collect();
+                let op = UpdateOp::Subscribe { keys, sub_id, sender: tx.clone() };
                 self.write_subscription(shard, sub_id, op)?;
             }
         }
@@ -735,6 +779,32 @@ mod tests {
         }
         let want: std::collections::BTreeSet<Key> = ids.iter().map(|&id| object_key(id)).collect();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn ready_reads_every_shard_in_the_callers_order_and_writes_nothing() {
+        let (gcs, c) = client();
+        // More ids per shard than one read carries.
+        let ids = ids_on_every_shard(&c, MAX_SUBSCRIBE_KEYS + 3);
+        let mut want: Vec<bool> = (0..ids.len()).map(|i| i % 3 == 0).collect();
+        for (&id, &here) in ids.iter().zip(&want) {
+            if here {
+                c.add_object_location(id, NodeId(1), 8).unwrap();
+            }
+        }
+        // A row with only the cancelled mark is ready; one whose last
+        // replica left is not.
+        let (cancelled, emptied) = (ids[1], ids[2]);
+        c.mark_object_cancelled(cancelled).unwrap();
+        want[1] = true;
+        c.add_object_location(emptied, NodeId(2), 8).unwrap();
+        c.remove_object_location(emptied, NodeId(2), 8).unwrap();
+        let writes =
+            || -> u64 { (0..2).map(|i| gcs.shard(ray_common::ShardId(i)).committed_updates()).sum() };
+        let before = writes();
+        assert_eq!(c.objects_ready(&ids).unwrap(), want);
+        assert_eq!(writes(), before);
+        assert!(c.objects_ready(&[]).unwrap().is_empty());
     }
 
     #[test]

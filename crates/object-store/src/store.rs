@@ -66,6 +66,10 @@ struct StoreMap {
     /// access_seq → id; the BTreeMap head is the LRU victim.
     lru: BTreeMap<u64, ObjectId>,
     resident_bytes: usize,
+    /// Threads parked in [`LocalObjectStore::wait_local`]: a `put` signals
+    /// the condvar only when one is, so a seal nobody waits for costs no
+    /// futex call.
+    waiters: usize,
 }
 
 /// A per-node object store.
@@ -104,6 +108,7 @@ impl LocalObjectStore {
                 objects: HashMap::new(),
                 lru: BTreeMap::new(),
                 resident_bytes: 0,
+                waiters: 0,
             }),
             sealed_cond: OrderedCondvar::new(),
             access_counter: AtomicU64::new(0),
@@ -161,15 +166,43 @@ impl LocalObjectStore {
     /// Idempotent for identical contents; rejects a different payload under
     /// the same ID (immutability).
     pub fn put(&self, id: ObjectId, data: Bytes) -> RayResult<PutOutcome> {
+        let (outcome, wake) = self.seal(id, data)?;
+        if wake {
+            self.sealed_cond.notify_all();
+        }
+        Ok(outcome)
+    }
+
+    /// [`LocalObjectStore::put`] of an object the cluster can see: seals
+    /// `data`, unlists the victims it dropped, lists this node as a
+    /// location of `id` in `gcs`, and only then wakes the threads parked
+    /// in [`LocalObjectStore::wait_local`]. A getter woken by the seal
+    /// thus finds the object listed, and a `free` right after its `get`
+    /// finds the row to clear. The location is published even when it
+    /// was already sealed here with the same bytes.
+    pub fn put_listed(&self, id: ObjectId, data: Bytes, gcs: &GcsClient) -> RayResult<()> {
+        let size = data.len() as u64;
+        let (outcome, wake) = self.seal(id, data)?;
+        outcome.unlist_dropped(gcs, self.node);
+        let listed = gcs.add_object_location(id, self.node, size);
+        if wake {
+            self.sealed_cond.notify_all();
+        }
+        listed
+    }
+
+    /// The map half of a put: also answers whether a thread is parked in
+    /// [`LocalObjectStore::wait_local`], which the caller must then wake.
+    fn seal(&self, id: ObjectId, data: Bytes) -> RayResult<(PutOutcome, bool)> {
         if data.len() > self.capacity {
             return Err(RayError::StoreFull { requested: data.len(), capacity: self.capacity });
         }
         let mut outcome = PutOutcome::default();
-        {
+        let wake = {
             let mut map = self.map.lock();
             if let Some(slot) = map.objects.get(&id) {
                 return if slot.data == data {
-                    Ok(outcome) // Idempotent re-put.
+                    Ok((outcome, false)) // Idempotent re-put.
                 } else {
                     Err(RayError::DuplicateObject(id))
                 };
@@ -196,7 +229,8 @@ impl LocalObjectStore {
             map.resident_bytes += data.len();
             map.lru.insert(seq, id);
             map.objects.insert(id, Slot { data: data.clone(), access_seq: seq });
-        }
+            map.waiters > 0
+        };
         self.puts.fetch_add(1, Ordering::Relaxed);
         if self.tracer.is_enabled() {
             for (victim, size) in &outcome.evicted {
@@ -219,8 +253,7 @@ impl LocalObjectStore {
                 format!("bytes={}", data.len()),
             );
         }
-        self.sealed_cond.notify_all();
-        Ok(outcome)
+        Ok((outcome, wake))
     }
 
     /// Reads an object if present locally (memory, then spill). A spill
@@ -260,7 +293,12 @@ impl LocalObjectStore {
             if let Some(b) = self.spill.read(id) {
                 return Ok(b);
             }
-            if self.sealed_cond.wait_until(&mut map, deadline).timed_out() {
+            // Counted under the lock the put checks it under, so a put
+            // either sees this waiter or sealed before the look above.
+            map.waiters += 1;
+            let timed_out = self.sealed_cond.wait_until(&mut map, deadline).timed_out();
+            map.waiters -= 1;
+            if timed_out {
                 return Err(RayError::Timeout);
             }
         }
@@ -476,6 +514,34 @@ mod tests {
         let got = s.wait_local(id, Duration::from_secs(2)).unwrap();
         assert_eq!(got, Bytes::from_static(b"late"));
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_put_wakes_a_parked_waiter_and_seals_with_none() {
+        let s = std::sync::Arc::new(store(1024, true));
+        // No one waits: the put signals nobody and the object is sealed.
+        let quiet = ObjectId::random();
+        s.put(quiet, Bytes::from_static(b"quiet")).unwrap();
+        assert_eq!(s.map.lock().waiters, 0);
+        assert_eq!(s.get_local(quiet), Some(Bytes::from_static(b"quiet")));
+
+        // The put lands only once the waiter is counted, i.e. parked (the
+        // count changes under the lock the wait releases), and the waiter
+        // returns on that signal, far inside its own timeout.
+        let id = ObjectId::random();
+        let s2 = s.clone();
+        let waiter = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            (s2.wait_local(id, Duration::from_secs(30)), start.elapsed())
+        });
+        while s.map.lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        s.put(id, Bytes::from_static(b"woken")).unwrap();
+        let (got, waited) = waiter.join().unwrap();
+        assert_eq!(got.unwrap(), Bytes::from_static(b"woken"));
+        assert!(waited < Duration::from_secs(10), "woken by its timeout after {waited:?}");
+        assert_eq!(s.map.lock().waiters, 0);
     }
 
     #[test]

@@ -184,8 +184,7 @@ impl TransferManager {
 
             if let Some((src, data)) = fetched {
                 let size = data.len() as u64;
-                local.put(id, data.clone())?.unlist_dropped(&self.gcs, to);
-                self.gcs.add_object_location(id, to, size)?;
+                local.put_listed(id, data.clone(), &self.gcs)?;
                 self.metrics.counter(names::BYTES_TRANSFERRED).add(size);
                 self.metrics.histogram(names::TRANSFER_BYTES).observe(size);
                 self.tracer.emit(

@@ -63,8 +63,19 @@ echo "== cancel chaos soak =="
 # Cancellation and deadline propagation under load: cancel mid-queue /
 # mid-run, a deadline cascading through a child chain, and a same-seed
 # trace-signature determinism gate over a mixed kill + straggler +
-# cancel schedule.
-cargo test -q --test cancel_chaos
+# cancel schedule. Three times over: a getter on its producer's node
+# waits on that node's store, and the teardown envelope is what wakes it.
+for _ in 1 2 3; do
+    cargo test -q --test cancel_chaos
+done
+
+echo "== lineage replay soak =="
+# Reconstruction of lost task chains and actor state. Three times over:
+# a stalled producer's resubmission is decided when a get's local wait
+# and its object-table round both come back empty, which is timing.
+for _ in 1 2 3; do
+    cargo test -q --test lineage_replay
+done
 
 echo "== serve chaos soak =="
 # The serving layer under fire: replica kill + GCS-shard kill under

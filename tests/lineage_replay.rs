@@ -61,6 +61,19 @@ fn wait_for_counter(cluster: &Cluster, name: &str, min: u64, deadline: Duration)
 
 #[test]
 fn replay_is_bounded_by_the_last_checkpoint() {
+    replay_chain(false);
+}
+
+/// The rebuild runs to the end before anyone asks for the lost output: its
+/// replay then meets the row the dead incarnation left, which names node 1
+/// again once node 1 is back, over a store that holds nothing. It must
+/// store the output anyway, or the consumer waits out its fetch deadline.
+#[test]
+fn replay_restores_an_output_whose_row_outlived_its_node() {
+    replay_chain(true);
+}
+
+fn replay_chain(consume_after_rebuild: bool) {
     let mut cfg = RayConfig::builder().nodes(3).workers_per_node(2).seed(13).tracing(true).build();
     cfg.fault = FaultConfig {
         max_reconstruction_attempts: 10,
@@ -107,6 +120,12 @@ fn replay_is_bounded_by_the_last_checkpoint() {
         "detector must declare the actor's node dead"
     );
     cluster.restart_node(NodeId(1)).unwrap();
+    if consume_after_rebuild {
+        // A read-only call is served by the rebuilt incarnation only once
+        // its replay, outputs stored, is over.
+        let live: ObjectRef<i64> = ctx.call_actor_readonly(&h, "value", vec![]).unwrap();
+        assert_eq!(ctx.get_with_timeout(&live, Duration::from_secs(30)).unwrap(), 7);
+    }
 
     // Tail of the chain: a normal task consuming the 7th method's output
     // (the actor-method → task edge). That output died with node 1, so
