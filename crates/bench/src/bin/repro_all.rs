@@ -77,9 +77,8 @@ mod tests {
             .map(|e| e.expect("dir entry").path())
             .filter(|p| p.extension().is_some_and(|x| x == "rs"))
             .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
-            // `repro_all` is this runner; `chaos_soak` is a failure soak
-            // that reproduces no table or figure of the paper.
-            .filter(|stem| stem != "repro_all" && stem != "chaos_soak")
+            // `repro_all` is this runner.
+            .filter(|stem| stem != "repro_all")
             .collect();
         bins.sort();
         let mut listed: Vec<String> = EXPERIMENTS.iter().map(|s| s.to_string()).collect();

@@ -1,4 +1,4 @@
-//! Lightweight metrics: named atomic counters, gauges, and histograms.
+//! Lightweight metrics: named atomic counters and histograms.
 //!
 //! The benchmarks that regenerate the paper's figures need cheap, contention-
 //! tolerant counters (tasks executed, bytes moved, spillovers, replays).
@@ -10,7 +10,7 @@
 //! exposition of everything.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::sync::{classes, OrderedRwLock};
@@ -32,27 +32,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge that can move both directions (e.g. bytes currently resident).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Adds `n` (possibly negative) to the gauge.
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Sets the gauge to an absolute value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -123,7 +102,7 @@ impl Histogram {
     }
 }
 
-/// A registry of named counters, gauges, and histograms shared by one
+/// A registry of named counters and histograms shared by one
 /// cluster.
 ///
 /// # Examples
@@ -143,7 +122,6 @@ pub struct MetricsRegistry {
 #[derive(Debug)]
 struct Inner {
     counters: OrderedRwLock<HashMap<String, Arc<Counter>>>,
-    gauges: OrderedRwLock<HashMap<String, Arc<Gauge>>>,
     histograms: OrderedRwLock<HashMap<String, Arc<Histogram>>>,
 }
 
@@ -151,7 +129,6 @@ impl Default for Inner {
     fn default() -> Self {
         Inner {
             counters: OrderedRwLock::new(&classes::METRICS_COUNTERS, HashMap::new()),
-            gauges: OrderedRwLock::new(&classes::METRICS_GAUGES, HashMap::new()),
             histograms: OrderedRwLock::new(&classes::METRICS_HISTOGRAMS, HashMap::new()),
         }
     }
@@ -176,19 +153,6 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Returns the gauge with the given name, creating it if needed.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.inner.gauges.read().get(name) {
-            return g.clone();
-        }
-        self.inner
-            .gauges
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::default()))
-            .clone()
-    }
-
     /// Returns the histogram with the given name (default 1-2-5 buckets,
     /// [`DEFAULT_BUCKETS`]), creating it if needed.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
@@ -210,17 +174,13 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Renders every counter, gauge, and histogram as Prometheus-style
+    /// Renders every counter and histogram as Prometheus-style
     /// text exposition (the "text endpoint/dump" a scraper or test reads).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (name, v) in self.counter_snapshot() {
             let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        }
-        for (name, v) in self.gauge_snapshot() {
-            let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {v}");
         }
         let hists: Vec<(String, Arc<Histogram>)> = {
@@ -256,19 +216,6 @@ impl MetricsRegistry {
         v.sort();
         v
     }
-
-    /// Snapshot of all gauges, sorted by name.
-    pub fn gauge_snapshot(&self) -> Vec<(String, i64)> {
-        let mut v: Vec<(String, i64)> = self
-            .inner
-            .gauges
-            .read()
-            .iter()
-            .map(|(k, g)| (k.clone(), g.get()))
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 /// Well-known metric names used across the workspace, collected here so
@@ -290,12 +237,8 @@ pub mod names {
     pub const TASKS_LOCAL: &str = "tasks_scheduled_locally";
     /// Bytes copied between object stores.
     pub const BYTES_TRANSFERRED: &str = "bytes_transferred";
-    /// Objects evicted from an object store's memory.
-    pub const OBJECTS_EVICTED: &str = "objects_evicted";
     /// GCS entries flushed to disk.
     pub const GCS_ENTRIES_FLUSHED: &str = "gcs_entries_flushed";
-    /// Bytes currently resident across object stores.
-    pub const STORE_RESIDENT_BYTES: &str = "store_resident_bytes";
     /// Heartbeats the failure detector observed as overdue (one per node
     /// per monitor pass while a live node's heartbeat is stale).
     pub const HEARTBEATS_MISSED: &str = "heartbeats_missed";
@@ -352,9 +295,6 @@ pub mod names {
     /// thread, one request per replica call. The name stays because the
     /// benchmark (`perf/`) reads it.
     pub const SERVE_BATCHES: &str = "serve_batches";
-    /// Histogram: end-to-end served-request latency in microseconds
-    /// (pool admission → response delivered, hedges and failover included).
-    pub const SERVE_LATENCY_MICROS: &str = "serve_latency_micros";
 }
 
 #[cfg(test)]
@@ -370,17 +310,6 @@ mod tests {
         a.inc();
         b.inc();
         assert_eq!(m.counter("x").get(), 2);
-    }
-
-    #[test]
-    fn gauges_move_both_ways() {
-        let m = MetricsRegistry::new();
-        let g = m.gauge("resident");
-        g.add(100);
-        g.add(-40);
-        assert_eq!(g.get(), 60);
-        g.set(5);
-        assert_eq!(g.get(), 5);
     }
 
     #[test]
@@ -415,10 +344,8 @@ mod tests {
         assert_eq!(h.snapshot(), vec![(10, 2), (100, 3), (1000, 3), (u64::MAX, 4)]);
 
         m.counter("tasks_executed").add(7);
-        m.gauge("resident").set(-3);
         let text = m.render();
         assert!(text.contains("tasks_executed 7"));
-        assert!(text.contains("resident -3"));
         assert!(text.contains("task_latency_micros_bucket{le=\"10\"} 2"));
         assert!(text.contains("task_latency_micros_bucket{le=\"+Inf\"} 4"));
         assert!(text.contains("task_latency_micros_sum 5065"));

@@ -162,12 +162,9 @@ pub mod classes {
 
     /// The node-id → store directory used by the transfer manager.
     pub static STORE_DIRECTORY: LockClass = LockClass::new("object_store.directory", 290);
-    /// A local store's object map; held while evicting into spill.
+    /// A local store's object map; held while evicting into the spill
+    /// tier (`GCS_DISK_INDEX`, `GCS_DISK_BACKING`).
     pub static STORE_MAP: LockClass = LockClass::new("object_store.map", 300);
-    /// Spill-store index (offsets); acquired under `STORE_MAP` on evict.
-    pub static SPILL_INDEX: LockClass = LockClass::new("object_store.spill_index", 310);
-    /// Spill-store backing buffer.
-    pub static SPILL_BACKING: LockClass = LockClass::new("object_store.spill_backing", 320);
 
     // --- GCS (400–499) ---
 
@@ -183,9 +180,10 @@ pub mod classes {
     /// `GCS_CHAIN_ORDER`), a read only the tail's. Held while flushing
     /// into the disk tier.
     pub static GCS_REPLICA_STATE: LockClass = LockClass::new("gcs.replica_state", 415);
-    /// Durable-store backing buffer (flush target).
+    /// A disk tier's log (`flush::DiskStore`): a GCS shard's flush target,
+    /// and a node's spill tier.
     pub static GCS_DISK_BACKING: LockClass = LockClass::new("gcs.disk_backing", 420);
-    /// Durable-store key index.
+    /// A disk tier's key index (both users, as above).
     pub static GCS_DISK_INDEX: LockClass = LockClass::new("gcs.disk_index", 430);
     /// The flusher thread's join handle.
     pub static GCS_FLUSHER_JOIN: LockClass = LockClass::new("gcs.flusher_join", 440);
@@ -227,8 +225,6 @@ pub mod classes {
 
     /// Counter map of a [`crate::metrics::MetricsRegistry`].
     pub static METRICS_COUNTERS: LockClass = LockClass::new("metrics.counters", 1000);
-    /// Gauge map of a [`crate::metrics::MetricsRegistry`].
-    pub static METRICS_GAUGES: LockClass = LockClass::new("metrics.gauges", 1010);
     /// Histogram map of a [`crate::metrics::MetricsRegistry`].
     pub static METRICS_HISTOGRAMS: LockClass = LockClass::new("metrics.histograms", 1015);
     /// The trace collector's node → ring table (grown lazily).

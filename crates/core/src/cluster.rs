@@ -51,7 +51,7 @@ use crate::runtime::{GlobalMsg, RuntimeShared};
 /// cluster.shutdown();
 /// ```
 pub struct Cluster {
-    shared: Arc<RuntimeShared>,
+    pub(crate) shared: Arc<RuntimeShared>,
     global_join: OrderedMutex<Option<JoinHandle<()>>>,
 }
 

@@ -50,10 +50,10 @@ pub(crate) fn run_detector_pass(shared: &Arc<RuntimeShared>) {
             TraceEntity::Node(load.node),
             format!("age_ms={}", age.as_millis()),
         );
-        if age >= declare_after {
-            declare_node_dead(shared, load.node);
-            // Counted once the death protocol has run: whoever waits on
-            // the counter may rely on the node being fenced and marked.
+        // Counted once the death protocol has run, and only if this pass
+        // ran it: whoever waits on the counter may rely on the node being
+        // fenced and marked.
+        if age >= declare_after && declare_node_dead(shared, load.node) {
             shared.metrics.counter(names::NODES_DECLARED_DEAD).inc();
         }
     }
@@ -62,8 +62,8 @@ pub(crate) fn run_detector_pass(shared: &Arc<RuntimeShared>) {
 /// Declares `node` dead and runs the full death protocol. Safe to call for
 /// nodes that already vanished abruptly (the handle slot may be empty; the
 /// store is then reached through the directory). Idempotent: a second call
-/// finds nothing left to clean.
-pub(crate) fn declare_node_dead(shared: &Arc<RuntimeShared>, node: NodeId) {
+/// finds nothing left to clean. Returns whether this call ran the protocol.
+pub(crate) fn declare_node_dead(shared: &Arc<RuntimeShared>, node: NodeId) -> bool {
     // Serialize with add_node/restart_node: a declaration must not
     // interleave with a restart re-registering the same slot.
     let _topology = shared.topology.lock();
@@ -77,7 +77,7 @@ pub(crate) fn declare_node_dead(shared: &Arc<RuntimeShared>, node: NodeId) {
     // handle and store are already gone.
     shared.load.mark_dead(node);
     if handle.is_none() && shared.directory.get(node).is_none() {
-        return; // Never started, or already fully cleaned up.
+        return false; // Never started, or already fully cleaned up.
     }
     shared.trace.emit(node, TraceEventKind::NodeDeclaredDead, TraceEntity::Node(node), "");
     if let Some(h) = &handle {
@@ -97,4 +97,39 @@ pub(crate) fn declare_node_dead(shared: &Arc<RuntimeShared>, node: NodeId) {
     let _ = shared.gcs_client.mark_node_dead(node);
     // Hosted actors move elsewhere, replaying from checkpoints (Fig. 11b).
     actor::recover_actors_on(shared, node);
+    true
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use ray_common::resources::Resources;
+    use ray_common::RayConfig;
+    use ray_scheduler::NodeLoad;
+
+    use super::*;
+    use crate::Cluster;
+
+    /// A heartbeat in flight when `kill_node` ran revives the node's load
+    /// entry; the detector then buries it again, but the death protocol
+    /// already ran, so it declares nothing.
+    #[test]
+    fn a_late_heartbeat_after_kill_node_counts_no_declared_death() {
+        let mut cfg = RayConfig::builder().nodes(2).workers_per_node(1).build();
+        cfg.fault.heartbeat_timeout = Duration::from_millis(50);
+        let cluster = Cluster::start(cfg).unwrap();
+        cluster.kill_node(NodeId(1));
+        cluster.shared.load.heartbeat(NodeLoad {
+            node: NodeId(1),
+            queue_len: 0,
+            available: Resources::none(),
+            capacity: Resources::none(),
+            alive: true,
+        });
+        std::thread::sleep(Duration::from_millis(300));
+        assert!(cluster.shared.load.live_nodes().iter().all(|l| l.node != NodeId(1)));
+        assert_eq!(cluster.metrics().counter(names::NODES_DECLARED_DEAD).get(), 0);
+        cluster.shutdown();
+    }
 }

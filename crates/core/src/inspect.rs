@@ -1,5 +1,4 @@
-//! Cluster introspection and the event timeline — the debugging story the
-//! GCS design buys.
+//! Cluster introspection — the debugging story the GCS design buys.
 //!
 //! Paper §7: "The GCS dramatically simplified Ray development and
 //! debugging. It enabled us to query the entire system state while
@@ -9,14 +8,13 @@
 //! straight out of GCS tables — no component has to expose internal
 //! state.
 //!
-//! - [`ClusterSnapshot`] / [`Cluster::snapshot`](crate::Cluster::snapshot)
-//!   — point-in-time view of nodes, stores, in-flight tasks, and GCS
-//!   footprint.
-//! - [`TimelineEvent`] — structured task/actor lifecycle markers
-//!   applications append with
-//!   [`Cluster::log_timeline`](crate::Cluster::log_timeline) and read
-//!   back, in order, with [`Cluster::timeline`](crate::Cluster::timeline)
-//!   — the application-level debugging channel of §7.
+//! [`ClusterSnapshot`] / [`Cluster::snapshot`](crate::Cluster::snapshot)
+//! is a point-in-time view of nodes, stores, in-flight tasks, and GCS
+//! footprint. The timeline is the lifecycle trace: every component emits
+//! into it, and each node flushes it into the GCS event log.
+//! [`Cluster::trace_log`](crate::Cluster::trace_log) reads it back;
+//! [`Cluster::write_chrome_trace`](crate::Cluster::write_chrome_trace)
+//! exports it for a trace viewer.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +40,7 @@ pub struct NodeSnapshot {
 }
 
 /// A point-in-time view of the whole cluster, assembled from the GCS and
-/// component gauges.
+/// the components' own counts.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClusterSnapshot {
     /// Per-node state.
@@ -100,48 +98,10 @@ impl ClusterSnapshot {
     }
 }
 
-/// A structured entry in the GCS-backed application timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TimelineEvent {
-    /// A task was submitted (driver or nested).
-    TaskSubmitted {
-        /// Task ID bytes (hex-renderable).
-        task: [u8; 16],
-        /// Registered function name.
-        function: String,
-    },
-    /// A task finished executing on a node.
-    TaskFinished {
-        /// Task ID bytes.
-        task: [u8; 16],
-        /// Node that ran it.
-        node: u32,
-        /// Duration in microseconds.
-        micros: u64,
-    },
-    /// An actor method completed its stateful-edge step.
-    MethodFinished {
-        /// Actor ID bytes.
-        actor: [u8; 16],
-        /// Stateful-edge sequence number.
-        seq: u64,
-        /// Method name.
-        method: String,
-    },
-    /// A node was declared dead.
-    NodeDead {
-        /// The node.
-        node: u32,
-    },
-}
-
-/// GCS event-log topic the timeline is appended under.
-pub const TIMELINE_TOPIC: &str = "__timeline__";
-
 impl Cluster {
     /// Assembles a point-in-time snapshot of the cluster (every datum
-    /// comes from the GCS or component gauges — the stateless-components
-    /// property at work).
+    /// comes from the GCS or a component's own counts — the
+    /// stateless-components property at work).
     pub fn snapshot(&self) -> RayResult<ClusterSnapshot> {
         let gcs = self.gcs().client();
         let mut nodes = Vec::new();
@@ -149,7 +109,7 @@ impl Cluster {
             let alive = gcs.node_alive(node)?;
             let store = self.object_store(node);
             let (in_mem, resident, spilled) = match &store {
-                Some(s) => (s.len(), s.resident_bytes(), s.spill().len()),
+                Some(s) => (s.len(), s.resident_bytes(), s.spilled()),
                 None => (0, 0, 0),
             };
             nodes.push(NodeSnapshot {
@@ -178,21 +138,6 @@ impl Cluster {
                 m.counter("tasks_reexecuted").get(),
             ),
         })
-    }
-
-    /// Appends a timeline event to the GCS event log (used internally when
-    /// the timeline is enabled; public so applications can add their own
-    /// markers).
-    pub fn log_timeline(&self, event: &TimelineEvent) -> RayResult<()> {
-        let payload = ray_codec::encode(event).map_err(ray_common::RayError::from)?;
-        self.gcs().client().log_event(TIMELINE_TOPIC, bytes::Bytes::from(payload))
-    }
-
-    /// Reads the timeline back, oldest first. Undecodable entries (from
-    /// foreign writers) are skipped.
-    pub fn timeline(&self) -> RayResult<Vec<TimelineEvent>> {
-        let raw = self.gcs().client().get_events(TIMELINE_TOPIC)?;
-        Ok(raw.iter().filter_map(|b| ray_codec::decode(b).ok()).collect())
     }
 }
 
@@ -239,25 +184,6 @@ mod tests {
         let snap = cluster.snapshot().unwrap();
         assert!(snap.nodes.iter().any(|n| !n.alive));
         assert!(snap.render().contains("[down]"));
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn timeline_round_trips_events() {
-        let cluster = Cluster::start(
-            RayConfig::builder().nodes(1).workers_per_node(1).build(),
-        )
-        .unwrap();
-        let events = vec![
-            TimelineEvent::TaskSubmitted { task: [1; 16], function: "rollout".into() },
-            TimelineEvent::TaskFinished { task: [1; 16], node: 0, micros: 1500 },
-            TimelineEvent::MethodFinished { actor: [2; 16], seq: 3, method: "step".into() },
-            TimelineEvent::NodeDead { node: 1 },
-        ];
-        for e in &events {
-            cluster.log_timeline(e).unwrap();
-        }
-        assert_eq!(cluster.timeline().unwrap(), events);
         cluster.shutdown();
     }
 }

@@ -764,7 +764,6 @@ fn lost_object_is_reconstructed_via_lineage() {
     for n in 0..2 {
         if let Some(store) = cluster.object_store(NodeId(n)) {
             store.delete(fut.id());
-            store.spill().clear();
         }
     }
     // get() must transparently re-execute the task.
@@ -802,7 +801,6 @@ fn put_objects_are_not_reconstructable() {
     for n in 0..2 {
         if let Some(store) = cluster.object_store(NodeId(n)) {
             store.delete(r.id());
-            store.spill().clear();
         }
     }
     match ctx.get_with_timeout(&r, Duration::from_secs(2)) {

@@ -1,4 +1,4 @@
-//! GCS flushing: the disk tier and the periodic flusher.
+//! The disk tier and the GCS's periodic flusher.
 //!
 //! "Ray is equipped to periodically flush the contents of GCS to disk"
 //! (paper §5.1, Fig. 10b): without flushing, lineage accumulates until the
@@ -11,6 +11,12 @@
 //! write wins). [`Flusher`] is the background thread that periodically asks
 //! every shard chain to flush its flushable tables down to the configured
 //! high-water mark.
+//!
+//! The log has a second user: a node's object store spills LRU-evicted
+//! objects into one, keyed by object ID ("evict them as needed to disk
+//! using an LRU policy", §4.2.3). A running cluster keeps both logs in
+//! memory ([`DiskStore::in_memory`]): flushing and spilling move bytes out
+//! of the accounted tier, not out of the process.
 //!
 //! # On-disk record format
 //!
@@ -46,7 +52,8 @@ use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
 use crate::chain::Chain;
 use crate::kv::{Entry, Key, Member, MemberSet, Table, UpdateOp};
 
-/// The disk tier of one shard: an append-only log plus an offset index.
+/// A disk tier: an append-only log plus an offset index. Each GCS shard
+/// has one, and so does each node's object store.
 ///
 /// All replicas of a shard share one `DiskStore`; duplicate appends from
 /// different replicas are harmless because the index keeps only the latest
@@ -58,10 +65,31 @@ pub struct DiskStore {
 }
 
 enum Backing {
-    /// Real file (used by the running system).
+    /// A file (only tests open one).
     File { file: File, len: u64, path: PathBuf },
-    /// In-memory buffer (unit tests).
+    /// A buffer in the process's memory (what a running cluster uses).
     Memory(Vec<u8>),
+}
+
+impl Backing {
+    /// Appends `record`, answering the offset it starts at.
+    fn append(&mut self, record: &[u8]) -> std::io::Result<u64> {
+        match self {
+            Backing::File { file, len, path } => {
+                let offset = *len;
+                file.write_all(record).map_err(|e| {
+                    std::io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+                })?;
+                *len += record.len() as u64;
+                Ok(offset)
+            }
+            Backing::Memory(buf) => {
+                let offset = buf.len() as u64;
+                buf.extend_from_slice(record);
+                Ok(offset)
+            }
+        }
+    }
 }
 
 impl DiskStore {
@@ -104,8 +132,8 @@ impl DiskStore {
         })
     }
 
-    /// Creates an in-memory store (tests; still exercises the same code
-    /// paths and accounting).
+    /// Creates a store whose log is a buffer in memory: what every GCS
+    /// shard and every object store of a running cluster uses.
     pub fn in_memory() -> DiskStore {
         DiskStore {
             backing: OrderedMutex::new(&classes::GCS_DISK_BACKING, Backing::Memory(Vec::new())),
@@ -115,39 +143,33 @@ impl DiskStore {
     }
 
     /// Appends `entry` under `key`, superseding any previous version.
+    ///
+    /// # Panics
+    ///
+    /// When the append fails, or the entry encodes to more than the 4 GiB
+    /// a record's length frames: the caller has already dropped its own
+    /// copy, so continuing would lose the entry silently (fail-stop).
     pub fn write(&self, key: &Key, entry: &Entry) {
-        let payload = encode_entry(entry);
         let id = key.id.as_slice();
-        let mut record = Vec::with_capacity(1 + 4 + id.len() + 4 + payload.len());
-        record.push(key.table.to_tag());
+        let mut record = vec![key.table.to_tag()];
         record.extend_from_slice(&(id.len() as u32).to_le_bytes());
         record.extend_from_slice(id);
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        let header_len = (record.len() - payload.len()) as u64;
-        let offset = {
-            let mut backing = self.backing.lock();
-            match &mut *backing {
-                Backing::File { file, len, path } => {
-                    let offset = *len;
-                    if let Err(e) = file.write_all(&record) {
-                        // Disk-tier write failure: keep the entry in the
-                        // index out; the in-memory copy was already dropped
-                        // by the caller, so surface loudly.
-                        panic!("GCS flush write to {path:?} failed: {e}");
-                    }
-                    *len += record.len() as u64;
-                    offset
-                }
-                Backing::Memory(buf) => {
-                    let offset = buf.len() as u64;
-                    buf.extend_from_slice(&record);
-                    offset
-                }
-            }
+        // The payload is encoded in place; its length field is filled in
+        // once that length is known.
+        let header_len = record.len() + 4;
+        record.extend_from_slice(&[0; 4]);
+        encode_entry(entry, &mut record);
+        let payload_len = record.len() - header_len;
+        let appended = frame_len(payload_len).and_then(|framed| {
+            record.splice(header_len - 4..header_len, framed);
+            self.backing.lock().append(&record)
+        });
+        let offset = match appended {
+            Ok(offset) => offset,
+            Err(e) => panic!("disk log append failed: {e}"),
         };
         self.bytes_written.fetch_add(record.len() as u64, Ordering::Relaxed);
-        self.index.lock().insert(*key, (offset + header_len, payload.len() as u32));
+        self.index.lock().insert(*key, (offset + header_len as u64, payload_len as u32));
     }
 
     /// Reads the latest flushed version of `key`, if any.
@@ -172,6 +194,27 @@ impl DiskStore {
     /// Number of distinct keys on disk.
     pub fn keys_on_disk(&self) -> usize {
         self.index.lock().len()
+    }
+
+    /// Whether `key` has a record in the log.
+    pub fn contains(&self, key: &Key) -> bool {
+        self.index.lock().contains_key(key)
+    }
+
+    /// Drops `key` from the index: its record stays in the log,
+    /// unreachable (the log is never compacted). Returns whether it was
+    /// there.
+    pub fn forget(&self, key: &Key) -> bool {
+        self.index.lock().remove(key).is_some()
+    }
+
+    /// Forgets every key, and empties an in-memory log (a node's death
+    /// takes its disk tier with it). A file keeps its bytes.
+    pub fn clear(&self) {
+        self.index.lock().clear();
+        if let Backing::Memory(buf) = &mut *self.backing.lock() {
+            buf.clear();
+        }
     }
 
     /// Total bytes appended (including superseded versions).
@@ -235,8 +278,7 @@ fn split_record(log: &[u8]) -> Option<(Key, usize, &[u8], &[u8])> {
 // Entry wire format: tag byte, then length-prefixed payloads. Kept local to
 // the disk tier; the GCS never sends entries across the (simulated) network
 // in this form.
-fn encode_entry(entry: &Entry) -> Vec<u8> {
-    let mut out = Vec::new();
+fn encode_entry(entry: &Entry, out: &mut Vec<u8>) {
     match entry {
         Entry::Blob(b) => {
             out.push(0);
@@ -260,7 +302,17 @@ fn encode_entry(entry: &Entry) -> Vec<u8> {
             }
         }
     }
-    out
+}
+
+/// A payload length as a record frames it: refused past `u32::MAX`, never
+/// truncated.
+fn frame_len(len: usize) -> std::io::Result<[u8; 4]> {
+    u32::try_from(len).map(u32::to_le_bytes).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a {len}-byte entry is over the 4 GiB a record frames"),
+        )
+    })
 }
 
 fn decode_entry(buf: &[u8]) -> Option<Entry> {
@@ -438,6 +490,57 @@ mod tests {
         assert!(d.bytes_written() > 12);
     }
 
+    /// `contains`, `forget` and `clear` on `store`, which starts empty: a
+    /// forgotten key reads `None` and leaves replay, and `clear` forgets
+    /// everything.
+    fn index_operations(d: &DiskStore) {
+        let (k1, k2) = (Key::new(Table::Object, [1; 16]), Key::new(Table::Object, [2; 16]));
+        let e = Entry::Blob(Bytes::from_static(b"spilled"));
+        assert!(!d.contains(&k1));
+        d.write(&k1, &e);
+        d.write(&k2, &e);
+        assert!(d.contains(&k1) && d.contains(&k2));
+        let written = d.bytes_written();
+        assert!(d.forget(&k1));
+        assert!(!d.forget(&k1), "a second forget finds nothing");
+        assert!(!d.contains(&k1));
+        assert_eq!(d.read(&k1), None);
+        assert_eq!(d.replay(), vec![(k2, e.clone())]);
+        assert_eq!(d.bytes_written(), written, "forgetting appends nothing");
+        d.clear();
+        assert!(!d.contains(&k2));
+        assert_eq!(d.read(&k2), None);
+        assert_eq!(d.keys_on_disk(), 0);
+        assert!(d.replay().is_empty());
+        // The log still takes writes after a clear.
+        d.write(&k2, &e);
+        assert_eq!(d.read(&k2), Some(e));
+    }
+
+    #[test]
+    fn index_operations_on_a_memory_store() {
+        let d = DiskStore::in_memory();
+        index_operations(&d);
+        let Backing::Memory(buf) = &*d.backing.lock() else { unreachable!() };
+        let one_record = 1 + 4 + 16 + 4 + 1 + 8 + b"spilled".len();
+        assert_eq!(buf.len(), one_record, "clear emptied the buffer");
+    }
+
+    #[test]
+    fn index_operations_on_a_file_store() {
+        let path =
+            std::env::temp_dir().join(format!("rustray-index-ops-{}.log", std::process::id()));
+        index_operations(&DiskStore::create(path.clone()).unwrap());
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_payload_over_four_gib_is_refused_not_truncated() {
+        let max = u32::MAX as usize;
+        assert_eq!(frame_len(max).unwrap(), u32::MAX.to_le_bytes());
+        assert!(frame_len(max + 1).is_err());
+    }
+
     #[test]
     fn missing_key_reads_none() {
         let d = DiskStore::in_memory();
@@ -519,7 +622,8 @@ mod tests {
         let good = std::fs::read(&path).unwrap();
         // A record framed like any other, whole, but with a 40-byte key: no
         // key can be that long, so a reopen must not index (or truncate) it.
-        let payload = encode_entry(&Entry::Blob(Bytes::from_static(b"long")));
+        let mut payload = Vec::new();
+        encode_entry(&Entry::Blob(Bytes::from_static(b"long")), &mut payload);
         let mut log = good.clone();
         log.push(Table::Task.to_tag());
         log.extend_from_slice(&40u32.to_le_bytes());

@@ -603,8 +603,8 @@ impl GcsClient {
     }
 }
 
-/// GCS event-log topic the system lifecycle trace is appended under
-/// (distinct from the application timeline topic in `rustray::inspect`).
+/// GCS event-log topic the system lifecycle trace — the timeline — is
+/// appended under.
 pub const TRACE_TOPIC: &str = "__trace__";
 
 /// Live subscription to the location entries of one or more objects;

@@ -4,11 +4,13 @@
 //! immutable, in-memory store (shared memory + Apache Arrow in the
 //! original). Remote inputs are *replicated* to the local store before
 //! execution, eliminating hot-object bottlenecks; objects are evicted to
-//! disk by LRU when memory fills; large transfers are striped across
-//! multiple connections (§4.2.4).
+//! a disk tier by LRU when memory fills (a log held in memory, like the
+//! GCS's); large transfers are striped across multiple connections
+//! (§4.2.4).
 //!
 //! - [`store::LocalObjectStore`] — one node's store: `put`/`get`/waiters,
-//!   LRU eviction into a [`spill::SpillStore`]; a `put` seals the caller's
+//!   LRU eviction into a [`ray_gcs::flush::DiskStore`], the same log the
+//!   GCS flushes into, keyed by object ID; a `put` seals the caller's
 //!   `Bytes` without copying them (Fig. 9's multi-threaded copy is kept
 //!   as a measurement only).
 //! - [`transfer::TransferManager`] — pull-based replication between nodes:
@@ -30,7 +32,6 @@
 //! assert_eq!(store.get_local(id).unwrap(), Bytes::from_static(b"hello"));
 //! ```
 
-pub mod spill;
 pub mod store;
 pub mod transfer;
 

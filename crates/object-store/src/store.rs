@@ -30,9 +30,9 @@ use ray_common::sync::{classes, OrderedCondvar, OrderedMutex};
 use ray_common::config::ObjectStoreConfig;
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
 use ray_common::{NodeId, ObjectId, RayError, RayResult};
+use ray_gcs::flush::DiskStore;
+use ray_gcs::kv::{Entry, Key, Table};
 use ray_gcs::tables::GcsClient;
-
-use crate::spill::SpillStore;
 
 /// What happened during a `put`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -80,7 +80,9 @@ pub struct LocalObjectStore {
     map: OrderedMutex<StoreMap>,
     sealed_cond: OrderedCondvar,
     access_counter: AtomicU64,
-    spill: SpillStore,
+    /// Where LRU-evicted objects go, one record per object ID (written
+    /// once: objects are immutable).
+    spill: DiskStore,
     puts: AtomicU64,
     evictions: AtomicU64,
     tracer: TraceCollector,
@@ -112,7 +114,7 @@ impl LocalObjectStore {
             }),
             sealed_cond: OrderedCondvar::new(),
             access_counter: AtomicU64::new(0),
-            spill: SpillStore::in_memory(),
+            spill: DiskStore::in_memory(),
             puts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             tracer,
@@ -154,9 +156,9 @@ impl LocalObjectStore {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// The spill tier.
-    pub fn spill(&self) -> &SpillStore {
-        &self.spill
+    /// Number of objects in the spill tier.
+    pub fn spilled(&self) -> usize {
+        self.spill.keys_on_disk()
     }
 
     /// Seals `data` as object `id`, without copying it: the store holds
@@ -215,14 +217,20 @@ impl LocalObjectStore {
                 };
                 map.lru.remove(&seq);
                 if let Some(slot) = map.objects.remove(&victim) {
-                    map.resident_bytes -= slot.data.len();
+                    let size = slot.data.len();
+                    map.resident_bytes -= size;
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                     if self.spill_enabled {
-                        self.spill.write(victim, &slot.data);
+                        // A lineage replay can re-put an object spilled
+                        // before; its record is already there.
+                        let key = spill_key(victim);
+                        if !self.spill.contains(&key) {
+                            self.spill.write(&key, &Entry::Blob(slot.data));
+                        }
                     } else {
-                        outcome.dropped.push((victim, slot.data.len() as u64));
+                        outcome.dropped.push((victim, size as u64));
                     }
-                    outcome.evicted.push((victim, slot.data.len() as u64));
+                    outcome.evicted.push((victim, size as u64));
                 }
             }
             let seq = self.access_counter.fetch_add(1, Ordering::Relaxed);
@@ -257,8 +265,7 @@ impl LocalObjectStore {
     }
 
     /// Reads an object if present locally (memory, then spill). A spill
-    /// hit is re-admitted to memory when it fits (standard cache
-    /// promotion), which may evict others; those spills stay recoverable.
+    /// hit is read from the log on every call and stays out of memory.
     pub fn get_local(&self, id: ObjectId) -> Option<Bytes> {
         {
             let mut map = self.map.lock();
@@ -272,12 +279,19 @@ impl LocalObjectStore {
                 return Some(data);
             }
         }
-        self.spill.read(id)
+        self.read_spilled(id)
     }
 
     /// Whether the object is available locally (memory or spill).
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.map.lock().objects.contains_key(&id) || self.spill.contains(id)
+        self.map.lock().objects.contains_key(&id) || self.spill.contains(&spill_key(id))
+    }
+
+    fn read_spilled(&self, id: ObjectId) -> Option<Bytes> {
+        match self.spill.read(&spill_key(id))? {
+            Entry::Blob(data) => Some(data),
+            Entry::Set(_) | Entry::List(_) => None,
+        }
     }
 
     /// Blocks until the object is available locally or the timeout expires.
@@ -288,9 +302,8 @@ impl LocalObjectStore {
             if let Some(slot) = map.objects.get(&id) {
                 return Ok(slot.data.clone());
             }
-            // Check spill without holding the map lock ordering hostage:
-            // spill has its own locks and never takes `map`.
-            if let Some(b) = self.spill.read(id) {
+            // The spill tier's locks rank after `map` and never take it.
+            if let Some(b) = self.read_spilled(id) {
                 return Ok(b);
             }
             // Counted under the lock the put checks it under, so a put
@@ -317,7 +330,7 @@ impl LocalObjectStore {
                 false
             }
         };
-        let from_spill = self.spill.forget(id);
+        let from_spill = self.spill.forget(&spill_key(id));
         from_memory || from_spill
     }
 
@@ -330,6 +343,10 @@ impl LocalObjectStore {
         map.resident_bytes = 0;
         self.spill.clear();
     }
+}
+
+fn spill_key(id: ObjectId) -> Key {
+    Key::fixed(Table::Object, id.0.as_bytes())
 }
 
 /// Tells the allocator, once per process, that multi-megabyte buffers are
@@ -476,7 +493,29 @@ mod tests {
         assert!(outcome.dropped.is_empty(), "spill enabled: nothing dropped");
         // The evicted object is still readable (from spill).
         assert_eq!(s.get_local(ids[1]), Some(Bytes::from(vec![1u8; 30])));
-        assert!(s.spill().contains(ids[1]));
+        assert_eq!(s.spilled(), 1);
+    }
+
+    #[test]
+    fn an_object_evicted_twice_is_spilled_once() {
+        let s = store(50, true);
+        let (a, b, c) = (ObjectId::random(), ObjectId::random(), ObjectId::random());
+        let bytes_a = Bytes::from(vec![1u8; 40]);
+        s.put(a, bytes_a.clone()).unwrap();
+        s.put(b, Bytes::from(vec![2u8; 40])).unwrap(); // Evicts `a`.
+        assert_eq!(s.spilled(), 1);
+        let written = s.spill.bytes_written();
+        // A lineage replay re-puts `a`, and a later put evicts it again.
+        assert!(s.delete(b));
+        s.put(a, bytes_a.clone()).unwrap();
+        let outcome = s.put(c, Bytes::from(vec![3u8; 40])).unwrap();
+        assert_eq!(outcome.evicted, vec![(a, 40)]);
+        assert_eq!(s.spilled(), 1);
+        assert_eq!(s.spill.bytes_written(), written, "the second eviction appended a record");
+        assert_eq!(s.get_local(a), Some(bytes_a));
+        // `delete` forgets the spilled copy too.
+        assert!(s.delete(a));
+        assert_eq!((s.spilled(), s.get_local(a)), (0, None));
     }
 
     #[test]

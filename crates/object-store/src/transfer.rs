@@ -301,29 +301,6 @@ impl TransferManager {
         })?;
         Ok(Bytes::from(received))
     }
-
-    /// Like [`Self::fetch`] but leaves the payload where it is and only
-    /// reports how long the wire transfer took (diagnostics/benches).
-    pub fn probe_transfer(
-        &self,
-        id: ObjectId,
-        to: NodeId,
-    ) -> RayResult<Option<Duration>> {
-        let locations = self.gcs.get_object_locations(id)?;
-        for loc in locations {
-            if loc.node == to {
-                return Ok(Some(Duration::ZERO));
-            }
-            if self.fabric.is_alive(loc.node) {
-                let d = self
-                    .fabric
-                    .model()
-                    .transfer_duration(loc.size as usize, self.connections);
-                return Ok(Some(d));
-            }
-        }
-        Ok(None)
-    }
 }
 
 #[cfg(test)]
@@ -586,15 +563,5 @@ mod tests {
         assert!(r.metrics.counter(names::TRANSFER_RETRIES).get() > 0);
         assert!(r.metrics.counter(names::MESSAGES_DROPPED).get() > 0);
         assert!(r.fabric.message_drop_count() > 0);
-    }
-
-    #[test]
-    fn probe_transfer_reports_model_cost() {
-        let r = rig(2);
-        let id = seed(&r, 0, b"0123456789");
-        let d = r.tm.probe_transfer(id, NodeId(1)).unwrap().unwrap();
-        assert!(d > Duration::ZERO);
-        assert_eq!(r.tm.probe_transfer(id, NodeId(0)).unwrap().unwrap(), Duration::ZERO);
-        assert_eq!(r.tm.probe_transfer(ObjectId::random(), NodeId(0)).unwrap(), None);
     }
 }

@@ -2,17 +2,14 @@
 //!
 //! "Simulations vary widely in complexity. They might take a few ms ...
 //! to minutes" (paper §2). These environments give the benchmarks that
-//! spectrum: Pendulum's cheap physics step (Table 4's workload),
-//! CartPole's classic control task, a deterministic GridWorld for exact
-//! tests, and the Humanoid-like rollout generator whose episodes span
+//! spectrum: Pendulum's cheap physics step (Table 4's workload), a
+//! deterministic GridWorld for exact tests, and the Humanoid-like rollout generator whose episodes span
 //! 10–1000 steps (the heterogeneity Fig. 14's algorithms must absorb).
 
-pub mod cartpole;
 pub mod gridworld;
 pub mod humanoid_like;
 pub mod pendulum;
 
-pub use cartpole::CartPole;
 pub use gridworld::GridWorld;
 pub use humanoid_like::HumanoidLike;
 pub use pendulum::Pendulum;
@@ -79,7 +76,7 @@ impl<E: Environment> Environment for SimulatedCost<E> {
 /// they ride inside task arguments (strings serialize; trait objects do
 /// not).
 ///
-/// Known names: `pendulum`, `cartpole`, `gridworld`, `humanoid`,
+/// Known names: `pendulum`, `gridworld`, `humanoid`,
 /// `humanoid-light` (trivial per-step compute and 30–60-step episodes,
 /// for tests), and `humanoid-sim:<micros>` (10–200-step episodes where
 /// each step costs `<micros>` of modeled wall time).
@@ -93,7 +90,6 @@ pub fn make_env(name: &str) -> Result<Box<dyn Environment>, String> {
     }
     match name {
         "pendulum" => Ok(Box::new(Pendulum::new())),
-        "cartpole" => Ok(Box::new(CartPole::new())),
         "gridworld" => Ok(Box::new(GridWorld::new(5))),
         "humanoid" => Ok(Box::new(HumanoidLike::new())),
         "humanoid-light" => Ok(Box::new(HumanoidLike::with_params(30, 60, 1))),

@@ -7,12 +7,12 @@
 //! need:
 //!
 //! - [`envs`] — simulators: a faithful Pendulum (Gym's `Pendulum-v0`
-//!   dynamics, Table 4), CartPole, a GridWorld, and a parameterized
+//!   dynamics, Table 4), a GridWorld, and a parameterized
 //!   "Humanoid-like" workload with heterogeneous 10–1000-step episodes
 //!   (Fig. 14), standing in for MuJoCo.
 //! - [`nn`] — a dense neural network with manual backprop and SGD (the
 //!   TensorFlow stand-in for Fig. 13's gradient workloads).
-//! - [`policy`] — linear and MLP policies with flat parameter vectors.
+//! - [`policy`] — linear policies with flat parameter vectors.
 //! - [`rollout`] — trajectory generation utilities.
 //! - [`es`] — Evolution Strategies with mirrored sampling and a
 //!   tree-of-actors aggregation (Fig. 14a), plus the saturating

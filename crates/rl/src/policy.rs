@@ -8,7 +8,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::envs::EnvRng;
-use crate::nn::{Activation, Mlp};
 
 /// A deterministic policy.
 pub trait Policy: Send {
@@ -93,61 +92,6 @@ impl Policy for LinearPolicy {
     }
 }
 
-/// An MLP policy with tanh-squashed outputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MlpPolicy {
-    net: Mlp,
-    action_scale: f64,
-}
-
-impl MlpPolicy {
-    /// Builds an MLP policy with the given hidden sizes.
-    pub fn new(
-        obs_dim: usize,
-        hidden: &[usize],
-        act_dim: usize,
-        action_scale: f64,
-        seed: u64,
-    ) -> MlpPolicy {
-        let mut dims = Vec::with_capacity(hidden.len() + 2);
-        dims.push(obs_dim);
-        dims.extend_from_slice(hidden);
-        dims.push(act_dim);
-        MlpPolicy {
-            net: Mlp::new(&dims, Activation::Tanh, Activation::Tanh, seed),
-            action_scale,
-        }
-    }
-
-    /// The underlying network (for gradient-based training).
-    pub fn net(&self) -> &Mlp {
-        &self.net
-    }
-
-    /// The action scaling factor.
-    pub fn action_scale(&self) -> f64 {
-        self.action_scale
-    }
-}
-
-impl Policy for MlpPolicy {
-    fn act(&self, obs: &[f64]) -> Vec<f64> {
-        self.net.forward(obs).into_iter().map(|a| a * self.action_scale).collect()
-    }
-
-    fn params(&self) -> Vec<f64> {
-        self.net.params()
-    }
-
-    fn set_params(&mut self, params: &[f64]) {
-        self.net.set_params(params);
-    }
-
-    fn num_params(&self) -> usize {
-        self.net.num_params()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,32 +121,10 @@ mod tests {
     }
 
     #[test]
-    fn params_round_trip_mlp() {
-        let mut p = MlpPolicy::new(3, &[8], 1, 2.0, 1);
-        let flat = p.params();
-        let perturbed: Vec<f64> = flat.iter().map(|x| x + 0.1).collect();
-        p.set_params(&perturbed);
-        assert_eq!(p.params(), perturbed);
-    }
-
-    #[test]
-    fn mlp_actions_bounded_by_scale() {
-        let p = MlpPolicy::new(3, &[16], 2, 2.0, 9);
-        let a = p.act(&[5.0, -5.0, 5.0]);
-        for v in a {
-            assert!(v.abs() <= 2.0);
-        }
-    }
-
-    #[test]
     fn policies_serialize() {
         let p = LinearPolicy::random(3, 1, 2.0, 7);
         let bytes = ray_codec::encode(&p).unwrap();
         let back: LinearPolicy = ray_codec::decode(&bytes).unwrap();
         assert_eq!(p, back);
-        let m = MlpPolicy::new(3, &[4], 1, 1.0, 7);
-        let bytes = ray_codec::encode(&m).unwrap();
-        let back: MlpPolicy = ray_codec::decode(&bytes).unwrap();
-        assert_eq!(m, back);
     }
 }

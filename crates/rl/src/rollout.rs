@@ -36,15 +36,6 @@ impl Trajectory {
     pub fn total_reward(&self) -> f64 {
         self.rewards.iter().sum()
     }
-
-    /// Discounted return from step 0.
-    pub fn discounted_return(&self, gamma: f64) -> f64 {
-        let mut acc = 0.0;
-        for &r in self.rewards.iter().rev() {
-            acc = r + gamma * acc;
-        }
-        acc
-    }
 }
 
 /// Runs one episode: policy evaluation through simulation (Fig. 2's
@@ -154,19 +145,6 @@ mod tests {
         assert!(t.terminated);
         assert_eq!(t.rewards.last().copied(), Some(10.0));
         assert_eq!(t.len() as u32, env.optimal_steps());
-    }
-
-    #[test]
-    fn discounted_return_matches_manual_computation() {
-        let t = Trajectory {
-            observations: vec![vec![]; 3],
-            actions: vec![vec![]; 3],
-            rewards: vec![1.0, 2.0, 4.0],
-            terminated: true,
-        };
-        assert_eq!(t.total_reward(), 7.0);
-        let g = t.discounted_return(0.5);
-        assert!((g - (1.0 + 0.5 * 2.0 + 0.25 * 4.0)).abs() < 1e-12);
     }
 
     #[test]

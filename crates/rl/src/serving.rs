@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ray_codec::Blob;
-use ray_common::{RayError, RayResult};
-use ray_serve::{PoolConfig, ReplicaPool};
+use ray_common::RayResult;
+use ray_serve::PoolConfig;
 use rustray::registry::RemoteResult;
 use rustray::task::{Arg, TaskOptions};
 use rustray::{decode_arg, encode_return, ActorHandle, ActorInstance, Cluster, RayContext};
@@ -242,33 +242,6 @@ pub fn pool_config(workload: &ServingWorkload) -> RayResult<PoolConfig> {
     Ok(cfg)
 }
 
-/// Drives a replica pool closed-loop for `duration` from one client,
-/// returning states/second. Shed requests ([`RayError::Overloaded`]) are
-/// not counted but don't fail the run — load shedding is the pool working
-/// as designed; any other error aborts.
-pub fn pool_throughput(
-    pool: &ReplicaPool,
-    workload: &ServingWorkload,
-    duration: Duration,
-) -> RayResult<f64> {
-    let start = Instant::now();
-    let mut states = 0u64;
-    let mut round = 0u64;
-    while start.elapsed() < duration {
-        let batch = synthesize_states(workload.state_bytes, workload.batch, round);
-        match pool.request(batch.0) {
-            Ok(actions) => {
-                debug_assert_eq!(actions.len(), workload.batch * 8);
-                states += workload.batch as u64;
-            }
-            Err(RayError::Overloaded(_)) => {}
-            Err(e) => return Err(e),
-        }
-        round += 1;
-    }
-    Ok(states as f64 / start.elapsed().as_secs_f64())
-}
-
 // ----------------------------------------------------------------------
 // Clipper-like serving: a real TCP model server.
 // ----------------------------------------------------------------------
@@ -432,6 +405,7 @@ pub fn clipper_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ray_serve::ReplicaPool;
     use ray_common::RayConfig;
 
     fn workload() -> ServingWorkload {
@@ -492,8 +466,9 @@ mod tests {
         let cfg = pool_config(&w).unwrap();
         let pool = ReplicaPool::deploy(&cluster, cfg).unwrap();
         assert_eq!(pool.replicas().len(), 2);
-        let throughput = pool_throughput(&pool, &w, Duration::from_millis(300)).unwrap();
-        assert!(throughput > 0.0);
+        let batch = synthesize_states(w.state_bytes, w.batch, 0);
+        let actions = pool.request(batch.0).unwrap();
+        assert_eq!(actions.len(), w.batch * 8);
         assert_eq!(pool.healthy_count(), 2);
         assert!(pool.latency_percentile(0.5).is_some());
         pool.shutdown();

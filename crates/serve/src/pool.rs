@@ -295,7 +295,6 @@ impl PoolInner {
         if out.is_ok() {
             let latency = self.now_micros().saturating_sub(start);
             self.digest.record(latency);
-            self.metrics().histogram(names::SERVE_LATENCY_MICROS).observe(latency);
             self.metrics().counter(names::SERVE_REQUESTS).inc();
             if let Some(slo) = self.cfg.slo {
                 if latency > duration_micros(slo) {

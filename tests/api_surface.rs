@@ -198,16 +198,12 @@ fn custom_resources_route_tasks() {
 }
 
 #[test]
-fn snapshot_and_timeline_via_public_api() {
-    use ray_repro::ray::inspect::TimelineEvent;
+fn snapshot_via_public_api() {
     let cluster = cluster2();
     cluster.register_fn0("nop", || 0u8);
     let ctx = cluster.driver();
     let f: ObjectRef<u8> = ctx.call("nop", vec![]).unwrap();
     ctx.get(&f).unwrap();
-    cluster
-        .log_timeline(&TimelineEvent::TaskFinished { task: [3; 16], node: 0, micros: 42 })
-        .unwrap();
     // The result is visible before the worker bumps the executed counter;
     // retry the snapshot until the count lands.
     let t0 = std::time::Instant::now();
@@ -218,7 +214,6 @@ fn snapshot_and_timeline_via_public_api() {
     }
     assert_eq!(snap.nodes.len(), 2);
     assert!(snap.tasks.1 >= 1);
-    assert_eq!(cluster.timeline().unwrap().len(), 1);
     cluster.shutdown();
 }
 

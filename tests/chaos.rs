@@ -421,7 +421,7 @@ fn workloads_survive_seeded_message_drops() {
 /// latent inversion anywhere on the failure-handling paths shows up here
 /// as a cycle even if no run actually deadlocked.
 #[test]
-fn lock_graph_stays_acyclic_across_chaos_soak() {
+fn lock_graph_stays_acyclic_across_kill_and_partition_episodes() {
     let nodes = 3u32;
     let cluster =
         Cluster::start(chaos_config(nodes as usize, Duration::from_millis(200))).unwrap();

@@ -241,9 +241,11 @@ fn store_churn_with_promotions_keeps_invariants() {
             &ObjectStoreConfig { capacity_bytes: capacity, spill_enabled: true },
         );
         // Hammer `put` far past capacity while interleaving reads: a read
-        // that hits the spill tier is promoted back to memory, which may
-        // evict *other* residents — the accounting and recoverability
-        // invariants must survive that churn, not just a pure put storm.
+        // of a resident object moves it to the LRU tail, so it changes
+        // which object the next put evicts, and a read that hits the
+        // spill tier is served from the log and leaves memory as it was.
+        // The accounting and recoverability invariants must survive that
+        // churn, not just a pure put storm.
         let mut inserted = Vec::new();
         let mut reads = reads.into_iter();
         for (i, &size) in sizes.iter().enumerate() {
