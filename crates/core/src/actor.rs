@@ -64,6 +64,9 @@ struct MailboxState {
     host: Host,
     /// Incarnations that have gone live so far.
     incarnations: u64,
+    /// Hosts parked in [`Mailbox::next_call`]: a push signals only when one
+    /// is, so a call to a busy host costs no futex call.
+    waiting: usize,
 }
 
 /// One actor's undelivered calls and its host state. It exists from
@@ -76,7 +79,12 @@ struct Mailbox {
 
 impl Mailbox {
     fn new() -> Mailbox {
-        let state = MailboxState { calls: VecDeque::new(), host: Host::Vacant, incarnations: 0 };
+        let state = MailboxState {
+            calls: VecDeque::new(),
+            host: Host::Vacant,
+            incarnations: 0,
+            waiting: 0,
+        };
         Mailbox {
             state: OrderedMutex::new(&classes::ACTOR_MAILBOX, state),
             wake: OrderedCondvar::new(),
@@ -90,10 +98,13 @@ impl Mailbox {
             return false;
         }
         st.calls.push_back(spec);
+        let wake = st.waiting > 0;
         // Unlock first: a host woken while the lock is still held would
         // only block on it again.
         drop(st);
-        self.wake.notify_one();
+        if wake {
+            self.wake.notify_one();
+        }
         true
     }
 
@@ -107,7 +118,12 @@ impl Mailbox {
             if let Some(spec) = st.calls.pop_front() {
                 return Some(spec);
             }
+            // Counted under the lock a push checks it under, so a push
+            // either sees this host or queued its call before the look
+            // above.
+            st.waiting += 1;
             self.wake.wait(&mut st);
+            st.waiting -= 1;
         }
         None
     }

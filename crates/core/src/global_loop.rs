@@ -116,16 +116,16 @@ fn try_place(
                 node,
                 TraceEventKind::GlobalPlaced,
                 TraceEntity::Task(spec.task),
-                format!("from={from}"),
+                format_args!("from={from}"),
             );
-            match shared.place_on(node, spec.clone()) {
+            match shared.place_on(node, spec) {
                 Ok(()) => None,
                 // The chosen node died in the decision→delivery window.
                 // One failed delivery is suspicion, not a death certificate:
                 // discovery (and the death protocol) is the failure
                 // detector's; the task retries and places elsewhere once the
                 // detector buries the node.
-                Err(_) => Some((spec, from)),
+                Err(undelivered) => Some((undelivered.0, from)),
             }
         }
         Ok(None) => Some((spec, from)),

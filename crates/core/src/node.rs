@@ -13,13 +13,14 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::SendError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ray_common::config::HEARTBEAT_INTERVAL;
-use ray_common::sync::{classes, OrderedCondvar, OrderedMutex};
-use ray_common::{NodeId, RayError, RayResult, Resources};
+use ray_common::sync::{classes, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
+use ray_common::{NodeId, RayError, Resources};
 use ray_object_store::store::LocalObjectStore;
 use ray_scheduler::{NodeLoad, ResourceLedger};
 
@@ -46,6 +47,10 @@ fn node_capacity(shared: &RuntimeShared, node: NodeId) -> ray_common::Resources 
         .clone()
         .with_custom(&format!("node:{}", node.0), 1_000_000.0)
 }
+
+/// A task a node did not queue, handed back with the reason, so a caller
+/// that retries it elsewhere keeps no copy of its own.
+pub(crate) type Undelivered = Box<(TaskSpec, RayError)>;
 
 /// Handle to one running node: its object store, its resource ledger and
 /// its run queue.
@@ -105,23 +110,26 @@ impl NodeHandle {
         self: &Arc<Self>,
         shared: &Arc<RuntimeShared>,
         spec: TaskSpec,
-    ) -> RayResult<()> {
+    ) -> Result<(), Undelivered> {
         if !self.ledger.feasible(&spec.demand) {
             // Capacity can never satisfy this task here (stale placement
             // after a reconfiguration): bounce to the global scheduler
             // rather than wedging the queue.
-            return shared
-                .global_tx
-                .send(GlobalMsg::Forward(spec, self.node))
-                .map_err(|_| RayError::Shutdown("global scheduler stopped".into()));
+            return match shared.global_tx.send(GlobalMsg::Forward(spec, self.node)) {
+                Err(SendError(GlobalMsg::Forward(spec, _))) => Err(Box::new((
+                    spec,
+                    RayError::Shutdown("global scheduler stopped".into()),
+                ))),
+                _ => Ok(()),
+            };
         }
         let mut q = self.queue.lock();
         if !self.is_alive() {
-            return Err(RayError::NodeDead(self.node));
+            return Err(Box::new((spec, RayError::NodeDead(self.node))));
         }
         q.ready.push_back((spec, shared.trace.clock().now()));
-        self.wake_if_queued(&q);
         self.grow(shared, &mut q);
+        self.unlock_and_wake(q);
         Ok(())
     }
 
@@ -163,7 +171,7 @@ impl NodeHandle {
                 let task = q.ready.remove(i);
                 // Taking a task moves the scan window: the next entry may
                 // suit a worker that found nothing it could run.
-                self.wake_if_queued(&q);
+                self.unlock_and_wake(q);
                 return task;
             }
             q.idle += 1;
@@ -173,8 +181,16 @@ impl NodeHandle {
         None
     }
 
-    fn wake_if_queued(&self, q: &RunQueue) {
-        if q.idle > 0 && !q.ready.is_empty() {
+    /// Releases the queue lock, then wakes one idle worker if a task is
+    /// still queued. The decision is made under the lock and loses no
+    /// wake-up: a worker counts itself idle under the lock and is inside
+    /// the condvar wait before the lock is free again. The signal goes out
+    /// after the unlock because a worker woken while the lock is held, on
+    /// a single CPU, preempts its waker only to block on that lock.
+    fn unlock_and_wake(&self, q: OrderedMutexGuard<'_, RunQueue>) {
+        let wake = q.idle > 0 && !q.ready.is_empty();
+        drop(q);
+        if wake {
             self.wake.notify_one();
         }
     }
@@ -182,7 +198,7 @@ impl NodeHandle {
     /// Returns a finished task's resources; a queued task may fit now.
     pub(crate) fn release(&self, demand: &Resources) {
         self.ledger.release(demand);
-        self.wake_if_queued(&self.queue.lock());
+        self.unlock_and_wake(self.queue.lock());
     }
 
     /// Marks the calling worker blocked until the guard drops, growing the
@@ -301,11 +317,12 @@ fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
                 None => q.ready.push_back((spec, enqueued)),
             }
         }
-        if !torn_down.is_empty() {
-            handle.wake_if_queued(&q);
-        }
         let queue_len = q.ready.len();
-        drop(q);
+        if torn_down.is_empty() {
+            drop(q);
+        } else {
+            handle.unlock_and_wake(q);
+        }
         for (spec, cause) in torn_down {
             shared.teardown(node, &spec, cause);
         }

@@ -30,7 +30,7 @@ use ray_transport::Fabric;
 
 use crate::actor::ActorRouter;
 use crate::cancel::{CancelReason, CancelRegistry};
-use crate::node::NodeHandle;
+use crate::node::{NodeHandle, Undelivered};
 use crate::registry::FunctionRegistry;
 use crate::task::{TaskKind, TaskSpec};
 
@@ -206,7 +206,7 @@ impl RuntimeShared {
                     reason.label(),
                 );
                 self.cancels.set_node(spec.task, node);
-                handle.enqueue(self, spec)?;
+                handle.enqueue(self, spec).map_err(|undelivered| undelivered.1)?;
             }
             LocalDecision::Forward => {
                 self.metrics.counter(names::TASKS_SPILLED).inc();
@@ -225,9 +225,16 @@ impl RuntimeShared {
     }
 
     /// Places a task on a specific node (used by the global scheduler
-    /// thread after a placement decision).
-    pub(crate) fn place_on(self: &Arc<Self>, node: NodeId, spec: TaskSpec) -> RayResult<()> {
-        let handle = self.node(node).ok_or(RayError::NodeDead(node))?;
+    /// thread after a placement decision); a failed delivery hands the
+    /// task back.
+    pub(crate) fn place_on(
+        self: &Arc<Self>,
+        node: NodeId,
+        spec: TaskSpec,
+    ) -> Result<(), Undelivered> {
+        let Some(handle) = self.node(node) else {
+            return Err(Box::new((spec, RayError::NodeDead(node))));
+        };
         self.cancels.set_node(spec.task, node);
         handle.enqueue(self, spec)
     }

@@ -13,18 +13,20 @@
 //!
 //! An entry costs what it stores. A [`Key`] is a `Copy` value, its id held
 //! inline ([`KEY_CAP`] bytes), so no update allocates for a key, and the
-//! shard's maps hash it with one folded multiply per word (`KeyHasher`).
-//! The entry map's value is a `Slot`: the entry and its place in the
-//! flush order, so the flush index (order → key) is the only other map a
-//! flushable entry is in. A set's members are inline too ([`MEMBER_CAP`]
-//! bytes each), and a set of one member — almost every object's location
-//! set — is held in the slot itself ([`MemberSet`]). `resident` charges an
-//! entry its slot and index row as well as its payload ([`ShardState`]).
+//! shard hashes it with one folded multiply per word (`KeyHasher`). The
+//! entries live in an arena of cells, each holding a key and its `Slot`:
+//! the entry and its place in the flush order. An index of 16-byte
+//! buckets maps a key's hash to the first cell of its chain (`Entries`),
+//! so a growing shard rehashes buckets, never entries, and a `Flush`
+//! finds a table's oldest entries by scanning the arena: no other map
+//! holds an entry. A set's members are inline too ([`MEMBER_CAP`] bytes
+//! each), and a set of one member — almost every object's location set —
+//! is held in the slot itself ([`MemberSet`]). `resident` charges an entry
+//! its cell and bucket as well as its payload ([`ShardState`]).
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::mem::size_of;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::Sender;
@@ -246,6 +248,166 @@ impl Hasher for KeyHasher {
 
 type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
+/// The index's hasher: what it hashes is a key's `KeyHasher` hash already.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.0 = self.0.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A shard's entries: one cell each in an arena, found through an index
+/// from the key's hash to the first cell of its chain. Keys whose 64-bit
+/// hashes are equal chain through `Cell::next`. A write that makes an
+/// entry appends its cell (or reuses a freed one) and adds a 16-byte
+/// bucket to the index, so a growing shard rehashes buckets, never
+/// entries.
+#[derive(Clone)]
+struct Entries {
+    heads: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// Cells in allocation order; `None` is a freed cell, listed in `free`.
+    cells: Vec<Option<Cell>>,
+    free: Vec<u32>,
+    /// The hash bits the index keeps: all of them, but four in the model
+    /// test, so that every chain holds many keys.
+    hash_bits: u64,
+}
+
+#[derive(Clone)]
+struct Cell {
+    key: Key,
+    /// The next cell whose key has the same hash.
+    next: Option<u32>,
+    slot: Slot,
+}
+
+impl Default for Entries {
+    fn default() -> Self {
+        Entries { heads: HashMap::default(), cells: Vec::new(), free: Vec::new(), hash_bits: !0 }
+    }
+}
+
+impl Entries {
+    fn len(&self) -> usize {
+        self.cells.len() - self.free.len()
+    }
+
+    fn hash(&self, key: &Key) -> u64 {
+        BuildHasherDefault::<KeyHasher>::default().hash_one(key) & self.hash_bits
+    }
+
+    /// The cell holding `key`, walking its chain from `first`.
+    fn find(&self, mut at: Option<u32>, key: &Key) -> Option<u32> {
+        loop {
+            let cell = self.cells.get(at? as usize)?.as_ref()?;
+            if cell.key == *key {
+                return at;
+            }
+            at = cell.next;
+        }
+    }
+
+    fn cell(&self, key: &Key) -> Option<&Cell> {
+        let at = self.find(self.heads.get(&self.hash(key)).copied(), key)?;
+        self.cells.get(at as usize)?.as_ref()
+    }
+
+    fn get(&self, key: &Key) -> Option<&Slot> {
+        self.cell(key).map(|cell| &cell.slot)
+    }
+
+    fn contains_key(&self, key: &Key) -> bool {
+        self.cell(key).is_some()
+    }
+
+    fn get_mut(&mut self, key: &Key) -> Option<&mut Slot> {
+        let at = self.find(self.heads.get(&self.hash(key)).copied(), key)?;
+        Some(&mut self.cells.get_mut(at as usize)?.as_mut()?.slot)
+    }
+
+    /// `key`'s slot, made by `make` if it has none (`true` then). `None`
+    /// only if the arena already holds `u32::MAX` cells.
+    fn get_or_insert_with(
+        &mut self,
+        key: Key,
+        make: impl FnOnce() -> Slot,
+    ) -> Option<(&mut Slot, bool)> {
+        let hash = self.hash(&key);
+        let first = self.heads.get(&hash).copied();
+        let (at, made) = match self.find(first, &key) {
+            Some(at) => (at, false),
+            None => {
+                let at = match self.free.pop() {
+                    Some(at) => at,
+                    None => {
+                        let at = u32::try_from(self.cells.len()).ok()?;
+                        self.cells.push(None);
+                        at
+                    }
+                };
+                *self.cells.get_mut(at as usize)? =
+                    Some(Cell { key, next: first, slot: make() });
+                self.heads.insert(hash, at);
+                (at, true)
+            }
+        };
+        Some((&mut self.cells.get_mut(at as usize)?.as_mut()?.slot, made))
+    }
+
+    fn remove(&mut self, key: &Key) -> Option<Slot> {
+        let hash = self.hash(key);
+        let mut at = *self.heads.get(&hash)?;
+        let mut before = None;
+        loop {
+            let cell = self.cells.get(at as usize)?.as_ref()?;
+            if cell.key == *key {
+                break;
+            }
+            before = Some(at);
+            at = cell.next?;
+        }
+        let cell = self.cells.get_mut(at as usize)?.take()?;
+        self.free.push(at);
+        match (before, cell.next) {
+            (Some(before), next) => {
+                if let Some(Some(before)) = self.cells.get_mut(before as usize) {
+                    before.next = next;
+                }
+            }
+            (None, Some(next)) => {
+                self.heads.insert(hash, next);
+            }
+            (None, None) => {
+                self.heads.remove(&hash);
+            }
+        }
+        Some(cell.slot)
+    }
+
+    /// The entries in arena order, each with its cell's place.
+    fn iter(&self) -> impl Iterator<Item = (u32, &Key, &Slot)> {
+        (0u32..).zip(&self.cells).filter_map(|(at, cell)| {
+            let cell = cell.as_ref()?;
+            Some((at, &cell.key, &cell.slot))
+        })
+    }
+
+    /// The key in cell `at`.
+    fn key_at(&self, at: u32) -> Option<Key> {
+        Some(self.cells.get(at as usize)?.as_ref()?.key)
+    }
+}
+
 /// A set's members, sorted. Zero or one member is held in place; a second
 /// moves them to the heap.
 #[derive(Clone, Default, PartialEq, Eq)]
@@ -380,22 +542,18 @@ struct Slot {
 /// What keeping an entry costs beyond its [`Entry::weight`]; charged when
 /// the entry is made, refunded when it goes.
 ///
-/// - Its bucket in the entry map, a `(Key, Slot)` and a control byte. A
-///   hash table is between 7/16 and 7/8 full, which averages to 1.65
-///   buckets per entry over a doubling ((16/7 − 8/7) / ln 2).
-/// - In a flushable table, its row in the flush index: the index only
-///   grows at its right edge, where a B-tree splits a full leaf of 11 rows
-///   into 6 and 5 and never refills the left half, so a row costs about
-///   twice its key and value.
-fn overhead(table: Table) -> i64 {
-    const SLOT: usize = (size_of::<(Key, Slot)>() + 1) * 33 / 20;
-    const ORDER_ROW: usize = 2 * (size_of::<u64>() + size_of::<Key>());
-    (SLOT + if table.flushable() { ORDER_ROW } else { 0 }) as i64
-}
+/// - Its cell in the arena. The arena grows by doubling, so it holds
+///   between one and two cells per entry: 1/ln 2 = 1.44 on average over a
+///   doubling.
+/// - Its bucket in the index, a `(u64, u32)` and a control byte. A hash
+///   table is between 7/16 and 7/8 full, which averages to 1.65 buckets
+///   per entry over a doubling ((16/7 − 8/7) / ln 2).
+const OVERHEAD: i64 = (size_of::<Option<Cell>>() * 13 / 9
+    + (size_of::<(u64, u32)>() + 1) * 33 / 20) as i64;
 
-/// Resident bytes of a whole entry map.
-fn resident_of(entries: &KeyMap<Slot>) -> i64 {
-    entries.iter().map(|(key, slot)| overhead(key.table) + slot.entry.weight() as i64).sum()
+/// Resident bytes of a whole shard's entries.
+fn resident_of(entries: &Entries) -> i64 {
+    entries.iter().map(|(_, _, slot)| OVERHEAD + slot.entry.weight() as i64).sum()
 }
 
 /// A pub-sub notification: the key that changed and a snapshot of its entry
@@ -512,24 +670,21 @@ impl std::fmt::Debug for UpdateOp {
 /// Snapshot used for chain state transfer.
 #[derive(Clone)]
 pub struct ShardSnapshot {
-    entries: KeyMap<Slot>,
+    entries: Entries,
     subs: KeyMap<Vec<(u64, NotifySender)>>,
     sub_keys: BTreeMap<u64, Vec<Key>>,
-    insert_order: BTreeMap<u64, Key>,
     next_order: u64,
 }
 
 /// In-memory state of one shard replica.
 pub struct ShardState {
-    entries: KeyMap<Slot>,
+    entries: Entries,
     /// Key → its watchers, in registration order.
     subs: KeyMap<Vec<(u64, NotifySender)>>,
     /// Subscription → the keys it is registered under in `subs`: what an
     /// `Unsubscribe` has to visit.
     sub_keys: BTreeMap<u64, Vec<Key>>,
-    /// Flush order of the entries of flushable tables, oldest first: each
-    /// such entry's `Slot::order` → its key.
-    insert_order: BTreeMap<u64, Key>,
+    /// The next write's place in the flush order (`Slot::order`).
     next_order: u64,
     /// Bytes resident in memory, shared with the chain for observability.
     resident: Arc<AtomicI64>,
@@ -541,10 +696,9 @@ impl ShardState {
     /// Creates an empty shard state backed by the given disk tier.
     pub fn new(resident: Arc<AtomicI64>, disk: Arc<DiskStore>) -> Self {
         ShardState {
-            entries: KeyMap::default(),
+            entries: Entries::default(),
             subs: KeyMap::default(),
             sub_keys: BTreeMap::new(),
-            insert_order: BTreeMap::new(),
             next_order: 0,
             resident,
             disk,
@@ -558,7 +712,7 @@ impl ShardState {
 
     /// Whether no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.len() == 0
     }
 
     /// Reads an entry: memory first, then the disk tier (for flushed
@@ -576,33 +730,25 @@ impl ShardState {
 
     /// The slot a write to `key` lands in — made from `empty` if the key
     /// has none — moved to the newest place in its table's flush order.
-    fn slot_for_write(&mut self, key: Key, empty: impl FnOnce() -> Entry) -> &mut Slot {
+    /// `None` if the key has no slot and the shard can hold no more.
+    fn slot_for_write(&mut self, key: Key, empty: impl FnOnce() -> Entry) -> Option<&mut Slot> {
         let order = self.next_order;
-        let slot = match self.entries.entry(key) {
-            MapEntry::Occupied(held) => held.into_mut(),
-            MapEntry::Vacant(free) => {
-                let entry = empty();
-                let cost = overhead(key.table) + entry.weight() as i64;
-                self.resident.fetch_add(cost, Ordering::Relaxed);
-                free.insert(Slot { entry, order })
-            }
-        };
+        let (slot, made) =
+            self.entries.get_or_insert_with(key, || Slot { entry: empty(), order })?;
+        if made {
+            self.resident.fetch_add(OVERHEAD + slot.entry.weight() as i64, Ordering::Relaxed);
+        }
         if key.table.flushable() {
-            self.insert_order.remove(&slot.order);
             slot.order = order;
-            self.insert_order.insert(order, key);
             self.next_order += 1;
         }
-        slot
+        Some(slot)
     }
 
-    /// Drops `key`'s entry and its flush-index row, refunding both.
+    /// Drops `key`'s entry, refunding it.
     fn remove_slot(&mut self, key: &Key) -> Option<Entry> {
         let slot = self.entries.remove(key)?;
-        if key.table.flushable() {
-            self.insert_order.remove(&slot.order);
-        }
-        self.charge(-(overhead(key.table) + slot.entry.weight() as i64));
+        self.charge(-(OVERHEAD + slot.entry.weight() as i64));
         Some(slot.entry)
     }
 
@@ -612,18 +758,18 @@ impl ShardState {
     pub fn apply(&mut self, op: &UpdateOp) -> (Vec<(NotifySender, Notification)>, u64) {
         match op {
             UpdateOp::Put { key, value } => {
-                let slot = self.slot_for_write(*key, || Entry::Blob(Bytes::new()));
-                let old = std::mem::replace(&mut slot.entry, Entry::Blob(value.clone()));
-                self.charge(value.len() as i64 - old.weight() as i64);
+                if let Some(slot) = self.slot_for_write(*key, || Entry::Blob(Bytes::new())) {
+                    let old = std::mem::replace(&mut slot.entry, Entry::Blob(value.clone()));
+                    self.charge(value.len() as i64 - old.weight() as i64);
+                }
                 (self.notifications_for(key), 0)
             }
             UpdateOp::SetAdd { key, member } => {
-                let slot = self.slot_for_write(*key, || Entry::Set(MemberSet::new()));
                 // Type mismatch (blob under a set op) is ignored: ops are
                 // generated by the typed client so this cannot happen in a
                 // well-formed system; dropping keeps replicas deterministic.
-                let grown = match &mut slot.entry {
-                    Entry::Set(s) => {
+                let grown = match self.slot_for_write(*key, || Entry::Set(MemberSet::new())) {
+                    Some(Slot { entry: Entry::Set(s), .. }) => {
                         let before = s.heap_bytes();
                         s.insert(*member);
                         s.heap_bytes() - before
@@ -656,8 +802,8 @@ impl ShardState {
                     if self.entries.contains_key(key) { None } else { self.disk.read(key) };
                 let slot =
                     self.slot_for_write(*key, || flushed.unwrap_or(Entry::List(Vec::new())));
-                let grown = match &mut slot.entry {
-                    Entry::List(l) => {
+                let grown = match slot {
+                    Some(Slot { entry: Entry::List(l), .. }) => {
                         let before = l.capacity();
                         l.push(item.clone());
                         item.len() + (l.capacity() - before) * size_of::<Bytes>()
@@ -710,15 +856,31 @@ impl ShardState {
         }
     }
 
+    /// Moves `table`'s oldest entries past the newest `keep_entries` to
+    /// disk, oldest first: one scan of the arena picks them by
+    /// `Slot::order`.
     fn flush_table(&mut self, table: Table, keep_entries: usize) -> u64 {
         if !table.flushable() {
             return 0;
         }
-        let in_table = self.insert_order.values().filter(|k| k.table == table);
-        let excess = in_table.clone().count().saturating_sub(keep_entries);
-        let oldest: Vec<Key> = in_table.take(excess).copied().collect();
+        let mut in_table: Vec<(u64, u32)> = self
+            .entries
+            .iter()
+            .filter(|(_, key, _)| key.table == table)
+            .map(|(at, _, slot)| (slot.order, at))
+            .collect();
+        let excess = in_table.len().saturating_sub(keep_entries);
+        if excess == 0 {
+            return 0;
+        }
+        if excess < in_table.len() {
+            in_table.select_nth_unstable(excess);
+            in_table.truncate(excess);
+        }
+        in_table.sort_unstable();
         let mut flushed = 0u64;
-        for key in oldest {
+        for (_, at) in in_table {
+            let Some(key) = self.entries.key_at(at) else { continue };
             if let Some(entry) = self.remove_slot(&key) {
                 self.disk.write(&key, &entry);
                 flushed += 1;
@@ -742,7 +904,6 @@ impl ShardState {
             entries: self.entries.clone(),
             subs: self.subs.clone(),
             sub_keys: self.sub_keys.clone(),
-            insert_order: self.insert_order.clone(),
             next_order: self.next_order,
         }
     }
@@ -753,7 +914,6 @@ impl ShardState {
         self.entries = snap.entries;
         self.subs = snap.subs;
         self.sub_keys = snap.sub_keys;
-        self.insert_order = snap.insert_order;
         self.next_order = snap.next_order;
     }
 }
@@ -1009,16 +1169,16 @@ mod tests {
         let mut s = ShardState::new(resident.clone(), Arc::new(DiskStore::in_memory()));
         let k = Key::new(Table::Task, vec![1, 2, 3]);
         s.apply(&UpdateOp::Put { key: k, value: Bytes::from(vec![0u8; 100]) });
-        assert_eq!(resident.load(Ordering::Relaxed), overhead(Table::Task) + 100);
+        assert_eq!(resident.load(Ordering::Relaxed), OVERHEAD + 100);
         s.apply(&UpdateOp::Delete { key: k });
         assert_eq!(resident.load(Ordering::Relaxed), 0);
         // An entry a `SetAdd` or `ListAppend` creates pays for its slot like
         // one a `Put` creates, because removing it refunds the slot.
         let set = key(7);
         s.apply(&UpdateOp::SetAdd { key: set, member: member([1, 2]) });
-        assert_eq!(resident.load(Ordering::Relaxed), overhead(Table::Object));
+        assert_eq!(resident.load(Ordering::Relaxed), OVERHEAD);
         s.apply(&UpdateOp::SetAdd { key: set, member: member([3]) });
-        let two = overhead(Table::Object) + 2 * size_of::<Member>() as i64;
+        let two = OVERHEAD + 2 * size_of::<Member>() as i64;
         assert_eq!(resident.load(Ordering::Relaxed), two, "a second member moves both to the heap");
         s.apply(&UpdateOp::SetRemove { key: set, member: member([3]) });
         s.apply(&UpdateOp::SetRemove { key: set, member: member([1, 2]) });
@@ -1027,11 +1187,11 @@ mod tests {
         s.apply(&UpdateOp::ListAppend { key: list, item: Bytes::from_static(b"evt") });
         s.apply(&UpdateOp::ListAppend { key: list, item: Bytes::from_static(b"evt") });
         // The list pays for its item array as allocated, spare room included.
-        let items = match &s.entries[&list].entry {
-            Entry::List(l) => (l.capacity() * size_of::<Bytes>()) as i64 + 6,
+        let items = match s.entries.get(&list).map(|slot| &slot.entry) {
+            Some(Entry::List(l)) => (l.capacity() * size_of::<Bytes>()) as i64 + 6,
             other => panic!("expected list, got {other:?}"),
         };
-        assert_eq!(resident.load(Ordering::Relaxed), overhead(Table::Event) + items);
+        assert_eq!(resident.load(Ordering::Relaxed), OVERHEAD + items);
         s.apply(&UpdateOp::Delete { key: list });
         assert_eq!(resident.load(Ordering::Relaxed), 0);
     }
@@ -1132,8 +1292,71 @@ mod tests {
         s.apply(&UpdateOp::Flush { table: Table::Task, keep_entries: 1 });
         assert!(s.entries.contains_key(&k0));
         assert!(!s.entries.contains_key(&k1));
-        // The index holds one row per entry, in the entry's own slot order.
-        assert_eq!(s.insert_order.len(), 1);
-        assert_eq!(s.insert_order.get(&s.entries[&k0].order), Some(&k0));
+        // A second flush moves k0 as well, and nothing else remains.
+        let (_, flushed) = s.apply(&UpdateOp::Flush { table: Table::Task, keep_entries: 0 });
+        assert_eq!((flushed, s.len()), (1, 0));
+    }
+
+    /// A shard whose index keeps four bits of each key's hash, so that
+    /// every chain holds many keys.
+    fn colliding_state(resident: &Arc<AtomicI64>) -> ShardState {
+        let mut s = ShardState::new(resident.clone(), Arc::new(DiskStore::in_memory()));
+        s.entries.hash_bits = 0xf;
+        s
+    }
+
+    #[test]
+    fn entries_match_a_map_model_when_every_chain_holds_many_keys() {
+        // 200 keys in 16 chains: cells are made, found and unlinked at the
+        // head, inside and at the end of a chain, and freed cells reused.
+        let resident = Arc::new(AtomicI64::new(0));
+        let mut s = colliding_state(&resident);
+        let mut model: HashMap<Key, Entry> = HashMap::new();
+        let keys: Vec<Key> = (0..200u16)
+            .map(|i| Key::fixed(if i % 2 == 0 { Table::Task } else { Table::Object }, i.to_le_bytes()))
+            .collect();
+        let mut rng = ray_common::util::DetRng::new(34);
+        for step in 0..20_000u64 {
+            let key = keys[rng.next_below(keys.len() as u64) as usize];
+            let m = member([rng.next_below(3) as u8]);
+            match rng.next_below(5) {
+                0 => {
+                    let value = Bytes::from(step.to_le_bytes().to_vec());
+                    s.apply(&UpdateOp::Put { key, value: value.clone() });
+                    model.insert(key, Entry::Blob(value));
+                }
+                1 => {
+                    s.apply(&UpdateOp::SetAdd { key, member: m });
+                    // A set op on a blob is ignored, as in the shard.
+                    if let Entry::Set(set) =
+                        model.entry(key).or_insert_with(|| Entry::Set(MemberSet::new()))
+                    {
+                        set.insert(m);
+                    }
+                }
+                2 => {
+                    s.apply(&UpdateOp::SetRemove { key, member: m });
+                    if let Some(Entry::Set(set)) = model.get_mut(&key) {
+                        set.remove(&m);
+                        if set.is_empty() {
+                            model.remove(&key);
+                        }
+                    }
+                }
+                3 => {
+                    s.apply(&UpdateOp::Delete { key });
+                    model.remove(&key);
+                }
+                _ => assert_eq!(s.get(&key), model.get(&key).cloned(), "step {step}: {key:?}"),
+            }
+            assert_eq!(s.len(), model.len(), "step {step}");
+        }
+        assert_eq!(resident.load(Ordering::Relaxed), resident_of(&s.entries));
+        let mut copy = colliding_state(&Arc::new(AtomicI64::new(0)));
+        copy.install(s.snapshot());
+        assert_eq!(copy.len(), model.len());
+        for key in &keys {
+            assert_eq!(copy.get(key), model.get(key).cloned(), "{key:?} after install");
+        }
     }
 }

@@ -59,6 +59,9 @@ impl PutOutcome {
 struct Slot {
     data: Bytes,
     access_seq: u64,
+    /// Sealed by [`LocalObjectStore::put_listed`], which has not listed
+    /// the location yet: `wait_local` and `wait_listed` wait until it has.
+    unlisted: bool,
 }
 
 struct StoreMap {
@@ -168,7 +171,7 @@ impl LocalObjectStore {
     /// Idempotent for identical contents; rejects a different payload under
     /// the same ID (immutability).
     pub fn put(&self, id: ObjectId, data: Bytes) -> RayResult<PutOutcome> {
-        let (outcome, wake) = self.seal(id, data)?;
+        let (outcome, wake) = self.seal(id, data, false)?;
         if wake {
             self.sealed_cond.notify_all();
         }
@@ -178,15 +181,23 @@ impl LocalObjectStore {
     /// [`LocalObjectStore::put`] of an object the cluster can see: seals
     /// `data`, unlists the victims it dropped, lists this node as a
     /// location of `id` in `gcs`, and only then wakes the threads parked
-    /// in [`LocalObjectStore::wait_local`]. A getter woken by the seal
-    /// thus finds the object listed, and a `free` right after its `get`
-    /// finds the row to clear. The location is published even when it
-    /// was already sealed here with the same bytes.
+    /// in [`LocalObjectStore::wait_local`]; until then `wait_local` does
+    /// not return it, to a getter parked before the seal or arriving after
+    /// it. A getter thus finds the object listed, and a `free` right after
+    /// its `get` finds the row to clear. The location is published even
+    /// when it was already sealed here with the same bytes.
     pub fn put_listed(&self, id: ObjectId, data: Bytes, gcs: &GcsClient) -> RayResult<()> {
         let size = data.len() as u64;
-        let (outcome, wake) = self.seal(id, data)?;
+        let (outcome, _) = self.seal(id, data, true)?;
         outcome.unlist_dropped(gcs, self.node);
         let listed = gcs.add_object_location(id, self.node, size);
+        let wake = {
+            let mut map = self.map.lock();
+            if let Some(slot) = map.objects.get_mut(&id) {
+                slot.unlisted = false;
+            }
+            map.waiters > 0
+        };
         if wake {
             self.sealed_cond.notify_all();
         }
@@ -195,7 +206,7 @@ impl LocalObjectStore {
 
     /// The map half of a put: also answers whether a thread is parked in
     /// [`LocalObjectStore::wait_local`], which the caller must then wake.
-    fn seal(&self, id: ObjectId, data: Bytes) -> RayResult<(PutOutcome, bool)> {
+    fn seal(&self, id: ObjectId, data: Bytes, unlisted: bool) -> RayResult<(PutOutcome, bool)> {
         if data.len() > self.capacity {
             return Err(RayError::StoreFull { requested: data.len(), capacity: self.capacity });
         }
@@ -236,7 +247,7 @@ impl LocalObjectStore {
             let seq = self.access_counter.fetch_add(1, Ordering::Relaxed);
             map.resident_bytes += data.len();
             map.lru.insert(seq, id);
-            map.objects.insert(id, Slot { data: data.clone(), access_seq: seq });
+            map.objects.insert(id, Slot { data: data.clone(), access_seq: seq, unlisted });
             map.waiters > 0
         };
         self.puts.fetch_add(1, Ordering::Relaxed);
@@ -294,12 +305,24 @@ impl LocalObjectStore {
         }
     }
 
-    /// Blocks until the object is available locally or the timeout expires.
+    /// Blocks while `id` is sealed here by a [`LocalObjectStore::put_listed`]
+    /// that has not listed its location yet; returns at once otherwise.
+    pub fn wait_listed(&self, id: ObjectId) {
+        let mut map = self.map.lock();
+        while map.objects.get(&id).is_some_and(|slot| slot.unlisted) {
+            map.waiters += 1;
+            self.sealed_cond.wait(&mut map);
+            map.waiters -= 1;
+        }
+    }
+
+    /// Blocks until the object is available locally (and listed, if
+    /// [`LocalObjectStore::put_listed`] sealed it) or the timeout expires.
     pub fn wait_local(&self, id: ObjectId, timeout: std::time::Duration) -> RayResult<Bytes> {
         let deadline = self.tracer.clock().now() + timeout;
         let mut map = self.map.lock();
         loop {
-            if let Some(slot) = map.objects.get(&id) {
+            if let Some(slot) = map.objects.get(&id).filter(|slot| !slot.unlisted) {
                 return Ok(slot.data.clone());
             }
             // The spill tier's locks rank after `map` and never take it.
@@ -307,7 +330,8 @@ impl LocalObjectStore {
                 return Ok(b);
             }
             // Counted under the lock the put checks it under, so a put
-            // either sees this waiter or sealed before the look above.
+            // either sees this waiter or made the object visible before
+            // the look above.
             map.waiters += 1;
             let timed_out = self.sealed_cond.wait_until(&mut map, deadline).timed_out();
             map.waiters -= 1;

@@ -132,6 +132,11 @@ impl TransferManager {
             .directory
             .get(to)
             .ok_or(RayError::NodeDead(to))?;
+        // A copy this node's `put_listed` has sealed but not listed yet is
+        // taken once it is listed, so a `free` right after the caller's
+        // `get` finds the row. A later look follows the object table's
+        // word that a location is listed, and does not wait.
+        local.wait_listed(id);
 
         loop {
             // Re-check the local store every round: the object may have

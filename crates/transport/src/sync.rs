@@ -93,6 +93,9 @@ impl Semaphore {
         let mut permits = self.permits.lock();
         *permits += count;
         debug_assert!(*permits <= self.capacity, "released more permits than acquired");
+        // Unlock first: a waiter woken while the lock is still held would
+        // only block on it again.
+        drop(permits);
         self.cond.notify_all();
     }
 }
