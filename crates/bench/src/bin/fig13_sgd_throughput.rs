@@ -20,9 +20,7 @@ use ray_bench::{fmt_rate, mean, quick_mode, Report};
 use ray_bsp::BspWorld;
 use ray_common::config::TransportConfig;
 use ray_common::RayConfig;
-use ray_rl::envs::EnvRng;
-use ray_rl::nn::{mse_loss, Gradients};
-use ray_rl::ps::{train_ps, PsConfig};
+use ray_rl::ps::{gradient, train_ps, PsConfig};
 use rustray::Cluster;
 
 fn config(workers: usize, iterations: usize) -> PsConfig {
@@ -37,35 +35,6 @@ fn config(workers: usize, iterations: usize) -> PsConfig {
         lr: 0.01,
         seed: 11,
     }
-}
-
-/// One worker's gradient for one round (identical math for all systems).
-fn compute_gradient(cfg: &PsConfig, params: &[f64], worker: u64, round: u64) -> Gradients {
-    let mut model = ray_rl::nn::Mlp::new(
-        &cfg.layer_dims,
-        ray_rl::nn::Activation::Tanh,
-        ray_rl::nn::Activation::Identity,
-        cfg.seed,
-    );
-    let teacher = ray_rl::nn::Mlp::new(
-        &cfg.layer_dims,
-        ray_rl::nn::Activation::Tanh,
-        ray_rl::nn::Activation::Identity,
-        cfg.seed ^ 0x7ea_c4e5,
-    );
-    model.set_params(params);
-    let mut rng = EnvRng::new(cfg.seed ^ round.wrapping_mul(0x9e37_79b9) ^ worker);
-    let mut grads = Gradients::zeros(model.num_params());
-    for _ in 0..cfg.batch_size {
-        let x: Vec<f64> =
-            (0..cfg.layer_dims[0]).map(|_| rng.uniform(-1.0, 1.0)).collect();
-        let target = teacher.forward(&x);
-        let (pred, cache) = model.forward_cached(&x);
-        let (_, grad_out) = mse_loss(&pred, &target);
-        grads.add_assign(&model.backward(&cache, &grad_out));
-    }
-    grads.scale(1.0 / cfg.batch_size as f64);
-    grads
 }
 
 fn ray_ps_rate(workers: usize, iterations: usize) -> f64 {
@@ -84,16 +53,11 @@ fn horovod_like_rate(workers: usize, iterations: usize) -> f64 {
     let world = BspWorld::new(workers, &TransportConfig::default());
     let start = std::time::Instant::now();
     world.run(|rank| {
-        let mut model = ray_rl::nn::Mlp::new(
-            &cfg.layer_dims,
-            ray_rl::nn::Activation::Tanh,
-            ray_rl::nn::Activation::Identity,
-            cfg.seed,
-        );
+        let (mut model, teacher) = (cfg.model(), cfg.teacher());
         let mut params = model.params();
         for round in 0..cfg.iterations {
-            let mut grads =
-                compute_gradient(&cfg, &params, rank.rank() as u64, round as u64);
+            let (mut grads, _) =
+                gradient(&cfg, &mut model, &teacher, &params, rank.rank() as u64, round as u64);
             // Ring allreduce over the modeled network, then identical
             // updates on every rank.
             rank.allreduce_sum(&mut grads.0);
@@ -102,7 +66,6 @@ fn horovod_like_rate(workers: usize, iterations: usize) -> f64 {
                 *p -= cfg.lr * g;
             }
         }
-        model.set_params(&params);
     });
     let total = (iterations * workers * cfg.batch_size) as f64;
     total / start.elapsed().as_secs_f64()
@@ -110,29 +73,12 @@ fn horovod_like_rate(workers: usize, iterations: usize) -> f64 {
 
 fn lockstep_rate(workers: usize, iterations: usize) -> f64 {
     let cfg = config(workers, iterations);
-    let n_params = {
-        let m = ray_rl::nn::Mlp::new(
-            &cfg.layer_dims,
-            ray_rl::nn::Activation::Tanh,
-            ray_rl::nn::Activation::Identity,
-            cfg.seed,
-        );
-        m.num_params()
-    };
-    let params = ray_common::sync::OrderedRwLock::new(
-        &ray_common::sync::classes::BENCH_PARAMS,
-        ray_rl::nn::Mlp::new(
-            &cfg.layer_dims,
-            ray_rl::nn::Activation::Tanh,
-            ray_rl::nn::Activation::Identity,
-            cfg.seed,
-        )
-        .params(),
-    );
+    let init = cfg.model().params();
     let accum = ray_common::sync::OrderedMutex::new(
         &ray_common::sync::classes::BENCH_ACCUM,
-        vec![0.0f64; n_params],
+        vec![0.0f64; init.len()],
     );
+    let params = ray_common::sync::OrderedRwLock::new(&ray_common::sync::classes::BENCH_PARAMS, init);
     let barrier = std::sync::Barrier::new(workers);
     let start = std::time::Instant::now();
     std::thread::scope(|s| {
@@ -142,9 +88,11 @@ fn lockstep_rate(workers: usize, iterations: usize) -> f64 {
             let accum = &accum;
             let barrier = &barrier;
             s.spawn(move || {
+                let (mut model, teacher) = (cfg.model(), cfg.teacher());
                 for round in 0..cfg.iterations {
                     let snapshot = params.read().clone();
-                    let grads = compute_gradient(cfg, &snapshot, w as u64, round as u64);
+                    let (grads, _) =
+                        gradient(cfg, &mut model, &teacher, &snapshot, w as u64, round as u64);
                     {
                         let mut acc = accum.lock();
                         for (a, g) in acc.iter_mut().zip(grads.0.iter()) {
@@ -192,7 +140,7 @@ fn main() {
             format!("{:.0}%", 100.0 * ray / tf.max(1e-9)),
         ]);
     }
-    report.note("identical gradient math in all three systems; only synchronization differs");
+    report.note("all three systems call ray_rl::ps::gradient; only synchronization differs");
     report.note("paper: Ray matches Horovod, within 10% of distributed TF");
     report.finish();
 }

@@ -20,10 +20,12 @@
 //! reports where the serial driver crosses over — the paper's
 //! "fails beyond 1024 cores" line.
 
+use bytes::Bytes;
 use ray_bench::{fmt_duration, quick_mode, Report};
+use ray_codec::tensor::encode_f64_blob;
 use ray_common::RayConfig;
 use ray_rl::envs::EnvRng;
-use ray_rl::es::{centered_ranks, reference_es, train_es, EsConfig};
+use ray_rl::es::{fold_noise, rank_weights, reference_es, sum_partials, train_es, EsConfig};
 use rustray::Cluster;
 use std::time::{Duration, Instant};
 
@@ -44,45 +46,41 @@ fn config(perturbations: usize, iterations: usize) -> EsConfig {
     }
 }
 
-/// Measures the serial driver fold (the reference system's per-iteration
-/// aggregation): regenerate noise and fold, once per worker message.
-fn measure_serial_fold(workers: usize, dims: usize) -> Duration {
+/// The `(seed, weight)` pairs of one iteration with `workers` messages,
+/// weighted from random mirrored returns.
+fn weights(workers: usize) -> Vec<(u64, f64)> {
     let mut rng = EnvRng::new(9);
-    let rewards: Vec<f64> = (0..2 * workers).map(|_| rng.uniform(-1.0, 1.0)).collect();
-    let ranks = centered_ranks(&rewards);
-    let mut grad = vec![0.0f64; dims];
+    let seeds: Vec<u64> = (0..workers).map(|_| rng.next_u64()).collect();
+    let results: Vec<(f64, f64)> =
+        (0..workers).map(|_| (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))).collect();
+    rank_weights(&seeds, &results)
+}
+
+/// Times `f` once.
+fn timed<R>(f: impl FnOnce() -> R) -> Duration {
     let start = Instant::now();
-    for w in 0..workers {
-        // Exactly the reference driver's per-message work: O(dims) noise
-        // regeneration + fold.
-        let mut noise_rng = EnvRng::new(w as u64 ^ 0xe5e5);
-        let weight = ranks[2 * w] - ranks[2 * w + 1];
-        for g in grad.iter_mut() {
-            *g += weight * noise_rng.normal();
-        }
-    }
-    std::hint::black_box(&grad);
+    std::hint::black_box(f());
     start.elapsed()
 }
 
-/// Measures the aggregation tree's *critical path* from the same task
-/// bodies: one leaf fold (agg_leaf messages) plus `depth` pairwise sums —
-/// the wall time the tree takes when each level runs in parallel (the
-/// paper's multi-core setting).
+/// The reference system's per-iteration aggregation: the driver folds
+/// every worker's message, regenerating its noise (`fold_noise` over all
+/// pairs).
+fn measure_serial_fold(workers: usize, dims: usize) -> Duration {
+    let weighted = weights(workers);
+    timed(|| fold_noise(dims, &weighted))
+}
+
+/// The aggregation tree's *critical path* from the same task bodies: one
+/// leaf fold of `leaf` messages (`es_partial_grad`) plus one `fan_in`-way
+/// sum (`es_sum`) per tree level — the wall time the tree takes when each
+/// level runs in parallel (the paper's multi-core setting).
 fn measure_tree_critical_path(workers: usize, dims: usize, leaf: usize, fan_in: usize) -> Duration {
-    // One leaf: fold `leaf` messages.
-    let leaf_time = measure_serial_fold(leaf.min(workers), dims);
-    // One inner sum of `fan_in` gradients.
-    let parts: Vec<Vec<f64>> = (0..fan_in).map(|i| vec![i as f64; dims]).collect();
-    let start = Instant::now();
-    let mut acc = vec![0.0f64; dims];
-    for p in &parts {
-        for (a, x) in acc.iter_mut().zip(p.iter()) {
-            *a += x;
-        }
-    }
-    std::hint::black_box(&acc);
-    let sum_time = start.elapsed();
+    let leaf_weights = weights(leaf.min(workers));
+    let leaf_time = timed(|| fold_noise(dims, &leaf_weights));
+    let parts: Vec<Bytes> =
+        (0..fan_in).map(|i| Bytes::from(encode_f64_blob(&vec![i as f64; dims]))).collect();
+    let sum_time = timed(|| sum_partials(&parts).expect("well-formed partial gradients"));
     // Depth of the tree over ceil(workers/leaf) leaves.
     let mut width = workers.div_ceil(leaf);
     let mut depth = 0u32;
@@ -135,7 +133,8 @@ fn main() {
     report.note("single-core host: wall times coincide; the architectural gap is the critical path below");
     report.finish();
 
-    // Part 2: the scaling mechanism, measured from the real fold/sum code.
+    // Part 2: the scaling mechanism, timed on the fold and the sum the
+    // tasks and the reference driver run.
     let mut scaling = Report::new(
         "fig14a_es",
         "Fig. 14a (mechanism) — aggregation critical path per iteration vs worker count",

@@ -100,7 +100,14 @@ fn bsp_rate(cores: usize, window: Duration, episodes_per_task: u64) -> f64 {
     let steps: Vec<u64> = world.run(|rank| {
         let mut rng = EnvRng::new(1000 + rank.rank() as u64);
         let mut steps = 0u64;
-        while start.elapsed() < window {
+        // The ranks decide together whether to go on: a rank that read the
+        // clock alone could leave the others waiting in its barrier.
+        let every_rank_in_window = || {
+            let mut votes = [if start.elapsed() < window { 1.0 } else { 0.0 }];
+            rank.allreduce_sum(&mut votes);
+            votes[0] == rank.size() as f64
+        };
+        while every_rank_in_window() {
             // One outer iteration = 3 rounds of one simulation each, with
             // a global barrier between rounds (the paper's BSP driver).
             for _ in 0..3 {

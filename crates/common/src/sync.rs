@@ -96,7 +96,6 @@ impl fmt::Debug for LockClass {
 /// | 400–499   | GCS              |
 /// | 500–599   | transport        |
 /// | 600–699   | BSP              |
-/// | 700–799   | RL library       |
 /// | 800–899   | benches          |
 /// | 1000+     | metrics (innermost: safe to touch from anywhere) |
 ///
@@ -207,11 +206,6 @@ pub mod classes {
     /// A BSP rank's inbox: delivered messages not yet claimed by a
     /// matching receive (a leaf: nothing is acquired while it is held).
     pub static BSP_INBOX: LockClass = LockClass::new("bsp.inbox", 600);
-
-    // --- RL library (700–799) ---
-
-    /// Scratch output slots for `parallel_map` workers.
-    pub static RL_SCRATCH: LockClass = LockClass::new("rl.scratch", 700);
 
     // --- benches (800–899) ---
 

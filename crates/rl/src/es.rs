@@ -18,6 +18,7 @@
 //!   bottleneck that made the paper's reference system fail beyond 1024
 //!   cores (Fig. 14a).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -112,7 +113,7 @@ fn noise(seed: u64, n: usize) -> Vec<f64> {
 
 /// Centered-rank transform in `[-0.5, 0.5]` (the shaping used by the
 /// reference ES implementation; makes updates scale-free).
-pub fn centered_ranks(rewards: &[f64]) -> Vec<f64> {
+fn centered_ranks(rewards: &[f64]) -> Vec<f64> {
     let n = rewards.len();
     if n <= 1 {
         return vec![0.0; n];
@@ -126,76 +127,89 @@ pub fn centered_ranks(rewards: &[f64]) -> Vec<f64> {
     out
 }
 
+/// Each seed's weight: the centered-rank difference of its mirrored pair,
+/// ranked over all 2n returns of the iteration.
+pub fn rank_weights(seeds: &[u64], results: &[(f64, f64)]) -> Vec<(u64, f64)> {
+    let all: Vec<f64> = results.iter().flat_map(|&(plus, minus)| [plus, minus]).collect();
+    let ranks = centered_ranks(&all);
+    seeds.iter().zip(ranks.chunks_exact(2)).map(|(&seed, r)| (seed, r[0] - r[1])).collect()
+}
+
+/// Mirrored evaluation of one perturbation: the mean returns of `θ + σε`
+/// and `θ − σε`, with `ε` regenerated from `seed`. With `sigma == 0` the
+/// unperturbed `θ` is scored once and returned twice. The body of the
+/// `es_eval` task and of the reference system's workers.
+pub fn mirrored_eval(
+    env_name: &str,
+    base: &[f64],
+    sigma: f64,
+    seed: u64,
+    episodes: usize,
+    max_steps: usize,
+) -> Result<(f64, f64), String> {
+    let mut policy = policy_for(env_name)?;
+    let mut env = make_env(env_name)?;
+    let mut score = |params: &[f64]| {
+        policy.set_params(params);
+        evaluate(&policy, env.as_mut(), seed, episodes, max_steps)
+    };
+    if sigma == 0.0 {
+        let s = score(base);
+        return Ok((s, s));
+    }
+    let eps = noise(seed, base.len());
+    let plus: Vec<f64> = base.iter().zip(&eps).map(|(p, e)| p + sigma * e).collect();
+    let minus: Vec<f64> = base.iter().zip(&eps).map(|(p, e)| p - sigma * e).collect();
+    Ok((score(&plus), score(&minus)))
+}
+
+/// `Σ wᵢ·εᵢ` over `(seed, weight)` pairs, each `εᵢ` regenerated from its
+/// seed: an aggregation-tree leaf (`es_partial_grad`) folds one chunk, the
+/// reference driver folds every pair itself.
+pub fn fold_noise(dims: usize, weighted: &[(u64, f64)]) -> Vec<f64> {
+    let mut grad = vec![0.0f64; dims];
+    for &(seed, weight) in weighted {
+        for (g, e) in grad.iter_mut().zip(noise(seed, dims)) {
+            *g += weight * e;
+        }
+    }
+    grad
+}
+
+/// Sums encoded partial gradients: the body of an aggregation-tree inner
+/// node (`es_sum`).
+pub fn sum_partials(parts: &[Bytes]) -> Result<Vec<f64>, String> {
+    let mut acc: Option<Vec<f64>> = None;
+    for i in 0..parts.len() {
+        let part = f64s_arg(parts, i)?;
+        match &mut acc {
+            None => acc = Some(part.to_vec()),
+            Some(a) => part.add_into(a).map_err(|e| format!("partial gradient: {e}"))?,
+        }
+    }
+    Ok(acc.unwrap_or_default())
+}
+
 /// Registers the ES task functions with a cluster.
 pub fn register(cluster: &Cluster) {
-    // Mirrored evaluation of one perturbation: (seed, r⁺, r⁻).
+    // args: env, θ, σ, noise seed, episodes, max steps → (r⁺, r⁻).
     cluster.register_raw("es_eval", |_ctx: &RayContext, args: &[Bytes]| -> RemoteResult {
         let env_name: String = decode_arg(args, 0)?;
+        let base = f64s_arg(args, 1)?.to_vec();
         let sigma: f64 = decode_arg(args, 2)?;
-        let noise_seed: u64 = decode_arg(args, 3)?;
+        let seed: u64 = decode_arg(args, 3)?;
         let episodes: u64 = decode_arg(args, 4)?;
         let max_steps: u64 = decode_arg(args, 5)?;
-        let base = f64s_arg(args, 1)?.to_vec();
-        let mut policy = policy_for(&env_name)?;
-        let mut env = make_env(&env_name)?;
-        if sigma == 0.0 {
-            policy.set_params(&base);
-            let score = evaluate(
-                &policy,
-                env.as_mut(),
-                noise_seed,
-                episodes as usize,
-                max_steps as usize,
-            );
-            return encode_return(&(score, score));
-        }
-        let eps = noise(noise_seed, base.len());
-        let plus: Vec<f64> = base.iter().zip(&eps).map(|(p, e)| p + sigma * e).collect();
-        policy.set_params(&plus);
-        let r_plus = evaluate(
-            &policy,
-            env.as_mut(),
-            noise_seed,
-            episodes as usize,
-            max_steps as usize,
-        );
-        let minus: Vec<f64> = base.iter().zip(&eps).map(|(p, e)| p - sigma * e).collect();
-        policy.set_params(&minus);
-        let r_minus = evaluate(
-            &policy,
-            env.as_mut(),
-            noise_seed,
-            episodes as usize,
-            max_steps as usize,
-        );
-        encode_return(&(r_plus, r_minus))
+        let pair = mirrored_eval(&env_name, &base, sigma, seed, episodes as usize, max_steps as usize)?;
+        encode_return(&pair)
     });
-
-    // Aggregation-tree leaf: Σ wᵢ·εᵢ over a chunk of (seed, weight) pairs.
     cluster.register_raw("es_partial_grad", |_ctx: &RayContext, args: &[Bytes]| -> RemoteResult {
         let dims: u64 = decode_arg(args, 0)?;
         let chunk: Vec<(u64, f64)> = decode_arg(args, 1)?;
-        let mut grad = vec![0.0f64; dims as usize];
-        for (seed, weight) in chunk {
-            let eps = noise(seed, grad.len());
-            for (g, e) in grad.iter_mut().zip(eps.iter()) {
-                *g += weight * e;
-            }
-        }
-        encode_return_f64s(&grad)
+        encode_return_f64s(&fold_noise(dims as usize, &chunk))
     });
-
-    // Aggregation-tree inner node: sums any number of partial gradients.
     cluster.register_raw("es_sum", |_ctx: &RayContext, args: &[Bytes]| -> RemoteResult {
-        let mut acc: Option<Vec<f64>> = None;
-        for i in 0..args.len() {
-            let part = f64s_arg(args, i)?;
-            match &mut acc {
-                None => acc = Some(part.to_vec()),
-                Some(a) => part.add_into(a).map_err(|e| format!("partial gradient: {e}"))?,
-            }
-        }
-        encode_return_f64s(&acc.unwrap_or_default())
+        encode_return_f64s(&sum_partials(args)?)
     });
 }
 
@@ -218,175 +232,122 @@ fn tree_sum(
     level.pop().ok_or_else(|| RayError::Invalid("tree_sum of zero gradients".into()))
 }
 
-/// Trains with ES on a rustray cluster (the Fig. 14a "Ray ES" system).
+/// The ES loop both systems run: each iteration draws one noise seed per
+/// worker, evaluates the mirrored pairs (`evaluate`), weights the seeds by
+/// rank, folds `Σ wᵢεᵢ` (`fold`), steps `θ` by `lr / (nσ)` of it, scores
+/// the new `θ` (`score`, given the evaluation seed) and stops at the
+/// target. The Ray system and the reference one differ only in these
+/// three closures.
+fn run_es<E>(
+    cfg: &EsConfig,
+    mut params: Vec<f64>,
+    mut evaluate: impl FnMut(&[f64], &[u64]) -> Result<Vec<(f64, f64)>, E>,
+    mut fold: impl FnMut(&[(u64, f64)]) -> Result<Vec<f64>, E>,
+    mut score: impl FnMut(&[f64], u64) -> Result<f64, E>,
+) -> Result<EsReport, E> {
+    let mut rng = EnvRng::new(cfg.seed);
+    let mut scores = Vec::with_capacity(cfg.iterations);
+    let start = Instant::now();
+    for iter in 0..cfg.iterations {
+        let seeds: Vec<u64> = (0..cfg.num_workers).map(|_| rng.next_u64()).collect();
+        let results = evaluate(&params, &seeds)?;
+        let grad = fold(&rank_weights(&seeds, &results))?;
+        let scale = cfg.lr / (cfg.num_workers as f64 * cfg.sigma);
+        for (p, g) in params.iter_mut().zip(&grad) {
+            *p += scale * g;
+        }
+        let score = score(&params, cfg.seed + iter as u64)?;
+        scores.push(score);
+        if cfg.target_score.is_some_and(|target| score >= target) {
+            return Ok(EsReport { scores, solved_at: Some(iter), wall: start.elapsed() });
+        }
+    }
+    Ok(EsReport { scores, solved_at: None, wall: start.elapsed() })
+}
+
+/// Trains with ES on a rustray cluster (the Fig. 14a "Ray ES" system):
+/// evaluations are tasks on a broadcast `θ`, the fold is an aggregation
+/// tree of nested tasks.
 pub fn train_es(cluster: &Cluster, cfg: &EsConfig) -> RayResult<EsReport> {
     register(cluster);
     let ctx = cluster.driver();
-    let mut policy =
-        policy_for(&cfg.env).map_err(RayError::Invalid)?;
-    let dims = policy.num_params();
-    let mut params = policy.params();
-    let mut rng = EnvRng::new(cfg.seed);
-    let mut scores = Vec::with_capacity(cfg.iterations);
-    let mut solved_at = None;
-    let start = Instant::now();
-
-    for iter in 0..cfg.iterations {
-        // Broadcast θ once; every task references the same object.
-        let params_ref = ctx.put(&Blob::from_f64s(&params))?;
-
-        // Fan out mirrored evaluations.
-        let mut seeds = Vec::with_capacity(cfg.num_workers);
-        let mut futs: Vec<ObjectRef<(f64, f64)>> = Vec::with_capacity(cfg.num_workers);
-        for _ in 0..cfg.num_workers {
-            let seed = rng.next_u64();
-            seeds.push(seed);
-            futs.push(ctx.call(
-                "es_eval",
-                vec![
-                    Arg::value(&cfg.env)?,
-                    Arg::from_ref(&params_ref),
-                    Arg::value(&cfg.sigma)?,
-                    Arg::value(&seed)?,
-                    Arg::value(&(cfg.episodes_per_eval as u64))?,
-                    Arg::value(&(cfg.max_steps as u64))?,
-                ],
-            )?);
-        }
-        let results = ctx.get_all(&futs)?;
-
-        // Shape rewards with centered ranks over the 2n mirrored returns.
-        let mut all: Vec<f64> = Vec::with_capacity(2 * results.len());
-        for &(p, m) in &results {
-            all.push(p);
-            all.push(m);
-        }
-        let ranks = centered_ranks(&all);
-        let weights: Vec<(u64, f64)> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (s, ranks[2 * i] - ranks[2 * i + 1]))
-            .collect();
-
-        // Aggregation tree: leaves regenerate noise, inner nodes sum.
-        let leaves: Vec<ObjectRef<Blob>> = weights
-            .chunks(cfg.agg_leaf.max(1))
-            .map(|chunk| {
-                ctx.call(
-                    "es_partial_grad",
-                    vec![Arg::value(&(dims as u64))?, Arg::value(&chunk.to_vec())?],
-                )
-            })
-            .collect::<RayResult<_>>()?;
-        let root = tree_sum(&ctx, leaves, cfg.agg_fan_in)?;
-        let grad = ctx.get(&root)?.f64s().map_err(RayError::from)?.to_vec();
-
-        let scale = cfg.lr / (cfg.num_workers as f64 * cfg.sigma);
-        for (p, g) in params.iter_mut().zip(grad.iter()) {
-            *p += scale * g;
-        }
-
-        // Evaluate the unperturbed policy.
-        let eval: ObjectRef<(f64, f64)> = ctx.call(
+    let params = policy_for(&cfg.env).map_err(RayError::Invalid)?.params();
+    let dims = params.len() as u64;
+    let es_eval = |params: Arg, sigma: f64, seed: u64, episodes: usize| {
+        ctx.call::<(f64, f64)>(
             "es_eval",
             vec![
                 Arg::value(&cfg.env)?,
-                Arg::value(&Blob::from_f64s(&params))?,
-                Arg::value(&0.0f64)?,
-                Arg::value(&(cfg.seed + iter as u64))?,
-                Arg::value(&(cfg.eval_episodes as u64))?,
+                params,
+                Arg::value(&sigma)?,
+                Arg::value(&seed)?,
+                Arg::value(&(episodes as u64))?,
                 Arg::value(&(cfg.max_steps as u64))?,
             ],
-        )?;
-        let (score, _) = ctx.get(&eval)?;
-        scores.push(score);
-        if let Some(target) = cfg.target_score {
-            if score >= target {
-                solved_at = Some(iter);
-                break;
-            }
-        }
-    }
-    policy.set_params(&params);
-    Ok(EsReport { scores, solved_at, wall: start.elapsed() })
+        )
+    };
+    run_es(
+        cfg,
+        params,
+        |params, seeds| {
+            // Broadcast θ once; every task references the same object.
+            let params_ref = ctx.put(&Blob::from_f64s(params))?;
+            let futs = seeds
+                .iter()
+                .map(|&seed| {
+                    es_eval(Arg::from_ref(&params_ref), cfg.sigma, seed, cfg.episodes_per_eval)
+                })
+                .collect::<RayResult<Vec<_>>>()?;
+            ctx.get_all(&futs)
+        },
+        |weights| {
+            // Aggregation tree: leaves regenerate noise, inner nodes sum.
+            let leaves = weights
+                .chunks(cfg.agg_leaf.max(1))
+                .map(|chunk| {
+                    ctx.call(
+                        "es_partial_grad",
+                        vec![Arg::value(&dims)?, Arg::value(&chunk.to_vec())?],
+                    )
+                })
+                .collect::<RayResult<_>>()?;
+            let root = tree_sum(&ctx, leaves, cfg.agg_fan_in)?;
+            Ok(ctx.get(&root)?.f64s().map_err(RayError::from)?.to_vec())
+        },
+        |params, seed| {
+            let eval = es_eval(Arg::value(&Blob::from_f64s(params))?, 0.0, seed, cfg.eval_episodes)?;
+            Ok(ctx.get(&eval)?.0)
+        },
+    )
 }
 
-/// The special-purpose reference system of Fig. 14a: identical math, but
-/// every worker result is deserialized, noise-regenerated, and folded into
-/// the gradient **serially at one driver thread** (their Redis-based
-/// design). Workers run in parallel threads; the driver is the bottleneck
+/// The special-purpose reference system of Fig. 14a: the same loop, but
+/// worker threads only evaluate, and every result is folded into the
+/// gradient **serially at one driver thread** (their Redis-based design),
+/// regenerating one O(dims) noise vector per message — the bottleneck
 /// that grows linearly with the worker count.
 pub fn reference_es(cfg: &EsConfig, threads: usize) -> Result<EsReport, String> {
-    let mut policy = policy_for(&cfg.env)?;
-    let dims = policy.num_params();
-    let mut params = policy.params();
-    let mut rng = EnvRng::new(cfg.seed);
-    let mut scores = Vec::with_capacity(cfg.iterations);
-    let mut solved_at = None;
-    let start = Instant::now();
-
-    for iter in 0..cfg.iterations {
-        let seeds: Vec<u64> = (0..cfg.num_workers).map(|_| rng.next_u64()).collect();
-        // Parallel evaluation (their workers were fine; the driver wasn't).
-        let results: Vec<(f64, f64)> = parallel_map(threads, &seeds, |&seed| {
-            let mut p = policy_for(&cfg.env).expect("env exists");
-            let mut env = make_env(&cfg.env).expect("env exists");
-            let eps = noise(seed, dims);
-            let plus: Vec<f64> =
-                params.iter().zip(&eps).map(|(p0, e)| p0 + cfg.sigma * e).collect();
-            p.set_params(&plus);
-            let r_plus =
-                evaluate(&p, env.as_mut(), seed, cfg.episodes_per_eval, cfg.max_steps);
-            let minus: Vec<f64> =
-                params.iter().zip(&eps).map(|(p0, e)| p0 - cfg.sigma * e).collect();
-            p.set_params(&minus);
-            let r_minus =
-                evaluate(&p, env.as_mut(), seed, cfg.episodes_per_eval, cfg.max_steps);
-            (r_plus, r_minus)
-        });
-
-        // Serial driver: the saturation point. Every message costs
-        // O(dims) work on one thread.
-        let mut all = Vec::with_capacity(2 * results.len());
-        for &(p, m) in &results {
-            all.push(p);
-            all.push(m);
-        }
-        let ranks = centered_ranks(&all);
-        let mut grad = vec![0.0; dims];
-        for (i, &seed) in seeds.iter().enumerate() {
-            let w = ranks[2 * i] - ranks[2 * i + 1];
-            let eps = noise(seed, dims);
-            for (g, e) in grad.iter_mut().zip(eps.iter()) {
-                *g += w * e;
-            }
-        }
-        let scale = cfg.lr / (cfg.num_workers as f64 * cfg.sigma);
-        for (p, g) in params.iter_mut().zip(grad.iter()) {
-            *p += scale * g;
-        }
-
-        policy.set_params(&params);
-        let mut env = make_env(&cfg.env)?;
-        let score = evaluate(
-            &policy,
-            env.as_mut(),
-            cfg.seed + iter as u64,
-            cfg.eval_episodes,
-            cfg.max_steps,
-        );
-        scores.push(score);
-        if let Some(target) = cfg.target_score {
-            if score >= target {
-                solved_at = Some(iter);
-                break;
-            }
-        }
-    }
-    Ok(EsReport { scores, solved_at, wall: start.elapsed() })
+    let params = policy_for(&cfg.env)?.params();
+    let dims = params.len();
+    run_es(
+        cfg,
+        params,
+        |params, seeds| {
+            parallel_map(threads, seeds, |&seed| {
+                mirrored_eval(&cfg.env, params, cfg.sigma, seed, cfg.episodes_per_eval, cfg.max_steps)
+            })
+            .into_iter()
+            .collect()
+        },
+        |weights| Ok(fold_noise(dims, weights)),
+        |params, seed| {
+            Ok(mirrored_eval(&cfg.env, params, 0.0, seed, cfg.eval_episodes, cfg.max_steps)?.0)
+        },
+    )
 }
 
-/// Simple fork-join map over a fixed thread pool.
+/// Fork-join map over `threads` scoped threads that take items in turn;
+/// each returns what it computed through its join handle.
 fn parallel_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -394,22 +355,27 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let threads = threads.clamp(1, items.len().max(1));
-    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let out_slots = ray_common::sync::OrderedMutex::new(&ray_common::sync::classes::RL_SCRATCH, &mut out);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                if i >= items.len() {
-                    return;
-                }
-                let r = f(&items[i]);
-                out_slots.lock()[i] = Some(r);
-            });
-        }
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { return mine };
+                        mine.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-    out.into_iter().map(|o| o.expect("all slots filled")).collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

@@ -263,81 +263,116 @@ pub fn gae(
     (adv, rets)
 }
 
-/// One PPO update (clipped surrogate + value regression) applied in
-/// place. Returns the number of minibatch gradient steps taken.
-#[allow(clippy::too_many_arguments)]
-pub fn ppo_update(
-    policy: &mut GaussianPolicy,
-    value_net: &mut Mlp,
-    policy_opt: &mut SgdOptimizer,
-    value_opt: &mut SgdOptimizer,
-    batch: &Batch,
-    cfg: &PpoConfig,
-    rng: &mut EnvRng,
-) -> usize {
-    let n = batch.len();
-    if n == 0 {
-        return 0;
-    }
-    let values: Vec<f64> = batch.obs.iter().map(|o| value_net.forward(o)[0]).collect();
-    let (mut adv, rets) = gae(&batch.rewards, &values, &batch.dones, cfg.gamma, cfg.lam);
-    // Normalize advantages.
-    let mean = adv.iter().sum::<f64>() / n as f64;
-    let var = adv.iter().map(|a| (a - mean) * (a - mean)).sum::<f64>() / n as f64;
-    let std = var.sqrt().max(1e-8);
-    for a in &mut adv {
-        *a = (*a - mean) / std;
+/// What a PPO learner updates: the policy, the value net and their
+/// optimizers. The Ray driver holds one; so does every MPI rank.
+pub struct Learner {
+    policy: GaussianPolicy,
+    value_net: Mlp,
+    policy_opt: SgdOptimizer,
+    value_opt: SgdOptimizer,
+}
+
+impl Learner {
+    /// A learner at the initial weights `cfg.seed` gives every system.
+    pub fn new(cfg: &PpoConfig, env: &dyn Environment) -> Learner {
+        let (obs_dim, act_dim) = (env.obs_dim(), env.action_dim());
+        let policy = GaussianPolicy::new(obs_dim, &cfg.hidden, act_dim, cfg.action_std, cfg.seed);
+        let mut dims = vec![obs_dim];
+        dims.extend_from_slice(&cfg.hidden);
+        dims.push(1);
+        let value_net = Mlp::new(&dims, Activation::Tanh, Activation::Identity, cfg.seed ^ 0x55);
+        Learner {
+            policy_opt: SgdOptimizer::new(policy.num_params(), cfg.lr, 0.9),
+            value_opt: SgdOptimizer::new(value_net.num_params(), cfg.lr, 0.9),
+            policy,
+            value_net,
+        }
     }
 
-    let mut steps = 0;
-    let mut indices: Vec<usize> = (0..n).collect();
-    for _ in 0..cfg.sgd_epochs {
-        // Fisher–Yates shuffle.
-        for i in (1..indices.len()).rev() {
-            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-            indices.swap(i, j);
+    /// The policy rollouts are collected with.
+    pub fn policy(&self) -> &GaussianPolicy {
+        &self.policy
+    }
+
+    /// One PPO update over `batch`: GAE, normalized advantages, then
+    /// `cfg.sgd_epochs` epochs of `steps_per_epoch` minibatch steps of the
+    /// clipped surrogate and the value regression. Each epoch shuffles the
+    /// batch with `rng` and takes `cfg.minibatch`-sized chunks in turn,
+    /// wrapping if the batch runs out. `sync` sees each step's batch-mean
+    /// (policy, value) gradients before the optimizers apply them.
+    ///
+    /// The step count is the caller's, not the batch's: ranks that sync
+    /// collectively must agree on it whatever their batch lengths.
+    pub fn update(
+        &mut self,
+        batch: &Batch,
+        cfg: &PpoConfig,
+        steps_per_epoch: usize,
+        rng: &mut EnvRng,
+        mut sync: impl FnMut(&mut Gradients, &mut Gradients),
+    ) {
+        let n = batch.len();
+        if n == 0 {
+            return;
         }
-        for mb in indices.chunks(cfg.minibatch.max(1)) {
-            let mut pol_grads = Gradients::zeros(policy.num_params());
-            let mut val_grads = Gradients::zeros(value_net.num_params());
-            let var = policy.std * policy.std;
-            for &i in mb {
-                // Policy gradient through the clipped surrogate.
-                let (mean_a, cache) = policy.mean_net.forward_cached(&batch.obs[i]);
-                let logp_new = policy.log_prob_given_mean(&mean_a, &batch.actions[i]);
-                let ratio = (logp_new - batch.logps[i]).exp();
-                let a = adv[i];
-                let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip);
-                // L = −min(r·A, clip(r)·A); gradient flows only through the
-                // unclipped branch when it is the active minimum.
-                let use_unclipped = (ratio * a) <= (clipped * a) + 1e-12;
-                if use_unclipped {
-                    // ∂(−r·A)/∂μ_j = −A·r·(a_j − μ_j)/σ².
-                    let grad_out: Vec<f64> = mean_a
-                        .iter()
-                        .zip(batch.actions[i].iter())
-                        .map(|(m, act)| -a * ratio * (act - m) / var)
-                        .collect();
-                    pol_grads.add_assign(&policy.mean_net.backward(&cache, &grad_out));
-                }
-                // Value regression toward the GAE return.
-                let (v, vcache) = value_net.forward_cached(&batch.obs[i]);
-                let dv = 2.0 * (v[0] - rets[i]);
-                val_grads.add_assign(&value_net.backward(&vcache, &[dv]));
+        let values: Vec<f64> = batch.obs.iter().map(|o| self.value_net.forward(o)[0]).collect();
+        let (mut adv, rets) = gae(&batch.rewards, &values, &batch.dones, cfg.gamma, cfg.lam);
+        let mean = adv.iter().sum::<f64>() / n as f64;
+        let var = adv.iter().map(|a| (a - mean) * (a - mean)).sum::<f64>() / n as f64;
+        let std = var.sqrt().max(1e-8);
+        for a in &mut adv {
+            *a = (*a - mean) / std;
+        }
+
+        let policy = &mut self.policy;
+        let value_net = &mut self.value_net;
+        let var = policy.std * policy.std;
+        let mut indices: Vec<usize> = (0..n).collect();
+        for _ in 0..cfg.sgd_epochs {
+            // Fisher–Yates shuffle.
+            for i in (1..indices.len()).rev() {
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
+                indices.swap(i, j);
             }
-            let scale = 1.0 / mb.len() as f64;
-            pol_grads.scale(scale);
-            val_grads.scale(scale);
-            let mut p = policy.params();
-            policy_opt.step(&mut p, &pol_grads);
-            policy.set_params(&p);
-            let mut v = value_net.params();
-            value_opt.step(&mut v, &val_grads);
-            value_net.set_params(&v);
-            steps += 1;
+            for mb in indices.chunks(cfg.minibatch.max(1)).cycle().take(steps_per_epoch) {
+                let mut pol_grads = Gradients::zeros(policy.num_params());
+                let mut val_grads = Gradients::zeros(value_net.num_params());
+                for &i in mb {
+                    // Policy gradient through the clipped surrogate.
+                    let (mean_a, cache) = policy.mean_net.forward_cached(&batch.obs[i]);
+                    let logp_new = policy.log_prob_given_mean(&mean_a, &batch.actions[i]);
+                    let ratio = (logp_new - batch.logps[i]).exp();
+                    let a = adv[i];
+                    let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip);
+                    // L = −min(r·A, clip(r)·A); gradient flows only through
+                    // the unclipped branch when it is the active minimum.
+                    if (ratio * a) <= (clipped * a) + 1e-12 {
+                        // ∂(−r·A)/∂μ_j = −A·r·(a_j − μ_j)/σ².
+                        let grad_out: Vec<f64> = mean_a
+                            .iter()
+                            .zip(batch.actions[i].iter())
+                            .map(|(m, act)| -a * ratio * (act - m) / var)
+                            .collect();
+                        pol_grads.add_assign(&policy.mean_net.backward(&cache, &grad_out));
+                    }
+                    // Value regression toward the GAE return.
+                    let (v, vcache) = value_net.forward_cached(&batch.obs[i]);
+                    let dv = 2.0 * (v[0] - rets[i]);
+                    val_grads.add_assign(&value_net.backward(&vcache, &[dv]));
+                }
+                let scale = 1.0 / mb.len() as f64;
+                pol_grads.scale(scale);
+                val_grads.scale(scale);
+                sync(&mut pol_grads, &mut val_grads);
+                let mut p = policy.params();
+                self.policy_opt.step(&mut p, &pol_grads);
+                policy.set_params(&p);
+                let mut v = value_net.params();
+                self.value_opt.step(&mut v, &val_grads);
+                value_net.set_params(&v);
+            }
         }
     }
-    steps
 }
 
 // ----------------------------------------------------------------------
@@ -386,16 +421,7 @@ pub fn train_ppo_ray(cluster: &Cluster, cfg: &PpoConfig) -> RayResult<PpoReport>
     register(cluster);
     let ctx = cluster.driver();
     let env = make_env(&cfg.env).map_err(RayError::Invalid)?;
-    let mut policy =
-        GaussianPolicy::new(env.obs_dim(), &cfg.hidden, env.action_dim(), cfg.action_std, cfg.seed);
-    let mut value_net = {
-        let mut dims = vec![env.obs_dim()];
-        dims.extend_from_slice(&cfg.hidden);
-        dims.push(1);
-        Mlp::new(&dims, Activation::Tanh, Activation::Identity, cfg.seed ^ 0x55)
-    };
-    let mut policy_opt = SgdOptimizer::new(policy.num_params(), cfg.lr, 0.9);
-    let mut value_opt = SgdOptimizer::new(value_net.num_params(), cfg.lr, 0.9);
+    let mut learner = Learner::new(cfg, env.as_ref());
     let mut rng = EnvRng::new(cfg.seed);
 
     // Spawn the simulation actors.
@@ -421,7 +447,7 @@ pub fn train_ppo_ray(cluster: &Cluster, cfg: &PpoConfig) -> RayResult<PpoReport>
     let mut total_steps = 0usize;
 
     for update in 0..cfg.updates {
-        let blob_ref = ctx.put(&policy_blob(&policy)?)?;
+        let blob_ref = ctx.put(&policy_blob(learner.policy())?)?;
         let mut batch = Batch::default();
         // Kick one rollout per actor; as each returns, immediately assign
         // a new one to that actor (the asynchronous scatter-gather).
@@ -475,15 +501,8 @@ pub fn train_ppo_ray(cluster: &Cluster, cfg: &PpoConfig) -> RayResult<PpoReport>
             / batch.episode_returns.len().max(1) as f64;
         mean_returns.push(mean_ret);
 
-        ppo_update(
-            &mut policy,
-            &mut value_net,
-            &mut policy_opt,
-            &mut value_opt,
-            &batch,
-            cfg,
-            &mut rng,
-        );
+        let steps_per_epoch = batch.len().div_ceil(cfg.minibatch.max(1));
+        learner.update(&batch, cfg, steps_per_epoch, &mut rng, |_, _| {});
 
         if let Some(target) = cfg.target_score {
             if mean_ret >= target {
@@ -503,39 +522,29 @@ pub fn train_ppo_ray(cluster: &Cluster, cfg: &PpoConfig) -> RayResult<PpoReport>
 /// symmetric ranks, a barrier after the rollout phase (the slowest episode
 /// stalls the round), and gradient allreduce every SGD step.
 pub fn train_ppo_bsp(world: &BspWorld, cfg: &PpoConfig) -> Result<PpoReport, String> {
-    let env_probe = make_env(&cfg.env)?;
-    let obs_dim = env_probe.obs_dim();
-    let act_dim = env_probe.action_dim();
-    drop(env_probe);
+    make_env(&cfg.env)?;
     let n = world.size();
+    let share = cfg.steps_per_update.div_ceil(n);
+    // From values every rank holds: each step is a collective, so a count
+    // taken from a rank's own batch length deadlocks ranks that disagree.
+    let steps_per_epoch = share.div_ceil(cfg.minibatch.max(1));
     let start = Instant::now();
 
     let reports = world.run(|rank| {
         let mut env = make_env(&cfg.env).expect("env exists");
-        let mut policy =
-            GaussianPolicy::new(obs_dim, &cfg.hidden, act_dim, cfg.action_std, cfg.seed);
-        let mut value_net = {
-            let mut dims = vec![obs_dim];
-            dims.extend_from_slice(&cfg.hidden);
-            dims.push(1);
-            Mlp::new(&dims, Activation::Tanh, Activation::Identity, cfg.seed ^ 0x55)
-        };
-        let mut policy_opt = SgdOptimizer::new(policy.num_params(), cfg.lr, 0.9);
-        let mut value_opt = SgdOptimizer::new(value_net.num_params(), cfg.lr, 0.9);
-        // All ranks share the shuffle RNG so their updates stay identical.
+        let mut learner = Learner::new(cfg, env.as_ref());
         let mut update_rng = EnvRng::new(cfg.seed ^ 0x1111);
         let mut seed_rng = EnvRng::new(cfg.seed.wrapping_add(rank.rank() as u64 * 7919));
 
         let mut mean_returns = Vec::with_capacity(cfg.updates);
         let mut total_steps = 0usize;
-        let share = cfg.steps_per_update.div_ceil(n);
 
         for _update in 0..cfg.updates {
             // Bulk-synchronous rollout phase.
             let mut batch = Batch::default();
             while batch.len() < share {
                 let rollout = collect_episode(
-                    &policy,
+                    learner.policy(),
                     env.as_mut(),
                     seed_rng.next_u64(),
                     cfg.max_episode_steps,
@@ -553,65 +562,15 @@ pub fn train_ppo_bsp(world: &BspWorld, cfg: &PpoConfig) -> Result<PpoReport, Str
             rank.allreduce_sum(&mut stats);
             mean_returns.push(stats[0] / stats[1].max(1.0));
 
-            // Local GAE; then SGD with per-step gradient allreduce. Ranks
+            // The defining MPI cost: one allreduce per SGD step. Ranks
             // apply identical averaged gradients, so parameters never
             // diverge (symmetric MPI style).
-            let values: Vec<f64> =
-                batch.obs.iter().map(|o| value_net.forward(o)[0]).collect();
-            let (mut adv, rets) =
-                gae(&batch.rewards, &values, &batch.dones, cfg.gamma, cfg.lam);
-            let m = adv.iter().sum::<f64>() / adv.len().max(1) as f64;
-            let var =
-                adv.iter().map(|a| (a - m) * (a - m)).sum::<f64>() / adv.len().max(1) as f64;
-            let std = var.sqrt().max(1e-8);
-            for a in &mut adv {
-                *a = (*a - m) / std;
-            }
-
-            let local = batch.len();
-            let gvar = policy.std * policy.std;
-            for _epoch in 0..cfg.sgd_epochs {
-                let steps_per_epoch = (local / cfg.minibatch.max(1)).max(1);
-                for _s in 0..steps_per_epoch {
-                    let mut pol_grads = Gradients::zeros(policy.num_params());
-                    let mut val_grads = Gradients::zeros(value_net.num_params());
-                    let mut count = 0;
-                    for _ in 0..cfg.minibatch.min(local) {
-                        let i = (update_rng.next_u64() % local as u64) as usize;
-                        let (mean_a, cache) = policy.mean_net.forward_cached(&batch.obs[i]);
-                        let logp_new =
-                            policy.log_prob_given_mean(&mean_a, &batch.actions[i]);
-                        let ratio = (logp_new - batch.logps[i]).exp();
-                        let a = adv[i];
-                        let clipped = ratio.clamp(1.0 - cfg.clip, 1.0 + cfg.clip);
-                        if (ratio * a) <= (clipped * a) + 1e-12 {
-                            let grad_out: Vec<f64> = mean_a
-                                .iter()
-                                .zip(batch.actions[i].iter())
-                                .map(|(mu, act)| -a * ratio * (act - mu) / gvar)
-                                .collect();
-                            pol_grads
-                                .add_assign(&policy.mean_net.backward(&cache, &grad_out));
-                        }
-                        let (v, vcache) = value_net.forward_cached(&batch.obs[i]);
-                        let dv = 2.0 * (v[0] - rets[i]);
-                        val_grads.add_assign(&value_net.backward(&vcache, &[dv]));
-                        count += 1;
-                    }
-                    let scale = 1.0 / (count.max(1) as f64 * n as f64);
-                    pol_grads.scale(scale);
-                    val_grads.scale(scale);
-                    // The defining MPI cost: one allreduce per SGD step.
-                    rank.allreduce_sum(&mut pol_grads.0);
-                    rank.allreduce_sum(&mut val_grads.0);
-                    let mut p = policy.params();
-                    policy_opt.step(&mut p, &pol_grads);
-                    policy.set_params(&p);
-                    let mut v = value_net.params();
-                    value_opt.step(&mut v, &val_grads);
-                    value_net.set_params(&v);
-                }
-            }
+            learner.update(&batch, cfg, steps_per_epoch, &mut update_rng, |pol, val| {
+                rank.allreduce_sum(&mut pol.0);
+                rank.allreduce_sum(&mut val.0);
+                pol.scale(1.0 / n as f64);
+                val.scale(1.0 / n as f64);
+            });
             rank.barrier();
         }
         (mean_returns, total_steps)
@@ -694,6 +653,32 @@ mod tests {
             }
         }
         assert!(improved, "PPO never improved across seeds ({detail})");
+    }
+
+    #[test]
+    fn ppo_bsp_ranks_with_unequal_batches_do_not_deadlock() {
+        // Episodes end at different lengths, so the two ranks' batches
+        // differ; every SGD step is a collective, so each rank must still
+        // take the same number of them.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let world = BspWorld::new(
+                2,
+                &TransportConfig {
+                    latency: Duration::from_micros(1),
+                    ..TransportConfig::default()
+                },
+            );
+            let mut cfg = PpoConfig::small();
+            cfg.steps_per_update = 64;
+            cfg.minibatch = 8;
+            cfg.updates = 3;
+            let _ = tx.send(train_ppo_bsp(&world, &cfg).map(|r| r.mean_returns.len()));
+        });
+        let updates = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("BSP PPO did not finish within 60 s: its ranks deadlocked");
+        assert_eq!(updates, Ok(3));
     }
 
     #[test]

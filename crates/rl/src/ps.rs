@@ -72,8 +72,14 @@ impl PsConfig {
         }
     }
 
-    fn model(&self, seed: u64) -> Mlp {
-        Mlp::new(&self.layer_dims, Activation::Tanh, Activation::Identity, seed)
+    /// A replica's model at its initial weights.
+    pub fn model(&self) -> Mlp {
+        Mlp::new(&self.layer_dims, Activation::Tanh, Activation::Identity, self.seed)
+    }
+
+    /// The fixed network whose outputs label every synthetic batch.
+    pub fn teacher(&self) -> Mlp {
+        Mlp::new(&self.layer_dims, Activation::Tanh, Activation::Identity, self.seed ^ 0x7ea_c4e5)
     }
 }
 
@@ -140,6 +146,34 @@ impl ActorInstance for PsShard {
     }
 }
 
+/// One replica's gradient for one round: installs `params` in `model`,
+/// labels a synthetic batch (seeded by round and worker) with `teacher`,
+/// and returns the batch-mean MSE gradient and loss. Ray's `PsWorker` and
+/// the Fig. 13 baselines all compute it here.
+pub fn gradient(
+    cfg: &PsConfig,
+    model: &mut Mlp,
+    teacher: &Mlp,
+    params: &[f64],
+    worker: u64,
+    round: u64,
+) -> (Gradients, f64) {
+    model.set_params(params);
+    let mut rng = EnvRng::new(cfg.seed ^ round.wrapping_mul(0x9e37_79b9) ^ worker);
+    let mut grads = Gradients::zeros(model.num_params());
+    let mut total_loss = 0.0;
+    for _ in 0..cfg.batch_size {
+        let x: Vec<f64> = (0..cfg.layer_dims[0]).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let target = teacher.forward(&x);
+        let (pred, cache) = model.forward_cached(&x);
+        let (loss, grad_out) = mse_loss(&pred, &target);
+        total_loss += loss;
+        grads.add_assign(&model.backward(&cache, &grad_out));
+    }
+    grads.scale(1.0 / cfg.batch_size as f64);
+    (grads, total_loss / cfg.batch_size as f64)
+}
+
 /// One model replica: recomputes gradients on synthetic teacher-labelled
 /// batches.
 pub struct PsWorker {
@@ -149,37 +183,6 @@ pub struct PsWorker {
     worker_id: u64,
 }
 
-impl PsWorker {
-    fn gradient(&mut self, shard_blobs: Vec<Vec<f64>>, round: u64) -> Result<(Gradients, f64), String> {
-        // Reassemble the flat weight vector from shard slices.
-        let flat: Vec<f64> = shard_blobs.into_iter().flatten().collect();
-        if flat.len() != self.model.num_params() {
-            return Err(format!(
-                "assembled {} params, model has {}",
-                flat.len(),
-                self.model.num_params()
-            ));
-        }
-        self.model.set_params(&flat);
-        let mut rng = EnvRng::new(
-            self.cfg.seed ^ (round.wrapping_mul(0x9e37_79b9)) ^ self.worker_id,
-        );
-        let in_dim = self.cfg.layer_dims[0];
-        let mut grads = Gradients::zeros(self.model.num_params());
-        let mut total_loss = 0.0;
-        for _ in 0..self.cfg.batch_size {
-            let x: Vec<f64> = (0..in_dim).map(|_| rng.uniform(-1.0, 1.0)).collect();
-            let target = self.teacher.forward(&x);
-            let (pred, cache) = self.model.forward_cached(&x);
-            let (loss, grad_out) = mse_loss(&pred, &target);
-            total_loss += loss;
-            grads.add_assign(&self.model.backward(&cache, &grad_out));
-        }
-        grads.scale(1.0 / self.cfg.batch_size as f64);
-        Ok((grads, total_loss / self.cfg.batch_size as f64))
-    }
-}
-
 impl ActorInstance for PsWorker {
     fn call(&mut self, _ctx: &RayContext, method: &str, args: &[Bytes]) -> RemoteResult {
         match method {
@@ -187,12 +190,23 @@ impl ActorInstance for PsWorker {
             // gradient blob per shard plus the scalar batch loss.
             "grad" => {
                 let round: u64 = decode_arg(args, 0)?;
-                let mut shards = Vec::with_capacity(args.len() - 1);
+                // Reassemble the flat weight vector from shard slices.
+                let mut flat = Vec::with_capacity(self.model.num_params());
+                let mut shard_lens = Vec::with_capacity(args.len() - 1);
                 for i in 1..args.len() {
-                    shards.push(f64s_arg(args, i)?.to_vec());
+                    let shard = f64s_arg(args, i)?;
+                    shard_lens.push(shard.len());
+                    flat.extend(shard.iter());
                 }
-                let shard_lens: Vec<usize> = shards.iter().map(|s| s.len()).collect();
-                let (grads, loss) = self.gradient(shards, round)?;
+                if flat.len() != self.model.num_params() {
+                    return Err(format!(
+                        "assembled {} params, model has {}",
+                        flat.len(),
+                        self.model.num_params()
+                    ));
+                }
+                let (grads, loss) =
+                    gradient(&self.cfg, &mut self.model, &self.teacher, &flat, self.worker_id, round);
                 let mut outputs = Vec::with_capacity(shard_lens.len() + 1);
                 let mut off = 0;
                 for len in shard_lens {
@@ -225,8 +239,7 @@ pub fn register(cluster: &Cluster) {
     cluster.register_actor_class("PsWorker", |_ctx, args| {
         let cfg: PsConfig = decode_arg(args, 0)?;
         let worker_id: u64 = decode_arg(args, 1)?;
-        let model = cfg.model(cfg.seed);
-        let teacher = cfg.model(cfg.seed ^ 0x7ea_c4e5);
+        let (model, teacher) = (cfg.model(), cfg.teacher());
         Ok(Box::new(PsWorker { cfg, model, teacher, worker_id }))
     });
 }
@@ -236,8 +249,7 @@ pub fn register(cluster: &Cluster) {
 pub fn train_ps(cluster: &Cluster, cfg: &PsConfig) -> RayResult<PsReport> {
     register(cluster);
     let ctx = cluster.driver();
-    let model = cfg.model(cfg.seed);
-    let params = model.params();
+    let params = cfg.model().params();
     let bounds = chunk_bounds(params.len(), cfg.num_shards);
 
     // Spawn shards and replicas.
@@ -356,6 +368,35 @@ mod tests {
         );
         assert!(report.samples_per_sec > 0.0);
         cluster.shutdown();
+    }
+
+    #[test]
+    fn train_ps_losses_match_a_serial_replay_of_the_shared_gradient() {
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(2).workers_per_node(4).build()).unwrap();
+        let mut cfg = PsConfig::small();
+        cfg.iterations = 8;
+        let report = train_ps(&cluster, &cfg).unwrap();
+        cluster.shutdown();
+
+        // One process, no actors: each round sums the replicas' gradients
+        // in worker order and applies the averaged step, as every shard does.
+        let (mut model, teacher) = (cfg.model(), cfg.teacher());
+        let mut params = model.params();
+        assert_eq!(report.losses.len(), cfg.iterations);
+        for (round, &ray_loss) in report.losses.iter().enumerate() {
+            let mut sum = vec![0.0; params.len()];
+            let mut loss = 0.0;
+            for w in 0..cfg.num_workers {
+                let (g, l) = gradient(&cfg, &mut model, &teacher, &params, w as u64, round as u64);
+                sum.iter_mut().zip(&g.0).for_each(|(s, x)| *s += x);
+                loss += l;
+            }
+            loss /= cfg.num_workers as f64;
+            assert!((ray_loss - loss).abs() < 1e-9, "round {round}: Ray PS {ray_loss} vs replay {loss}");
+            let scale = cfg.lr / cfg.num_workers as f64;
+            params.iter_mut().zip(&sum).for_each(|(p, s)| *p -= scale * s);
+        }
     }
 
     #[test]

@@ -98,9 +98,24 @@ echo "== trace smoke =="
 # A traced bench run must produce a Chrome trace with at least one task
 # span on every node; trace-check also validates the JSON end to end.
 trace_out="$(mktemp /tmp/rustray-trace.XXXXXX.json)"
-trap 'rm -f "$trace_out"' EXIT
+figure_results="$(mktemp -d)"
+trap 'rm -f "$trace_out"; rm -rf "$figure_results"' EXIT
 ./target/release/fig08a_locality --quick --trace-out "$trace_out" >/dev/null
 cargo run -q -p xtask -- trace-check "$trace_out" --expect-nodes 2
+
+echo "== figure smoke =="
+# The Fig. 13/14 and Table 4 baselines run the Ray versions' math on
+# another system (BSP ranks, a serial driver, lockstep threads). Ranks
+# that disagree on a collective hang, so each quick run gets 120 s (a
+# few seconds each today); fig14a_es also asserts that Ray ES and the
+# reference system score alike. Results go to a scratch directory, not
+# bench_results/.
+for bin in fig13_sgd_throughput fig14a_es fig14b_ppo table4_simulation; do
+    if ! RAY_BENCH_RESULTS="$figure_results" timeout 120 "./target/release/$bin" --quick; then
+        echo "figure smoke: $bin failed or ran past 120 s" >&2
+        exit 1
+    fi
+done
 
 echo "== perf smoke =="
 # The benchmark (perf/, its own offline workspace) must still build against
