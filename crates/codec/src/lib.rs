@@ -101,9 +101,17 @@ impl<'de> serde::Deserialize<'de> for Blob {
 /// Serializes `value` into a freshly allocated byte buffer.
 pub fn encode<T: serde::Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError> {
     let mut out = Vec::new();
-    let mut s = ser::Serializer::new(&mut out);
-    value.serialize(&mut s)?;
+    encode_into(value, &mut out)?;
     Ok(out)
+}
+
+/// Serializes `value` onto the end of `out`: a caller that knows the
+/// encoded size sizes the buffer once, and the encoding never regrows it.
+pub fn encode_into<T: serde::Serialize + ?Sized>(
+    value: &T,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    value.serialize(&mut ser::Serializer::new(out))
 }
 
 /// Serializes `value` into [`Bytes`], the zero-copy buffer type the object

@@ -90,11 +90,7 @@ impl UniqueId {
     /// Deterministically derives a new ID by hashing this ID with a domain
     /// tag and an index. The result's slot is zero.
     pub fn derive(&self, domain: &str, index: u64) -> Self {
-        let mut buf = Vec::with_capacity(ID_LEN + domain.len() + 8);
-        buf.extend_from_slice(&self.0);
-        buf.extend_from_slice(domain.as_bytes());
-        buf.extend_from_slice(&index.to_le_bytes());
-        UniqueId(fnv1a_128(&buf)).with_slot(0)
+        UniqueId(fnv1a_128(&[&self.0, domain.as_bytes(), &index.to_le_bytes()])).with_slot(0)
     }
 
     fn slot(&self) -> u16 {
@@ -361,6 +357,60 @@ mod tests {
         assert_eq!(id.derive("x", 1), id.derive("x", 1));
         assert_ne!(id.derive("x", 1), id.derive("x", 2));
         assert_ne!(id.derive("x", 1), id.derive("y", 1));
+    }
+
+    /// `derive` hashes its three fields where they lie; the IDs are those
+    /// of hashing the fields concatenated into one buffer, as it once did.
+    #[test]
+    fn derive_matches_hashing_the_concatenated_fields() {
+        let mut rng = crate::util::DetRng::new(0xd371);
+        let mut ids = vec![UniqueId::NIL, UniqueId::from_bytes([0xff; ID_LEN])];
+        ids.extend((0..6).map(|_| {
+            let mut bytes = [0u8; ID_LEN];
+            bytes[..8].copy_from_slice(&rng.next_u64().to_le_bytes());
+            bytes[8..].copy_from_slice(&rng.next_u64().to_le_bytes());
+            UniqueId::from_bytes(bytes)
+        }));
+        let domains = ["", "put", "child", "actor", "a domain longer than any the runtime uses"];
+        for id in ids {
+            for domain in domains {
+                for index in [0, 1, 255, 1 << 32, u64::MAX, rng.next_u64()] {
+                    let mut buf = Vec::with_capacity(ID_LEN + domain.len() + 8);
+                    buf.extend_from_slice(&id.0);
+                    buf.extend_from_slice(domain.as_bytes());
+                    buf.extend_from_slice(&index.to_le_bytes());
+                    let concatenated = UniqueId(fnv1a_128(&[&buf])).with_slot(0);
+                    assert_eq!(id.derive(domain, index), concatenated, "{id:?} {domain:?} {index}");
+                }
+            }
+        }
+        // And the bytes themselves, as the one-buffer hash wrote them.
+        let mut bytes = [0u8; ID_LEN];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = (i as u8).wrapping_mul(37).wrapping_add(11);
+        }
+        let id = UniqueId::from_bytes(bytes);
+        type Row = (UniqueId, &'static str, u64, [u8; ID_LEN]);
+        let pinned: [Row; 5] = [
+            (id, "child", 0, [
+                13, 194, 199, 108, 149, 114, 127, 118, 16, 10, 15, 134, 9, 153, 0, 0,
+            ]),
+            (id, "put", 7, [
+                57, 254, 247, 65, 128, 170, 217, 148, 104, 28, 233, 217, 74, 139, 0, 0,
+            ]),
+            (id, "actor", u64::MAX, [
+                98, 225, 232, 109, 243, 160, 135, 12, 19, 150, 250, 175, 226, 236, 0, 0,
+            ]),
+            (id, "", 1, [
+                20, 167, 155, 107, 189, 229, 143, 254, 75, 62, 218, 169, 167, 5, 0, 0,
+            ]),
+            (UniqueId::NIL, "child", 3, [
+                158, 127, 63, 83, 24, 122, 236, 200, 195, 191, 119, 1, 57, 132, 0, 0,
+            ]),
+        ];
+        for (id, domain, index, want) in pinned {
+            assert_eq!(id.derive(domain, index).as_bytes(), want, "{id:?} {domain:?} {index}");
+        }
     }
 
     #[test]

@@ -130,29 +130,43 @@ impl Resources {
         out
     }
 
-    /// In-place component-wise sum.
+    /// In-place component-wise sum. A key this vector already holds is
+    /// added to where it is; only a new one is cloned in.
     pub fn add_assign(&mut self, other: &Resources) {
         self.cpu_milli += other.cpu_milli;
         self.gpu_milli += other.gpu_milli;
         for (k, &v) in &other.custom_milli {
-            *self.custom_milli.entry(k.clone()).or_insert(0) += v;
+            match self.custom_milli.get_mut(k) {
+                Some(held) => *held += v,
+                None => {
+                    self.custom_milli.insert(k.clone(), v);
+                }
+            }
         }
         self.custom_milli.retain(|_, v| *v != 0);
     }
 
+    /// Subtracts `other` in place if it fits; otherwise leaves this
+    /// vector as it is and returns `false`.
+    pub fn try_sub_assign(&mut self, other: &Resources) -> bool {
+        if !self.fits(other) {
+            return false;
+        }
+        self.cpu_milli -= other.cpu_milli;
+        self.gpu_milli -= other.gpu_milli;
+        for (k, &v) in &other.custom_milli {
+            if let Some(held) = self.custom_milli.get_mut(k) {
+                *held -= v;
+            }
+        }
+        self.custom_milli.retain(|_, v| *v != 0);
+        true
+    }
+
     /// Component-wise difference, or `None` if `other` does not fit.
     pub fn checked_sub(&self, other: &Resources) -> Option<Resources> {
-        if !self.fits(other) {
-            return None;
-        }
         let mut out = self.clone();
-        out.cpu_milli -= other.cpu_milli;
-        out.gpu_milli -= other.gpu_milli;
-        for (k, &v) in &other.custom_milli {
-            *out.custom_milli.get_mut(k).expect("fits() checked key") -= v;
-        }
-        out.custom_milli.retain(|_, v| *v != 0);
-        Some(out)
+        out.try_sub_assign(other).then_some(out)
     }
 
     /// Scalar "weight" used by load metrics: total milli-units across kinds.
@@ -208,6 +222,16 @@ mod tests {
         let cap = Resources::cpus(1.0);
         assert!(cap.checked_sub(&Resources::cpus(1.5)).is_none());
         assert!(cap.checked_sub(&Resources::gpus(0.5)).is_none());
+    }
+
+    #[test]
+    fn a_refused_sub_assign_leaves_the_vector_as_it_was() {
+        let mut cap = Resources::cpus(1.0).with_custom("tpu", 1.0);
+        let before = cap.clone();
+        assert!(!cap.try_sub_assign(&Resources::cpus(0.5).with_custom("tpu", 2.0)));
+        assert_eq!(cap, before);
+        assert!(cap.try_sub_assign(&Resources::cpus(0.5).with_custom("tpu", 1.0)));
+        assert_eq!(cap, Resources::cpus(0.5));
     }
 
     #[test]

@@ -23,23 +23,25 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// A 128-bit digest built from two independent FNV-1a passes.
+/// A 128-bit digest built from two independent FNV-1a passes over the
+/// concatenation of `parts`, which are hashed where they lie — a caller
+/// hashing several fields concatenates nothing.
 ///
 /// Good enough to make deterministic derived IDs collision-free in practice
 /// for the workloads in this repository.
-pub fn fnv1a_128(bytes: &[u8]) -> [u8; 16] {
-    let lo = fnv1a_64(bytes);
-    // Second pass with a different seed byte prepended decorrelates the halves.
-    let mut hash: u64 = 0x84222325_cbf29ce4;
-    hash ^= 0x5a;
-    hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+pub fn fnv1a_128(parts: &[&[u8]]) -> [u8; 16] {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut lo: u64 = 0xcbf2_9ce4_8422_2325;
+    // The second pass has a different seed byte prepended, which
+    // decorrelates the halves.
+    let mut hi: u64 = (0x84222325_cbf29ce4 ^ 0x5a_u64).wrapping_mul(PRIME);
+    for &b in parts.iter().flat_map(|part| part.iter()) {
+        lo = (lo ^ b as u64).wrapping_mul(PRIME);
+        hi = (hi ^ b as u64).wrapping_mul(PRIME);
     }
     let mut out = [0u8; 16];
     out[..8].copy_from_slice(&lo.to_le_bytes());
-    out[8..].copy_from_slice(&hash.to_le_bytes());
+    out[8..].copy_from_slice(&hi.to_le_bytes());
     out
 }
 
@@ -317,8 +319,17 @@ mod tests {
 
     #[test]
     fn fnv_128_halves_differ() {
-        let d = fnv1a_128(b"hello");
+        let d = fnv1a_128(&[b"hello"]);
         assert_ne!(&d[..8], &d[8..]);
+        assert_eq!(&d[..8], &fnv1a_64(b"hello").to_le_bytes());
+    }
+
+    #[test]
+    fn fnv_128_hashes_the_concatenation_of_its_parts() {
+        let whole = fnv1a_128(&[b"hello, world"]);
+        assert_eq!(fnv1a_128(&[b"hello", b", ", b"world"]), whole);
+        assert_eq!(fnv1a_128(&[b"", b"hello, world", b""]), whole);
+        assert_ne!(fnv1a_128(&[b"hello, world!"]), whole);
     }
 
     #[test]

@@ -38,22 +38,27 @@ pub(crate) fn run_detector_pass(shared: &Arc<RuntimeShared>) {
     }
     let suspect_after = HEARTBEAT_INTERVAL * 2;
     let declare_after = shared.config.fault.heartbeat_timeout;
-    for load in shared.load.live_nodes() {
-        let Some(age) = shared.load.heartbeat_age(load.node) else { continue };
-        if age < suspect_after {
-            continue;
+    // Suspects are gathered under the load table's read lock and acted on
+    // after it: declaring a death writes to the table.
+    let mut suspects = Vec::new();
+    shared.load.scan_live(|load| {
+        let age = load.heartbeat_age();
+        if age >= suspect_after {
+            suspects.push((load.node(), age));
         }
+    });
+    for (node, age) in suspects {
         shared.metrics.counter(names::HEARTBEATS_MISSED).inc();
         shared.trace.emit(
-            load.node,
+            node,
             TraceEventKind::HeartbeatMissed,
-            TraceEntity::Node(load.node),
+            TraceEntity::Node(node),
             format!("age_ms={}", age.as_millis()),
         );
         // Counted once the death protocol has run, and only if this pass
         // ran it: whoever waits on the counter may rely on the node being
         // fenced and marked.
-        if age >= declare_after && declare_node_dead(shared, load.node) {
+        if age >= declare_after && declare_node_dead(shared, node) {
             shared.metrics.counter(names::NODES_DECLARED_DEAD).inc();
         }
     }
@@ -128,7 +133,9 @@ mod tests {
             alive: true,
         });
         std::thread::sleep(Duration::from_millis(300));
-        assert!(cluster.shared.load.live_nodes().iter().all(|l| l.node != NodeId(1)));
+        let mut live = Vec::new();
+        cluster.shared.load.scan_live(|l| live.push(l.node()));
+        assert!(!live.contains(&NodeId(1)), "{live:?}");
         assert_eq!(cluster.metrics().counter(names::NODES_DECLARED_DEAD).get(), 0);
         cluster.shutdown();
     }

@@ -1,28 +1,76 @@
-//! The global scheduler thread.
+//! Placement of forwarded tasks, and the global scheduler thread.
 //!
-//! Receives tasks spilled by local schedulers, asks the placement engine
-//! ([`ray_scheduler::GlobalScheduler`]) for a node, and hands the task to
-//! that node's local scheduler. Unplaceable tasks (no live node can
-//! satisfy the demand) are retried as heartbeats change the cluster view —
-//! this is what lets a GPU task submitted before any GPU node joins
-//! eventually run.
+//! A local scheduler that forwards a task places it itself, on the thread
+//! that forwarded it ([`forward`]): it asks the placement engine
+//! ([`ray_scheduler::GlobalScheduler`]) for a node and hands the task to
+//! that node's local scheduler. Every forwarding thread is thus a replica
+//! of the global scheduler, all reading the same load table — the paper's
+//! "we can instantiate more replicas all sharing the same information".
+//!
+//! The global scheduler thread keeps what no submitter can finish on the
+//! spot: tasks no live node can hold yet, tasks whose chosen node died
+//! before delivery, and tasks a node bounced as infeasible. It retries them
+//! as heartbeats change the cluster view — this is what lets a GPU task
+//! submitted before any GPU node joins eventually run — and it runs the
+//! failure detector.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ray_common::trace::{TraceEntity, TraceEventKind};
-use ray_common::NodeId;
+use ray_common::{NodeId, RayError};
 use ray_scheduler::TaskDescriptor;
 
 use crate::failure;
+use crate::node::Undelivered;
 use crate::runtime::{GlobalMsg, RuntimeShared};
 use crate::task::TaskSpec;
 
 /// Retry cadence for tasks that could not be placed; also the failure
 /// detector's sweep cadence (well under any sane heartbeat timeout).
 const RETRY_EVERY: Duration = Duration::from_millis(5);
+
+/// Places a task a local scheduler forwarded, on the calling thread; what
+/// cannot be placed now joins the global thread's retries. With injected
+/// decision latency (Fig. 12b) the decision sleeps and places on a thread
+/// of its own, so the submitter never waits for it and concurrent
+/// decisions overlap instead of serializing.
+pub(crate) fn forward(
+    shared: &Arc<RuntimeShared>,
+    spec: TaskSpec,
+    from: NodeId,
+) -> Result<(), Undelivered> {
+    if shared.config.scheduler.added_decision_delay.is_zero() {
+        return match try_place(shared, spec, from) {
+            None => Ok(()),
+            Some((spec, from)) => retry_later(shared, spec, from),
+        };
+    }
+    let shared = shared.clone();
+    std::thread::spawn(move || {
+        if let Some((spec, from)) = try_place(&shared, spec, from) {
+            // Refused only once the cluster is shutting down.
+            let _ = retry_later(&shared, spec, from);
+        }
+    });
+    Ok(())
+}
+
+/// Hands a task to the global thread's retries.
+pub(crate) fn retry_later(
+    shared: &RuntimeShared,
+    spec: TaskSpec,
+    from: NodeId,
+) -> Result<(), Undelivered> {
+    match shared.global_tx.send(GlobalMsg::Retry(spec, from)) {
+        Err(SendError(GlobalMsg::Retry(spec, _))) => {
+            Err(Box::new((spec, RayError::Shutdown("global scheduler stopped".into()))))
+        }
+        _ => Ok(()),
+    }
+}
 
 /// Spawns the global scheduler thread.
 pub(crate) fn start_global(
@@ -38,30 +86,10 @@ pub(crate) fn start_global(
 fn global_loop(shared: Arc<RuntimeShared>, rx: Receiver<GlobalMsg>) {
     let clock = shared.trace.clock().clone();
     let mut pending: Vec<(TaskSpec, NodeId)> = Vec::new();
-    // With injected decision latency (Fig. 12b), decisions run on spawned
-    // threads so concurrent tasks each pay the latency without serializing
-    // behind one scheduler thread — the paper's global scheduler is
-    // replicated ("we can instantiate more replicas").
-    let delayed = !shared.config.scheduler.added_decision_delay.is_zero();
     let mut last_detect = clock.now();
     loop {
         match rx.recv_timeout(RETRY_EVERY) {
-            Ok(GlobalMsg::Forward(spec, from)) => {
-                if delayed {
-                    let shared = shared.clone();
-                    std::thread::spawn(move || {
-                        let mut item = Some((spec, from));
-                        while let Some((spec, from)) = item.take() {
-                            item = try_place(&shared, spec, from);
-                            if item.is_some() {
-                                std::thread::sleep(RETRY_EVERY);
-                            }
-                        }
-                    });
-                } else if let Some(unplaced) = try_place(&shared, spec, from) {
-                    pending.push(unplaced);
-                }
-            }
+            Ok(GlobalMsg::Retry(spec, from)) => pending.push((spec, from)),
             Ok(GlobalMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {}
         }
@@ -74,7 +102,7 @@ fn global_loop(shared: Arc<RuntimeShared>, rx: Receiver<GlobalMsg>) {
             }
         }
         // The failure detector rides this thread: sweep heartbeat ages at
-        // the retry cadence even when placements keep the loop busy.
+        // the retry cadence even when retries keep the loop busy.
         if clock.now().duration_since(last_detect) >= RETRY_EVERY {
             failure::run_detector_pass(&shared);
             last_detect = clock.now();
@@ -90,9 +118,9 @@ fn try_place(
     spec: TaskSpec,
     from: NodeId,
 ) -> Option<(TaskSpec, NodeId)> {
-    // Cancelled or expired while waiting in the global queue: tear the
-    // task down instead of placing it. This is the global half of the
-    // "queued tasks are dropped, not run" guarantee; the local half is the
+    // Cancelled or expired while waiting for placement: tear the task down
+    // instead of placing it. This is the global half of the "queued tasks
+    // are dropped, not run" guarantee; the local half is the
     // heartbeat-tick purge in node.rs.
     if let Some(cause) = shared.teardown_cause(&spec) {
         shared.teardown(from, &spec, cause);

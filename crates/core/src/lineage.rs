@@ -249,7 +249,7 @@ fn reconstruct(shared: &Arc<RuntimeShared>, id: ObjectId, why: Why) -> RayResult
         Claim::Go => {
             let from = shared
                 .any_live_node(NodeId(0))
-                .ok_or(RayError::Shutdown("no live nodes".into()))?
+                .ok_or_else(|| RayError::Shutdown("no live nodes".into()))?
                 .node;
             shared.trace.emit(
                 from,

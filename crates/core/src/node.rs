@@ -13,7 +13,6 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::SendError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -24,7 +23,8 @@ use ray_common::{NodeId, RayError, Resources};
 use ray_object_store::store::LocalObjectStore;
 use ray_scheduler::{NodeLoad, ResourceLedger};
 
-use crate::runtime::{GlobalMsg, RuntimeShared};
+use crate::global_loop;
+use crate::runtime::RuntimeShared;
 use crate::task::TaskSpec;
 use crate::worker;
 
@@ -113,15 +113,9 @@ impl NodeHandle {
     ) -> Result<(), Undelivered> {
         if !self.ledger.feasible(&spec.demand) {
             // Capacity can never satisfy this task here (stale placement
-            // after a reconfiguration): bounce to the global scheduler
-            // rather than wedging the queue.
-            return match shared.global_tx.send(GlobalMsg::Forward(spec, self.node)) {
-                Err(SendError(GlobalMsg::Forward(spec, _))) => Err(Box::new((
-                    spec,
-                    RayError::Shutdown("global scheduler stopped".into()),
-                ))),
-                _ => Ok(()),
-            };
+            // after a reconfiguration): bounce to the global scheduler's
+            // retries rather than wedging the queue.
+            return global_loop::retry_later(shared, spec, self.node);
         }
         let mut q = self.queue.lock();
         if !self.is_alive() {

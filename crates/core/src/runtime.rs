@@ -2,13 +2,15 @@
 //!
 //! Everything a node, worker, actor host, or driver needs hangs off one
 //! [`RuntimeShared`]: the GCS client, the object-store directory and
-//! transfer manager, the load table and global-scheduler channel, node
-//! handles, the function registry, and the per-task registry.
+//! transfer manager, the load table, the placement engine and the global
+//! scheduler thread's retry channel, node handles, the function registry,
+//! and the per-task registry.
 //!
 //! The submission path implements the bottom-up rule end-to-end: record
 //! lineage in the GCS, consult the local decision
 //! ([`ray_scheduler::decide_local`]), and either enqueue on the local
-//! scheduler or forward to the global scheduler (paper Fig. 6).
+//! scheduler or forward — run the global placement on the submitting
+//! thread (paper Fig. 6).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -30,14 +32,17 @@ use ray_transport::Fabric;
 
 use crate::actor::ActorRouter;
 use crate::cancel::{CancelReason, CancelRegistry};
+use crate::global_loop;
 use crate::node::{NodeHandle, Undelivered};
 use crate::registry::FunctionRegistry;
 use crate::task::{TaskKind, TaskSpec};
 
 /// Messages processed by the global-scheduler thread.
 pub(crate) enum GlobalMsg {
-    /// A task forwarded by some node's local scheduler.
-    Forward(TaskSpec, NodeId),
+    /// A task its placer could not deliver — no live node can hold it yet,
+    /// its chosen node died first, or a node bounced it as infeasible — and
+    /// the node it was forwarded from, to retry at the thread's cadence.
+    Retry(TaskSpec, NodeId),
     /// Stop the thread.
     Shutdown,
 }
@@ -182,12 +187,13 @@ impl RuntimeShared {
     }
 
     /// The bottom-up rule on the node a task enters first (`from`, or any
-    /// live node if `from` is gone): keep it there or forward it to the
-    /// global scheduler.
+    /// live node if `from` is gone): keep it there, or forward it — place
+    /// it, on this thread, on the feasible node with the least estimated
+    /// wait.
     fn dispatch_for_scheduling(self: &Arc<Self>, from: NodeId, spec: TaskSpec) -> RayResult<()> {
         let handle = self
             .any_live_node(from)
-            .ok_or(RayError::Shutdown("no live nodes in cluster".to_string()))?;
+            .ok_or_else(|| RayError::Shutdown("no live nodes in cluster".to_string()))?;
         let node = handle.node;
         let (decision, reason) = decide_local_reason(
             self.config.scheduler.policy,
@@ -216,17 +222,14 @@ impl RuntimeShared {
                     TraceEntity::Task(spec.task),
                     reason.label(),
                 );
-                self.global_tx
-                    .send(GlobalMsg::Forward(spec, node))
-                    .map_err(|_| RayError::Shutdown("global scheduler stopped".into()))?;
+                global_loop::forward(self, spec, node).map_err(|undelivered| undelivered.1)?;
             }
         }
         Ok(())
     }
 
-    /// Places a task on a specific node (used by the global scheduler
-    /// thread after a placement decision); a failed delivery hands the
-    /// task back.
+    /// Places a task on a specific node (after a placement decision); a
+    /// failed delivery hands the task back.
     pub(crate) fn place_on(
         self: &Arc<Self>,
         node: NodeId,

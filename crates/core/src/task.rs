@@ -143,9 +143,42 @@ impl TaskSpec {
             .collect()
     }
 
-    /// Serializes the spec for the GCS task table.
+    /// Serializes the spec for the GCS task table, into one buffer sized
+    /// up front.
     pub fn encode(&self) -> RayResult<Vec<u8>> {
-        ray_codec::encode(self).map_err(RayError::from)
+        let mut out = Vec::with_capacity(self.encoded_len());
+        ray_codec::encode_into(self, &mut out).map_err(RayError::from)?;
+        Ok(out)
+    }
+
+    /// The length of [`Self::encode`]'s bytes, field by field in the
+    /// codec's layout: an ID is 16 bytes, an enum variant a `u32`, a
+    /// length a `u64`, an option a tag byte.
+    fn encoded_len(&self) -> usize {
+        const ID: usize = 16;
+        const VARIANT: usize = 4;
+        const LEN: usize = 8;
+        let kind = VARIANT
+            + match &self.kind {
+                TaskKind::Normal => 0,
+                TaskKind::ActorCreation { .. } => ID,
+                TaskKind::ActorMethod { method, .. } => ID + LEN + method.len() + 1,
+            };
+        let args: usize = self
+            .args
+            .iter()
+            .map(|arg| {
+                VARIANT
+                    + match arg {
+                        Arg::Value(blob) => LEN + blob.0.len(),
+                        Arg::ObjectRef(_) => ID,
+                    }
+            })
+            .sum();
+        let custom: usize = self.demand.custom_iter().map(|(name, _)| LEN + name.len() + 8).sum();
+        let demand = 8 + 8 + LEN + custom;
+        let deadline = 1 + self.deadline_micros.map_or(0, |_| 8);
+        ID + kind + 8 + LEN + self.function_name.len() + LEN + args + 8 + demand + deadline + 1
     }
 
     /// Deserializes a spec read back from the GCS.
@@ -292,6 +325,40 @@ mod tests {
         assert_eq!(TaskSpec::decode(&bytes).unwrap(), s);
         s.kind = TaskKind::ActorCreation { actor: ActorId::random() };
         assert_eq!(TaskSpec::decode(&s.encode().unwrap()).unwrap(), s);
+    }
+
+    /// `encode` sizes its buffer from the spec and fills it exactly: the
+    /// bytes are the codec's, and the buffer never grew.
+    #[test]
+    fn encode_writes_the_codecs_bytes_into_one_exactly_sized_buffer() {
+        let bare = TaskSpec { args: Vec::new(), ..spec() };
+        let with_u64 = TaskSpec { args: vec![Arg::value(&u64::MAX).unwrap()], ..spec() };
+        let with_blob = TaskSpec {
+            args: vec![Arg::Value(ray_codec::Blob(vec![0xa5; 8 << 10]))],
+            deadline_micros: Some(42),
+            ..spec()
+        };
+        let with_ref = TaskSpec { args: vec![Arg::ObjectRef(ObjectId::random())], ..spec() };
+        let with_custom = TaskSpec {
+            demand: Resources::new(0.5, 1.0).with_custom("node:3", 1.0).with_custom("tpu", 2.0),
+            ..spec()
+        };
+        let method = TaskSpec {
+            kind: TaskKind::ActorMethod {
+                actor: ActorId::random(),
+                method: "rollout".into(),
+                read_only: true,
+            },
+            ..spec()
+        };
+        let creation =
+            TaskSpec { kind: TaskKind::ActorCreation { actor: ActorId::random() }, ..spec() };
+        for s in [bare, with_u64, with_blob, with_ref, with_custom, method, creation, spec()] {
+            let bytes = s.encode().unwrap();
+            assert_eq!(bytes, ray_codec::encode(&s).unwrap(), "{s:?}");
+            assert_eq!(bytes.len(), s.encoded_len(), "{s:?}");
+            assert_eq!(bytes.capacity(), bytes.len(), "{s:?}");
+        }
     }
 
     #[test]

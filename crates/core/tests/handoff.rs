@@ -12,7 +12,7 @@
 //! `/proc/self/task/*/status`; the test is alone in its binary so no other
 //! test's threads add to them.
 
-use std::io;
+mod pin;
 
 use rustray::task::{Arg, ObjectRef};
 use rustray::{Cluster, RayConfig};
@@ -22,40 +22,6 @@ const OPS: u64 = 2_000;
 /// Two switches per op, with room for the heartbeat and the global
 /// scheduler's ticks; a wake-up under the lock reads about 3.6.
 const MAX_SWITCHES_PER_OP: f64 = 2.5;
-
-/// Enough mask words for 1024 CPUs, the kernel's default `CONFIG_NR_CPUS`
-/// ceiling on x86-64.
-const MASK_WORDS: usize = 16;
-
-// The two glibc wrappers; std already links libc. A pid of 0 is the calling
-// thread, and threads spawned later inherit its mask.
-extern "C" {
-    fn sched_getaffinity(pid: i32, cpusetsize: usize, mask: *mut u64) -> i32;
-    fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-}
-
-/// Restricts the calling thread, and every thread it spawns from here on,
-/// to the highest CPU it may run on.
-fn pin_to_one_cpu() -> io::Result<()> {
-    let mut mask = [0u64; MASK_WORDS];
-    // SAFETY: `mask` is a live, writable buffer of the size passed.
-    if unsafe { sched_getaffinity(0, size_of_val(&mask), mask.as_mut_ptr()) } != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    let (word, bits) = mask
-        .iter()
-        .enumerate()
-        .rev()
-        .find(|(_, bits)| **bits != 0)
-        .ok_or_else(|| io::Error::other("empty CPU affinity mask"))?;
-    let mut one = [0u64; MASK_WORDS];
-    one[word] = 1 << (63 - bits.leading_zeros());
-    // SAFETY: `one` is a live buffer of the size passed; the call only reads it.
-    if unsafe { sched_setaffinity(0, size_of_val(&one), one.as_ptr()) } != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
 
 /// Voluntary plus involuntary context switches of every live thread of
 /// this process.
@@ -76,7 +42,7 @@ fn context_switches() -> u64 {
 
 #[test]
 fn a_serial_call_and_get_costs_one_context_switch_per_hand_off() {
-    pin_to_one_cpu().expect("pin the test to one CPU");
+    pin::pin_to_one_cpu().expect("pin the test to one CPU");
     let cluster =
         Cluster::start(RayConfig::builder().nodes(1).workers_per_node(2).seed(7).build()).unwrap();
     cluster.register_fn1("inc", |x: u64| x + 1);

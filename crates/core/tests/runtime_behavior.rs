@@ -1649,6 +1649,56 @@ fn centralized_policy_still_executes_tasks() {
     cluster.shutdown();
 }
 
+fn centralized_cluster(decision_delay: Duration) -> Cluster {
+    let mut cfg = RayConfig::builder()
+        .nodes(2)
+        .workers_per_node(2)
+        .policy(SchedulerPolicy::Centralized)
+        .build();
+    cfg.scheduler.added_decision_delay = decision_delay;
+    let cluster = Cluster::start(cfg).unwrap();
+    cluster.register_fn1("double", |x: u64| x * 2);
+    cluster
+}
+
+/// A forwarded task is placed by the thread that forwards it: its
+/// decision is made before its `submit` returns, not later on another
+/// thread.
+#[test]
+fn a_forwarded_task_is_placed_before_its_submit_returns() {
+    let cluster = centralized_cluster(Duration::ZERO);
+    let ctx = cluster.driver();
+    let mut futs: Vec<ObjectRef<u64>> = Vec::new();
+    for i in 0..200u64 {
+        let before = cluster.scheduler().decision_count();
+        futs.push(ctx.call("double", vec![Arg::value(&i).unwrap()]).unwrap());
+        assert_eq!(cluster.scheduler().decision_count(), before + 1, "submit {i}");
+    }
+    let sum: u64 = ctx.get_all(&futs).unwrap().into_iter().sum();
+    assert_eq!(sum, (0..200u64).map(|i| i * 2).sum());
+    cluster.shutdown();
+}
+
+/// With injected decision latency (Fig. 12b) a decision sleeps on a
+/// thread of its own: the submitter does not wait for it, and concurrent
+/// decisions overlap instead of queueing behind one another.
+#[test]
+fn delayed_decisions_overlap_and_never_hold_up_the_submitter() {
+    const DELAY: Duration = Duration::from_millis(50);
+    let cluster = centralized_cluster(DELAY);
+    let ctx = cluster.driver();
+    let start = Instant::now();
+    let futs: Vec<ObjectRef<u64>> =
+        (0..8u64).map(|i| ctx.call("double", vec![Arg::value(&i).unwrap()]).unwrap()).collect();
+    let submitted = start.elapsed();
+    assert!(submitted < DELAY, "8 submits took {submitted:?}, a decision takes {DELAY:?}");
+    let sum: u64 = ctx.get_all(&futs).unwrap().into_iter().sum();
+    assert_eq!(sum, (0..8u64).map(|i| i * 2).sum());
+    let finished = start.elapsed();
+    assert!(finished < DELAY * 4, "8 delayed decisions took {finished:?} to finish");
+    cluster.shutdown();
+}
+
 #[test]
 fn spillover_balances_load_across_nodes() {
     // Flood one driver: the spillover threshold pushes overflow to the

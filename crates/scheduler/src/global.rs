@@ -108,80 +108,60 @@ impl GlobalScheduler {
         }
         self.inner.decisions.fetch_add(1, Ordering::Relaxed);
 
-        let candidates: Vec<_> = self
-            .inner
-            .load
-            .live_nodes()
-            .into_iter()
-            .filter(|l| l.capacity.fits(&task.demand))
-            .collect();
-        if candidates.is_empty() {
-            return Ok(None);
-        }
-
-        let chosen = match self.inner.policy {
-            SchedulerPolicy::LocalityUnaware => {
-                self.argmin_wait(task, &candidates, /* locality: */ false)?
-            }
-            SchedulerPolicy::BottomUp | SchedulerPolicy::Centralized => {
-                self.argmin_wait(task, &candidates, /* locality: */ true)?
-            }
+        let locality = match self.inner.policy {
+            SchedulerPolicy::LocalityUnaware => false,
+            SchedulerPolicy::BottomUp | SchedulerPolicy::Centralized => true,
         };
-        Ok(Some(chosen))
-    }
-
-    fn argmin_wait(
-        &self,
-        task: &TaskDescriptor,
-        candidates: &[crate::load::NodeLoad],
-        locality: bool,
-    ) -> RayResult<NodeId> {
-        let inputs: Vec<(ObjectId, Vec<(NodeId, u64)>)> = if locality {
-            task.inputs
-                .iter()
-                .map(|&id| Ok((id, self.locations(id)?)))
-                .collect::<RayResult<_>>()?
+        // Input locations are GCS reads, made before the load table's lock
+        // is taken; a task with no inputs reads nothing.
+        let inputs: Vec<Vec<(NodeId, u64)>> = if locality {
+            task.inputs.iter().map(|&id| self.locations(id)).collect::<RayResult<_>>()?
         } else {
             Vec::new()
         };
         let bw = self.inner.load.bandwidth_or(DEFAULT_BW_BYTES_PER_MS);
 
+        // Minimum estimated wait over the feasible live nodes, in one scan
+        // of the lent load entries.
         let mut best: Option<(f64, NodeId)> = None;
         let mut ties = 0u64;
-        for cand in candidates {
-            let queue_ms = cand.queue_len as f64
-                * self.inner.load.avg_task_ms_or(cand.node, DEFAULT_TASK_MS);
+        self.inner.load.scan_live(|cand| {
+            if !cand.fits(&task.demand) {
+                return;
+            }
+            let node = cand.node();
+            let queue_ms = cand.queue_len() as f64 * cand.avg_task_ms_or(DEFAULT_TASK_MS);
             let mut transfer_ms = 0.0;
-            for (_, locs) in &inputs {
+            for locs in &inputs {
                 if locs.is_empty() {
                     // Unknown object (not created yet): no location signal.
                     continue;
                 }
-                if !locs.iter().any(|(n, _)| *n == cand.node) {
+                if !locs.iter().any(|(n, _)| *n == node) {
                     let size = locs.iter().map(|(_, s)| *s).max().unwrap_or(0);
                     transfer_ms += size as f64 / bw.max(1.0);
                 }
             }
             let wait = queue_ms + transfer_ms;
             match &mut best {
-                None => best = Some((wait, cand.node)),
+                None => best = Some((wait, node)),
                 Some((best_wait, best_node)) => {
                     if wait < *best_wait - f64::EPSILON {
                         *best_wait = wait;
-                        *best_node = cand.node;
+                        *best_node = node;
                         ties = 0;
                     } else if (wait - *best_wait).abs() <= f64::EPSILON {
                         // Reservoir-sample among exact ties so equal nodes
                         // share load instead of hot-spotting the lowest ID.
                         ties += 1;
                         if self.inner.rng.lock().next_below(ties + 1) == 0 {
-                            *best_node = cand.node;
+                            *best_node = node;
                         }
                     }
                 }
             }
-        }
-        Ok(best.expect("invariant: caller checked candidates is non-empty").1)
+        });
+        Ok(best.map(|(_, node)| node))
     }
 
     /// Picks a node for a new serving replica: the feasible live node with
@@ -190,19 +170,19 @@ impl GlobalScheduler {
     /// placement feeds trace-signature tests, so it must not consult the
     /// tie-breaking RNG. Returns `None` when no live node fits `demand`.
     pub fn place_replica(&self, demand: &Resources, occupied: &[NodeId]) -> Option<NodeId> {
-        let mut candidates: Vec<_> = self
-            .inner
-            .load
-            .live_nodes()
-            .into_iter()
-            .filter(|l| l.capacity.fits(demand))
-            .map(|l| {
-                let colocated = occupied.iter().filter(|n| **n == l.node).count();
-                (colocated, l.queue_len, l.node)
-            })
-            .collect();
-        candidates.sort();
-        candidates.first().map(|&(_, _, node)| node)
+        let mut best = None;
+        self.inner.load.scan_live(|l| {
+            if !l.fits(demand) {
+                return;
+            }
+            let colocated = occupied.iter().filter(|n| **n == l.node()).count();
+            let key = (colocated, l.queue_len(), l.node());
+            match best {
+                Some(held) if held <= key => {}
+                _ => best = Some(key),
+            }
+        });
+        best.map(|(_, _, node)| node)
     }
 
     /// Picks which replica to retire on scale-down: the one on the node

@@ -52,16 +52,10 @@ impl ResourceLedger {
         self.capacity.fits(demand)
     }
 
-    /// Atomically acquires `demand` if currently available.
+    /// Atomically acquires `demand` if currently available, subtracting it
+    /// in place.
     pub fn try_acquire(&self, demand: &Resources) -> bool {
-        let mut avail = self.available.lock();
-        match avail.checked_sub(demand) {
-            Some(rest) => {
-                *avail = rest;
-                true
-            }
-            None => false,
-        }
+        self.available.lock().try_sub_assign(demand)
     }
 
     /// Returns previously acquired resources.

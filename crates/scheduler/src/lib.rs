@@ -32,5 +32,5 @@ pub mod local;
 
 pub use global::{GlobalScheduler, TaskDescriptor};
 pub use ledger::ResourceLedger;
-pub use load::{LoadTable, NodeLoad};
+pub use load::{LiveNode, LoadTable, NodeLoad};
 pub use local::{decide_local, decide_local_reason, LocalDecision, LocalDecisionReason};

@@ -6,7 +6,7 @@
 //! replicas all read the same [`LoadTable`] — the shared-via-GCS state the
 //! paper describes, realized as one table in-process.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ray_common::sync::{classes, OrderedRwLock};
 
@@ -116,34 +116,44 @@ impl LoadTable {
             .map(|e| e.load.clone())
     }
 
-    /// EWMA task duration on a node in ms, or `default` when unprimed.
-    pub fn avg_task_ms_or(&self, node: NodeId, default: f64) -> f64 {
-        self.nodes
-            .read()
-            .get(node.index())
-            .and_then(|e| e.as_ref())
-            .map(|e| e.avg_task_ms.value_or(default))
-            .unwrap_or(default)
+    /// Calls `f` on every live node, in node-id order, under one hold of
+    /// the read lock: the entries are lent, not copied. `f` must not call
+    /// back into the table.
+    pub fn scan_live(&self, mut f: impl FnMut(LiveNode<'_>)) {
+        for entry in self.nodes.read().iter().flatten().filter(|e| e.load.alive) {
+            f(LiveNode(entry));
+        }
+    }
+}
+
+/// One live node's entry, lent for the length of a
+/// [`LoadTable::scan_live`] call.
+pub struct LiveNode<'a>(&'a NodeEntry);
+
+impl LiveNode<'_> {
+    /// Which node this is.
+    pub fn node(&self) -> NodeId {
+        self.0.load.node
     }
 
-    /// Snapshot of all live nodes' loads.
-    pub fn live_nodes(&self) -> Vec<NodeLoad> {
-        self.nodes
-            .read()
-            .iter()
-            .flatten()
-            .filter(|e| e.load.alive)
-            .map(|e| e.load.clone())
-            .collect()
+    /// Tasks in the node's local queue at its last heartbeat.
+    pub fn queue_len(&self) -> usize {
+        self.0.load.queue_len
     }
 
-    /// Age of the most recent heartbeat from a node.
-    pub fn heartbeat_age(&self, node: NodeId) -> Option<std::time::Duration> {
-        self.nodes
-            .read()
-            .get(node.index())
-            .and_then(|e| e.as_ref())
-            .map(|e| e.last_heartbeat.elapsed())
+    /// EWMA task duration on the node in ms, or `default` when unprimed.
+    pub fn avg_task_ms_or(&self, default: f64) -> f64 {
+        self.0.avg_task_ms.value_or(default)
+    }
+
+    /// Whether the node's capacity can ever hold `demand`.
+    pub fn fits(&self, demand: &Resources) -> bool {
+        self.0.load.capacity.fits(demand)
+    }
+
+    /// Age of the node's most recent heartbeat.
+    pub fn heartbeat_age(&self) -> Duration {
+        self.0.last_heartbeat.elapsed()
     }
 }
 
@@ -171,6 +181,24 @@ mod tests {
         assert_eq!(t.get(NodeId(0)).unwrap().queue_len, 7);
     }
 
+    /// The live nodes a scan visits, in order.
+    fn live(t: &LoadTable) -> Vec<u32> {
+        let mut nodes = Vec::new();
+        t.scan_live(|n| nodes.push(n.node().0));
+        nodes
+    }
+
+    /// One live node's entry as a scan lends it.
+    fn with_live<R>(t: &LoadTable, node: u32, f: impl Fn(&LiveNode<'_>) -> R) -> Option<R> {
+        let mut out = None;
+        t.scan_live(|n| {
+            if n.node() == NodeId(node) {
+                out = Some(f(&n));
+            }
+        });
+        out
+    }
+
     #[test]
     fn live_nodes_excludes_dead() {
         let t = LoadTable::new(0.2);
@@ -178,19 +206,31 @@ mod tests {
         t.heartbeat(load(1, 0));
         t.heartbeat(load(5, 0)); // Sparse IDs are fine.
         t.mark_dead(NodeId(1));
-        let live: Vec<u32> = t.live_nodes().iter().map(|l| l.node.0).collect();
-        assert_eq!(live, vec![0, 5]);
+        assert_eq!(live(&t), vec![0, 5]);
+    }
+
+    #[test]
+    fn a_scan_lends_each_entry_as_its_heartbeat_left_it() {
+        let t = LoadTable::new(0.2);
+        t.heartbeat(load(0, 3));
+        t.heartbeat(NodeLoad { capacity: Resources::new(4.0, 1.0), ..load(1, 9) });
+        assert_eq!(with_live(&t, 0, |n| n.queue_len()), Some(3));
+        assert_eq!(with_live(&t, 1, |n| n.queue_len()), Some(9));
+        assert_eq!(with_live(&t, 0, |n| n.fits(&Resources::gpus(1.0))), Some(false));
+        assert_eq!(with_live(&t, 1, |n| n.fits(&Resources::gpus(1.0))), Some(true));
+        assert_eq!(with_live(&t, 1, |n| n.fits(&Resources::cpus(4.5))), Some(false));
     }
 
     #[test]
     fn task_duration_ewma_converges() {
         let t = LoadTable::new(0.5);
         t.heartbeat(load(0, 0));
-        assert_eq!(t.avg_task_ms_or(NodeId(0), 9.0), 9.0);
+        let avg = |default| with_live(&t, 0, |n| n.avg_task_ms_or(default)).unwrap();
+        assert_eq!(avg(9.0), 9.0);
         for _ in 0..50 {
             t.observe_task_duration(NodeId(0), 12.0);
         }
-        assert!((t.avg_task_ms_or(NodeId(0), 0.0) - 12.0).abs() < 0.01);
+        assert!((avg(0.0) - 12.0).abs() < 0.01);
     }
 
     #[test]
@@ -205,7 +245,8 @@ mod tests {
     fn heartbeat_age_tracks_recency() {
         let t = LoadTable::new(0.2);
         t.heartbeat(load(0, 0));
-        assert!(t.heartbeat_age(NodeId(0)).unwrap() < std::time::Duration::from_millis(100));
-        assert!(t.heartbeat_age(NodeId(3)).is_none());
+        let age = with_live(&t, 0, |n| n.heartbeat_age()).unwrap();
+        assert!(age < Duration::from_millis(100));
+        assert!(with_live(&t, 3, |n| n.heartbeat_age()).is_none());
     }
 }

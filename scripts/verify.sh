@@ -77,13 +77,16 @@ for _ in 1 2 3; do
     cargo test -q --test lineage_replay
 done
 
-echo "== hand-off soak =="
+echo "== hand-off and allocation soak =="
 # A serial `call` -> `get` on one pinned CPU costs at most 2.5 context
 # switches (2.1 measured; 3.6 while a worker was woken under the run-queue
-# lock). The counts are the kernel's, summed over the process's threads,
-# so the test runs five times over.
+# lock), and a task at most its budget of mallocs and reallocs, serial or
+# spilled in a burst (`allocs.rs` names the counts). The counts are the
+# kernel's and the allocator's, summed over the process's threads, so
+# each test runs five times over.
 for _ in 1 2 3 4 5; do
     cargo test -q -p rustray --test handoff
+    cargo test -q -p rustray --test allocs
 done
 
 echo "== serve chaos soak =="
