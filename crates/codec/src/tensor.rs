@@ -22,6 +22,25 @@ const DTYPE_F32: u8 = 2;
 /// magic, the dtype and that the payload holds exactly `product(shape)`
 /// elements of `elem` bytes.
 fn parse(bytes: &[u8], dtype: u8, elem: usize) -> Result<(Vec<usize>, &[u8]), CodecError> {
+    let (shape, header, expect) = parse_header(bytes, dtype, elem)?;
+    let payload = bytes.get(header..).unwrap_or_default();
+    if payload.len() != expect {
+        return Err(CodecError::msg(format!(
+            "tensor payload {} bytes, expected {expect}",
+            payload.len()
+        )));
+    }
+    Ok((shape, payload))
+}
+
+/// Reads the header an encoded tensor begins with, checking the magic and
+/// the dtype: returns the shape, the header's length and the payload
+/// length the shape implies for elements of `elem` bytes.
+fn parse_header(
+    bytes: &[u8],
+    dtype: u8,
+    elem: usize,
+) -> Result<(Vec<usize>, usize, usize), CodecError> {
     if bytes.len() < 9 {
         return Err(CodecError::msg("tensor buffer too short"));
     }
@@ -34,12 +53,11 @@ fn parse(bytes: &[u8], dtype: u8, elem: usize) -> Result<(Vec<usize>, &[u8]), Co
             bytes[4]
         )));
     }
-    let ndim = u32::from_le_bytes(bytes[5..9].try_into().expect("len checked")) as usize;
-    let header = ndim.checked_mul(8).and_then(|n| n.checked_add(9));
-    let Some(payload) = header.and_then(|h| bytes.get(h..)) else {
+    let header = tensor_header_len(bytes).filter(|&h| h <= bytes.len());
+    let Some(header) = header else {
         return Err(CodecError::msg("tensor shape truncated"));
     };
-    let shape: Vec<usize> = bytes[9..bytes.len() - payload.len()]
+    let shape: Vec<usize> = bytes[9..header]
         .chunks_exact(8)
         .map(|d| u64::from_le_bytes(d.try_into().expect("chunks_exact")) as usize)
         .collect();
@@ -47,13 +65,16 @@ fn parse(bytes: &[u8], dtype: u8, elem: usize) -> Result<(Vec<usize>, &[u8]), Co
         .iter()
         .try_fold(elem, |acc, &d| acc.checked_mul(d))
         .ok_or_else(|| CodecError::msg("tensor shape overflows"))?;
-    if payload.len() != expect {
-        return Err(CodecError::msg(format!(
-            "tensor payload {} bytes, expected {expect}",
-            payload.len()
-        )));
-    }
-    Ok((shape, payload))
+    Ok((shape, header, expect))
+}
+
+/// The length of the header of the encoded tensor `bytes` begins with:
+/// magic, dtype, ndim and `ndim` shape words. `None` until `bytes` holds
+/// the ndim, or if the length overflows.
+fn tensor_header_len(bytes: &[u8]) -> Option<usize> {
+    let ndim = bytes.get(5..9)?;
+    let ndim = u32::from_le_bytes(ndim.try_into().expect("4 bytes")) as usize;
+    ndim.checked_mul(8).and_then(|n| n.checked_add(9))
 }
 
 /// The codec encoding of `Blob(TensorF64::encode_slice(data))` — what an
@@ -65,14 +86,178 @@ pub fn encode_f64_blob(data: &[f64]) -> Vec<u8> {
     out
 }
 
-/// The [`encode_f64_blob`] encoding of `a[i] + b[i]`, written in one pass
-/// over both views: the sum is never materialized as `f64`s first. The
-/// lengths must agree; a mismatch is the error `b.add_into(a)` gives.
-pub fn encode_f64_sum_blob(a: F64View<'_>, b: F64View<'_>) -> Result<Vec<u8>, CodecError> {
-    b.check_len(a.len())?;
-    let mut out = f64_blob_header(a.len());
-    out.extend(a.iter().zip(b.iter()).flat_map(|(x, y)| (x + y).to_le_bytes()));
-    Ok(out)
+/// Bytes of the [`encode_f64_blob`] encoding before its payload: the
+/// blob's length prefix and the rank-1 tensor header.
+const F64_BLOB_HEADER: usize = 8 + 4 + 1 + 4 + 8;
+
+/// The [`encode_f64_blob`] encoding of `held[i] + incoming[i]`, where
+/// `incoming` is itself such an encoded blob (any shape, flattened) handed
+/// over in pieces as they arrive: each piece's elements are summed into
+/// the output as it is fed, so the sum of the first pieces is done before
+/// the last one lands. The output is appended to a buffer sized once and
+/// never zero-filled. A piece at offset 0 starts the incoming blob over (a
+/// restarted transfer); any other piece must begin where the previous one
+/// ended. Pieces may split the header or an element anywhere. Fed the
+/// whole blob as one piece, it is a one-pass sum of two encoded blobs.
+///
+/// The first error sticks until a restart: a malformed header, more bytes
+/// than the length prefix declares, or an element count other than
+/// `held`'s, which is the error `incoming.add_into(held)` gives.
+pub struct F64SumBlob<'a> {
+    held: F64View<'a>,
+    out: Vec<u8>,
+    /// Bytes of the incoming blob fed since the last restart.
+    fed: usize,
+    /// The incoming blob's length prefix and tensor header, gathered until
+    /// whole; then its total length is known.
+    header: Vec<u8>,
+    total: Option<usize>,
+    /// The leading bytes of an element split between two pieces.
+    carry: [u8; 8],
+    carried: usize,
+    error: Option<CodecError>,
+}
+
+impl<'a> F64SumBlob<'a> {
+    /// A sum into a copy of `held`'s elements, with nothing fed yet.
+    pub fn new(held: F64View<'a>) -> Self {
+        F64SumBlob {
+            held,
+            out: f64_blob_header(held.len()),
+            fed: 0,
+            header: Vec::new(),
+            total: None,
+            carry: [0; 8],
+            carried: 0,
+            error: None,
+        }
+    }
+
+    /// Feeds the piece of the incoming blob that starts at byte `offset`.
+    pub fn feed(&mut self, offset: usize, piece: &[u8]) {
+        if offset == 0 {
+            self.out.truncate(F64_BLOB_HEADER);
+            self.fed = 0;
+            self.header.clear();
+            self.total = None;
+            self.carried = 0;
+            self.error = None;
+        }
+        if self.error.is_some() {
+            return;
+        }
+        let taken = if offset == self.fed {
+            self.fed += piece.len();
+            self.take(piece)
+        } else {
+            Err(CodecError::msg(format!("piece at byte {offset}, expected {}", self.fed)))
+        };
+        self.error = taken.err();
+    }
+
+    /// The encoded sum, once the whole incoming blob has been fed.
+    pub fn finish(self) -> Result<Vec<u8>, CodecError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        match self.total {
+            Some(total) if total == self.fed => Ok(self.out),
+            Some(_) => Err(CodecError::msg("blob length prefix disagrees with buffer")),
+            None => Err(CodecError::msg("tensor shape truncated")),
+        }
+    }
+
+    fn take(&mut self, mut piece: &[u8]) -> Result<(), CodecError> {
+        let total = match self.total {
+            Some(total) => total,
+            None => {
+                let Some((total, rest)) = self.gather_header(piece)? else {
+                    return Ok(());
+                };
+                self.total = Some(total);
+                piece = rest;
+                total
+            }
+        };
+        if self.fed > total {
+            return Err(CodecError::msg("blob length prefix disagrees with buffer"));
+        }
+        let held = self.held.payload;
+        if self.carried > 0 {
+            let n = (8 - self.carried).min(piece.len());
+            let (head, rest) = piece.split_at(n);
+            self.carry[self.carried..self.carried + n].copy_from_slice(head);
+            self.carried += n;
+            piece = rest;
+            if self.carried < 8 {
+                return Ok(());
+            }
+            let at = self.out.len() - F64_BLOB_HEADER;
+            sum_into(&mut self.out, &held[at..at + 8], &self.carry);
+            self.carried = 0;
+        }
+        let whole = piece.len() / 8 * 8;
+        let at = self.out.len() - F64_BLOB_HEADER;
+        sum_into(&mut self.out, &held[at..at + whole], &piece[..whole]);
+        let tail = &piece[whole..];
+        self.carry[..tail.len()].copy_from_slice(tail);
+        self.carried = tail.len();
+        Ok(())
+    }
+
+    /// Adds the header bytes `piece` begins with. Once the header is
+    /// whole, checks it against `held` and returns the incoming blob's
+    /// total length and the rest of the piece.
+    fn gather_header<'p>(
+        &mut self,
+        mut piece: &'p [u8],
+    ) -> Result<Option<(usize, &'p [u8])>, CodecError> {
+        // The length prefix and the tensor header up to its ndim, then the
+        // `ndim` shape words.
+        let wanted = |header: &[u8]| {
+            header.get(8..).and_then(tensor_header_len).map_or(8 + 9, |h| 8 + h)
+        };
+        loop {
+            let want = wanted(&self.header);
+            let (head, rest) = piece.split_at((want - self.header.len()).min(piece.len()));
+            self.header.extend_from_slice(head);
+            piece = rest;
+            if self.header.len() < want {
+                return Ok(None);
+            }
+            if wanted(&self.header) == want {
+                break;
+            }
+        }
+        let (prefix, tensor) = self.header.split_at(8);
+        let body = u64::from_le_bytes(prefix.try_into().expect("8 bytes")) as usize;
+        let (_, header, payload) = parse_header(tensor, DTYPE_F64, 8)?;
+        if body.checked_sub(header) != Some(payload) {
+            return Err(CodecError::msg("blob length prefix disagrees with buffer"));
+        }
+        check_len(payload / 8, self.held.len())?;
+        Ok(Some((8 + body, piece)))
+    }
+}
+
+/// Appends `a[i] + b[i]` for the whole `f64`s the two byte slices hold,
+/// straight into `out`'s spare capacity: nothing is written twice.
+fn sum_into(out: &mut Vec<u8>, a: &[u8], b: &[u8]) {
+    out.extend(a.chunks_exact(8).zip(b.chunks_exact(8)).flat_map(|(x, y)| {
+        let x = f64::from_le_bytes(x.try_into().expect("chunks_exact"));
+        let y = f64::from_le_bytes(y.try_into().expect("chunks_exact"));
+        (x + y).to_le_bytes()
+    }));
+}
+
+/// `Ok` if a tensor of `n` elements fits a slice of `dst`; the error is the
+/// one `F64View::add_into` and `copy_into` give.
+fn check_len(n: usize, dst: usize) -> Result<(), CodecError> {
+    if n == dst {
+        Ok(())
+    } else {
+        Err(CodecError::msg(format!("tensor of {n} elements into a slice of {dst}")))
+    }
 }
 
 /// A buffer sized for the blob of `n` `f64`s, holding everything up to
@@ -154,11 +339,7 @@ impl<'a> F64View<'a> {
     }
 
     fn check_len(&self, dst: usize) -> Result<(), CodecError> {
-        if dst == self.len() {
-            Ok(())
-        } else {
-            Err(CodecError::msg(format!("tensor of {} elements into a slice of {dst}", self.len())))
-        }
+        check_len(self.len(), dst)
     }
 }
 

@@ -13,12 +13,13 @@
 //! 4. The one-copy slice encoders write exactly the bytes the owned
 //!    tensor path writes, and the borrowed view reads them back at every
 //!    payload alignment.
-//! 5. The one-pass sum of two views writes what `add_into` followed by
-//!    `encode_f64_blob` writes, whatever the alignment of either input.
+//! 5. The piece-fed sum of two encoded blobs writes what `add_into`
+//!    followed by `encode_f64_blob` writes, whatever the alignment of
+//!    either input and wherever the pieces split the incoming blob.
 
 use std::collections::BTreeMap;
 
-use ray_codec::tensor::{encode_f64_blob, encode_f64_sum_blob, F64View, TensorF32, TensorF64};
+use ray_codec::tensor::{encode_f64_blob, F64SumBlob, F64View, TensorF32, TensorF64};
 use ray_codec::Blob;
 use ray_common::util::DetRng;
 use serde::{Deserialize, Serialize};
@@ -283,6 +284,17 @@ fn borrowed_view_rejects_truncated_and_mistyped_buffers() {
     assert!(TensorF64::from_bytes(&huge).is_err());
 }
 
+/// The sum of `held` and the encoded blob `incoming`, fed as the pieces
+/// that start at each of `cuts` (0 first).
+fn sum_in_pieces(held: F64View<'_>, incoming: &[u8], cuts: &[usize]) -> Result<Vec<u8>, String> {
+    let mut sum = F64SumBlob::new(held);
+    for (i, &lo) in cuts.iter().enumerate() {
+        let hi = cuts.get(i + 1).copied().unwrap_or(incoming.len());
+        sum.feed(lo, &incoming[lo..hi]);
+    }
+    sum.finish().map_err(|e| e.to_string())
+}
+
 #[test]
 fn one_pass_sum_matches_add_into_then_encode_at_every_alignment() {
     let mut rng = DetRng::new(0x5053);
@@ -291,7 +303,7 @@ fn one_pass_sum_matches_add_into_then_encode_at_every_alignment() {
         let b: Vec<f64> = (0..len).map(|_| f64::from_bits(rng.next_u64())).collect();
         let mut sum = a.clone();
         F64View::of_encoded_blob(&encode_f64_blob(&b)).unwrap().add_into(&mut sum).unwrap();
-        let expected = encode_f64_blob(&sum);
+        let expected = Ok(encode_f64_blob(&sum));
         // `pad` leading bytes put each input's payload at every offset
         // modulo the alignment of f64, independently of the other's.
         let framed = |v: &[f64], pad: usize| {
@@ -304,11 +316,47 @@ fn one_pass_sum_matches_add_into_then_encode_at_every_alignment() {
             let view_a = F64View::of_encoded_blob(&buf_a[pad_a..]).unwrap();
             for pad_b in 0..8 {
                 let buf_b = framed(&b, pad_b);
-                let view_b = F64View::of_encoded_blob(&buf_b[pad_b..]).unwrap();
-                let got = encode_f64_sum_blob(view_a, view_b).unwrap();
+                let got = sum_in_pieces(view_a, &buf_b[pad_b..], &[0]);
                 assert!(got == expected, "len {len}, pads {pad_a}/{pad_b}");
             }
         }
+        let held = encode_f64_blob(&a);
+        let held = F64View::of_encoded_blob(&held).unwrap();
+        let incoming = encode_f64_blob(&b);
+        let total = incoming.len();
+        // Two pieces, split at every byte of the 25-byte header and of the
+        // first elements (inside an element seven times in eight), and at
+        // a sample of the rest.
+        let mut splits: Vec<usize> = (0..total.min(25 + 8 * 3)).collect();
+        splits.extend((0..20).map(|_| rng.next_below(total as u64 + 1) as usize));
+        splits.push(total);
+        for at in splits {
+            let got = sum_in_pieces(held, &incoming, &[0, at]);
+            assert!(got == expected, "len {len}, split at {at}");
+        }
+        // One-byte pieces, and random piece sizes.
+        let bytes: Vec<usize> = (0..total).collect();
+        assert!(sum_in_pieces(held, &incoming, &bytes) == expected, "len {len}, 1-byte pieces");
+        for round in 0..10 {
+            let mut cuts = vec![0];
+            while let Some(&last) = cuts.last().filter(|&&c| c < total) {
+                cuts.push(last + 1 + rng.next_below(64) as usize);
+            }
+            cuts.pop();
+            assert!(sum_in_pieces(held, &incoming, &cuts) == expected, "len {len}, round {round}");
+        }
+        // A restart: part of the blob, then all of it from offset 0 again;
+        // also after a wrong blob whose error the restart clears.
+        let mut sum = F64SumBlob::new(held);
+        sum.feed(0, &incoming[..total / 2]);
+        sum.feed(0, &incoming[..total / 3]);
+        sum.feed(total / 3, &incoming[total / 3..]);
+        assert!(sum.finish().map_err(|e| e.to_string()) == expected, "len {len}, restart");
+        let mut sum = F64SumBlob::new(held);
+        sum.feed(0, &encode_f64_blob(&vec![1.0; len + 1]));
+        sum.feed(0, &incoming);
+        let got = sum.finish().map_err(|e| e.to_string());
+        assert!(got == expected, "len {len}, restart after error");
     }
 }
 
@@ -316,11 +364,27 @@ fn one_pass_sum_matches_add_into_then_encode_at_every_alignment() {
 fn one_pass_sum_of_unequal_lengths_is_an_error() {
     let short = encode_f64_blob(&[1.0; 3]);
     let long = encode_f64_blob(&[1.0; 4]);
-    let (short, long) = (
+    let (short_view, long_view) = (
         F64View::of_encoded_blob(&short).unwrap(),
         F64View::of_encoded_blob(&long).unwrap(),
     );
-    let err = encode_f64_sum_blob(long, short).unwrap_err();
-    assert_eq!(err.to_string(), short.add_into(&mut [0.0; 4]).unwrap_err().to_string());
-    assert!(encode_f64_sum_blob(short, long).is_err());
+    let add_into = short_view.add_into(&mut [0.0; 4]).unwrap_err().to_string();
+    // Whole, and in pieces that split the header and the elements.
+    for cuts in [vec![0], vec![0, 3, 20, 26], (0..short.len()).collect()] {
+        assert_eq!(sum_in_pieces(long_view, &short, &cuts), Err(add_into.clone()), "{cuts:?}");
+        assert!(sum_in_pieces(short_view, &long, &cuts).is_err(), "{cuts:?}");
+    }
+    // A piece that is not where the last one ended, more bytes than the
+    // prefix declares, a blob cut short, and an f32 tensor.
+    let mut sum = F64SumBlob::new(short_view);
+    sum.feed(0, &short[..10]);
+    sum.feed(11, &short[11..]);
+    assert!(sum.finish().is_err());
+    let mut extra = short.clone();
+    extra.push(0);
+    assert!(sum_in_pieces(short_view, &extra, &[0]).is_err());
+    assert!(sum_in_pieces(short_view, &short[..short.len() - 1], &[0]).is_err());
+    assert!(sum_in_pieces(short_view, &short[..20], &[0]).is_err());
+    let f32s = ray_codec::encode(&Blob(TensorF32::from_vec(vec![1.0; 3]).to_bytes().to_vec()));
+    assert!(sum_in_pieces(short_view, &f32s.unwrap(), &[0]).is_err());
 }

@@ -24,9 +24,11 @@ use serde::Serialize;
 use ray_common::id::MAX_TASK_RETURNS;
 use ray_common::{ActorId, FunctionId, NodeId, ObjectId, RayError, RayResult, TaskId};
 
-use crate::lineage::{ensure_object_at_deadline, Waiter, DEFAULT_GET_DEADLINE};
+use crate::lineage::{
+    ensure_object_at_deadline, stream_object_at_deadline, Waiter, DEFAULT_GET_DEADLINE,
+};
 use crate::node::{Blocked, NodeHandle};
-use crate::runtime::{check_error_object, RuntimeShared};
+use crate::runtime::{check_error_object, may_be_error_object, RuntimeShared};
 use crate::task::{Arg, ObjectRef, TaskKind, TaskOptions, TaskSpec};
 
 /// The two halves of a [`RayContext::wait_refs`] result: the refs that
@@ -161,6 +163,45 @@ impl RayContext {
             return Err(err);
         }
         Ok(data)
+    }
+
+    /// `get` without the replica or the decode: hands `sink` the payload as
+    /// `(offset, bytes)` pieces while they land off the wire, so each can
+    /// be consumed while the next is in flight. Nothing is stored or
+    /// listed on this node; a later `get` fetches the object again. A piece
+    /// at offset 0 after others means the transfer restarted (a retried
+    /// drop, or another replica after the source was lost) and the caller
+    /// starts over. An object this node holds already arrives as one
+    /// piece. A failed producer's error envelope is its typed error, and
+    /// `sink` sees none of it.
+    pub fn get_pieces(&self, id: ObjectId, mut sink: impl FnMut(usize, &[u8])) -> RayResult<()> {
+        let _blocked = self.block();
+        let waiter = Waiter { task: self.task, deadline_micros: self.deadline_micros };
+        // A payload that opens like an envelope is held back until whole.
+        let mut held: Option<Vec<u8>> = None;
+        let whole = stream_object_at_deadline(
+            &self.shared,
+            id,
+            self.node,
+            DEFAULT_GET_DEADLINE,
+            Some(waiter),
+            &mut |offset, piece| {
+                if offset == 0 {
+                    held = may_be_error_object(piece).then(Vec::new);
+                }
+                match &mut held {
+                    Some(buf) => buf.extend_from_slice(piece),
+                    None => sink(offset, piece),
+                }
+            },
+        )?;
+        if let Some(data) = whole.or_else(|| held.map(Bytes::from)) {
+            if let Some(err) = check_error_object(&data) {
+                return Err(err);
+            }
+            sink(0, &data);
+        }
+        Ok(())
     }
 
     /// Convenience: `get` every future in order.

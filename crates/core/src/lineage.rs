@@ -63,20 +63,8 @@ pub(crate) fn ensure_object_at(
 }
 
 /// [`ensure_object_at`] with an explicit deadline: the path of `get`,
-/// `get_raw` and a worker's argument fetch.
-///
-/// Each round first checks the waiter's cancel token and deadline. A task
-/// return whose producer is dispatched to `node` itself is then awaited
-/// on `node`'s store for up to [`LOCAL_SEAL_WINDOW`]: the finishing worker
-/// seals the result there (or a teardown or failure envelope in its
-/// place) and wakes the caller once the location is listed; the caller
-/// writes nothing to the GCS. Any other
-/// object, or one not sealed within the window, goes through the object
-/// table for the rest of the round ([`TransferManager::fetch`]: locations,
-/// else a subscription); a round that ends empty-handed asks lineage to
-/// re-run a lost or stalled producer. Actor-method results always take
-/// the object table: their producer is not dispatched to a node, and an
-/// actor can move on rebuild.
+/// `get_raw` and a worker's argument fetch. The object lands in `node`'s
+/// store as a replica ([`TransferManager::fetch`]).
 ///
 /// [`TransferManager::fetch`]: ray_object_store::transfer::TransferManager::fetch
 pub(crate) fn ensure_object_at_deadline(
@@ -86,6 +74,55 @@ pub(crate) fn ensure_object_at_deadline(
     deadline: Duration,
     waiter: Option<Waiter>,
 ) -> RayResult<Bytes> {
+    ensure_with(shared, id, node, deadline, waiter, |data| data, |round| {
+        shared.transfer.fetch(id, node, round)
+    })
+}
+
+/// [`ensure_object_at_deadline`] without the replica: the path of
+/// `get_pieces`. A payload off the wire goes to `sink` piece by piece
+/// ([`TransferManager::fetch_pieces`]) and `None` is returned; an object
+/// `node`'s store holds is returned whole and `sink` sees none of it.
+///
+/// [`TransferManager::fetch_pieces`]: ray_object_store::transfer::TransferManager::fetch_pieces
+pub(crate) fn stream_object_at_deadline(
+    shared: &Arc<RuntimeShared>,
+    id: ObjectId,
+    node: NodeId,
+    deadline: Duration,
+    waiter: Option<Waiter>,
+    sink: &mut dyn FnMut(usize, &[u8]),
+) -> RayResult<Option<Bytes>> {
+    ensure_with(shared, id, node, deadline, waiter, Some, |round| {
+        shared.transfer.fetch_pieces(id, node, round, sink)
+    })
+}
+
+/// The rounds both paths share, `pull` being one round's pull through
+/// the object table and `whole` what an object sealed in `node`'s store
+/// becomes.
+///
+/// Each round first checks the waiter's cancel token and deadline. A task
+/// return whose producer is dispatched to `node` itself is then awaited
+/// on `node`'s store for up to [`LOCAL_SEAL_WINDOW`]: the finishing worker
+/// seals the result there (or a teardown or failure envelope in its
+/// place) and wakes the caller once the location is listed; the caller
+/// writes nothing to the GCS. Any other
+/// object, or one not sealed within the window, goes through the object
+/// table for the rest of the round (`pull`: locations, else a
+/// subscription); a round that ends empty-handed asks lineage to
+/// re-run a lost or stalled producer. Actor-method results always take
+/// the object table: their producer is not dispatched to a node, and an
+/// actor can move on rebuild.
+fn ensure_with<T>(
+    shared: &Arc<RuntimeShared>,
+    id: ObjectId,
+    node: NodeId,
+    deadline: Duration,
+    waiter: Option<Waiter>,
+    whole: impl Fn(Bytes) -> T,
+    mut pull: impl FnMut(Duration) -> RayResult<T>,
+) -> RayResult<T> {
     let clock = shared.trace.clock().clone();
     let overall = clock.now() + deadline;
     // The producer task this call escalated against (if any); its
@@ -119,11 +156,12 @@ pub(crate) fn ensure_object_at_deadline(
         let fetched = match local {
             Some(store) => {
                 let window = LOCAL_SEAL_WINDOW.min(round);
-                store.wait_local(id, window).or_else(|_| {
-                    shared.transfer.fetch(id, node, round.saturating_sub(window))
-                })
+                match store.wait_local(id, window) {
+                    Ok(data) => Ok(whole(data)),
+                    Err(_) => pull(round.saturating_sub(window)),
+                }
             }
-            None => shared.transfer.fetch(id, node, round),
+            None => pull(round),
         };
         match fetched {
             Ok(data) => {

@@ -398,6 +398,11 @@ pub(crate) fn check_error_object(data: &Bytes) -> Option<RayError> {
     })
 }
 
+/// Whether a payload that begins with `head` may be an error envelope.
+pub(crate) fn may_be_error_object(head: &[u8]) -> bool {
+    head.starts_with(ERROR_MAGIC) || ERROR_MAGIC.starts_with(head)
+}
+
 /// Magic prefix marking error envelopes. Sixteen fixed bytes make an
 /// accidental collision with user payloads vanishingly unlikely.
 const ERROR_MAGIC: &[u8; 16] = b"\x00RAY-TASK-ERR\xff\xfe\xfd";

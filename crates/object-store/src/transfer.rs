@@ -5,9 +5,11 @@
 //! implements the Fig. 7 protocol: look up locations in the GCS object
 //! table (or register a callback and wait if the object does not exist
 //! yet), pick a live source, pay the modeled wire time on the fabric with
-//! connection striping, materialize each piece of the payload locally
-//! while the next one is on the wire, and record the new location back in
-//! the GCS.
+//! connection striping, and hand each piece of the payload to a sink while
+//! the next one is on the wire. One loop serves two sinks: `fetch`
+//! materializes a replica and records the new location back in the GCS;
+//! `fetch_pieces` hands the pieces to its caller, who consumes them as
+//! they land and stores nothing.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -126,12 +128,66 @@ impl TransferManager {
     /// replica is gone (the caller escalates to lineage reconstruction) and
     /// [`RayError::Timeout`] when it never appeared.
     pub fn fetch(&self, id: ObjectId, to: NodeId, timeout: Duration) -> RayResult<Bytes> {
+        let local = self.directory.get(to).ok_or(RayError::NodeDead(to))?;
+        // The replica: each piece appended as it lands, into a buffer
+        // sized once; a restart starts it over.
+        let mut replica = Vec::new();
+        let pulled = self.pull(id, to, &local, timeout, &mut |offset, piece, len| {
+            if offset == 0 {
+                replica = Vec::with_capacity(len);
+            }
+            replica.extend_from_slice(piece);
+        })?;
+        match pulled {
+            Pulled::Local(data) => Ok(data),
+            Pulled::Wire { src, len } => {
+                let data = Bytes::from(replica);
+                local.put_listed(id, data.clone(), &self.gcs)?;
+                self.landed(id, src, to, len);
+                Ok(data)
+            }
+        }
+    }
+
+    /// [`TransferManager::fetch`] without the replica: hands `sink` each
+    /// `(offset, piece)` of the payload as it lands off the wire, in order,
+    /// and stores and lists nothing. A restart — a retried drop, or
+    /// another replica after the source was lost — delivers from offset 0
+    /// again; on `Err` the caller must discard what it was handed. An
+    /// object `to`'s store already holds is returned whole instead, and
+    /// `sink` sees none of it.
+    pub fn fetch_pieces(
+        &self,
+        id: ObjectId,
+        to: NodeId,
+        timeout: Duration,
+        sink: &mut dyn FnMut(usize, &[u8]),
+    ) -> RayResult<Option<Bytes>> {
+        let local = self.directory.get(to).ok_or(RayError::NodeDead(to))?;
+        match self.pull(id, to, &local, timeout, &mut |offset, piece, _| sink(offset, piece))? {
+            Pulled::Local(data) => Ok(Some(data)),
+            Pulled::Wire { src, len } => {
+                self.landed(id, src, to, len);
+                Ok(None)
+            }
+        }
+    }
+
+    /// The one pull loop under both sinks: find a live replica through the
+    /// object table (repairing stale rows, or subscribing while there is
+    /// none) and stream it off the wire into `sink` as
+    /// `(offset, piece, len)`, retrying dropped transfers, or find the
+    /// object in `local`, `to`'s store, and hand it back whole.
+    fn pull(
+        &self,
+        id: ObjectId,
+        to: NodeId,
+        local: &LocalObjectStore,
+        timeout: Duration,
+        sink: &mut dyn FnMut(usize, &[u8], usize),
+    ) -> RayResult<Pulled> {
         let clock = self.tracer.clock().clone();
         let deadline = clock.now() + timeout;
-        let local = self
-            .directory
-            .get(to)
-            .ok_or(RayError::NodeDead(to))?;
         // A copy this node's `put_listed` has sealed but not listed yet is
         // taken once it is listed, so a `free` right after the caller's
         // `get` finds the row. A later look follows the object table's
@@ -143,7 +199,7 @@ impl TransferManager {
             // been produced locally (or by a concurrent fetch) after the
             // previous check.
             if let Some(b) = local.get_local(id) {
-                return Ok(b);
+                return Ok(Pulled::Local(b));
             }
             // A control-plane outage (shard mid-recovery) is transient from
             // the fetch loop's perspective: try again next round until the
@@ -154,11 +210,10 @@ impl TransferManager {
                 Err(e) => return Err(e),
             };
             let mut knew_of_replicas = false;
-            let mut fetched: Option<(NodeId, Bytes)> = None;
             for loc in &locations {
                 if loc.node == to {
-                    match self.recheck_self_location(&local, id, *loc) {
-                        Some(b) => return Ok(b),
+                    match self.recheck_self_location(local, id, *loc) {
+                        Some(b) => return Ok(Pulled::Local(b)),
                         None => continue,
                     }
                 }
@@ -179,26 +234,11 @@ impl TransferManager {
                         continue;
                     }
                 };
-                // Pay the wire time (striped), materializing each piece
-                // while the next is in flight.
-                if let Ok(materialized) = self.transfer_with_retry(loc.node, to, &data, id) {
-                    fetched = Some((loc.node, materialized));
-                    break;
+                // Pay the wire time (striped), handing each piece to the
+                // sink while the next is in flight.
+                if self.transfer_with_retry(loc.node, to, &data, id, sink).is_ok() {
+                    return Ok(Pulled::Wire { src: loc.node, len: data.len() });
                 }
-            }
-
-            if let Some((src, data)) = fetched {
-                let size = data.len() as u64;
-                local.put_listed(id, data.clone(), &self.gcs)?;
-                self.metrics.counter(names::BYTES_TRANSFERRED).add(size);
-                self.metrics.histogram(names::TRANSFER_BYTES).observe(size);
-                self.tracer.emit(
-                    to,
-                    TraceEventKind::ObjectTransferred,
-                    TraceEntity::Object(id),
-                    format_args!("from={src} bytes={size}"),
-                );
-                return Ok(data);
             }
 
             if knew_of_replicas {
@@ -214,7 +254,7 @@ impl TransferManager {
                 let window = Duration::from_millis(1)
                     .min(deadline.saturating_duration_since(clock.now()));
                 if let Ok(b) = local.wait_local(id, window) {
-                    return Ok(b);
+                    return Ok(Pulled::Local(b));
                 }
                 // Re-check: if every recorded replica is on a dead node the
                 // object is lost and only lineage can bring it back.
@@ -244,6 +284,19 @@ impl TransferManager {
         }
     }
 
+    /// Counts and traces a payload of `size` bytes that landed on `to`.
+    fn landed(&self, id: ObjectId, src: NodeId, to: NodeId, size: usize) {
+        let size = size as u64;
+        self.metrics.counter(names::BYTES_TRANSFERRED).add(size);
+        self.metrics.histogram(names::TRANSFER_BYTES).observe(size);
+        self.tracer.emit(
+            to,
+            TraceEventKind::ObjectTransferred,
+            TraceEntity::Object(id),
+            format_args!("from={src} bytes={size}"),
+        );
+    }
+
     /// The object table lists `loc.node`'s own store, which missed a moment
     /// ago. A local put publishes its location only after sealing, so a
     /// second look decides it: a hit is a put that raced the first look; a
@@ -264,8 +317,8 @@ impl TransferManager {
         sealed
     }
 
-    /// One wire transfer of `data`, returning the receiver's own copy of
-    /// it, with bounded retry on transient (dropped-message) errors:
+    /// One wire transfer of `data`, handing `sink` each piece as it
+    /// lands, with bounded retry on transient (dropped-message) errors:
     /// exponential backoff with deterministic jitter seeded from the object
     /// ID, so a given fetch retries on the same schedule every run. Hard
     /// failures (dead node, partition) propagate immediately — retrying
@@ -276,7 +329,8 @@ impl TransferManager {
         dst: NodeId,
         data: &Bytes,
         id: ObjectId,
-    ) -> RayResult<Bytes> {
+        sink: &mut dyn FnMut(usize, &[u8], usize),
+    ) -> RayResult<()> {
         let backoff = Backoff::new(
             Duration::from_micros(200),
             Duration::from_millis(20),
@@ -297,15 +351,23 @@ impl TransferManager {
         };
         // A dropped message is rolled before the first piece, so an attempt
         // that gets retried has delivered nothing.
-        let mut received = Vec::with_capacity(data.len());
         retry(backoff, TRANSFER_RETRY_LIMIT, dropped, || {
             self.fabric.transfer_streamed(src, dst, data.len(), self.connections, |piece| {
+                let offset = piece.start;
                 let piece = data.get(piece).expect("invariant: pieces tile 0..data.len()");
-                received.extend_from_slice(piece);
+                sink(offset, piece, data.len());
             })
         })?;
-        Ok(Bytes::from(received))
+        Ok(())
     }
+}
+
+/// How a pull ended.
+enum Pulled {
+    /// The destination's store holds the object; nothing was streamed.
+    Local(Bytes),
+    /// The payload, `len` bytes, was streamed off the wire from `src`.
+    Wire { src: NodeId, len: usize },
 }
 
 #[cfg(test)]
@@ -444,14 +506,8 @@ mod tests {
 
     #[test]
     fn destination_lost_mid_stream_seals_nothing() {
-        // 8 pieces of 10 ms on one slow lane; node 1 dies a few pieces in.
-        let transport = TransportConfig {
-            bandwidth_bytes_per_sec: 1 << 20,
-            connections_per_transfer: 1,
-            chunk_bytes: 10 << 10,
-            ..TransportConfig::default()
-        };
-        let r = rig_with(2, transport);
+        // Node 1 dies a few pieces in.
+        let r = rig_with(2, slow_link());
         let id = seed_bytes(&r, 0, Bytes::from(vec![9u8; 80 << 10]));
         let fabric = r.fabric.clone();
         let killer = std::thread::spawn(move || {
@@ -459,6 +515,115 @@ mod tests {
             fabric.kill_node(NodeId(1));
         });
         let err = r.tm.fetch(id, NodeId(1), Duration::from_millis(200)).unwrap_err();
+        killer.join().unwrap();
+        assert_eq!(err, RayError::ObjectLost(id));
+        assert!(!r.stores[1].contains(id));
+        assert_eq!(holders(&r, id), vec![NodeId(0)]);
+        assert_eq!(r.fabric.transfer_count(), 0);
+    }
+
+    /// `fetch_pieces` into a buffer the way a consumer keeps one: cleared
+    /// at every restart. Returns the pieces' offsets too.
+    fn fetch_pieces(
+        r: &Rig,
+        id: ObjectId,
+        to: usize,
+        timeout: Duration,
+    ) -> RayResult<(Vec<u8>, Vec<usize>)> {
+        let (mut bytes, mut offsets) = (Vec::new(), Vec::new());
+        let whole = r.tm.fetch_pieces(id, NodeId(to as u32), timeout, &mut |offset, piece| {
+            if offset == 0 {
+                bytes.clear();
+            }
+            bytes.extend_from_slice(piece);
+            offsets.push(offset);
+        })?;
+        assert!(whole.is_none() || offsets.is_empty(), "a local object was also streamed");
+        Ok((whole.map_or(bytes, |b| b.to_vec()), offsets))
+    }
+
+    #[test]
+    fn streamed_pieces_tile_the_payload_and_list_no_replica() {
+        let r = rig(2);
+        r.fabric.set_virtual_time(true);
+        let chunk = TransportConfig::default().chunk_bytes;
+        let payload: Vec<u8> = (0..2 * chunk + 5).map(|i| (i % 251) as u8).collect();
+        let id = seed_bytes(&r, 0, Bytes::from(payload.clone()));
+        let (got, offsets) = fetch_pieces(&r, id, 1, Duration::from_secs(5)).unwrap();
+        assert!(got == payload, "streamed bytes differ from the source");
+        assert_eq!(offsets, vec![0, chunk, 2 * chunk]);
+        assert!(!r.stores[1].contains(id));
+        assert_eq!(holders(&r, id), vec![NodeId(0)]);
+        assert_eq!(r.fabric.transfer_count(), 1);
+        assert_eq!(r.metrics.counter(names::BYTES_TRANSFERRED).get(), payload.len() as u64);
+        // On the holder's own node the object comes back whole, unstreamed.
+        let here = r.tm.fetch_pieces(id, NodeId(0), Duration::from_secs(1), &mut |_, _| {
+            panic!("a local object was streamed")
+        });
+        assert!(here.unwrap().is_some_and(|b| b.as_ref() == payload.as_slice()));
+        assert_eq!(r.fabric.transfer_count(), 1);
+    }
+
+    #[test]
+    fn streamed_pieces_retry_through_injected_drops() {
+        let r = rig_with(
+            2,
+            TransportConfig {
+                chaos: ChaosConfig { drop_probability: 0.5, seed: 0xC0FFEE },
+                ..TransportConfig::default()
+            },
+        );
+        for i in 0..20 {
+            let id = seed(&r, 0, b"lossy-link-payload");
+            let (got, _) = fetch_pieces(&r, id, 1, Duration::from_secs(10)).unwrap();
+            assert_eq!(got, b"lossy-link-payload", "fetch {i}");
+            assert!(!r.stores[1].contains(id), "fetch {i}");
+        }
+        assert!(r.metrics.counter(names::TRANSFER_RETRIES).get() > 0);
+        assert!(r.fabric.message_drop_count() > 0);
+    }
+
+    /// 8 pieces of 10 ms on one slow lane.
+    fn slow_link() -> TransportConfig {
+        TransportConfig {
+            bandwidth_bytes_per_sec: 1 << 20,
+            connections_per_transfer: 1,
+            chunk_bytes: 10 << 10,
+            ..TransportConfig::default()
+        }
+    }
+
+    #[test]
+    fn streamed_pieces_restart_on_another_replica_when_the_source_is_lost() {
+        let r = rig_with(3, slow_link());
+        let payload: Vec<u8> = (0..80 << 10).map(|i| (i % 253) as u8).collect();
+        let id = seed_bytes(&r, 0, Bytes::from(payload.clone()));
+        r.stores[2].put(id, Bytes::from(payload.clone())).unwrap();
+        r.client.add_object_location(id, NodeId(2), payload.len() as u64).unwrap();
+        assert_eq!(r.client.get_object_locations(id).unwrap()[0].node, NodeId(0));
+        let fabric = r.fabric.clone();
+        let killer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            fabric.kill_node(NodeId(0));
+        });
+        let (got, offsets) = fetch_pieces(&r, id, 1, Duration::from_secs(5)).unwrap();
+        killer.join().unwrap();
+        assert!(got == payload, "streamed bytes differ from the source");
+        assert_eq!(offsets.iter().filter(|&&o| o == 0).count(), 2, "{offsets:?}");
+        assert_eq!(r.fabric.transfer_count(), 1);
+        assert!(!r.stores[1].contains(id));
+    }
+
+    #[test]
+    fn streamed_pieces_fail_when_the_destination_is_lost() {
+        let r = rig_with(2, slow_link());
+        let id = seed_bytes(&r, 0, Bytes::from(vec![9u8; 80 << 10]));
+        let fabric = r.fabric.clone();
+        let killer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            fabric.kill_node(NodeId(1));
+        });
+        let err = fetch_pieces(&r, id, 1, Duration::from_millis(200)).unwrap_err();
         killer.join().unwrap();
         assert_eq!(err, RayError::ObjectLost(id));
         assert!(!r.stores[1].contains(id));

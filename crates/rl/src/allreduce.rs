@@ -8,11 +8,11 @@
 //!
 //! - one [`RingWorker`] actor per participant, pinned to its node with the
 //!   node-affinity resource (Ray's custom-resource idiom);
-//! - each ring step is one actor method call per rank whose data
-//!   dependency is an object reference: the receiving actor *fetches* the
-//!   chunk object from the sender's node through the distributed object
-//!   store — paying the striped transfer the experiment measures — reduces
-//!   it into its buffer, and returns the sum, which is the chunk
+//! - each ring step is one actor method call per rank, passed the id of
+//!   the chunk object it receives: the receiving actor *pulls* the chunk
+//!   from the sender's node through the distributed object store — paying
+//!   the striped transfer the experiment measures — summing each piece
+//!   into its buffer as it lands, and returns the sum, which is the chunk
 //!   it sends in the next step (Hoplite's fused receive-reduce-send);
 //! - the driver submits the entire `2(n−1)`-step schedule asynchronously
 //!   and only blocks on the acknowledgements, so steps pipeline exactly as
@@ -22,7 +22,7 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use ray_codec::tensor::{encode_f64_blob, encode_f64_sum_blob, F64View};
+use ray_codec::tensor::{encode_f64_blob, F64SumBlob, F64View};
 use ray_codec::Blob;
 use ray_common::{NodeId, ObjectId, RayError, RayResult};
 use rustray::registry::RemoteResult;
@@ -37,8 +37,9 @@ pub use ray_bsp::allreduce::chunk_bounds;
 /// The per-participant actor. Its buffer is the sealed objects it sent and
 /// received: contiguous segments covering `0..len`, each an encoded `f64`
 /// blob. A `chunk` of a held segment returns that segment, a `set` keeps
-/// the incoming object, and a `reduce` writes its sum once and keeps it,
-/// so a ring step copies a chunk only where the wire does.
+/// the incoming object, and a `reduce` sums the incoming chunk into a new
+/// segment as its pieces land, keeping no copy of the chunk itself, so a
+/// ring step copies a chunk only where the wire does.
 pub struct RingWorker {
     segments: Vec<Segment>,
     len: usize,
@@ -52,7 +53,7 @@ struct Segment {
 }
 
 impl ActorInstance for RingWorker {
-    fn call(&mut self, _ctx: &RayContext, method: &str, args: &[Bytes]) -> RemoteResult {
+    fn call(&mut self, ctx: &RayContext, method: &str, args: &[Bytes]) -> RemoteResult {
         match method {
             // Returns buffer[lo..hi] as a tensor blob (the chunk object the
             // next ring member will pull across the network).
@@ -60,14 +61,17 @@ impl ActorInstance for RingWorker {
                 let range = self.range(args)?;
                 Ok(vec![self.segment(range)?.blob.clone()])
             }
-            // Adds an incoming chunk into buffer[lo..hi] and returns the
+            // Adds the chunk object whose id is the third argument into
+            // buffer[lo..hi], piece by piece as it lands, and returns the
             // sum: the chunk this rank sends in the next step.
             "reduce" => {
                 let range = self.range(args)?;
+                let incoming: ObjectId = decode_arg(args, 2)?;
                 let held = self.segment(range)?;
-                let sum = encode_f64_sum_blob(view(&held.blob)?, f64s_arg(args, 2)?)
+                let mut sum = F64SumBlob::new(view(&held.blob)?);
+                ctx.get_pieces(incoming, |offset, piece| sum.feed(offset, piece))
                     .map_err(|e| e.to_string())?;
-                held.blob = Bytes::from(sum);
+                held.blob = Bytes::from(sum.finish().map_err(|e| e.to_string())?);
                 Ok(vec![held.blob.clone()])
             }
             // Overwrites buffer[lo..hi] with a reduced chunk (allgather).
@@ -198,10 +202,10 @@ fn submit<R>(
     worker: &ActorHandle,
     method: &str,
     (lo, hi): (usize, usize),
-    input: Option<&ObjectRef<Blob>>,
+    input: Option<Arg>,
 ) -> RayResult<ObjectRef<R>> {
     let mut args = vec![Arg::value(&(lo as u64))?, Arg::value(&(hi as u64))?];
-    args.extend(input.map(Arg::from_ref));
+    args.extend(input);
     ctx.call_actor(worker, method, args)
 }
 
@@ -220,9 +224,11 @@ pub fn ray_ring_allreduce(
     let bounds = chunk_bounds(len, n);
     let start = Instant::now();
 
-    // Submit the full schedule asynchronously; object-reference data edges
-    // and per-actor serial execution order the steps (standard ring: at
-    // step s rank i sends chunk (i−s) mod n; the receiver reduces it).
+    // Submit the full schedule asynchronously; per-actor serial execution
+    // and the data edges order the steps (standard ring: at step s rank i
+    // sends chunk (i−s) mod n; the receiver reduces it). A `reduce` is
+    // passed the incoming chunk's id, not the object, and waits for it as
+    // it pulls it; a `set` takes its chunk as an object argument.
     // `sending[i]` is the object rank i sends next. Every rank exports its
     // first chunk before any receive is queued, so all ranks transmit
     // concurrently from the first step on; after that a step is one
@@ -236,7 +242,8 @@ pub fn ray_ring_allreduce(
             .map(|recv| {
                 let from = (recv + n - 1) % n;
                 let chunk = bounds[(from + n - step) % n];
-                submit(ctx, &handles[recv], "reduce", chunk, Some(&sending[from]))
+                let incoming = Arg::value(&sending[from].id())?;
+                submit(ctx, &handles[recv], "reduce", chunk, Some(incoming))
             })
             .collect::<RayResult<_>>()?;
         garbage.extend(sending.iter().map(|r| r.id()));
@@ -250,7 +257,8 @@ pub fn ray_ring_allreduce(
         for (recv, worker) in handles.iter().enumerate() {
             let chunk = (recv + n - step) % n;
             let owner = (chunk + n - 1) % n;
-            acks.push(submit(ctx, worker, "set", bounds[chunk], Some(&sending[owner]))?);
+            let incoming = Arg::from_ref(&sending[owner]);
+            acks.push(submit(ctx, worker, "set", bounds[chunk], Some(incoming))?);
         }
     }
     // Drain the acknowledgements (cheap scalars). A failed `reduce`
@@ -366,8 +374,9 @@ pub fn ray_task_ring_allreduce(
 /// Registers the chunk-summing task used by [`ray_task_ring_allreduce`].
 pub fn register_task_allreduce(cluster: &Cluster) {
     cluster.register_raw("add_chunks", |_ctx, args| {
-        let sum = encode_f64_sum_blob(f64s_arg(args, 0)?, f64s_arg(args, 1)?)
-            .map_err(|e| e.to_string())?;
+        let mut sum = F64SumBlob::new(f64s_arg(args, 0)?);
+        sum.feed(0, args.get(1).ok_or("missing argument 1")?);
+        let sum = sum.finish().map_err(|e| e.to_string())?;
         Ok(vec![Bytes::from(sum)])
     });
 }
@@ -470,11 +479,39 @@ mod tests {
         let two = ctx.put(&Blob::from_f64s(&[1.0, 1.0])).unwrap();
         // Range past the buffer; chunk shorter than the range.
         let h = &handles[0];
+        let by_id = || Some(Arg::value(&two.id()).unwrap());
         assert!(ctx.get(&submit::<Blob>(&ctx, h, "chunk", (2, 9), None).unwrap()).is_err());
-        assert!(ctx.get(&submit::<Blob>(&ctx, h, "reduce", (0, 3), Some(&two)).unwrap()).is_err());
-        assert!(ctx.get(&submit::<u8>(&ctx, h, "set", (0, 3), Some(&two)).unwrap()).is_err());
+        assert!(ctx.get(&submit::<Blob>(&ctx, h, "reduce", (0, 3), by_id()).unwrap()).is_err());
+        let by_ref = Some(Arg::from_ref(&two));
+        assert!(ctx.get(&submit::<u8>(&ctx, h, "set", (0, 3), by_ref).unwrap()).is_err());
         // The failed calls changed nothing.
         assert_eq!(read_buffers(&ctx, &handles).unwrap()[0], vec![1.0, 2.0, 3.0]);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_reduce_of_a_failed_tasks_chunk_fails_with_its_root_cause() {
+        let cluster =
+            Cluster::start(RayConfig::builder().nodes(2).workers_per_node(1).build()).unwrap();
+        register(&cluster);
+        cluster.register_raw("no_chunk", |_ctx, _args| Err("no chunk today".into()));
+        let ctx = cluster.driver();
+        let h = create_ring(&ctx, 2, vec![vec![1.0; 4], vec![2.0; 4]]).unwrap().remove(1);
+        let failed: ObjectRef<Blob> = ctx.call("no_chunk", vec![]).unwrap();
+        let root = ctx.get(&failed).unwrap_err();
+        let message = match &root {
+            RayError::TaskFailed { message, .. } => message.as_str(),
+            other => panic!("expected the task to fail, got {other:?}"),
+        };
+        assert_eq!(message, "no chunk today");
+        let arg = Some(Arg::value(&failed.id()).unwrap());
+        let sum = submit::<Blob>(&ctx, &h, "reduce", (0, 4), arg).unwrap();
+        match ctx.get(&sum) {
+            Err(RayError::TaskFailed { message, .. }) => assert_eq!(message, root.to_string()),
+            other => panic!("expected the reduce to fail with the root cause, got {other:?}"),
+        }
+        // The failed reduce left the buffer as it was.
+        assert_eq!(read_buffers(&ctx, &[h]).unwrap()[0], vec![2.0; 4]);
         cluster.shutdown();
     }
 
@@ -497,7 +534,8 @@ mod tests {
     fn a_set_chunk_is_the_sealed_argument_itself() {
         let (cluster, ctx, h) = one_worker(vec![0.0; 8]);
         let incoming = ctx.put(&Blob::from_f64s(&[1.0, 2.0, 3.0])).unwrap();
-        ctx.get(&submit::<u8>(&ctx, &h, "set", (2, 5), Some(&incoming)).unwrap()).unwrap();
+        let arg = Some(Arg::from_ref(&incoming));
+        ctx.get(&submit::<u8>(&ctx, &h, "set", (2, 5), arg).unwrap()).unwrap();
         let out = submit::<Blob>(&ctx, &h, "chunk", (2, 5), None).unwrap();
         assert_eq!(ctx.get(&out).unwrap().f64s().unwrap().to_vec(), vec![1.0, 2.0, 3.0]);
         assert_eq!(payload_ptr(&ctx, out.id()), payload_ptr(&ctx, incoming.id()));
@@ -508,7 +546,8 @@ mod tests {
     fn a_reduce_return_is_the_next_chunk_of_its_range() {
         let (cluster, ctx, h) = one_worker(vec![1.0; 8]);
         let incoming = ctx.put(&Blob::from_f64s(&[0.5; 4])).unwrap();
-        let sum = submit::<Blob>(&ctx, &h, "reduce", (4, 8), Some(&incoming)).unwrap();
+        let arg = Some(Arg::value(&incoming.id()).unwrap());
+        let sum = submit::<Blob>(&ctx, &h, "reduce", (4, 8), arg).unwrap();
         let next = submit::<Blob>(&ctx, &h, "chunk", (4, 8), None).unwrap();
         assert_eq!(ctx.get(&next).unwrap().f64s().unwrap().to_vec(), vec![1.5; 4]);
         assert_eq!(payload_ptr(&ctx, sum.id()), payload_ptr(&ctx, next.id()));
@@ -548,12 +587,19 @@ mod tests {
                     }
                 };
                 let values: Vec<f64> = (lo..hi).map(|_| rng.next_f64() * 1e3).collect();
-                let mut args = vec![index(lo), index(hi), blob(&values)];
+                let mut args = vec![index(lo), index(hi)];
                 let method = ["set", "reduce", "chunk"][rng.next_below(3) as usize];
                 match method {
-                    "set" => model[lo..hi].copy_from_slice(&values),
-                    "reduce" => model[lo..hi].iter_mut().zip(&values).for_each(|(m, v)| *m += v),
-                    _ => args.truncate(2),
+                    "set" => {
+                        model[lo..hi].copy_from_slice(&values);
+                        args.push(blob(&values));
+                    }
+                    "reduce" => {
+                        model[lo..hi].iter_mut().zip(&values).for_each(|(m, v)| *m += v);
+                        let id = ctx.put_raw(blob(&values)).unwrap();
+                        args.push(Bytes::from(ray_codec::encode(&id).unwrap()));
+                    }
+                    _ => {}
                 }
                 let out = worker.call(&ctx, method, &args).unwrap();
                 let at = format!("seed {seed} step {step}: {method} {lo}..{hi}");
