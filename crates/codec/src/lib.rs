@@ -9,9 +9,9 @@
 //! - [`encode`]/[`decode`] run any `serde` type through the format
 //!   ([`ser::Serializer`] / [`de::Deserializer`]), used for task arguments,
 //!   GCS table entries, and small values.
-//! - [`tensor`] provides flat numeric arrays ([`tensor::TensorF64`],
-//!   [`tensor::TensorF32`]) whose payloads encode/decode by bulk copy — the
-//!   memcpy-bound path that dominates for large objects.
+//! - [`tensor`] provides flat `f64` arrays ([`tensor::TensorF64`]) whose
+//!   payloads encode/decode by bulk copy — the memcpy-bound path that
+//!   dominates for large objects.
 //!
 //! The format is little-endian, length-prefixed (`u64` lengths, `u32` enum
 //! variant indices), and not self-describing: both sides must agree on the

@@ -3,11 +3,12 @@
 //! Large objects in Ray (model weights, gradients, batched observations) are
 //! flat numeric buffers, and their movement cost is dominated by `memcpy`
 //! (paper Fig. 9: "For larger objects, memcpy dominates object creation
-//! time"). These tensor types reproduce that profile: the payload is copied
-//! in bulk rather than element-by-element through serde.
+//! time"). [`TensorF64`] reproduces that profile: the payload is copied in
+//! bulk rather than element-by-element through serde.
 //!
 //! Wire layout: `magic (4) | dtype (1) | ndim (u32) | shape (u64 × ndim) |
-//! payload (elem_size × product(shape))`, all little-endian.
+//! payload (8 × product(shape))`, all little-endian. The dtype byte is
+//! always `f64`'s; a decoder rejects any other.
 
 use bytes::Bytes;
 
@@ -16,13 +17,13 @@ use crate::error::CodecError;
 const MAGIC: [u8; 4] = *b"RTNS";
 
 const DTYPE_F64: u8 = 1;
-const DTYPE_F32: u8 = 2;
+const F64_BYTES: usize = std::mem::size_of::<f64>();
 
-/// Splits an encoded tensor into its shape and payload after checking the
-/// magic, the dtype and that the payload holds exactly `product(shape)`
-/// elements of `elem` bytes.
-fn parse(bytes: &[u8], dtype: u8, elem: usize) -> Result<(Vec<usize>, &[u8]), CodecError> {
-    let (shape, header, expect) = parse_header(bytes, dtype, elem)?;
+/// Splits an encoded `f64` tensor into its shape and payload after
+/// checking the magic, the dtype and that the payload holds exactly
+/// `product(shape)` elements.
+fn parse(bytes: &[u8]) -> Result<(Vec<usize>, &[u8]), CodecError> {
+    let (shape, header, expect) = parse_header(bytes)?;
     let payload = bytes.get(header..).unwrap_or_default();
     if payload.len() != expect {
         return Err(CodecError::msg(format!(
@@ -33,23 +34,19 @@ fn parse(bytes: &[u8], dtype: u8, elem: usize) -> Result<(Vec<usize>, &[u8]), Co
     Ok((shape, payload))
 }
 
-/// Reads the header an encoded tensor begins with, checking the magic and
-/// the dtype: returns the shape, the header's length and the payload
-/// length the shape implies for elements of `elem` bytes.
-fn parse_header(
-    bytes: &[u8],
-    dtype: u8,
-    elem: usize,
-) -> Result<(Vec<usize>, usize, usize), CodecError> {
+/// Reads the header an encoded `f64` tensor begins with, checking the
+/// magic and the dtype: returns the shape, the header's length and the
+/// payload length the shape implies.
+fn parse_header(bytes: &[u8]) -> Result<(Vec<usize>, usize, usize), CodecError> {
     if bytes.len() < 9 {
         return Err(CodecError::msg("tensor buffer too short"));
     }
     if bytes[..4] != MAGIC {
         return Err(CodecError::msg("bad tensor magic"));
     }
-    if bytes[4] != dtype {
+    if bytes[4] != DTYPE_F64 {
         return Err(CodecError::msg(format!(
-            "dtype mismatch: wire {} expected {dtype}",
+            "dtype mismatch: wire {} expected {DTYPE_F64}",
             bytes[4]
         )));
     }
@@ -63,7 +60,7 @@ fn parse_header(
         .collect();
     let expect = shape
         .iter()
-        .try_fold(elem, |acc, &d| acc.checked_mul(d))
+        .try_fold(F64_BYTES, |acc, &d| acc.checked_mul(d))
         .ok_or_else(|| CodecError::msg("tensor shape overflows"))?;
     Ok((shape, header, expect))
 }
@@ -231,11 +228,11 @@ impl<'a> F64SumBlob<'a> {
         }
         let (prefix, tensor) = self.header.split_at(8);
         let body = u64::from_le_bytes(prefix.try_into().expect("8 bytes")) as usize;
-        let (_, header, payload) = parse_header(tensor, DTYPE_F64, 8)?;
+        let (_, header, payload) = parse_header(tensor)?;
         if body.checked_sub(header) != Some(payload) {
             return Err(CodecError::msg("blob length prefix disagrees with buffer"));
         }
-        check_len(payload / 8, self.held.len())?;
+        check_len(payload / F64_BYTES, self.held.len())?;
         Ok(Some((8 + body, piece)))
     }
 }
@@ -283,7 +280,7 @@ impl<'a> F64View<'a> {
     /// Views bytes produced by [`TensorF64::to_bytes`]; the shape is
     /// flattened.
     pub fn of_tensor(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        parse(bytes, DTYPE_F64, 8).map(|(_, payload)| F64View { payload })
+        parse(bytes).map(|(_, payload)| F64View { payload })
     }
 
     /// Views the codec encoding of a [`Blob`](crate::Blob) holding a
@@ -343,185 +340,161 @@ impl<'a> F64View<'a> {
     }
 }
 
-macro_rules! tensor_impl {
-    ($(#[$meta:meta])* $name:ident, $elem:ty, $dtype:expr) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, PartialEq)]
-        pub struct $name {
-            shape: Vec<usize>,
-            data: Vec<$elem>,
-        }
-
-        impl $name {
-            /// Creates a tensor from a shape and matching flat data.
-            ///
-            /// # Examples
-            ///
-            /// ```
-            /// use ray_codec::tensor::TensorF64;
-            /// let t = TensorF64::from_shape(vec![2, 3], vec![0.0; 6]).unwrap();
-            /// assert_eq!(t.len(), 6);
-            /// ```
-            pub fn from_shape(shape: Vec<usize>, data: Vec<$elem>) -> Result<Self, CodecError> {
-                let expect: usize = shape.iter().product();
-                if expect != data.len() {
-                    return Err(CodecError::msg(format!(
-                        "shape {shape:?} implies {expect} elements, got {}",
-                        data.len()
-                    )));
-                }
-                Ok(Self { shape, data })
-            }
-
-            /// Creates a rank-1 tensor from a vector.
-            pub fn from_vec(data: Vec<$elem>) -> Self {
-                Self { shape: vec![data.len()], data }
-            }
-
-            /// Creates a zero-filled tensor of the given shape.
-            pub fn zeros(shape: Vec<usize>) -> Self {
-                let n: usize = shape.iter().product();
-                Self { shape, data: vec![0.0; n] }
-            }
-
-            /// The tensor's shape.
-            pub fn shape(&self) -> &[usize] {
-                &self.shape
-            }
-
-            /// Total element count.
-            pub fn len(&self) -> usize {
-                self.data.len()
-            }
-
-            /// Whether the tensor has zero elements.
-            pub fn is_empty(&self) -> bool {
-                self.data.is_empty()
-            }
-
-            /// Flat read access to the elements.
-            pub fn data(&self) -> &[$elem] {
-                &self.data
-            }
-
-            /// Consumes the tensor, returning its flat data.
-            pub fn into_vec(self) -> Vec<$elem> {
-                self.data
-            }
-
-            /// Serialized size in bytes.
-            pub fn encoded_len(&self) -> usize {
-                4 + 1 + 4 + 8 * self.shape.len()
-                    + self.data.len() * std::mem::size_of::<$elem>()
-            }
-
-            /// Encodes the tensor with a bulk payload copy.
-            pub fn to_bytes(&self) -> Bytes {
-                let mut out = Vec::with_capacity(self.encoded_len());
-                Self::write(&mut out, &self.shape, &self.data);
-                Bytes::from(out)
-            }
-
-            /// The bytes `Self::from_vec(data.to_vec()).to_bytes()` holds,
-            /// copied out of the slice once.
-            pub fn encode_slice(data: &[$elem]) -> Vec<u8> {
-                let mut out = Vec::with_capacity(Self::slice_encoded_len(data.len()));
-                Self::write(&mut out, &[data.len()], data);
-                out
-            }
-
-            /// Serialized size of a rank-1 tensor of `n` elements.
-            const fn slice_encoded_len(n: usize) -> usize {
-                4 + 1 + 4 + 8 + n * std::mem::size_of::<$elem>()
-            }
-
-            fn write(out: &mut Vec<u8>, shape: &[usize], data: &[$elem]) {
-                Self::write_header(out, shape);
-                Self::write_payload(out, data);
-            }
-
-            fn write_header(out: &mut Vec<u8>, shape: &[usize]) {
-                out.extend_from_slice(&MAGIC);
-                out.push($dtype);
-                out.extend_from_slice(&(shape.len() as u32).to_le_bytes());
-                for &d in shape {
-                    out.extend_from_slice(&(d as u64).to_le_bytes());
-                }
-            }
-
-            fn write_payload(out: &mut Vec<u8>, data: &[$elem]) {
-                #[cfg(target_endian = "little")]
-                {
-                    // SAFETY: `$elem` is a plain IEEE-754 float with no
-                    // padding; viewing its storage as bytes is always valid,
-                    // and `u8` has alignment 1. The length is the exact byte
-                    // size of the slice. On little-endian hosts the byte
-                    // order matches the wire format.
-                    let raw: &[u8] = unsafe {
-                        std::slice::from_raw_parts(
-                            data.as_ptr() as *const u8,
-                            std::mem::size_of_val(data),
-                        )
-                    };
-                    out.extend_from_slice(raw);
-                }
-                #[cfg(not(target_endian = "little"))]
-                {
-                    for &v in data {
-                        out.extend_from_slice(&v.to_le_bytes());
-                    }
-                }
-            }
-
-            /// Decodes a tensor previously produced by [`Self::to_bytes`].
-            pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-                const ELEM: usize = std::mem::size_of::<$elem>();
-                let (shape, payload) = parse(bytes, $dtype, ELEM)?;
-                let n = payload.len() / ELEM;
-                let mut data: Vec<$elem> = Vec::with_capacity(n);
-                #[cfg(target_endian = "little")]
-                {
-                    // SAFETY: `data` was allocated with capacity for `n`
-                    // elements (`n * ELEM` bytes). `parse` returns a payload
-                    // of exactly that many bytes, every bit pattern is a valid
-                    // float, and source/destination do not overlap. After
-                    // the copy all `n` elements are initialized, so
-                    // `set_len(n)` is sound.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            payload.as_ptr(),
-                            data.as_mut_ptr() as *mut u8,
-                            n * ELEM,
-                        );
-                        data.set_len(n);
-                    }
-                }
-                #[cfg(not(target_endian = "little"))]
-                {
-                    for chunk in payload.chunks_exact(ELEM) {
-                        data.push(<$elem>::from_le_bytes(
-                            chunk.try_into().expect("chunks_exact"),
-                        ));
-                    }
-                }
-                Ok(Self { shape, data })
-            }
-        }
-    };
+/// A dense `f64` tensor with bulk-copy (de)serialization.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TensorF64 {
+    shape: Vec<usize>,
+    data: Vec<f64>,
 }
 
-tensor_impl!(
-    /// A dense `f64` tensor with bulk-copy (de)serialization.
-    TensorF64,
-    f64,
-    DTYPE_F64
-);
-tensor_impl!(
-    /// A dense `f32` tensor with bulk-copy (de)serialization.
-    TensorF32,
-    f32,
-    DTYPE_F32
-);
+impl TensorF64 {
+    /// Creates a tensor from a shape and matching flat data.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ray_codec::tensor::TensorF64;
+    /// let t = TensorF64::from_shape(vec![2, 3], vec![0.0; 6]).unwrap();
+    /// assert_eq!(t.len(), 6);
+    /// ```
+    pub fn from_shape(shape: Vec<usize>, data: Vec<f64>) -> Result<Self, CodecError> {
+        let expect: usize = shape.iter().product();
+        if expect != data.len() {
+            return Err(CodecError::msg(format!(
+                "shape {shape:?} implies {expect} elements, got {}",
+                data.len()
+            )));
+        }
+        Ok(Self { shape, data })
+    }
+
+    /// Creates a rank-1 tensor from a vector.
+    pub fn from_vec(data: Vec<f64>) -> Self {
+        Self { shape: vec![data.len()], data }
+    }
+
+    /// Creates a zero-filled tensor of the given shape.
+    pub fn zeros(shape: Vec<usize>) -> Self {
+        let n: usize = shape.iter().product();
+        Self { shape, data: vec![0.0; n] }
+    }
+
+    /// The tensor's shape.
+    pub fn shape(&self) -> &[usize] {
+        &self.shape
+    }
+
+    /// Total element count.
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Whether the tensor has zero elements.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Flat read access to the elements.
+    pub fn data(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Consumes the tensor, returning its flat data.
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
+    /// Serialized size in bytes.
+    pub fn encoded_len(&self) -> usize {
+        4 + 1 + 4 + 8 * self.shape.len() + self.data.len() * F64_BYTES
+    }
+
+    /// Encodes the tensor with a bulk payload copy.
+    pub fn to_bytes(&self) -> Bytes {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        Self::write(&mut out, &self.shape, &self.data);
+        Bytes::from(out)
+    }
+
+    /// The bytes `Self::from_vec(data.to_vec()).to_bytes()` holds,
+    /// copied out of the slice once.
+    pub fn encode_slice(data: &[f64]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(Self::slice_encoded_len(data.len()));
+        Self::write(&mut out, &[data.len()], data);
+        out
+    }
+
+    /// Serialized size of a rank-1 tensor of `n` elements.
+    const fn slice_encoded_len(n: usize) -> usize {
+        4 + 1 + 4 + 8 + n * F64_BYTES
+    }
+
+    fn write(out: &mut Vec<u8>, shape: &[usize], data: &[f64]) {
+        Self::write_header(out, shape);
+        Self::write_payload(out, data);
+    }
+
+    fn write_header(out: &mut Vec<u8>, shape: &[usize]) {
+        out.extend_from_slice(&MAGIC);
+        out.push(DTYPE_F64);
+        out.extend_from_slice(&(shape.len() as u32).to_le_bytes());
+        for &d in shape {
+            out.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+    }
+
+    fn write_payload(out: &mut Vec<u8>, data: &[f64]) {
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: `f64` is a plain IEEE-754 float with no padding;
+            // viewing its storage as bytes is always valid, and `u8` has
+            // alignment 1. The length is the exact byte size of the
+            // slice. On little-endian hosts the byte order matches the
+            // wire format.
+            let raw: &[u8] = unsafe {
+                std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data))
+            };
+            out.extend_from_slice(raw);
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            for &v in data {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+
+    /// Decodes a tensor previously produced by [`Self::to_bytes`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        let (shape, payload) = parse(bytes)?;
+        let n = payload.len() / F64_BYTES;
+        let mut data: Vec<f64> = Vec::with_capacity(n);
+        #[cfg(target_endian = "little")]
+        {
+            // SAFETY: `data` was allocated with capacity for `n`
+            // elements (`n * F64_BYTES` bytes). `parse` returns a payload
+            // of exactly that many bytes, every bit pattern is a valid
+            // float, and source/destination do not overlap. After the
+            // copy all `n` elements are initialized, so `set_len(n)` is
+            // sound.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    payload.as_ptr(),
+                    data.as_mut_ptr() as *mut u8,
+                    n * F64_BYTES,
+                );
+                data.set_len(n);
+            }
+        }
+        #[cfg(not(target_endian = "little"))]
+        {
+            for chunk in payload.chunks_exact(F64_BYTES) {
+                data.push(f64::from_le_bytes(chunk.try_into().expect("chunks_exact")));
+            }
+        }
+        Ok(Self { shape, data })
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -532,13 +505,6 @@ mod tests {
         let t = TensorF64::from_shape(vec![2, 3], vec![1.0, -2.0, 3.5, 0.0, f64::MAX, 1e-300])
             .unwrap();
         let back = TensorF64::from_bytes(&t.to_bytes()).unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn f32_round_trip() {
-        let t = TensorF32::from_vec((0..1000).map(|i| i as f32 * 0.5).collect());
-        let back = TensorF32::from_bytes(&t.to_bytes()).unwrap();
         assert_eq!(t, back);
     }
 
@@ -556,8 +522,9 @@ mod tests {
 
     #[test]
     fn dtype_mismatch_rejected() {
-        let t = TensorF32::from_vec(vec![1.0]);
-        assert!(TensorF64::from_bytes(&t.to_bytes()).is_err());
+        let mut b = TensorF64::from_vec(vec![1.0]).to_bytes().to_vec();
+        b[4] = DTYPE_F64 + 1;
+        assert!(TensorF64::from_bytes(&b).is_err());
     }
 
     #[test]
@@ -594,7 +561,7 @@ mod tests {
 
     #[test]
     fn zeros_has_right_shape() {
-        let t = TensorF32::zeros(vec![4, 5]);
+        let t = TensorF64::zeros(vec![4, 5]);
         assert_eq!(t.len(), 20);
         assert_eq!(t.shape(), &[4, 5]);
         assert!(t.data().iter().all(|&x| x == 0.0));

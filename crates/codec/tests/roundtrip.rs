@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use ray_codec::tensor::{encode_f64_blob, F64SumBlob, F64View, TensorF32, TensorF64};
+use ray_codec::tensor::{encode_f64_blob, F64SumBlob, F64View, TensorF64};
 use ray_codec::Blob;
 use ray_common::util::DetRng;
 use serde::{Deserialize, Serialize};
@@ -144,11 +144,6 @@ fn tensors_roundtrip_over_seeded_shapes() {
         let t64 = TensorF64::from_shape(shape.clone(), data64).unwrap();
         let back64 = TensorF64::from_bytes(&t64.to_bytes()).unwrap();
         assert_eq!(back64, t64, "seed {seed}: f64 tensor shape {shape:?}");
-
-        let data32: Vec<f32> = (0..len).map(|_| (rng.next_f64() * 2.0 - 1.0) as f32).collect();
-        let t32 = TensorF32::from_shape(shape.clone(), data32).unwrap();
-        let back32 = TensorF32::from_bytes(&t32.to_bytes()).unwrap();
-        assert_eq!(back32, t32, "seed {seed}: f32 tensor shape {shape:?}");
     }
 }
 
@@ -194,8 +189,10 @@ fn structurally_invalid_tensors_are_rejected() {
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xFF;
     assert!(TensorF64::from_bytes(&bad_magic).is_err());
-    // Wrong dtype byte: an f64 payload must not decode as f32.
-    assert!(TensorF32::from_bytes(&good).is_err());
+    // Wrong dtype byte (offset 4) over an otherwise valid f64 payload.
+    let mut bad_dtype = good.clone();
+    bad_dtype[4] ^= 0xFF;
+    assert!(TensorF64::from_bytes(&bad_dtype).is_err());
 }
 
 fn random_f64s(rng: &mut DetRng) -> Vec<f64> {
@@ -272,11 +269,13 @@ fn borrowed_view_rejects_truncated_and_mistyped_buffers() {
     let mut long = framed.clone();
     long.push(0);
     assert!(F64View::of_encoded_blob(&long).is_err());
-    // An f32 tensor must not read as f64, framed or bare.
-    let f32s = TensorF32::from_vec(vec![1.0; 8]).to_bytes().to_vec();
-    assert!(F64View::of_tensor(&f32s).is_err());
-    assert!(Blob(f32s.clone()).f64s().is_err());
-    assert!(F64View::of_encoded_blob(&ray_codec::encode(&Blob(f32s)).unwrap()).is_err());
+    // A tensor whose dtype byte (offset 4) is not f64's must not read as
+    // f64, framed or bare.
+    let mut mistyped = TensorF64::from_vec(vec![1.0; 8]).to_bytes().to_vec();
+    mistyped[4] ^= 0xFF;
+    assert!(F64View::of_tensor(&mistyped).is_err());
+    assert!(Blob(mistyped.clone()).f64s().is_err());
+    assert!(F64View::of_encoded_blob(&ray_codec::encode(&Blob(mistyped)).unwrap()).is_err());
     // A shape whose element count overflows is an error, not a wrap-around.
     let mut huge = TensorF64::from_shape(vec![1, 1], vec![0.0]).unwrap().to_bytes().to_vec();
     huge[9..25].fill(0xFF);
@@ -375,7 +374,8 @@ fn one_pass_sum_of_unequal_lengths_is_an_error() {
         assert!(sum_in_pieces(short_view, &long, &cuts).is_err(), "{cuts:?}");
     }
     // A piece that is not where the last one ended, more bytes than the
-    // prefix declares, a blob cut short, and an f32 tensor.
+    // prefix declares, a blob cut short, and a tensor whose dtype byte is
+    // not f64's (offset 4 of the tensor, after the 8-byte prefix).
     let mut sum = F64SumBlob::new(short_view);
     sum.feed(0, &short[..10]);
     sum.feed(11, &short[11..]);
@@ -385,6 +385,7 @@ fn one_pass_sum_of_unequal_lengths_is_an_error() {
     assert!(sum_in_pieces(short_view, &extra, &[0]).is_err());
     assert!(sum_in_pieces(short_view, &short[..short.len() - 1], &[0]).is_err());
     assert!(sum_in_pieces(short_view, &short[..20], &[0]).is_err());
-    let f32s = ray_codec::encode(&Blob(TensorF32::from_vec(vec![1.0; 3]).to_bytes().to_vec()));
-    assert!(sum_in_pieces(short_view, &f32s.unwrap(), &[0]).is_err());
+    let mut mistyped = short.clone();
+    mistyped[8 + 4] ^= 0xFF;
+    assert!(sum_in_pieces(short_view, &mistyped, &[0]).is_err());
 }

@@ -13,9 +13,8 @@
 //!   model, GCS replication, flushing, scheduler policy, ...).
 //! - [`metrics`]: lightweight atomic counters used by benchmarks and tests.
 //! - [`sync`]: ranked lock wrappers ([`sync::OrderedMutex`],
-//!   [`sync::OrderedRwLock`]) enforcing the workspace-wide lock order, with
-//!   a runtime acquisition-order graph and deadlock (cycle) detection in
-//!   debug builds.
+//!   [`sync::OrderedRwLock`]) enforcing the workspace-wide lock order: a
+//!   rank check on every acquire in debug builds.
 //! - [`trace`]: the task-lifecycle event log (per-node ring buffers, the
 //!   deterministic `TraceAssert` query API, and the Chrome `trace_event`
 //!   exporter) backing the paper's §4.1 replay/debugging story.

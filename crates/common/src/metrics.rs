@@ -4,8 +4,8 @@
 //! tolerant counters (tasks executed, bytes moved, spillovers, replays).
 //! A [`MetricsRegistry`] is shared across a cluster's components; counters
 //! are created once and then updated lock-free. [`Histogram`]s add
-//! bucketed latency/size distributions (task latency, queue wait,
-//! transfer bytes, reconstruction attempts), and
+//! bucketed latency distributions (task latency, queue wait) on one
+//! bucket ladder, [`DEFAULT_BUCKETS`], and
 //! [`MetricsRegistry::render`] produces a Prometheus-style text
 //! exposition of everything.
 
@@ -36,9 +36,9 @@ impl Counter {
     }
 }
 
-/// Default histogram bucket upper bounds: a 1-2-5 ladder in "micros or
-/// bytes" units, wide enough for task latencies and transfer sizes alike.
-/// An implicit `+Inf` bucket always follows the last bound.
+/// Histogram bucket upper bounds, the same for every histogram: a 1-2-5
+/// ladder in microseconds, 100 µs to 5 s. An implicit `+Inf` bucket
+/// follows the last bound.
 pub const DEFAULT_BUCKETS: &[u64] = &[
     100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
     1_000_000, 2_500_000, 5_000_000,
@@ -49,30 +49,18 @@ pub const DEFAULT_BUCKETS: &[u64] = &[
 /// Buckets are *non-cumulative* internally; [`Histogram::snapshot`] and
 /// [`MetricsRegistry::render`] expose the cumulative (`le`) form
 /// Prometheus expects.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Histogram {
-    /// Upper bounds (inclusive) of each bucket; `buckets` has one extra
-    /// slot for `+Inf`.
-    bounds: Vec<u64>,
-    buckets: Vec<AtomicU64>,
+    /// One count per [`DEFAULT_BUCKETS`] bound (inclusive), then `+Inf`.
+    buckets: [AtomicU64; DEFAULT_BUCKETS.len() + 1],
     sum: AtomicU64,
     count: AtomicU64,
 }
 
 impl Histogram {
-    fn with_bounds(bounds: &[u64]) -> Histogram {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        Histogram {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
     /// Records one observation.
     pub fn observe(&self, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
+        let idx = DEFAULT_BUCKETS.partition_point(|&b| b < value);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -95,7 +83,7 @@ impl Histogram {
         let mut out = Vec::with_capacity(self.buckets.len());
         for (i, b) in self.buckets.iter().enumerate() {
             cum += b.load(Ordering::Relaxed);
-            let bound = self.bounds.get(i).copied().unwrap_or(u64::MAX);
+            let bound = DEFAULT_BUCKETS.get(i).copied().unwrap_or(u64::MAX);
             out.push((bound, cum));
         }
         out
@@ -153,25 +141,13 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Returns the histogram with the given name (default 1-2-5 buckets,
+    /// Returns the histogram with the given name (1-2-5 buckets,
     /// [`DEFAULT_BUCKETS`]), creating it if needed.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, DEFAULT_BUCKETS)
-    }
-
-    /// Returns the histogram with the given name, creating it with
-    /// `bounds` if needed. An existing histogram keeps its original
-    /// bounds — first creation wins, like counters keep their counts.
-    pub fn histogram_with(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
         if let Some(h) = self.inner.histograms.read().get(name) {
             return h.clone();
         }
-        self.inner
-            .histograms
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::with_bounds(bounds)))
-            .clone()
+        self.inner.histograms.write().entry(name.to_string()).or_default().clone()
     }
 
     /// Renders every counter and histogram as Prometheus-style
@@ -235,8 +211,6 @@ pub mod names {
     pub const TASKS_SPILLED: &str = "tasks_spilled";
     /// Tasks scheduled directly by their local scheduler.
     pub const TASKS_LOCAL: &str = "tasks_scheduled_locally";
-    /// Bytes copied between object stores.
-    pub const BYTES_TRANSFERRED: &str = "bytes_transferred";
     /// GCS entries flushed to disk.
     pub const GCS_ENTRIES_FLUSHED: &str = "gcs_entries_flushed";
     /// Heartbeats the failure detector observed as overdue (one per node
@@ -244,27 +218,16 @@ pub mod names {
     pub const HEARTBEATS_MISSED: &str = "heartbeats_missed";
     /// Nodes the failure detector declared dead (vs. harness `kill_node`).
     pub const NODES_DECLARED_DEAD: &str = "nodes_declared_dead";
-    /// Messages dropped on the fabric by chaos injection.
-    pub const MESSAGES_DROPPED: &str = "messages_dropped";
     /// Object transfers retried after a transient (dropped-message) error.
     pub const TRANSFER_RETRIES: &str = "transfer_retries";
     /// GCS client operations retried after a transient error.
     pub const GCS_RETRIES: &str = "gcs_retries";
-    /// GCS chain reconfigurations (a dead member replaced, or a whole
-    /// shard rebuilt from its disk log), summed over shards; zero on a
-    /// run that injected no GCS fault.
-    pub const GCS_RECONFIGURATIONS: &str = "gcs_reconfigurations";
     /// Histogram: end-to-end task execution latency in microseconds
     /// (worker dequeue → results stored).
     pub const TASK_LATENCY_MICROS: &str = "task_latency_micros";
     /// Histogram: time a task sat in a local scheduler's ready queue
     /// before dispatch, in microseconds.
     pub const QUEUE_WAIT_MICROS: &str = "queue_wait_micros";
-    /// Histogram: per-transfer payload size in bytes.
-    pub const TRANSFER_BYTES: &str = "transfer_bytes";
-    /// Histogram: lineage resubmission attempt number per claimed
-    /// reconstruction (1 = first attempt).
-    pub const RECONSTRUCTION_ATTEMPTS: &str = "reconstruction_attempts";
     /// Tasks torn down by `ray.cancel` (any lifecycle stage).
     pub const TASKS_CANCELLED: &str = "tasks_cancelled";
     /// Nothing increments this: a submit is never shed (a serve pool sheds
@@ -334,32 +297,36 @@ mod tests {
     #[test]
     fn histogram_buckets_and_render() {
         let m = MetricsRegistry::new();
-        let h = m.histogram_with("task_latency_micros", &[10, 100, 1000]);
-        h.observe(5); // ≤ 10
-        h.observe(10); // ≤ 10 (inclusive bound)
-        h.observe(50); // ≤ 100
-        h.observe(5000); // +Inf
+        let h = m.histogram("task_latency_micros");
+        h.observe(5); // ≤ 100
+        h.observe(100); // ≤ 100 (inclusive bound)
+        h.observe(200); // ≤ 250
+        h.observe(6_000_000); // +Inf
         assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 5065);
-        assert_eq!(h.snapshot(), vec![(10, 2), (100, 3), (1000, 3), (u64::MAX, 4)]);
+        assert_eq!(h.sum(), 6_000_305);
+        let snap = h.snapshot();
+        assert_eq!(snap.len(), DEFAULT_BUCKETS.len() + 1);
+        assert_eq!(&snap[..3], &[(100, 2), (250, 3), (500, 3)]);
+        assert_eq!(snap[DEFAULT_BUCKETS.len() - 1], (5_000_000, 3));
+        assert_eq!(snap[DEFAULT_BUCKETS.len()], (u64::MAX, 4));
 
         m.counter("tasks_executed").add(7);
         let text = m.render();
         assert!(text.contains("tasks_executed 7"));
-        assert!(text.contains("task_latency_micros_bucket{le=\"10\"} 2"));
+        assert!(text.contains("task_latency_micros_bucket{le=\"100\"} 2"));
         assert!(text.contains("task_latency_micros_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("task_latency_micros_sum 5065"));
+        assert!(text.contains("task_latency_micros_sum 6000305"));
         assert!(text.contains("task_latency_micros_count 4"));
     }
 
     #[test]
     fn histogram_is_shared_by_name_and_keeps_first_bounds() {
         let m = MetricsRegistry::new();
-        m.histogram_with("h", &[1, 2]).observe(1);
-        // A second caller with different bounds gets the same histogram.
-        m.histogram_with("h", &[100]).observe(2);
+        // Every histogram has the default bounds, so the first caller's
+        // are the ones kept.
+        m.histogram("h").observe(1);
+        m.histogram("h").observe(2);
         assert_eq!(m.histogram("h").count(), 2);
-        assert_eq!(m.histogram("h").snapshot().len(), 3); // [1, 2, +Inf]
     }
 
     #[test]

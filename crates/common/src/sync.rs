@@ -8,15 +8,15 @@
 //! deadlock-free by construction (a cycle of waiters would need a rank
 //! inversion somewhere).
 //!
-//! In debug builds the wrappers enforce the rule and record evidence:
-//!
-//! - a thread-local held-lock stack checks the rank rule at every acquire
-//!   and panics (configurable, see [`set_panic_on_violation`]) on
-//!   inversion;
-//! - a global acquisition-order graph accumulates one edge per observed
-//!   "A held while acquiring B" pair; [`detect_cycle`] /
-//!   [`assert_acyclic`] let tests fail on *potential* deadlocks even when
-//!   the fatal interleaving never manifested in that run.
+//! In debug builds a thread-local held-lock stack checks the rank rule at
+//! every acquire, records each inversion in [`violations`] and panics on
+//! it (configurable, see [`set_panic_on_violation`]). One check is
+//! enough: under the rule every acquisition that is not a recorded
+//! violation goes strictly up in rank, so a cycle of waiters — a
+//! *potential* deadlock, even one no run interleaved into — needs a
+//! recorded inversion on one of its edges. A test that asserts
+//! `violations()` is empty after a soak therefore also rules out every
+//! cycle, and catches an inversion whose panic a `catch_unwind` swallowed.
 //!
 //! In release builds (`not(debug_assertions)`) every check compiles away
 //! and the wrappers are thin newtypes over `std::sync` — hot paths pay
@@ -35,9 +35,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
 use std::time::Instant;
 
-#[cfg(debug_assertions)]
-use std::sync::atomic::AtomicU32;
-
 /// A named rank in the workspace-wide lock order.
 ///
 /// Classes are declared as `static`s (construction is `const`) and passed
@@ -49,22 +46,13 @@ use std::sync::atomic::AtomicU32;
 pub struct LockClass {
     name: &'static str,
     rank: u32,
-    /// Dense id assigned on first acquisition (0 = not yet registered);
-    /// indexes the acquisition-order graph.
-    #[cfg(debug_assertions)]
-    id: AtomicU32,
 }
 
 impl LockClass {
     /// Declares a lock class. `rank` positions it in the global order:
     /// lower ranks are acquired first (outermost).
     pub const fn new(name: &'static str, rank: u32) -> Self {
-        LockClass {
-            name,
-            rank,
-            #[cfg(debug_assertions)]
-            id: AtomicU32::new(0),
-        }
+        LockClass { name, rank }
     }
 
     /// The class name (used in violation reports and the rank table).
@@ -229,31 +217,19 @@ pub mod classes {
 }
 
 // ---------------------------------------------------------------------------
-// Debug-build tracking: held stack, order graph, violations.
+// Debug-build tracking: held stack and violations.
 // ---------------------------------------------------------------------------
 
 #[cfg(debug_assertions)]
 mod order {
     use super::LockClass;
     use std::cell::RefCell;
-    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Mutex, PoisonError};
 
-    /// Global registry + acquisition-order graph. Edges are pairs of dense
-    /// class ids; `BTreeSet` keeps iteration (and thus cycle reports)
-    /// deterministic.
-    struct State {
-        classes: Vec<&'static LockClass>,
-        edges: BTreeSet<(u32, u32)>,
-        violations: Vec<String>,
-    }
-
-    static STATE: Mutex<State> = Mutex::new(State {
-        classes: Vec::new(),
-        edges: BTreeSet::new(),
-        violations: Vec::new(),
-    });
+    /// Every rank inversion seen so far, process-wide. Taken only to
+    /// record or read one.
+    static VIOLATIONS: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
     /// Whether a rank inversion panics (default) or is only recorded.
     /// Tests that deliberately invert flip this off first.
@@ -264,59 +240,34 @@ mod order {
         static HELD: RefCell<Vec<&'static LockClass>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Assigns (once) and returns the dense 1-based id of `class`.
-    fn class_id(class: &'static LockClass) -> u32 {
-        let id = class.id.load(Ordering::Acquire);
-        if id != 0 {
-            return id;
-        }
-        let mut st = STATE.lock().unwrap();
-        let id = class.id.load(Ordering::Acquire);
-        if id != 0 {
-            return id;
-        }
-        st.classes.push(class);
-        let id = st.classes.len() as u32;
-        class.id.store(id, Ordering::Release);
-        id
-    }
-
-    /// Rank check + edge recording. Runs *before* the blocking acquire so
-    /// a would-deadlock interleaving is reported instead of hanging.
+    /// Rank check. Runs *before* the blocking acquire so a would-deadlock
+    /// interleaving is reported instead of hanging.
     pub(super) fn before_acquire(class: &'static LockClass) {
-        let id = class_id(class);
-        // Snapshot the held stack out of the RefCell so the panic path
+        // Copy what the report needs out of the RefCell so the panic path
         // below can't hit a re-entrant borrow.
-        let held: Vec<&'static LockClass> = HELD
-            .try_with(|h| h.borrow().clone())
-            .unwrap_or_default();
-        if held.is_empty() {
+        let Some((max_rank, stack)) = HELD
+            .try_with(|h| {
+                let held = h.borrow();
+                let max_rank = held.iter().map(|c| c.rank()).max()?;
+                if class.rank() > max_rank {
+                    return None;
+                }
+                let stack: Vec<String> =
+                    held.iter().map(|c| format!("{} (rank {})", c.name(), c.rank())).collect();
+                Some((max_rank, stack))
+            })
+            .ok()
+            .flatten()
+        else {
             return;
-        }
-        let mut ids: Vec<u32> = held.iter().map(|c| class_id(c)).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        let max_rank = held.iter().map(|c| c.rank()).max().unwrap();
-        let violation = class.rank() <= max_rank;
-        {
-            let mut st = STATE.lock().unwrap();
-            for held_id in ids {
-                st.edges.insert((held_id, id));
-            }
-            if violation {
-                let stack: Vec<String> = held
-                    .iter()
-                    .map(|c| format!("{} (rank {})", c.name(), c.rank()))
-                    .collect();
-                st.violations.push(format!(
-                    "lock-order violation: acquiring '{}' (rank {}) while holding [{}]",
-                    class.name(),
-                    class.rank(),
-                    stack.join(", ")
-                ));
-            }
-        }
-        if violation && PANIC_ON_VIOLATION.load(Ordering::Relaxed) {
+        };
+        VIOLATIONS.lock().unwrap_or_else(PoisonError::into_inner).push(format!(
+            "lock-order violation: acquiring '{}' (rank {}) while holding [{}]",
+            class.name(),
+            class.rank(),
+            stack.join(", ")
+        ));
+        if PANIC_ON_VIOLATION.load(Ordering::Relaxed) {
             panic!(
                 "lock-order violation: acquiring '{}' (rank {}) while holding a lock of rank {} — \
                  see ray_common::sync::classes for the rank table",
@@ -350,72 +301,7 @@ mod order {
     }
 
     pub(super) fn violations() -> Vec<String> {
-        STATE.lock().unwrap().violations.clone()
-    }
-
-    pub(super) fn acquisition_edges() -> Vec<(&'static str, &'static str)> {
-        let st = STATE.lock().unwrap();
-        st.edges
-            .iter()
-            .map(|&(a, b)| {
-                (
-                    st.classes[(a - 1) as usize].name(),
-                    st.classes[(b - 1) as usize].name(),
-                )
-            })
-            .collect()
-    }
-
-    pub(super) fn detect_cycle() -> Option<Vec<&'static str>> {
-        let st = STATE.lock().unwrap();
-        let n = st.classes.len();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
-        for &(a, b) in &st.edges {
-            adj[a as usize].push(b); // BTreeSet order ⇒ each list sorted
-        }
-        let mut color = vec![0u8; n + 1]; // 0 white, 1 on-path, 2 done
-        let mut path: Vec<u32> = Vec::new();
-        fn dfs(
-            u: u32,
-            adj: &[Vec<u32>],
-            color: &mut [u8],
-            path: &mut Vec<u32>,
-        ) -> Option<Vec<u32>> {
-            color[u as usize] = 1;
-            path.push(u);
-            for &v in &adj[u as usize] {
-                match color[v as usize] {
-                    0 => {
-                        if let Some(c) = dfs(v, adj, color, path) {
-                            return Some(c);
-                        }
-                    }
-                    1 => {
-                        let pos = path.iter().position(|&x| x == v).unwrap();
-                        let mut cycle = path[pos..].to_vec();
-                        cycle.push(v);
-                        return Some(cycle);
-                    }
-                    _ => {}
-                }
-            }
-            path.pop();
-            color[u as usize] = 2;
-            None
-        }
-        for start in 1..=n as u32 {
-            if color[start as usize] == 0 {
-                if let Some(cycle) = dfs(start, &adj, &mut color, &mut path) {
-                    return Some(
-                        cycle
-                            .into_iter()
-                            .map(|id| st.classes[(id - 1) as usize].name())
-                            .collect(),
-                    );
-                }
-            }
-        }
-        None
+        VIOLATIONS.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 }
 
@@ -425,7 +311,7 @@ mod order {
 
 /// Controls whether a rank inversion panics (debug builds). Returns the
 /// previous setting. Violations are recorded either way, so a test that
-/// disables panics can still assert on [`violations`] / [`detect_cycle`].
+/// disables panics can still assert on [`violations`].
 pub fn set_panic_on_violation(on: bool) -> bool {
     #[cfg(debug_assertions)]
     {
@@ -438,8 +324,8 @@ pub fn set_panic_on_violation(on: bool) -> bool {
     }
 }
 
-/// All rank-inversion reports recorded so far (debug builds; empty in
-/// release).
+/// All rank-inversion reports recorded so far in this process, including
+/// any whose panic a caller caught (debug builds; empty in release).
 pub fn violations() -> Vec<String> {
     #[cfg(debug_assertions)]
     {
@@ -448,45 +334,6 @@ pub fn violations() -> Vec<String> {
     #[cfg(not(debug_assertions))]
     {
         Vec::new()
-    }
-}
-
-/// The accumulated acquisition-order graph as `(held, acquired)` name
-/// pairs, deterministically ordered (debug builds; empty in release).
-pub fn acquisition_edges() -> Vec<(&'static str, &'static str)> {
-    #[cfg(debug_assertions)]
-    {
-        order::acquisition_edges()
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        Vec::new()
-    }
-}
-
-/// Searches the acquisition-order graph for a cycle — a *potential*
-/// deadlock, even if no run ever interleaved into it. Returns the cycle as
-/// class names, first repeated at the end; deterministic across calls.
-/// Always `None` in release builds.
-pub fn detect_cycle() -> Option<Vec<&'static str>> {
-    #[cfg(debug_assertions)]
-    {
-        order::detect_cycle()
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        None
-    }
-}
-
-/// Panics if the acquisition-order graph contains a cycle. No-op in
-/// release builds.
-pub fn assert_acyclic() {
-    if let Some(cycle) = detect_cycle() {
-        panic!(
-            "lock acquisition-order graph has a cycle (potential deadlock): {}",
-            cycle.join(" -> ")
-        );
     }
 }
 
@@ -823,11 +670,9 @@ mod tests {
         assert_eq!(*ga + *gb, 3);
         drop(gb);
         drop(ga);
-        // The edge outer→inner is now on record.
-        #[cfg(debug_assertions)]
-        assert!(acquisition_edges()
-            .iter()
-            .any(|&(x, y)| x == "test.outer" && y == "test.inner"));
+        // The record is process-wide and the next test inverts this pair
+        // on purpose: none may name this direction.
+        assert!(!violations().iter().any(|v| v.contains("acquiring 'test.inner'")));
     }
 
     #[test]

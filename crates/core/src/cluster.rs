@@ -69,7 +69,7 @@ impl Cluster {
             TraceCollector::disabled()
         };
 
-        let fabric = Fabric::new_with_metrics(capacity, &config.transport, metrics.clone());
+        let fabric = Fabric::new(capacity, &config.transport);
         fabric.set_tracer(trace.clone());
         let gcs = Gcs::start_traced(&config.gcs, metrics.clone(), trace.clone())?;
         let gcs_client = gcs.client();

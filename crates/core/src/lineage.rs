@@ -19,7 +19,6 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use ray_common::metrics::names;
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, ObjectId, RayError, RayResult, TaskId};
 
@@ -220,10 +219,6 @@ fn claim_resubmission(shared: &Arc<RuntimeShared>, task: TaskId) -> Claim {
     }
     entry.attempts += 1;
     entry.next_retry = now + FETCH_ROUND * 2u32.saturating_pow(entry.attempts.min(4));
-    shared
-        .metrics
-        .histogram_with(names::RECONSTRUCTION_ATTEMPTS, &[1, 2, 3, 4, 8, 16])
-        .observe(u64::from(entry.attempts));
     Claim::Go
 }
 

@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ray_common::config::{FaultConfig, SchedulerPolicy};
-use ray_common::metrics::names;
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, ObjectId, RayConfig, RayError, Resources, ShardId};
 use ray_gcs::kv::{Key, Table, UpdateOp};
@@ -1249,7 +1248,6 @@ fn an_empty_task_costs_two_gcs_writes() {
     assert_eq!(writes(), before);
     // No fault was injected, so no chain replaced a member: a slow apply
     // is waited for, not reported.
-    assert_eq!(cluster.metrics().counter(names::GCS_RECONFIGURATIONS).get(), 0);
     assert_eq!(cluster.snapshot().unwrap().gcs_reconfigurations, vec![0; shards]);
     cluster.shutdown();
 }
@@ -1427,7 +1425,6 @@ fn a_chain_reconfigures_once_per_crashed_member() {
         assert_eq!((shard.reconfigurations(), shard.replica_count()), (crashes, 2));
     }
     assert_eq!(cluster.snapshot().unwrap().gcs_reconfigurations, vec![2, 0, 0, 0]);
-    assert_eq!(cluster.metrics().counter(names::GCS_RECONFIGURATIONS).get(), 2);
     cluster.shutdown();
 }
 

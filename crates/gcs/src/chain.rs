@@ -70,8 +70,6 @@ pub struct Chain {
     all_dead_streak: AtomicUsize,
     disk: Arc<DiskStore>,
     entries_flushed: Arc<Counter>,
-    /// `reconfigurations`, summed over the shards of one registry.
-    reconfigurations_total: Arc<Counter>,
 }
 
 impl Chain {
@@ -95,7 +93,6 @@ impl Chain {
             all_dead_streak: AtomicUsize::new(0),
             disk: Arc::new(DiskStore::in_memory()),
             entries_flushed: metrics.counter(names::GCS_ENTRIES_FLUSHED),
-            reconfigurations_total: metrics.counter(names::GCS_RECONFIGURATIONS),
         };
         chain.members.write().extend((0..cfg.chain_length).map(|_| chain.new_replica()));
         Ok(chain)
@@ -333,18 +330,13 @@ impl Chain {
             joiner.live_state().expect("invariant: a new member has not crashed").install(snapshot);
             members.push(joiner);
         }
-        self.count_reconfiguration();
+        self.reconfigurations.fetch_add(1, Ordering::Relaxed);
         self.trace.emit(
             NodeId(0),
             TraceEventKind::GcsReconfigured,
             TraceEntity::Shard(self.shard_id),
             format!("members={}", members.len()),
         );
-    }
-
-    fn count_reconfiguration(&self) {
-        self.reconfigurations.fetch_add(1, Ordering::Relaxed);
-        self.reconfigurations_total.inc();
     }
 
     /// Whole-shard recovery: every replica is gone, so start a fresh chain
@@ -364,7 +356,7 @@ impl Chain {
         let replayed = self.disk.replay().len();
         members.extend((0..self.cfg.chain_length).map(|_| self.new_replica()));
         drop(members);
-        self.count_reconfiguration();
+        self.reconfigurations.fetch_add(1, Ordering::Relaxed);
         self.all_dead_streak.store(0, Ordering::Relaxed);
         self.trace.emit(
             NodeId(0),

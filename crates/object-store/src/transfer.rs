@@ -284,11 +284,9 @@ impl TransferManager {
         }
     }
 
-    /// Counts and traces a payload of `size` bytes that landed on `to`.
+    /// Traces a payload of `size` bytes that landed on `to` (the fabric
+    /// counts its bytes).
     fn landed(&self, id: ObjectId, src: NodeId, to: NodeId, size: usize) {
-        let size = size as u64;
-        self.metrics.counter(names::BYTES_TRANSFERRED).add(size);
-        self.metrics.histogram(names::TRANSFER_BYTES).observe(size);
         self.tracer.emit(
             to,
             TraceEventKind::ObjectTransferred,
@@ -398,7 +396,7 @@ mod tests {
             .unwrap();
         let client = gcs.client();
         let metrics = MetricsRegistry::new();
-        let fabric = Fabric::new_with_metrics(nodes, &transport, metrics.clone());
+        let fabric = Fabric::new(nodes, &transport);
         let directory = StoreDirectory::new();
         let mut stores = Vec::new();
         for i in 0..nodes {
@@ -470,7 +468,6 @@ mod tests {
         assert!(r.stores[1].get_local(id).unwrap() == got);
         assert_eq!(r.fabric.transfer_count(), 1);
         assert_eq!(r.fabric.bytes_transferred(), payload.len() as u64);
-        assert_eq!(r.metrics.counter(names::BYTES_TRANSFERRED).get(), payload.len() as u64);
     }
 
     #[test]
@@ -555,7 +552,7 @@ mod tests {
         assert!(!r.stores[1].contains(id));
         assert_eq!(holders(&r, id), vec![NodeId(0)]);
         assert_eq!(r.fabric.transfer_count(), 1);
-        assert_eq!(r.metrics.counter(names::BYTES_TRANSFERRED).get(), payload.len() as u64);
+        assert_eq!(r.fabric.bytes_transferred(), payload.len() as u64);
         // On the holder's own node the object comes back whole, unstreamed.
         let here = r.tm.fetch_pieces(id, NodeId(0), Duration::from_secs(1), &mut |_, _| {
             panic!("a local object was streamed")
@@ -610,6 +607,8 @@ mod tests {
         killer.join().unwrap();
         assert!(got == payload, "streamed bytes differ from the source");
         assert_eq!(offsets.iter().filter(|&&o| o == 0).count(), 2, "{offsets:?}");
+        let restart = offsets.iter().rposition(|&o| o == 0).unwrap();
+        assert!(restart < 8, "the dead source handed over {restart} of its 8 pieces: {offsets:?}");
         assert_eq!(r.fabric.transfer_count(), 1);
         assert!(!r.stores[1].contains(id));
     }
@@ -731,7 +730,6 @@ mod tests {
             assert_eq!(got, Bytes::from_static(b"lossy-link-payload"), "fetch {i}");
         }
         assert!(r.metrics.counter(names::TRANSFER_RETRIES).get() > 0);
-        assert!(r.metrics.counter(names::MESSAGES_DROPPED).get() > 0);
         assert!(r.fabric.message_drop_count() > 0);
     }
 }

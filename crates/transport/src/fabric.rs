@@ -7,7 +7,6 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use ray_common::config::{ChaosConfig, TransportConfig};
-use ray_common::metrics::{names, MetricsRegistry};
 use ray_common::sync::{classes, OrderedMutex, OrderedRwLock};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
 use ray_common::util::DetRng;
@@ -52,7 +51,6 @@ struct Inner {
     chaos: ChaosConfig,
     chaos_rng: OrderedMutex<DetRng>,
     dropped: AtomicU64,
-    metrics: MetricsRegistry,
     /// Set once at cluster assembly (after `Fabric::new`): chaos drops
     /// become `message_dropped` trace events.
     tracer: OnceLock<TraceCollector>,
@@ -61,16 +59,6 @@ struct Inner {
 impl Fabric {
     /// Creates a fabric for `num_nodes` nodes, all initially alive.
     pub fn new(num_nodes: usize, cfg: &TransportConfig) -> Self {
-        Fabric::new_with_metrics(num_nodes, cfg, MetricsRegistry::new())
-    }
-
-    /// Like [`Fabric::new`] but sharing the cluster's metrics registry, so
-    /// injected drops show up as [`names::MESSAGES_DROPPED`].
-    pub fn new_with_metrics(
-        num_nodes: usize,
-        cfg: &TransportConfig,
-        metrics: MetricsRegistry,
-    ) -> Self {
         Fabric {
             inner: Arc::new(Inner {
                 model: LinkModel::from_config(cfg),
@@ -84,7 +72,6 @@ impl Fabric {
                 chaos: cfg.chaos.clone(),
                 chaos_rng: OrderedMutex::new(&classes::FABRIC_CHAOS_RNG, DetRng::new(cfg.chaos.seed)),
                 dropped: AtomicU64::new(0),
-                metrics,
                 tracer: OnceLock::new(),
             }),
         }
@@ -175,7 +162,6 @@ impl Fabric {
         let roll = self.inner.chaos_rng.lock().next_f64();
         if roll < self.inner.chaos.drop_probability {
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-            self.inner.metrics.counter(names::MESSAGES_DROPPED).inc();
             if let Some(t) = self.inner.tracer.get() {
                 t.emit(src, TraceEventKind::MessageDropped, TraceEntity::Node(src), "");
             }
@@ -185,13 +171,20 @@ impl Fabric {
         }
     }
 
-    fn check_link(&self, src: NodeId, dst: NodeId) -> RayResult<()> {
+    /// Fails with the first dead endpoint: two atomic loads, cheap enough
+    /// for every piece of a stream.
+    fn check_alive(&self, src: NodeId, dst: NodeId) -> RayResult<()> {
         if !self.is_alive(src) {
             return Err(RayError::NodeDead(src));
         }
         if !self.is_alive(dst) {
             return Err(RayError::NodeDead(dst));
         }
+        Ok(())
+    }
+
+    fn check_link(&self, src: NodeId, dst: NodeId) -> RayResult<()> {
+        self.check_alive(src, dst)?;
         if src != dst && self.inner.partitions.read().contains(&ordered(src, dst)) {
             // A partition is reported as the remote side being unreachable.
             return Err(RayError::NodeDead(dst));
@@ -239,7 +232,10 @@ impl Fabric {
     ///
     /// An `Err` means the payload did not arrive — dropped before the first
     /// piece, or an endpoint lost while pieces were in flight — and the
-    /// receiver must discard what it was handed.
+    /// receiver must discard what it was handed. Both endpoints' liveness
+    /// is checked as each piece lands, before the receiver sees it, so a
+    /// lost endpoint ends the transfer at its next piece; a partition cut
+    /// mid-flight fails it after the last piece.
     pub fn transfer_streamed(
         &self,
         src: NodeId,
@@ -267,6 +263,8 @@ impl Fabric {
             if real_time {
                 std::thread::sleep((started + arrival).saturating_duration_since(Instant::now()));
             }
+            // Either end may have died while the piece was in flight.
+            self.check_alive(src, dst)?;
             on_piece(lo..hi);
             if hi == bytes {
                 break arrival;
@@ -274,7 +272,8 @@ impl Fabric {
             lo = hi;
         };
         drop(permit);
-        // The destination may have died while the bytes were in flight.
+        // The link may have been partitioned while the bytes were in flight
+        // (the partition set is behind a lock, so it is read once, here).
         self.check_link(src, dst)?;
         self.inner.bytes_transferred.fetch_add(bytes as u64, Ordering::Relaxed);
         self.inner.transfers.fetch_add(1, Ordering::Relaxed);
@@ -528,7 +527,23 @@ mod tests {
             })
             .unwrap_err();
         assert_eq!(err, RayError::NodeDead(NodeId(1)));
-        assert_eq!(pieces, 4, "the liveness check comes after the flight, as for `transfer`");
+        assert_eq!(pieces, 1, "the next piece's liveness check ends the transfer");
+        assert_eq!((f.transfer_count(), f.bytes_transferred()), (0, 0));
+    }
+
+    #[test]
+    fn source_killed_mid_stream_fails_the_transfer() {
+        let f = Fabric::new(2, &cfg());
+        f.set_virtual_time(true);
+        let mut pieces = 0;
+        let err = f
+            .transfer_streamed(NodeId(0), NodeId(1), 4 * cfg().chunk_bytes, 1, |_| {
+                pieces += 1;
+                f.kill_node(NodeId(0));
+            })
+            .unwrap_err();
+        assert_eq!(err, RayError::NodeDead(NodeId(0)));
+        assert_eq!(pieces, 1, "a dead source streams nothing more");
         assert_eq!((f.transfer_count(), f.bytes_transferred()), (0, 0));
     }
 

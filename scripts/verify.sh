@@ -27,8 +27,9 @@ fi
 
 echo "== static analysis gate =="
 # The full multi-pass analyzer: lock discipline, wall clock, static
-# lock-order, determinism, panic-freedom, sleep-poll, and trace coverage,
-# ratcheted by xtask/analyze.allow.
+# lock-order (rank inversions and unranked edges), determinism,
+# panic-freedom, sleep-poll, and trace coverage, ratcheted by
+# xtask/analyze.allow.
 cargo run -q -p xtask -- analyze
 
 echo "== clippy =="

@@ -333,10 +333,10 @@ fn run_seeded_schedule(seed: u64) {
             "seed {seed}: node {n} must be live after repair"
         );
     }
-    // The whole episode — kills, partitions, recovery — must leave the
-    // lock acquisition-order graph acyclic (debug builds only; the
-    // detector compiles out in release).
-    ray_repro::common::sync::assert_acyclic();
+    // The whole episode — kills, partitions, recovery — must record no
+    // lock-order violation (debug builds only; the checker compiles out
+    // in release).
+    assert_no_lock_order_violation();
 
     // Whatever the schedule did, the causal invariant holds across every
     // task the run traced: dependencies landed before execution started.
@@ -394,7 +394,6 @@ fn workloads_survive_seeded_message_drops() {
         );
     }
     assert!(cluster.fabric().message_drop_count() > 0, "p=0.2 must drop something");
-    assert!(cluster.metrics().counter(names::MESSAGES_DROPPED).get() > 0);
     assert!(cluster.metrics().counter(names::TRANSFER_RETRIES).get() > 0);
     // Nothing here should have looked like a node failure.
     assert_eq!(cluster.live_nodes(), 3);
@@ -413,15 +412,15 @@ fn workloads_survive_seeded_message_drops() {
     cluster.shutdown();
 }
 
-/// Soak iteration for the lock-order detector: repeated
+/// Soak iteration for the lock-rank checker: repeated
 /// kill → partition → recover episodes under live workload traffic, with
-/// the acquisition-order graph checked for cycles after every episode.
-/// A single run only witnesses one interleaving; iterating accumulates
-/// edges from many (the graph is process-global and only ever grows), so a
-/// latent inversion anywhere on the failure-handling paths shows up here
-/// as a cycle even if no run actually deadlocked.
+/// the process-wide violation record checked after every episode. Every
+/// acquisition that is not a recorded violation goes up in rank, so an
+/// empty record also rules out a cycle — a potential deadlock — on the
+/// failure-handling paths, even if no run interleaved into it; and it
+/// catches an inversion whose panic a task's `catch_unwind` swallowed.
 #[test]
-fn lock_graph_stays_acyclic_across_kill_and_partition_episodes() {
+fn no_lock_order_violation_across_kill_and_partition_episodes() {
     let nodes = 3u32;
     let cluster =
         Cluster::start(chaos_config(nodes as usize, Duration::from_millis(200))).unwrap();
@@ -450,11 +449,17 @@ fn lock_graph_stays_acyclic_across_kill_and_partition_episodes() {
         chaos::repair(&cluster, nodes);
         assert_eq!(cluster.live_nodes(), nodes as usize, "episode {episode}");
 
-        // After every kill/partition/recover episode the global
-        // acquisition-order graph must still be a DAG.
-        ray_repro::common::sync::assert_acyclic();
+        // After every kill/partition/recover episode the record is
+        // still empty.
+        assert_no_lock_order_violation();
     }
 
     cluster.shutdown();
-    ray_repro::common::sync::assert_acyclic();
+    assert_no_lock_order_violation();
+}
+
+/// Fails on any rank inversion recorded in this process so far.
+fn assert_no_lock_order_violation() {
+    let violations = ray_repro::common::sync::violations();
+    assert!(violations.is_empty(), "lock-order violations: {violations:#?}");
 }

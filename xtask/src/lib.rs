@@ -10,10 +10,10 @@
 //!   `OrderedMutex::new` with an unregistered `LockClass`.
 //! * **wall-clock** — `Instant::now()` on trace-emission paths (all time
 //!   goes through the `Clock` seam).
-//! * **lock-order** — static acquisition-order analysis: intra-function
-//!   nested acquisitions become edges in a cross-workspace graph keyed by
-//!   `LockClass` rank; rank inversions and cycles fail the gate, and the
-//!   code's rank table is cross-checked against DESIGN.md §9.
+//! * **lock-order** — the rank rule at lint time: an intra-function
+//!   nested acquisition whose rank does not go up (`lock-order-inversion`)
+//!   or whose rank is not a literal (`lock-order-unranked`) fails the
+//!   gate, and the code's rank table is cross-checked against DESIGN.md §9.
 //! * **determinism** — `HashMap`/`HashSet` iteration on trace, signature,
 //!   and GCS flush/replay paths.
 //! * **panic-free** — `unwrap()`/`expect()`/`panic!`/slice-indexing in

@@ -2,7 +2,8 @@
 //!
 //! With no file arguments, walks the whole workspace, runs every static
 //! analysis pass (lock discipline, wall clock, lock order, determinism,
-//! panic freedom, sleep poll, trace coverage), applies the
+//! panic freedom, sleep poll, trace coverage; lock order rejects rank
+//! inversions and unranked edges), applies the
 //! `xtask/analyze.allow` ratchet, and exits non-zero on any denied
 //! finding. With explicit file arguments, analyzes only those files with
 //! every path-scoped rule in scope and no allowlist (used by the fixture

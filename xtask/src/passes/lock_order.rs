@@ -1,8 +1,9 @@
 //! **Static lock-order analysis** — the tentpole pass.
 //!
-//! The runtime rank checker (DESIGN.md §9) only trips when a debug run
-//! actually interleaves two locks; this pass rejects statically-visible
-//! rank inversions at lint time, before any test runs.
+//! The runtime rank checker (DESIGN.md §9) only trips on a nested
+//! acquisition a debug run actually takes; this pass applies the same
+//! rank rule to statically-visible nestings at lint time, before any test
+//! runs.
 //!
 //! Per file it (1) maps bindings to lock classes from
 //! `OrderedMutex::new(&classes::X, ..)` construction sites, (2) walks
@@ -12,13 +13,15 @@
 //! construct's block; any other temporary lives to the end of its
 //! statement), and (3) records an acquisition edge `A → B` whenever a
 //! lock of class B is taken while a guard of class A is live. Edges from
-//! every file merge into one workspace acquisition graph:
+//! every file are merged by class pair, and each is judged on its own:
 //!
 //! - **lock-order-inversion** — an edge whose destination rank is not
 //!   strictly greater than its source rank (the total-order rule, same
 //!   class included);
-//! - **lock-order-cycle** — a cycle in the graph (possible among
-//!   file-local classes whose ranks are test-scoped);
+//! - **lock-order-unranked** — an edge with a class whose rank is not a
+//!   literal the pass can read. Every other edge goes strictly up in rank,
+//!   so a cycle in the graph needs an inversion or an unranked edge: the
+//!   two rules together reject every cycle without searching for one;
 //! - **rank-table-drift** — the `sync::classes` rank table and the
 //!   DESIGN.md §9 table disagree (class missing on either side, or rank
 //!   mismatch).
@@ -47,7 +50,7 @@ impl Pass for LockOrder {
     }
 
     fn rules(&self) -> &'static [&'static str] {
-        &["lock-order-inversion", "lock-order-cycle", "rank-table-drift"]
+        &["lock-order-inversion", "lock-order-unranked", "rank-table-drift"]
     }
 
     fn run(&self, ctx: &AnalyzeCtx, ws: &Workspace) -> Vec<Finding> {
@@ -62,22 +65,25 @@ impl Pass for LockOrder {
         }
 
         for edge in edges.values() {
-            if let (Some(fr), Some(tr)) = (edge.from_rank, edge.to_rank) {
-                if tr <= fr {
-                    findings.push(Finding {
-                        file: edge.file.clone(),
-                        line: edge.line,
-                        rule: "lock-order-inversion",
-                        excerpt: format!(
-                            "acquires {} (rank {tr}) while holding {} (rank {fr}): {}",
-                            edge.to, edge.from, edge.excerpt
-                        ),
-                    });
-                }
-            }
+            let (from, to) = (&edge.from, &edge.to);
+            let (rule, excerpt) = match (edge.from_rank, edge.to_rank) {
+                (Some(fr), Some(tr)) if tr > fr => continue,
+                (Some(fr), Some(tr)) => (
+                    "lock-order-inversion",
+                    format!("acquires {to} (rank {tr}) while holding {from} (rank {fr})"),
+                ),
+                _ => (
+                    "lock-order-unranked",
+                    format!("acquires {to} while holding {from}; a rank is not a literal"),
+                ),
+            };
+            findings.push(Finding {
+                file: edge.file.clone(),
+                line: edge.line,
+                rule,
+                excerpt: format!("{excerpt}: {}", edge.excerpt),
+            });
         }
-
-        findings.extend(find_cycles(&edges));
 
         if let Some(design) = &ctx.design_md {
             findings.extend(rank_table_drift(&ctx.registry, design));
@@ -356,53 +362,6 @@ fn is_control_header(stmt: &str) -> bool {
     ["if ", "if(", "while ", "while(", "match ", "for ", "else if "]
         .iter()
         .any(|k| s.starts_with(k))
-}
-
-/// DFS cycle detection over the acquisition graph.
-fn find_cycles(edges: &BTreeMap<(String, String), Edge>) -> Vec<Finding> {
-    let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (from, to) in edges.keys() {
-        adj.entry(from.as_str()).or_default().push(to.as_str());
-    }
-    let mut findings = Vec::new();
-    let mut done: std::collections::BTreeSet<&str> = Default::default();
-    for &start in adj.keys().collect::<Vec<_>>().iter() {
-        if done.contains(start) {
-            continue;
-        }
-        let mut stack: Vec<(&str, usize)> = vec![(start, 0)];
-        let mut path: Vec<&str> = vec![start];
-        while let Some((node, next)) = stack.last_mut() {
-            let succs = adj.get(*node).map(Vec::as_slice).unwrap_or(&[]);
-            if *next < succs.len() {
-                let succ = succs[*next];
-                *next += 1;
-                if let Some(pos) = path.iter().position(|n| *n == succ) {
-                    // Found a cycle: path[pos..] + succ.
-                    let cycle: Vec<&str> = path[pos..].iter().copied().chain([succ]).collect();
-                    let site = &edges[&(path[path.len() - 1].to_string(), succ.to_string())];
-                    let desc = cycle.join(" -> ");
-                    let finding = Finding {
-                        file: site.file.clone(),
-                        line: site.line,
-                        rule: "lock-order-cycle",
-                        excerpt: format!("acquisition cycle {desc}: {}", site.excerpt),
-                    };
-                    if !findings.contains(&finding) {
-                        findings.push(finding);
-                    }
-                } else if !done.contains(succ) {
-                    stack.push((succ, 0));
-                    path.push(succ);
-                }
-            } else {
-                done.insert(*node);
-                stack.pop();
-                path.pop();
-            }
-        }
-    }
-    findings
 }
 
 /// Cross-checks the code's rank table against the DESIGN.md §9 table.

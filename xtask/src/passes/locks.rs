@@ -8,11 +8,11 @@
 //! 3. **unregistered-class** — `OrderedMutex::new` / `OrderedRwLock::new`
 //!    whose first argument is not a registered `LockClass`.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::findings::Finding;
-use crate::registry::{collect_lock_class_names, ClassRegistry};
+use crate::registry::{collect_lock_class_statics, ClassRegistry};
 use crate::walker::{has_word, strip_line_comment, Workspace};
 
 use super::{AnalyzeCtx, Pass};
@@ -50,7 +50,7 @@ pub fn lint_source(
     allow_raw: bool,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let local_classes = collect_lock_class_names(src);
+    let local_classes = collect_lock_class_statics(src);
     let lines: Vec<&str> = src.lines().collect();
 
     for (idx, raw_line) in lines.iter().enumerate() {
@@ -141,7 +141,7 @@ pub fn first_argument(lines: &[&str], line_idx: usize, open: usize) -> String {
 fn argument_is_registered(
     arg: &str,
     registry: &ClassRegistry,
-    local: &BTreeSet<String>,
+    local: &BTreeMap<String, Option<u32>>,
 ) -> bool {
     let arg = arg.trim();
     let Some(path) = arg.strip_prefix('&') else { return false };
@@ -151,7 +151,7 @@ fn argument_is_registered(
     if segments.len() >= 2 && segments[segments.len() - 2] == "classes" {
         registry.contains(name)
     } else if segments.len() == 1 {
-        local.contains(*name) || registry.contains(name)
+        local.contains_key(*name) || registry.contains(name)
     } else {
         false
     }

@@ -3,7 +3,6 @@
 //! DESIGN.md §9 rank table.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use crate::walker::strip_line_comment;
 
@@ -72,11 +71,6 @@ pub fn collect_lock_class_statics(src: &str) -> BTreeMap<String, Option<u32>> {
         }
     }
     out
-}
-
-/// The names only (legacy helper for file-local class collection).
-pub fn collect_lock_class_names(src: &str) -> BTreeSet<String> {
-    collect_lock_class_statics(src).into_keys().collect()
 }
 
 /// Pulls the literal rank out of `LockClass = LockClass::new("name", 300);`.

@@ -56,10 +56,8 @@ fn lock_inversion_fixture_is_rejected() {
         rules.contains(&"lock-order-inversion"),
         "HIGH→LOW nesting should trip the inversion rule: {findings:?}"
     );
-    assert!(
-        rules.contains(&"lock-order-cycle"),
-        "CYC_A ↔ CYC_B should trip the cycle detector: {findings:?}"
-    );
+    let unranked: Vec<_> = findings.iter().filter(|f| f.rule == "lock-order-unranked").collect();
+    assert_eq!(unranked.len(), 2, "each edge of CYC_A ↔ CYC_B is unranked: {findings:?}");
     let inversion = findings.iter().find(|f| f.rule == "lock-order-inversion").unwrap();
     assert!(
         inversion.excerpt.contains("LOW") && inversion.excerpt.contains("HIGH"),

@@ -1,13 +1,14 @@
 //! Analyzer fixture: the lock-order pass must reject this file with one
 //! `lock-order-inversion` (LOW acquired under HIGH, ranks inverted) and
-//! one `lock-order-cycle` (CYC_A ↔ CYC_B, ranks unparseable so only the
-//! cycle detector can catch it). Not compiled as part of any crate.
+//! two `lock-order-unranked` (CYC_A ↔ CYC_B: ranks unparseable, so the
+//! inversion rule cannot compare them, and each edge of the cycle is
+//! rejected on its own). Not compiled as part of any crate.
 
 static HIGH: LockClass = LockClass::new("fixture.high", 20);
 static LOW: LockClass = LockClass::new("fixture.low", 10);
 
-// Non-literal ranks: the inversion rule cannot compare them, so the
-// cycle below is invisible to it — the cycle detector must fire.
+// Non-literal ranks: the inversion rule cannot compare them, so every
+// edge that touches them is a finding of its own.
 static CYC_A: LockClass = LockClass::new("fixture.cyc_a", RANK_A);
 static CYC_B: LockClass = LockClass::new("fixture.cyc_b", RANK_B);
 
