@@ -26,7 +26,9 @@
 //! producer. [`UniqueId::digest`] reads the first eight bytes only, so an
 //! object and its producer share a digest (and the short hex `Debug` prints).
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -52,8 +54,46 @@ pub const MAX_TASK_RETURNS: u64 = u16::MAX as u64;
 /// assert_ne!(a, b);
 /// assert_eq!(a, UniqueId::from_bytes(a.as_bytes()));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct UniqueId([u8; ID_LEN]);
+
+/// An ID hashes as one word: its two halves xor-ed, the second rotated so
+/// the slot lands in the low bits, then one multiply by an odd constant,
+/// which carries the slot into the top bits as well. So the returns of one
+/// task differ in the bits a hash table takes its bucket from and in those
+/// it takes its tag from; [`IdHasher`] passes the word through.
+impl Hash for UniqueId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (lo, hi) = self.0.split_at(ID_LEN / 2);
+        let word = |half: &[u8]| u64::from_le_bytes(half.try_into().unwrap_or_default());
+        let folded = word(lo) ^ word(hi).rotate_left(16);
+        state.write_u64(folded.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+}
+
+/// The hasher of the maps keyed by an ID, or by a hash already taken: it
+/// keeps the one word such a key writes (a keyed hash's defence against
+/// chosen keys buys nothing for IDs the program makes itself). Other input
+/// is folded in byte by byte.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.0 = self.0.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by an ID, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Process-wide counter mixed into freshly generated IDs.
 static ID_COUNTER: AtomicU64 = AtomicU64::new(0x9e37_79b9_7f4a_7c15);
@@ -411,6 +451,21 @@ mod tests {
         for (id, domain, index, want) in pinned {
             assert_eq!(id.derive(domain, index).as_bytes(), want, "{id:?} {domain:?} {index}");
         }
+    }
+
+    #[test]
+    fn two_returns_of_one_task_hash_apart_under_the_id_hasher() {
+        use std::hash::BuildHasher;
+        let hash = |id: ObjectId| BuildHasherDefault::<IdHasher>::default().hash_one(id);
+        let t = TaskId::random();
+        let returns: Vec<u64> = (0..16).map(|i| hash(ObjectId::for_task_return(t, i))).collect();
+        // Apart in the low bits (a table's bucket, even at 16 buckets) and
+        // in the top seven (hashbrown's tag), not only somewhere.
+        let low: HashSet<u64> = returns.iter().map(|h| h & 0xf).collect();
+        let top: HashSet<u64> = returns.iter().map(|h| h >> 57).collect();
+        assert_eq!((low.len(), top.len()), (16, 16));
+        assert_ne!(hash(ObjectId::for_task_return(t, 0)), hash(ObjectId(t.0)));
+        assert_eq!(hash(ObjectId(t.0)), BuildHasherDefault::<IdHasher>::default().hash_one(t));
     }
 
     #[test]

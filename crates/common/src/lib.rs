@@ -32,5 +32,7 @@ pub mod util;
 
 pub use config::RayConfig;
 pub use error::{RayError, RayResult};
-pub use id::{ActorId, FunctionId, NodeId, ObjectId, ShardId, TaskId, UniqueId, WorkerId};
+pub use id::{
+    ActorId, FunctionId, IdMap, NodeId, ObjectId, ShardId, TaskId, UniqueId, WorkerId,
+};
 pub use resources::Resources;

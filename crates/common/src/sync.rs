@@ -39,8 +39,8 @@ use std::time::Instant;
 ///
 /// Classes are declared as `static`s (construction is `const`) and passed
 /// by reference to [`OrderedMutex::new`] / [`OrderedRwLock::new`]. Many
-/// lock *instances* may share one class (e.g. the 16 cancel-registry
-/// shards): the rank rule then also forbids holding two instances of the
+/// lock *instances* may share one class (e.g. every node's run
+/// queue): the rank rule then also forbids holding two instances of the
 /// same class at once, which is exactly the discipline sharded structures
 /// want.
 pub struct LockClass {
@@ -112,13 +112,10 @@ pub mod classes {
     pub static ACTOR_ROUTER: LockClass = LockClass::new("core.actors", 120);
     /// One actor's mailbox: its undelivered calls and its host state.
     pub static ACTOR_MAILBOX: LockClass = LockClass::new("core.actor_mailbox", 122);
-    /// A node's run queue; held while a worker is started (`NODE_JOIN`),
-    /// a queued task's token is checked (`CANCEL_SHARD`) and its
-    /// resources are acquired (`SCHED_LEDGER`), so it ranks below all three.
+    /// A node's run queue and its in-flight records; held while a worker
+    /// is started (`NODE_JOIN`) and a queued task's resources are acquired
+    /// (`SCHED_LEDGER`), so it ranks below both.
     pub static NODE_QUEUE: LockClass = LockClass::new("core.node_queue", 125);
-    /// One shard of the per-task registry (task → token, children, node;
-    /// 16 instances, one class).
-    pub static CANCEL_SHARD: LockClass = LockClass::new("core.cancel_shard", 135);
     /// Stalled-task resubmission ledger for lineage reconstruction.
     pub static STALLED_TASKS: LockClass = LockClass::new("core.stalled", 140);
     /// A node's thread handles (heartbeat thread and workers).
@@ -235,39 +232,76 @@ mod order {
     /// Tests that deliberately invert flip this off first.
     static PANIC_ON_VIOLATION: AtomicBool = AtomicBool::new(true);
 
-    thread_local! {
-        /// The classes this thread currently holds, in acquisition order.
-        static HELD: RefCell<Vec<&'static LockClass>> = const { RefCell::new(Vec::new()) };
+    /// The most locks one thread holds at once: the deepest nesting in
+    /// the workspace is a handful. One more acquire is recorded as a
+    /// violation and not tracked; the stack never reallocates.
+    const HELD_CAP: usize = 16;
+
+    /// The classes this thread currently holds, in acquisition order,
+    /// each beside the highest rank held up to and including it: the check
+    /// reads one entry, not the stack.
+    struct Held {
+        len: usize,
+        classes: [(Option<&'static LockClass>, u32); HELD_CAP],
     }
 
-    /// Rank check. Runs *before* the blocking acquire so a would-deadlock
-    /// interleaving is reported instead of hanging.
-    pub(super) fn before_acquire(class: &'static LockClass) {
+    thread_local! {
+        static HELD: RefCell<Held> =
+            const { RefCell::new(Held { len: 0, classes: [(None, 0); HELD_CAP] }) };
+    }
+
+    fn record(violation: String) {
+        VIOLATIONS.lock().unwrap_or_else(PoisonError::into_inner).push(violation);
+    }
+
+    /// Rank check, then push: one look at the held stack, *before* the
+    /// blocking acquire, so a would-deadlock interleaving is reported
+    /// instead of hanging (an acquire blocks or succeeds; it does not fail).
+    /// A thread already holding [`HELD_CAP`] locks records a violation and
+    /// does not track this one. An inversion that panics pushes nothing:
+    /// it takes no lock, so no guard would pop the entry.
+    pub(super) fn acquire(class: &'static LockClass) {
+        let panics = PANIC_ON_VIOLATION.load(Ordering::Relaxed);
         // Copy what the report needs out of the RefCell so the panic path
         // below can't hit a re-entrant borrow.
-        let Some((max_rank, stack)) = HELD
-            .try_with(|h| {
-                let held = h.borrow();
-                let max_rank = held.iter().map(|c| c.rank()).max()?;
-                if class.rank() > max_rank {
-                    return None;
-                }
+        let Ok((inverted, tracked)) = HELD.try_with(|h| {
+            let mut held = h.borrow_mut();
+            let len = held.len;
+            let max_rank = len.checked_sub(1).and_then(|top| held.classes.get(top)).map(|e| e.1);
+            let inverted = max_rank.filter(|&max| class.rank() <= max).map(|max| {
+                let live = held.classes.iter().take(len).filter_map(|e| e.0);
                 let stack: Vec<String> =
-                    held.iter().map(|c| format!("{} (rank {})", c.name(), c.rank())).collect();
-                Some((max_rank, stack))
-            })
-            .ok()
-            .flatten()
-        else {
+                    live.map(|c| format!("{} (rank {})", c.name(), c.rank())).collect();
+                (max, stack)
+            });
+            if inverted.is_some() && panics {
+                return (inverted, true);
+            }
+            let top = held.classes.get_mut(len);
+            let tracked = top.is_some();
+            if let Some(top) = top {
+                *top = (Some(class), class.rank().max(max_rank.unwrap_or(0)));
+                held.len += 1;
+            }
+            (inverted, tracked)
+        }) else {
             return;
         };
-        VIOLATIONS.lock().unwrap_or_else(PoisonError::into_inner).push(format!(
+        if !tracked {
+            record(format!(
+                "lock-order violation: acquiring '{}' while holding {HELD_CAP} locks, \
+                 more than the checker tracks",
+                class.name()
+            ));
+        }
+        let Some((max_rank, stack)) = inverted else { return };
+        record(format!(
             "lock-order violation: acquiring '{}' (rank {}) while holding [{}]",
             class.name(),
             class.rank(),
             stack.join(", ")
         ));
-        if PANIC_ON_VIOLATION.load(Ordering::Relaxed) {
+        if panics {
             panic!(
                 "lock-order violation: acquiring '{}' (rank {}) while holding a lock of rank {} — \
                  see ray_common::sync::classes for the rank table",
@@ -278,19 +312,27 @@ mod order {
         }
     }
 
-    /// Pushes `class` onto the held stack (acquire succeeded).
-    pub(super) fn after_acquire(class: &'static LockClass) {
-        let _ = HELD.try_with(|h| h.borrow_mut().push(class));
-    }
-
     /// Pops `class` (topmost matching entry — releases may be
-    /// out-of-LIFO).
+    /// out-of-LIFO, and then the entries above it close up and take their
+    /// highest ranks again). An acquire the full stack did not track pops
+    /// nothing.
     pub(super) fn on_release(class: &'static LockClass) {
         let _ = HELD.try_with(|h| {
             let mut held = h.borrow_mut();
-            if let Some(pos) = held.iter().rposition(|c| std::ptr::eq(*c, class)) {
-                held.remove(pos);
+            let len = held.len;
+            let live = held.classes.get_mut(..len).unwrap_or_default();
+            let at = live.iter().rposition(|e| e.0.is_some_and(|c| std::ptr::eq(c, class)));
+            let Some(at) = at else { return };
+            if at + 1 < len {
+                let below = at.checked_sub(1).and_then(|below| live.get(below));
+                let mut max = below.map_or(0, |e| e.1);
+                for entry in live.iter_mut().skip(at + 1) {
+                    max = max.max(entry.0.map_or(0, LockClass::rank));
+                    entry.1 = max;
+                }
+                live.get_mut(at..).unwrap_or_default().rotate_left(1);
             }
+            held.len -= 1;
         });
     }
 
@@ -367,10 +409,8 @@ impl<T: ?Sized> OrderedMutex<T> {
     /// Acquires the mutex, enforcing the rank rule in debug builds.
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         #[cfg(debug_assertions)]
-        order::before_acquire(self.class);
+        order::acquire(self.class);
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        order::after_acquire(self.class);
         OrderedMutexGuard {
             #[cfg(debug_assertions)]
             class: self.class,
@@ -471,10 +511,8 @@ impl<T: ?Sized> OrderedRwLock<T> {
     /// Acquires shared access, enforcing the rank rule in debug builds.
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
         #[cfg(debug_assertions)]
-        order::before_acquire(self.class);
+        order::acquire(self.class);
         let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        order::after_acquire(self.class);
         OrderedRwLockReadGuard {
             #[cfg(debug_assertions)]
             class: self.class,
@@ -485,10 +523,8 @@ impl<T: ?Sized> OrderedRwLock<T> {
     /// Acquires exclusive access, enforcing the rank rule in debug builds.
     pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
         #[cfg(debug_assertions)]
-        order::before_acquire(self.class);
+        order::acquire(self.class);
         let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        #[cfg(debug_assertions)]
-        order::after_acquire(self.class);
         OrderedRwLockWriteGuard {
             #[cfg(debug_assertions)]
             class: self.class,
@@ -689,6 +725,74 @@ mod tests {
         assert!(violations()
             .iter()
             .any(|v| v.contains("test.outer") && v.contains("test.inner")));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_lock_past_the_held_stacks_capacity_is_recorded() {
+        // The held stack's own entry points, as seventeen nested acquires
+        // of rising rank and their releases drive them.
+        let deep: Vec<&'static LockClass> = (0..17)
+            .map(|i| &*Box::leak(Box::new(LockClass::new("test.deep", 20_000 + i))))
+            .collect();
+        deep.iter().for_each(|&class| order::acquire(class));
+        deep.iter().rev().for_each(|&class| order::on_release(class));
+        let full = |v: &String| v.contains("'test.deep' while holding 16 locks");
+        assert_eq!(violations().iter().filter(|v| full(v)).count(), 1);
+        // Every tracked lock was popped: a lower rank is clean again.
+        let after = OrderedMutex::new(&T_DEEP_AFTER, ());
+        drop(after.lock());
+        assert!(!violations().iter().any(|v| v.contains("test.deep_after")));
+    }
+
+    static T_DEEP_AFTER: LockClass = LockClass::new("test.deep_after", 19_000);
+
+    static T_LOW: LockClass = LockClass::new("test.low", 18_000);
+    static T_HIGH: LockClass = LockClass::new("test.high", 18_020);
+    static T_MID: LockClass = LockClass::new("test.mid", 18_010);
+    static T_TOP: LockClass = LockClass::new("test.top", 18_030);
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn an_out_of_order_release_keeps_the_highest_rank_still_held() {
+        let (low, high) = (OrderedMutex::new(&T_LOW, ()), OrderedMutex::new(&T_HIGH, ()));
+        let (mid, top) = (OrderedMutex::new(&T_MID, ()), OrderedMutex::new(&T_TOP, ()));
+        let g_low = low.lock();
+        let g_high = high.lock();
+        drop(g_low); // out of LIFO order: `test.high` is still held
+        drop(top.lock());
+        assert!(!violations().iter().any(|v| v.contains("'test.top'")));
+        let prev = set_panic_on_violation(false);
+        drop(mid.lock());
+        set_panic_on_violation(prev);
+        drop(g_high);
+        let inverted = |v: &String| v.contains("'test.mid'") && v.contains("test.high");
+        assert_eq!(violations().iter().filter(|v| inverted(v)).count(), 1);
+    }
+
+    static T_CAUGHT_LOW: LockClass = LockClass::new("test.caught_low", 17_000);
+    static T_CAUGHT_HIGH: LockClass = LockClass::new("test.caught_high", 17_010);
+    static T_CAUGHT_AFTER: LockClass = LockClass::new("test.caught_after", 16_990);
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_caught_inversion_panic_leaves_nothing_held() {
+        let low = OrderedMutex::new(&T_CAUGHT_LOW, ());
+        let high = OrderedMutex::new(&T_CAUGHT_HIGH, ());
+        let g_high = high.lock();
+        // Panics unless a concurrent test switched panics off; either way
+        // the closure leaves no guard behind.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(low.lock())));
+        drop(g_high);
+        let inverted = |v: &String| v.contains("'test.caught_low'");
+        assert_eq!(violations().iter().filter(|v| inverted(v)).count(), 1);
+        // A lock ranked below the one whose acquire panicked is clean: no
+        // entry of the failed acquire is left on this thread's stack.
+        let after = OrderedMutex::new(&T_CAUGHT_AFTER, ());
+        drop(after.lock());
+        drop(low.lock());
+        assert!(!violations().iter().any(|v| v.contains("test.caught_after")));
+        assert_eq!(violations().iter().filter(|v| inverted(v)).count(), 1);
     }
 
     #[test]

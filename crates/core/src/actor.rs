@@ -23,7 +23,7 @@
 //!   sequence number, re-storing any outputs that were lost along the
 //!   way, then go live.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,10 +36,11 @@ use ray_common::sync::{classes, OrderedCondvar, OrderedMutex};
 use ray_common::metrics::names;
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::util::{retry, Backoff};
-use ray_common::{ActorId, FunctionId, NodeId, ObjectId, RayError, RayResult, TaskId};
+use ray_common::{ActorId, FunctionId, IdMap, NodeId, ObjectId, RayError, RayResult, TaskId};
 use ray_gcs::tables::{ActorRecord, ActorState, CheckpointRecord};
 use ray_scheduler::TaskDescriptor;
 
+use crate::cancel::{CancelReason, Holder, InFlight, Token};
 use crate::context::RayContext;
 use crate::node::NodeHandle;
 use crate::registry::ActorInstance;
@@ -61,6 +62,8 @@ enum Host {
 struct MailboxState {
     /// Calls no incarnation has taken, in submission order.
     calls: VecDeque<TaskSpec>,
+    /// The records of the calls pushed and not yet finished.
+    in_flight: InFlight,
     host: Host,
     /// Incarnations that have gone live so far.
     incarnations: u64,
@@ -71,16 +74,17 @@ struct MailboxState {
 
 /// One actor's undelivered calls and its host state. It exists from
 /// `register_pending` on and is never copied, flushed or re-routed.
-struct Mailbox {
+pub(crate) struct Mailbox {
     state: OrderedMutex<MailboxState>,
     /// Wakes a waiting host: a call arrived, or the host state changed.
     wake: OrderedCondvar,
 }
 
 impl Mailbox {
-    fn new() -> Mailbox {
+    pub(crate) fn new() -> Mailbox {
         let state = MailboxState {
             calls: VecDeque::new(),
+            in_flight: InFlight::default(),
             host: Host::Vacant,
             incarnations: 0,
             waiting: 0,
@@ -91,12 +95,19 @@ impl Mailbox {
         }
     }
 
-    /// Appends a call; only a dead actor refuses it (`false`).
+    /// Runs `f` on the in-flight records of the calls pushed here.
+    pub(crate) fn with_records<R>(&self, f: impl FnOnce(&mut InFlight) -> R) -> R {
+        f(&mut self.state.lock().in_flight)
+    }
+
+    /// Appends a call and takes its in-flight record; only a dead actor
+    /// refuses it (`false`).
     fn push(&self, spec: TaskSpec) -> bool {
         let mut st = self.state.lock();
         if st.host == Host::Dead {
             return false;
         }
+        st.in_flight.take(&spec);
         st.calls.push_back(spec);
         let wake = st.waiting > 0;
         // Unlock first: a host woken while the lock is still held would
@@ -160,10 +171,12 @@ impl Mailbox {
         live
     }
 
-    /// Marks the actor dead and hands back the calls nobody will run.
+    /// Marks the actor dead and hands back the calls nobody will run. Its
+    /// records go with it: nothing is left to cancel.
     fn kill(&self) -> VecDeque<TaskSpec> {
         let mut st = self.state.lock();
         self.set_host(&mut st, Host::Dead);
+        st.in_flight = InFlight::default();
         std::mem::take(&mut st.calls)
     }
 
@@ -177,7 +190,7 @@ impl Mailbox {
 
 #[derive(Default)]
 struct RouterState {
-    mailboxes: HashMap<ActorId, Arc<Mailbox>>,
+    mailboxes: IdMap<ActorId, Arc<Mailbox>>,
     /// Incarnation threads not yet joined.
     incarnations: Vec<JoinHandle<()>>,
     /// Set by [`ActorRouter::stop_all`]: no incarnation may start any more.
@@ -240,6 +253,19 @@ impl ActorRouter {
         std::mem::take(&mut inner.incarnations)
     }
 
+    /// Cancels `task`'s records in the actors' mailboxes; `Some` of their
+    /// children if this call flipped one.
+    pub fn cancel(&self, task: TaskId, reason: CancelReason) -> Option<Vec<TaskId>> {
+        let inner = self.inner.lock();
+        inner.mailboxes.values().find_map(|m| m.with_records(|records| records.cancel(task, reason)))
+    }
+
+    /// Records of calls pushed and not yet finished, over every actor.
+    pub fn in_flight(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.mailboxes.values().map(|m| m.with_records(|records| records.len())).sum()
+    }
+
     /// The node hosting an actor, if alive.
     pub fn node_of(&self, actor: ActorId) -> Option<NodeId> {
         self.mailbox(actor)?.node()
@@ -258,7 +284,7 @@ impl ActorRouter {
 fn spawn_incarnation(
     shared: &Arc<RuntimeShared>,
     actor: ActorId,
-    run: impl FnOnce(&Mailbox) + Send + 'static,
+    run: impl FnOnce(&Arc<Mailbox>) + Send + 'static,
 ) -> bool {
     let mut router = shared.actors.inner.lock();
     let mailbox = match router.mailboxes.get(&actor) {
@@ -286,7 +312,6 @@ fn mark_dead(shared: &RuntimeShared, actor: ActorId, mailbox: &Mailbox) {
     for spec in orphaned {
         shared.trace.emit(node, TraceEventKind::Failed, TraceEntity::Task(spec.task), &died);
         let _ = shared.store_results(node, &spec, error_envelopes(&spec, &died));
-        shared.cancels.remove(spec.task);
     }
 }
 
@@ -320,14 +345,16 @@ struct ActorHost {
 }
 
 impl ActorHost {
-    /// Goes live and runs calls from the mailbox, front first, for as long
-    /// as this incarnation is the live one.
-    fn run(mut self, mailbox: &Mailbox) {
-        let Some(me) = mailbox.go_live(self.home.node) else {
+    /// Goes live (unless `me` already did) and runs calls from the
+    /// mailbox, front first, for as long as this incarnation is the live
+    /// one.
+    fn run(mut self, mailbox: &Arc<Mailbox>, me: Option<Host>) {
+        let Some(me) = me.or_else(|| mailbox.go_live(self.home.node)) else {
             return;
         };
-        while let Some(spec) = mailbox.next_call(me, &self.home) {
-            self.execute(&spec, /* replay: */ false);
+        while let Some(mut spec) = mailbox.next_call(me, &self.home) {
+            let token = Token::new(Holder::Actor(mailbox.clone()), spec.task);
+            self.execute(&mut spec, Mode::Method(&token));
         }
         // A host that was superseded or stopped just ends. One whose node
         // died without anybody telling the router (abrupt crash) starts
@@ -341,12 +368,14 @@ impl ActorHost {
     /// specific to actors stays here: the stateful-edge log append (a
     /// replay finds the entry already there), the sequence number, and the
     /// checkpoint cadence. Read-only methods have no stateful edge: not
-    /// logged, not sequenced, never replayed.
-    fn execute(&mut self, spec: &TaskSpec, replay: bool) {
-        let (shared, actor, node, seq) = (&self.shared, self.actor, self.home.node, self.seq);
+    /// logged, not sequenced, never replayed. `mode` is `Method` or
+    /// `Replay`.
+    fn execute(&mut self, spec: &mut TaskSpec, mode: Mode) {
+        let (shared, actor, node, seq, task) =
+            (&self.shared, self.actor, self.home.node, self.seq, spec.task);
         let instance = &mut self.instance;
         let read_only = matches!(spec.kind, TaskKind::ActorMethod { read_only: true, .. });
-        let mode = if replay { Mode::Replay } else { Mode::Method };
+        let replay = matches!(mode, Mode::Replay);
         // The log append runs only once the pre-run teardown check has
         // passed: a torn-down method never enters the stateful-edge log,
         // so it is never replayed on recovery and can leave no duplicate
@@ -355,7 +384,7 @@ impl ActorHost {
         let log = || match (read_only, replay) {
             (true, _) => {}
             (false, false) => {
-                let _ = shared.gcs_client.log_actor_method(actor, seq, spec.task);
+                let _ = shared.gcs_client.log_actor_method(actor, seq, task);
             }
             (false, true) => {
                 shared.metrics.counter(names::METHODS_REPLAYED).inc();
@@ -367,7 +396,7 @@ impl ActorHost {
                 );
             }
         };
-        let ran = worker::execute(shared, node, None, spec, mode, log, |ctx, args| {
+        let ran = worker::execute(shared, node, spec, mode, log, |ctx, spec, args| {
             match &spec.kind {
                 TaskKind::ActorMethod { method, .. } => instance.call(ctx, method, args),
                 _ => Err("non-method spec delivered to actor host".into()),
@@ -490,7 +519,10 @@ pub(crate) fn spawn_actor_here(
         seq: 0,
         pending_checkpoint: false,
     };
-    if spawn_incarnation(shared, actor, move |mailbox| host.run(mailbox)) {
+    // Live before the creation task's result appears, so whoever awaits
+    // the actor finds it hosted; the thread only takes over.
+    let me = shared.actors.mailbox(actor).and_then(|mailbox| mailbox.go_live(home.node));
+    if spawn_incarnation(shared, actor, move |mailbox| host.run(mailbox, me)) {
         Ok(())
     } else {
         Err(RayError::Shutdown("cluster stopping".into()))
@@ -545,7 +577,7 @@ fn spawn_rebuild(shared: &Arc<RuntimeShared>, actor: ActorId) {
         let rebuilt =
             retry(backoff, MAX_REBUILD_RETRIES, transient, || rebuild_actor_blocking(&shared, actor));
         match rebuilt {
-            Ok(host) => host.run(mailbox),
+            Ok(host) => host.run(mailbox, None),
             // Unrecoverable (e.g. record lost): the actor is dead, and
             // the calls waiting for it fail with it.
             Err(_) => mark_dead(&shared, actor, mailbox),
@@ -627,7 +659,7 @@ fn rebuild_actor_blocking(shared: &Arc<RuntimeShared>, actor: ActorId) -> RayRes
         let Some(spec_bytes) = shared.gcs_client.get_task(task)? else {
             break;
         };
-        host.execute(&TaskSpec::decode(&spec_bytes)?, /* replay: */ true);
+        host.execute(&mut TaskSpec::decode(&spec_bytes)?, Mode::Replay);
     }
 
     // Publish the new placement.

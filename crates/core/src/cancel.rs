@@ -1,28 +1,38 @@
-//! Cancellation tokens and the per-task registry.
+//! In-flight records: a task's cancellation token, deadline and children.
 //!
-//! Every scheduled task gets an entry here at submit: its [`CancelToken`],
-//! the children linked under it so `ray.cancel` on a root propagates down
-//! the live task tree, and the node it was dispatched to (what lineage
-//! reconstruction asks to tell a running producer from a lost one). The
-//! token is one atomic byte: lifecycle stages (queue scans, the worker
-//! pre/post-run checks, blocking fetch rounds) poll it without taking any
-//! lock. The registry's sharded maps (rank `core.cancel_shard`, below the
-//! stalled ledger) are touched only on register / link / dispatch /
-//! cancel / deregister, and a finished task leaves with one `remove`.
+//! A task's runtime-only state is one [`Record`]: its cancel state, its
+//! absolute deadline, the children it submitted and, by where the record
+//! lives, its node. A node's run queue keeps the records of the tasks
+//! queued or running there ([`InFlight`], keyed by task), taken at enqueue
+//! under the queue lock that enqueue already holds; an actor's mailbox
+//! keeps those of its calls from push to completion. A [`Token`] names one
+//! record: its holder and its task. The record is freed when the task
+//! completes, before its results appear, so `ray.cancel` on a finished
+//! task's return finds nothing to stop, and its child links go with it. A
+//! task that is torn down keeps its record until its outputs are marked
+//! and its envelopes stored: until then it still counts as in flight, so
+//! lineage does not take it for a lost producer and run it again.
+//! Lifecycle stages (queue scans, the worker pre/post-run checks) read the
+//! token under the holder's lock. A poll of [`Token::is_cancelled`] — a
+//! task body's, or a blocking fetch round's — is one atomic load while no
+//! cancel has flipped a record since the token last found its task live.
 //!
-//! Deadlines deliberately do *not* live here: an absolute deadline rides
-//! inside the serialized [`crate::task::TaskSpec`], so it survives the GCS
-//! lineage table and a lineage re-execution of an expired task expires
-//! again instead of resurrecting stale work. Tokens are runtime-only state
-//! and die with the process — durability for cancellation comes from the
-//! GCS object table's `Cancelled` mark, not from this registry.
+//! Deadlines also ride inside the serialized [`crate::task::TaskSpec`], so
+//! they survive the GCS lineage table and a lineage re-execution of an
+//! expired task expires again instead of resurrecting stale work. Records
+//! die with the process — durability for cancellation comes from the GCS
+//! object table's `Cancelled` mark, not from here.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::collections::hash_map::Entry;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ray_common::sync::{classes, OrderedMutex};
-use ray_common::{NodeId, TaskId};
+use ray_common::{IdMap, TaskId};
+
+use crate::actor::Mailbox;
+use crate::node::NodeHandle;
+use crate::runtime::TeardownCause;
+use crate::task::TaskSpec;
 
 /// Why a task was torn down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,280 +53,316 @@ impl CancelReason {
     }
 }
 
-const STATE_LIVE: u8 = 0;
-const STATE_CANCELLED_USER: u8 = 1;
-const STATE_CANCELLED_PARENT: u8 = 2;
-
-/// A shareable, lock-free cancellation flag for one task.
-#[derive(Clone)]
-pub struct CancelToken(Arc<AtomicU8>);
-
-impl CancelToken {
-    fn new() -> CancelToken {
-        CancelToken(Arc::new(AtomicU8::new(STATE_LIVE)))
-    }
-
-    /// Marks the token cancelled; returns `true` if this call flipped it
-    /// (the first cancel wins — the recorded reason never changes).
-    fn cancel(&self, reason: CancelReason) -> bool {
-        let state = match reason {
-            CancelReason::User => STATE_CANCELLED_USER,
-            CancelReason::Parent => STATE_CANCELLED_PARENT,
-        };
-        self.0
-            .compare_exchange(STATE_LIVE, state, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// The cancellation reason, if the token has been cancelled.
-    pub fn reason(&self) -> Option<CancelReason> {
-        match self.0.load(Ordering::Acquire) {
-            STATE_CANCELLED_USER => Some(CancelReason::User),
-            STATE_CANCELLED_PARENT => Some(CancelReason::Parent),
-            _ => None,
-        }
-    }
-
-    /// Whether the token has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire) != STATE_LIVE
-    }
-}
-
-struct CancelEntry {
-    token: CancelToken,
-    /// Children registered under this task, for downward propagation.
-    /// Entries may name already-completed (deregistered) tasks; cancelling
-    /// those is a no-op.
+/// One in-flight task.
+pub(crate) struct Record {
+    /// Set once; the first cancel's reason sticks.
+    cancelled: Option<CancelReason>,
+    deadline_micros: Option<u64>,
+    /// Tasks this one submitted while in flight, for a cancel to fan out
+    /// to. Entries may name finished children; cancelling those finds
+    /// nothing.
     children: Vec<TaskId>,
-    /// The node the task was dispatched to, until that node dies.
-    node: Option<NodeId>,
+    /// Takes not yet freed: a task may be in flight twice in one place (a
+    /// task waiting for placement in its node's queue and placed there, or
+    /// one lineage ran again), and both share the record.
+    takes: u32,
 }
 
-impl CancelEntry {
-    fn new() -> CancelEntry {
-        CancelEntry { token: CancelToken::new(), children: Vec::new(), node: None }
-    }
-}
-
-/// Sharded task → (token, children, node) map.
-pub(crate) struct CancelRegistry {
-    shards: Vec<OrderedMutex<HashMap<TaskId, CancelEntry>>>,
-}
-
-impl CancelRegistry {
-    pub fn new() -> CancelRegistry {
-        CancelRegistry {
-            shards: (0..16)
-                .map(|_| OrderedMutex::new(&classes::CANCEL_SHARD, HashMap::new()))
-                .collect(),
+impl Record {
+    /// Why the task should be torn down at `now_micros`, if at all: its
+    /// token fired, or its deadline passed. Cancellation wins when both
+    /// hold (the recorded reason is more specific).
+    pub fn cause(&self, now_micros: u64) -> Option<TeardownCause> {
+        match self.cancelled {
+            Some(reason) => Some(TeardownCause::Cancelled(reason)),
+            None => expired(self.deadline_micros, now_micros),
         }
     }
 
-    fn shard(&self, task: TaskId) -> &OrderedMutex<HashMap<TaskId, CancelEntry>> {
-        &self.shards[(task.digest() % 16) as usize]
+    /// Links `child` under the task, so a cancel fans out to it; answers
+    /// whether the task is cancelled already.
+    pub fn link(&mut self, child: TaskId) -> bool {
+        self.children.push(child);
+        self.cancelled.is_some()
+    }
+}
+
+/// Records flipped to cancelled so far, process-wide; bumped under the
+/// flipped record's holder lock.
+static CANCELS: AtomicU64 = AtomicU64::new(0);
+
+/// `DeadlineExceeded` once `now_micros` reaches `deadline_micros`.
+pub(crate) fn expired(deadline_micros: Option<u64>, now_micros: u64) -> Option<TeardownCause> {
+    deadline_micros.filter(|&d| now_micros >= d).map(|_| TeardownCause::DeadlineExceeded)
+}
+
+/// The in-flight records of one holder, by task. Every lookup — the
+/// worker's checks, a getter asking whether a producer runs here, a cancel
+/// — is by task, and an ID's hash is the ID's own bits ([`IdMap`]).
+#[derive(Default)]
+pub(crate) struct InFlight(IdMap<TaskId, Record>);
+
+impl InFlight {
+    /// Takes `spec`'s record (or one more use of it).
+    pub fn take(&mut self, spec: &TaskSpec) {
+        let record = self.0.entry(spec.task).or_insert_with(|| Record {
+            cancelled: None,
+            deadline_micros: spec.deadline_micros,
+            children: Vec::new(),
+            takes: 0,
+        });
+        record.takes += 1;
     }
 
-    /// Ensures `task` has an entry and returns its token.
-    pub fn ensure(&self, task: TaskId) -> CancelToken {
-        self.shard(task).lock().entry(task).or_insert_with(CancelEntry::new).token.clone()
+    /// [`Record::cause`] of `task`'s record, while it has one.
+    pub fn cause(&self, task: TaskId, now_micros: u64) -> Option<TeardownCause> {
+        self.0.get(&task)?.cause(now_micros)
     }
 
-    /// Records that `task` was handed to `node`'s queue.
-    pub fn set_node(&self, task: TaskId, node: NodeId) {
-        self.shard(task).lock().entry(task).or_insert_with(CancelEntry::new).node = Some(node);
+    /// Frees `task`'s record unless it is to be torn down at `now_micros`;
+    /// then it stays, and the answer is why.
+    pub fn settle(&mut self, task: TaskId, now_micros: u64) -> Option<TeardownCause> {
+        let cause = self.cause(task, now_micros);
+        if cause.is_none() {
+            self.free(task);
+        }
+        cause
     }
 
-    /// The node `task` was dispatched to, if it is registered and that
-    /// node has not died since.
-    pub fn node_of(&self, task: TaskId) -> Option<NodeId> {
-        self.shard(task).lock().get(&task).and_then(|e| e.node)
-    }
-
-    /// Node-death cleanup: tasks queued or running on `node` are no longer
-    /// running anywhere, so reconstruction is free to resubmit them. Their
-    /// tokens stay, so they can still be cancelled.
-    pub fn remove_node(&self, node: NodeId) {
-        for shard in &self.shards {
-            for entry in shard.lock().values_mut() {
-                if entry.node == Some(node) {
-                    entry.node = None;
-                }
+    /// Frees one take of `task`'s record; the last frees the record.
+    pub fn free(&mut self, task: TaskId) {
+        if let Entry::Occupied(mut record) = self.0.entry(task) {
+            record.get_mut().takes -= 1;
+            if record.get().takes == 0 {
+                record.remove();
             }
         }
     }
 
-    /// Links `child` under `parent` for propagation. If the parent is
-    /// unregistered (a driver root, or already completed) this is a no-op;
-    /// if the parent is already cancelled the child is cancelled on the
-    /// spot and `true` is returned.
-    pub fn link(&self, parent: TaskId, child: TaskId) -> bool {
-        let parent_cancelled = {
-            let mut shard = self.shard(parent).lock();
-            match shard.get_mut(&parent) {
-                Some(entry) => {
-                    entry.children.push(child);
-                    entry.token.is_cancelled()
-                }
-                None => return false,
-            }
-        };
-        if parent_cancelled {
-            self.cancel(child, CancelReason::Parent);
-        }
-        parent_cancelled
+    /// Whether `task` has a record here.
+    pub fn holds(&self, task: TaskId) -> bool {
+        self.0.contains_key(&task)
     }
 
-    /// The token for `task`, if registered.
-    pub fn token_of(&self, task: TaskId) -> Option<CancelToken> {
-        self.shard(task).lock().get(&task).map(|e| e.token.clone())
+    /// Cancels `task`'s record here; `Some` of its children if this call
+    /// flipped it.
+    pub fn cancel(&mut self, task: TaskId, reason: CancelReason) -> Option<Vec<TaskId>> {
+        let record = self.0.get_mut(&task).filter(|r| r.cancelled.is_none())?;
+        record.cancelled = Some(reason);
+        CANCELS.fetch_add(1, Ordering::Release);
+        Some(record.children.clone())
     }
 
-    /// Whether `task` is registered and cancelled.
-    pub fn is_cancelled(&self, task: TaskId) -> bool {
-        self.token_of(task).is_some_and(|t| t.is_cancelled())
-    }
-
-    /// Cancels `task` and every registered descendant, breadth-first.
-    /// Returns the descendants that this call newly cancelled (excluding
-    /// `task` itself), or `None` if `task` was unregistered or already
-    /// cancelled. Only one shard lock is held at a time, so same-rank
-    /// acquisition never nests.
-    pub fn cancel(&self, task: TaskId, reason: CancelReason) -> Option<Vec<TaskId>> {
-        let mut frontier = {
-            let shard = self.shard(task).lock();
-            let entry = shard.get(&task)?;
-            if !entry.token.cancel(reason) {
-                return None;
-            }
-            entry.children.clone()
-        };
-        let mut propagated = Vec::new();
-        while let Some(child) = frontier.pop() {
-            let next = {
-                let shard = self.shard(child).lock();
-                match shard.get(&child) {
-                    Some(entry) if entry.token.cancel(CancelReason::Parent) => {
-                        entry.children.clone()
-                    }
-                    _ => continue, // completed, or already cancelled
-                }
-            };
-            propagated.push(child);
-            frontier.extend(next);
-        }
-        Some(propagated)
-    }
-
-    /// Drops `task`'s entry (called when the task completes or is torn
-    /// down). Stale child links in the parent are harmless: cancelling an
-    /// unregistered task is a no-op.
-    pub fn remove(&self, task: TaskId) {
-        self.shard(task).lock().remove(&task);
-    }
-
-    /// Number of live entries.
+    /// Records held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.0.len()
+    }
+}
+
+/// Where a record lives.
+#[derive(Clone)]
+pub(crate) enum Holder {
+    /// The run queue of the node a task was queued on.
+    Node(Arc<NodeHandle>),
+    /// The mailbox of the actor a method call was pushed to.
+    Actor(Arc<Mailbox>),
+}
+
+/// Names one task's record: a running task's view of its own token.
+pub(crate) struct Token {
+    holder: Holder,
+    task: TaskId,
+    /// [`CANCELS`] as read before this token's last look that found the
+    /// task live; `u64::MAX` before the first.
+    seen: AtomicU64,
+}
+
+impl Clone for Token {
+    fn clone(&self) -> Token {
+        let seen = AtomicU64::new(self.seen.load(Ordering::Relaxed));
+        Token { holder: self.holder.clone(), task: self.task, seen }
+    }
+}
+
+impl Token {
+    pub fn new(holder: Holder, task: TaskId) -> Token {
+        Token { holder, task, seen: AtomicU64::new(u64::MAX) }
     }
 
-    /// Number of entries dispatched to a node that is still alive.
-    pub fn dispatched(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().values().filter(|e| e.node.is_some()).count()).sum()
+    /// The node whose worker runs the task; `None` for an actor call.
+    pub fn worker(&self) -> Option<&Arc<NodeHandle>> {
+        match &self.holder {
+            Holder::Node(node) => Some(node),
+            Holder::Actor(_) => None,
+        }
+    }
+
+    fn with_records<R>(&self, f: impl FnOnce(&mut InFlight) -> R) -> R {
+        match &self.holder {
+            Holder::Node(node) => node.with_records(f),
+            Holder::Actor(mailbox) => mailbox.with_records(f),
+        }
+    }
+
+    /// [`InFlight::cause`] of the task's record.
+    pub fn cause(&self, now_micros: u64) -> Option<TeardownCause> {
+        self.with_records(|records| records.cause(self.task, now_micros))
+    }
+
+    /// [`InFlight::settle`] of the task's record.
+    pub fn settle(&self, now_micros: u64) -> Option<TeardownCause> {
+        self.with_records(|records| records.settle(self.task, now_micros))
+    }
+
+    /// Whether the task has been cancelled. With no flip anywhere since
+    /// the last look found the task live, the answer is still no and the
+    /// holder's lock is not taken: a flip that look missed came after it,
+    /// so it bumped [`CANCELS`] past what the look read.
+    pub fn is_cancelled(&self) -> bool {
+        let cancels = CANCELS.load(Ordering::Acquire);
+        if cancels == self.seen.load(Ordering::Relaxed) {
+            return false;
+        }
+        let task = self.task;
+        let cancelled =
+            self.with_records(|records| records.0.get(&task).is_some_and(|r| r.cancelled.is_some()));
+        if !cancelled {
+            self.seen.store(cancels, Ordering::Relaxed);
+        }
+        cancelled
+    }
+
+    /// [`Record::link`] on the task's record, while it has one.
+    pub fn link(&self, child: TaskId) -> bool {
+        self.with_records(|records| records.0.get_mut(&self.task).is_some_and(|r| r.link(child)))
+    }
+
+    /// Frees the task's take of its record.
+    pub fn free(&self) {
+        self.with_records(|records| records.free(self.task));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskKind;
+
+    fn spec(deadline_micros: Option<u64>) -> TaskSpec {
+        TaskSpec {
+            task: TaskId::random(),
+            kind: TaskKind::Normal,
+            function: ray_common::FunctionId::for_name("f"),
+            function_name: "f".into(),
+            args: Vec::new(),
+            num_returns: 1,
+            demand: ray_common::Resources::none(),
+            deadline_micros,
+            critical: false,
+        }
+    }
+
+    fn record(records: &mut InFlight, task: TaskId) -> &mut Record {
+        records.0.get_mut(&task).expect("the record is held")
+    }
 
     #[test]
     fn cancel_marks_token_once() {
-        let r = CancelRegistry::new();
-        let t = TaskId::random();
-        let tok = r.ensure(t);
-        assert!(!tok.is_cancelled());
-        assert_eq!(r.cancel(t, CancelReason::User), Some(vec![]));
-        assert!(tok.is_cancelled());
-        assert_eq!(tok.reason(), Some(CancelReason::User));
+        let mut records = InFlight::default();
+        let s = spec(None);
+        records.take(&s);
+        assert_eq!(records.cause(s.task, 0), None);
+        assert_eq!(records.cancel(s.task, CancelReason::User), Some(vec![]));
         // Second cancel is a no-op and the original reason sticks.
-        assert_eq!(r.cancel(t, CancelReason::Parent), None);
-        assert_eq!(tok.reason(), Some(CancelReason::User));
+        assert_eq!(records.cancel(s.task, CancelReason::Parent), None);
+        assert_eq!(records.cause(s.task, 0), Some(TeardownCause::Cancelled(CancelReason::User)));
     }
 
     #[test]
     fn cancel_propagates_to_registered_descendants() {
-        let r = CancelRegistry::new();
-        let (root, mid, leaf, done) =
-            (TaskId::random(), TaskId::random(), TaskId::random(), TaskId::random());
-        for t in [root, mid, leaf, done] {
-            r.ensure(t);
-        }
-        r.link(root, mid);
-        r.link(mid, leaf);
-        r.link(root, done);
-        r.remove(done); // completed before the cancel: must not resurrect
-        let mut hit = r.cancel(root, CancelReason::User).unwrap();
-        hit.sort_by_key(|t| t.digest());
-        let mut want = vec![mid, leaf];
-        want.sort_by_key(|t| t.digest());
-        assert_eq!(hit, want);
-        assert!(r.is_cancelled(mid));
-        assert!(r.is_cancelled(leaf));
-        assert!(!r.is_cancelled(done));
+        let mut records = InFlight::default();
+        let [root, mid, leaf, done] = [spec(None), spec(None), spec(None), spec(None)];
+        [&root, &mid, &leaf, &done].into_iter().for_each(|s| records.take(s));
+        record(&mut records, root.task).link(mid.task);
+        record(&mut records, mid.task).link(leaf.task);
+        record(&mut records, root.task).link(done.task);
+        records.free(done.task); // finished before the cancel: must not resurrect
+        // Each flip hands back the children to walk next.
+        assert_eq!(records.cancel(root.task, CancelReason::User), Some(vec![mid.task, done.task]));
+        assert_eq!(records.cancel(mid.task, CancelReason::Parent), Some(vec![leaf.task]));
+        assert_eq!(records.cancel(done.task, CancelReason::Parent), None);
+        assert_eq!(records.cancel(leaf.task, CancelReason::Parent), Some(vec![]));
+        assert!(!records.holds(done.task));
     }
 
     #[test]
     fn linking_under_a_cancelled_parent_cancels_the_child() {
-        let r = CancelRegistry::new();
-        let (parent, child) = (TaskId::random(), TaskId::random());
-        r.ensure(parent);
-        r.cancel(parent, CancelReason::User);
-        r.ensure(child);
-        assert!(r.link(parent, child));
-        assert!(r.is_cancelled(child));
-        assert_eq!(r.token_of(child).unwrap().reason(), Some(CancelReason::Parent));
+        let mut records = InFlight::default();
+        let (parent, child) = (spec(None), spec(None));
+        records.take(&parent);
+        assert!(!record(&mut records, parent.task).link(TaskId::random()));
+        records.cancel(parent.task, CancelReason::User);
+        // The submit path cancels a child its parent's link reports cancelled.
+        assert!(record(&mut records, parent.task).link(child.task));
     }
 
     #[test]
     fn dispatch_node_is_recorded_and_removed() {
-        let r = CancelRegistry::new();
-        let task = TaskId::random();
-        assert_eq!(r.node_of(task), None);
-        r.set_node(task, NodeId(3));
-        assert_eq!(r.node_of(task), Some(NodeId(3)));
-        assert_eq!(r.dispatched(), 1);
-        r.remove(task);
-        assert_eq!(r.node_of(task), None);
-        assert_eq!(r.dispatched(), 0);
+        let mut records = InFlight::default();
+        let s = spec(None);
+        records.take(&s);
+        assert!(records.holds(s.task));
+        // In flight twice here (waiting for placement, and placed here):
+        // one record, freed with its last take.
+        records.take(&s);
+        assert_eq!(records.len(), 1);
+        records.free(s.task);
+        assert!(records.holds(s.task));
+        records.free(s.task);
+        assert!(!records.holds(s.task));
+        assert_eq!(records.len(), 0);
     }
 
     #[test]
-    fn remove_node_clears_only_that_node_and_keeps_the_tokens() {
-        let r = CancelRegistry::new();
-        let on2: Vec<TaskId> = (0..8).map(|_| TaskId::random()).collect();
-        let on3: Vec<TaskId> = (0..8).map(|_| TaskId::random()).collect();
-        for &task in &on2 {
-            r.set_node(task, NodeId(2));
-        }
-        for &task in &on3 {
-            r.set_node(task, NodeId(3));
-        }
-        r.remove_node(NodeId(2));
-        assert!(on2.iter().all(|&task| r.node_of(task).is_none()));
-        assert!(on3.iter().all(|&task| r.node_of(task) == Some(NodeId(3))));
-        assert_eq!(r.dispatched(), on3.len());
-        assert_eq!(r.len(), on2.len() + on3.len());
+    fn cancellation_wins_over_an_expired_deadline() {
+        let mut records = InFlight::default();
+        let s = spec(Some(100));
+        records.take(&s);
+        assert_eq!(records.cause(s.task, 99), None);
+        assert_eq!(records.cause(s.task, 100), Some(TeardownCause::DeadlineExceeded));
+        records.cancel(s.task, CancelReason::Parent);
+        let cancelled = Some(TeardownCause::Cancelled(CancelReason::Parent));
+        // To be torn down: the record stays until the teardown is done.
+        assert_eq!(records.settle(s.task, 100), cancelled);
+        assert!(records.holds(s.task));
+        assert_eq!(records.settle(s.task, 99), cancelled, "the reason sticks");
+        records.free(s.task);
+        let late = spec(None);
+        records.take(&late);
+        assert_eq!(records.settle(late.task, 100), None, "nothing due: freed");
+        assert!(!records.holds(late.task));
+    }
+
+    #[test]
+    fn a_poll_sees_a_cancel_made_after_its_last_look() {
+        let mailbox = Arc::new(Mailbox::new());
+        let s = spec(None);
+        mailbox.with_records(|records| records.take(&s));
+        let token = Token::new(Holder::Actor(mailbox.clone()), s.task);
+        assert!(!token.is_cancelled());
+        assert!(!token.is_cancelled(), "the second look may skip the lock");
+        mailbox.with_records(|records| records.cancel(s.task, CancelReason::User));
+        assert!(token.is_cancelled());
+        assert!(token.clone().is_cancelled());
     }
 
     #[test]
     fn unregistered_tasks_are_never_cancelled() {
-        let r = CancelRegistry::new();
+        let mut records = InFlight::default();
         let t = TaskId::random();
-        assert_eq!(r.cancel(t, CancelReason::User), None);
-        assert!(!r.is_cancelled(t));
-        assert!(!r.link(t, TaskId::random()));
-        r.remove(t);
-        assert_eq!(r.len(), 0);
+        assert_eq!(records.cancel(t, CancelReason::User), None);
+        assert!(!records.holds(t));
+        records.free(t);
+        assert_eq!(records.len(), 0);
     }
 }

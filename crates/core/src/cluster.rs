@@ -6,7 +6,6 @@
 //! simulated network fabric. Nodes can be killed and restarted at runtime
 //! to drive the fault-tolerance experiments (Fig. 10, Fig. 11).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -16,7 +15,7 @@ use ray_common::sync::{classes, OrderedMutex, OrderedRwLock};
 
 use ray_common::metrics::{names, MetricsRegistry};
 use ray_common::trace::{render_chrome_trace, TraceCollector, TraceLog, DEFAULT_RING_CAPACITY};
-use ray_common::{NodeId, RayConfig, RayError, RayResult};
+use ray_common::{IdMap, NodeId, RayConfig, RayError, RayResult};
 use ray_gcs::Gcs;
 use ray_object_store::store::LocalObjectStore;
 use ray_object_store::transfer::{StoreDirectory, TransferManager};
@@ -25,7 +24,6 @@ use ray_scheduler::{GlobalScheduler, LoadTable};
 use ray_transport::Fabric;
 
 use crate::actor::ActorRouter;
-use crate::cancel::CancelRegistry;
 use crate::context::RayContext;
 use crate::failure;
 use crate::global_loop::start_global;
@@ -91,6 +89,9 @@ impl Cluster {
             config.seed ^ 0x9e3779b97f4a7c15,
         );
         let (global_tx, global_rx) = mpsc::channel::<GlobalMsg>();
+        let [tasks_submitted, tasks_local, tasks_spilled] =
+            [names::TASKS_SUBMITTED, names::TASKS_LOCAL, names::TASKS_SPILLED]
+                .map(|name| metrics.counter(name));
 
         let shared = Arc::new(RuntimeShared {
             config: config.clone(),
@@ -107,9 +108,11 @@ impl Cluster {
             global_tx,
             nodes: OrderedRwLock::new(&classes::RUNTIME_NODES, Vec::new()),
             worker_delays: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
-            cancels: CancelRegistry::new(),
             actors: ActorRouter::new(),
-            stalled: OrderedMutex::new(&classes::STALLED_TASKS, HashMap::new()),
+            stalled: OrderedMutex::new(&classes::STALLED_TASKS, IdMap::default()),
+            tasks_submitted,
+            tasks_local,
+            tasks_spilled,
             topology: OrderedMutex::new(&classes::CLUSTER_TOPOLOGY, ()),
             trace_flush: OrderedRwLock::new(&classes::TRACE_FLUSH, ()),
             shutting_down: AtomicBool::new(false),
@@ -376,12 +379,9 @@ impl Cluster {
 
     /// Tasks currently queued or executing somewhere in the cluster.
     pub fn inflight_tasks(&self) -> usize {
-        self.shared.cancels.dispatched()
-    }
-
-    /// Cancel tokens currently registered (for `snapshot`).
-    pub(crate) fn cancel_tokens(&self) -> usize {
-        self.shared.cancels.len()
+        let nodes = self.shared.nodes.read();
+        let live = nodes.iter().flatten().filter(|h| h.is_alive());
+        live.map(|h| h.with_records(|records| records.len())).sum()
     }
 
     /// The lifecycle trace collector (disabled unless `config.tracing`).

@@ -24,10 +24,11 @@ use serde::Serialize;
 use ray_common::id::MAX_TASK_RETURNS;
 use ray_common::{ActorId, FunctionId, NodeId, ObjectId, RayError, RayResult, TaskId};
 
+use crate::cancel::Token;
 use crate::lineage::{
     ensure_object_at_deadline, stream_object_at_deadline, Waiter, DEFAULT_GET_DEADLINE,
 };
-use crate::node::{Blocked, NodeHandle};
+use crate::node::Blocked;
 use crate::runtime::{check_error_object, may_be_error_object, RuntimeShared};
 use crate::task::{Arg, ObjectRef, TaskKind, TaskOptions, TaskSpec};
 
@@ -72,9 +73,10 @@ pub struct RayContext {
     deadline_micros: Option<u64>,
     child_counter: AtomicU64,
     put_counter: AtomicU64,
-    /// The node whose worker runs this task; `None` for drivers and actor
-    /// hosts, which occupy no pool slot.
-    worker: Option<Arc<NodeHandle>>,
+    /// The task's in-flight record (and through it the worker it occupies,
+    /// [`Token::worker`]); `None` for drivers and replays, which cannot be
+    /// cancelled.
+    token: Option<Token>,
 }
 
 impl RayContext {
@@ -83,7 +85,7 @@ impl RayContext {
         node: NodeId,
         task: TaskId,
         deadline_micros: Option<u64>,
-        worker: Option<Arc<NodeHandle>>,
+        token: Option<Token>,
     ) -> RayContext {
         RayContext {
             shared,
@@ -92,7 +94,7 @@ impl RayContext {
             deadline_micros,
             child_counter: AtomicU64::new(0),
             put_counter: AtomicU64::new(0),
-            worker,
+            token,
         }
     }
 
@@ -110,6 +112,11 @@ impl RayContext {
     /// The current task's ID (a synthetic root for drivers).
     pub fn task_id(&self) -> TaskId {
         self.task
+    }
+
+    fn waiter(&self) -> Waiter<'_> {
+        let token = self.token.as_ref();
+        Waiter { task: self.task, deadline_micros: self.deadline_micros, token }
     }
 
     fn next_child(&self) -> TaskId {
@@ -157,8 +164,8 @@ impl RayContext {
     /// `get` returning the raw payload.
     pub fn get_raw(&self, id: ObjectId, timeout: Duration) -> RayResult<Bytes> {
         let _blocked = self.block();
-        let waiter = Waiter { task: self.task, deadline_micros: self.deadline_micros };
-        let data = ensure_object_at_deadline(&self.shared, id, self.node, timeout, Some(waiter))?;
+        let data =
+            ensure_object_at_deadline(&self.shared, id, self.node, timeout, Some(self.waiter()))?;
         if let Some(err) = check_error_object(&data) {
             return Err(err);
         }
@@ -176,7 +183,7 @@ impl RayContext {
     /// `sink` sees none of it.
     pub fn get_pieces(&self, id: ObjectId, mut sink: impl FnMut(usize, &[u8])) -> RayResult<()> {
         let _blocked = self.block();
-        let waiter = Waiter { task: self.task, deadline_micros: self.deadline_micros };
+        let waiter = self.waiter();
         // A payload that opens like an envelope is held back until whole.
         let mut held: Option<Vec<u8>> = None;
         let whole = stream_object_at_deadline(
@@ -331,8 +338,13 @@ impl RayContext {
     /// `f.remote(args)`: submits a task for the registered function
     /// `name`, returning futures for its outputs. Non-blocking.
     pub fn submit(&self, name: &str, args: Vec<Arg>, opts: TaskOptions) -> RayResult<Vec<ObjectId>> {
+        self.submit_spec(self.task_spec(name, args, opts), TaskSpec::return_ids)
+    }
+
+    /// The spec of a task for the registered function `name`.
+    fn task_spec(&self, name: &str, args: Vec<Arg>, opts: TaskOptions) -> TaskSpec {
         let deadline_micros = self.child_deadline(&opts);
-        let spec = TaskSpec {
+        TaskSpec {
             task: self.next_child(),
             kind: TaskKind::Normal,
             function: FunctionId::for_name(name),
@@ -342,24 +354,23 @@ impl RayContext {
             demand: opts.demand,
             deadline_micros,
             critical: false,
-        };
-        self.submit_spec(spec)
+        }
     }
 
     /// Where every spec this context builds enters the runtime: bounds the
     /// return count (a return's index lives in its ID's 16-bit slot) before
-    /// any ID is computed or allocated for, then submits and names the
-    /// outputs.
-    fn submit_spec(&self, spec: TaskSpec) -> RayResult<Vec<ObjectId>> {
+    /// any ID is computed or allocated for, then names the outputs with
+    /// `outputs` and submits.
+    fn submit_spec<T>(&self, spec: TaskSpec, outputs: impl FnOnce(&TaskSpec) -> T) -> RayResult<T> {
         if spec.num_returns > MAX_TASK_RETURNS {
             return Err(RayError::Invalid(format!(
                 "{} asks for {} returns; a task may declare at most {MAX_TASK_RETURNS}",
                 spec.function_name, spec.num_returns
             )));
         }
-        let returns = spec.return_ids();
-        self.shared.submit(self.node, self.task, spec)?;
-        Ok(returns)
+        let outputs = outputs(&spec);
+        self.shared.submit(self.node, self.token.as_ref(), spec)?;
+        Ok(outputs)
     }
 
     /// The effective absolute deadline for a child task: the tighter of
@@ -398,9 +409,11 @@ impl RayContext {
     /// Whether the current task has been cancelled. Long-running task
     /// bodies poll this to cooperate with `ray.cancel`: blocking `get`s
     /// abort on their own, but compute loops only stop where they check.
+    /// Cheap enough to poll in a tight loop: one atomic load, plus one
+    /// look under the node's queue lock after any cancel in the process.
     /// Always `false` for drivers.
     pub fn is_cancelled(&self) -> bool {
-        self.shared.cancels.is_cancelled(self.task)
+        self.token.as_ref().is_some_and(Token::is_cancelled)
     }
 
     /// Typed single-return submission.
@@ -415,10 +428,8 @@ impl RayContext {
         args: Vec<Arg>,
         opts: TaskOptions,
     ) -> RayResult<ObjectRef<R>> {
-        let mut opts = opts;
-        opts.num_returns = Some(1);
-        let ids = self.submit(name, args, opts)?;
-        Ok(ObjectRef::from_id(ids[0]))
+        let spec = self.task_spec(name, args, TaskOptions { num_returns: Some(1), ..opts });
+        self.submit_spec(spec, |spec| ObjectRef::from_id(ObjectId::for_task_return(spec.task, 0)))
     }
 
     // ------------------------------------------------------------------
@@ -453,8 +464,8 @@ impl RayContext {
             deadline_micros,
             critical: false,
         };
-        let returns = self.submit_spec(spec)?;
-        Ok(ActorHandle { actor, creation: returns[0] })
+        let creation = self.submit_spec(spec, |spec| ObjectId::for_task_return(spec.task, 0))?;
+        Ok(ActorHandle { actor, creation })
     }
 
     /// `actor.method.remote(args)`: invokes a method, returning a single
@@ -541,12 +552,12 @@ impl RayContext {
             deadline_micros,
             critical: false,
         };
-        self.submit_spec(spec)
+        self.submit_spec(spec, TaskSpec::return_ids)
     }
 
     /// Marks this task's worker blocked for the duration of a `get` or
-    /// `wait` (see [`NodeHandle::block`]).
+    /// `wait` (see [`crate::node::NodeHandle::block`]).
     fn block(&self) -> Option<Blocked<'_>> {
-        self.worker.as_ref().map(|w| w.block(&self.shared))
+        self.token.as_ref().and_then(Token::worker).map(|w| w.block(&self.shared))
     }
 }

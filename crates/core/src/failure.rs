@@ -97,8 +97,8 @@ pub(crate) fn declare_node_dead(shared: &Arc<RuntimeShared>, node: NodeId) -> bo
         store.clear();
     }
     shared.directory.unregister(node);
-    // Tasks queued or running there are gone; reconstruction may resubmit.
-    shared.cancels.remove_node(node);
+    // Tasks queued or running there are gone with the stopped handle's
+    // records; reconstruction may resubmit them.
     let _ = shared.gcs_client.mark_node_dead(node);
     // Hosted actors move elsewhere, replaying from checkpoints (Fig. 11b).
     actor::recover_actors_on(shared, node);

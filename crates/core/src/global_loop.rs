@@ -23,6 +23,7 @@ use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, RayError};
 use ray_scheduler::TaskDescriptor;
 
+use crate::cancel::expired;
 use crate::failure;
 use crate::node::Undelivered;
 use crate::runtime::{GlobalMsg, RuntimeShared};
@@ -43,14 +44,14 @@ pub(crate) fn forward(
     from: NodeId,
 ) -> Result<(), Undelivered> {
     if shared.config.scheduler.added_decision_delay.is_zero() {
-        return match try_place(shared, spec, from) {
+        return match try_place(shared, spec, from, false) {
             None => Ok(()),
             Some((spec, from)) => retry_later(shared, spec, from),
         };
     }
     let shared = shared.clone();
     std::thread::spawn(move || {
-        if let Some((spec, from)) = try_place(&shared, spec, from) {
+        if let Some((spec, from)) = try_place(&shared, spec, from, false) {
             // Refused only once the cluster is shutting down.
             let _ = retry_later(&shared, spec, from);
         }
@@ -58,12 +59,18 @@ pub(crate) fn forward(
     Ok(())
 }
 
-/// Hands a task to the global thread's retries.
+/// Hands a task to the global thread's retries. Its in-flight record
+/// waits with it in the run queue of the node it came from, so
+/// `ray.cancel` finds it, until it is placed or torn down (or the cluster
+/// stops).
 pub(crate) fn retry_later(
     shared: &RuntimeShared,
     spec: TaskSpec,
     from: NodeId,
 ) -> Result<(), Undelivered> {
+    if let Some(handle) = shared.node(from) {
+        handle.with_records(|records| records.take(&spec));
+    }
     match shared.global_tx.send(GlobalMsg::Retry(spec, from)) {
         Err(SendError(GlobalMsg::Retry(spec, _))) => {
             Err(Box::new((spec, RayError::Shutdown("global scheduler stopped".into()))))
@@ -96,7 +103,7 @@ fn global_loop(shared: Arc<RuntimeShared>, rx: Receiver<GlobalMsg>) {
         if !pending.is_empty() {
             let batch = std::mem::take(&mut pending);
             for (spec, from) in batch {
-                if let Some(unplaced) = try_place(&shared, spec, from) {
+                if let Some(unplaced) = try_place(&shared, spec, from, true) {
                     pending.push(unplaced);
                 }
             }
@@ -112,18 +119,28 @@ fn global_loop(shared: Arc<RuntimeShared>, rx: Receiver<GlobalMsg>) {
 
 /// Attempts one placement; returns the task back if it could not be placed
 /// (to be retried) — either no feasible node exists right now, or the
-/// chosen node died between decision and delivery.
+/// chosen node died between decision and delivery. A task that is
+/// `waiting` in the retries has its record in `from`'s run queue, freed
+/// once it is placed or torn down.
 fn try_place(
     shared: &Arc<RuntimeShared>,
     spec: TaskSpec,
     from: NodeId,
+    waiting: bool,
 ) -> Option<(TaskSpec, NodeId)> {
+    let waiting = waiting.then(|| shared.node(from)).flatten();
     // Cancelled or expired while waiting for placement: tear the task down
     // instead of placing it. This is the global half of the "queued tasks
     // are dropped, not run" guarantee; the local half is the
     // heartbeat-tick purge in node.rs.
-    if let Some(cause) = shared.teardown_cause(&spec) {
+    let now = shared.trace.clock().now_micros();
+    let task = spec.task;
+    let settle = || waiting.as_ref().map(|h| h.with_records(|records| records.free(task)));
+    let record = waiting.as_ref().and_then(|h| h.with_records(|records| records.cause(task, now)));
+    let cause = record.or_else(|| expired(spec.deadline_micros, now));
+    if let Some(cause) = cause {
         shared.teardown(from, &spec, cause);
+        settle();
         return None;
     }
     let desc = TaskDescriptor {
@@ -147,7 +164,10 @@ fn try_place(
                 format_args!("from={from}"),
             );
             match shared.place_on(node, spec) {
-                Ok(()) => None,
+                Ok(()) => {
+                    settle();
+                    None
+                }
                 // The chosen node died in the decision→delivery window.
                 // One failed delivery is suspicion, not a death certificate:
                 // discovery (and the death protocol) is the failure

@@ -47,8 +47,10 @@ pub struct ClusterSnapshot {
     pub nodes: Vec<NodeSnapshot>,
     /// Tasks currently queued or executing cluster-wide.
     pub inflight_tasks: usize,
-    /// Cancel tokens registered: one per task submitted and not yet
-    /// finished, torn down or refused.
+    /// Cancel tokens held: the in-flight records of the nodes' tasks and
+    /// of the actors' calls, one per task queued, running or waiting for
+    /// placement (or for its actor), freed when it finishes or is torn
+    /// down.
     pub cancel_tokens: usize,
     /// Control-state bytes resident in GCS memory.
     pub gcs_resident_bytes: u64,
@@ -126,7 +128,7 @@ impl Cluster {
         Ok(ClusterSnapshot {
             nodes,
             inflight_tasks: self.inflight_tasks(),
-            cancel_tokens: self.cancel_tokens(),
+            cancel_tokens: self.inflight_tasks() + self.shared.actors.in_flight(),
             gcs_resident_bytes: self.gcs().resident_bytes(),
             gcs_entries_flushed: self.gcs().entries_flushed(),
             gcs_reconfigurations: (0..self.gcs().num_shards() as u32)

@@ -23,6 +23,7 @@ use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, ObjectId, RayError, RayResult, TaskId};
 
 use crate::actor;
+use crate::cancel::Token;
 use crate::runtime::{RuntimeShared, StalledEntry};
 use crate::task::{TaskKind, TaskSpec};
 
@@ -45,9 +46,11 @@ pub(crate) const DEFAULT_GET_DEADLINE: Duration = Duration::from_secs(60);
 /// deadline, so a blocked consumer unwinds promptly instead of riding out
 /// the full fetch deadline.
 #[derive(Clone, Copy)]
-pub(crate) struct Waiter {
+pub(crate) struct Waiter<'a> {
     pub task: TaskId,
     pub deadline_micros: Option<u64>,
+    /// The waiter's in-flight record; a driver has none.
+    pub token: Option<&'a Token>,
 }
 
 /// Makes `id` available in `node`'s local store, reconstructing through
@@ -56,7 +59,7 @@ pub(crate) fn ensure_object_at(
     shared: &Arc<RuntimeShared>,
     id: ObjectId,
     node: NodeId,
-    waiter: Option<Waiter>,
+    waiter: Option<Waiter<'_>>,
 ) -> RayResult<Bytes> {
     ensure_object_at_deadline(shared, id, node, DEFAULT_GET_DEADLINE, waiter)
 }
@@ -71,7 +74,7 @@ pub(crate) fn ensure_object_at_deadline(
     id: ObjectId,
     node: NodeId,
     deadline: Duration,
-    waiter: Option<Waiter>,
+    waiter: Option<Waiter<'_>>,
 ) -> RayResult<Bytes> {
     ensure_with(shared, id, node, deadline, waiter, |data| data, |round| {
         shared.transfer.fetch(id, node, round)
@@ -89,7 +92,7 @@ pub(crate) fn stream_object_at_deadline(
     id: ObjectId,
     node: NodeId,
     deadline: Duration,
-    waiter: Option<Waiter>,
+    waiter: Option<Waiter<'_>>,
     sink: &mut dyn FnMut(usize, &[u8]),
 ) -> RayResult<Option<Bytes>> {
     ensure_with(shared, id, node, deadline, waiter, Some, |round| {
@@ -118,7 +121,7 @@ fn ensure_with<T>(
     id: ObjectId,
     node: NodeId,
     deadline: Duration,
-    waiter: Option<Waiter>,
+    waiter: Option<Waiter<'_>>,
     whole: impl Fn(Bytes) -> T,
     mut pull: impl FnMut(Duration) -> RayResult<T>,
 ) -> RayResult<T> {
@@ -132,7 +135,7 @@ fn ensure_with<T>(
     loop {
         let mut round = FETCH_ROUND.min(overall.saturating_duration_since(clock.now()));
         if let Some(w) = waiter {
-            if shared.cancels.is_cancelled(w.task) {
+            if w.token.is_some_and(Token::is_cancelled) {
                 return Err(RayError::Cancelled(w.task));
             }
             if let Some(d) = w.deadline_micros {
@@ -150,12 +153,11 @@ fn ensure_with<T>(
         }
         let local = id
             .producer()
-            .filter(|&task| shared.cancels.node_of(task) == Some(node))
-            .and_then(|_| shared.directory.get(node));
+            .and_then(|task| shared.node(node).filter(|h| h.with_records(|records| records.holds(task))));
         let fetched = match local {
-            Some(store) => {
+            Some(handle) => {
                 let window = LOCAL_SEAL_WINDOW.min(round);
-                match store.wait_local(id, window) {
+                match handle.store.wait_local(id, window) {
                     Ok(data) => Ok(whole(data)),
                     Err(_) => pull(round.saturating_sub(window)),
                 }

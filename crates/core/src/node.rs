@@ -23,6 +23,7 @@ use ray_common::{NodeId, RayError, Resources};
 use ray_object_store::store::LocalObjectStore;
 use ray_scheduler::{NodeLoad, ResourceLedger};
 
+use crate::cancel::InFlight;
 use crate::global_loop;
 use crate::runtime::RuntimeShared;
 use crate::task::TaskSpec;
@@ -74,6 +75,8 @@ struct RunQueue {
     /// Each queued task carries its enqueue time for the queue-wait
     /// histogram.
     ready: VecDeque<(TaskSpec, Instant)>,
+    /// The records of the tasks queued or running here.
+    in_flight: InFlight,
     /// Worker threads started so far.
     workers: usize,
     /// Workers waiting for a task.
@@ -103,9 +106,15 @@ impl NodeHandle {
         self.queue.lock().ready.len()
     }
 
+    /// Runs `f` on the in-flight records of the tasks queued or running
+    /// here, under the queue lock.
+    pub(crate) fn with_records<R>(&self, f: impl FnOnce(&mut InFlight) -> R) -> R {
+        f(&mut self.queue.lock().in_flight)
+    }
+
     /// Queues a task for this node's workers, on the caller's thread —
     /// whether the task was submitted here or placed here by the global
-    /// scheduler.
+    /// scheduler — and takes its in-flight record.
     pub(crate) fn enqueue(
         self: &Arc<Self>,
         shared: &Arc<RuntimeShared>,
@@ -121,6 +130,7 @@ impl NodeHandle {
         if !self.is_alive() {
             return Err(Box::new((spec, RayError::NodeDead(self.node))));
         }
+        q.in_flight.take(&spec);
         q.ready.push_back((spec, shared.trace.clock().now()));
         self.grow(shared, &mut q);
         self.unlock_and_wake(q);
@@ -208,6 +218,8 @@ impl NodeHandle {
     /// and the heartbeat thread exit once their current step ends. The
     /// flag flips and the wake-ups go out under the queue lock, so a
     /// thread between its `is_alive` check and its wait cannot miss them.
+    /// The in-flight records stay with the handle, which no search for a
+    /// live task visits again.
     pub(crate) fn stop(&self) {
         let _q = self.queue.lock();
         self.alive.store(false, Ordering::SeqCst);
@@ -240,12 +252,10 @@ pub(crate) fn start_node(shared: &Arc<RuntimeShared>, node: NodeId) -> Arc<NodeH
     shared.directory.register(store.clone());
     let _ = shared.gcs_client.register_node(node);
     shared.fabric.revive_node(node);
-    // A (re)started slot is a fresh process: tasks a previous incarnation
-    // was running are gone (their consumers resubmit through lineage), and
-    // any actor still claiming this slot is stale and must rebuild. Both
-    // matter when a crashed node restarts before the failure detector
-    // declared it dead.
-    shared.cancels.remove_node(node);
+    // A (re)started slot is a fresh process: any actor still claiming this
+    // slot is stale and must rebuild (the tasks a previous incarnation was
+    // running went with its handle's records). This matters when a crashed
+    // node restarts before the failure detector declared it dead.
     crate::actor::recover_actors_on(shared, node);
     shared.load.heartbeat(NodeLoad {
         node,
@@ -302,11 +312,13 @@ fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
         // passed before they ever reached a worker. Taking them out under
         // the queue lock is what keeps a worker from running them; the
         // teardown itself (which marks their outputs cancelled and wakes
-        // consumers) writes to the GCS, so it waits until the lock is gone.
+        // consumers) writes to the GCS, so it waits until the lock is gone,
+        // and their records go after it.
+        let now = clock.now_micros();
         let mut torn_down = Vec::new();
         for _ in 0..q.ready.len() {
             let Some((spec, enqueued)) = q.ready.pop_front() else { break };
-            match shared.teardown_cause(&spec) {
+            match q.in_flight.cause(spec.task, now) {
                 Some(cause) => torn_down.push((spec, cause)),
                 None => q.ready.push_back((spec, enqueued)),
             }
@@ -319,6 +331,7 @@ fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
         }
         for (spec, cause) in torn_down {
             shared.teardown(node, &spec, cause);
+            handle.with_records(|records| records.free(spec.task));
         }
         // Heartbeats ride the fabric (paper §4.2.2: the monitor learns
         // liveness from heartbeats, not from the node's goodwill). A

@@ -3,8 +3,8 @@
 //! Everything a node, worker, actor host, or driver needs hangs off one
 //! [`RuntimeShared`]: the GCS client, the object-store directory and
 //! transfer manager, the load table, the placement engine and the global
-//! scheduler thread's retry channel, node handles, the function registry,
-//! and the per-task registry.
+//! scheduler thread's retry channel, node handles and the function
+//! registry.
 //!
 //! The submission path implements the bottom-up rule end-to-end: record
 //! lineage in the GCS, consult the local decision
@@ -12,7 +12,6 @@
 //! scheduler or forward — run the global placement on the submitting
 //! thread (paper Fig. 6).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
@@ -21,9 +20,9 @@ use std::time::Instant;
 use bytes::Bytes;
 use ray_common::sync::{OrderedMutex, OrderedRwLock};
 
-use ray_common::metrics::{names, MetricsRegistry};
+use ray_common::metrics::{names, Counter, MetricsRegistry};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
-use ray_common::{NodeId, ObjectId, RayConfig, RayError, RayResult, TaskId};
+use ray_common::{IdMap, NodeId, ObjectId, RayConfig, RayError, RayResult, TaskId};
 use ray_gcs::tables::GcsClient;
 use ray_gcs::Gcs;
 use ray_object_store::transfer::{StoreDirectory, TransferManager};
@@ -31,7 +30,7 @@ use ray_scheduler::{decide_local_reason, GlobalScheduler, LoadTable, LocalDecisi
 use ray_transport::Fabric;
 
 use crate::actor::ActorRouter;
-use crate::cancel::{CancelReason, CancelRegistry};
+use crate::cancel::{CancelReason, Token};
 use crate::global_loop;
 use crate::node::{NodeHandle, Undelivered};
 use crate::registry::FunctionRegistry;
@@ -42,6 +41,7 @@ pub(crate) enum GlobalMsg {
     /// A task its placer could not deliver — no live node can hold it yet,
     /// its chosen node died first, or a node bounced it as infeasible — and
     /// the node it was forwarded from, to retry at the thread's cadence.
+    /// Its in-flight record waits in that node's run queue.
     Retry(TaskSpec, NodeId),
     /// Stop the thread.
     Shutdown,
@@ -73,13 +73,14 @@ pub struct RuntimeShared {
     /// Per-node straggler injection: extra microseconds a worker sleeps
     /// before each task body (the `DelayWorker` chaos action).
     pub(crate) worker_delays: Vec<AtomicU64>,
-    /// Per live task: its cancel token, parent→child links, and the node
-    /// it was dispatched to.
-    pub(crate) cancels: CancelRegistry,
     pub(crate) actors: ActorRouter,
     /// Per-task resubmission backoff for stalled producers (dedups the
     /// many consumers that time out on the same missing object at once).
-    pub(crate) stalled: OrderedMutex<HashMap<TaskId, StalledEntry>>,
+    pub(crate) stalled: OrderedMutex<IdMap<TaskId, StalledEntry>>,
+    /// The submit path's counters, resolved once by name.
+    pub(crate) tasks_submitted: Arc<Counter>,
+    pub(crate) tasks_local: Arc<Counter>,
+    pub(crate) tasks_spilled: Arc<Counter>,
     /// Serializes node-slot claims (`add_node`/`restart_node`): the scan
     /// for a free slot and the `start_node` that fills it must be atomic
     /// with respect to other topology changes.
@@ -125,27 +126,28 @@ impl RuntimeShared {
         self.gcs_client.put_task(spec.task, Bytes::from(spec.encode()?))
     }
 
-    /// The single submit path, for every task kind: one prologue, then a
-    /// route on `spec.kind`.
+    /// The single submit path, for every task kind: one prologue, a route
+    /// on `spec.kind`, and the link under `parent`.
     ///
-    /// Prologue: register the cancel token under `parent` (so a parent
-    /// cancel fans out) before the task can run (so `ray.cancel` on a
-    /// hedged request's losing attempt reaches the actor host ahead of the
-    /// method log); count and trace the submission; record lineage — what
+    /// Prologue: count and trace the submission; record lineage — what
     /// reconstruction and actor replay read (Fig. 4) — except for a
     /// read-only method, which adds no stateful edge. Route: tasks and
     /// actor creations take the bottom-up scheduling path (paper Fig. 6),
-    /// actor methods join their actor's mailbox.
+    /// actor methods join their actor's mailbox; either way the task's
+    /// in-flight record is taken where it lands, before it can run (so
+    /// `ray.cancel` on a hedged request's losing attempt reaches the actor
+    /// host ahead of the method log). Link: a task submitted by an
+    /// in-flight `parent` is linked under it once routed, so a parent
+    /// cancel fans out to it; a parent cancelled before the link cancels
+    /// the child here.
     pub(crate) fn submit(
         self: &Arc<Self>,
         from: NodeId,
-        parent: TaskId,
+        parent: Option<&Token>,
         spec: TaskSpec,
     ) -> RayResult<()> {
         let task = spec.task;
-        self.cancels.ensure(task);
-        self.cancels.link(parent, task);
-        self.metrics.counter(names::TASKS_SUBMITTED).inc();
+        self.tasks_submitted.inc();
         self.trace.emit(
             from,
             TraceEventKind::Submitted,
@@ -156,26 +158,24 @@ impl RuntimeShared {
             TaskKind::ActorMethod { read_only: true, .. } => Ok(()),
             _ => self.record_lineage(&spec),
         };
-        let routed = lineage.and_then(|()| match spec.kind {
+        lineage.and_then(|()| match spec.kind {
             TaskKind::ActorMethod { actor, .. } => self.actors.invoke(actor, spec),
             TaskKind::Normal | TaskKind::ActorCreation { .. } => {
                 self.dispatch_for_scheduling(from, spec)
             }
-        });
-        if routed.is_err() {
-            // The task never entered the system; drop its registry entry
-            // so failed submissions don't accumulate tokens. (The stale
-            // child link in the parent's entry is harmless by design.)
-            self.cancels.remove(task);
+        })?;
+        // A cancel of the parent that flips it after the link finds the
+        // child there; one that flipped it before is seen here.
+        if parent.is_some_and(|parent| parent.link(task)) {
+            self.cancel_in_flight(task, CancelReason::Parent);
         }
-        routed
+        Ok(())
     }
 
     /// Re-submission path used by lineage reconstruction (lineage is
-    /// already recorded; do not double-write it). A resubmission gets a
-    /// fresh cancel token so `ray.cancel` can still find it.
+    /// already recorded; do not double-write it). The resubmission takes a
+    /// fresh in-flight record where it lands, so `ray.cancel` can find it.
     pub(crate) fn resubmit(self: &Arc<Self>, from: NodeId, spec: TaskSpec) -> RayResult<()> {
-        self.cancels.ensure(spec.task);
         self.metrics.counter(names::TASKS_REEXECUTED).inc();
         self.trace.emit(
             from,
@@ -204,18 +204,17 @@ impl RuntimeShared {
         );
         match decision {
             LocalDecision::KeepLocal => {
-                self.metrics.counter(names::TASKS_LOCAL).inc();
+                self.tasks_local.inc();
                 self.trace.emit(
                     node,
                     TraceEventKind::ScheduledLocal,
                     TraceEntity::Task(spec.task),
                     reason.label(),
                 );
-                self.cancels.set_node(spec.task, node);
                 handle.enqueue(self, spec).map_err(|undelivered| undelivered.1)?;
             }
             LocalDecision::Forward => {
-                self.metrics.counter(names::TASKS_SPILLED).inc();
+                self.tasks_spilled.inc();
                 self.trace.emit(
                     node,
                     TraceEventKind::SpilledGlobal,
@@ -238,17 +237,15 @@ impl RuntimeShared {
         let Some(handle) = self.node(node) else {
             return Err(Box::new((spec, RayError::NodeDead(node))));
         };
-        self.cancels.set_node(spec.task, node);
         handle.enqueue(self, spec)
     }
 
-    /// Whether the producer of a task is believed to still be running on a
-    /// live node.
+    /// Whether a task is believed to be queued or running on a live node:
+    /// a search of the live nodes' in-flight records (reconstruction only).
     pub(crate) fn task_running_on_live_node(&self, task: TaskId) -> bool {
-        match self.cancels.node_of(task) {
-            Some(node) => self.fabric.is_alive(node),
-            None => false,
-        }
+        let nodes = self.nodes.read();
+        let mut live = nodes.iter().flatten().filter(|h| h.is_alive());
+        live.any(|h| self.fabric.is_alive(h.node) && h.with_records(|records| records.holds(task)))
     }
 
     /// Stores task outputs into a node's local store and publishes their
@@ -279,23 +276,6 @@ impl RuntimeShared {
     /// The cluster's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Why `spec` should be torn down right now, if at all: its cancel
-    /// token fired, or its absolute deadline passed. Cancellation wins
-    /// when both hold (the recorded reason is more specific).
-    pub(crate) fn teardown_cause(&self, spec: &TaskSpec) -> Option<TeardownCause> {
-        if let Some(token) = self.cancels.token_of(spec.task) {
-            if let Some(reason) = token.reason() {
-                return Some(TeardownCause::Cancelled(reason));
-            }
-        }
-        if let Some(deadline) = spec.deadline_micros {
-            if self.trace.clock().now_micros() >= deadline {
-                return Some(TeardownCause::DeadlineExceeded);
-            }
-        }
-        None
     }
 
     /// Tears a task down at whatever stage it reached: emits the teardown
@@ -329,33 +309,56 @@ impl RuntimeShared {
             let _ = self.gcs_client.mark_object_cancelled(id);
         }
         let _ = self.store_results(node, spec, error_envelopes(spec, msg));
-        self.cancels.remove(spec.task);
+    }
+
+    /// Cancels `task`'s in-flight records, searching the live nodes' run
+    /// queues, then the actors' mailboxes. `None` unless this call flipped
+    /// one; else the node the task is queued or running on (`None` for an
+    /// actor call) and its children.
+    fn cancel_in_flight(&self, task: TaskId, reason: CancelReason) -> Option<Flipped> {
+        // Every live node: a placed task's record and the one it waited
+        // with for placement may briefly both be there.
+        let mut flipped: Option<Flipped> = None;
+        for h in self.nodes.read().iter().flatten().filter(|h| h.is_alive()) {
+            if let Some(children) = h.with_records(|records| records.cancel(task, reason)) {
+                flipped.get_or_insert((Some(h.node), Vec::new())).1.extend(children);
+            }
+        }
+        flipped.or_else(|| Some((None, self.actors.cancel(task, reason)?)))
     }
 
     /// `ray.cancel` entry point: cancels `task` and propagates to every
-    /// registered descendant. Queued occurrences are dropped by their
+    /// in-flight descendant. Queued occurrences are dropped by their
     /// node's next heartbeat tick; running occurrences observe the token at
-    /// their next fetch round or completion. Returns `false` if the task
-    /// already completed (or was never scheduled here).
+    /// their next fetch round or completion. Returns `false` if the task is
+    /// not in flight (finished, or never scheduled here) or was already
+    /// cancelled.
     pub(crate) fn cancel_task(&self, task: TaskId) -> bool {
-        match self.cancels.cancel(task, CancelReason::User) {
-            None => false,
-            Some(children) => {
-                let node = self.cancels.node_of(task).unwrap_or(NodeId(0));
-                for child in children {
-                    let child_node = self.cancels.node_of(child).unwrap_or(node);
-                    self.trace.emit(
-                        child_node,
-                        TraceEventKind::CancelPropagated,
-                        TraceEntity::Task(child),
-                        format!("from={task}"),
-                    );
-                }
-                true
-            }
+        let Some((node, mut frontier)) = self.cancel_in_flight(task, CancelReason::User) else {
+            return false;
+        };
+        let node = node.unwrap_or(NodeId(0));
+        while let Some(child) = frontier.pop() {
+            // Finished, or already cancelled: nothing below it to reach.
+            let Some((child_node, children)) = self.cancel_in_flight(child, CancelReason::Parent)
+            else {
+                continue;
+            };
+            self.trace.emit(
+                child_node.unwrap_or(node),
+                TraceEventKind::CancelPropagated,
+                TraceEntity::Task(child),
+                format!("from={task}"),
+            );
+            frontier.extend(children);
         }
+        true
     }
 }
+
+/// A cancel that flipped a record: where the task is (`None` for an actor
+/// call), and its children.
+type Flipped = (Option<NodeId>, Vec<TaskId>);
 
 /// Why a task is being torn down (drives the trace kind, counter, and
 /// envelope type in [`RuntimeShared::teardown`]).

@@ -21,6 +21,7 @@ use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, RayResult};
 
 use crate::actor;
+use crate::cancel::{Holder, Token};
 use crate::context::RayContext;
 use crate::lineage::{ensure_object_at, Waiter};
 use crate::node::NodeHandle;
@@ -44,10 +45,11 @@ pub(crate) fn spawn(
             let queue_wait = shared.metrics.histogram(names::QUEUE_WAIT_MICROS);
             let task_latency = shared.metrics.histogram(names::TASK_LATENCY_MICROS);
             let tasks_executed = shared.metrics.counter(names::TASKS_EXECUTED);
-            while let Some((spec, enqueued)) = handle.next_task() {
+            while let Some((mut spec, enqueued)) = handle.next_task() {
                 let start = clock.now();
                 queue_wait.observe(start.duration_since(enqueued).as_micros() as u64);
-                run_task(&shared, &handle, &spec);
+                let token = Token::new(Holder::Node(handle.clone()), spec.task);
+                run_task(&shared, &handle, &mut spec, &token);
                 tasks_executed.inc();
                 let elapsed = clock.now().duration_since(start);
                 task_latency.observe(elapsed.as_micros() as u64);
@@ -60,22 +62,25 @@ pub(crate) fn spawn(
 }
 
 /// Resolves a task's arguments to raw payloads, pulling remote objects
-/// into the local store first. A `worker` is marked blocked for the
-/// duration of each fetch (worker-pool growth; see node.rs).
+/// into the local store first; an inline value is moved out of the spec,
+/// not copied. A task's worker ([`Token::worker`]) is marked blocked for
+/// the duration of each fetch (worker-pool growth; see node.rs).
 fn resolve_args(
     shared: &Arc<RuntimeShared>,
     node: NodeId,
-    worker: Option<&Arc<NodeHandle>>,
-    spec: &TaskSpec,
+    spec: &mut TaskSpec,
+    token: Option<&Token>,
 ) -> RayResult<Vec<Bytes>> {
-    let mut resolved = Vec::with_capacity(spec.args.len());
-    for arg in &spec.args {
+    let args = std::mem::take(&mut spec.args);
+    let mut resolved = Vec::with_capacity(args.len());
+    for arg in args {
         match arg {
-            Arg::Value(v) => resolved.push(Bytes::copy_from_slice(&v.0)),
+            Arg::Value(v) => resolved.push(Bytes::from(v.0)),
             Arg::ObjectRef(id) => {
-                let blocked = worker.map(|w| w.block(shared));
-                let waiter = Waiter { task: spec.task, deadline_micros: spec.deadline_micros };
-                let data = ensure_object_at(shared, *id, node, Some(waiter));
+                let blocked = token.and_then(Token::worker).map(|w| w.block(shared));
+                let waiter =
+                    Waiter { task: spec.task, deadline_micros: spec.deadline_micros, token };
+                let data = ensure_object_at(shared, id, node, Some(waiter));
                 drop(blocked);
                 let data = data?;
                 if let Some(err) = crate::runtime::check_error_object(&data) {
@@ -93,16 +98,17 @@ fn resolve_args(
 /// How much of the policy around a body applies to this execution. The
 /// stateless task is the full policy; the other two modes are the only
 /// places where running an actor method differs from running a task.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
+/// A task or a live method carries the token of its in-flight record.
+#[derive(Clone, Copy)]
+pub(crate) enum Mode<'a> {
     /// A stateless task or an actor creation.
-    Task,
+    Task(&'a Token),
     /// A live actor method. A cancel or deadline that lands *during* the
     /// body does not tear it down afterwards: the method is already in the
     /// stateful-edge log and its state change is already applied, so a
     /// replay will produce these outputs again — discarding them now would
     /// make the first run and the replay disagree.
-    Method,
+    Method(&'a Token),
     /// A logged method replayed by an actor rebuild. It ran once already,
     /// so nothing may stop it running again: no teardown check (the
     /// original deadline has passed, the log says the method counts), no
@@ -116,21 +122,25 @@ pub(crate) enum Mode {
 ///
 /// straggler delay → teardown check → `committed` → argument fetch →
 /// `deps_fetched`, `running` → the body under `catch_unwind` → arity check
-/// → `finished` | `failed` → store. `committed` runs once the task can no
-/// longer be torn down before its body — the actor host appends to the
-/// method log there, so a torn-down method is never logged. Returns
-/// `false` if the task was torn down instead of completing.
+/// → record freed → `finished` | `failed` → store. `committed` runs once
+/// the task can no longer be torn down before its body — the actor host
+/// appends to the method log there, so a torn-down method is never logged.
+/// Returns `false` if the task was torn down instead of completing.
 pub(crate) fn execute(
     shared: &Arc<RuntimeShared>,
     node: NodeId,
-    worker: Option<&Arc<NodeHandle>>,
-    spec: &TaskSpec,
+    spec: &mut TaskSpec,
     mode: Mode,
     committed: impl FnOnce(),
-    body: impl FnOnce(&RayContext, &[Bytes]) -> RemoteResult,
+    body: impl FnOnce(&RayContext, &TaskSpec, &[Bytes]) -> RemoteResult,
 ) -> bool {
     let entity = TraceEntity::Task(spec.task);
-    if mode != Mode::Replay {
+    let clock = shared.trace.clock();
+    let token = match mode {
+        Mode::Task(token) | Mode::Method(token) => Some(token),
+        Mode::Replay => None,
+    };
+    if let Some(token) = token {
         // Chaos straggler injection (`DelayWorker`): pay the configured
         // extra latency before touching the task at all.
         let delay_us = shared.worker_delays[node.index()].load(Ordering::Relaxed);
@@ -139,13 +149,14 @@ pub(crate) fn execute(
         }
         // A task cancelled (or expired) after dispatch but before
         // execution tears down without ever emitting `running`.
-        if let Some(cause) = shared.teardown_cause(spec) {
+        if let Some(cause) = token.cause(clock.now_micros()) {
             shared.teardown(node, spec, cause);
+            token.free();
             return false;
         }
     }
     committed();
-    let outcome = resolve_args(shared, node, worker, spec)
+    let outcome = resolve_args(shared, node, spec, token)
         .map_err(|e| e.to_string())
         .and_then(|args| {
             shared.trace.emit(node, TraceEventKind::DepsFetched, entity, "");
@@ -155,9 +166,9 @@ pub(crate) fn execute(
                 node,
                 spec.task,
                 spec.deadline_micros,
-                worker.cloned(),
+                token.cloned(),
             );
-            std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx, &args)))
+            std::panic::catch_unwind(AssertUnwindSafe(|| body(&ctx, spec, &args)))
                 .unwrap_or_else(|panic| Err(panic_message(panic)))
         })
         .and_then(|outputs| {
@@ -175,12 +186,19 @@ pub(crate) fn execute(
     // Cancellation or deadline expiry observed mid-run (a blocking fetch
     // returns the typed error, or the body simply outlived its deadline):
     // whatever the body produced is discarded in favor of typed teardown
-    // envelopes.
-    if mode == Mode::Task {
-        if let Some(cause) = shared.teardown_cause(spec) {
-            shared.teardown(node, spec, cause);
-            return false;
+    // envelopes. Otherwise nothing can stop this task any more: its record
+    // goes before its results appear, so `cancel` on a finished task's
+    // return says `false`.
+    match mode {
+        Mode::Task(token) => {
+            if let Some(cause) = token.settle(clock.now_micros()) {
+                shared.teardown(node, spec, cause);
+                token.free();
+                return false;
+            }
         }
+        Mode::Method(token) => token.free(),
+        Mode::Replay => {}
     }
     let outputs = match outcome {
         Ok(outputs) => {
@@ -194,23 +212,25 @@ pub(crate) fn execute(
             error_envelopes(spec, &msg)
         }
     };
-    // Nothing can stop this task any more: its token goes before its
-    // results appear, so `cancel` on a finished task's return says `false`.
-    shared.cancels.remove(spec.task);
     // A store error means the node died under us; the results are lost and
     // will be reconstructed elsewhere if anyone needs them.
     let _ = match mode {
         Mode::Replay => actor::store_missing_results(shared, node, spec, outputs),
-        Mode::Task | Mode::Method => shared.store_results(node, spec, outputs),
+        Mode::Task(_) | Mode::Method(_) => shared.store_results(node, spec, outputs),
     };
     true
 }
 
 /// Runs a task a worker took from its node's queue: the body is the
 /// registered function, or the actor constructor for a creation task.
-fn run_task(shared: &Arc<RuntimeShared>, worker: &Arc<NodeHandle>, spec: &TaskSpec) {
+fn run_task(
+    shared: &Arc<RuntimeShared>,
+    worker: &Arc<NodeHandle>,
+    spec: &mut TaskSpec,
+    token: &Token,
+) {
     let node = worker.node;
-    execute(shared, node, Some(worker), spec, Mode::Task, || (), |ctx, args| match &spec.kind {
+    execute(shared, node, spec, Mode::Task(token), || (), |ctx, spec, args| match &spec.kind {
         TaskKind::Normal => {
             let f = shared.registry.function(spec.function).map_err(|e| e.to_string())?;
             f(ctx, args)

@@ -33,6 +33,7 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use ray_common::id::IdHasher;
 use ray_common::{RayError, RayResult};
 
 use crate::flush::DiskStore;
@@ -209,12 +210,45 @@ impl Key {
     }
 }
 
+/// A key whose id is this long is a 16-byte `UniqueId` whose last two
+/// bytes are its slot: zero for a task, an actor or a `put`, `index + 1`
+/// for a task's return.
+const SLOTTED_ID_LEN: usize = 16;
+
 impl Hash for Key {
+    /// A 16-byte id hashes as its first 14 bytes plus `slot / 16`, and not
+    /// its table: a task's row and its first 15 return rows share one
+    /// hash, so one index chain, and no chain holds more than 16 rows of
+    /// one task. Every other key hashes its table, length and every word.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(u64::from(self.table.to_tag()) << 8 | u64::from(self.id.len));
-        for word in self.id.bytes.chunks_exact(8) {
-            state.write_u64(u64::from_le_bytes(word.try_into().unwrap_or_default()));
+        let word = |at: usize| {
+            let bytes = self.id.bytes.get(at..at + 8).unwrap_or_default();
+            u64::from_le_bytes(bytes.try_into().unwrap_or_default())
+        };
+        if usize::from(self.id.len) == SLOTTED_ID_LEN {
+            let group = (word(8) >> 48) / 16;
+            state.write_u64(word(0));
+            state.write_u64(word(8) & 0xffff_ffff_ffff | group << 48);
+            return;
         }
+        state.write_u64(u64::from(self.table.to_tag()) << 8 | u64::from(self.id.len));
+        for at in (0..KEY_CAP).step_by(8) {
+            state.write_u64(word(at));
+        }
+    }
+}
+
+impl Key {
+    /// The id with a 16-byte id's slot zeroed: what picks the key's shard
+    /// (`GcsClient`), so a task's return rows live on its own shard.
+    pub fn shard_bytes(&self) -> InlineBytes<KEY_CAP> {
+        let mut id = self.id;
+        if let (SLOTTED_ID_LEN, Some(slot)) =
+            (usize::from(id.len), id.bytes.get_mut(SLOTTED_ID_LEN - 2..SLOTTED_ID_LEN))
+        {
+            slot.fill(0);
+        }
+        id
     }
 }
 
@@ -248,24 +282,6 @@ impl Hasher for KeyHasher {
 
 type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
 
-/// The index's hasher: what it hashes is a key's `KeyHasher` hash already.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.0 = self.0.rotate_left(8) ^ u64::from(b));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = word;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A shard's entries: one cell each in an arena, found through an index
 /// from the key's hash to the first cell of its chain. Keys whose 64-bit
 /// hashes are equal chain through `Cell::next`. A write that makes an
@@ -274,7 +290,9 @@ impl Hasher for PassThrough {
 /// entries.
 #[derive(Clone)]
 struct Entries {
-    heads: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// By the key's `KeyHasher` hash, which the index's hasher passes
+    /// through.
+    heads: HashMap<u64, u32, BuildHasherDefault<IdHasher>>,
     /// Cells in allocation order; `None` is a freed cell, listed in `free`.
     cells: Vec<Option<Cell>>,
     free: Vec<u32>,
@@ -405,6 +423,19 @@ impl Entries {
     /// The key in cell `at`.
     fn key_at(&self, at: u32) -> Option<Key> {
         Some(self.cells.get(at as usize)?.as_ref()?.key)
+    }
+
+    /// Every index chain's keys, head first.
+    #[cfg(test)]
+    fn chains(&self) -> Vec<Vec<Key>> {
+        let walk = |mut at: Option<u32>| {
+            std::iter::from_fn(move || {
+                let cell = self.cells.get(at? as usize)?.as_ref()?;
+                at = cell.next;
+                Some(cell.key)
+            })
+        };
+        self.heads.values().map(|&first| walk(Some(first)).collect()).collect()
     }
 }
 
@@ -1278,6 +1309,51 @@ mod tests {
             }
             other => panic!("expected list, got {other:?}"),
         }
+    }
+
+    fn task_and_returns(returns: u64) -> (Key, Vec<Key>) {
+        use ray_common::{ObjectId, TaskId};
+        let task = TaskId::random();
+        let rows = (0..returns)
+            .map(|i| Key::fixed(Table::Object, ObjectId::for_task_return(task, i).0.as_bytes()))
+            .collect();
+        (Key::fixed(Table::Task, task.0.as_bytes()), rows)
+    }
+
+    fn write_rows(s: &mut ShardState, task: Key, returns: &[Key]) {
+        s.apply(&UpdateOp::Put { key: task, value: Bytes::from_static(b"spec") });
+        for &key in returns {
+            s.apply(&UpdateOp::SetAdd { key, member: member([1]) });
+        }
+    }
+
+    #[test]
+    fn a_tasks_return_rows_share_its_index_chain() {
+        let mut s = state();
+        let (task, returns) = task_and_returns(3);
+        let (other, other_returns) = task_and_returns(3);
+        write_rows(&mut s, task, &returns);
+        write_rows(&mut s, other, &other_returns);
+        let chains = s.entries.chains();
+        let chain = chains.iter().find(|c| c.contains(&task)).expect("the task's chain");
+        // Newest first: the last return written heads it, the task ends it.
+        let want: Vec<Key> = returns.iter().rev().copied().chain([task]).collect();
+        assert_eq!(chain, &want);
+        for key in [task].iter().chain(&returns) {
+            assert!(s.get(key).is_some());
+        }
+        assert_eq!(chains.len(), 2, "one chain per task");
+    }
+
+    #[test]
+    fn no_chain_holds_more_than_sixteen_rows_of_one_task() {
+        let mut s = state();
+        let (task, returns) = task_and_returns(100);
+        write_rows(&mut s, task, &returns);
+        let chains = s.entries.chains();
+        assert_eq!(chains.iter().map(Vec::len).sum::<usize>(), 101);
+        assert_eq!(chains.iter().map(Vec::len).max(), Some(16));
+        assert!(returns.iter().chain([&task]).all(|key| s.entries.contains_key(key)));
     }
 
     #[test]

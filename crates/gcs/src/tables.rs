@@ -178,8 +178,11 @@ impl GcsClient {
         self
     }
 
+    /// A key's shard: its id's FNV-1a hash, the slot of a 16-byte id
+    /// zeroed ([`Key::shard_bytes`]), so a task's return rows sit on the
+    /// shard of its lineage row and every slot-0 id keeps its shard.
     fn shard_index(&self, key: &Key) -> usize {
-        (fnv1a_64(key.id.as_slice()) % self.shards.len() as u64) as usize
+        (fnv1a_64(key.shard_bytes().as_slice()) % self.shards.len() as u64) as usize
     }
 
     fn shard_for(&self, key: &Key) -> &Chain {
@@ -671,6 +674,37 @@ mod tests {
         let gcs = Gcs::start(&GcsConfig { num_shards: 2, ..GcsConfig::default() }).unwrap();
         let c = gcs.client();
         (gcs, c)
+    }
+
+    #[test]
+    fn a_tasks_return_rows_live_on_its_shard() {
+        let gcs = Gcs::start(&GcsConfig { num_shards: 4, ..GcsConfig::default() }).unwrap();
+        let c = gcs.client();
+        for _ in 0..100 {
+            let task = TaskId::random();
+            let shard = c.shard_index(&Key::fixed(Table::Task, task.0.as_bytes()));
+            for i in 0..3 {
+                let ret = object_key(ObjectId::for_task_return(task, i));
+                assert_eq!(c.shard_index(&ret), shard);
+            }
+        }
+    }
+
+    #[test]
+    fn task_and_put_ids_spread_over_every_shard() {
+        let gcs = Gcs::start(&GcsConfig { num_shards: 4, ..GcsConfig::default() }).unwrap();
+        let c = gcs.client();
+        let parent = TaskId::random();
+        let tasks = (0..10_000).map(|_| Key::fixed(Table::Task, TaskId::random().0.as_bytes()));
+        let puts = (0..10_000).map(|i| object_key(ObjectId::for_put(parent, i)));
+        for keys in [tasks.collect::<Vec<_>>(), puts.collect()] {
+            let mut per_shard = [0usize; 4];
+            for key in &keys {
+                per_shard[c.shard_index(key)] += 1;
+            }
+            // At least a fifth of the even share (2 500) on every shard.
+            assert!(per_shard.iter().all(|&n| n >= 500), "{per_shard:?}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! larger buffer keeps the whole buffer alive, and a freed object's bytes
 //! live on while anyone still holds them.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 
@@ -29,7 +29,7 @@ use ray_common::sync::{classes, OrderedCondvar, OrderedMutex};
 
 use ray_common::config::ObjectStoreConfig;
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
-use ray_common::{NodeId, ObjectId, RayError, RayResult};
+use ray_common::{IdMap, NodeId, ObjectId, RayError, RayResult};
 use ray_gcs::flush::DiskStore;
 use ray_gcs::kv::{Entry, Key, Table};
 use ray_gcs::tables::GcsClient;
@@ -58,16 +58,22 @@ impl PutOutcome {
 
 struct Slot {
     data: Bytes,
-    access_seq: u64,
+    /// When the object was last sealed or read here: its place in the LRU
+    /// order (`StoreMap::lru`).
+    stamp: u64,
     /// Sealed by [`LocalObjectStore::put_listed`], which has not listed
     /// the location yet: `wait_local` and `wait_listed` wait until it has.
     unlisted: bool,
 }
 
 struct StoreMap {
-    objects: HashMap<ObjectId, Slot>,
-    /// access_seq → id; the BTreeMap head is the LRU victim.
-    lru: BTreeMap<u64, ObjectId>,
+    objects: IdMap<ObjectId, Slot>,
+    /// `(stamp, id)` for every seal and local read, oldest first. An entry
+    /// whose stamp is no longer its object's is stale and skipped, so the
+    /// first live entry is the least recently used object.
+    lru: VecDeque<(u64, ObjectId)>,
+    /// The next stamp.
+    clock: u64,
     resident_bytes: usize,
     /// Threads parked in [`LocalObjectStore::wait_local`]: a `put` signals
     /// the condvar only when one is, so a seal nobody waits for costs no
@@ -82,7 +88,6 @@ pub struct LocalObjectStore {
     spill_enabled: bool,
     map: OrderedMutex<StoreMap>,
     sealed_cond: OrderedCondvar,
-    access_counter: AtomicU64,
     /// Where LRU-evicted objects go, one record per object ID (written
     /// once: objects are immutable).
     spill: DiskStore,
@@ -110,13 +115,13 @@ impl LocalObjectStore {
             capacity: cfg.capacity_bytes,
             spill_enabled: cfg.spill_enabled,
             map: OrderedMutex::new(&classes::STORE_MAP, StoreMap {
-                objects: HashMap::new(),
-                lru: BTreeMap::new(),
+                objects: IdMap::default(),
+                lru: VecDeque::new(),
+                clock: 0,
                 resident_bytes: 0,
                 waiters: 0,
             }),
             sealed_cond: OrderedCondvar::new(),
-            access_counter: AtomicU64::new(0),
             spill: DiskStore::in_memory(),
             puts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -222,12 +227,9 @@ impl LocalObjectStore {
             }
             // Evict LRU objects until the new one fits.
             while map.resident_bytes + data.len() > self.capacity {
-                let (&seq, &victim) = match map.lru.iter().next() {
-                    Some(v) => v,
-                    None => break,
-                };
-                map.lru.remove(&seq);
-                if let Some(slot) = map.objects.remove(&victim) {
+                let Some((stamp, victim)) = map.lru.pop_front() else { break };
+                if map.objects.get(&victim).is_some_and(|slot| slot.stamp == stamp) {
+                    let Some(slot) = map.objects.remove(&victim) else { break };
                     let size = slot.data.len();
                     map.resident_bytes -= size;
                     self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -244,10 +246,9 @@ impl LocalObjectStore {
                     outcome.evicted.push((victim, size as u64));
                 }
             }
-            let seq = self.access_counter.fetch_add(1, Ordering::Relaxed);
             map.resident_bytes += data.len();
-            map.lru.insert(seq, id);
-            map.objects.insert(id, Slot { data: data.clone(), access_seq: seq, unlisted });
+            let stamp = map.touch(id);
+            map.objects.insert(id, Slot { data: data.clone(), stamp, unlisted });
             map.waiters > 0
         };
         self.puts.fetch_add(1, Ordering::Relaxed);
@@ -280,14 +281,11 @@ impl LocalObjectStore {
     pub fn get_local(&self, id: ObjectId) -> Option<Bytes> {
         {
             let mut map = self.map.lock();
-            if let Some(slot) = map.objects.get_mut(&id) {
-                let seq = self.access_counter.fetch_add(1, Ordering::Relaxed);
-                let old = slot.access_seq;
-                slot.access_seq = seq;
-                let data = slot.data.clone();
-                map.lru.remove(&old);
-                map.lru.insert(seq, id);
-                return Some(data);
+            if map.objects.contains_key(&id) {
+                let stamp = map.touch(id);
+                let slot = map.objects.get_mut(&id)?;
+                slot.stamp = stamp;
+                return Some(slot.data.clone());
             }
         }
         self.read_spilled(id)
@@ -348,7 +346,6 @@ impl LocalObjectStore {
             let mut map = self.map.lock();
             if let Some(slot) = map.objects.remove(&id) {
                 map.resident_bytes -= slot.data.len();
-                map.lru.remove(&slot.access_seq);
                 true
             } else {
                 false
@@ -366,6 +363,22 @@ impl LocalObjectStore {
         map.lru.clear();
         map.resident_bytes = 0;
         self.spill.clear();
+    }
+}
+
+impl StoreMap {
+    /// Queues `id` at the back of the LRU order and returns its new stamp,
+    /// which the caller stores in its slot. Once stale entries outnumber
+    /// the objects, the queue is compacted to the live ones.
+    fn touch(&mut self, id: ObjectId) -> u64 {
+        let stamp = self.clock;
+        self.clock += 1;
+        if self.lru.len() >= 2 * self.objects.len() + 64 {
+            let objects = &self.objects;
+            self.lru.retain(|(stamp, id)| objects.get(id).is_some_and(|s| s.stamp == *stamp));
+        }
+        self.lru.push_back((stamp, id));
+        stamp
     }
 }
 
@@ -518,6 +531,27 @@ mod tests {
         // The evicted object is still readable (from spill).
         assert_eq!(s.get_local(ids[1]), Some(Bytes::from(vec![1u8; 30])));
         assert_eq!(s.spilled(), 1);
+    }
+
+    #[test]
+    fn many_reads_keep_the_lru_order_exact_and_its_queue_bounded() {
+        let s = store(100, true);
+        let ids: Vec<ObjectId> = (0..4).map(|_| ObjectId::random()).collect();
+        for &id in &ids[..3] {
+            s.put(id, Bytes::from(vec![1u8; 30])).unwrap();
+        }
+        // Read order ends 1, 0, 2: ids[1] is the least recently used.
+        for round in 0..1_000 {
+            s.get_local(ids[round % 3]).unwrap();
+        }
+        for i in [1, 0, 2] {
+            s.get_local(ids[i]).unwrap();
+        }
+        assert!(s.map.lock().lru.len() <= 2 * 3 + 64 + 1, "stale entries pile up");
+        let outcome = s.put(ids[3], Bytes::from(vec![1u8; 30])).unwrap();
+        assert_eq!(outcome.evicted, vec![(ids[1], 30)]);
+        let outcome = s.put(ObjectId::random(), Bytes::from(vec![1u8; 30])).unwrap();
+        assert_eq!(outcome.evicted, vec![(ids[0], 30)]);
     }
 
     #[test]

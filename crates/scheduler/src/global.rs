@@ -13,7 +13,6 @@
 //! load table and GCS client, mirroring "we can instantiate more replicas
 //! all sharing the same information via GCS".
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,7 +21,7 @@ use ray_common::sync::{classes, OrderedMutex};
 
 use ray_common::config::SchedulerPolicy;
 use ray_common::util::DetRng;
-use ray_common::{NodeId, ObjectId, RayError, RayResult, Resources, TaskId};
+use ray_common::{IdMap, NodeId, ObjectId, RayError, RayResult, Resources, TaskId};
 use ray_gcs::tables::GcsClient;
 
 use crate::load::LoadTable;
@@ -65,7 +64,7 @@ struct Inner {
     load: Arc<LoadTable>,
     gcs: GcsClient,
     decision_delay: Duration,
-    location_cache: OrderedMutex<HashMap<ObjectId, LocationCacheEntry>>,
+    location_cache: OrderedMutex<IdMap<ObjectId, LocationCacheEntry>>,
     decisions: AtomicU64,
     /// Placement tie-breaking only, not statistics.
     rng: OrderedMutex<DetRng>,
@@ -86,7 +85,7 @@ impl GlobalScheduler {
                 load,
                 gcs,
                 decision_delay,
-                location_cache: OrderedMutex::new(&classes::SCHED_LOCATION_CACHE, HashMap::new()),
+                location_cache: OrderedMutex::new(&classes::SCHED_LOCATION_CACHE, IdMap::default()),
                 decisions: AtomicU64::new(0),
                 rng: OrderedMutex::new(&classes::SCHED_RNG, DetRng::new(seed)),
             }),

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -41,6 +41,9 @@ struct Inner {
     chunk_bytes: usize,
     alive: Vec<AtomicBool>,
     partitions: OrderedRwLock<HashSet<(u32, u32)>>,
+    /// How many links `partitions` holds, written under its write lock: a
+    /// check finds the set empty with one atomic load and no lock.
+    partitioned: AtomicUsize,
     lanes: OrderedRwLock<HashMap<(u32, u32), Arc<Semaphore>>>,
     bytes_transferred: AtomicU64,
     transfers: AtomicU64,
@@ -65,6 +68,7 @@ impl Fabric {
                 chunk_bytes: cfg.chunk_bytes.max(1),
                 alive: (0..num_nodes).map(|_| AtomicBool::new(true)).collect(),
                 partitions: OrderedRwLock::new(&classes::FABRIC_PARTITIONS, HashSet::new()),
+                partitioned: AtomicUsize::new(0),
                 lanes: OrderedRwLock::new(&classes::FABRIC_LANES, HashMap::new()),
                 bytes_transferred: AtomicU64::new(0),
                 transfers: AtomicU64::new(0),
@@ -122,12 +126,14 @@ impl Fabric {
     pub fn partition(&self, a: NodeId, b: NodeId) {
         let mut p = self.inner.partitions.write();
         p.insert(ordered(a, b));
+        self.inner.partitioned.store(p.len(), Ordering::SeqCst);
     }
 
     /// Restores the link between two nodes.
     pub fn heal(&self, a: NodeId, b: NodeId) {
         let mut p = self.inner.partitions.write();
         p.remove(&ordered(a, b));
+        self.inner.partitioned.store(p.len(), Ordering::SeqCst);
     }
 
     /// Whether two nodes can currently talk.
@@ -135,7 +141,15 @@ impl Fabric {
         if !self.is_alive(a) || !self.is_alive(b) {
             return false;
         }
-        a == b || !self.inner.partitions.read().contains(&ordered(a, b))
+        !self.is_partitioned(a, b)
+    }
+
+    /// Whether the link between two distinct nodes is cut: one atomic load
+    /// while no link is, the partition set's read lock otherwise.
+    fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
+        a != b
+            && self.inner.partitioned.load(Ordering::SeqCst) > 0
+            && self.inner.partitions.read().contains(&ordered(a, b))
     }
 
     /// Total payload bytes moved across the fabric so far.
@@ -171,22 +185,15 @@ impl Fabric {
         }
     }
 
-    /// Fails with the first dead endpoint: two atomic loads, cheap enough
-    /// for every piece of a stream.
-    fn check_alive(&self, src: NodeId, dst: NodeId) -> RayResult<()> {
+    /// Fails with the first dead endpoint, then with a cut link: three
+    /// atomic loads while no link is cut, cheap enough for every piece of
+    /// a stream.
+    fn check_link(&self, src: NodeId, dst: NodeId) -> RayResult<()> {
         if !self.is_alive(src) {
             return Err(RayError::NodeDead(src));
         }
-        if !self.is_alive(dst) {
-            return Err(RayError::NodeDead(dst));
-        }
-        Ok(())
-    }
-
-    fn check_link(&self, src: NodeId, dst: NodeId) -> RayResult<()> {
-        self.check_alive(src, dst)?;
-        if src != dst && self.inner.partitions.read().contains(&ordered(src, dst)) {
-            // A partition is reported as the remote side being unreachable.
+        // A partition is reported as the remote side being unreachable.
+        if !self.is_alive(dst) || self.is_partitioned(src, dst) {
             return Err(RayError::NodeDead(dst));
         }
         Ok(())
@@ -232,10 +239,10 @@ impl Fabric {
     ///
     /// An `Err` means the payload did not arrive — dropped before the first
     /// piece, or an endpoint lost while pieces were in flight — and the
-    /// receiver must discard what it was handed. Both endpoints' liveness
-    /// is checked as each piece lands, before the receiver sees it, so a
-    /// lost endpoint ends the transfer at its next piece; a partition cut
-    /// mid-flight fails it after the last piece.
+    /// receiver must discard what it was handed. The link — both
+    /// endpoints' liveness and the partition set — is checked as each
+    /// piece lands, before the receiver sees it, so a lost endpoint or a
+    /// cut link ends the transfer at its next piece.
     pub fn transfer_streamed(
         &self,
         src: NodeId,
@@ -255,6 +262,7 @@ impl Fabric {
         let lanes = self.link_lanes(src, dst);
         let permit = lanes.acquire(connections);
         let real_time = self.inner.real_time.load(Ordering::Relaxed);
+        let (src_up, dst_up) = (self.liveness(src), self.liveness(dst));
         let started = Instant::now();
         let mut lo = 0usize;
         let d = loop {
@@ -263,8 +271,16 @@ impl Fabric {
             if real_time {
                 std::thread::sleep((started + arrival).saturating_duration_since(Instant::now()));
             }
-            // Either end may have died while the piece was in flight.
-            self.check_alive(src, dst)?;
+            // Either end may have died, or the link been cut, while the
+            // piece was in flight: `check_link`, as three atomic loads while
+            // no link is cut.
+            if !src_up.load(Ordering::SeqCst) {
+                return Err(RayError::NodeDead(src));
+            }
+            let cut = self.inner.partitioned.load(Ordering::SeqCst) > 0;
+            if !dst_up.load(Ordering::SeqCst) || cut && self.is_partitioned(src, dst) {
+                return Err(RayError::NodeDead(dst));
+            }
             on_piece(lo..hi);
             if hi == bytes {
                 break arrival;
@@ -272,9 +288,6 @@ impl Fabric {
             lo = hi;
         };
         drop(permit);
-        // The link may have been partitioned while the bytes were in flight
-        // (the partition set is behind a lock, so it is read once, here).
-        self.check_link(src, dst)?;
         self.inner.bytes_transferred.fetch_add(bytes as u64, Ordering::Relaxed);
         self.inner.transfers.fetch_add(1, Ordering::Relaxed);
         Ok(d)
@@ -529,6 +542,24 @@ mod tests {
         assert_eq!(err, RayError::NodeDead(NodeId(1)));
         assert_eq!(pieces, 1, "the next piece's liveness check ends the transfer");
         assert_eq!((f.transfer_count(), f.bytes_transferred()), (0, 0));
+    }
+
+    #[test]
+    fn partition_cut_mid_stream_fails_the_transfer_at_its_next_piece() {
+        let f = Fabric::new(2, &cfg());
+        f.set_virtual_time(true);
+        let mut pieces = 0;
+        let err = f
+            .transfer_streamed(NodeId(0), NodeId(1), 4 * cfg().chunk_bytes, 1, |_| {
+                pieces += 1;
+                f.partition(NodeId(1), NodeId(0));
+            })
+            .unwrap_err();
+        assert_eq!(err, RayError::NodeDead(NodeId(1)));
+        assert_eq!(pieces, 1, "the next piece's link check ends the transfer");
+        assert_eq!((f.transfer_count(), f.bytes_transferred()), (0, 0));
+        f.heal(NodeId(0), NodeId(1));
+        assert_eq!(f.transfer(NodeId(0), NodeId(1), 4 * cfg().chunk_bytes, 1).map(|_| ()), Ok(()));
     }
 
     #[test]
