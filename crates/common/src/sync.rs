@@ -158,7 +158,8 @@ pub mod classes {
     /// The replication-chain member list.
     pub static GCS_MEMBERS: LockClass = LockClass::new("gcs.members", 410);
     /// A chain's write order: held by the one writer walking an update
-    /// from head to tail, so every member applies the same sequence.
+    /// from head to tail, so every member applies the same sequence. It
+    /// guards the chain's watcher table too.
     pub static GCS_CHAIN_ORDER: LockClass = LockClass::new("gcs.chain_order", 412);
     /// One chain member's shard state; a write holds one at a time (under
     /// `GCS_CHAIN_ORDER`), a read only the tail's. Held while flushing

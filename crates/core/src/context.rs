@@ -285,10 +285,10 @@ impl RayContext {
 
         if ready.len() < want {
             // One subscription multiplexes every missing object's
-            // notifications onto one channel, for one GCS update per shard;
-            // the subscribe op itself delivers a snapshot for entries made
-            // since the read above, so there is no read-then-subscribe
-            // race. Dropped (unsubscribed) on return.
+            // notifications onto one channel, registered at each shard's
+            // commit point with no GCS write; the subscribe itself delivers
+            // a snapshot for entries made since the read above, so there is
+            // no read-then-subscribe race. Dropped (unsubscribed) on return.
             let sub = self.shared.gcs_client.subscribe_objects(&missing)?;
             while ready.len() < want {
                 let remaining = deadline.saturating_duration_since(clock.now());

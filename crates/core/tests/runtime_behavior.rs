@@ -11,7 +11,7 @@ use bytes::Bytes;
 use ray_common::config::{FaultConfig, SchedulerPolicy};
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, ObjectId, RayConfig, RayError, Resources, ShardId};
-use ray_gcs::kv::{Key, Table, UpdateOp};
+use ray_gcs::kv::{Key, Table};
 use rustray::registry::{decode_arg, encode_return, RemoteResult};
 use rustray::task::{Arg, ObjectRef, TaskOptions};
 use rustray::{node_affinity, ActorInstance, Cluster, RayContext};
@@ -279,8 +279,8 @@ fn wait_times_out_with_partial_results() {
 fn wait_over_more_ids_than_one_subscribe_op_carries() {
     // Default four GCS shards. 300 objects that exist, 1 200 that never
     // will: a `wait` subscribes only to ids without a location, ~300 per
-    // shard, so every shard's group is split over two subscribe ops of one
-    // subscription.
+    // shard, so every shard's group is split over two subscribe calls of
+    // one subscription.
     let cluster = small_cluster();
     let ctx = cluster.driver();
     let exist: Vec<ObjectId> = (0..300u32).map(|i| ctx.put(&i).unwrap().id()).collect();
@@ -1176,13 +1176,12 @@ fn actor_methods_never_rewrite_the_actor_record() {
         assert!(record.init_args.0.len() >= padding);
 
         // Watch the record's key from here on. Subscribing to an existing
-        // entry delivers its current state, and more than once if the
-        // chain retried the subscribe under load; one method call later
-        // every such delivery has happened (replicas apply in order), so
-        // anything that arrives after the drain is a write of the record.
+        // entry delivers its current state before the subscribe returns;
+        // after one method call and a drain, anything that arrives is a
+        // write of the record.
         let (tx, rx) = channel();
         let key = Key::fixed(Table::Actor, h.id().0.as_bytes());
-        shard.write(UpdateOp::Subscribe { keys: vec![key], sub_id, sender: tx }).unwrap();
+        shard.subscribe(&[key], sub_id, tx).unwrap();
         let warm: ObjectRef<i64> =
             ctx.call_actor(&h, "incr", vec![Arg::value(&0i64).unwrap()]).unwrap();
         ctx.get(&warm).unwrap();
@@ -1192,9 +1191,8 @@ fn actor_methods_never_rewrite_the_actor_record() {
         let calls: Vec<ObjectRef<i64>> = (0..100)
             .map(|_| ctx.call_actor(&h, "incr", vec![Arg::value(&1i64).unwrap()]).unwrap())
             .collect();
-        // Wait with reads only (a blocking `get` may subscribe, which is
-        // itself a write): the last result's location is the last write a
-        // method makes.
+        // Wait with reads only: the last result's location is the last
+        // write a method makes.
         let deadline = Instant::now() + Duration::from_secs(60);
         while gcs.get_object_locations(calls[99].id()).unwrap().is_empty() {
             assert!(Instant::now() < deadline, "methods never finished");
@@ -1232,13 +1230,9 @@ fn an_empty_task_costs_two_gcs_writes() {
     let (ready, pending) = ctx.wait(&ids, ids.len(), Duration::from_secs(60)).unwrap();
     assert_eq!((ready.len(), pending.len()), (ids.len(), 0));
     let growth = writes() - before;
-    // Per task: its spec, its result's location. Per `wait`: a subscribe
-    // and an unsubscribe per shard and per full op of keys.
-    let wait_ops = 2 * (shards as u64 + TASKS / ray_gcs::kv::MAX_SUBSCRIBE_KEYS as u64);
-    assert!(
-        (2 * TASKS..=2 * TASKS + wait_ops).contains(&growth),
-        "{TASKS} empty tasks and one wait made {growth} GCS writes"
-    );
+    // Per task: its spec, its result's location. The `wait` commits
+    // nothing: its subscription lives at each shard's commit point.
+    assert_eq!(growth, 2 * TASKS, "{TASKS} empty tasks and one wait made {growth} GCS writes");
 
     // `cancel` reads the producer off the id: a `put` has none, a finished
     // task has nothing left to stop, and neither answer touches the GCS.
@@ -1341,11 +1335,11 @@ fn a_wait_with_nothing_to_wait_for_writes_nothing() {
     assert_eq!(ctx.wait(&[], 3, long).unwrap(), (vec![], vec![]));
     assert_eq!(committed_updates(&cluster), before);
 
-    // Waiting on a missing id is what subscribes: one subscribe and one
-    // unsubscribe on its shard.
+    // Waiting on a missing id is what subscribes, and a subscribe and an
+    // unsubscribe commit nothing.
     let (ready, pending) = ctx.wait(&never[..1], 1, Duration::from_millis(20)).unwrap();
     assert_eq!((ready, pending), (vec![], never[..1].to_vec()));
-    assert_eq!(committed_updates(&cluster) - before, 2);
+    assert_eq!(committed_updates(&cluster) - before, 0);
     cluster.shutdown();
 }
 

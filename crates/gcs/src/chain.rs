@@ -20,6 +20,15 @@
 //!   `ListAppend` is at-least-once, documented for event logs), so client
 //!   retry after timeout is safe — the head may have applied what the
 //!   tail never saw.
+//!
+//! Pub-sub lives beside the chain, not in it. The paper's shards were
+//! Redis, where a subscription belongs to a client's connection, not to
+//! the replicated data; here it belongs to the chain's one `Watchers`
+//! table, held under the order lock every writer takes. A write asks it
+//! for the key's notifications once, after the tail's apply; a subscribe
+//! registers there and snapshots what the tail already holds, committing
+//! nothing; an unsubscribe takes the order lock only. No member holds a
+//! watcher, so losing a member loses no subscription.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -34,7 +43,7 @@ use ray_common::util::{retry, Backoff};
 use ray_common::{RayError, RayResult, ShardId};
 
 use crate::flush::DiskStore;
-use crate::kv::{Entry, Key, Table, UpdateOp};
+use crate::kv::{Entry, Key, NotifySender, Table, UpdateOp, Watchers};
 use crate::replica::Replica;
 
 /// How long a client waits on a member that does not answer before
@@ -57,8 +66,9 @@ pub struct Chain {
     members: OrderedRwLock<Vec<Replica>>,
     /// Held by the one writer walking an update down the chain, so every
     /// member applies the same sequence (the rank rule forbids holding two
-    /// members' state locks hand over hand).
-    order: OrderedMutex<()>,
+    /// members' state locks hand over hand). It guards the shard's watcher
+    /// table, which the commit point consults.
+    order: OrderedMutex<Watchers>,
     reconfig: OrderedMutex<()>,
     next_replica_id: AtomicU64,
     committed: AtomicU64,
@@ -85,7 +95,7 @@ impl Chain {
             cfg: cfg.clone(),
             trace,
             members: OrderedRwLock::new(&classes::GCS_MEMBERS, Vec::new()),
-            order: OrderedMutex::new(&classes::GCS_CHAIN_ORDER, ()),
+            order: OrderedMutex::new(&classes::GCS_CHAIN_ORDER, Watchers::default()),
             reconfig: OrderedMutex::new(&classes::GCS_RECONFIG, ()),
             next_replica_id: AtomicU64::new(0),
             committed: AtomicU64::new(0),
@@ -195,17 +205,20 @@ impl Chain {
     /// Applies an update through the chain (head → ... → tail), on the
     /// caller's thread. The tail is the commit point: its apply is the one
     /// that is counted (under its state lock, so the count never trails
-    /// what a read can see) and the one subscribers hear about.
+    /// what a read can see) and the one subscribers hear about, in commit
+    /// order (delivered under the order lock).
     pub fn write(&self, op: UpdateOp) -> RayResult<()> {
         self.attempt(|members| {
-            let _order = self.order.lock();
+            let watchers = self.order.lock();
             let (tail, upstream) = members.split_last()?;
             for member in upstream {
                 member.live_state()?.apply(&op);
             }
             let mut state = tail.live_state()?;
-            let (notifications, flushed) = state.apply(&op);
+            let flushed = state.apply(&op);
             self.committed.fetch_add(1, Ordering::Relaxed);
+            let notifications =
+                op.key().map(|key| watchers.notifications_for(key, &state)).unwrap_or_default();
             drop(state);
             if flushed > 0 {
                 self.entries_flushed.add(flushed);
@@ -215,6 +228,33 @@ impl Chain {
             }
             Some(())
         })
+    }
+
+    /// Registers `sub_id` for changes of `keys` (at most
+    /// [`crate::kv::MAX_SUBSCRIBE_KEYS`]; several calls under one `sub_id`
+    /// add up) and delivers at once, on `sender`, the entries that already
+    /// exist. Registration and the existence check share the tail's lock,
+    /// so each write of a key is either in that snapshot or notified; the
+    /// snapshot is sent once both locks are released. Nothing is applied
+    /// upstream and nothing is committed; a crashed tail is reported and
+    /// retried as for a read.
+    pub fn subscribe(&self, keys: &[Key], sub_id: u64, sender: NotifySender) -> RayResult<()> {
+        let current = self.attempt(|members| {
+            let mut watchers = self.order.lock();
+            let tail = members.last()?.live_state()?;
+            Some(watchers.subscribe(keys, sub_id, &sender, &tail))
+        })?;
+        for notification in current {
+            let _ = sender.send(notification);
+        }
+        Ok(())
+    }
+
+    /// Removes `sub_id` from every key it watches on this shard. The
+    /// watcher table is the chain's, not a member's, so this reaches no
+    /// member and cannot fail.
+    pub fn unsubscribe(&self, sub_id: u64) {
+        self.order.lock().unsubscribe(sub_id);
     }
 
     /// Reads a key from the tail (the commit point); only the tail's state
@@ -344,12 +384,14 @@ impl Chain {
     /// paper Fig. 10b) are replayed through the disk tier's index and stay
     /// readable via read-through; unflushed in-memory entries and live
     /// subscriptions are lost (callers recover those through lineage
-    /// reconstruction and re-subscription).
+    /// reconstruction and re-subscription): the watcher table is cleared,
+    /// which closes each subscriber's channel.
     ///
     /// Caller must hold the reconfig (master) lock.
     fn recover_from_disk(&self) {
         let mut members = self.members.write();
         members.clear();
+        *self.order.lock() = Watchers::default();
         // Validate the log end-to-end before serving from it: every record
         // must decode (reopen already truncated any torn tail for
         // file-backed stores).
@@ -372,9 +414,17 @@ impl Chain {
         );
     }
 
-    /// Drops every member; later operations fail with `Shutdown`.
+    /// Keys with at least one watcher on this shard.
+    #[cfg(test)]
+    pub(crate) fn watched_keys(&self) -> usize {
+        self.order.lock().watched_keys()
+    }
+
+    /// Drops every member and subscription; later operations fail with
+    /// `Shutdown`.
     pub fn shutdown(&self) {
         self.members.write().clear();
+        *self.order.lock() = Watchers::default();
     }
 }
 
@@ -519,10 +569,8 @@ mod tests {
         let keys: Vec<Key> = (5..9u8).map(|i| Key::new(Table::Object, vec![i])).collect();
         let (tx, rx) = std::sync::mpsc::channel();
         let (other_tx, other_rx) = std::sync::mpsc::channel();
-        chain.write(UpdateOp::Subscribe { keys: keys.clone(), sub_id: 1, sender: tx }).unwrap();
-        chain
-            .write(UpdateOp::Subscribe { keys: keys[..1].to_vec(), sub_id: 2, sender: other_tx })
-            .unwrap();
+        chain.subscribe(&keys, 1, tx).unwrap();
+        chain.subscribe(&keys[..1], 2, other_tx).unwrap();
         chain.crash_member(1); // Tail dies; subscription state must survive.
         for key in &keys {
             chain.write(UpdateOp::SetAdd { key: *key, member: Member::from_array([9]) }).unwrap();
@@ -533,10 +581,10 @@ mod tests {
             {}
         }
         assert_eq!(other_rx.recv_timeout(Duration::from_secs(2)).unwrap().key, keys[0]);
-        // State transfer carried the subscription → keys index too: the
-        // replacement tail, now the one that notifies, drops all four keys
-        // of subscription 1 on one unsubscribe and leaves subscription 2.
-        chain.write(UpdateOp::Unsubscribe { sub_id: 1 }).unwrap();
+        // The watcher table is the chain's, not the dead tail's: through the
+        // replacement tail, now the one that notifies, one unsubscribe drops
+        // all four keys of subscription 1 and leaves subscription 2.
+        chain.unsubscribe(1);
         while rx.try_recv().is_ok() {}
         while other_rx.try_recv().is_ok() {}
         for key in &keys {
@@ -612,8 +660,7 @@ mod tests {
         let chain = start_chain(3);
         let key = Key::new(Table::Object, vec![1]);
         let (tx, rx) = std::sync::mpsc::channel();
-        let subscribe = UpdateOp::Subscribe { keys: vec![key], sub_id: 1, sender: tx };
-        chain.write(subscribe).unwrap();
+        chain.subscribe(&[key], 1, tx).unwrap();
         for member in 0..4u8 {
             chain.write(UpdateOp::SetAdd { key, member: Member::from_array([member]) }).unwrap();
             // Three members applied the write; the subscriber hears it once,
@@ -624,6 +671,60 @@ mod tests {
             }
             assert!(rx.try_recv().is_err());
         }
+        chain.shutdown();
+    }
+
+    // A client waits out `OP_TIMEOUT` only before it reports a dead member,
+    // and a report of one reconfigures: an operation that leaves
+    // `reconfigurations()` at 0 met no dead member and waited for none.
+
+    #[test]
+    fn a_subscribe_past_a_crashed_head_commits_nothing_and_waits_for_nothing() {
+        let chain = start_chain(2);
+        let key = Key::new(Table::Object, vec![1]);
+        chain.crash_member(0);
+        let (tx, rx) = std::sync::mpsc::channel();
+        chain.subscribe(&[key], 1, tx).unwrap();
+        assert_eq!((chain.committed_updates(), chain.reconfigurations()), (0, 0));
+        // The next data write meets the dead head, reconfigures, and the
+        // subscriber hears of it once.
+        chain.write(UpdateOp::SetAdd { key, member: Member::from_array([1]) }).unwrap();
+        assert_eq!((chain.committed_updates(), chain.reconfigurations()), (1, 1));
+        assert_eq!(rx.try_recv().unwrap().key, key);
+        assert!(rx.try_recv().is_err());
+        chain.shutdown();
+    }
+
+    #[test]
+    fn unsubscribe_returns_at_once_with_the_tail_crashed() {
+        let chain = start_chain(2);
+        let key = Key::new(Table::Object, vec![1]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        chain.subscribe(&[key], 1, tx).unwrap();
+        chain.crash_member(1);
+        chain.unsubscribe(1);
+        assert_eq!((chain.committed_updates(), chain.reconfigurations()), (0, 0));
+        assert_eq!(chain.watched_keys(), 0);
+        // The write that replaces the tail has nobody to tell.
+        chain.write(UpdateOp::SetAdd { key, member: Member::from_array([1]) }).unwrap();
+        assert_eq!(chain.reconfigurations(), 1);
+        assert_eq!(rx.try_recv().unwrap_err(), std::sync::mpsc::TryRecvError::Disconnected);
+        chain.shutdown();
+    }
+
+    #[test]
+    fn whole_shard_recovery_forgets_every_subscription() {
+        let chain = start_chain(2);
+        let key = Key::new(Table::Object, vec![1]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        chain.subscribe(&[key], 1, tx).unwrap();
+        chain.crash_all();
+        chain.heal();
+        chain.write(UpdateOp::SetAdd { key, member: Member::from_array([1]) }).unwrap();
+        // The subscriber's channel closed with the shard; it must subscribe
+        // again.
+        assert_eq!(rx.try_recv().unwrap_err(), std::sync::mpsc::TryRecvError::Disconnected);
+        assert_eq!(chain.watched_keys(), 0);
         chain.shutdown();
     }
 

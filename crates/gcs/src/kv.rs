@@ -1,9 +1,10 @@
 //! The replicated state machine of one GCS shard.
 //!
 //! Each shard stores entries for every control-state table, applies
-//! [`UpdateOp`]s deterministically (so replicas stay identical), tracks
-//! pub-sub subscribers, and accounts resident memory so flushing decisions
-//! (paper Fig. 10b) can be made.
+//! [`UpdateOp`]s deterministically (so replicas stay identical), and
+//! accounts resident memory so flushing decisions (paper Fig. 10b) can be
+//! made. Who watches which key is not replicated state: one `Watchers`
+//! table per chain, consulted at the commit point.
 //!
 //! Entries come in three shapes matching what Ray keeps in the GCS:
 //! blobs (task specs, checkpoints), sets (object locations), and append
@@ -600,15 +601,16 @@ pub struct Notification {
 /// Channel end that receives [`Notification`]s for a subscription.
 pub type NotifySender = Sender<Notification>;
 
-/// Most keys one [`UpdateOp::Subscribe`] may carry; a larger set is split
-/// into several ops under one `sub_id`. An op is applied on every replica
-/// in turn while its writer holds the chain's order lock, which every other
-/// writer of the shard waits for; a key costs two map lookups there, a
-/// watcher list the first time anyone watches it, and, when the entry
-/// exists, a notification carrying a copy of it. At 256 keys, every entry
-/// present, one apply takes 0.15–0.25 ms in a debug build — a fortieth of
-/// `chain::OP_TIMEOUT`, the yardstick for "a stall a client would notice";
-/// 0.3 ms at 512 — which
+/// Most keys one [`crate::chain::Chain::subscribe`] may carry; a larger set
+/// is split into several calls under one `sub_id`. A call holds the
+/// chain's order lock, which every writer of the shard waits for, and the
+/// tail's state lock, which every reader waits for; a key costs two map
+/// lookups there, a watcher list the first time anyone watches it, and,
+/// when the entry exists, a copy of it for the snapshot. At 256 keys,
+/// every entry present, the registration under both locks takes
+/// 0.28–0.33 ms in a debug build and the whole call, sends included,
+/// 0.32–0.37 ms — a thirtieth of `chain::OP_TIMEOUT`, the yardstick for
+/// "a stall a client would notice" — which
 /// `subscribe_apply_at_the_cap_is_far_under_the_op_timeout` keeps checked.
 pub const MAX_SUBSCRIBE_KEYS: usize = 256;
 
@@ -649,24 +651,6 @@ pub enum UpdateOp {
         /// Target key.
         key: Key,
     },
-    /// Register a subscriber for changes to a set of keys. Subscriptions
-    /// are part of the replicated state so the commit point (tail) always
-    /// has them. Several ops may share a `sub_id` (their key sets add up);
-    /// a key is registered once per `(key, sub_id)` however often the op is
-    /// applied, because a writer that met a crashed member re-issues it.
-    Subscribe {
-        /// Keys to watch, at most [`MAX_SUBSCRIBE_KEYS`].
-        keys: Vec<Key>,
-        /// Caller-chosen subscription ID (for unsubscribe).
-        sub_id: u64,
-        /// Where notifications are delivered.
-        sender: NotifySender,
-    },
-    /// Remove a subscriber from every key it watches on this shard.
-    Unsubscribe {
-        /// Subscription ID used at subscribe time.
-        sub_id: u64,
-    },
     /// Move the oldest entries of a flushable table to disk until at most
     /// `keep_entries` remain in memory.
     Flush {
@@ -687,13 +671,24 @@ impl std::fmt::Debug for UpdateOp {
                 write!(f, "ListAppend({key:?}, {}B)", item.len())
             }
             UpdateOp::Delete { key } => write!(f, "Delete({key:?})"),
-            UpdateOp::Subscribe { keys, sub_id, .. } => {
-                write!(f, "Subscribe({} keys, {sub_id})", keys.len())
-            }
-            UpdateOp::Unsubscribe { sub_id } => write!(f, "Unsubscribe({sub_id})"),
             UpdateOp::Flush { table, keep_entries } => {
                 write!(f, "Flush({table:?}, keep {keep_entries})")
             }
+        }
+    }
+}
+
+impl UpdateOp {
+    /// The key a data op writes; `None` for a `Flush`, which moves
+    /// entries without changing what a reader sees.
+    pub(crate) fn key(&self) -> Option<&Key> {
+        match self {
+            UpdateOp::Put { key, .. }
+            | UpdateOp::SetAdd { key, .. }
+            | UpdateOp::SetRemove { key, .. }
+            | UpdateOp::ListAppend { key, .. }
+            | UpdateOp::Delete { key } => Some(key),
+            UpdateOp::Flush { .. } => None,
         }
     }
 }
@@ -702,19 +697,12 @@ impl std::fmt::Debug for UpdateOp {
 #[derive(Clone)]
 pub struct ShardSnapshot {
     entries: Entries,
-    subs: KeyMap<Vec<(u64, NotifySender)>>,
-    sub_keys: BTreeMap<u64, Vec<Key>>,
     next_order: u64,
 }
 
 /// In-memory state of one shard replica.
 pub struct ShardState {
     entries: Entries,
-    /// Key → its watchers, in registration order.
-    subs: KeyMap<Vec<(u64, NotifySender)>>,
-    /// Subscription → the keys it is registered under in `subs`: what an
-    /// `Unsubscribe` has to visit.
-    sub_keys: BTreeMap<u64, Vec<Key>>,
     /// The next write's place in the flush order (`Slot::order`).
     next_order: u64,
     /// Bytes resident in memory, shared with the chain for observability.
@@ -726,14 +714,7 @@ pub struct ShardState {
 impl ShardState {
     /// Creates an empty shard state backed by the given disk tier.
     pub fn new(resident: Arc<AtomicI64>, disk: Arc<DiskStore>) -> Self {
-        ShardState {
-            entries: Entries::default(),
-            subs: KeyMap::default(),
-            sub_keys: BTreeMap::new(),
-            next_order: 0,
-            resident,
-            disk,
-        }
+        ShardState { entries: Entries::default(), next_order: 0, resident, disk }
     }
 
     /// Number of entries resident in memory.
@@ -783,17 +764,15 @@ impl ShardState {
         Some(slot.entry)
     }
 
-    /// Applies one update, returning notifications to deliver if this
-    /// replica is the commit point. Returns the number of entries flushed
+    /// Applies one update, returning the number of entries flushed
     /// (non-zero only for `Flush`).
-    pub fn apply(&mut self, op: &UpdateOp) -> (Vec<(NotifySender, Notification)>, u64) {
+    pub fn apply(&mut self, op: &UpdateOp) -> u64 {
         match op {
             UpdateOp::Put { key, value } => {
                 if let Some(slot) = self.slot_for_write(*key, || Entry::Blob(Bytes::new())) {
                     let old = std::mem::replace(&mut slot.entry, Entry::Blob(value.clone()));
                     self.charge(value.len() as i64 - old.weight() as i64);
                 }
-                (self.notifications_for(key), 0)
             }
             UpdateOp::SetAdd { key, member } => {
                 // Type mismatch (blob under a set op) is ignored: ops are
@@ -808,7 +787,6 @@ impl ShardState {
                     _ => 0,
                 };
                 self.charge(grown as i64);
-                (self.notifications_for(key), 0)
             }
             UpdateOp::SetRemove { key, member } => {
                 let mut emptied = false;
@@ -822,7 +800,6 @@ impl ShardState {
                 if emptied {
                     self.remove_slot(key);
                 }
-                (self.notifications_for(key), 0)
             }
             UpdateOp::ListAppend { key, item } => {
                 // A list that was flushed to disk must be pulled back into
@@ -842,49 +819,15 @@ impl ShardState {
                     _ => 0,
                 };
                 self.charge(grown as i64);
-                (self.notifications_for(key), 0)
             }
             UpdateOp::Delete { key } => {
                 self.remove_slot(key);
-                (self.notifications_for(key), 0)
-            }
-            UpdateOp::Subscribe { keys, sub_id, sender } => {
-                let watched = self.sub_keys.entry(*sub_id).or_default();
-                let mut notifs = Vec::new();
-                for key in keys {
-                    let watchers = self.subs.entry(*key).or_default();
-                    if !watchers.iter().any(|(id, _)| id == sub_id) {
-                        watchers.push((*sub_id, sender.clone()));
-                        watched.push(*key);
-                    }
-                    // If the entry already exists, notify immediately so the
-                    // subscriber never misses a creation that beat the
-                    // subscription (paper Fig. 7b step 2 registers a callback
-                    // only when the entry is absent; delivering current state
-                    // on subscribe closes the race).
-                    if let Some(slot) = self.entries.get(key) {
-                        let current = Notification { key: *key, entry: Some(slot.entry.clone()) };
-                        notifs.push((sender.clone(), current));
-                    }
-                }
-                (notifs, 0)
-            }
-            UpdateOp::Unsubscribe { sub_id } => {
-                for key in self.sub_keys.remove(sub_id).unwrap_or_default() {
-                    if let Some(watchers) = self.subs.get_mut(&key) {
-                        watchers.retain(|(id, _)| id != sub_id);
-                        if watchers.is_empty() {
-                            self.subs.remove(&key);
-                        }
-                    }
-                }
-                (Vec::new(), 0)
             }
             UpdateOp::Flush { table, keep_entries } => {
-                let flushed = self.flush_table(*table, *keep_entries);
-                (Vec::new(), flushed)
+                return self.flush_table(*table, *keep_entries);
             }
         }
+        0
     }
 
     /// Moves `table`'s oldest entries past the newest `keep_entries` to
@@ -920,32 +863,94 @@ impl ShardState {
         flushed
     }
 
-    fn notifications_for(&self, key: &Key) -> Vec<(NotifySender, Notification)> {
-        let Some(watchers) = self.subs.get(key) else { return Vec::new() };
-        let entry = self.entries.get(key).map(|slot| slot.entry.clone());
-        watchers
-            .iter()
-            .map(|(_, tx)| (tx.clone(), Notification { key: *key, entry: entry.clone() }))
-            .collect()
-    }
-
     /// Produces a snapshot for state transfer to a joining replica.
     pub fn snapshot(&self) -> ShardSnapshot {
-        ShardSnapshot {
-            entries: self.entries.clone(),
-            subs: self.subs.clone(),
-            sub_keys: self.sub_keys.clone(),
-            next_order: self.next_order,
-        }
+        ShardSnapshot { entries: self.entries.clone(), next_order: self.next_order }
     }
 
     /// Installs a snapshot received during state transfer.
     pub fn install(&mut self, snap: ShardSnapshot) {
         self.charge(resident_of(&snap.entries) - resident_of(&self.entries));
         self.entries = snap.entries;
-        self.subs = snap.subs;
-        self.sub_keys = snap.sub_keys;
         self.next_order = snap.next_order;
+    }
+}
+
+/// Who watches which key of one shard. A subscription is soft state at
+/// the commit point, not replicated data: the chain holds one table, under
+/// its order lock, and no member holds any, so a member's crash loses no
+/// subscription and the tail that replaces it notifies the same watchers.
+#[derive(Default)]
+pub(crate) struct Watchers {
+    /// Key → its watchers, in registration order.
+    subs: KeyMap<Vec<(u64, NotifySender)>>,
+    /// Subscription → the keys it is registered under in `subs`: what
+    /// `unsubscribe` has to visit.
+    sub_keys: BTreeMap<u64, Vec<Key>>,
+}
+
+impl Watchers {
+    /// Registers `sub_id` under each of `keys` and returns the entries that
+    /// `tail`, the commit point's state, already holds for them. A key is
+    /// registered once per `(key, sub_id)` however often it is asked for:
+    /// a client retries a subscribe, and calls of one subscription (their
+    /// key sets add up) may overlap. The caller holds `tail`'s lock across
+    /// the registration, so no write commits between the existence check
+    /// and the registration (paper Fig. 7b step 2 registers a callback only
+    /// when the entry is absent; delivering the current state closes the
+    /// subscribe-versus-creation race).
+    pub(crate) fn subscribe(
+        &mut self,
+        keys: &[Key],
+        sub_id: u64,
+        sender: &NotifySender,
+        tail: &ShardState,
+    ) -> Vec<Notification> {
+        let watched = self.sub_keys.entry(sub_id).or_default();
+        for key in keys {
+            let watchers = self.subs.entry(*key).or_default();
+            if !watchers.iter().any(|(id, _)| *id == sub_id) {
+                watchers.push((sub_id, sender.clone()));
+                watched.push(*key);
+            }
+        }
+        keys.iter()
+            .filter_map(|key| Some((*key, tail.entries.get(key)?.entry.clone())))
+            .map(|(key, entry)| Notification { key, entry: Some(entry) })
+            .collect()
+    }
+
+    /// Removes `sub_id` from every key it watches.
+    pub(crate) fn unsubscribe(&mut self, sub_id: u64) {
+        for key in self.sub_keys.remove(&sub_id).unwrap_or_default() {
+            if let Some(watchers) = self.subs.get_mut(&key) {
+                watchers.retain(|(id, _)| *id != sub_id);
+                if watchers.is_empty() {
+                    self.subs.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// What a write of `key` just committed at `tail` owes its watchers:
+    /// the entry as `tail` now holds it (`None` once deleted), to each.
+    pub(crate) fn notifications_for(
+        &self,
+        key: &Key,
+        tail: &ShardState,
+    ) -> Vec<(NotifySender, Notification)> {
+        let Some(watchers) = self.subs.get(key) else { return Vec::new() };
+        let entry = tail.entries.get(key).map(|slot| slot.entry.clone());
+        watchers
+            .iter()
+            .map(|(_, tx)| (tx.clone(), Notification { key: *key, entry: entry.clone() }))
+            .collect()
+    }
+
+    /// Keys with at least one watcher.
+    #[cfg(test)]
+    pub(crate) fn watched_keys(&self) -> usize {
+        self.subs.len()
     }
 }
 
@@ -1047,8 +1052,21 @@ mod tests {
         assert!(set.remove(&member([9, 9])) && set.is_empty());
     }
 
-    fn subscribe(keys: &[Key], sub_id: u64, sender: &NotifySender) -> UpdateOp {
-        UpdateOp::Subscribe { keys: keys.to_vec(), sub_id, sender: sender.clone() }
+    /// Subscribes as the chain does, delivering the entries that exist at
+    /// once; reports how many it delivered.
+    fn subscribe(
+        w: &mut Watchers,
+        s: &ShardState,
+        keys: &[Key],
+        sub_id: u64,
+        tx: &NotifySender,
+    ) -> usize {
+        let current = w.subscribe(keys, sub_id, tx, s);
+        let n = current.len();
+        for notification in current {
+            tx.send(notification).unwrap();
+        }
+        n
     }
 
     /// What a receiver holds right now, by key.
@@ -1056,7 +1074,8 @@ mod tests {
         rx.try_iter().map(|n| n.key).collect()
     }
 
-    /// Delivers what an apply returned (the tail's job) and reports how many.
+    /// Delivers what a commit owes its watchers (the chain's job) and
+    /// reports how many.
     fn deliver(notifs: Vec<(NotifySender, Notification)>) -> usize {
         let n = notifs.len();
         for (tx, notification) in notifs {
@@ -1065,98 +1084,97 @@ mod tests {
         n
     }
 
+    /// Applies `op` as the commit point and delivers its notifications.
+    fn commit(w: &Watchers, s: &mut ShardState, op: UpdateOp) -> usize {
+        s.apply(&op);
+        deliver(op.key().map(|key| w.notifications_for(key, s)).unwrap_or_default())
+    }
+
     #[test]
     fn subscribe_notifies_on_update_and_on_existing_entry() {
-        let mut s = state();
+        let (mut s, mut w) = (state(), Watchers::default());
         let k = key(1);
         let (tx, rx) = channel();
         // Subscribe before creation: no immediate notification.
-        let (notifs, _) = s.apply(&subscribe(std::slice::from_ref(&k), 1, &tx));
-        assert!(notifs.is_empty());
+        assert_eq!(subscribe(&mut w, &s, std::slice::from_ref(&k), 1, &tx), 0);
         // Update fires a notification.
-        let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k, member: member([9]) });
-        assert_eq!(deliver(notifs), 1);
+        assert_eq!(commit(&w, &mut s, UpdateOp::SetAdd { key: k, member: member([9]) }), 1);
         let n = rx.try_recv().unwrap();
         assert_eq!(n.key, k);
         assert!(matches!(n.entry, Some(Entry::Set(_))));
         // Subscribing after creation delivers current state immediately.
         let (tx2, rx2) = channel();
-        let (notifs, _) = s.apply(&subscribe(std::slice::from_ref(&k), 2, &tx2));
-        assert_eq!(deliver(notifs), 1);
+        assert_eq!(subscribe(&mut w, &s, std::slice::from_ref(&k), 2, &tx2), 1);
         assert!(rx2.try_recv().is_ok());
     }
 
     #[test]
     fn key_set_subscribe_covers_existing_and_future_keys() {
-        let mut s = state();
+        let (mut s, mut w) = (state(), Watchers::default());
         let keys: Vec<Key> = (0..6u8).map(key).collect();
         for &k in &keys[..3] {
             s.apply(&UpdateOp::SetAdd { key: k, member: member([1]) });
         }
         let (tx, rx) = channel();
         // The three entries that exist are delivered by the subscribe itself,
-        // in key order of the op.
-        let (notifs, _) = s.apply(&subscribe(&keys, 1, &tx));
-        assert_eq!(deliver(notifs), 3);
+        // in key order of the call.
+        assert_eq!(subscribe(&mut w, &s, &keys, 1, &tx), 3);
         assert_eq!(drain_keys(&rx), keys[..3]);
         // The other three fire as they are created.
         for &k in &keys[3..] {
-            let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k, member: member([1]) });
-            assert_eq!(deliver(notifs), 1);
+            assert_eq!(commit(&w, &mut s, UpdateOp::SetAdd { key: k, member: member([1]) }), 1);
             assert_eq!(rx.try_recv().unwrap().key, k);
         }
         // A key outside the set stays silent.
-        let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: key(9), member: member([1]) });
-        assert!(notifs.is_empty());
+        assert_eq!(commit(&w, &mut s, UpdateOp::SetAdd { key: key(9), member: member([1]) }), 0);
     }
 
     #[test]
     fn replayed_subscribe_registers_once() {
-        let mut s = state();
+        let (mut s, mut w) = (state(), Watchers::default());
         let keys: Vec<Key> = (0..4u8).map(key).collect();
         let (tx, _rx) = channel();
-        // A writer that met a crashed member re-issues the op; a second op of
-        // the same subscription overlaps the first.
-        s.apply(&subscribe(&keys, 1, &tx));
-        s.apply(&subscribe(&keys, 1, &tx));
-        s.apply(&subscribe(&keys[2..], 1, &tx));
+        // A client retries a subscribe; a second call of the same
+        // subscription overlaps the first.
+        subscribe(&mut w, &s, &keys, 1, &tx);
+        subscribe(&mut w, &s, &keys, 1, &tx);
+        subscribe(&mut w, &s, &keys[2..], 1, &tx);
         for &k in &keys {
-            let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k, member: member([1]) });
-            assert_eq!(notifs.len(), 1, "{k:?} notifies once per write");
+            s.apply(&UpdateOp::SetAdd { key: k, member: member([1]) });
+            assert_eq!(w.notifications_for(&k, &s).len(), 1, "{k:?} notifies once per write");
         }
-        assert_eq!(s.sub_keys.get(&1).map(Vec::len), Some(keys.len()));
+        assert_eq!(w.sub_keys.get(&1).map(Vec::len), Some(keys.len()));
     }
 
     #[test]
     fn unsubscribe_silences_the_whole_subscription_and_no_other() {
-        let mut s = state();
+        let (mut s, mut w) = (state(), Watchers::default());
         let keys: Vec<Key> = (0..4u8).map(key).collect();
         let (tx, _rx) = channel();
         let (other_tx, other_rx) = channel();
-        // Subscription 7 is built from two ops; 8 shares one of its keys.
-        s.apply(&subscribe(&keys[..2], 7, &tx));
-        s.apply(&subscribe(&keys[2..], 7, &tx));
-        s.apply(&subscribe(&keys[1..2], 8, &other_tx));
-        s.apply(&UpdateOp::Unsubscribe { sub_id: 7 });
+        // Subscription 7 is built from two calls; 8 shares one of its keys.
+        subscribe(&mut w, &s, &keys[..2], 7, &tx);
+        subscribe(&mut w, &s, &keys[2..], 7, &tx);
+        subscribe(&mut w, &s, &keys[1..2], 8, &other_tx);
+        w.unsubscribe(7);
         for &k in &keys {
-            let (notifs, _) = s.apply(&UpdateOp::SetAdd { key: k, member: member([1]) });
-            deliver(notifs);
+            commit(&w, &mut s, UpdateOp::SetAdd { key: k, member: member([1]) });
         }
         assert_eq!(drain_keys(&other_rx), keys[1..2], "only subscription 8 is still registered");
         // Nothing of 7 is left behind; unsubscribing again is a no-op.
-        assert!(!s.sub_keys.contains_key(&7));
-        assert_eq!(s.subs.len(), 1);
-        s.apply(&UpdateOp::Unsubscribe { sub_id: 7 });
-        s.apply(&UpdateOp::Unsubscribe { sub_id: 8 });
-        assert!(s.subs.is_empty() && s.sub_keys.is_empty());
+        assert!(!w.sub_keys.contains_key(&7));
+        assert_eq!(w.subs.len(), 1);
+        w.unsubscribe(7);
+        w.unsubscribe(8);
+        assert!(w.subs.is_empty() && w.sub_keys.is_empty());
     }
 
     #[test]
     fn subscribe_apply_at_the_cap_is_far_under_the_op_timeout() {
         // The costly shape: every entry exists, so every key also clones its
-        // entry into a notification. Best of five keeps a descheduled
-        // test thread from deciding the result.
-        let mut s = state();
+        // entry into the snapshot. Best of five keeps a descheduled test
+        // thread from deciding the result.
+        let (mut s, mut w) = (state(), Watchers::default());
         let keys: Vec<Key> = (0..MAX_SUBSCRIBE_KEYS as u64)
             .map(|i| Key::fixed(Table::Object, i.to_le_bytes()))
             .collect();
@@ -1166,30 +1184,29 @@ mod tests {
         let (tx, _rx) = channel();
         let best = (0..5u64)
             .map(|sub_id| {
-                let op = subscribe(&keys, sub_id, &tx);
                 let start = std::time::Instant::now();
-                let (notifs, _) = s.apply(&op);
+                let current = w.subscribe(&keys, sub_id, &tx, &s);
                 let took = start.elapsed();
-                assert_eq!(notifs.len(), keys.len());
+                assert_eq!(current.len(), keys.len());
                 took
             })
             .min()
             .unwrap();
         assert!(
             best * 8 < crate::chain::OP_TIMEOUT,
-            "a {MAX_SUBSCRIBE_KEYS}-key subscribe took {best:?} to apply"
+            "a {MAX_SUBSCRIBE_KEYS}-key subscribe took {best:?}"
         );
     }
 
     #[test]
     fn delete_notifies_with_none() {
-        let mut s = state();
+        let (mut s, mut w) = (state(), Watchers::default());
         let k = key(3);
         s.apply(&UpdateOp::SetAdd { key: k, member: member([1]) });
-        let (tx, rx) = channel();
-        s.apply(&subscribe(std::slice::from_ref(&k), 1, &tx));
-        rx.try_recv().ok(); // Drain the subscribe-time snapshot (delivered by caller normally).
-        let (notifs, _) = s.apply(&UpdateOp::Delete { key: k });
+        let (tx, _rx) = channel();
+        subscribe(&mut w, &s, std::slice::from_ref(&k), 1, &tx);
+        s.apply(&UpdateOp::Delete { key: k });
+        let notifs = w.notifications_for(&k, &s);
         assert_eq!(notifs.len(), 1);
         assert!(notifs[0].1.entry.is_none());
     }
@@ -1236,7 +1253,7 @@ mod tests {
             s.apply(&UpdateOp::Put { key: k, value: Bytes::from(vec![0u8; 50]) });
         }
         let before = resident.load(Ordering::Relaxed);
-        let (_, flushed) = s.apply(&UpdateOp::Flush { table: Table::Task, keep_entries: 3 });
+        let flushed = s.apply(&UpdateOp::Flush { table: Table::Task, keep_entries: 3 });
         assert_eq!(flushed, 7);
         assert_eq!(s.len(), 3);
         assert!(resident.load(Ordering::Relaxed) < before);
@@ -1255,7 +1272,7 @@ mod tests {
         for i in 0..5u8 {
             s.apply(&UpdateOp::SetAdd { key: key(i), member: member([1]) });
         }
-        let (_, flushed) = s.apply(&UpdateOp::Flush { table: Table::Object, keep_entries: 0 });
+        let flushed = s.apply(&UpdateOp::Flush { table: Table::Object, keep_entries: 0 });
         assert_eq!(flushed, 0);
         assert_eq!(s.len(), 5);
     }
@@ -1369,7 +1386,7 @@ mod tests {
         assert!(s.entries.contains_key(&k0));
         assert!(!s.entries.contains_key(&k1));
         // A second flush moves k0 as well, and nothing else remains.
-        let (_, flushed) = s.apply(&UpdateOp::Flush { table: Table::Task, keep_entries: 0 });
+        let flushed = s.apply(&UpdateOp::Flush { table: Table::Task, keep_entries: 0 });
         assert_eq!((flushed, s.len()), (1, 0));
     }
 

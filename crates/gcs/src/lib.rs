@@ -10,18 +10,19 @@
 //! Layout of this crate:
 //!
 //! - [`kv`]: the replicated state machine of one shard — tables, entries
-//!   (blobs / location sets / append logs), update operations, and pub-sub
-//!   subscriber bookkeeping.
+//!   (blobs / location sets / append logs), update operations — and the
+//!   pub-sub watcher table a chain keeps beside it, unreplicated.
 //! - [`replica`]: one chain member: a shard state behind its own lock,
 //!   which the calling client applies updates to (no thread of its own).
 //!   Replicas can be "crashed" (they stop applying and answering) to
 //!   exercise failure handling.
 //! - [`chain`]: the chain itself: the client's write path (apply at every
-//!   member head → tail, commit and notify at the tail) and read path (the
-//!   tail only) with timeout and retry, the master's failure detection
-//!   (probe on report) and reconfiguration (drop dead members, splice a
-//!   fresh replica in via state transfer) — the mechanism behind paper
-//!   Fig. 10a.
+//!   member head → tail, commit at the tail, notify from the chain's
+//!   watcher table), read path (the tail only), subscribe and unsubscribe
+//!   (the watcher table, no commit), with timeout and retry; the master's
+//!   failure detection (probe on report) and reconfiguration (drop dead
+//!   members, splice a fresh replica in via state transfer) — the
+//!   mechanism behind paper Fig. 10a.
 //! - [`flush`]: the flusher that moves cold lineage entries to an
 //!   append-only disk file, bounding GCS memory (paper Fig. 10b), with a
 //!   read-through path for reconstruction after flushing.

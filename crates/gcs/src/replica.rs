@@ -70,7 +70,7 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kv::{Entry, Key, Member, Table, UpdateOp};
+    use crate::kv::{Entry, Key, Table, UpdateOp};
     use bytes::Bytes;
 
     fn replica(id: u64) -> Replica {
@@ -93,17 +93,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_install_carries_entries_and_subscriptions() {
+    fn snapshot_install_carries_entries() {
         let a = replica(0);
         let blob = Key::new(Table::Task, vec![3]);
-        let watched = Key::new(Table::Object, vec![4]);
-        let (tx, rx) = std::sync::mpsc::channel();
-        {
-            let mut state = a.live_state().unwrap();
-            state.apply(&UpdateOp::Put { key: blob, value: Bytes::from_static(b"s") });
-            let keys = vec![watched];
-            state.apply(&UpdateOp::Subscribe { keys, sub_id: 1, sender: tx });
-        }
+        let put = UpdateOp::Put { key: blob, value: Bytes::from_static(b"s") };
+        a.live_state().unwrap().apply(&put);
         let snap = a.live_state().unwrap().snapshot();
 
         let b = replica(1);
@@ -113,13 +107,5 @@ mod tests {
             Some(Entry::Blob(Bytes::from_static(b"s")))
         );
         assert_eq!(b.resident.load(Ordering::Relaxed), a.resident.load(Ordering::Relaxed));
-        // The joiner notifies the subscriber it has never been told about.
-        let add = UpdateOp::SetAdd { key: watched, member: Member::from_array([7]) };
-        let (notifs, _) = b.live_state().unwrap().apply(&add);
-        assert_eq!(notifs.len(), 1);
-        for (sender, n) in notifs {
-            sender.send(n).unwrap();
-        }
-        assert_eq!(rx.try_recv().unwrap().key, watched);
     }
 }

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
 use ray_common::metrics::{names, MetricsRegistry};
@@ -149,7 +150,7 @@ fn method_log_key(actor: ActorId, seq: u64) -> Key {
 }
 
 /// Source of subscription IDs. Process-wide, not per client: an
-/// `Unsubscribe` names nothing but the ID, so two clients of one GCS (every
+/// unsubscribe names nothing but the ID, so two clients of one GCS (every
 /// [`crate::Gcs::client`] call makes a new one) must never share one.
 static NEXT_SUB_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -214,21 +215,18 @@ impl GcsClient {
         retry(backoff, GCS_RETRY_LIMIT, counted, op)
     }
 
-    /// Issues `op`, an update of `key`, on `key`'s shard with
-    /// backoff-and-retry.
-    fn write(&self, key: Key, op: UpdateOp) -> RayResult<()> {
+    /// Issues `op` on its key's shard with backoff-and-retry.
+    fn write(&self, op: UpdateOp) -> RayResult<()> {
+        let Some(&key) = op.key() else {
+            return Err(RayError::Invalid(format!("{op:?} is not a client write")));
+        };
         let shard = self.shard_for(&key);
         self.with_retry(fnv1a_64(key.id.as_slice()), || shard.write(op.clone()))
     }
 
-    /// Issues a subscription op on one shard, with the same retry. A replay
-    /// is harmless: the replicas register each `(key, sub_id)` once.
-    fn write_subscription(&self, shard: usize, sub_id: u64, op: UpdateOp) -> RayResult<()> {
-        let chain = self
-            .shards
-            .get(shard)
-            .ok_or_else(|| RayError::Invalid(format!("no GCS shard {shard}")))?;
-        self.with_retry(sub_id, || chain.write(op.clone()))
+    /// The chain of shard `shard`.
+    fn shard_at(&self, shard: usize) -> RayResult<&Chain> {
+        self.shards.get(shard).ok_or_else(|| RayError::Invalid(format!("no GCS shard {shard}")))
     }
 
     /// The object-table keys of `objects` grouped by shard, each beside
@@ -247,6 +245,15 @@ impl GcsClient {
         self.with_retry(fnv1a_64(key.id.as_slice()), || shard.read(key))
     }
 
+    /// Reads and decodes the record a blob entry holds; `None` if `key`
+    /// holds no blob.
+    fn read_record<T: DeserializeOwned>(&self, key: Key) -> RayResult<Option<T>> {
+        match self.read(&key)? {
+            Some(Entry::Blob(b)) => Ok(Some(ray_codec::decode(&b).map_err(RayError::from)?)),
+            _ => Ok(None),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Object table.
     // ------------------------------------------------------------------
@@ -259,8 +266,8 @@ impl GcsClient {
         node: NodeId,
         size: u64,
     ) -> RayResult<()> {
-        let key = object_key(object);
-        self.write(key, UpdateOp::SetAdd { key, member: ObjectLocation { node, size }.to_member() })
+        let member = ObjectLocation { node, size }.to_member();
+        self.write(UpdateOp::SetAdd { key: object_key(object), member })
     }
 
     /// Removes `node` from `object`'s location set (eviction or node
@@ -271,9 +278,8 @@ impl GcsClient {
         node: NodeId,
         size: u64,
     ) -> RayResult<()> {
-        let key = object_key(object);
         let member = ObjectLocation { node, size }.to_member();
-        self.write(key, UpdateOp::SetRemove { key, member })
+        self.write(UpdateOp::SetRemove { key: object_key(object), member })
     }
 
     /// Current locations of `object` (empty if unknown — the object may not
@@ -296,10 +302,7 @@ impl GcsClient {
     pub fn objects_ready(&self, objects: &[ObjectId]) -> RayResult<Vec<bool>> {
         let mut ready = vec![false; objects.len()];
         for (shard, group) in self.keys_by_shard(objects) {
-            let chain = self
-                .shards
-                .get(shard)
-                .ok_or_else(|| RayError::Invalid(format!("no GCS shard {shard}")))?;
+            let chain = self.shard_at(shard)?;
             for chunk in group.chunks(MAX_SUBSCRIBE_KEYS) {
                 let keys: Vec<Key> = chunk.iter().map(|&(_, key)| key).collect();
                 let entries = self.with_retry(shard as u64, || chain.read_many(&keys))?;
@@ -330,7 +333,7 @@ impl GcsClient {
                 self.remove_object_location(object, loc.node, loc.size)?;
             }
         } else if !members.is_empty() {
-            self.write(key, UpdateOp::Delete { key })?;
+            self.write(UpdateOp::Delete { key })?;
         }
         Ok(locations)
     }
@@ -342,8 +345,7 @@ impl GcsClient {
     /// survives chain failover like any other object-table write. Lineage
     /// reconstruction consults this before resubmitting a producer.
     pub fn mark_object_cancelled(&self, object: ObjectId) -> RayResult<()> {
-        let key = object_key(object);
-        self.write(key, UpdateOp::SetAdd { key, member: CANCELLED_MEMBER })
+        self.write(UpdateOp::SetAdd { key: object_key(object), member: CANCELLED_MEMBER })
     }
 
     /// Whether `object` has been marked cancelled by
@@ -366,24 +368,24 @@ impl GcsClient {
     /// (the event-driven half of `ray.wait`, for the ids
     /// [`Self::objects_ready`] found not ready, and of a fetch
     /// of an object no node holds yet): the ids are grouped by shard and each
-    /// shard registers its group with one update per
-    /// [`MAX_SUBSCRIBE_KEYS`] keys. Entries that already exist are
-    /// delivered at once, like [`Self::subscribe_object`]. If a shard's
-    /// subscribe fails, the error is returned and the shards already
-    /// subscribed are unsubscribed.
+    /// shard registers its group at its chain's commit point, one
+    /// [`Chain::subscribe`] per [`MAX_SUBSCRIBE_KEYS`] keys, committing
+    /// nothing. Entries that already exist are delivered at once, like
+    /// [`Self::subscribe_object`]. If a shard's subscribe fails, the error
+    /// is returned and the shards already subscribed are unsubscribed.
     pub fn subscribe_objects(&self, objects: &[ObjectId]) -> RayResult<ObjectSubscription> {
         let (tx, rx) = channel();
         let sub_id = NEXT_SUB_ID.fetch_add(1, Ordering::Relaxed);
         let mut sub =
             ObjectSubscription { client: self.clone(), sub_id, shards: Vec::new(), rx };
         for (shard, group) in self.keys_by_shard(objects) {
-            // Listed before the write: a subscribe that reports failure may
-            // still have been applied, and dropping `sub` must undo it.
+            let chain = self.shard_at(shard)?;
+            // Listed before its chunks: if a later one fails, dropping `sub`
+            // must undo the earlier ones.
             sub.shards.push(shard);
             for chunk in group.chunks(MAX_SUBSCRIBE_KEYS) {
-                let keys = chunk.iter().map(|&(_, key)| key).collect();
-                let op = UpdateOp::Subscribe { keys, sub_id, sender: tx.clone() };
-                self.write_subscription(shard, sub_id, op)?;
+                let keys: Vec<Key> = chunk.iter().map(|&(_, key)| key).collect();
+                self.with_retry(sub_id, || chain.subscribe(&keys, sub_id, tx.clone()))?;
             }
         }
         Ok(sub)
@@ -396,8 +398,7 @@ impl GcsClient {
     /// Records a task spec (opaque to the GCS) — the lineage entry that
     /// makes reconstruction possible.
     pub fn put_task(&self, task: TaskId, spec: Bytes) -> RayResult<()> {
-        let key = Key::fixed(Table::Task, task.0.as_bytes());
-        self.write(key, UpdateOp::Put { key, value: spec })
+        self.write(UpdateOp::Put { key: Key::fixed(Table::Task, task.0.as_bytes()), value: spec })
     }
 
     /// Reads back a task spec (possibly from the flushed disk tier).
@@ -419,9 +420,8 @@ impl GcsClient {
 
     /// Records that `object` is created by `task`.
     pub fn put_object_lineage(&self, object: ObjectId, task: TaskId) -> RayResult<()> {
-        let key = Key::fixed(Table::Lineage, object.0.as_bytes());
         let value = Bytes::copy_from_slice(&task.0.as_bytes());
-        self.write(key, UpdateOp::Put { key, value })
+        self.write(UpdateOp::Put { key: Key::fixed(Table::Lineage, object.0.as_bytes()), value })
     }
 
     /// Looks up the task recorded by [`Self::put_object_lineage`].
@@ -445,9 +445,8 @@ impl GcsClient {
     /// Records that the `seq`-th method executed on `actor` was `task`.
     /// Together with the task table this is the actor's replayable lineage.
     pub fn log_actor_method(&self, actor: ActorId, seq: u64, task: TaskId) -> RayResult<()> {
-        let key = method_log_key(actor, seq);
         let value = Bytes::copy_from_slice(&task.0.as_bytes());
-        self.write(key, UpdateOp::Put { key, value })
+        self.write(UpdateOp::Put { key: method_log_key(actor, seq), value })
     }
 
     /// Reads the `seq`-th method of `actor`'s stateful-edge chain.
@@ -472,29 +471,21 @@ impl GcsClient {
     pub fn register_node(&self, node: NodeId) -> RayResult<()> {
         let rec = ClientRecord { node, alive: true };
         let value = Bytes::from(ray_codec::encode(&rec).map_err(RayError::from)?);
-        let key = node_key(node);
-        self.write(key, UpdateOp::Put { key, value })?;
+        self.write(UpdateOp::Put { key: node_key(node), value })?;
         let member = Member::from_array(node.0.to_le_bytes());
-        self.write(ALL_NODES_KEY, UpdateOp::SetAdd { key: ALL_NODES_KEY, member })
+        self.write(UpdateOp::SetAdd { key: ALL_NODES_KEY, member })
     }
 
     /// Marks a node dead (failure detection).
     pub fn mark_node_dead(&self, node: NodeId) -> RayResult<()> {
         let rec = ClientRecord { node, alive: false };
         let value = Bytes::from(ray_codec::encode(&rec).map_err(RayError::from)?);
-        let key = node_key(node);
-        self.write(key, UpdateOp::Put { key, value })
+        self.write(UpdateOp::Put { key: node_key(node), value })
     }
 
     /// Whether a node is currently recorded alive.
     pub fn node_alive(&self, node: NodeId) -> RayResult<bool> {
-        match self.read(&node_key(node))? {
-            Some(Entry::Blob(b)) => {
-                let rec: ClientRecord = ray_codec::decode(&b).map_err(RayError::from)?;
-                Ok(rec.alive)
-            }
-            _ => Ok(false),
-        }
+        Ok(self.read_record::<ClientRecord>(node_key(node))?.is_some_and(|rec| rec.alive))
     }
 
     /// All nodes that ever registered.
@@ -515,35 +506,23 @@ impl GcsClient {
     /// Writes an actor record.
     pub fn put_actor(&self, rec: &ActorRecord) -> RayResult<()> {
         let value = Bytes::from(ray_codec::encode(rec).map_err(RayError::from)?);
-        let key = Key::fixed(Table::Actor, rec.actor.0.as_bytes());
-        self.write(key, UpdateOp::Put { key, value })
+        self.write(UpdateOp::Put { key: Key::fixed(Table::Actor, rec.actor.0.as_bytes()), value })
     }
 
     /// Reads an actor record.
     pub fn get_actor(&self, actor: ActorId) -> RayResult<Option<ActorRecord>> {
-        match self.read(&Key::fixed(Table::Actor, actor.0.as_bytes()))? {
-            Some(Entry::Blob(b)) => {
-                Ok(Some(ray_codec::decode(&b).map_err(RayError::from)?))
-            }
-            _ => Ok(None),
-        }
+        self.read_record(Key::fixed(Table::Actor, actor.0.as_bytes()))
     }
 
     /// Stores an actor checkpoint, superseding any previous one.
     pub fn put_checkpoint(&self, actor: ActorId, rec: &CheckpointRecord) -> RayResult<()> {
         let value = Bytes::from(ray_codec::encode(rec).map_err(RayError::from)?);
-        let key = Key::fixed(Table::Checkpoint, actor.0.as_bytes());
-        self.write(key, UpdateOp::Put { key, value })
+        self.write(UpdateOp::Put { key: Key::fixed(Table::Checkpoint, actor.0.as_bytes()), value })
     }
 
     /// Reads the latest checkpoint for an actor.
     pub fn get_checkpoint(&self, actor: ActorId) -> RayResult<Option<CheckpointRecord>> {
-        match self.read(&Key::fixed(Table::Checkpoint, actor.0.as_bytes()))? {
-            Some(Entry::Blob(b)) => {
-                Ok(Some(ray_codec::decode(&b).map_err(RayError::from)?))
-            }
-            _ => Ok(None),
-        }
+        self.read_record(Key::fixed(Table::Checkpoint, actor.0.as_bytes()))
     }
 
     // ------------------------------------------------------------------
@@ -556,18 +535,12 @@ impl GcsClient {
     pub fn register_function(&self, id: FunctionId, name: &str) -> RayResult<()> {
         let rec = FunctionRecord { name: name.to_string() };
         let value = Bytes::from(ray_codec::encode(&rec).map_err(RayError::from)?);
-        let key = Key::fixed(Table::Function, id.0.to_le_bytes());
-        self.write(key, UpdateOp::Put { key, value })
+        self.write(UpdateOp::Put { key: Key::fixed(Table::Function, id.0.to_le_bytes()), value })
     }
 
     /// Looks up a registered function name.
     pub fn get_function(&self, id: FunctionId) -> RayResult<Option<FunctionRecord>> {
-        match self.read(&Key::fixed(Table::Function, id.0.to_le_bytes()))? {
-            Some(Entry::Blob(b)) => {
-                Ok(Some(ray_codec::decode(&b).map_err(RayError::from)?))
-            }
-            _ => Ok(None),
-        }
+        self.read_record(Key::fixed(Table::Function, id.0.to_le_bytes()))
     }
 
     // ------------------------------------------------------------------
@@ -579,7 +552,7 @@ impl GcsClient {
     /// [`crate::kv::KEY_CAP`] bytes is `Invalid`.
     pub fn log_event(&self, topic: &str, payload: Bytes) -> RayResult<()> {
         let key = Key::try_new(Table::Event, topic.as_bytes())?;
-        self.write(key, UpdateOp::ListAppend { key, item: payload })
+        self.write(UpdateOp::ListAppend { key, item: payload })
     }
 
     /// Reads all events logged under a topic (`Invalid` for one longer
@@ -611,11 +584,11 @@ impl GcsClient {
 pub const TRACE_TOPIC: &str = "__trace__";
 
 /// Live subscription to the location entries of one or more objects;
-/// unsubscribes on drop, with one update per shard it touched.
+/// unsubscribes on drop from every shard it touched.
 pub struct ObjectSubscription {
     client: GcsClient,
     sub_id: u64,
-    /// Indices of the shards a `Subscribe` was sent to.
+    /// Indices of the shards it subscribed on.
     shards: Vec<usize>,
     rx: Receiver<Notification>,
 }
@@ -657,8 +630,9 @@ impl ObjectSubscription {
 impl Drop for ObjectSubscription {
     fn drop(&mut self) {
         for &shard in &self.shards {
-            let op = UpdateOp::Unsubscribe { sub_id: self.sub_id };
-            let _ = self.client.write_subscription(shard, self.sub_id, op);
+            if let Ok(chain) = self.client.shard_at(shard) {
+                chain.unsubscribe(self.sub_id);
+            }
         }
     }
 }
@@ -802,7 +776,10 @@ mod tests {
         let before: u64 = (0..2).map(|i| gcs.shard(ray_common::ShardId(i)).committed_updates()).sum();
         let sub = c.subscribe_objects(&ids).unwrap();
         let after: u64 = (0..2).map(|i| gcs.shard(ray_common::ShardId(i)).committed_updates()).sum();
-        assert_eq!(after - before, 2, "one subscribe per shard, not one per id");
+        assert_eq!(after - before, 0, "a subscribe commits nothing");
+        for i in 0..2 {
+            assert_eq!(gcs.shard(ray_common::ShardId(i)).watched_keys(), 3, "shard {i}");
+        }
         for &id in late {
             c.add_object_location(id, NodeId(2), 8).unwrap();
         }
@@ -868,7 +845,8 @@ mod tests {
         let shard0 = gcs.shard(ray_common::ShardId(0));
         let before = shard0.committed_updates();
         assert!(matches!(c.subscribe_objects(&ids), Err(RayError::Shutdown(_))));
-        assert_eq!(shard0.committed_updates() - before, 2, "the subscribe and its undo");
+        assert_eq!(shard0.committed_updates(), before, "a subscribe and its undo commit nothing");
+        assert_eq!(shard0.watched_keys(), 0, "shard 0's subscribe was not undone");
     }
 
     #[test]

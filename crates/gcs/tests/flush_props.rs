@@ -105,7 +105,6 @@ impl Model {
                     }
                 }
             }
-            _ => unreachable!("op class not generated by this test"),
         }
     }
 

@@ -527,6 +527,18 @@ mod tests {
         to: usize,
         timeout: Duration,
     ) -> RayResult<(Vec<u8>, Vec<usize>)> {
+        fetch_pieces_killing(r, id, to, timeout, None)
+    }
+
+    /// [`fetch_pieces`], killing `victim` (if any) as soon as the first
+    /// piece has landed: mid-stream whatever the host's speed.
+    fn fetch_pieces_killing(
+        r: &Rig,
+        id: ObjectId,
+        to: usize,
+        timeout: Duration,
+        victim: Option<NodeId>,
+    ) -> RayResult<(Vec<u8>, Vec<usize>)> {
         let (mut bytes, mut offsets) = (Vec::new(), Vec::new());
         let whole = r.tm.fetch_pieces(id, NodeId(to as u32), timeout, &mut |offset, piece| {
             if offset == 0 {
@@ -534,6 +546,9 @@ mod tests {
             }
             bytes.extend_from_slice(piece);
             offsets.push(offset);
+            if let Some(node) = victim.filter(|_| offsets.len() == 1) {
+                r.fabric.kill_node(node);
+            }
         })?;
         assert!(whole.is_none() || offsets.is_empty(), "a local object was also streamed");
         Ok((whole.map_or(bytes, |b| b.to_vec()), offsets))
@@ -598,13 +613,8 @@ mod tests {
         r.stores[2].put(id, Bytes::from(payload.clone())).unwrap();
         r.client.add_object_location(id, NodeId(2), payload.len() as u64).unwrap();
         assert_eq!(r.client.get_object_locations(id).unwrap()[0].node, NodeId(0));
-        let fabric = r.fabric.clone();
-        let killer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            fabric.kill_node(NodeId(0));
-        });
-        let (got, offsets) = fetch_pieces(&r, id, 1, Duration::from_secs(5)).unwrap();
-        killer.join().unwrap();
+        let (got, offsets) =
+            fetch_pieces_killing(&r, id, 1, Duration::from_secs(5), Some(NodeId(0))).unwrap();
         assert!(got == payload, "streamed bytes differ from the source");
         assert_eq!(offsets.iter().filter(|&&o| o == 0).count(), 2, "{offsets:?}");
         let restart = offsets.iter().rposition(|&o| o == 0).unwrap();
@@ -617,13 +627,8 @@ mod tests {
     fn streamed_pieces_fail_when_the_destination_is_lost() {
         let r = rig_with(2, slow_link());
         let id = seed_bytes(&r, 0, Bytes::from(vec![9u8; 80 << 10]));
-        let fabric = r.fabric.clone();
-        let killer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            fabric.kill_node(NodeId(1));
-        });
-        let err = fetch_pieces(&r, id, 1, Duration::from_millis(200)).unwrap_err();
-        killer.join().unwrap();
+        let err = fetch_pieces_killing(&r, id, 1, Duration::from_millis(200), Some(NodeId(1)))
+            .unwrap_err();
         assert_eq!(err, RayError::ObjectLost(id));
         assert!(!r.stores[1].contains(id));
         assert_eq!(holders(&r, id), vec![NodeId(0)]);
@@ -690,10 +695,11 @@ mod tests {
         let before = shard.committed_updates();
         let err = r.tm.fetch(id, NodeId(1), Duration::from_millis(100)).unwrap_err();
         assert_eq!(err, RayError::Timeout);
-        // Repair the row, subscribe, unsubscribe — not a read and two
-        // writes per lap until the deadline.
+        // The repair is the one write: then a subscribe and an unsubscribe,
+        // which commit nothing — not a read and a write per lap until the
+        // deadline.
         let writes = shard.committed_updates() - before;
-        assert!(writes <= 4, "fetch made {writes} GCS writes waiting on a stale self-location");
+        assert_eq!(writes, 1, "fetch made {writes} GCS writes waiting on a stale self-location");
         assert!(r.client.get_object_locations(id).unwrap().is_empty());
     }
 
