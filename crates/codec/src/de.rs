@@ -15,18 +15,12 @@ use crate::error::CodecError;
 /// Deserializer reading the rustray binary format from a byte slice.
 pub struct Deserializer<'de> {
     input: &'de [u8],
-    consumed: usize,
 }
 
 impl<'de> Deserializer<'de> {
     /// Wraps an input buffer.
     pub fn new(input: &'de [u8]) -> Self {
-        Deserializer { input, consumed: 0 }
-    }
-
-    /// Number of bytes consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.consumed
+        Deserializer { input }
     }
 
     /// Fails unless the entire input was consumed.
@@ -47,7 +41,6 @@ impl<'de> Deserializer<'de> {
         }
         let (head, tail) = self.input.split_at(n);
         self.input = tail;
-        self.consumed += n;
         Ok(head)
     }
 

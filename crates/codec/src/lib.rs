@@ -138,17 +138,6 @@ pub fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecEr
     Ok(value)
 }
 
-/// Deserializes a `T` from the front of `bytes`, returning the value and the
-/// number of bytes consumed (for framed streams).
-pub fn decode_prefix<T: serde::de::DeserializeOwned>(
-    bytes: &[u8],
-) -> Result<(T, usize), CodecError> {
-    let mut d = de::Deserializer::new(bytes);
-    let value = T::deserialize(&mut d)?;
-    let used = d.consumed();
-    Ok((value, used))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,16 +229,6 @@ mod tests {
     fn decode_rejects_truncation() {
         let bytes = encode(&String::from("hello")).unwrap();
         assert!(decode::<String>(&bytes[..bytes.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn decode_prefix_reports_consumption() {
-        let mut buf = encode(&7u16).unwrap();
-        buf.extend(encode(&String::from("tail")).unwrap());
-        let (v, used) = decode_prefix::<u16>(&buf).unwrap();
-        assert_eq!(v, 7);
-        let (s, _) = decode_prefix::<String>(&buf[used..]).unwrap();
-        assert_eq!(s, "tail");
     }
 
     #[test]

@@ -73,19 +73,12 @@ impl Default for TransportConfig {
 /// wire.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ChaosConfig {
-    /// Probability in `[0, 1]` that any single message (transfer, control
-    /// hop, or heartbeat) is dropped on the wire.
+    /// Probability in `[0, 1]` that any single message (a transfer or a
+    /// heartbeat) is dropped on the wire.
     pub drop_probability: f64,
     /// Seed for the injection RNG; the same seed yields the same drop
     /// sequence.
     pub seed: u64,
-}
-
-impl ChaosConfig {
-    /// Whether any injection is configured at all (fast path check).
-    pub fn is_active(&self) -> bool {
-        self.drop_probability > 0.0
-    }
 }
 
 /// Global Control Store parameters.
@@ -235,11 +228,6 @@ impl RayConfig {
     /// Starts a builder with laptop-scale defaults (2 nodes × 2 workers).
     pub fn builder() -> RayConfigBuilder {
         RayConfigBuilder::default()
-    }
-
-    /// Total worker count across the cluster.
-    pub fn total_workers(&self) -> usize {
-        self.num_nodes * self.workers_per_node
     }
 
     /// Validates cross-field invariants, returning a description of the
@@ -399,18 +387,8 @@ mod tests {
     }
 
     #[test]
-    fn total_workers() {
-        let cfg = RayConfig::builder().nodes(3).workers_per_node(4).build();
-        assert_eq!(cfg.total_workers(), 12);
-    }
-
-    #[test]
     fn chaos_defaults_are_inert() {
-        let chaos = ChaosConfig::default();
-        assert!(!chaos.is_active());
-        let mut active = chaos.clone();
-        active.drop_probability = 0.1;
-        assert!(active.is_active());
+        assert_eq!(ChaosConfig::default().drop_probability, 0.0);
     }
 
     #[test]

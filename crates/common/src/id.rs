@@ -347,14 +347,6 @@ impl fmt::Debug for FunctionId {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ShardId(pub u32);
 
-impl ShardId {
-    /// The shard responsible for a 64-bit key digest given `num_shards`.
-    pub fn for_digest(digest: u64, num_shards: usize) -> Self {
-        debug_assert!(num_shards > 0, "GCS must have at least one shard");
-        ShardId((digest % num_shards as u64) as u32)
-    }
-}
-
 impl fmt::Debug for ShardId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "S{}", self.0)
@@ -528,18 +520,6 @@ mod tests {
         assert_eq!(first, second);
         let unique: HashSet<_> = first.iter().collect();
         assert_eq!(unique.len(), 100);
-    }
-
-    #[test]
-    fn shard_assignment_is_stable_and_in_range() {
-        for shards in 1..16 {
-            for _ in 0..100 {
-                let id = ObjectId::random();
-                let s = ShardId::for_digest(id.digest(), shards);
-                assert!(s.0 < shards as u32);
-                assert_eq!(s, ShardId::for_digest(id.digest(), shards));
-            }
-        }
     }
 
     #[test]

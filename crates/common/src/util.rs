@@ -92,11 +92,6 @@ impl Ewma {
     pub fn value(&self) -> f64 {
         self.value_or(0.0)
     }
-
-    /// Whether any observation has been made.
-    pub fn is_primed(&self) -> bool {
-        self.value.is_some()
-    }
 }
 
 /// Formats a byte count with a binary-unit suffix for human-readable reports.
@@ -357,7 +352,6 @@ mod tests {
     #[test]
     fn ewma_unprimed_uses_default() {
         let e = Ewma::new(0.5);
-        assert!(!e.is_primed());
         assert_eq!(e.value_or(7.0), 7.0);
     }
 

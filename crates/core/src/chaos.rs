@@ -101,47 +101,13 @@ impl ChaosSchedule {
         if nodes < 2 {
             return ChaosSchedule::default();
         }
-        let mut rng = DetRng::new(seed);
-        let mut events = Vec::new();
-        for _ in 0..faults {
-            // Fire in the first 70% of the window; repair 10–25% later, so
-            // the tail is all recovery and the cluster converges.
-            let at = duration.mul_f64(0.7 * rng.next_f64());
-            let repair_at = at + duration.mul_f64(0.10 + 0.15 * rng.next_f64());
-            let victim = NodeId(1 + rng.next_below(u64::from(nodes - 1)) as u32);
-            match rng.next_below(3) {
-                0 => {
-                    events.push(ChaosEvent { at, action: ChaosAction::Kill(victim) });
-                    events.push(ChaosEvent { at: repair_at, action: ChaosAction::Restart(victim) });
-                }
-                1 => {
-                    events.push(ChaosEvent { at, action: ChaosAction::KillAbrupt(victim) });
-                    events.push(ChaosEvent { at: repair_at, action: ChaosAction::Restart(victim) });
-                }
-                _ => {
-                    // Full isolation: sever the victim from every peer, so
-                    // it loses the heartbeat majority and the detector
-                    // declares it dead. Heal everything later and restart.
-                    for other in 0..nodes {
-                        if other != victim.0 {
-                            events.push(ChaosEvent {
-                                at,
-                                action: ChaosAction::Partition(victim, NodeId(other)),
-                            });
-                            events.push(ChaosEvent {
-                                at: repair_at,
-                                action: ChaosAction::Heal(victim, NodeId(other)),
-                            });
-                        }
-                    }
-                    events.push(ChaosEvent {
-                        at: repair_at + Duration::from_millis(1),
-                        action: ChaosAction::Restart(victim),
-                    });
-                }
+        Faults::draw(seed, duration, faults, |f| {
+            let victim = f.victim(nodes);
+            match f.rng.next_below(3) {
+                class @ (0 | 1) => f.kill(victim, class == 1),
+                _ => f.isolate(victim, nodes),
             }
-        }
-        ChaosSchedule::from_events(events)
+        })
     }
 
     /// Like [`ChaosSchedule::generate`], but mixes control-plane faults
@@ -166,58 +132,24 @@ impl ChaosSchedule {
         if nodes < 2 || shards == 0 {
             return ChaosSchedule::generate(seed, nodes, duration, faults);
         }
-        let mut rng = DetRng::new(seed);
-        let mut events = Vec::new();
-        for _ in 0..faults {
-            let at = duration.mul_f64(0.7 * rng.next_f64());
-            let repair_at = at + duration.mul_f64(0.10 + 0.15 * rng.next_f64());
-            let classes = if include_shard_crashes { 6 } else { 5 };
-            match rng.next_below(classes) {
-                0 => {
-                    let victim = NodeId(1 + rng.next_below(u64::from(nodes - 1)) as u32);
-                    events.push(ChaosEvent { at, action: ChaosAction::Kill(victim) });
-                    events.push(ChaosEvent { at: repair_at, action: ChaosAction::Restart(victim) });
-                }
-                1 => {
-                    let victim = NodeId(1 + rng.next_below(u64::from(nodes - 1)) as u32);
-                    events.push(ChaosEvent { at, action: ChaosAction::KillAbrupt(victim) });
-                    events.push(ChaosEvent { at: repair_at, action: ChaosAction::Restart(victim) });
+        Faults::draw(seed, duration, faults, |f| {
+            match f.rng.next_below(if include_shard_crashes { 6 } else { 5 }) {
+                class @ (0 | 1) => {
+                    let victim = f.victim(nodes);
+                    f.kill(victim, class == 1)
                 }
                 2 => {
-                    let victim = NodeId(1 + rng.next_below(u64::from(nodes - 1)) as u32);
-                    for other in 0..nodes {
-                        if other != victim.0 {
-                            events.push(ChaosEvent {
-                                at,
-                                action: ChaosAction::Partition(victim, NodeId(other)),
-                            });
-                            events.push(ChaosEvent {
-                                at: repair_at,
-                                action: ChaosAction::Heal(victim, NodeId(other)),
-                            });
-                        }
-                    }
-                    events.push(ChaosEvent {
-                        at: repair_at + Duration::from_millis(1),
-                        action: ChaosAction::Restart(victim),
-                    });
+                    let victim = f.victim(nodes);
+                    f.isolate(victim, nodes)
                 }
-                3 => {
-                    let shard = ShardId(rng.next_below(u64::from(shards)) as u32);
-                    let idx = rng.next_below(2) as usize;
-                    events.push(ChaosEvent { at, action: ChaosAction::CrashGcsReplica(shard, idx) });
-                }
-                4 => {
-                    events.push(ChaosEvent { at, action: ChaosAction::StallFlusher });
-                    events.push(ChaosEvent { at: repair_at, action: ChaosAction::ResumeFlusher });
-                }
+                3 => f.crash_replica(shards),
+                4 => f.pair(ChaosAction::StallFlusher, ChaosAction::ResumeFlusher),
                 _ => {
-                    let shard = ShardId(rng.next_below(u64::from(shards)) as u32);
-                    events.push(ChaosEvent { at, action: ChaosAction::CrashGcsShard(shard) });
+                    let shard = f.shard(shards);
+                    f.fault(ChaosAction::CrashGcsShard(shard))
                 }
             }
-        }
-        ChaosSchedule::from_events(events)
+        })
     }
 
     /// Generates a serving-oriented schedule: replica-node kills (orderly
@@ -237,40 +169,22 @@ impl ChaosSchedule {
         if nodes < 2 {
             return ChaosSchedule::default();
         }
-        let mut rng = DetRng::new(seed);
-        let mut events = Vec::new();
-        for _ in 0..faults {
-            let at = duration.mul_f64(0.7 * rng.next_f64());
-            let repair_at = at + duration.mul_f64(0.10 + 0.15 * rng.next_f64());
-            let victim = NodeId(1 + rng.next_below(u64::from(nodes - 1)) as u32);
-            let classes = if shards > 0 { 4 } else { 3 };
-            match rng.next_below(classes) {
-                0 => {
-                    events.push(ChaosEvent { at, action: ChaosAction::Kill(victim) });
-                    events.push(ChaosEvent { at: repair_at, action: ChaosAction::Restart(victim) });
-                }
-                1 => {
-                    events.push(ChaosEvent { at, action: ChaosAction::KillAbrupt(victim) });
-                    events.push(ChaosEvent { at: repair_at, action: ChaosAction::Restart(victim) });
-                }
+        Faults::draw(seed, duration, faults, |f| {
+            let victim = f.victim(nodes);
+            match f.rng.next_below(if shards > 0 { 4 } else { 3 }) {
+                class @ (0 | 1) => f.kill(victim, class == 1),
                 2 => {
                     // Straggle hard enough (2–10ms) that a hedged second
                     // attempt on a healthy replica beats the delayed one.
-                    let delay = Duration::from_micros(2_000 + rng.next_below(8_000));
-                    events.push(ChaosEvent { at, action: ChaosAction::DelayWorker(victim, delay) });
-                    events.push(ChaosEvent {
-                        at: repair_at,
-                        action: ChaosAction::DelayWorker(victim, Duration::ZERO),
-                    });
+                    let delay = Duration::from_micros(2_000 + f.rng.next_below(8_000));
+                    f.pair(
+                        ChaosAction::DelayWorker(victim, delay),
+                        ChaosAction::DelayWorker(victim, Duration::ZERO),
+                    )
                 }
-                _ => {
-                    let shard = ShardId(rng.next_below(u64::from(shards)) as u32);
-                    let idx = rng.next_below(2) as usize;
-                    events.push(ChaosEvent { at, action: ChaosAction::CrashGcsReplica(shard, idx) });
-                }
+                _ => f.crash_replica(shards),
             }
-        }
-        ChaosSchedule::from_events(events)
+        })
     }
 
     /// Applies the schedule to a running cluster, sleeping between events.
@@ -286,6 +200,89 @@ impl ChaosSchedule {
             }
             apply(cluster, ev.action);
         }
+    }
+}
+
+/// The generators' shared vocabulary: one seeded draw per fault, and the
+/// faults every generator spells the same way.
+struct Faults {
+    rng: DetRng,
+    events: Vec<ChaosEvent>,
+    /// The current fault's fire time.
+    at: Duration,
+    /// The current fault's repair time.
+    repair_at: Duration,
+}
+
+impl Faults {
+    /// Draws `faults` faults over `duration`, each chosen by `each`.
+    fn draw(
+        seed: u64,
+        duration: Duration,
+        faults: usize,
+        mut each: impl FnMut(&mut Faults),
+    ) -> ChaosSchedule {
+        let mut f = Faults {
+            rng: DetRng::new(seed),
+            events: Vec::new(),
+            at: Duration::ZERO,
+            repair_at: Duration::ZERO,
+        };
+        for _ in 0..faults {
+            // Fire in the first 70% of the window; repair 10–25% later, so
+            // the tail is all recovery and the cluster converges.
+            f.at = duration.mul_f64(0.7 * f.rng.next_f64());
+            f.repair_at = f.at + duration.mul_f64(0.10 + 0.15 * f.rng.next_f64());
+            each(&mut f);
+        }
+        ChaosSchedule::from_events(f.events)
+    }
+
+    /// Any node but node 0, the driver's home.
+    fn victim(&mut self, nodes: u32) -> NodeId {
+        NodeId(1 + self.rng.next_below(u64::from(nodes - 1)) as u32)
+    }
+
+    /// A fault with no paired repair.
+    fn fault(&mut self, action: ChaosAction) {
+        self.events.push(ChaosEvent { at: self.at, action });
+    }
+
+    /// A fault now and its repair later.
+    fn pair(&mut self, fault: ChaosAction, repair: ChaosAction) {
+        self.fault(fault);
+        self.events.push(ChaosEvent { at: self.repair_at, action: repair });
+    }
+
+    /// An orderly or abrupt kill, restarted later.
+    fn kill(&mut self, victim: NodeId, abrupt: bool) {
+        let kill = if abrupt { ChaosAction::KillAbrupt(victim) } else { ChaosAction::Kill(victim) };
+        self.pair(kill, ChaosAction::Restart(victim));
+    }
+
+    /// Full isolation: sever the victim from every peer, so it loses the
+    /// heartbeat majority and the detector declares it dead. Heal
+    /// everything later and restart.
+    fn isolate(&mut self, victim: NodeId, nodes: u32) {
+        for other in (0..nodes).filter(|&n| n != victim.0) {
+            let other = NodeId(other);
+            self.pair(ChaosAction::Partition(victim, other), ChaosAction::Heal(victim, other));
+        }
+        let at = self.repair_at + Duration::from_millis(1);
+        self.events.push(ChaosEvent { at, action: ChaosAction::Restart(victim) });
+    }
+
+    /// Any of `shards` GCS shards.
+    fn shard(&mut self, shards: u32) -> ShardId {
+        ShardId(self.rng.next_below(u64::from(shards)) as u32)
+    }
+
+    /// One replica of a random shard's chain, drawn from `0..2` (the
+    /// default chain length).
+    fn crash_replica(&mut self, shards: u32) {
+        let shard = self.shard(shards);
+        let idx = self.rng.next_below(2) as usize;
+        self.fault(ChaosAction::CrashGcsReplica(shard, idx));
     }
 }
 
@@ -519,6 +516,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pins every generator's draw order: one FNV-64 folded over the
+    /// `Debug` text of each generated schedule on a grid of seeds and
+    /// shapes, so a moved draw changes the value.
+    #[test]
+    fn generated_schedules_match_their_fingerprint() {
+        let d = Duration::from_secs(2);
+        let mut hash = 0u64;
+        for seed in 0..100u64 {
+            for nodes in [1u32, 2, 3, 4, 6] {
+                for faults in [0usize, 1, 3, 8] {
+                    let mut all = vec![ChaosSchedule::generate(seed, nodes, d, faults)];
+                    for shards in [0u32, 1, 4] {
+                        all.push(ChaosSchedule::generate_serve(seed, nodes, shards, d, faults));
+                        for crash in [false, true] {
+                            all.push(ChaosSchedule::generate_with_gcs(
+                                seed, nodes, shards, d, faults, crash,
+                            ));
+                        }
+                    }
+                    for s in all {
+                        hash = ray_common::util::fnv1a_64(format!("{hash:x}{s:?}").as_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, 0xd1e0_5804_6f0c_199d);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::context::RayContext;
 use crate::failure;
 use crate::global_loop::start_global;
 use crate::node::start_node;
-use crate::registry::{ActorInstance, FunctionRegistry};
+use crate::registry::{decode_arg, encode_return, ActorInstance, FunctionRegistry};
 use crate::runtime::{GlobalMsg, RuntimeShared};
 
 /// A running rustray cluster.
@@ -170,70 +170,7 @@ impl Cluster {
         let _ = self.shared.gcs_client.register_function(id, name);
     }
 
-    /// Registers a typed 0-argument function.
-    pub fn register_fn0<R: serde::Serialize>(
-        &self,
-        name: &str,
-        f: impl Fn() -> R + Send + Sync + 'static,
-    ) {
-        let id = self.shared.registry.register_fn0(name, f);
-        let _ = self.shared.gcs_client.register_function(id, name);
-    }
-
-    /// Registers a typed 1-argument function.
-    pub fn register_fn1<A, R>(&self, name: &str, f: impl Fn(A) -> R + Send + Sync + 'static)
-    where
-        A: serde::de::DeserializeOwned,
-        R: serde::Serialize,
-    {
-        let id = self.shared.registry.register_fn1(name, f);
-        let _ = self.shared.gcs_client.register_function(id, name);
-    }
-
-    /// Registers a typed 2-argument function.
-    pub fn register_fn2<A, B, R>(
-        &self,
-        name: &str,
-        f: impl Fn(A, B) -> R + Send + Sync + 'static,
-    ) where
-        A: serde::de::DeserializeOwned,
-        B: serde::de::DeserializeOwned,
-        R: serde::Serialize,
-    {
-        let id = self.shared.registry.register_fn2(name, f);
-        let _ = self.shared.gcs_client.register_function(id, name);
-    }
-
-    /// Registers a typed 3-argument function.
-    pub fn register_fn3<A, B, C, R>(
-        &self,
-        name: &str,
-        f: impl Fn(A, B, C) -> R + Send + Sync + 'static,
-    ) where
-        A: serde::de::DeserializeOwned,
-        B: serde::de::DeserializeOwned,
-        C: serde::de::DeserializeOwned,
-        R: serde::Serialize,
-    {
-        let id = self.shared.registry.register_fn3(name, f);
-        let _ = self.shared.gcs_client.register_function(id, name);
-    }
-
-    /// Registers a typed 4-argument function.
-    pub fn register_fn4<A, B, C, D, R>(
-        &self,
-        name: &str,
-        f: impl Fn(A, B, C, D) -> R + Send + Sync + 'static,
-    ) where
-        A: serde::de::DeserializeOwned,
-        B: serde::de::DeserializeOwned,
-        C: serde::de::DeserializeOwned,
-        D: serde::de::DeserializeOwned,
-        R: serde::Serialize,
-    {
-        let id = self.shared.registry.register_fn4(name, f);
-        let _ = self.shared.gcs_client.register_function(id, name);
-    }
+    // The typed `register_fn0..2` are generated by `register_typed!` below.
 
     // ------------------------------------------------------------------
     // Drivers.
@@ -483,6 +420,43 @@ impl Cluster {
         }
     }
 }
+
+/// Generates `Cluster::register_fnN`: a typed function becomes a raw body
+/// that decodes each argument in order and encodes the one return value.
+macro_rules! register_typed {
+    ($(#[$meta:meta])* $fn_name:ident, $($arg:ident : $ty:ident),*) => {
+        impl Cluster {
+            $(#[$meta])*
+            pub fn $fn_name<$($ty,)* R>(
+                &self,
+                name: &str,
+                f: impl Fn($($ty),*) -> R + Send + Sync + 'static,
+            ) where
+                $($ty: serde::de::DeserializeOwned,)*
+                R: serde::Serialize,
+            {
+                self.register_raw(name, move |_ctx, _args| {
+                    let _i = 0;
+                    $(let $arg: $ty = decode_arg(_args, _i)?; let _i = _i + 1;)*
+                    encode_return(&f($($arg),*))
+                })
+            }
+        }
+    };
+}
+
+register_typed!(
+    /// Registers a typed 0-argument function.
+    register_fn0,
+);
+register_typed!(
+    /// Registers a typed 1-argument function.
+    register_fn1, a: A
+);
+register_typed!(
+    /// Registers a typed 2-argument function.
+    register_fn2, a: A, b: B
+);
 
 impl Drop for Cluster {
     fn drop(&mut self) {

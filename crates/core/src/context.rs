@@ -109,11 +109,6 @@ impl RayContext {
         self.node
     }
 
-    /// The current task's ID (a synthetic root for drivers).
-    pub fn task_id(&self) -> TaskId {
-        self.task
-    }
-
     fn waiter(&self) -> Waiter<'_> {
         let token = self.token.as_ref();
         Waiter { task: self.task, deadline_micros: self.deadline_micros, token }

@@ -10,9 +10,9 @@
 //! The global scheduler thread keeps what no submitter can finish on the
 //! spot: tasks no live node can hold yet, tasks whose chosen node died
 //! before delivery, and tasks a node bounced as infeasible. It retries them
-//! as heartbeats change the cluster view — this is what lets a GPU task
-//! submitted before any GPU node joins eventually run — and it runs the
-//! failure detector.
+//! as heartbeats change the cluster view — this is what lets a task pinned
+//! to a dead node run once that node restarts — and it runs the failure
+//! detector.
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError};
 use std::sync::Arc;

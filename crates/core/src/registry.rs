@@ -138,21 +138,6 @@ impl FunctionRegistry {
             None => Err(RayError::FunctionNotFound(format!("{id}"))),
         }
     }
-
-    /// The registered name for an ID, if any.
-    pub fn name_of(&self, id: FunctionId) -> Option<String> {
-        self.inner.read().get(&id).map(|(n, _)| n.clone())
-    }
-
-    /// Number of registered entries.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// Whether nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
 }
 
 /// Decodes the `i`-th argument of a remote function.
@@ -193,55 +178,6 @@ pub fn encode_returns<T: Serialize>(values: &[T]) -> RemoteResult {
         .collect()
 }
 
-macro_rules! register_typed {
-    ($(#[$meta:meta])* $fn_name:ident, $($arg:ident : $ty:ident),*) => {
-        impl FunctionRegistry {
-            $(#[$meta])*
-            pub fn $fn_name<$($ty,)* R>(
-                &self,
-                name: &str,
-                f: impl Fn($($ty),*) -> R + Send + Sync + 'static,
-            ) -> FunctionId
-            where
-                $($ty: DeserializeOwned,)*
-                R: Serialize,
-            {
-                self.register_raw(name, move |_ctx, _args| {
-                    #[allow(unused_mut, unused_variables)]
-                    let mut i = 0usize;
-                    $(
-                        let $arg: $ty = decode_arg(_args, i)?;
-                        i += 1;
-                    )*
-                    let _ = i;
-                    encode_return(&f($($arg),*))
-                })
-            }
-        }
-    };
-}
-
-register_typed!(
-    /// Registers a 0-argument typed function.
-    register_fn0,
-);
-register_typed!(
-    /// Registers a 1-argument typed function.
-    register_fn1, a: A
-);
-register_typed!(
-    /// Registers a 2-argument typed function.
-    register_fn2, a: A, b: B
-);
-register_typed!(
-    /// Registers a 3-argument typed function.
-    register_fn3, a: A, b: B, c: C
-);
-register_typed!(
-    /// Registers a 4-argument typed function.
-    register_fn4, a: A, b: B, c: C, d: D
-);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,10 +185,9 @@ mod tests {
     #[test]
     fn register_and_resolve_function() {
         let r = FunctionRegistry::new();
-        let id = r.register_fn2("add", |a: i64, b: i64| a + b);
+        let id = r.register_raw("add", |_, _| Ok(vec![]));
         assert_eq!(id, FunctionId::for_name("add"));
         assert!(r.function(id).is_ok());
-        assert_eq!(r.name_of(id).unwrap(), "add");
         assert!(r.function(FunctionId::for_name("missing")).is_err());
     }
 
@@ -265,12 +200,11 @@ mod tests {
                 Ok(vec![])
             }
         }
-        let fid = r.register_fn0("f", || 1u8);
+        let fid = r.register_raw("f", |_, _| Ok(vec![]));
         let aid = r.register_actor("A", |_, _| Ok(Box::new(Nop)));
         assert!(r.function(aid).is_err());
         assert!(r.actor_ctor(fid).is_err());
         assert!(r.actor_ctor(aid).is_ok());
-        assert_eq!(r.len(), 2);
     }
 
     #[test]

@@ -58,6 +58,23 @@ fn remote_function_round_trip() {
 }
 
 #[test]
+fn typed_registration_decodes_arguments_in_order() {
+    let cluster = small_cluster();
+    cluster.register_fn0("seven", || 7i64);
+    cluster.register_fn1("neg", |a: i64| -a);
+    cluster.register_fn2("sub", |a: i64, b: i64| a - b);
+    let ctx = cluster.driver();
+    let v = |x: i64| Arg::value(&x).unwrap();
+    let seven = ctx.call::<i64>("seven", vec![]).unwrap();
+    let neg = ctx.call::<i64>("neg", vec![v(4)]).unwrap();
+    let sub = ctx.call::<i64>("sub", vec![v(5), v(3)]).unwrap();
+    assert_eq!(ctx.get(&seven).unwrap(), 7);
+    assert_eq!(ctx.get(&neg).unwrap(), -4);
+    assert_eq!(ctx.get(&sub).unwrap(), 2);
+    cluster.shutdown();
+}
+
+#[test]
 fn futures_chain_without_blocking() {
     // Futures pass into further calls without get(): data edges form a
     // chain (paper §3.1).
@@ -441,6 +458,23 @@ fn gpu_task_waits_for_gpu_node() {
     // CPU tasks keep flowing meanwhile.
     let ok: ObjectRef<u8> = ctx.call("cpu_task", vec![]).unwrap();
     assert_eq!(ctx.get(&ok).unwrap(), 1);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_task_pinned_to_a_dead_node_runs_once_the_node_restarts() {
+    // No live node can hold the task, so the global scheduler keeps
+    // retrying it until the node it names comes back.
+    let cluster = small_cluster();
+    cluster.register_fn0("pinned", || 1u8);
+    cluster.kill_node(NodeId(1));
+    let ctx = cluster.driver();
+    let opts = TaskOptions::default().with_demand(node_affinity(NodeId(1)));
+    let fut: ObjectRef<u8> = ctx.call_opts("pinned", vec![], opts).unwrap();
+    let (ready, _) = ctx.wait(&[fut.id()], 1, Duration::from_millis(200)).unwrap();
+    assert!(ready.is_empty(), "a task pinned to a dead node ran");
+    cluster.restart_node(NodeId(1)).unwrap();
+    assert_eq!(ctx.get(&fut).unwrap(), 1);
     cluster.shutdown();
 }
 

@@ -78,12 +78,7 @@ pub struct Gcs {
 impl Gcs {
     /// Starts a GCS with the given layout (shards, chain length, flushing).
     pub fn start(cfg: &GcsConfig) -> RayResult<Gcs> {
-        Gcs::start_with_metrics(cfg, MetricsRegistry::new())
-    }
-
-    /// Starts a GCS reporting into an existing metrics registry.
-    pub fn start_with_metrics(cfg: &GcsConfig, metrics: MetricsRegistry) -> RayResult<Gcs> {
-        Gcs::start_traced(cfg, metrics, TraceCollector::disabled())
+        Gcs::start_traced(cfg, MetricsRegistry::new(), TraceCollector::disabled())
     }
 
     /// Starts a GCS that emits lifecycle trace events (replica crashes,

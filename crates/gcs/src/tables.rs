@@ -547,35 +547,22 @@ impl GcsClient {
     // Event log.
     // ------------------------------------------------------------------
 
-    /// Appends an event under a topic (at-least-once across GCS
-    /// failovers; used by debugging/profiling tooling). A topic longer than
-    /// [`crate::kv::KEY_CAP`] bytes is `Invalid`.
-    pub fn log_event(&self, topic: &str, payload: Bytes) -> RayResult<()> {
-        let key = Key::try_new(Table::Event, topic.as_bytes())?;
-        self.write(UpdateOp::ListAppend { key, item: payload })
-    }
-
-    /// Reads all events logged under a topic (`Invalid` for one longer
-    /// than [`crate::kv::KEY_CAP`] bytes, which no append can have made).
-    pub fn get_events(&self, topic: &str) -> RayResult<Vec<Bytes>> {
-        match self.read(&Key::try_new(Table::Event, topic.as_bytes())?)? {
-            Some(Entry::List(items)) => Ok(items),
-            _ => Ok(Vec::new()),
-        }
-    }
-
     /// Appends one flushed batch of codec-encoded lifecycle trace events
     /// (`Vec<ray_common::trace::TraceEvent>`) under the system trace
     /// topic. Local schedulers call this on their heartbeat cadence; the
     /// batches are merged, seq-deduped, and ordered at read time, so
     /// at-least-once delivery across GCS failovers is fine.
     pub fn log_trace_batch(&self, payload: Bytes) -> RayResult<()> {
-        self.log_event(TRACE_TOPIC, payload)
+        let key = Key::new(Table::Event, TRACE_TOPIC);
+        self.write(UpdateOp::ListAppend { key, item: payload })
     }
 
     /// Reads every flushed trace batch, oldest append first.
     pub fn get_trace_batches(&self) -> RayResult<Vec<Bytes>> {
-        self.get_events(TRACE_TOPIC)
+        match self.read(&Key::new(Table::Event, TRACE_TOPIC))? {
+            Some(Entry::List(items)) => Ok(items),
+            _ => Ok(Vec::new()),
+        }
     }
 }
 
@@ -956,35 +943,22 @@ mod tests {
     fn event_log_appends_in_order() {
         let (_gcs, c) = client();
         for i in 0..5u8 {
-            c.log_event("profile", Bytes::from(vec![i])).unwrap();
+            c.log_trace_batch(Bytes::from(vec![i])).unwrap();
         }
-        let events = c.get_events("profile").unwrap();
+        let events = c.get_trace_batches().unwrap();
         assert_eq!(events.len(), 5);
         assert_eq!(events[4], Bytes::from(vec![4u8]));
     }
 
     #[test]
-    fn a_topic_over_the_key_cap_is_invalid_not_truncated() {
-        let (_gcs, c) = client();
-        let at_cap = "t".repeat(crate::kv::KEY_CAP);
-        let over = format!("{at_cap}!");
-        c.log_event(&at_cap, Bytes::from_static(b"kept")).unwrap();
-        assert!(matches!(c.log_event(&over, Bytes::new()), Err(RayError::Invalid(_))));
-        assert!(matches!(c.get_events(&over), Err(RayError::Invalid(_))));
-        // Nothing was written under the first 32 bytes of the long topic.
-        assert_eq!(c.get_events(&at_cap).unwrap(), vec![Bytes::from_static(b"kept")]);
-    }
-
-    #[test]
     fn trace_batches_ride_their_own_topic() {
         let (_gcs, c) = client();
+        assert!(c.get_trace_batches().unwrap().is_empty());
         c.log_trace_batch(Bytes::from_static(b"batch-a")).unwrap();
         c.log_trace_batch(Bytes::from_static(b"batch-b")).unwrap();
-        assert_eq!(
-            c.get_trace_batches().unwrap(),
-            vec![Bytes::from_static(b"batch-a"), Bytes::from_static(b"batch-b")]
-        );
-        // The trace topic does not leak into other topics.
-        assert!(c.get_events("profile").unwrap().is_empty());
+        let batches = vec![Bytes::from_static(b"batch-a"), Bytes::from_static(b"batch-b")];
+        assert_eq!(c.get_trace_batches().unwrap(), batches);
+        let topic = c.read(&Key::new(Table::Event, TRACE_TOPIC)).unwrap();
+        assert_eq!(topic, Some(Entry::List(batches)));
     }
 }

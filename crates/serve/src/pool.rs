@@ -5,8 +5,8 @@
 //!
 //! - **core** owns replica *durability*: checkpoints, method-log replay,
 //!   and actor reconstruction after a node death. The pool never rebuilds
-//!   a replica itself — it spawns with `critical` so reconstruction is
-//!   automatic, and re-admits the replica when a health probe answers.
+//!   a replica itself — like every actor, a replica is reconstructed by
+//!   core, and the pool re-admits it when a health probe answers.
 //! - **the pool** owns *availability*: while a replica is down, requests
 //!   fail over to survivors within their deadline budget, new capacity is
 //!   spawned when queues build, and stragglers are raced with hedges.

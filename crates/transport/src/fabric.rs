@@ -293,22 +293,6 @@ impl Fabric {
         Ok(d)
     }
 
-    /// Delays for one control-plane hop (latency only); checks liveness.
-    pub fn control_hop(&self, src: NodeId, dst: NodeId) -> RayResult<Duration> {
-        self.check_link(src, dst)?;
-        if src == dst {
-            return Ok(Duration::ZERO);
-        }
-        if self.chaos_drop(src) {
-            return Err(RayError::MessageDropped);
-        }
-        let d = self.inner.model.control_delay();
-        if self.inner.real_time.load(Ordering::Relaxed) {
-            std::thread::sleep(d);
-        }
-        Ok(d)
-    }
-
     /// Whether `from` sits on a majority side of the current partition:
     /// its side — itself plus every live peer it can reach directly —
     /// must hold a strict majority of the live nodes. A node cut off from
@@ -596,14 +580,6 @@ mod tests {
         // Four serialized 0.5ms transfers ≥ 2ms; if lanes didn't contend
         // they'd all finish in ~0.5ms.
         assert!(elapsed >= Duration::from_micros(1800), "expected contention, got {elapsed:?}");
-    }
-
-    #[test]
-    fn control_hop_checks_liveness() {
-        let f = Fabric::new(2, &cfg());
-        assert!(f.control_hop(NodeId(0), NodeId(1)).is_ok());
-        f.kill_node(NodeId(0));
-        assert!(f.control_hop(NodeId(0), NodeId(1)).is_err());
     }
 
     #[test]

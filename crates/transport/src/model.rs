@@ -78,11 +78,6 @@ impl LinkModel {
         let wire = Duration::from_secs_f64(bytes as f64 / bw as f64);
         self.latency + wire
     }
-
-    /// Latency-only cost of a control-plane message.
-    pub fn control_delay(&self) -> Duration {
-        self.latency
-    }
 }
 
 #[cfg(test)]
