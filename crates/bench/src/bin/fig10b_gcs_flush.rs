@@ -76,7 +76,7 @@ fn main() {
     let growth_flush =
         with_flush.last().unwrap().1 as f64 / with_flush.first().unwrap().1.max(1) as f64;
     report.note(format!(
-        "no-flush footprint grew {growth_no_flush:.1}x (linear in tasks); with flushing {growth_flush:.1}x (capped)"
+        "footprint growth, first to last sample: no flush {growth_no_flush:.1}x, with flushing {growth_flush:.1}x"
     ));
     report.note(format!("entries flushed to disk: {flushed}"));
     report.note("paper: without flushing the 50M-task run exhausts memory and stalls");

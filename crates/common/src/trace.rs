@@ -38,6 +38,7 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::id::{ActorId, NodeId, ObjectId, ShardId, TaskId};
+use crate::metrics::{names, Counter, MetricsRegistry};
 use crate::sync::{classes, OrderedMutex, OrderedRwLock};
 
 // ---------------------------------------------------------------------------
@@ -253,6 +254,46 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
+    /// Every kind, in declaration order (`ALL[k as usize] == k`).
+    pub const ALL: [TraceEventKind; 34] = {
+        use TraceEventKind::*;
+        [
+            Submitted, ScheduledLocal, SpilledGlobal, GlobalPlaced, DepsFetched, Running,
+            Finished, Failed, Reconstructing, Resubmitted, ObjectPut, ObjectSpilled,
+            ObjectEvicted, ObjectTransferred, TransferRetry, MessageDropped, HeartbeatMissed,
+            NodeDeclaredDead, MethodReplayed, CheckpointTaken, CheckpointRestored, ActorRebuilt,
+            GcsReplicaCrashed, GcsReconfigured, GcsShardRecovered, GcsFlush, TaskCancelled,
+            TaskDeadlineExceeded, CancelPropagated, ReplicaSpawned, ReplicaRetired,
+            ReplicaUnhealthy, RequestHedged, SloViolated,
+        ]
+    };
+
+    /// The counter that emitting this kind adds one to, if it has one:
+    /// the event and its count are one fact, recorded by one
+    /// [`TraceCollector::emit`]. `NodeDeclaredDead`, `ReplicaSpawned`,
+    /// `Finished` and `Failed` have none: their counters
+    /// (`nodes_declared_dead`, `serve_replicas_spawned`, `tasks_executed`)
+    /// count a narrower or a different set of facts than the event.
+    pub fn counter(&self) -> Option<&'static str> {
+        use TraceEventKind::*;
+        Some(match self {
+            Submitted => names::TASKS_SUBMITTED,
+            ScheduledLocal => names::TASKS_LOCAL,
+            SpilledGlobal => names::TASKS_SPILLED,
+            Resubmitted => names::TASKS_REEXECUTED,
+            HeartbeatMissed => names::HEARTBEATS_MISSED,
+            MethodReplayed => names::METHODS_REPLAYED,
+            CheckpointTaken => names::CHECKPOINTS_TAKEN,
+            TransferRetry => names::TRANSFER_RETRIES,
+            TaskCancelled => names::TASKS_CANCELLED,
+            TaskDeadlineExceeded => names::DEADLINE_EXCEEDED,
+            RequestHedged => names::SERVE_HEDGES,
+            SloViolated => names::SERVE_SLO_VIOLATIONS,
+            ReplicaRetired => names::SERVE_REPLICAS_RETIRED,
+            _ => return None,
+        })
+    }
+
     /// A stable text label (signatures, Chrome trace names, assertions).
     pub fn label(&self) -> &'static str {
         use TraceEventKind::*;
@@ -355,14 +396,8 @@ pub struct TraceEvent {
 /// Default per-node ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
-struct Ring {
-    buf: OrderedMutex<RingBuf>,
-}
-
-struct RingBuf {
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-}
+/// One node's buffered events, oldest first.
+type Ring = OrderedMutex<VecDeque<TraceEvent>>;
 
 struct CollectorInner {
     enabled: AtomicBool,
@@ -373,12 +408,18 @@ struct CollectorInner {
     rings: OrderedRwLock<Vec<Option<Arc<Ring>>>>,
     /// Events dropped because their ring was full.
     dropped: AtomicU64,
+    /// Each kind's [counter](TraceEventKind::counter), indexed by
+    /// `kind as usize`, resolved once from the registry the collector was
+    /// built over.
+    counters: [Option<Arc<Counter>>; TraceEventKind::ALL.len()],
 }
 
 /// The per-process event sink: per-node bounded rings behind one cheap
 /// clonable handle.
 ///
-/// The disabled fast path is a single relaxed atomic load —
+/// Emitting a kind that names a [counter](TraceEventKind::counter) first
+/// adds one to that counter, whether tracing is on or off; after that the
+/// disabled path is a single relaxed atomic load, so
 /// [`TraceCollector::disabled`] collectors add no measurable overhead to
 /// a run (the `fig08b_scalability` acceptance criterion).
 #[derive(Clone)]
@@ -387,24 +428,28 @@ pub struct TraceCollector {
 }
 
 impl TraceCollector {
-    /// An enabled collector with `capacity` events per node ring.
+    /// An enabled collector with `capacity` events per node ring,
+    /// counting into a registry of its own.
     pub fn new(capacity: usize) -> TraceCollector {
-        TraceCollector::build(true, capacity, Clock::wall())
+        TraceCollector::build(true, capacity, Clock::wall(), &MetricsRegistry::new())
     }
 
-    /// An enabled collector with an explicit [`Clock`] (tests use a
-    /// manual clock to pin timestamps).
-    pub fn with_clock(capacity: usize, clock: Clock) -> TraceCollector {
-        TraceCollector::build(true, capacity, clock)
-    }
-
-    /// The no-op collector: every [`TraceCollector::emit`] returns after
-    /// one relaxed load.
+    /// A collector that records no events, counting into a registry of
+    /// its own.
     pub fn disabled() -> TraceCollector {
-        TraceCollector::build(false, 0, Clock::wall())
+        TraceCollector::build(false, 0, Clock::wall(), &MetricsRegistry::new())
     }
 
-    fn build(enabled: bool, capacity: usize, clock: Clock) -> TraceCollector {
+    /// A collector whose counted kinds count into `metrics` (a cluster's
+    /// registry); it records events, [`DEFAULT_RING_CAPACITY`] per node,
+    /// only when `enabled`. Every counted kind's counter is registered
+    /// here, so an exposition lists it before its first event.
+    pub fn over(metrics: &MetricsRegistry, enabled: bool) -> TraceCollector {
+        TraceCollector::build(enabled, DEFAULT_RING_CAPACITY, Clock::wall(), metrics)
+    }
+
+    fn build(enabled: bool, capacity: usize, clock: Clock, metrics: &MetricsRegistry)
+        -> TraceCollector {
         TraceCollector {
             inner: Arc::new(CollectorInner {
                 enabled: AtomicBool::new(enabled),
@@ -413,6 +458,7 @@ impl TraceCollector {
                 capacity,
                 rings: OrderedRwLock::new(&classes::TRACE_RINGS, Vec::new()),
                 dropped: AtomicU64::new(0),
+                counters: TraceEventKind::ALL.map(|k| k.counter().map(|n| metrics.counter(n))),
             }),
         }
     }
@@ -427,11 +473,12 @@ impl TraceCollector {
         &self.inner.clock
     }
 
-    /// Records one lifecycle event into `node`'s ring. Ordering comes
-    /// from the collector-global `seq`, so events emitted from different
-    /// threads still merge into one total order. `detail` is rendered
-    /// only when emission is live: pass `format_args!(..)`, not
-    /// `format!(..)`, so a disabled collector allocates nothing.
+    /// Counts one lifecycle event in its kind's counter, if it has one,
+    /// and records it into `node`'s ring. Ordering comes from the
+    /// collector-global `seq`, so events emitted from different threads
+    /// still merge into one total order. `detail` is rendered only when
+    /// emission is live: pass `format_args!(..)`, not `format!(..)`, so a
+    /// disabled collector allocates nothing.
     pub fn emit(
         &self,
         node: NodeId,
@@ -439,6 +486,9 @@ impl TraceCollector {
         entity: TraceEntity,
         detail: impl std::fmt::Display,
     ) {
+        if let Some(counter) = &self.inner.counters[kind as usize] {
+            counter.inc();
+        }
         if !self.inner.enabled.load(Ordering::Relaxed) {
             return;
         }
@@ -451,13 +501,12 @@ impl TraceCollector {
             detail: detail.to_string(),
         };
         let ring = self.ring(node);
-        let mut buf = ring.buf.lock();
-        if buf.events.len() >= self.inner.capacity {
-            buf.events.pop_front();
-            buf.dropped += 1;
+        let mut events = ring.lock();
+        if events.len() >= self.inner.capacity {
+            events.pop_front();
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        buf.events.push_back(event);
+        events.push_back(event);
     }
 
     fn ring(&self, node: NodeId) -> Arc<Ring> {
@@ -474,12 +523,7 @@ impl TraceCollector {
         }
         rings[idx]
             .get_or_insert_with(|| {
-                Arc::new(Ring {
-                    buf: OrderedMutex::new(
-                        &classes::TRACE_RING,
-                        RingBuf { events: VecDeque::new(), dropped: 0 },
-                    ),
-                })
+                Arc::new(OrderedMutex::new(&classes::TRACE_RING, VecDeque::new()))
             })
             .clone()
     }
@@ -498,8 +542,8 @@ impl TraceCollector {
                 _ => return Vec::new(),
             }
         };
-        let mut buf = ring.buf.lock();
-        buf.events.drain(..).collect()
+        let drained = ring.lock().drain(..).collect();
+        drained
     }
 
     /// Returns previously drained events to the front of `node`'s ring
@@ -512,13 +556,12 @@ impl TraceCollector {
             return;
         }
         let ring = self.ring(node);
-        let mut buf = ring.buf.lock();
+        let mut queued = ring.lock();
         for e in events.into_iter().rev() {
-            buf.events.push_front(e);
+            queued.push_front(e);
         }
-        while buf.events.len() > self.inner.capacity {
-            buf.events.pop_front();
-            buf.dropped += 1;
+        while queued.len() > self.inner.capacity {
+            queued.pop_front();
             self.inner.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -534,8 +577,7 @@ impl TraceCollector {
         };
         let mut out = Vec::new();
         for ring in rings {
-            let mut buf = ring.buf.lock();
-            out.extend(buf.events.drain(..));
+            out.extend(ring.lock().drain(..));
         }
         out.sort_by_key(|e| e.seq);
         out
@@ -959,6 +1001,11 @@ mod tests {
         TraceEntity::Task(TaskId::for_child(TaskId::NIL, n as u64))
     }
 
+    /// An enabled collector on a manual clock, to pin timestamps.
+    fn manual(capacity: usize, clock: &Clock) -> TraceCollector {
+        TraceCollector::build(true, capacity, clock.clone(), &MetricsRegistry::new())
+    }
+
     fn obj(n: u8) -> TraceEntity {
         TraceEntity::Object(ObjectId::for_task_return(TaskId::NIL, n as u64))
     }
@@ -969,6 +1016,51 @@ mod tests {
         c.emit(NodeId(0), TraceEventKind::Submitted, task(1), "");
         assert!(!c.is_enabled());
         assert!(c.drain_all().is_empty());
+    }
+
+    #[test]
+    fn all_lists_every_kind_in_declaration_order() {
+        for (i, kind) in TraceEventKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "{kind}");
+        }
+    }
+
+    #[test]
+    fn building_over_a_registry_registers_every_counted_kind() {
+        let metrics = MetricsRegistry::new();
+        let _collector = TraceCollector::over(&metrics, false);
+        let text = metrics.render();
+        let counted: Vec<&str> = TraceEventKind::ALL.iter().filter_map(|k| k.counter()).collect();
+        assert_eq!(counted.len(), 13);
+        for name in counted {
+            assert!(text.contains(&format!("\n{name} 0\n")), "{name} missing from:\n{text}");
+        }
+    }
+
+    /// One `emit` moves its kind's counter by exactly one and no other
+    /// counter, tracing on or off: no two kinds share a counter, and an
+    /// uncounted kind moves nothing.
+    #[test]
+    fn an_emit_moves_its_kinds_counter_by_one_and_no_other() {
+        let metrics = MetricsRegistry::new();
+        for enabled in [false, true] {
+            let collector = TraceCollector::over(&metrics, enabled);
+            for kind in TraceEventKind::ALL {
+                let before = metrics.counter_snapshot();
+                collector.emit(NodeId(0), kind, task(1), "");
+                let after = metrics.counter_snapshot();
+                assert_eq!(after.len(), before.len(), "{kind} registered a counter");
+                let moved: Vec<(String, u64)> = after
+                    .into_iter()
+                    .zip(before)
+                    .filter(|(a, b)| a.1 != b.1)
+                    .map(|(a, b)| (a.0, a.1 - b.1))
+                    .collect();
+                let expected: Vec<(String, u64)> =
+                    kind.counter().map(|name| (name.to_string(), 1)).into_iter().collect();
+                assert_eq!(moved, expected, "{kind} with tracing {enabled}");
+            }
+        }
     }
 
     #[test]
@@ -1013,7 +1105,7 @@ mod tests {
     #[test]
     fn manual_clock_pins_timestamps() {
         let clock = Clock::manual();
-        let c = TraceCollector::with_clock(16, clock.clone());
+        let c = manual(16, &clock);
         c.emit(NodeId(0), TraceEventKind::Submitted, task(1), "");
         clock.advance(250);
         c.emit(NodeId(0), TraceEventKind::Running, task(1), "");
@@ -1082,7 +1174,7 @@ mod tests {
     #[test]
     fn chrome_trace_pairs_running_and_finished() {
         let clock = Clock::manual();
-        let c = TraceCollector::with_clock(16, clock.clone());
+        let c = manual(16, &clock);
         c.emit(NodeId(1), TraceEventKind::Running, task(1), "work");
         clock.advance(500);
         c.emit(NodeId(1), TraceEventKind::Finished, task(1), "work");
@@ -1109,7 +1201,7 @@ mod tests {
     #[test]
     fn chrome_export_is_byte_stable() {
         let clock = Clock::manual();
-        let c = TraceCollector::with_clock(64, clock.clone());
+        let c = manual(64, &clock);
         // Six spans opened in descending order across three nodes; only
         // half of them close, so the open-span map stays populated.
         for n in (0..6u8).rev() {

@@ -387,7 +387,6 @@ impl ActorHost {
                 let _ = shared.gcs_client.log_actor_method(actor, seq, task);
             }
             (false, true) => {
-                shared.metrics.counter(names::METHODS_REPLAYED).inc();
                 shared.trace.emit(
                     node,
                     TraceEventKind::MethodReplayed,
@@ -423,7 +422,6 @@ impl ActorHost {
             let rec = CheckpointRecord { seq: self.seq, data: ray_codec::Blob(data) };
             if self.shared.gcs_client.put_checkpoint(self.actor, &rec).is_ok() {
                 self.pending_checkpoint = false;
-                self.shared.metrics.counter(names::CHECKPOINTS_TAKEN).inc();
                 self.shared.trace.emit(
                     self.home.node,
                     TraceEventKind::CheckpointTaken,

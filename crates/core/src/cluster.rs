@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use ray_common::sync::{classes, OrderedMutex, OrderedRwLock};
 
-use ray_common::metrics::{names, MetricsRegistry};
-use ray_common::trace::{render_chrome_trace, TraceCollector, TraceLog, DEFAULT_RING_CAPACITY};
+use ray_common::metrics::MetricsRegistry;
+use ray_common::trace::{render_chrome_trace, TraceCollector, TraceLog};
 use ray_common::{IdMap, NodeId, RayConfig, RayError, RayResult};
 use ray_gcs::Gcs;
 use ray_object_store::store::LocalObjectStore;
@@ -61,11 +61,7 @@ impl Cluster {
         // Node-slot capacity leaves headroom for add_node/restart cycles.
         let capacity = config.num_nodes * 2 + 8;
 
-        let trace = if config.tracing {
-            TraceCollector::new(DEFAULT_RING_CAPACITY)
-        } else {
-            TraceCollector::disabled()
-        };
+        let trace = TraceCollector::over(&metrics, config.tracing);
 
         let fabric = Fabric::new(capacity, &config.transport);
         fabric.set_tracer(trace.clone());
@@ -89,9 +85,6 @@ impl Cluster {
             config.seed ^ 0x9e3779b97f4a7c15,
         );
         let (global_tx, global_rx) = mpsc::channel::<GlobalMsg>();
-        let [tasks_submitted, tasks_local, tasks_spilled] =
-            [names::TASKS_SUBMITTED, names::TASKS_LOCAL, names::TASKS_SPILLED]
-                .map(|name| metrics.counter(name));
 
         let shared = Arc::new(RuntimeShared {
             config: config.clone(),
@@ -110,21 +103,11 @@ impl Cluster {
             worker_delays: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             actors: ActorRouter::new(),
             stalled: OrderedMutex::new(&classes::STALLED_TASKS, IdMap::default()),
-            tasks_submitted,
-            tasks_local,
-            tasks_spilled,
             topology: OrderedMutex::new(&classes::CLUSTER_TOPOLOGY, ()),
             trace_flush: OrderedRwLock::new(&classes::TRACE_FLUSH, ()),
             shutting_down: AtomicBool::new(false),
             driver_counter: AtomicU64::new(1),
         });
-
-        // Register the cancellation counters eagerly so the Prometheus
-        // exposition includes them from the first scrape, not only after
-        // the first teardown.
-        for name in [names::TASKS_CANCELLED, names::DEADLINE_EXCEEDED] {
-            let _ = shared.metrics.counter(name);
-        }
 
         // Nodes beyond the initial set start dead (they are add_node
         // slots); mark them so transfers to unused slots fail fast.

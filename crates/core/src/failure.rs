@@ -48,7 +48,6 @@ pub(crate) fn run_detector_pass(shared: &Arc<RuntimeShared>) {
         }
     });
     for (node, age) in suspects {
-        shared.metrics.counter(names::HEARTBEATS_MISSED).inc();
         shared.trace.emit(
             node,
             TraceEventKind::HeartbeatMissed,

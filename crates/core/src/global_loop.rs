@@ -9,15 +9,16 @@
 //!
 //! The global scheduler thread keeps what no submitter can finish on the
 //! spot: tasks no live node can hold yet, tasks whose chosen node died
-//! before delivery, and tasks a node bounced as infeasible. It retries them
-//! as heartbeats change the cluster view — this is what lets a task pinned
+//! before delivery, tasks a node bounced as infeasible, and tasks waiting
+//! out an injected decision delay (Fig. 12b). It retries them as
+//! heartbeats change the cluster view — this is what lets a task pinned
 //! to a dead node run once that node restarts — and it runs the failure
 //! detector.
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ray_common::trace::{TraceEntity, TraceEventKind};
 use ray_common::{NodeId, RayError};
@@ -35,45 +36,41 @@ const RETRY_EVERY: Duration = Duration::from_millis(5);
 
 /// Places a task a local scheduler forwarded, on the calling thread; what
 /// cannot be placed now joins the global thread's retries. With injected
-/// decision latency (Fig. 12b) the decision sleeps and places on a thread
-/// of its own, so the submitter never waits for it and concurrent
-/// decisions overlap instead of serializing.
+/// decision latency (Fig. 12b) the task joins the retries at once, not to
+/// be placed before the delay is up, so the submitter never waits for it
+/// and concurrent decisions overlap instead of serializing.
 pub(crate) fn forward(
     shared: &Arc<RuntimeShared>,
     spec: TaskSpec,
     from: NodeId,
 ) -> Result<(), Undelivered> {
-    if shared.config.scheduler.added_decision_delay.is_zero() {
-        return match try_place(shared, spec, from, false) {
-            None => Ok(()),
-            Some((spec, from)) => retry_later(shared, spec, from),
-        };
+    let delay = shared.global.decision_delay();
+    if !delay.is_zero() {
+        return retry_later(shared, spec, from, delay);
     }
-    let shared = shared.clone();
-    std::thread::spawn(move || {
-        if let Some((spec, from)) = try_place(&shared, spec, from, false) {
-            // Refused only once the cluster is shutting down.
-            let _ = retry_later(&shared, spec, from);
-        }
-    });
-    Ok(())
+    match try_place(shared, spec, from, false) {
+        None => Ok(()),
+        Some((spec, from)) => retry_later(shared, spec, from, Duration::ZERO),
+    }
 }
 
-/// Hands a task to the global thread's retries. Its in-flight record
-/// waits with it in the run queue of the node it came from, so
-/// `ray.cancel` finds it, until it is placed or torn down (or the cluster
-/// stops).
+/// Hands a task to the global thread's retries, not to be tried before
+/// `delay` has passed. Its in-flight record waits with it in the run queue
+/// of the node it came from, so `ray.cancel` finds it, until it is placed
+/// or torn down (or the cluster stops).
 pub(crate) fn retry_later(
     shared: &RuntimeShared,
     spec: TaskSpec,
     from: NodeId,
+    delay: Duration,
 ) -> Result<(), Undelivered> {
     if let Some(handle) = shared.node(from) {
         handle.with_records(|records| records.take(&spec));
     }
-    match shared.global_tx.send(GlobalMsg::Retry(spec, from)) {
-        Err(SendError(GlobalMsg::Retry(spec, _))) => {
-            Err(Box::new((spec, RayError::Shutdown("global scheduler stopped".into()))))
+    let not_before = shared.trace.clock().now() + delay;
+    match shared.global_tx.send(GlobalMsg::Retry(Box::new(spec), from, not_before)) {
+        Err(SendError(GlobalMsg::Retry(spec, ..))) => {
+            Err(Box::new((*spec, RayError::Shutdown("global scheduler stopped".into()))))
         }
         _ => Ok(()),
     }
@@ -92,20 +89,25 @@ pub(crate) fn start_global(
 
 fn global_loop(shared: Arc<RuntimeShared>, rx: Receiver<GlobalMsg>) {
     let clock = shared.trace.clock().clone();
-    let mut pending: Vec<(TaskSpec, NodeId)> = Vec::new();
+    let mut pending: Vec<(TaskSpec, NodeId, Instant)> = Vec::new();
     let mut last_detect = clock.now();
     loop {
-        match rx.recv_timeout(RETRY_EVERY) {
-            Ok(GlobalMsg::Retry(spec, from)) => pending.push((spec, from)),
+        // Due tasks retry at the cadence; a task not yet due is tried as
+        // soon as it is.
+        let now = clock.now();
+        let next_due = pending.iter().map(|p| p.2).filter(|&t| t > now).min();
+        let wait = next_due.map_or(RETRY_EVERY, |t| RETRY_EVERY.min(t - now));
+        match rx.recv_timeout(wait) {
+            Ok(GlobalMsg::Retry(spec, from, not_before)) => pending.push((*spec, from, not_before)),
             Ok(GlobalMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
             Err(RecvTimeoutError::Timeout) => {}
         }
-        if !pending.is_empty() {
-            let batch = std::mem::take(&mut pending);
-            for (spec, from) in batch {
-                if let Some(unplaced) = try_place(&shared, spec, from, true) {
-                    pending.push(unplaced);
-                }
+        let now = clock.now();
+        for (spec, from, not_before) in std::mem::take(&mut pending) {
+            if not_before > now {
+                pending.push((spec, from, not_before));
+            } else if let Some((spec, from)) = try_place(&shared, spec, from, true) {
+                pending.push((spec, from, not_before));
             }
         }
         // The failure detector rides this thread: sweep heartbeat ages at

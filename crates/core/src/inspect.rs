@@ -18,6 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use ray_common::metrics::names;
 use ray_common::{NodeId, RayResult, ShardId};
 
 use crate::cluster::Cluster;
@@ -135,9 +136,9 @@ impl Cluster {
                 .map(|i| self.gcs().shard(ShardId(i)).reconfigurations())
                 .collect(),
             tasks: (
-                m.counter("tasks_submitted").get(),
-                m.counter("tasks_executed").get(),
-                m.counter("tasks_reexecuted").get(),
+                m.counter(names::TASKS_SUBMITTED).get(),
+                m.counter(names::TASKS_EXECUTED).get(),
+                m.counter(names::TASKS_REEXECUTED).get(),
             ),
         })
     }

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use ray_common::config::HEARTBEAT_INTERVAL;
 use ray_common::sync::{classes, OrderedCondvar, OrderedMutex, OrderedMutexGuard};
@@ -124,7 +124,7 @@ impl NodeHandle {
             // Capacity can never satisfy this task here (stale placement
             // after a reconfiguration): bounce to the global scheduler's
             // retries rather than wedging the queue.
-            return global_loop::retry_later(shared, spec, self.node);
+            return global_loop::retry_later(shared, spec, self.node, Duration::ZERO);
         }
         let mut q = self.queue.lock();
         if !self.is_alive() {

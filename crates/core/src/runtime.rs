@@ -20,7 +20,7 @@ use std::time::Instant;
 use bytes::Bytes;
 use ray_common::sync::{OrderedMutex, OrderedRwLock};
 
-use ray_common::metrics::{names, Counter, MetricsRegistry};
+use ray_common::metrics::MetricsRegistry;
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
 use ray_common::{IdMap, NodeId, ObjectId, RayConfig, RayError, RayResult, TaskId};
 use ray_gcs::tables::GcsClient;
@@ -38,11 +38,13 @@ use crate::task::{TaskKind, TaskSpec};
 
 /// Messages processed by the global-scheduler thread.
 pub(crate) enum GlobalMsg {
-    /// A task its placer could not deliver — no live node can hold it yet,
-    /// its chosen node died first, or a node bounced it as infeasible — and
-    /// the node it was forwarded from, to retry at the thread's cadence.
-    /// Its in-flight record waits in that node's run queue.
-    Retry(TaskSpec, NodeId),
+    /// A task for the retries, the node it was forwarded from, and the
+    /// instant before which it is not tried: one its placer could not
+    /// deliver (no live node can hold it yet, its chosen node died first,
+    /// or a node bounced it as infeasible), or one waiting out an injected
+    /// decision delay. Once due, it retries at the thread's cadence. Its
+    /// in-flight record waits in that node's run queue.
+    Retry(Box<TaskSpec>, NodeId, Instant),
     /// Stop the thread.
     Shutdown,
 }
@@ -77,10 +79,6 @@ pub struct RuntimeShared {
     /// Per-task resubmission backoff for stalled producers (dedups the
     /// many consumers that time out on the same missing object at once).
     pub(crate) stalled: OrderedMutex<IdMap<TaskId, StalledEntry>>,
-    /// The submit path's counters, resolved once by name.
-    pub(crate) tasks_submitted: Arc<Counter>,
-    pub(crate) tasks_local: Arc<Counter>,
-    pub(crate) tasks_spilled: Arc<Counter>,
     /// Serializes node-slot claims (`add_node`/`restart_node`): the scan
     /// for a free slot and the `start_node` that fills it must be atomic
     /// with respect to other topology changes.
@@ -129,7 +127,7 @@ impl RuntimeShared {
     /// The single submit path, for every task kind: one prologue, a route
     /// on `spec.kind`, and the link under `parent`.
     ///
-    /// Prologue: count and trace the submission; record lineage — what
+    /// Prologue: trace (and so count) the submission; record lineage — what
     /// reconstruction and actor replay read (Fig. 4) — except for a
     /// read-only method, which adds no stateful edge. Route: tasks and
     /// actor creations take the bottom-up scheduling path (paper Fig. 6),
@@ -147,7 +145,6 @@ impl RuntimeShared {
         spec: TaskSpec,
     ) -> RayResult<()> {
         let task = spec.task;
-        self.tasks_submitted.inc();
         self.trace.emit(
             from,
             TraceEventKind::Submitted,
@@ -176,7 +173,6 @@ impl RuntimeShared {
     /// already recorded; do not double-write it). The resubmission takes a
     /// fresh in-flight record where it lands, so `ray.cancel` can find it.
     pub(crate) fn resubmit(self: &Arc<Self>, from: NodeId, spec: TaskSpec) -> RayResult<()> {
-        self.metrics.counter(names::TASKS_REEXECUTED).inc();
         self.trace.emit(
             from,
             TraceEventKind::Resubmitted,
@@ -204,7 +200,6 @@ impl RuntimeShared {
         );
         match decision {
             LocalDecision::KeepLocal => {
-                self.tasks_local.inc();
                 self.trace.emit(
                     node,
                     TraceEventKind::ScheduledLocal,
@@ -214,7 +209,6 @@ impl RuntimeShared {
                 handle.enqueue(self, spec).map_err(|undelivered| undelivered.1)?;
             }
             LocalDecision::Forward => {
-                self.tasks_spilled.inc();
                 self.trace.emit(
                     node,
                     TraceEventKind::SpilledGlobal,
@@ -278,8 +272,8 @@ impl RuntimeShared {
         &self.metrics
     }
 
-    /// Tears a task down at whatever stage it reached: emits the teardown
-    /// trace event and counter, durably marks the task's outputs
+    /// Tears a task down at whatever stage it reached: emits (and so
+    /// counts) the teardown trace event, durably marks the task's outputs
     /// `Cancelled` in the GCS object table (so lineage reconstruction
     /// refuses to resurrect them), then stores typed error envelopes so
     /// every waiter blocked on the outputs wakes with
@@ -287,21 +281,18 @@ impl RuntimeShared {
     /// timing out. With no store reachable for the envelopes, consumers
     /// fall back to the GCS cancelled mark when their fetch times out.
     pub(crate) fn teardown(&self, node: NodeId, spec: &TaskSpec, cause: TeardownCause) {
-        let (kind, counter, msg, detail) = match cause {
+        let (kind, msg, detail) = match cause {
             TeardownCause::Cancelled(reason) => (
                 TraceEventKind::TaskCancelled,
-                names::TASKS_CANCELLED,
                 CANCELLED_ENVELOPE,
                 format!("reason={}", reason.label()),
             ),
             TeardownCause::DeadlineExceeded => (
                 TraceEventKind::TaskDeadlineExceeded,
-                names::DEADLINE_EXCEEDED,
                 DEADLINE_ENVELOPE,
                 format!("deadline_us={}", spec.deadline_micros.unwrap_or(0)),
             ),
         };
-        self.metrics.counter(counter).inc();
         self.trace.emit(node, kind, TraceEntity::Task(spec.task), detail);
         // Durable gate first: once marked, a lost envelope cannot be
         // "reconstructed" back into running the task.

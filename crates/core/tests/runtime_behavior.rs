@@ -1724,6 +1724,30 @@ fn delayed_decisions_overlap_and_never_hold_up_the_submitter() {
     cluster.shutdown();
 }
 
+/// A forward with injected decision latency waits out its delay in the
+/// global scheduler's retries: no decision is made before the delay is
+/// up, and `ray.cancel` reaches the task while it waits.
+#[test]
+fn a_delayed_forward_is_not_placed_early_and_can_be_cancelled_while_it_waits() {
+    const DELAY: Duration = Duration::from_millis(500);
+    let cluster = centralized_cluster(DELAY);
+    let ctx = cluster.driver();
+    let before = cluster.scheduler().decision_count();
+    let start = Instant::now();
+    let fut: ObjectRef<u64> = ctx.call("double", vec![Arg::value(&1u64).unwrap()]).unwrap();
+    assert_eq!(cluster.scheduler().decision_count(), before, "placed before its delay");
+    assert!(ctx.cancel_ref(&fut).unwrap(), "the waiting task has no in-flight record");
+    let got = ctx.get(&fut);
+    assert!(matches!(got, Err(RayError::Cancelled(_))), "{got:?}");
+    assert!(start.elapsed() >= DELAY, "torn down after {:?}", start.elapsed());
+    assert_eq!(cluster.scheduler().decision_count(), before, "a cancelled task was placed");
+
+    let fut: ObjectRef<u64> = ctx.call("double", vec![Arg::value(&2u64).unwrap()]).unwrap();
+    assert_eq!(ctx.get(&fut).unwrap(), 4);
+    assert_eq!(cluster.scheduler().decision_count(), before + 1);
+    cluster.shutdown();
+}
+
 #[test]
 fn spillover_balances_load_across_nodes() {
     // Flood one driver: the spillover threshold pushes overflow to the

@@ -190,9 +190,7 @@ impl Chain {
     /// (synchronous; tests and the chaos harness use this to pin what is
     /// durable before injecting a shard crash).
     pub fn flush_to_disk(&self, keep: usize) -> RayResult<()> {
-        for table in [Table::Task, Table::Lineage, Table::Event] {
-            self.write(UpdateOp::Flush { table, keep_entries: keep })?;
-        }
+        self.flush(keep)?;
         self.trace.emit(
             NodeId(0),
             TraceEventKind::GcsFlush,
@@ -200,6 +198,17 @@ impl Chain {
             format!("keys_on_disk={}", self.disk.keys_on_disk()),
         );
         Ok(())
+    }
+
+    /// One flush of this shard: each of [`Table::FLUSHABLE`] down to `keep`
+    /// in-memory entries. Every table is tried; the answer is the first
+    /// error.
+    pub(crate) fn flush(&self, keep: usize) -> RayResult<()> {
+        let mut first = Ok(());
+        for table in Table::FLUSHABLE {
+            first = first.and(self.write(UpdateOp::Flush { table, keep_entries: keep }));
+        }
+        first
     }
 
     /// Applies an update through the chain (head → ... → tail), on the

@@ -50,7 +50,7 @@ use ray_common::sync::{classes, OrderedMutex};
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
 
 use crate::chain::Chain;
-use crate::kv::{Entry, Key, Member, MemberSet, Table, UpdateOp};
+use crate::kv::{Entry, Key, Member, MemberSet, Table};
 
 /// A disk tier: an append-only log plus an offset index. Each GCS shard
 /// has one, and so does each node's object store.
@@ -390,10 +390,7 @@ impl Flusher {
                             // Per-shard budget: global threshold split evenly.
                             let keep =
                                 (cfg.flush_threshold_entries / shards.len().max(1)).max(1);
-                            for table in [Table::Task, Table::Lineage, Table::Event] {
-                                let _ =
-                                    shard.write(UpdateOp::Flush { table, keep_entries: keep });
-                            }
+                            let _ = shard.flush(keep);
                             let on_disk = shard.keys_on_disk();
                             if on_disk > keys_seen[i] {
                                 trace.emit(

@@ -66,12 +66,15 @@ pub enum Table {
 }
 
 impl Table {
-    /// Whether the flusher may move this table's cold entries to disk.
+    /// The tables whose cold entries a flush may move to disk.
     ///
     /// Only lineage-like, append-mostly tables are flushable; object
     /// locations and membership must stay hot.
+    pub const FLUSHABLE: [Table; 3] = [Table::Task, Table::Lineage, Table::Event];
+
+    /// Whether this table is one of [`Table::FLUSHABLE`].
     pub fn flushable(self) -> bool {
-        matches!(self, Table::Task | Table::Lineage | Table::Event)
+        Table::FLUSHABLE.contains(&self)
     }
 
     /// Stable one-byte tag identifying this table in disk log records.

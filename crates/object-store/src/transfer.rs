@@ -17,7 +17,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use ray_common::sync::{classes, OrderedRwLock};
 
-use ray_common::metrics::{names, MetricsRegistry};
+use ray_common::metrics::MetricsRegistry;
 use ray_common::trace::{TraceCollector, TraceEntity, TraceEventKind};
 use ray_common::util::{retry, Backoff};
 use ray_common::{NodeId, ObjectId, RayError, RayResult};
@@ -85,12 +85,12 @@ pub struct TransferManager {
     fabric: Fabric,
     gcs: GcsClient,
     connections: usize,
-    metrics: MetricsRegistry,
     tracer: TraceCollector,
 }
 
 impl TransferManager {
-    /// Creates a transfer manager.
+    /// Creates a transfer manager; until [`TransferManager::with_tracer`]
+    /// it records no events, and counts its retries into `metrics`.
     pub fn new(
         directory: StoreDirectory,
         fabric: Fabric,
@@ -103,8 +103,7 @@ impl TransferManager {
             fabric,
             gcs,
             connections,
-            metrics,
-            tracer: TraceCollector::disabled(),
+            tracer: TraceCollector::over(&metrics, false),
         }
     }
 
@@ -337,7 +336,6 @@ impl TransferManager {
         let dropped = |e: &RayError, attempt: u32| {
             let again = matches!(e, RayError::MessageDropped);
             if again {
-                self.metrics.counter(names::TRANSFER_RETRIES).inc();
                 self.tracer.emit(
                     dst,
                     TraceEventKind::TransferRetry,
@@ -372,6 +370,7 @@ enum Pulled {
 mod tests {
     use super::*;
     use ray_common::config::{ChaosConfig, GcsConfig, ObjectStoreConfig, TransportConfig};
+    use ray_common::metrics::names;
     use ray_gcs::Gcs;
 
     struct Rig {

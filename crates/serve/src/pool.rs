@@ -298,7 +298,6 @@ impl PoolInner {
             self.metrics().counter(names::SERVE_REQUESTS).inc();
             if let Some(slo) = self.cfg.slo {
                 if latency > duration_micros(slo) {
-                    self.metrics().counter(names::SERVE_SLO_VIOLATIONS).inc();
                     self.emit(
                         TraceEventKind::SloViolated,
                         TraceEntity::Node(self.ctx.node()),
@@ -401,7 +400,6 @@ impl PoolInner {
             return self.fetch_or_cancel(&first, remaining(self));
         };
         let _load = LoadGuard::new(&other);
-        self.metrics().counter(names::SERVE_HEDGES).inc();
         self.emit(
             TraceEventKind::RequestHedged,
             TraceEntity::Actor(other.handle.id()),
@@ -573,7 +571,6 @@ impl PoolInner {
             std::thread::sleep(DRAIN_POLL);
         }
         let id = slot.handle.id();
-        self.metrics().counter(names::SERVE_REPLICAS_RETIRED).inc();
         self.emit(
             TraceEventKind::ReplicaRetired,
             TraceEntity::Actor(id),

@@ -113,9 +113,13 @@ echo "== figure smoke =="
 # that disagree on a collective hang, so each quick run gets 120 s (a
 # few seconds each today); fig14a_es also asserts that Ray ES and the
 # reference system score alike, and fig12a_allreduce that every rank of
-# every ring holds the analytic sum. Results go to a scratch directory,
-# not bench_results/.
-for bin in fig12a_allreduce fig13_sgd_throughput fig14a_es fig14b_ppo table4_simulation; do
+# every ring holds the analytic sum. fig10b_gcs_flush asserts that
+# flushing keeps the GCS footprint under half the unflushed one,
+# fig11b_actor_reconstruction that checkpoints cut the methods replayed,
+# and fig12b_scheduler_ablation drives the injected decision delay end to
+# end. Results go to a scratch directory, not bench_results/.
+for bin in fig10b_gcs_flush fig11b_actor_reconstruction fig12a_allreduce \
+    fig12b_scheduler_ablation fig13_sgd_throughput fig14a_es fig14b_ppo table4_simulation; do
     if ! RAY_BENCH_RESULTS="$figure_results" timeout 120 "./target/release/$bin" --quick; then
         echo "figure smoke: $bin failed or ran past 120 s" >&2
         exit 1
