@@ -15,9 +15,10 @@
 //! - [`sync`]: ranked lock wrappers ([`sync::OrderedMutex`],
 //!   [`sync::OrderedRwLock`]) enforcing the workspace-wide lock order: a
 //!   rank check on every acquire in debug builds.
-//! - [`trace`]: the task-lifecycle event log (per-node ring buffers, the
-//!   deterministic `TraceAssert` query API, and the Chrome `trace_event`
-//!   exporter) backing the paper's §4.1 replay/debugging story.
+//! - [`trace`]: the task-lifecycle event log (the per-node logs of one
+//!   process-wide collector, the deterministic `TraceAssert` query API,
+//!   and the Chrome `trace_event` exporter) backing the paper's §4.1
+//!   replay/debugging story.
 //! - [`util`]: small helpers (FNV hashing, EWMA estimators) shared across
 //!   the system layer.
 

@@ -124,9 +124,6 @@ pub mod classes {
     pub static GLOBAL_JOIN: LockClass = LockClass::new("core.global_join", 155);
     /// The function registry map.
     pub static FUNCTION_REGISTRY: LockClass = LockClass::new("core.registry", 160);
-    /// Shared by a node's trace flush from ring drain to GCS commit,
-    /// exclusive for a reader of the event log waiting those flushes out.
-    pub static TRACE_FLUSH: LockClass = LockClass::new("core.trace_flush", 165);
 
     // --- scheduler (200–289) ---
 

@@ -5,14 +5,16 @@
 //! system-level half of that story: every task, actor method, and object
 //! moves through an explicit lifecycle state machine whose transitions
 //! emit [`TraceEvent`]s — timestamped, sequence-numbered, causally
-//! ordered by a collector-global counter — into per-node ring buffers
-//! ([`TraceCollector`]), which the local schedulers flush to the GCS
-//! event-log table on their heartbeat cadence.
+//! ordered by a collector-global counter — into per-node logs
+//! ([`TraceCollector`]). The paper keeps its event log in the GCS because
+//! Ray's components are separate processes; here every node is a set of
+//! threads in one process, so the collector itself is the event log, and
+//! nothing copies it anywhere.
 //!
 //! Three consumers sit on top:
 //!
-//! - [`TraceLog`] — the merged, seq-ordered event log read back from the
-//!   GCS after a run.
+//! - [`TraceLog`] — the merged, seq-ordered event log, read from the
+//!   collector ([`TraceCollector::log`]).
 //! - [`TraceAssert`] — a chainable, panicking query API for integration
 //!   tests ("this object was reconstructed exactly once", "no task ran
 //!   before its dependencies were fetched", "spillover hit node 2").
@@ -34,8 +36,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-use serde::{Deserialize, Serialize};
 
 use crate::id::{ActorId, NodeId, ObjectId, ShardId, TaskId};
 use crate::metrics::{names, Counter, MetricsRegistry};
@@ -130,7 +130,7 @@ impl std::fmt::Debug for Clock {
 // ---------------------------------------------------------------------------
 
 /// What a lifecycle event happened *to*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceEntity {
     /// A task (normal, actor creation, or actor method).
     Task(TaskId),
@@ -173,7 +173,7 @@ impl std::fmt::Display for TraceEntity {
 /// Reconstructing` on loss. Actors add the stateful-edge kinds
 /// (`MethodReplayed`, `CheckpointTaken`, `CheckpointRestored`,
 /// `ActorRebuilt`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// Task entered the system at its submitting node.
     Submitted,
@@ -371,7 +371,7 @@ impl std::fmt::Display for TraceEventKind {
 }
 
 /// One timestamped lifecycle event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Collector-global sequence number: a total causal order over every
     /// event one collector saw, independent of clock resolution.
@@ -393,16 +393,14 @@ pub struct TraceEvent {
 // Collector
 // ---------------------------------------------------------------------------
 
-/// Default per-node ring capacity (events).
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
-
-/// One node's buffered events, oldest first.
+/// One node's events, oldest first.
 type Ring = OrderedMutex<VecDeque<TraceEvent>>;
 
 struct CollectorInner {
     enabled: AtomicBool,
     clock: Clock,
     seq: AtomicU64,
+    /// Most events a node's ring keeps; past it the oldest goes.
     capacity: usize,
     /// Per-node rings, indexed by `NodeId::index()`; grown lazily.
     rings: OrderedRwLock<Vec<Option<Arc<Ring>>>>,
@@ -414,8 +412,8 @@ struct CollectorInner {
     counters: [Option<Arc<Counter>>; TraceEventKind::ALL.len()],
 }
 
-/// The per-process event sink: per-node bounded rings behind one cheap
-/// clonable handle.
+/// The per-process event log: per-node rings behind one cheap clonable
+/// handle.
 ///
 /// Emitting a kind that names a [counter](TraceEventKind::counter) first
 /// adds one to that counter, whether tracing is on or off; after that the
@@ -441,11 +439,12 @@ impl TraceCollector {
     }
 
     /// A collector whose counted kinds count into `metrics` (a cluster's
-    /// registry); it records events, [`DEFAULT_RING_CAPACITY`] per node,
-    /// only when `enabled`. Every counted kind's counter is registered
-    /// here, so an exposition lists it before its first event.
+    /// registry); it records events only when `enabled`, and then keeps
+    /// every one: it is the cluster's event log, so its rings have no
+    /// cap. Every counted kind's counter is registered here, so an
+    /// exposition lists it before its first event.
     pub fn over(metrics: &MetricsRegistry, enabled: bool) -> TraceCollector {
-        TraceCollector::build(enabled, DEFAULT_RING_CAPACITY, Clock::wall(), metrics)
+        TraceCollector::build(enabled, usize::MAX, Clock::wall(), metrics)
     }
 
     fn build(enabled: bool, capacity: usize, clock: Clock, metrics: &MetricsRegistry)
@@ -528,59 +527,19 @@ impl TraceCollector {
             .clone()
     }
 
-    /// Drains and returns `node`'s buffered events (oldest first). The
-    /// local scheduler calls this on its heartbeat tick to flush to the
-    /// GCS event log.
-    pub fn drain_node(&self, node: NodeId) -> Vec<TraceEvent> {
-        if !self.is_enabled() {
-            return Vec::new();
-        }
-        let ring = {
-            let rings = self.inner.rings.read();
-            match rings.get(node.index()) {
-                Some(Some(r)) => r.clone(),
-                _ => return Vec::new(),
-            }
-        };
-        let drained = ring.lock().drain(..).collect();
-        drained
-    }
-
-    /// Returns previously drained events to the front of `node`'s ring
-    /// (oldest first). Used when a flush to the GCS fails transiently —
-    /// e.g. a shard mid-recovery — so lifecycle events are not lost; the
-    /// next heartbeat tick retries them. Events past ring capacity are
-    /// dropped from the front (oldest first), same as on emit.
-    pub fn requeue_node(&self, node: NodeId, events: Vec<TraceEvent>) {
-        if !self.is_enabled() || events.is_empty() {
-            return;
-        }
-        let ring = self.ring(node);
-        let mut queued = ring.lock();
-        for e in events.into_iter().rev() {
-            queued.push_front(e);
-        }
-        while queued.len() > self.inner.capacity {
-            queued.pop_front();
-            self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Drains every ring (final flush at shutdown/collection time).
-    pub fn drain_all(&self) -> Vec<TraceEvent> {
-        if !self.is_enabled() {
-            return Vec::new();
-        }
+    /// The event log so far: every event the rings hold, seq-ordered.
+    /// Reading it drains nothing, so a later call starts with this one's
+    /// events.
+    pub fn log(&self) -> TraceLog {
         let rings: Vec<Arc<Ring>> = {
             let rings = self.inner.rings.read();
             rings.iter().flatten().cloned().collect()
         };
-        let mut out = Vec::new();
+        let mut events = Vec::new();
         for ring in rings {
-            out.extend(ring.lock().drain(..));
+            events.extend(ring.lock().iter().cloned());
         }
-        out.sort_by_key(|e| e.seq);
-        out
+        TraceLog::from_events(events)
     }
 
     /// Events lost to ring overflow so far.
@@ -609,22 +568,18 @@ impl std::fmt::Debug for TraceCollector {
 // TraceLog
 // ---------------------------------------------------------------------------
 
-/// The merged event log of a run: every flushed batch, decoded, deduped
-/// by `seq`, and sorted. The entry point for assertions and export.
+/// The merged event log of a run: every node's events in one `seq`
+/// order. The entry point for assertions and export.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     events: Vec<TraceEvent>,
 }
 
 impl TraceLog {
-    /// Builds a log from raw events: sorts by `seq` and drops duplicate
-    /// sequence numbers (a batch can be both flushed and re-read).
-    pub fn from_events(events: Vec<TraceEvent>) -> TraceLog {
-        let mut by_seq: BTreeMap<u64, TraceEvent> = BTreeMap::new();
-        for e in events {
-            by_seq.entry(e.seq).or_insert(e);
-        }
-        TraceLog { events: by_seq.into_values().collect() }
+    /// Builds a log from raw events, sorted by `seq`.
+    pub fn from_events(mut events: Vec<TraceEvent>) -> TraceLog {
+        events.sort_by_key(|e| e.seq);
+        TraceLog { events }
     }
 
     /// All events, seq-ordered.
@@ -1015,7 +970,7 @@ mod tests {
         let c = TraceCollector::disabled();
         c.emit(NodeId(0), TraceEventKind::Submitted, task(1), "");
         assert!(!c.is_enabled());
-        assert!(c.drain_all().is_empty());
+        assert!(c.log().events().is_empty());
     }
 
     #[test]
@@ -1069,10 +1024,9 @@ mod tests {
         c.emit(NodeId(0), TraceEventKind::Submitted, task(1), "f");
         c.emit(NodeId(1), TraceEventKind::Running, task(1), "f");
         c.emit(NodeId(1), TraceEventKind::Finished, task(1), "f");
-        let all = c.drain_all();
-        assert_eq!(all.len(), 3);
-        assert!(all.windows(2).all(|w| w[0].seq < w[1].seq));
-        let log = TraceLog::from_events(all);
+        let log = c.log();
+        assert_eq!(log.events().len(), 3);
+        assert!(log.events().windows(2).all(|w| w[0].seq < w[1].seq));
         log.assert().ordered(
             task(1),
             &[TraceEventKind::Submitted, TraceEventKind::Running, TraceEventKind::Finished],
@@ -1086,20 +1040,24 @@ mod tests {
             c.emit(NodeId(0), TraceEventKind::Submitted, task(1), format!("{i}"));
         }
         assert_eq!(c.dropped(), 3);
-        let events = c.drain_node(NodeId(0));
+        let log = c.log();
+        let events = log.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].detail, "3");
         assert_eq!(events[1].detail, "4");
     }
 
     #[test]
-    fn drain_node_only_touches_that_node() {
+    fn reading_the_log_drains_nothing() {
         let c = TraceCollector::new(16);
         c.emit(NodeId(0), TraceEventKind::Submitted, task(1), "");
         c.emit(NodeId(2), TraceEventKind::Submitted, task(2), "");
-        assert_eq!(c.drain_node(NodeId(0)).len(), 1);
-        assert_eq!(c.drain_node(NodeId(0)).len(), 0);
-        assert_eq!(c.drain_all().len(), 1);
+        let first = c.log();
+        assert_eq!(first.events().len(), 2);
+        c.emit(NodeId(0), TraceEventKind::Running, task(1), "");
+        let second = c.log();
+        assert_eq!(second.events().len(), 3);
+        assert_eq!(&second.events()[..2], first.events());
     }
 
     #[test]
@@ -1109,20 +1067,10 @@ mod tests {
         c.emit(NodeId(0), TraceEventKind::Submitted, task(1), "");
         clock.advance(250);
         c.emit(NodeId(0), TraceEventKind::Running, task(1), "");
-        let events = c.drain_all();
+        let log = c.log();
+        let events = log.events();
         assert_eq!(events[0].ts_micros, 0);
         assert_eq!(events[1].ts_micros, 250);
-    }
-
-    #[test]
-    fn log_dedupes_by_seq() {
-        let c = TraceCollector::new(16);
-        c.emit(NodeId(0), TraceEventKind::Submitted, task(1), "");
-        let batch = c.drain_all();
-        let mut doubled = batch.clone();
-        doubled.extend(batch);
-        let log = TraceLog::from_events(doubled);
-        assert_eq!(log.events().len(), 1);
     }
 
     #[test]
@@ -1135,7 +1083,7 @@ mod tests {
         c.emit(NodeId(0), TraceEventKind::Reconstructing, obj(1), "");
         c.emit(NodeId(0), TraceEventKind::Reconstructing, obj(1), "");
         c.emit(NodeId(0), TraceEventKind::Finished, task(1), "");
-        let sig_a = TraceLog::from_events(c.drain_all()).signature();
+        let sig_a = c.log().signature();
 
         // Same lifecycle, different retry counts and spill decisions.
         let c = TraceCollector::new(64);
@@ -1146,7 +1094,7 @@ mod tests {
         c.emit(NodeId(0), TraceEventKind::TransferRetry, obj(1), "");
         c.emit(NodeId(0), TraceEventKind::TransferRetry, obj(1), "");
         c.emit(NodeId(0), TraceEventKind::Finished, task(1), "");
-        let sig_b = TraceLog::from_events(c.drain_all()).signature();
+        let sig_b = c.log().signature();
 
         assert_eq!(sig_a, sig_b);
         assert!(sig_a.contains("submitted>running>finished"));
@@ -1157,7 +1105,7 @@ mod tests {
     fn ordered_panics_on_missing_step() {
         let c = TraceCollector::new(16);
         c.emit(NodeId(0), TraceEventKind::Submitted, task(1), "");
-        let log = TraceLog::from_events(c.drain_all());
+        let log = c.log();
         log.assert().ordered(task(1), &[TraceEventKind::Submitted, TraceEventKind::Finished]);
     }
 
@@ -1167,7 +1115,7 @@ mod tests {
         let c = TraceCollector::new(16);
         c.emit(NodeId(0), TraceEventKind::Running, task(1), "");
         c.emit(NodeId(0), TraceEventKind::DepsFetched, task(1), "");
-        let log = TraceLog::from_events(c.drain_all());
+        let log = c.log();
         log.assert().deps_fetched_before_running();
     }
 
@@ -1179,7 +1127,7 @@ mod tests {
         clock.advance(500);
         c.emit(NodeId(1), TraceEventKind::Finished, task(1), "work");
         c.emit(NodeId(0), TraceEventKind::ObjectPut, obj(1), "64B");
-        let log = TraceLog::from_events(c.drain_all());
+        let log = c.log();
         let json = render_chrome_trace(&log);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
@@ -1212,7 +1160,7 @@ mod tests {
             c.emit(NodeId(u32::from(n % 3)), TraceEventKind::Finished, task(n), "work");
         }
         c.emit(NodeId(0), TraceEventKind::ObjectPut, obj(1), "64B");
-        let log = TraceLog::from_events(c.drain_all());
+        let log = c.log();
         let first = render_chrome_trace(&log);
         let second = render_chrome_trace(&log);
         assert_eq!(first, second, "chrome export must be byte-stable");

@@ -66,6 +66,9 @@ pub(crate) struct Record {
     /// task waiting for placement in its node's queue and placed there, or
     /// one lineage ran again), and both share the record.
     takes: u32,
+    /// Of the takes, those of the task waiting in the global retries
+    /// ([`InFlight::park`]): it is neither queued nor running here for them.
+    parked: u32,
 }
 
 impl Record {
@@ -105,13 +108,33 @@ pub(crate) struct InFlight(IdMap<TaskId, Record>);
 impl InFlight {
     /// Takes `spec`'s record (or one more use of it).
     pub fn take(&mut self, spec: &TaskSpec) {
+        self.take_as(spec, false);
+    }
+
+    /// Takes `spec`'s record for a task that waits in the global retries,
+    /// not in this node's queue; [`InFlight::unpark`] frees it.
+    pub fn park(&mut self, spec: &TaskSpec) {
+        self.take_as(spec, true);
+    }
+
+    fn take_as(&mut self, spec: &TaskSpec, parked: bool) {
         let record = self.0.entry(spec.task).or_insert_with(|| Record {
             cancelled: None,
             deadline_micros: spec.deadline_micros,
             children: Vec::new(),
             takes: 0,
+            parked: 0,
         });
         record.takes += 1;
+        record.parked += u32::from(parked);
+    }
+
+    /// Frees a take [`InFlight::park`] made.
+    pub fn unpark(&mut self, task: TaskId) {
+        if let Some(record) = self.0.get_mut(&task) {
+            record.parked = record.parked.saturating_sub(1);
+        }
+        self.free(task);
     }
 
     /// [`Record::cause`] of `task`'s record, while it has one.
@@ -142,6 +165,12 @@ impl InFlight {
     /// Whether `task` has a record here.
     pub fn holds(&self, task: TaskId) -> bool {
         self.0.contains_key(&task)
+    }
+
+    /// Whether `task` is queued or running here: it has a take that is not
+    /// [parked](InFlight::park).
+    pub fn queued(&self, task: TaskId) -> bool {
+        self.0.get(&task).is_some_and(|record| record.takes > record.parked)
     }
 
     /// Cancels `task`'s record here; `Some` of its children if this call
@@ -321,6 +350,22 @@ mod tests {
         records.free(s.task);
         assert!(!records.holds(s.task));
         assert_eq!(records.len(), 0);
+    }
+
+    #[test]
+    fn a_parked_take_holds_the_record_but_is_not_queued() {
+        let mut records = InFlight::default();
+        let s = spec(None);
+        records.park(&s);
+        assert!(records.holds(s.task));
+        assert!(!records.queued(s.task));
+        // Placed on the node it waited on: queued beside the parked take.
+        records.take(&s);
+        assert!(records.queued(s.task));
+        records.unpark(s.task);
+        assert!(records.queued(s.task));
+        records.free(s.task);
+        assert!(!records.holds(s.task));
     }
 
     #[test]

@@ -104,7 +104,6 @@ impl Cluster {
             actors: ActorRouter::new(),
             stalled: OrderedMutex::new(&classes::STALLED_TASKS, IdMap::default()),
             topology: OrderedMutex::new(&classes::CLUSTER_TOPOLOGY, ()),
-            trace_flush: OrderedRwLock::new(&classes::TRACE_FLUSH, ()),
             shutting_down: AtomicBool::new(false),
             driver_counter: AtomicU64::new(1),
         });
@@ -309,35 +308,12 @@ impl Cluster {
         &self.shared.trace
     }
 
-    /// Drains every node's trace ring into the GCS event log as one final
-    /// batch. Nodes flush their own rings on each heartbeat tick; this
-    /// waits for any such flush still in flight, then picks up whatever is
-    /// still buffered (including events from nodes that died with a
-    /// non-empty ring).
-    pub fn flush_traces(&self) -> RayResult<()> {
-        if !self.shared.trace.is_enabled() {
-            return Ok(());
-        }
-        let _no_flush_in_flight = self.shared.trace_flush.write();
-        let events = self.shared.trace.drain_all();
-        if events.is_empty() {
-            return Ok(());
-        }
-        let payload = ray_codec::encode(&events).map_err(RayError::from)?;
-        self.shared.gcs_client.log_trace_batch(bytes::Bytes::from(payload))
-    }
-
-    /// The complete, seq-ordered lifecycle event log: flushes outstanding
-    /// ring contents, then reads every batch back from the GCS.
+    /// The complete, seq-ordered lifecycle event log so far, every node's
+    /// events included, a dead node's too: the collector keeps them all
+    /// (empty unless `config.tracing`). Reading it drains nothing, so a
+    /// later call starts with this one's events.
     pub fn trace_log(&self) -> RayResult<TraceLog> {
-        self.flush_traces()?;
-        let mut events = Vec::new();
-        for batch in self.shared.gcs_client.get_trace_batches()? {
-            let decoded: Vec<ray_common::trace::TraceEvent> =
-                ray_codec::decode(&batch).map_err(RayError::from)?;
-            events.extend(decoded);
-        }
-        Ok(TraceLog::from_events(events))
+        Ok(self.shared.trace.log())
     }
 
     /// Writes the event log as Chrome `trace_event` JSON (load it at

@@ -65,7 +65,7 @@ pub(crate) fn retry_later(
     delay: Duration,
 ) -> Result<(), Undelivered> {
     if let Some(handle) = shared.node(from) {
-        handle.with_records(|records| records.take(&spec));
+        handle.with_records(|records| records.park(&spec));
     }
     let not_before = shared.trace.clock().now() + delay;
     match shared.global_tx.send(GlobalMsg::Retry(Box::new(spec), from, not_before)) {
@@ -137,7 +137,7 @@ fn try_place(
     // heartbeat-tick purge in node.rs.
     let now = shared.trace.clock().now_micros();
     let task = spec.task;
-    let settle = || waiting.as_ref().map(|h| h.with_records(|records| records.free(task)));
+    let settle = || waiting.as_ref().map(|h| h.with_records(|records| records.unpark(task)));
     let record = waiting.as_ref().and_then(|h| h.with_records(|records| records.cause(task, now)));
     let cause = record.or_else(|| expired(spec.deadline_micros, now));
     if let Some(cause) = cause {

@@ -11,8 +11,9 @@
 //! [`ClusterSnapshot`] / [`Cluster::snapshot`](crate::Cluster::snapshot)
 //! is a point-in-time view of nodes, stores, in-flight tasks, and GCS
 //! footprint. The timeline is the lifecycle trace: every component emits
-//! into it, and each node flushes it into the GCS event log.
-//! [`Cluster::trace_log`](crate::Cluster::trace_log) reads it back;
+//! into the process-wide collector, which is the event log (the one thing
+//! not read out of the GCS: every component is a thread of this process).
+//! [`Cluster::trace_log`](crate::Cluster::trace_log) reads it;
 //! [`Cluster::write_chrome_trace`](crate::Cluster::write_chrome_trace)
 //! exports it for a trace viewer.
 

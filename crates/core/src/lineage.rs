@@ -105,8 +105,10 @@ pub(crate) fn stream_object_at_deadline(
 /// becomes.
 ///
 /// Each round first checks the waiter's cancel token and deadline. A task
-/// return whose producer is dispatched to `node` itself is then awaited
-/// on `node`'s store for up to [`LOCAL_SEAL_WINDOW`]: the finishing worker
+/// return whose producer is queued or running on `node` itself (not one
+/// whose record is only parked there while the task waits in the global
+/// retries) is then awaited on `node`'s store for up to
+/// [`LOCAL_SEAL_WINDOW`]: the finishing worker
 /// seals the result there (or a teardown or failure envelope in its
 /// place) and wakes the caller once the location is listed; the caller
 /// writes nothing to the GCS. Any other
@@ -153,7 +155,7 @@ fn ensure_with<T>(
         }
         let local = id
             .producer()
-            .and_then(|task| shared.node(node).filter(|h| h.with_records(|records| records.holds(task))));
+            .and_then(|task| shared.node(node).filter(|h| h.with_records(|records| records.queued(task))));
         let fetched = match local {
             Some(handle) => {
                 let window = LOCAL_SEAL_WINDOW.min(round);

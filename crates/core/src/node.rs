@@ -8,8 +8,8 @@
 //! when workers block inside `get` — the mechanism that lets nested remote
 //! calls (e.g. `train_policy` in paper Fig. 3) wait on children without
 //! deadlocking the node. The node's periodic work (purging cancelled
-//! tasks, the load heartbeat, the trace flush) runs beside the task path
-//! on its `heartbeat-N` thread.
+//! tasks, the load heartbeat) runs beside the task path on its
+//! `heartbeat-N` thread.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -295,7 +295,7 @@ pub(crate) fn start_node(shared: &Arc<RuntimeShared>, node: NodeId) -> Arc<NodeH
 
 /// The node's periodic work, off the task path: every
 /// [`HEARTBEAT_INTERVAL`], purge the queue of cancelled and expired
-/// tasks, publish the load heartbeat and flush the trace ring.
+/// tasks and publish the load heartbeat.
 fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
     let clock = shared.trace.clock().clone();
     let node = handle.node;
@@ -347,37 +347,6 @@ fn heartbeat_loop(shared: Arc<RuntimeShared>, handle: Arc<NodeHandle>) {
                 capacity: handle.ledger.capacity().clone(),
                 alive: handle.is_alive(),
             });
-        }
-        // The node flushes its own trace ring alongside the heartbeat
-        // (per-node event batches ride the same cadence as the load
-        // publish; the GCS event log is the durable sink).
-        flush_trace_ring(&shared, node);
-    }
-    // Final ring flush so an orderly shutdown loses no buffered events
-    // (abrupt deaths leave theirs for `Cluster::flush_traces`).
-    flush_trace_ring(&shared, node);
-}
-
-/// Drains this node's trace ring into the GCS event log as one batch.
-/// If the GCS is unreachable (e.g. a shard mid-recovery), the drained
-/// events go back to the front of the ring and ride the next heartbeat's
-/// flush instead of being dropped — a control-plane outage must not punch
-/// holes in the trace.
-fn flush_trace_ring(shared: &Arc<RuntimeShared>, node: NodeId) {
-    if !shared.trace.is_enabled() {
-        return;
-    }
-    let _in_flight = shared.trace_flush.read();
-    let events = shared.trace.drain_node(node);
-    if events.is_empty() {
-        return;
-    }
-    // Encode failures are deterministic (requeueing would retry forever,
-    // so those batches are dropped); GCS write failures are transient —
-    // requeue so the next flush tick retries.
-    if let Ok(payload) = ray_codec::encode(&events) {
-        if shared.gcs_client.log_trace_batch(bytes::Bytes::from(payload)).is_err() {
-            shared.trace.requeue_node(node, events);
         }
     }
 }

@@ -83,11 +83,6 @@ pub struct RuntimeShared {
     /// for a free slot and the `start_node` that fills it must be atomic
     /// with respect to other topology changes.
     pub(crate) topology: OrderedMutex<()>,
-    /// A node's periodic trace flush holds this shared from draining its
-    /// ring until the batch is committed to the GCS; `Cluster::flush_traces`
-    /// takes it exclusively, so a reader of the event log first waits out
-    /// every batch still on its way there.
-    pub(crate) trace_flush: OrderedRwLock<()>,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) driver_counter: AtomicU64,
 }

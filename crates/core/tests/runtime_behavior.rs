@@ -663,11 +663,8 @@ fn actor_methods_are_traced_from_submission() {
 }
 
 #[test]
-fn trace_log_includes_batches_a_heartbeat_still_has_in_flight() {
-    // A node's heartbeat drains its ring, then writes the batch to the GCS.
-    // A `trace_log` that falls between the two finds the ring empty and
-    // must wait for the write instead of reading the log without it: by
-    // the time `get` returns, the task's `finished` is part of the log.
+fn trace_log_holds_every_event_emitted_before_get_returns() {
+    // By the time `get` returns, the task's `finished` is part of the log.
     let cluster = traced_probe_cluster();
     let ctx = cluster.driver();
     for round in 0..400 {
@@ -677,6 +674,33 @@ fn trace_log_includes_batches_a_heartbeat_still_has_in_flight() {
         let task = TraceEntity::Task(producer(&log, fut.id()));
         assert_eq!(log.count_for(task, TraceEventKind::Finished), 1, "round {round}");
     }
+    cluster.shutdown();
+}
+
+/// Reading the log drains nothing: a second `trace_log` holds every event
+/// of the first, in the same order, and the events of a task run between
+/// the two reads. (An event whose `seq` was taken before the first read
+/// may land in its ring after it, so the first log is a subsequence of
+/// the second, not always its prefix.)
+#[test]
+fn a_second_trace_log_holds_the_first_and_what_came_after() {
+    let cluster = traced_probe_cluster();
+    let ctx = cluster.driver();
+    let probe = || -> ObjectRef<u64> {
+        let fut = ctx.call("probe", vec![Arg::value("ok").unwrap()]).unwrap();
+        assert_eq!(ctx.get(&fut).unwrap(), 7);
+        fut
+    };
+    probe();
+    let first = cluster.trace_log().unwrap();
+    let fut = probe();
+    let second = cluster.trace_log().unwrap();
+    let seqs: std::collections::HashSet<u64> = first.events().iter().map(|e| e.seq).collect();
+    let kept: Vec<_> = second.events().iter().filter(|e| seqs.contains(&e.seq)).collect();
+    assert_eq!(kept, first.events().iter().collect::<Vec<_>>());
+    let task = TraceEntity::Task(producer(&second, fut.id()));
+    assert_eq!(first.count_for(task, TraceEventKind::Finished), 0);
+    assert_eq!(second.count_for(task, TraceEventKind::Finished), 1);
     cluster.shutdown();
 }
 
@@ -1704,9 +1728,10 @@ fn a_forwarded_task_is_placed_before_its_submit_returns() {
     cluster.shutdown();
 }
 
-/// With injected decision latency (Fig. 12b) a decision sleeps on a
-/// thread of its own: the submitter does not wait for it, and concurrent
-/// decisions overlap instead of queueing behind one another.
+/// With injected decision latency (Fig. 12b) the delay is a not-before
+/// time on the global thread's retry list: the submitter does not wait
+/// for it, and concurrent decisions overlap instead of queueing behind one
+/// another.
 #[test]
 fn delayed_decisions_overlap_and_never_hold_up_the_submitter() {
     const DELAY: Duration = Duration::from_millis(50);
@@ -1745,6 +1770,29 @@ fn a_delayed_forward_is_not_placed_early_and_can_be_cancelled_while_it_waits() {
     let fut: ObjectRef<u64> = ctx.call("double", vec![Arg::value(&2u64).unwrap()]).unwrap();
     assert_eq!(ctx.get(&fut).unwrap(), 4);
     assert_eq!(cluster.scheduler().decision_count(), before + 1);
+    cluster.shutdown();
+}
+
+/// A task waiting out its decision delay in the global retries parks its
+/// in-flight record on the node it came from. A getter there must not take
+/// that for the task being queued there and wait the local-seal window out
+/// on its own store for a result that lands on another node.
+#[test]
+fn a_get_on_the_origin_node_does_not_wait_on_its_store_for_a_task_placed_elsewhere() {
+    let cluster = centralized_cluster(Duration::from_millis(1));
+    let ctx = cluster.driver();
+    let pinned = TaskOptions::default().with_demand(node_affinity(NodeId(1)));
+    let mut took: Vec<Duration> = (0..21u64)
+        .map(|i| {
+            let start = Instant::now();
+            let fut: ObjectRef<u64> =
+                ctx.call_opts("double", vec![Arg::value(&i).unwrap()], pinned.clone()).unwrap();
+            assert_eq!(ctx.get(&fut).unwrap(), i * 2);
+            start.elapsed()
+        })
+        .collect();
+    took.sort();
+    assert!(took[10] < Duration::from_millis(5), "median call → get took {:?}", took[10]);
     cluster.shutdown();
 }
 

@@ -16,10 +16,9 @@
 //!   that do not answer within [`PROBE_TIMEOUT`];
 //! - *recovery*: a fresh replica receives a state-transfer snapshot from
 //!   the current tail and is spliced in as the new tail;
-//! - retries: update operations are idempotent (`Put`/`SetAdd`/`SetRemove`;
-//!   `ListAppend` is at-least-once, documented for event logs), so client
-//!   retry after timeout is safe — the head may have applied what the
-//!   tail never saw.
+//! - retries: update operations are idempotent (`Put`/`SetAdd`/`SetRemove`),
+//!   so client retry after timeout is safe — the head may have applied what
+//!   the tail never saw.
 //!
 //! Pub-sub lives beside the chain, not in it. The paper's shards were
 //! Redis, where a subscription belongs to a client's connection, not to
@@ -550,8 +549,6 @@ mod tests {
 
     #[test]
     fn recovery_emits_ordered_trace_events() {
-        use ray_common::trace::TraceLog;
-
         let cfg = GcsConfig { chain_length: 1, ..GcsConfig::default() };
         let trace = TraceCollector::new(1024);
         let chain =
@@ -560,7 +557,7 @@ mod tests {
         chain.flush_to_disk(0).unwrap();
         chain.crash_all();
         put(&chain, 2, b"y").unwrap();
-        let log = TraceLog::from_events(trace.drain_node(NodeId(0)));
+        let log = trace.log();
         log.assert().ordered(
             TraceEntity::Shard(ShardId(0)),
             &[

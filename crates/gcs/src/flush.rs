@@ -28,7 +28,11 @@
 //! [table_tag u8][key_len u32 LE][key bytes][payload_len u32 LE][payload]
 //! ```
 //!
-//! `payload` is the entry encoding produced by `encode_entry`. The index
+//! `table_tag` is [`Table::to_tag`]; `payload` is the entry encoding
+//! produced by `encode_entry`, whose first byte tags the entry's shape: 0
+//! a blob, 1 a set. Table tag 7 (the event table) and entry tag 2 (the
+//! append-only list) are retired and never reused: a reopen stops at a
+//! record carrying either, as at a torn one. The index
 //! maps `Key → (payload offset, payload len)` so reads skip the header. A
 //! torn final record (crash mid-append) is detected during the reopen scan
 //! and truncated away rather than treated as corruption.
@@ -293,14 +297,6 @@ fn encode_entry(entry: &Entry, out: &mut Vec<u8>) {
                 out.extend_from_slice(m);
             }
         }
-        Entry::List(items) => {
-            out.push(2);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                out.extend_from_slice(&(item.len() as u64).to_le_bytes());
-                out.extend_from_slice(item);
-            }
-        }
     }
 }
 
@@ -346,20 +342,6 @@ fn decode_entry(buf: &[u8]) -> Option<Entry> {
                 rest = tail;
             }
             Some(Entry::Set(set))
-        }
-        2 => {
-            let count = read_len(&mut rest)?;
-            let mut list = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let n = read_len(&mut rest)?;
-                if rest.len() < n {
-                    return None;
-                }
-                let (head, tail) = rest.split_at(n);
-                list.push(Bytes::copy_from_slice(head));
-                rest = tail;
-            }
-            Some(Entry::List(list))
         }
         _ => None,
     }
@@ -460,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn set_and_list_round_trip() {
+    fn set_round_trips() {
         let d = DiskStore::in_memory();
         let k1 = Key::new(Table::Object, vec![1]);
         let mut set = MemberSet::new();
@@ -468,11 +450,6 @@ mod tests {
         set.insert(Member::from_array([]));
         d.write(&k1, &Entry::Set(set.clone()));
         assert_eq!(d.read(&k1), Some(Entry::Set(set)));
-
-        let k2 = Key::new(Table::Event, vec![2]);
-        let list = vec![Bytes::from_static(b"a"), Bytes::new(), Bytes::from_static(b"ccc")];
-        d.write(&k2, &Entry::List(list.clone()));
-        assert_eq!(d.read(&k2), Some(Entry::List(list)));
     }
 
     #[test]
@@ -561,18 +538,20 @@ mod tests {
         let path = std::env::temp_dir()
             .join(format!("rustray-reopen-test-{}.log", std::process::id()));
         let k1 = Key::new(Table::Task, vec![1]);
-        let k2 = Key::new(Table::Event, b"ev");
-        let list = vec![Bytes::from_static(b"x"), Bytes::from_static(b"yy")];
+        let k2 = Key::new(Table::Lineage, b"ln");
+        let mut set = MemberSet::new();
+        set.insert(Member::from_array(*b"x"));
+        set.insert(Member::from_array(*b"yy"));
         {
             let d = DiskStore::create(path.clone()).unwrap();
             d.write(&k1, &Entry::Blob(Bytes::from_static(b"old")));
             d.write(&k1, &Entry::Blob(Bytes::from_static(b"new")));
-            d.write(&k2, &Entry::List(list.clone()));
+            d.write(&k2, &Entry::Set(set.clone()));
         }
         let d = DiskStore::reopen(path.clone()).unwrap();
         assert_eq!(d.keys_on_disk(), 2);
         assert_eq!(d.read(&k1), Some(Entry::Blob(Bytes::from_static(b"new"))));
-        assert_eq!(d.read(&k2), Some(Entry::List(list.clone())));
+        assert_eq!(d.read(&k2), Some(Entry::Set(set.clone())));
         // Replay yields every key once, in key order, latest version.
         let replayed = d.replay();
         assert_eq!(replayed.len(), 2);

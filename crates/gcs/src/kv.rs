@@ -6,9 +6,10 @@
 //! made. Who watches which key is not replicated state: one `Watchers`
 //! table per chain, consulted at the commit point.
 //!
-//! Entries come in three shapes matching what Ray keeps in the GCS:
-//! blobs (task specs, checkpoints), sets (object locations), and append
-//! logs (event logs, actor method logs).
+//! Entries come in two shapes matching what Ray keeps in the GCS: blobs
+//! (task specs, checkpoints, actor method logs, one key per method) and
+//! sets (object locations). The paper's third, the append-only event log,
+//! is the runtime's in-process trace collector (`ray_common::trace`).
 //!
 //! # Layout
 //!
@@ -41,7 +42,8 @@ use crate::flush::DiskStore;
 
 /// The control-state tables the GCS maintains (paper Fig. 5 lists the
 /// object table, task table, function table, and event logs; the client and
-/// actor tables appear in §4.2 and §4.3).
+/// actor tables appear in §4.2 and §4.3). The event logs are not here:
+/// the lifecycle log is the in-process trace collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Table {
     /// Object ID → set of (node, size) locations.
@@ -61,8 +63,6 @@ pub enum Table {
     /// table and its disk tag are still here is told at its accessors in
     /// `tables.rs`.
     Lineage,
-    /// Free-form event log entries for debugging/profiling tools.
-    Event,
 }
 
 impl Table {
@@ -70,7 +70,7 @@ impl Table {
     ///
     /// Only lineage-like, append-mostly tables are flushable; object
     /// locations and membership must stay hot.
-    pub const FLUSHABLE: [Table; 3] = [Table::Task, Table::Lineage, Table::Event];
+    pub const FLUSHABLE: [Table; 2] = [Table::Task, Table::Lineage];
 
     /// Whether this table is one of [`Table::FLUSHABLE`].
     pub fn flushable(self) -> bool {
@@ -80,7 +80,8 @@ impl Table {
     /// Stable one-byte tag identifying this table in disk log records.
     ///
     /// Part of the on-disk format (see `flush.rs`): changing an existing
-    /// mapping invalidates previously written logs.
+    /// mapping invalidates previously written logs. Tag 7 (the retired
+    /// event table) is never reused.
     pub fn to_tag(self) -> u8 {
         match self {
             Table::Object => 0,
@@ -90,7 +91,6 @@ impl Table {
             Table::Actor => 4,
             Table::Checkpoint => 5,
             Table::Lineage => 6,
-            Table::Event => 7,
         }
     }
 
@@ -105,7 +105,6 @@ impl Table {
             4 => Table::Actor,
             5 => Table::Checkpoint,
             6 => Table::Lineage,
-            7 => Table::Event,
             _ => return None,
         })
     }
@@ -348,10 +347,6 @@ impl Entries {
         self.cell(key).map(|cell| &cell.slot)
     }
 
-    fn contains_key(&self, key: &Key) -> bool {
-        self.cell(key).is_some()
-    }
-
     fn get_mut(&mut self, key: &Key) -> Option<&mut Slot> {
         let at = self.find(self.heads.get(&self.hash(key)).copied(), key)?;
         Some(&mut self.cells.get_mut(at as usize)?.as_mut()?.slot)
@@ -548,20 +543,15 @@ pub enum Entry {
     Blob(Bytes),
     /// A set of members (object locations).
     Set(MemberSet),
-    /// An append-only list (event/method logs).
-    List(Vec<Bytes>),
 }
 
 impl Entry {
     /// Bytes the entry holds beyond its slot: a blob's payload, a set's
-    /// heap members, a list's items and item array.
+    /// heap members.
     fn weight(&self) -> usize {
         match self {
             Entry::Blob(b) => b.len(),
             Entry::Set(s) => s.heap_bytes(),
-            Entry::List(l) => {
-                l.capacity() * size_of::<Bytes>() + l.iter().map(Bytes::len).sum::<usize>()
-            }
         }
     }
 }
@@ -642,13 +632,6 @@ pub enum UpdateOp {
         /// Member to remove.
         member: Member,
     },
-    /// Append an item to a list entry (creating the list if absent).
-    ListAppend {
-        /// Target key.
-        key: Key,
-        /// Item to append.
-        item: Bytes,
-    },
     /// Remove an entry entirely.
     Delete {
         /// Target key.
@@ -670,9 +653,6 @@ impl std::fmt::Debug for UpdateOp {
             UpdateOp::Put { key, value } => write!(f, "Put({key:?}, {}B)", value.len()),
             UpdateOp::SetAdd { key, .. } => write!(f, "SetAdd({key:?})"),
             UpdateOp::SetRemove { key, .. } => write!(f, "SetRemove({key:?})"),
-            UpdateOp::ListAppend { key, item } => {
-                write!(f, "ListAppend({key:?}, {}B)", item.len())
-            }
             UpdateOp::Delete { key } => write!(f, "Delete({key:?})"),
             UpdateOp::Flush { table, keep_entries } => {
                 write!(f, "Flush({table:?}, keep {keep_entries})")
@@ -689,7 +669,6 @@ impl UpdateOp {
             UpdateOp::Put { key, .. }
             | UpdateOp::SetAdd { key, .. }
             | UpdateOp::SetRemove { key, .. }
-            | UpdateOp::ListAppend { key, .. }
             | UpdateOp::Delete { key } => Some(key),
             UpdateOp::Flush { .. } => None,
         }
@@ -803,25 +782,6 @@ impl ShardState {
                 if emptied {
                     self.remove_slot(key);
                 }
-            }
-            UpdateOp::ListAppend { key, item } => {
-                // A list that was flushed to disk must be pulled back into
-                // memory before appending; otherwise a fresh empty list
-                // would shadow the disk version on reads and the flushed
-                // items would silently disappear.
-                let flushed =
-                    if self.entries.contains_key(key) { None } else { self.disk.read(key) };
-                let slot =
-                    self.slot_for_write(*key, || flushed.unwrap_or(Entry::List(Vec::new())));
-                let grown = match slot {
-                    Some(Slot { entry: Entry::List(l), .. }) => {
-                        let before = l.capacity();
-                        l.push(item.clone());
-                        item.len() + (l.capacity() - before) * size_of::<Bytes>()
-                    }
-                    _ => 0,
-                };
-                self.charge(grown as i64);
             }
             UpdateOp::Delete { key } => {
                 self.remove_slot(key);
@@ -1004,19 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn list_append_accumulates() {
-        let mut s = state();
-        let k = Key::new(Table::Event, vec![1]);
-        for i in 0..3u8 {
-            s.apply(&UpdateOp::ListAppend { key: k, item: Bytes::from(vec![i]) });
-        }
-        match s.get(&k) {
-            Some(Entry::List(l)) => assert_eq!(l.len(), 3),
-            other => panic!("expected list, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn keys_order_by_table_then_id_bytes_and_refuse_long_ids() {
         // The order a `Vec<u8>` id had: a prefix sorts first, padding is
         // not a byte of the id.
@@ -1030,7 +977,7 @@ mod tests {
         assert!(sorted.windows(2).all(|w| w[0] < w[1] && w[0] != w[1]), "{sorted:?}");
         assert_eq!(Key::new(Table::Task, [1, 0]).id.as_slice(), [1, 0]);
         assert_eq!(Key::fixed(Table::Task, [7; KEY_CAP]), Key::new(Table::Task, [7; KEY_CAP]));
-        let long = Key::try_new(Table::Event, &[b'x'; KEY_CAP + 1]);
+        let long = Key::try_new(Table::Task, &[b'x'; KEY_CAP + 1]);
         assert!(matches!(long, Err(RayError::Invalid(_))), "{long:?}");
         assert_eq!(Member::from_slice(&[0; MEMBER_CAP + 1]), None);
     }
@@ -1223,8 +1170,8 @@ mod tests {
         assert_eq!(resident.load(Ordering::Relaxed), OVERHEAD + 100);
         s.apply(&UpdateOp::Delete { key: k });
         assert_eq!(resident.load(Ordering::Relaxed), 0);
-        // An entry a `SetAdd` or `ListAppend` creates pays for its slot like
-        // one a `Put` creates, because removing it refunds the slot.
+        // An entry a `SetAdd` creates pays for its slot like one a `Put`
+        // creates, because removing it refunds the slot.
         let set = key(7);
         s.apply(&UpdateOp::SetAdd { key: set, member: member([1, 2]) });
         assert_eq!(resident.load(Ordering::Relaxed), OVERHEAD);
@@ -1233,17 +1180,6 @@ mod tests {
         assert_eq!(resident.load(Ordering::Relaxed), two, "a second member moves both to the heap");
         s.apply(&UpdateOp::SetRemove { key: set, member: member([3]) });
         s.apply(&UpdateOp::SetRemove { key: set, member: member([1, 2]) });
-        assert_eq!(resident.load(Ordering::Relaxed), 0);
-        let list = Key::new(Table::Event, vec![9; 16]);
-        s.apply(&UpdateOp::ListAppend { key: list, item: Bytes::from_static(b"evt") });
-        s.apply(&UpdateOp::ListAppend { key: list, item: Bytes::from_static(b"evt") });
-        // The list pays for its item array as allocated, spare room included.
-        let items = match s.entries.get(&list).map(|slot| &slot.entry) {
-            Some(Entry::List(l)) => (l.capacity() * size_of::<Bytes>()) as i64 + 6,
-            other => panic!("expected list, got {other:?}"),
-        };
-        assert_eq!(resident.load(Ordering::Relaxed), OVERHEAD + items);
-        s.apply(&UpdateOp::Delete { key: list });
         assert_eq!(resident.load(Ordering::Relaxed), 0);
     }
 
@@ -1265,8 +1201,8 @@ mod tests {
             assert!(s.get(k).is_some(), "entry {k:?} lost by flush");
         }
         // The *newest* entries remain in memory.
-        assert!(s.entries.contains_key(&keys[9]));
-        assert!(!s.entries.contains_key(&keys[0]));
+        assert!(s.entries.get(&keys[9]).is_some());
+        assert!(s.entries.get(&keys[0]).is_none());
     }
 
     #[test]
@@ -1306,29 +1242,12 @@ mod tests {
             Table::Actor,
             Table::Checkpoint,
             Table::Lineage,
-            Table::Event,
         ];
         for t in all {
             assert_eq!(Table::from_tag(t.to_tag()), Some(t));
         }
+        assert_eq!(Table::from_tag(7), None, "the retired event table's tag");
         assert_eq!(Table::from_tag(200), None);
-    }
-
-    #[test]
-    fn list_append_after_flush_pulls_disk_version_back_in() {
-        let mut s = state();
-        let k = Key::new(Table::Event, vec![1]);
-        s.apply(&UpdateOp::ListAppend { key: k, item: Bytes::from_static(b"a") });
-        s.apply(&UpdateOp::Flush { table: Table::Event, keep_entries: 0 });
-        assert!(!s.entries.contains_key(&k), "flush should evict the list");
-        // Appending after the flush must not shadow the flushed items.
-        s.apply(&UpdateOp::ListAppend { key: k, item: Bytes::from_static(b"b") });
-        match s.get(&k) {
-            Some(Entry::List(l)) => {
-                assert_eq!(l, vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")]);
-            }
-            other => panic!("expected list, got {other:?}"),
-        }
     }
 
     fn task_and_returns(returns: u64) -> (Key, Vec<Key>) {
@@ -1373,7 +1292,7 @@ mod tests {
         let chains = s.entries.chains();
         assert_eq!(chains.iter().map(Vec::len).sum::<usize>(), 101);
         assert_eq!(chains.iter().map(Vec::len).max(), Some(16));
-        assert!(returns.iter().chain([&task]).all(|key| s.entries.contains_key(key)));
+        assert!(returns.iter().chain([&task]).all(|key| s.entries.get(key).is_some()));
     }
 
     #[test]
@@ -1386,8 +1305,8 @@ mod tests {
         // Rewriting k0 makes it the newest; flushing to 1 should evict k1.
         s.apply(&UpdateOp::Put { key: k0, value: Bytes::from_static(b"a2") });
         s.apply(&UpdateOp::Flush { table: Table::Task, keep_entries: 1 });
-        assert!(s.entries.contains_key(&k0));
-        assert!(!s.entries.contains_key(&k1));
+        assert!(s.entries.get(&k0).is_some());
+        assert!(s.entries.get(&k1).is_none());
         // A second flush moves k0 as well, and nothing else remains.
         let flushed = s.apply(&UpdateOp::Flush { table: Table::Task, keep_entries: 0 });
         assert_eq!((flushed, s.len()), (1, 0));

@@ -5,12 +5,15 @@
 //! (paper §4.2.1). It holds the *entire* control state of the cluster —
 //! object locations, task lineage, function/actor/client tables — so every
 //! other component (schedulers, object stores) is stateless and can simply
-//! restart and re-read its state.
+//! restart and re-read its state. The paper's event log lives in the GCS
+//! because Ray's components are separate processes; here they are threads
+//! of one process, and the lifecycle log is the process-wide trace
+//! collector (`ray_common::trace`), so no GCS table holds events.
 //!
 //! Layout of this crate:
 //!
 //! - [`kv`]: the replicated state machine of one shard — tables, entries
-//!   (blobs / location sets / append logs), update operations — and the
+//!   (blobs / location sets), update operations — and the
 //!   pub-sub watcher table a chain keeps beside it, unreplicated.
 //! - [`replica`]: one chain member: a shard state behind its own lock,
 //!   which the calling client applies updates to (no thread of its own).
@@ -28,7 +31,7 @@
 //!   read-through path for reconstruction after flushing.
 //! - [`tables`]: the typed client façade ([`tables::GcsClient`]) the rest
 //!   of the system uses: object table, task table, client (node) table,
-//!   actor table, function table, and event log.
+//!   actor table, and function table.
 //! - [`check`]: a consistency checker that journals acknowledged lineage
 //!   writes and re-reads them after chaos, proving read-your-writes and
 //!   no-lost-lineage across reconfigurations and shard recoveries.

@@ -3,7 +3,9 @@
 //! Components never touch shards directly; they use a [`GcsClient`] whose
 //! methods mirror the tables in paper Fig. 5: the object table (locations +
 //! sizes), the task table (lineage), the client table (node membership),
-//! the actor and checkpoint tables, the function table, and the event log.
+//! the actor and checkpoint tables, and the function table. The paper's
+//! event log is not here: the runtime's lifecycle log is its in-process
+//! trace collector (`ray_common::trace`).
 //! Keys are routed to shards by ID digest, exactly like "GCS tables are
 //! sharded by object and task IDs" (§4.2.4).
 
@@ -163,8 +165,7 @@ pub struct GcsClient {
 
 /// Extra client-side attempts (beyond the chain's own internal retries)
 /// before a GCS operation's timeout is surfaced to the caller. Chain ops
-/// are idempotent (`Put`/`SetAdd`/`SetRemove`), so re-issuing is safe;
-/// `ListAppend` logs tolerate at-least-once delivery by sequence number.
+/// are idempotent (`Put`/`SetAdd`/`SetRemove`), so re-issuing is safe.
 pub const GCS_RETRY_LIMIT: u32 = 3;
 
 impl GcsClient {
@@ -542,33 +543,7 @@ impl GcsClient {
     pub fn get_function(&self, id: FunctionId) -> RayResult<Option<FunctionRecord>> {
         self.read_record(Key::fixed(Table::Function, id.0.to_le_bytes()))
     }
-
-    // ------------------------------------------------------------------
-    // Event log.
-    // ------------------------------------------------------------------
-
-    /// Appends one flushed batch of codec-encoded lifecycle trace events
-    /// (`Vec<ray_common::trace::TraceEvent>`) under the system trace
-    /// topic. Local schedulers call this on their heartbeat cadence; the
-    /// batches are merged, seq-deduped, and ordered at read time, so
-    /// at-least-once delivery across GCS failovers is fine.
-    pub fn log_trace_batch(&self, payload: Bytes) -> RayResult<()> {
-        let key = Key::new(Table::Event, TRACE_TOPIC);
-        self.write(UpdateOp::ListAppend { key, item: payload })
-    }
-
-    /// Reads every flushed trace batch, oldest append first.
-    pub fn get_trace_batches(&self) -> RayResult<Vec<Bytes>> {
-        match self.read(&Key::new(Table::Event, TRACE_TOPIC))? {
-            Some(Entry::List(items)) => Ok(items),
-            _ => Ok(Vec::new()),
-        }
-    }
 }
-
-/// GCS event-log topic the system lifecycle trace — the timeline — is
-/// appended under.
-pub const TRACE_TOPIC: &str = "__trace__";
 
 /// Live subscription to the location entries of one or more objects;
 /// unsubscribes on drop from every shard it touched.
@@ -937,28 +912,5 @@ mod tests {
         c.register_function(id, "add").unwrap();
         assert_eq!(c.get_function(id).unwrap().unwrap().name, "add");
         assert!(c.get_function(FunctionId::for_name("missing")).unwrap().is_none());
-    }
-
-    #[test]
-    fn event_log_appends_in_order() {
-        let (_gcs, c) = client();
-        for i in 0..5u8 {
-            c.log_trace_batch(Bytes::from(vec![i])).unwrap();
-        }
-        let events = c.get_trace_batches().unwrap();
-        assert_eq!(events.len(), 5);
-        assert_eq!(events[4], Bytes::from(vec![4u8]));
-    }
-
-    #[test]
-    fn trace_batches_ride_their_own_topic() {
-        let (_gcs, c) = client();
-        assert!(c.get_trace_batches().unwrap().is_empty());
-        c.log_trace_batch(Bytes::from_static(b"batch-a")).unwrap();
-        c.log_trace_batch(Bytes::from_static(b"batch-b")).unwrap();
-        let batches = vec![Bytes::from_static(b"batch-a"), Bytes::from_static(b"batch-b")];
-        assert_eq!(c.get_trace_batches().unwrap(), batches);
-        let topic = c.read(&Key::new(Table::Event, TRACE_TOPIC)).unwrap();
-        assert_eq!(topic, Some(Entry::List(batches)));
     }
 }

@@ -45,21 +45,6 @@ impl Model {
                 self.mem.insert(*key, Entry::Blob(value.clone()));
                 self.track(key);
             }
-            UpdateOp::ListAppend { key, item } => {
-                if !self.mem.contains_key(key) {
-                    if let Some(prev) = self.disk.get(key) {
-                        self.mem.insert(*key, prev.clone());
-                    }
-                }
-                let entry = self
-                    .mem
-                    .entry(*key)
-                    .or_insert_with(|| Entry::List(Vec::new()));
-                if let Entry::List(l) = entry {
-                    l.push(item.clone());
-                }
-                self.track(key);
-            }
             UpdateOp::SetAdd { key, member } => {
                 let entry = self
                     .mem
@@ -114,15 +99,15 @@ impl Model {
 }
 
 /// The bounded key space the generator draws from. Put/Delete target Task
-/// blobs, appends target Event logs, set ops target Object location sets
-/// (non-flushable, as in the real system).
+/// blobs, further puts target Lineage blobs, set ops target Object
+/// location sets (non-flushable, as in the real system).
 fn keyspace() -> Vec<Key> {
     let mut keys = Vec::new();
     for i in 0u8..8 {
         keys.push(Key::new(Table::Task, vec![i]));
     }
     for i in 0u8..6 {
-        keys.push(Key::new(Table::Event, vec![0x40 + i]));
+        keys.push(Key::new(Table::Lineage, vec![0x40 + i]));
     }
     for i in 0u8..4 {
         keys.push(Key::new(Table::Object, vec![0x80 + i]));
@@ -132,7 +117,7 @@ fn keyspace() -> Vec<Key> {
 
 fn gen_op(rng: &mut DetRng, keys: &[Key]) -> UpdateOp {
     let tasks = &keys[..8];
-    let events = &keys[8..14];
+    let lineage = &keys[8..14];
     let objects = &keys[14..];
     match rng.next_below(10) {
         // Weighted toward writes so flush cycles always have fresh prey.
@@ -140,9 +125,9 @@ fn gen_op(rng: &mut DetRng, keys: &[Key]) -> UpdateOp {
             key: tasks[rng.next_below(tasks.len() as u64) as usize],
             value: Bytes::from(vec![rng.next_u64() as u8; (rng.next_below(64) + 1) as usize]),
         },
-        3..=4 => UpdateOp::ListAppend {
-            key: events[rng.next_below(events.len() as u64) as usize],
-            item: Bytes::from(vec![rng.next_u64() as u8; (rng.next_below(16) + 1) as usize]),
+        3..=4 => UpdateOp::Put {
+            key: lineage[rng.next_below(lineage.len() as u64) as usize],
+            value: Bytes::from(vec![rng.next_u64() as u8; (rng.next_below(16) + 1) as usize]),
         },
         5 => UpdateOp::SetAdd {
             key: objects[rng.next_below(objects.len() as u64) as usize],
@@ -156,7 +141,7 @@ fn gen_op(rng: &mut DetRng, keys: &[Key]) -> UpdateOp {
             key: tasks[rng.next_below(tasks.len() as u64) as usize],
         },
         _ => UpdateOp::Flush {
-            table: [Table::Task, Table::Event, Table::Lineage][rng.next_below(3) as usize],
+            table: [Table::Task, Table::Lineage, Table::Object][rng.next_below(3) as usize],
             keep_entries: rng.next_below(4) as usize,
         },
     }

@@ -299,7 +299,7 @@ impl LocalObjectStore {
     fn read_spilled(&self, id: ObjectId) -> Option<Bytes> {
         match self.spill.read(&spill_key(id))? {
             Entry::Blob(data) => Some(data),
-            Entry::Set(_) | Entry::List(_) => None,
+            Entry::Set(_) => None,
         }
     }
 

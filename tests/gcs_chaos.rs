@@ -9,6 +9,7 @@
 //! - every write the GCS acknowledged stays readable (read-your-writes,
 //!   no lost lineage), verified by [`ConsistencyChecker`];
 //! - a whole-shard loss recovers from the flushed disk log, and the trace
+//!   (kept outside the GCS, so nothing of it is flushed before the crash)
 //!   pins the exact arc: replica crash → reconfiguration → recovery;
 //! - two same-seed runs through shard loss produce identical trace
 //!   signatures — control-plane recovery is as deterministic as the rest
@@ -64,11 +65,10 @@ fn run_shard_loss_scenario(seed: u64) -> String {
         checker.put_object_lineage(ObjectId::random(), *t).unwrap();
     }
 
-    // Persist the control state (and the trace batches buffered so far),
-    // then kill every replica of the only shard. Until the chain master's
-    // all-dead streak crosses the recovery threshold, the control plane
-    // is simply gone.
-    cluster.flush_traces().unwrap();
+    // Persist the control state, then kill every replica of the only
+    // shard (the trace is not kept in the GCS, so nothing of it is lost).
+    // Until the chain master's all-dead streak crosses the recovery
+    // threshold, the control plane is simply gone.
     cluster.gcs().flush_all_to_disk(0).unwrap();
     chaos::apply(&cluster, ChaosAction::CrashGcsShard(ShardId(0)));
 

@@ -203,7 +203,6 @@ fn serve_pool_survives_replica_and_gcs_chaos() {
         recovered.p99()
     );
 
-    cluster.flush_traces().unwrap();
     let log = cluster.trace_log().unwrap();
     // The killed replica travels the full recovery arc: spawned at
     // deploy, drained when its node died, rebuilt by core (checkpoint +
@@ -292,7 +291,6 @@ fn recovery_scenario(seed: u64) -> String {
         pool.request(payload(&workload, round)).unwrap();
     }
 
-    cluster.flush_traces().unwrap();
     let log = cluster.trace_log().unwrap();
     log.assert()
         .ordered(
@@ -378,8 +376,7 @@ fn hedged_requests_never_duplicate_side_effects() {
             "seed {seed}: replicas applied {applied} methods for {requests} delivered results"
         );
 
-        cluster.flush_traces().unwrap();
-        let log = cluster.trace_log().unwrap();
+            let log = cluster.trace_log().unwrap();
         log.assert()
             .happened(TraceEventKind::RequestHedged)
             .happened(TraceEventKind::TaskCancelled);
@@ -426,7 +423,6 @@ fn slo_violations_are_traced_and_scale_down_retires() {
     pool.autoscale_once().unwrap();
     assert_eq!(pool.replicas().len(), 1, "idle pool should retire down to replicas_min");
 
-    cluster.flush_traces().unwrap();
     let log = cluster.trace_log().unwrap();
     log.assert()
         .happened(TraceEventKind::SloViolated)

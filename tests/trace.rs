@@ -1,7 +1,7 @@
 //! Deterministic trace-assertion suite for the lifecycle tracing layer.
 //!
-//! Every test starts a traced cluster, runs a seeded workload, pulls the
-//! merged event log out of the GCS event-log table
+//! Every test starts a traced cluster, runs a seeded workload, reads the
+//! merged event log from the cluster's trace collector
 //! ([`Cluster::trace_log`]), and asserts on it with the chainable
 //! [`TraceAssert`] API. The last test is the determinism contract: two
 //! runs with the same seed — including a node kill, detector-driven death
